@@ -11,7 +11,7 @@ cross-platform correlation is unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .tracker import (
     Tracker,
     chi2_quantile,
     kalman_predict,
+    position_d2,
 )
 from .fusion import assign
 
@@ -53,10 +54,7 @@ class RemoteTrackMsg:
     def to_payload(self) -> dict:
         return {
             "sender_id": self.sender_id,
-            "sender_pose": {
-                "rotation": [[float(v) for v in row] for row in self.sender_pose.rotation],
-                "translation": [float(v) for v in self.sender_pose.translation],
-            },
+            "sender_pose": self.sender_pose.to_payload(),
             "timestamp": self.timestamp,
             "tracks": [
                 {
@@ -70,8 +68,7 @@ class RemoteTrackMsg:
 
     @staticmethod
     def from_payload(d: dict) -> "RemoteTrackMsg":
-        pose = Pose(np.array(d["sender_pose"]["rotation"]),
-                    np.array(d["sender_pose"]["translation"]))
+        pose = Pose.from_payload(d["sender_pose"])
         tracks = [(tr["remote_id"], np.array(tr["mean"]), np.array(tr["cov"]))
                   for tr in d["tracks"]]
         return RemoteTrackMsg(d["sender_id"], pose, d["timestamp"], tracks)
@@ -79,9 +76,8 @@ class RemoteTrackMsg:
 
 @dataclass
 class CollabState:
-    """Receiver-side bookkeeping: links and counters."""
+    """Receiver-side counters."""
 
-    links: dict[tuple[str, int], int] = field(default_factory=dict)  # (sender, remote id) -> local id
     received: int = 0
     stale: int = 0
     fused: int = 0
@@ -130,9 +126,7 @@ def t2t_associate(local: list[Track],
     cost = np.full((len(local), len(remote)), np.inf)
     for i, tr in enumerate(local):
         for j, (mean, cov) in enumerate(remote):
-            delta = tr.mean[:3] - mean[:3]
-            s = tr.cov[:3, :3] + cov[:3, :3]
-            d2 = float(delta @ np.linalg.solve(s, delta))
+            d2 = position_d2(tr.mean, tr.cov, mean, cov)
             if d2 <= gamma:
                 cost[i, j] = d2
     return assign(cost)
@@ -248,7 +242,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
         matched_remote = set()
         for i, j in pairs:
             tr = locals_[i]
-            rid, mean_r, cov_r = aligned[j]
+            _, mean_r, cov_r = aligned[j]
             try:
                 w = ci_omega(tr.cov, cov_r)
                 tr.mean, tr.cov = ci_fuse(tr.mean, tr.cov, mean_r, cov_r, w)
@@ -259,21 +253,14 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
             tr.recent.append(True)
             if tr.status == TENTATIVE and sum(tr.recent) >= tracker.config.confirm_m:
                 tr.status = CONFIRMED
-            state.links[(msg.sender_id, rid)] = tr.id
             state.fused += 1
             matched_remote.add(j)
         gamma = chi2_quantile(0.99, 3)
-        for j, (rid, mean_r, cov_r) in enumerate(aligned):
+        for j, (_, mean_r, cov_r) in enumerate(aligned):
             if j in matched_remote:
                 continue
-            near_known = False
-            for tr in tracker.tracks:
-                delta = tr.mean[:3] - mean_r[:3]
-                s = tr.cov[:3, :3] + cov_r[:3, :3]
-                if float(delta @ np.linalg.solve(s, delta)) <= gamma:
-                    near_known = True
-                    break
-            if near_known:
+            if any(position_d2(tr.mean, tr.cov, mean_r, cov_r) <= gamma
+                   for tr in tracker.tracks):
                 continue
             tr = Track(tracker.next_id, mean_r, symmetrize(cov_r), t_now,
                        tracker.config.confirm_n)
@@ -281,7 +268,6 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
             if sum(tr.recent) >= tracker.config.confirm_m:
                 tr.status = CONFIRMED
             tracker.tracks.append(tr)
-            state.links[(msg.sender_id, rid)] = tr.id
             state.spawned += 1
     _merge_duplicates(tracker, state)
 
@@ -303,9 +289,7 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
         for b in tracks[i + 1:]:
             if b.id in dead:
                 continue
-            delta = a.mean[:3] - b.mean[:3]
-            s = a.cov[:3, :3] + b.cov[:3, :3]
-            if float(delta @ np.linalg.solve(s, delta)) > gamma:
+            if position_d2(a.mean, a.cov, b.mean, b.cov) > gamma:
                 continue
             try:
                 w = ci_omega(a.cov, b.cov)

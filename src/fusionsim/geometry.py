@@ -13,14 +13,13 @@ into the parent frame (``p_parent = R @ p_local + t``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# Symmetry tolerance for covariance inputs and eigenvalue floor for PSD
-# checks.  Long simulations accumulate float drift; these must not abort.
+# Symmetry tolerance for covariance inputs.  Long simulations accumulate
+# float drift; this must not abort them.
 SYMMETRY_TOL = 1e-6
-EIGENVALUE_FLOOR = -1e-9
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -78,6 +77,15 @@ class Pose:
         return Pose(self.rotation @ other.rotation,
                     self.rotation @ other.translation + self.translation)
 
+    def to_payload(self) -> dict:
+        """JSON-ready form carried in bus messages."""
+        return {"rotation": [[float(v) for v in row] for row in self.rotation],
+                "translation": [float(v) for v in self.translation]}
+
+    @staticmethod
+    def from_payload(d: dict) -> "Pose":
+        return Pose(np.array(d["rotation"]), np.array(d["translation"]))
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -110,11 +118,6 @@ def rotation_from_rpy_deg(roll: float, pitch: float, yaw: float) -> np.ndarray:
 def transform_point(pose: Pose, p) -> np.ndarray:
     """Map a point from the pose's local frame into its parent frame."""
     return pose.rotation @ np.asarray(p, dtype=float) + pose.translation
-
-
-def rotate_vector(pose: Pose, v) -> np.ndarray:
-    """Rotate a free vector (velocity, direction); translation does not apply."""
-    return pose.rotation @ np.asarray(v, dtype=float)
 
 
 def inverse(pose: Pose) -> Pose:

@@ -9,7 +9,6 @@ Cardinality-aware set error comes from OSPA.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -17,12 +17,11 @@ import numpy as np
 
 from .fusion import SOURCE_FUSED, Detection3D, radar_measurement_cov
 from .geometry import Pose, inverse, symmetrize, transform_point
-from .sensing import GroundTruthObject, RadarPoint, SensorNoiseConfig
+from .sensing import GroundTruthObject, RadarPoint, SensorNoiseConfig, perturb_polar
 from .tracker import LANE_EDGE, Tracker
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-STATUS_TIMEOUT = "timeout"
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_QUEUE_BOUND = 16
@@ -160,16 +159,7 @@ def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
             continue
         if rng.uniform() >= prof.p_detect:
             continue
-        az = math.atan2(p[1], p[0])
-        el = math.atan2(p[2], math.hypot(p[0], p[1]))
-        r = r_true + (rng.normal(0.0, prof.range_sigma) if prof.range_sigma > 0 else 0.0)
-        if prof.azimuth_sigma > 0:
-            az += rng.normal(0.0, prof.azimuth_sigma)
-            el += rng.normal(0.0, prof.azimuth_sigma)
-        r = max(r, 1e-6)
-        pos_body = np.array([r * math.cos(el) * math.cos(az),
-                             r * math.cos(el) * math.sin(az),
-                             r * math.sin(el)])
+        pos_body = perturb_polar(p, r_true, prof, rng)
         pos = transform_point(sensor_pose, pos_body)
         probe = RadarPoint(pos_body, 0.0, 0.0, "edge", req.frame_time)
         cov_body = radar_measurement_cov(probe, prof)
@@ -271,7 +261,6 @@ class Broker:
         w = self.pool.get(worker_id)
         if w is None:
             self.pool.add(worker_id, now)
-            self.pool.get(worker_id).last_heartbeat = now
         else:
             w.last_heartbeat = now
 

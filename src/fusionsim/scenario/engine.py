@@ -17,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from ..geometry import OPTICAL_FROM_BODY, Pose, inverse, symmetrize, transform_g
 from ..metrics import MetricsAggregator, OutOfRange, prediction_error
 from ..offload import Broker, TaskRequest, TaskResult, emulate_worker, reap_timeouts
 from ..sensing import (
-    Detection2D,
-    RadarPoint,
     SensorNoiseConfig,
     camera_observe,
     radar_observe,
@@ -39,8 +36,6 @@ from ..sensing import (
 )
 from ..tracker import LANE_LOCAL, Tracker, predict_trajectory
 from .model import Scenario, world_at
-
-LOG = logging.getLogger("fusionsim.engine")
 
 KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
@@ -52,15 +47,6 @@ def stream_rng(master_seed: int, key: str) -> np.random.Generator:
     """Independent generator for a named stream under one master seed."""
     digest = hashlib.sha256(f"{master_seed}:{key}".encode("utf-8")).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
-def _pose_payload(pose: Pose) -> dict:
-    return {"rotation": [[float(v) for v in row] for row in pose.rotation],
-            "translation": [float(v) for v in pose.translation]}
-
-
-def _pose_from_payload(d: dict) -> Pose:
-    return Pose(np.array(d["rotation"]), np.array(d["translation"]))
 
 
 @dataclass
@@ -114,7 +100,6 @@ class _AgentRT:
         if self.cam_spec is not None:
             # optical frame sits inside the camera body mount
             agent_from_opt = self.cam_spec.mount.compose(Pose(OPTICAL_FROM_BODY.T, np.zeros(3)))
-            self.agent_from_opt = agent_from_opt
             if self.radar_spec is not None:
                 self.cam_from_radar = inverse(agent_from_opt).compose(self.radar_spec.mount)
 
@@ -252,7 +237,7 @@ class Engine:
         self._push(at, KIND_DELIVER, (dst, data))
 
     def _record_truth_line(self, t: float) -> None:
-        if self.replay is not None or t in self._truth_times_recorded:
+        if t in self._truth_times_recorded:
             return
         self._truth_times_recorded.add(t)
         self.replay_lines.append({
@@ -271,7 +256,7 @@ class Engine:
         agent_pose = self._agent_pose(rt, t)
         sensor_pose = agent_pose.compose(spec.mount)
         if self.replay is not None:
-            dets = self.replay.detections_at(t, aid, sidx, spec.type)
+            dets = self.replay.detections_at(t, aid, sidx)
         elif spec.type == "camera":
             dets = camera_observe(spec.intrinsics, sensor_pose, self._truth(t),
                                   spec.noise, self.sensor_rngs[(aid, sidx)],
@@ -366,11 +351,8 @@ class Engine:
     def _submit_task(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
         cam = rt.cam_spec
         rig_pose = agent_pose.compose(cam.mount)
-        if self.replay is not None:
-            visible = sorted(o.id for o in self._truth(t))
-        else:
-            visible = sorted(visible_object_ids(cam.intrinsics, rig_pose, self._truth(t)))
-        inner = {"visible_ids": visible, "rig_pose": _pose_payload(rig_pose)}
+        visible = sorted(visible_object_ids(cam.intrinsics, rig_pose, self._truth(t)))
+        inner = {"visible_ids": visible, "rig_pose": rig_pose.to_payload()}
         req = TaskRequest(next(self.task_counter), self.sc.pipeline.task_kind, t,
                           canonical_dumps(inner))
         wid = self.broker.submit(req, t)
@@ -386,17 +368,16 @@ class Engine:
         frame, _ = bus.decode(data)
         self.bus_counts["delivered"] += 1
         if frame.msg_type == bus.MSG_TRACKS:
-            if self.mode == "cr-covi" and dst in self.agents:
-                msg = RemoteTrackMsg.from_payload(canonical_loads(frame.payload))
-                if msg.sender_id != dst:
-                    self.agents[dst].msg_queue.append(msg)
+            # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
+            msg = RemoteTrackMsg.from_payload(canonical_loads(frame.payload))
+            self.agents[dst].msg_queue.append(msg)
         elif frame.msg_type == bus.MSG_TASK_REQ:
             wid = frame.topic.split("tasks/", 1)[1]
             req = TaskRequest.from_payload(canonical_loads(frame.payload))
             inner = canonical_loads(req.payload)
             truth = [o for o in self._truth(req.frame_time)
                      if o.id in set(inner["visible_ids"])]
-            result = emulate_worker(req, truth, _pose_from_payload(inner["rig_pose"]),
+            result = emulate_worker(req, truth, Pose.from_payload(inner["rig_pose"]),
                                     self.sc.pipeline.worker, self.worker_rngs[wid])
             self._push(t + result.compute_latency, KIND_TASK, (wid, result))
         elif frame.msg_type == bus.MSG_TASK_RESP:
@@ -408,9 +389,9 @@ class Engine:
             for req, target in sends:
                 self._send_task_req(req, target, t)
         elif frame.msg_type == bus.MSG_HEARTBEAT:
-            if self.broker is not None:
-                payload = canonical_loads(frame.payload)
-                self.broker.heartbeat(payload["worker_id"], t)
+            # heartbeats are scheduled only in cr-dist, which has a broker
+            payload = canonical_loads(frame.payload)
+            self.broker.heartbeat(payload["worker_id"], t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         frame = BusFrame(bus.MSG_TASK_RESP, int(round(t * 1e9)),
@@ -433,7 +414,6 @@ class Engine:
         mc = self.sc.metrics
         if t + mc.prediction_horizon <= self.sc.duration + 1e-9:
             by_id = {tr.id: tr for tr in ego.tracker.confirmed()}
-            truth_by_id = {o.id: o for o in self._truth(t)}
             for gid, eid, _ in frame.matches:
                 tr = by_id.get(eid)
                 if tr is None:

@@ -10,29 +10,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from ..bus import LinkParams, NetworkModel
-from ..geometry import CameraIntrinsics, Pose, rotation_from_rpy_deg
+from ..bus import BusError, LinkParams, NetworkModel
+from ..geometry import CameraIntrinsics, GeometryError, Pose, rotation_from_rpy_deg
 from ..offload import (
     DEFAULT_HEARTBEAT,
     DEFAULT_QUEUE_BOUND,
     DEFAULT_TIMEOUT,
+    OffloadError,
     WorkerConfig,
 )
 from ..sensing import (
     CAMERA_PRESETS,
     GroundTruthObject,
     RADAR_PRESETS,
+    SensingError,
     SensorNoiseConfig,
 )
-from ..tracker import TrackerConfig
+from ..tracker import TrackerConfig, TrackerError
 
 MODES = ("cr", "cr-covi", "cr-dist")
 AGENT_KINDS = ("ego", "vehicle", "infrastructure", "edge-server")
 SENSOR_TYPES = ("camera", "radar")
+# The worker profile is a SensorNoiseConfig; these are the fields it accepts.
+WORKER_PROFILE_KEYS = ("range_sigma", "azimuth_sigma", "p_detect", "max_range")
+# Casts by declared field type.  The config modules postpone annotations,
+# so a dataclass field's type is the annotation's text.
+_CASTS = {"int": int, "float": float, "str": str}
+# What casting a config value or building a config can raise.
+_CONFIG_ERRORS = (TypeError, ValueError, OverflowError, BusError, GeometryError,
+                  OffloadError, SensingError, TrackerError)
 
 
 class ScenarioError(Exception):
@@ -55,6 +65,21 @@ def _check_keys(d: dict, allowed: tuple, path: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown fields {unknown} at {path}")
+
+
+def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None):
+    """``base`` with the values in ``d`` replaced, each cast to its field's
+    declared type.
+
+    Keys must name fields of ``base`` (only ``keys``, when given).  Cast and
+    constructor errors are raised as ValidationError.
+    """
+    types = {f.name: f.type for f in fields(base)}
+    _check_keys(d, keys or tuple(types), path)
+    try:
+        return replace(base, **{k: _CASTS[types[k]](v) for k, v in d.items()})
+    except _CONFIG_ERRORS as e:
+        raise ValidationError(f"{path}: {e}") from e
 
 
 def _vec3(value, path: str) -> np.ndarray:
@@ -197,23 +222,12 @@ class SensorSpec:
             "type": self.type,
             "rate": self.rate,
             "mount": self.mount_raw,
-            "noise": {
-                "pixel_sigma": self.noise.pixel_sigma,
-                "range_sigma": self.noise.range_sigma,
-                "azimuth_sigma": self.noise.azimuth_sigma,
-                "speed_sigma": self.noise.speed_sigma,
-                "p_detect": self.noise.p_detect,
-                "clutter_rate": self.noise.clutter_rate,
-                "fov_azimuth": self.noise.fov_azimuth,
-                "max_range": self.noise.max_range,
-            },
+            "noise": asdict(self.noise),
         }
         if self.preset:
             out["preset"] = self.preset
         if self.intrinsics is not None:
-            k = self.intrinsics
-            out["intrinsics"] = {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
-                                 "width": k.width, "height": k.height}
+            out["intrinsics"] = asdict(self.intrinsics)
         return out
 
 
@@ -276,28 +290,20 @@ class PipelineConfig:
     worker: WorkerConfig = field(default_factory=WorkerConfig)
 
     def to_dict(self) -> dict:
+        """The mode and the fields that mode reads."""
         out: dict = {"mode": self.mode}
         if self.mode == "cr-covi":
             out["broadcast_hz"] = self.broadcast_hz
             out["staleness"] = self.staleness
         if self.mode == "cr-dist":
-            prof = self.worker.profile
+            worker = asdict(self.worker)
+            worker["profile"] = {k: worker["profile"][k] for k in WORKER_PROFILE_KEYS}
             out.update({
                 "task_kind": self.task_kind,
                 "timeout": self.timeout,
                 "queue_bound": self.queue_bound,
                 "heartbeat_interval": self.heartbeat_interval,
-                "worker": {
-                    "lat_min": self.worker.lat_min,
-                    "lat_max": self.worker.lat_max,
-                    "p_fail": self.worker.p_fail,
-                    "profile": {
-                        "range_sigma": prof.range_sigma,
-                        "azimuth_sigma": prof.azimuth_sigma,
-                        "p_detect": prof.p_detect,
-                        "max_range": prof.max_range,
-                    },
-                },
+                "worker": worker,
             })
         return out
 
@@ -310,12 +316,6 @@ class MetricsConfig:
     prediction_horizon: float = 2.0
     prediction_dt: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "radius": self.radius,
-                "ospa_cutoff": self.ospa_cutoff,
-                "prediction_horizon": self.prediction_horizon,
-                "prediction_dt": self.prediction_dt}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -325,32 +325,22 @@ class Scenario:
     tracker: TrackerConfig
     metrics: MetricsConfig
     network: NetworkModel
-    network_raw: dict
     agents: tuple[AgentSpec, ...]
     objects: tuple[ObjectSpec, ...]
-
-    def agent(self, agent_id: str) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
 
     @property
     def ego(self) -> AgentSpec:
         return next(a for a in self.agents if a.kind == "ego")
 
     def to_dict(self) -> dict:
-        tr = self.tracker
         return {
             "version": 1,
             "duration": self.duration,
             "seed": self.seed,
             "pipeline": self.pipeline.to_dict(),
-            "tracker": {"q": tr.q, "confirm_m": tr.confirm_m, "confirm_n": tr.confirm_n,
-                        "max_misses": tr.max_misses, "gate_prob": tr.gate_prob,
-                        "snapshot_horizon": tr.snapshot_horizon},
-            "metrics": self.metrics.to_dict(),
-            "network": self.network_raw,
+            "tracker": asdict(self.tracker),
+            "metrics": asdict(self.metrics),
+            "network": asdict(self.network),
             "agents": [a.to_dict() for a in self.agents],
             "objects": [o.to_dict() for o in self.objects],
         }
@@ -385,9 +375,9 @@ def load_scenario(text: str) -> Scenario:
     seed = int(doc.get("seed", 0))
 
     pipeline = _parse_pipeline(doc.get("pipeline", {"mode": "cr"}))
-    tracker = _parse_tracker(doc.get("tracker", {}))
+    tracker = _parse_config(TrackerConfig(), doc.get("tracker", {}), "$.tracker")
     metrics = _parse_metrics(doc.get("metrics", {}))
-    network, network_raw = _parse_network(doc.get("network", {}))
+    network = _parse_network(doc.get("network", {}))
 
     agents_raw = doc.get("agents", [])
     if not isinstance(agents_raw, list) or not agents_raw:
@@ -408,7 +398,7 @@ def load_scenario(text: str) -> Scenario:
         raise ValidationError("object ids unique")
 
     scenario = Scenario(duration, seed, pipeline, tracker, metrics, network,
-                        network_raw, agents, objects)
+                        agents, objects)
     _validate_mode(scenario)
     return scenario
 
@@ -418,20 +408,14 @@ def apply_overrides(scenario: Scenario, mode: str | None = None,
     """CLI flags override file values; the result is re-validated."""
     if mode is None and seed is None:
         return scenario
-    pipeline = scenario.pipeline
+    changes: dict = {}
     if mode is not None:
         if mode not in MODES:
             raise ValidationError(f"pipeline mode must be one of {MODES}")
-        pipeline = PipelineConfig(
-            mode=mode, broadcast_hz=pipeline.broadcast_hz,
-            staleness=pipeline.staleness, task_kind=pipeline.task_kind,
-            timeout=pipeline.timeout, queue_bound=pipeline.queue_bound,
-            heartbeat_interval=pipeline.heartbeat_interval, worker=pipeline.worker)
-    out = Scenario(scenario.duration,
-                   scenario.seed if seed is None else int(seed),
-                   pipeline, scenario.tracker, scenario.metrics,
-                   scenario.network, scenario.network_raw,
-                   scenario.agents, scenario.objects)
+        changes["pipeline"] = replace(scenario.pipeline, mode=mode)
+    if seed is not None:
+        changes["seed"] = int(seed)
+    out = replace(scenario, **changes)
     _validate_mode(out)
     return out
 
@@ -447,96 +431,32 @@ def _validate_mode(s: Scenario) -> None:
 
 
 def _parse_pipeline(d: dict) -> PipelineConfig:
-    _check_keys(d, ("mode", "broadcast_hz", "staleness", "task_kind", "timeout",
-                    "queue_bound", "heartbeat_interval", "worker"), "$.pipeline")
-    mode = d.get("mode", "cr")
-    if mode not in MODES:
-        raise ValidationError(f"pipeline mode must be one of {MODES}, got {mode!r}")
-    worker_d = d.get("worker", {})
-    _check_keys(worker_d, ("lat_min", "lat_max", "p_fail", "profile"),
-                "$.pipeline.worker")
-    prof_d = worker_d.get("profile", {})
-    _check_keys(prof_d, ("range_sigma", "azimuth_sigma", "p_detect", "max_range"),
-                "$.pipeline.worker.profile")
-    default_prof = WorkerConfig().profile
-    profile = SensorNoiseConfig(
-        range_sigma=float(prof_d.get("range_sigma", default_prof.range_sigma)),
-        azimuth_sigma=float(prof_d.get("azimuth_sigma", default_prof.azimuth_sigma)),
-        p_detect=float(prof_d.get("p_detect", default_prof.p_detect)),
-        max_range=float(prof_d.get("max_range", default_prof.max_range)),
-        fov_azimuth=math.tau)
-    worker = WorkerConfig(
-        lat_min=float(worker_d.get("lat_min", WorkerConfig.lat_min)),
-        lat_max=float(worker_d.get("lat_max", WorkerConfig.lat_max)),
-        p_fail=float(worker_d.get("p_fail", WorkerConfig.p_fail)),
-        profile=profile)
-    broadcast_hz = float(d.get("broadcast_hz", 5.0))
-    if broadcast_hz <= 0:
+    d = dict(d)
+    worker_d = dict(d.pop("worker", {}))
+    profile = _parse_config(WorkerConfig().profile, worker_d.pop("profile", {}),
+                            "$.pipeline.worker.profile", WORKER_PROFILE_KEYS)
+    worker = _parse_config(WorkerConfig(profile=profile), worker_d, "$.pipeline.worker")
+    pipeline = _parse_config(PipelineConfig(worker=worker), d, "$.pipeline")
+    if pipeline.mode not in MODES:
+        raise ValidationError(f"pipeline mode must be one of {MODES}, got {pipeline.mode!r}")
+    if pipeline.broadcast_hz <= 0:
         raise ValidationError("broadcast_hz > 0")
-    return PipelineConfig(
-        mode=mode, broadcast_hz=broadcast_hz,
-        staleness=float(d.get("staleness", 1.0)),
-        task_kind=str(d.get("task_kind", "stereo-depth")),
-        timeout=float(d.get("timeout", DEFAULT_TIMEOUT)),
-        queue_bound=int(d.get("queue_bound", DEFAULT_QUEUE_BOUND)),
-        heartbeat_interval=float(d.get("heartbeat_interval", DEFAULT_HEARTBEAT)),
-        worker=worker)
-
-
-def _parse_tracker(d: dict) -> TrackerConfig:
-    _check_keys(d, ("q", "confirm_m", "confirm_n", "max_misses", "gate_prob",
-                    "snapshot_horizon"), "$.tracker")
-    base = TrackerConfig()
-    try:
-        return TrackerConfig(
-            q=float(d.get("q", base.q)),
-            confirm_m=int(d.get("confirm_m", base.confirm_m)),
-            confirm_n=int(d.get("confirm_n", base.confirm_n)),
-            max_misses=int(d.get("max_misses", base.max_misses)),
-            gate_prob=float(d.get("gate_prob", base.gate_prob)),
-            snapshot_horizon=float(d.get("snapshot_horizon", base.snapshot_horizon)))
-    except Exception as e:
-        raise ValidationError(f"tracker config: {e}")
+    return pipeline
 
 
 def _parse_metrics(d: dict) -> MetricsConfig:
-    _check_keys(d, ("rate", "radius", "ospa_cutoff", "prediction_horizon",
-                    "prediction_dt"), "$.metrics")
-    base = MetricsConfig()
-    m = MetricsConfig(rate=float(d.get("rate", base.rate)),
-                      radius=float(d.get("radius", base.radius)),
-                      ospa_cutoff=float(d.get("ospa_cutoff", base.ospa_cutoff)),
-                      prediction_horizon=float(d.get("prediction_horizon",
-                                                     base.prediction_horizon)),
-                      prediction_dt=float(d.get("prediction_dt", base.prediction_dt)))
+    m = _parse_config(MetricsConfig(), d, "$.metrics")
     if m.rate <= 0 or m.radius <= 0:
         raise ValidationError("metrics rate and radius must be > 0")
     return m
 
 
-def _parse_link(d: dict, path: str) -> LinkParams:
-    _check_keys(d, ("base_latency", "jitter", "drop_prob"), path)
-    try:
-        return LinkParams(base_latency=float(d.get("base_latency", 0.02)),
-                          jitter=float(d.get("jitter", 0.0)),
-                          drop_prob=float(d.get("drop_prob", 0.0)))
-    except Exception as e:
-        raise ValidationError(f"{path}: {e}")
-
-
-def _parse_network(d: dict) -> tuple[NetworkModel, dict]:
+def _parse_network(d: dict) -> NetworkModel:
     _check_keys(d, ("default", "links"), "$.network")
-    default = _parse_link(d.get("default", {}), "$.network.default")
-    links = {}
-    for name, entry in d.get("links", {}).items():
-        links[name] = _parse_link(entry, f"$.network.links[{name!r}]")
-    raw = {
-        "default": {"base_latency": default.base_latency, "jitter": default.jitter,
-                    "drop_prob": default.drop_prob},
-        "links": {k: {"base_latency": v.base_latency, "jitter": v.jitter,
-                      "drop_prob": v.drop_prob} for k, v in sorted(links.items())},
-    }
-    return NetworkModel(default=default, links=links), raw
+    default = _parse_config(LinkParams(), d.get("default", {}), "$.network.default")
+    links = {name: _parse_config(LinkParams(), entry, f"$.network.links[{name!r}]")
+             for name, entry in d.get("links", {}).items()}
+    return NetworkModel(default=default, links=links)
 
 
 def _parse_mount(d: dict, path: str) -> tuple[Pose, dict]:
@@ -565,38 +485,11 @@ def _parse_sensor(d: dict, path: str) -> SensorSpec:
         raise ValidationError(f"{path}.rate must be > 0")
     mount, mount_raw = _parse_mount(d.get("mount", {}), f"{path}.mount")
 
-    noise_d = d.get("noise", {})
-    _check_keys(noise_d, ("pixel_sigma", "range_sigma", "azimuth_sigma", "speed_sigma",
-                          "p_detect", "clutter_rate", "fov_azimuth", "max_range"),
-                f"{path}.noise")
-    base: SensorNoiseConfig = preset["noise"]
-    try:
-        noise = SensorNoiseConfig(
-            pixel_sigma=float(noise_d.get("pixel_sigma", base.pixel_sigma)),
-            range_sigma=float(noise_d.get("range_sigma", base.range_sigma)),
-            azimuth_sigma=float(noise_d.get("azimuth_sigma", base.azimuth_sigma)),
-            speed_sigma=float(noise_d.get("speed_sigma", base.speed_sigma)),
-            p_detect=float(noise_d.get("p_detect", base.p_detect)),
-            clutter_rate=float(noise_d.get("clutter_rate", base.clutter_rate)),
-            fov_azimuth=float(noise_d.get("fov_azimuth", base.fov_azimuth)),
-            max_range=float(noise_d.get("max_range", base.max_range)))
-    except Exception as e:
-        raise ValidationError(f"{path}.noise: {e}")
-
+    noise = _parse_config(preset["noise"], d.get("noise", {}), f"{path}.noise")
     intrinsics = None
     if stype == "camera":
-        k_d = d.get("intrinsics", {})
-        _check_keys(k_d, ("fx", "fy", "cx", "cy", "width", "height"),
-                    f"{path}.intrinsics")
-        k0: CameraIntrinsics = preset["intrinsics"]
-        try:
-            intrinsics = CameraIntrinsics(
-                fx=float(k_d.get("fx", k0.fx)), fy=float(k_d.get("fy", k0.fy)),
-                cx=float(k_d.get("cx", k0.cx)), cy=float(k_d.get("cy", k0.cy)),
-                width=int(k_d.get("width", k0.width)),
-                height=int(k_d.get("height", k0.height)))
-        except Exception as e:
-            raise ValidationError(f"{path}.intrinsics: {e}")
+        intrinsics = _parse_config(preset["intrinsics"], d.get("intrinsics", {}),
+                                   f"{path}.intrinsics")
     elif "intrinsics" in d:
         raise ValidationError(f"{path}: radar sensors take no intrinsics")
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +32,9 @@ from .model import (
     Motion,
     PipelineConfig,
     Scenario,
-    SensorSpec,
     ValidationError,
     _parse_sensor,
+    _validate_mode,
 )
 from ..bus import NetworkModel
 from ..tracker import TrackerConfig
@@ -58,7 +57,7 @@ class ReplayData:
     def agents_seen(self) -> list[str]:
         return sorted({aid for _, aid, _ in self.detections})
 
-    def detections_at(self, t: float, agent: str, sidx: int, stype: str) -> list:
+    def detections_at(self, t: float, agent: str, sidx: int) -> list:
         return self.detections.get((t, agent, sidx), [])
 
     def truth_at(self, t: float) -> list[GroundTruthObject]:
@@ -191,10 +190,6 @@ def infer_scenario(replay: ReplayData, mode: str = "cr", seed: int = 0) -> Scena
     duration = max(replay.max_t, 1e-3)
     sc = Scenario(duration=duration, seed=seed, pipeline=PipelineConfig(mode=mode),
                   tracker=TrackerConfig(), metrics=MetricsConfig(),
-                  network=NetworkModel(),
-                  network_raw={"default": {"base_latency": 0.02, "jitter": 0.0,
-                                           "drop_prob": 0.0}, "links": {}},
-                  agents=tuple(agents), objects=())
-    from .model import _validate_mode
+                  network=NetworkModel(), agents=tuple(agents), objects=())
     _validate_mode(sc)
     return sc

@@ -17,7 +17,7 @@ through everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,13 +290,7 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
             continue
         if rng.uniform() >= cfg.p_detect:
             continue
-        el = math.atan2(p[2], math.hypot(p[0], p[1]))
-        r = rng_true + (rng.normal(0.0, cfg.range_sigma) if cfg.range_sigma > 0 else 0.0)
-        if cfg.azimuth_sigma > 0:
-            az += rng.normal(0.0, cfg.azimuth_sigma)
-            el += rng.normal(0.0, cfg.azimuth_sigma)
-        r = max(r, 1e-6)
-        pos = _from_polar(r, az, el)
+        pos = perturb_polar(p, rng_true, cfg, rng)
         v_rel_body = body_from_world.rotation @ (obj.velocity - sensor_vel)
         radial = float(np.dot(p / rng_true, v_rel_body))
         if cfg.speed_sigma > 0:
@@ -310,6 +304,22 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
         points.append(RadarPoint(_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB,
                                  sensor_id, timestamp))
     return points
+
+
+def perturb_polar(p: np.ndarray, r_true: float, cfg: SensorNoiseConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Body-frame point ``p`` (range ``r_true``) with polar measurement noise.
+
+    Draw order: range, then azimuth, then elevation; elevation reuses the
+    azimuth sigma.  Noisy ranges are floored at 1 um.
+    """
+    az = math.atan2(p[1], p[0])
+    el = math.atan2(p[2], math.hypot(p[0], p[1]))
+    r = r_true + (rng.normal(0.0, cfg.range_sigma) if cfg.range_sigma > 0 else 0.0)
+    if cfg.azimuth_sigma > 0:
+        az += rng.normal(0.0, cfg.azimuth_sigma)
+        el += rng.normal(0.0, cfg.azimuth_sigma)
+    return _from_polar(max(r, 1e-6), az, el)
 
 
 def _from_polar(r: float, az: float, el: float) -> np.ndarray:
@@ -331,6 +341,3 @@ def radar_preset(name: str) -> dict:
         raise SensingError(f"unknown radar preset {name!r}; have {sorted(RADAR_PRESETS)}")
     return RADAR_PRESETS[name]
 
-
-def with_overrides(cfg: SensorNoiseConfig, **kwargs) -> SensorNoiseConfig:
-    return replace(cfg, **kwargs)

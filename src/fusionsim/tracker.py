@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ CONFIRMED = "confirmed"
 DELETED = "deleted"
 
 NEW_TRACK_VEL_STD = 20.0  # m/s; bootstrap velocity uncertainty
-HISTORY_LEN = 50          # per-track (t, mean, cov) snapshots kept
 
 # Batch keys order detection batches globally: (time, lane, tiebreak).
 LANE_LOCAL = 0
@@ -84,7 +83,7 @@ class Track:
     """One Gaussian track with lifecycle metadata."""
 
     __slots__ = ("id", "mean", "cov", "status", "hits", "misses", "recent",
-                 "history", "last_update", "stamp")
+                 "last_update", "stamp")
 
     def __init__(self, track_id: int, mean, cov, stamp: float, confirm_n: int):
         self.id = track_id
@@ -94,7 +93,6 @@ class Track:
         self.hits = 1
         self.misses = 0
         self.recent: deque[bool] = deque([True], maxlen=confirm_n)
-        self.history: deque[tuple[float, np.ndarray, np.ndarray]] = deque(maxlen=HISTORY_LEN)
         self.last_update = stamp
         self.stamp = stamp
 
@@ -107,9 +105,6 @@ class Track:
         c.hits = self.hits
         c.misses = self.misses
         c.recent = deque(self.recent, maxlen=self.recent.maxlen)
-        # history tuples are append-only and never mutated in place, so
-        # copies may share them
-        c.history = deque(self.history, maxlen=HISTORY_LEN)
         c.last_update = self.last_update
         c.stamp = self.stamp
         return c
@@ -151,12 +146,18 @@ def _check_innovation_cov(s: np.ndarray) -> None:
         raise SingularInnovation("innovation covariance rcond below 1e-12")
 
 
-def _innovation(mean: np.ndarray, cov: np.ndarray,
-                det: Detection3D) -> tuple[np.ndarray, np.ndarray]:
-    nu = det.position - mean[:3]
-    s = cov[:3, :3] + det.cov
-    _check_innovation_cov(s)
-    return nu, s
+def position_d2(mean_a: np.ndarray, cov_a: np.ndarray, mean_b: np.ndarray,
+                cov_b: np.ndarray, check: bool = False) -> float:
+    """Squared Mahalanobis distance Δ'(P_a + P_b)^-1 Δ over the position blocks.
+
+    With ``check`` the summed covariance must pass the innovation rcond
+    test first (raises SingularInnovation).
+    """
+    delta = mean_a[:3] - mean_b[:3]
+    s = cov_a[:3, :3] + cov_b[:3, :3]
+    if check:
+        _check_innovation_cov(s)
+    return float(delta @ np.linalg.solve(s, delta))
 
 
 def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
@@ -184,20 +185,18 @@ def predict(track: Track, dt: float, q: float) -> Track:
 
 
 def update(track: Track, det: Detection3D) -> Track:
-    """Measurement-updated copy; bumps hit counters and appends history."""
+    """Measurement-updated copy; bumps the hit counter and clears misses."""
     out = track.copy()
     out.mean, out.cov = kalman_update(track.mean, track.cov, det.position, det.cov)
     out.hits += 1
     out.misses = 0
     out.last_update = out.stamp
-    out.history.append((out.stamp, out.mean.copy(), out.cov.copy()))
     return out
 
 
 def gate(track: Track, det: Detection3D, gate_prob: float = 0.99) -> tuple[bool, float]:
     """Mahalanobis test of the detection against the track's predicted position."""
-    nu, s = _innovation(track.mean, track.cov, det)
-    d2 = float(nu @ np.linalg.solve(s, nu))
+    d2 = position_d2(det.position, det.cov, track.mean, track.cov, check=True)
     return d2 <= chi2_quantile(gate_prob, 3), d2
 
 
@@ -217,8 +216,11 @@ class Tracker:
 
     ``step`` is the plain in-order update; ``process_batch`` wraps it with
     a global batch key and performs rollback-replay when a batch arrives
-    whose key precedes ones already processed.  All mutation goes through
-    batches, so state is a pure function of the key-ordered batch sequence.
+    whose key precedes ones already processed.  Local and edge batches are
+    what a rollback replays.  Remote-track fusion (``collab.covi_step`` and
+    its duplicate merge) edits ``tracks`` after a batch's snapshot was
+    taken and is not replayed.  That is sound only because a ``cr-covi``
+    tracker never receives a late batch, so it never rolls back.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -292,12 +294,6 @@ class Tracker:
     @property
     def newest_key(self) -> BatchKey | None:
         return self._batches[-1][0] if self._batches else None
-
-    def oldest_restore_time(self) -> float:
-        """Earliest batch time a delayed batch could still be inserted at."""
-        if self._genesis is not None:
-            return -math.inf
-        return self._snapshots[0][0][0] if self._snapshots else math.inf
 
     def process_batch(self, key: BatchKey, detections: list[Detection3D],
                       t: float) -> bool:

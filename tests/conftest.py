@@ -10,6 +10,6 @@ def golden_dir() -> Path:
     return REPO_ROOT / "tests" / "data"
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return REPO_ROOT / "scenarios"

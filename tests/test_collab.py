@@ -9,6 +9,7 @@ from fusionsim.collab import (
     align,
     ci_fuse,
     ci_omega,
+    _merge_duplicates,
     covi_step,
     t2t_associate,
 )
@@ -186,7 +187,6 @@ class TestCoviStep:
         assert tk.tracks[0].status == TENTATIVE
         assert np.allclose(tk.tracks[0].mean[:3], [30, 0, 0])
         assert state.spawned == 1
-        assert state.links[("rsu1", 42)] == tk.tracks[0].id
 
     def test_duplicate_remote_fuses_and_shrinks(self):
         tk = self.make_tracker([[5.0, 0, 0]])
@@ -224,3 +224,28 @@ class TestCoviStep:
             covi_step(tk, [msg(remote, timestamp=t)], Pose.identity(), t, state)
         assert tk.tracks[0].status == CONFIRMED
         assert state.spawned == 1 and state.fused == 2
+
+
+class TestMergeDuplicates:
+    def tracker_with(self, positions):
+        tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
+        # listed newest first, so the merge has to pick the lower id itself
+        tk.tracks = [Track(i, np.concatenate([p, np.zeros(3)]), np.eye(6), 0.0, confirm_n=5)
+                     for i, p in reversed(list(enumerate(positions, start=1)))]
+        return tk
+
+    def test_gating_pair_folds_into_lower_id(self):
+        tk = self.tracker_with([[10.0, 0, 0], [10.5, 0, 0]])
+        state = CollabState()
+        _merge_duplicates(tk, state)
+        assert [tr.id for tr in tk.tracks] == [1]
+        assert state.merged == 1
+        # equal covariances: CI weighs both halves alike
+        assert np.allclose(tk.tracks[0].mean[:3], [10.25, 0, 0])
+
+    def test_pair_outside_gate_stays_apart(self):
+        tk = self.tracker_with([[10.0, 0, 0], [20.0, 0, 0]])
+        state = CollabState()
+        _merge_duplicates(tk, state)
+        assert sorted(tr.id for tr in tk.tracks) == [1, 2]
+        assert state.merged == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
 from fusionsim.fusion import Detection3D, SOURCE_FUSED
@@ -102,7 +103,6 @@ class TestUpdate:
         tr = fresh_track()
         out = update(tr, det([0.1, 0, 0]))
         assert out.hits == 2 and out.misses == 0
-        assert len(out.history) == len(tr.history) + 1
 
 
 class TestGate:
@@ -299,6 +299,34 @@ class TestBatchRollback:
             actual.process_batch(key, dets, t)
         oracle = Tracker()
         for key, dets, t in sorted(batches + lates, key=lambda b: b[0]):
+            oracle.process_batch(key, dets, t)
+        assert actual.state_dict() == oracle.state_dict()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 15), st.floats(0.0, 0.99)),
+                    max_size=8, unique_by=lambda e: e[0]))
+    def test_edge_arrival_order_within_horizon_matches_key_order(self, edges):
+        """Edge batch k (time k*dt) arrives d ticks late, at phase p between
+        local batches; any such order inside the horizon equals key order."""
+        dt = 0.05
+        rng = np.random.default_rng(11)
+        local = []
+        for k in range(30):
+            t = k * dt
+            dets = [det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04, t=t),
+                    det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04, t=t)]
+            local.append(((t, LANE_LOCAL, 0), dets, t))
+        edge = [((k * dt, LANE_EDGE, i), [det([5.0 + k * dt, 0.1, 0], var=0.02, t=k * dt)],
+                 k * dt) for i, (k, _, _) in enumerate(edges)]
+        arrival = sorted(
+            [(k + 0.5, b) for k, b in enumerate(local)]
+            + [(k + d + p, b) for (k, d, p), b in zip(edges, edge)],
+            key=lambda e: e[0])
+        actual = Tracker(TrackerConfig(snapshot_horizon=1.0))
+        for _, (key, dets, t) in arrival:
+            assert actual.process_batch(key, dets, t)
+        oracle = Tracker(TrackerConfig(snapshot_horizon=1.0))
+        for key, dets, t in sorted(local + edge, key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
         assert actual.state_dict() == oracle.state_dict()
 
