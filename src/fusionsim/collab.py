@@ -122,14 +122,9 @@ def t2t_associate(local: list[Track],
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
     the chi-square quantile for 3 dof.
     """
-    gamma = chi2_quantile(gate_prob, 3)
-    cost = np.full((len(local), len(remote)), np.inf)
-    for i, tr in enumerate(local):
-        for j, (mean, cov) in enumerate(remote):
-            d2 = position_d2(tr.mean, tr.cov, mean, cov)
-            if d2 <= gamma:
-                cost[i, j] = d2
-    return assign(cost)
+    d2 = position_d2([tr.mean for tr in local], [tr.cov for tr in local],
+                     [mean for mean, _ in remote], [cov for _, cov in remote])
+    return assign(np.where(d2 <= chi2_quantile(gate_prob, 3), d2, np.inf))
 
 
 def _check_invertible(p: np.ndarray, label: str) -> None:
@@ -226,10 +221,14 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
     remote track that gates with some local track but lost the one-to-one
     assignment is a duplicate view of a known object and is dropped, which
     keeps re-broadcast loops from breeding phantom tracks.  Both fusion
-    and spawning count as a sighting for M-of-N confirmation.  Per-message
-    failures are counted and never abort the step.
+    and spawning count as a sighting for M-of-N confirmation.  Association,
+    the spawn check and the duplicate merge all gate at the tracker's
+    ``gate_prob``.  Per-message failures are counted and never abort the
+    step.
     """
     q = tracker.config.q if q is None else q
+    gate_prob = tracker.config.gate_prob
+    gamma = chi2_quantile(gate_prob, 3)
     for msg in msgs:
         state.received += 1
         try:
@@ -238,7 +237,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
             state.stale += 1
             continue
         locals_ = list(tracker.tracks)
-        pairs = t2t_associate(locals_, [(m, c) for _, m, c in aligned])
+        pairs = t2t_associate(locals_, [(m, c) for _, m, c in aligned], gate_prob)
         matched_remote = set()
         for i, j in pairs:
             tr = locals_[i]
@@ -255,12 +254,10 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
                 tr.status = CONFIRMED
             state.fused += 1
             matched_remote.add(j)
-        gamma = chi2_quantile(0.99, 3)
         for j, (_, mean_r, cov_r) in enumerate(aligned):
             if j in matched_remote:
                 continue
-            if any(position_d2(tr.mean, tr.cov, mean_r, cov_r) <= gamma
-                   for tr in tracker.tracks):
+            if np.any(_d2_to_tracks(mean_r, cov_r, tracker.tracks) <= gamma):
                 continue
             tr = Track(tracker.next_id, mean_r, symmetrize(cov_r), t_now,
                        tracker.config.confirm_n)
@@ -272,6 +269,12 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
     _merge_duplicates(tracker, state)
 
 
+def _d2_to_tracks(mean: np.ndarray, cov: np.ndarray, tracks: list[Track]) -> np.ndarray:
+    """Position d^2 of one estimate against each of ``tracks``."""
+    return position_d2([mean], [cov], [tr.mean for tr in tracks],
+                       [tr.cov for tr in tracks])[0]
+
+
 def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     """CI-merge local track pairs that mutually gate on position.
 
@@ -280,16 +283,16 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     pair); folding such pairs into the elder track keeps one estimate per
     object without touching genuinely distinct neighbors.
     """
-    gamma = chi2_quantile(0.99, 3)
+    gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
     dead: set[int] = set()
     for i, a in enumerate(tracks):
         if a.id in dead:
             continue
-        for b in tracks[i + 1:]:
-            if b.id in dead:
-                continue
-            if position_d2(a.mean, a.cov, b.mean, b.cov) > gamma:
+        rest = [b for b in tracks[i + 1:] if b.id not in dead]
+        d2 = _d2_to_tracks(a.mean, a.cov, rest)
+        for j, b in enumerate(rest):
+            if d2[j] > gamma:
                 continue
             try:
                 w = ci_omega(a.cov, b.cov)
@@ -302,5 +305,7 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
                 a.status = CONFIRMED
             dead.add(b.id)
             state.merged += 1
+            # the elder moved: gate the younger tracks against its new estimate
+            d2[j + 1:] = _d2_to_tracks(a.mean, a.cov, rest[j + 1:])
     if dead:
         tracker.tracks = [tr for tr in tracker.tracks if tr.id not in dead]

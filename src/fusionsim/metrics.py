@@ -51,36 +51,34 @@ def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarra
     if radius <= 0:
         raise MetricsError("radius must be > 0")
     prev = prev or {}
-    est_by_id = {eid: np.asarray(p, dtype=float) for eid, p in est}
-    if len(est_by_id) != len(est):
+    est_ids = [e for e, _ in est]
+    est_col = {eid: j for j, eid in enumerate(est_ids)}
+    if len(est_col) != len(est):
         raise MetricsError("estimate ids must be unique within a frame")
     gt_ids = [g for g, _ in gt]
     if len(set(gt_ids)) != len(gt_ids):
         raise MetricsError("gt ids must be unique within a frame")
+    dist = distances([p for _, p in gt], [p for _, p in est])
 
     matches: list[tuple[int, int, float]] = []
     used_est: set[int] = set()
     carried: set[int] = set()
-    for gid, gpos in gt:
+    for i, gid in enumerate(gt_ids):
         eid = prev.get(gid)
-        if eid is None or eid not in est_by_id or eid in used_est:
+        if eid is None or eid not in est_col or eid in used_est:
             continue
-        d = float(np.linalg.norm(np.asarray(gpos, dtype=float) - est_by_id[eid]))
+        d = float(dist[i, est_col[eid]])
         if d <= radius:
             matches.append((gid, eid, d))
             used_est.add(eid)
             carried.add(gid)
 
-    rest_gt = [(gid, np.asarray(p, dtype=float)) for gid, p in gt if gid not in carried]
-    rest_est = [(eid, p) for eid, p in est_by_id.items() if eid not in used_est]
-    cost = np.full((len(rest_gt), len(rest_est)), np.inf)
-    for i, (_, gpos) in enumerate(rest_gt):
-        for j, (_, epos) in enumerate(rest_est):
-            d = float(np.linalg.norm(gpos - epos))
-            if d <= radius:
-                cost[i, j] = d
+    rest_gt = [i for i, gid in enumerate(gt_ids) if gid not in carried]
+    rest_est = [j for j, eid in enumerate(est_ids) if eid not in used_est]
+    rest = dist[np.ix_(rest_gt, rest_est)]
+    cost = np.where(rest <= radius, rest, np.inf)
     for i, j in assign(cost):
-        matches.append((rest_gt[i][0], rest_est[j][0], float(cost[i, j])))
+        matches.append((gt_ids[rest_gt[i]], est_ids[rest_est[j]], float(cost[i, j])))
 
     matched_gt = {g for g, _, _ in matches}
     matched_est = {e for _, e, _ in matches}
@@ -91,6 +89,16 @@ def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarra
         fn=len(gt) - len(matched_gt),
         gt_count=len(gt),
     )
+
+
+def distances(a, b) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two lists of 3D points."""
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    diff = a[:, None, :] - b[None, :, :]
+    # matmul sums the squares in the order np.linalg.norm's dot does, so each
+    # entry equals norm(a[i] - b[j]) bit for bit
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
 def clear_mot(frames: list[FrameMatchResult]) -> tuple[float | None, float | None, int]:
@@ -135,11 +143,7 @@ def ospa(a: list[np.ndarray], b: list[np.ndarray],
         return 0.0
     if m == 0:
         return c
-    d = np.zeros((m, n))
-    for i, pa in enumerate(a):
-        for j, pb in enumerate(b):
-            d[i, j] = min(c, float(np.linalg.norm(np.asarray(pa, dtype=float)
-                                                  - np.asarray(pb, dtype=float)))) ** p
+    d = np.minimum(c, distances(a, b)) ** p
     pairs = assign(d)
     loc = sum(d[i, j] for i, j in pairs)
     return float(((loc + c**p * (n - m)) / n) ** (1.0 / p))

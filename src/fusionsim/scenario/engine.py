@@ -112,8 +112,10 @@ class Engine:
         self.mode = scenario.pipeline.mode
         self.seq = itertools.count()
         self.heap: list = []
+        # Both caches hold the last time asked for only: ground truth and
+        # poses are pure functions of time, so an older time is recomputed.
         self.truth_cache: dict[float, list] = {}
-        self._pose_cache: dict[tuple[str, float], Pose] = {}
+        self._pose_cache: dict[float, dict[str, Pose]] = {}
         self.link_rngs: dict[str, np.random.Generator] = {}
         self.frames_log: list[dict] = []
         self.bus_counts = {"sent": 0, "delivered": 0, "dropped": 0,
@@ -198,9 +200,9 @@ class Engine:
     def _truth(self, t: float):
         if t not in self.truth_cache:
             if self.replay is not None:
-                self.truth_cache[t] = self.replay.truth_at(t)
+                self.truth_cache = {t: self.replay.truth_at(t)}
             else:
-                self.truth_cache[t] = world_at(self.sc.objects, t, self.sc.duration)
+                self.truth_cache = {t: world_at(self.sc.objects, t, self.sc.duration)}
         return self.truth_cache[t]
 
     def _link_rng(self, link: str) -> np.random.Generator:
@@ -209,14 +211,12 @@ class Engine:
         return self.link_rngs[link]
 
     def _agent_pose(self, rt: _AgentRT, t: float) -> Pose:
-        key = (rt.spec.id, t)
-        pose = self._pose_cache.get(key)
-        if pose is None:
-            if len(self._pose_cache) > 20_000:
-                self._pose_cache.clear()
-            pose = rt.spec.trajectory.pose(t)
-            self._pose_cache[key] = pose
-        return pose
+        if t not in self._pose_cache:
+            self._pose_cache = {t: {}}
+        poses = self._pose_cache[t]
+        if rt.spec.id not in poses:
+            poses[rt.spec.id] = rt.spec.trajectory.pose(t)
+        return poses[rt.spec.id]
 
     def _send(self, src: str, dst: str, frame: BusFrame, t: float) -> None:
         data = bus.encode(frame)
@@ -375,8 +375,8 @@ class Engine:
             wid = frame.topic.split("tasks/", 1)[1]
             req = TaskRequest.from_payload(canonical_loads(frame.payload))
             inner = canonical_loads(req.payload)
-            truth = [o for o in self._truth(req.frame_time)
-                     if o.id in set(inner["visible_ids"])]
+            visible = set(inner["visible_ids"])
+            truth = [o for o in self._truth(req.frame_time) if o.id in visible]
             result = emulate_worker(req, truth, Pose.from_payload(inner["rig_pose"]),
                                     self.sc.pipeline.worker, self.worker_rngs[wid])
             self._push(t + result.compute_latency, KIND_TASK, (wid, result))

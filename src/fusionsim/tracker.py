@@ -5,6 +5,12 @@ Mahalanobis gating against a chi-square quantile, one-to-one assignment on
 gated squared distances, M-of-N confirmation, and miss-based deletion.
 State layout is [px, py, pz, vx, vy, vz].
 
+Gating is one all-pairs call per step: ``position_d2`` stacks every
+track x detection residual and innovation covariance and solves them
+together, so a step costs a fixed number of array operations rather than
+one Python call per pair.  Collaboration (``collab``) gates with the
+same kernel.
+
 The tracker also keeps a ring of whole-state snapshots keyed by the batch
 order it processed, which lets delayed (out-of-sequence) detection batches
 be integrated exactly by rollback and replay; see ``offload.integrate``.
@@ -123,14 +129,23 @@ class Track:
         }
 
 
+_POS = np.arange(3)
+_VEL = _POS + 3
+
+
 def cv_transition(dt: float) -> np.ndarray:
-    return np.kron(np.array([[1.0, dt], [0.0, 1.0]]), np.eye(3))
+    f = np.eye(6)
+    f[_POS, _VEL] = dt
+    return f
 
 
 def process_noise(dt: float, q: float) -> np.ndarray:
     """White-acceleration noise: per-axis blocks [[dt^4/4, dt^3/2], [dt^3/2, dt^2]] * q."""
-    block = q * np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]])
-    return np.kron(block, np.eye(3))
+    noise = np.zeros((6, 6))
+    noise[_POS, _POS] = q * (dt**4 / 4.0)
+    noise[_POS, _VEL] = noise[_VEL, _POS] = q * (dt**3 / 2.0)
+    noise[_VEL, _VEL] = q * dt**2
+    return noise
 
 
 def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
@@ -140,24 +155,37 @@ def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
 
 
 def _check_innovation_cov(s: np.ndarray) -> None:
+    """Raise SingularInnovation if S, or any matrix in a stack of them,
+    has rcond below 1e-12."""
     # rcond via symmetric eigenvalues; S is symmetric by construction
     w = np.abs(np.linalg.eigvalsh(s))
-    if w[0] <= w[-1] * 1e-12:
+    if np.any(w[..., 0] <= w[..., -1] * 1e-12):
         raise SingularInnovation("innovation covariance rcond below 1e-12")
 
 
-def position_d2(mean_a: np.ndarray, cov_a: np.ndarray, mean_b: np.ndarray,
-                cov_b: np.ndarray, check: bool = False) -> float:
-    """Squared Mahalanobis distance Δ'(P_a + P_b)^-1 Δ over the position blocks.
+def position_d2(means_a, covs_a, means_b, covs_b, check: bool = False) -> np.ndarray:
+    """All-pairs squared Mahalanobis distances over the position blocks.
 
-    With ``check`` the summed covariance must pass the innovation rcond
-    test first (raises SingularInnovation).
+    Takes N stacked means and covariances for side a and M for side b
+    (state or position dimension, at least 3) and returns the (N, M)
+    matrix of Δ'(P_a + P_b)^-1 Δ with Δ = x_a - x_b.  Each entry equals
+    the per-pair ``delta @ solve(s, delta)`` bit for bit.  With ``check``
+    every summed covariance must pass the innovation rcond test first
+    (raises SingularInnovation).
     """
-    delta = mean_a[:3] - mean_b[:3]
-    s = cov_a[:3, :3] + cov_b[:3, :3]
+    n, m = len(means_a), len(means_b)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    pos_a = np.asarray(means_a, dtype=float)[:, :3]
+    pos_b = np.asarray(means_b, dtype=float)[:, :3]
+    delta = pos_a[:, None, :] - pos_b[None, :, :]
+    s = (np.asarray(covs_a, dtype=float)[:, None, :3, :3]
+         + np.asarray(covs_b, dtype=float)[None, :, :3, :3])
     if check:
         _check_innovation_cov(s)
-    return float(delta @ np.linalg.solve(s, delta))
+    x = np.linalg.solve(s, delta[..., None])
+    # matmul, not einsum: it sums the three products in the per-pair order
+    return (delta[..., None, :] @ x)[..., 0, 0]
 
 
 def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
@@ -194,10 +222,15 @@ def update(track: Track, det: Detection3D) -> Track:
     return out
 
 
-def gate(track: Track, det: Detection3D, gate_prob: float = 0.99) -> tuple[bool, float]:
-    """Mahalanobis test of the detection against the track's predicted position."""
-    d2 = position_d2(det.position, det.cov, track.mean, track.cov, check=True)
-    return d2 <= chi2_quantile(gate_prob, 3), d2
+def gate(tracks: list[Track], detections: list[Detection3D],
+         gate_prob: float = 0.99) -> np.ndarray:
+    """Gated (tracks x detections) cost matrix: the squared Mahalanobis
+    distance of each detection from each predicted track position, inf
+    where it fails the chi-square gate."""
+    d2 = position_d2([tr.mean for tr in tracks], [tr.cov for tr in tracks],
+                     [d.position for d in detections], [d.cov for d in detections],
+                     check=True)
+    return np.where(d2 <= chi2_quantile(gate_prob, 3), d2, np.inf)
 
 
 def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[float, np.ndarray]]:
@@ -245,23 +278,13 @@ class Tracker:
         else:
             dt = 0.0
         predicted = [predict(tr, dt, cfg.q) for tr in self.tracks]
-
-        n, m = len(predicted), len(detections)
-        cost = np.full((n, m), np.inf)
-        for i, tr in enumerate(predicted):
-            for j, det in enumerate(detections):
-                ok, d2 = gate(tr, det, cfg.gate_prob)
-                if ok:
-                    cost[i, j] = d2
-        pairs = assign(cost)
-        matched_tracks = {i for i, _ in pairs}
-        matched_dets = {j for _, j in pairs}
+        pairs = dict(assign(gate(predicted, detections, cfg.gate_prob)))
+        matched_dets = set(pairs.values())
 
         survivors: list[Track] = []
         for i, tr in enumerate(predicted):
-            if i in matched_tracks:
-                j = next(jj for ii, jj in pairs if ii == i)
-                tr = update(tr, detections[j])
+            if i in pairs:
+                tr = update(tr, detections[pairs[i]])
                 tr.recent.append(True)
             else:
                 tr.misses += 1

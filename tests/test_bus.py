@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fusionsim import bus
 from fusionsim.bus import (
@@ -82,6 +83,18 @@ class TestWireFormat:
             out, used = decode(data)
             assert used == len(data)
             assert out == frame
+
+    @given(msg_type=st.sampled_from(sorted(bus.MSG_TYPES)),
+           timestamp_ns=st.integers(0, 2**64 - 1),
+           topic=st.text(max_size=64), payload=st.binary(max_size=512),
+           tail=st.binary(max_size=32))
+    def test_round_trip_property(self, msg_type, timestamp_ns, topic, payload, tail):
+        frame = BusFrame(msg_type, timestamp_ns, topic, payload)
+        data = encode(frame)
+        # bytes after the frame belong to the next one and are not consumed
+        out, used = decode(data + tail)
+        assert out == frame
+        assert used == len(data)
 
     def test_stream_parsing(self):
         frames = [BusFrame(bus.MSG_HEARTBEAT, i, f"hb/{i}", bytes([i])) for i in range(20)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionsim.collab import (
     CollabState,
@@ -158,6 +159,18 @@ class TestCiFuse:
             except np.linalg.LinAlgError:
                 assert np.linalg.eigvalsh(pf).min() > -1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_optimal_weight_never_worse_than_either_input(self, dim, seed, scale):
+        rng = np.random.default_rng(seed)
+        pa, pb = random_psd(rng, dim), random_psd(rng, dim, scale)
+        w = ci_omega(pa, pb)
+        _, pf = ci_fuse(rng.normal(size=dim), pa, rng.normal(size=dim), pb, w)
+        bound = min(np.trace(pa), np.trace(pb))
+        # ci_omega compares traces of re-inverted inputs, so allow rounding
+        assert np.trace(pf) <= bound * (1.0 + 1e-9)
+
     def test_omega_out_of_range(self):
         with pytest.raises(Exception):
             ci_fuse(np.zeros(2), np.eye(2), np.zeros(2), np.eye(2), 1.5)
@@ -215,6 +228,21 @@ class TestCoviStep:
         covi_step(tk, [old], Pose.identity(), 5.0, state)
         assert state.stale == 1 and state.received == 1
 
+    def test_collaboration_gates_at_the_tracker_gate_prob(self):
+        # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate
+        # (11.345) but outside the 0.95 one (7.815)
+        local = Track(1, np.zeros(6), 0.5 * np.eye(6), 0.0, confirm_n=5)
+        remote = [(7, np.array([3.0, 0, 0, 0, 0, 0]), 0.5 * np.eye(6))]
+        for gate_prob, fused in ((0.99, 1), (0.95, 0)):
+            tk = Tracker(TrackerConfig(gate_prob=gate_prob))
+            tk.tracks, tk.next_id = [local.copy()], 2
+            state = CollabState()
+            covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+            assert (state.fused, state.spawned, state.merged) == (fused, 1 - fused, 0)
+            assert len(tk.tracks) == 2 - fused
+            if not fused:
+                assert np.array_equal(tk.tracks[0].mean, local.mean)
+
     def test_remote_sightings_confirm_spawned_track(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
         state = CollabState()
@@ -242,6 +270,16 @@ class TestMergeDuplicates:
         assert state.merged == 1
         # equal covariances: CI weighs both halves alike
         assert np.allclose(tk.tracks[0].mean[:3], [10.25, 0, 0])
+
+    def test_merge_gates_at_the_tracker_gate_prob(self):
+        # equal unit covariances: d² = |Δ|² / 2 = 9 at Δ = sqrt(18)
+        for gate_prob, merged in ((0.99, 1), (0.95, 0)):
+            tk = self.tracker_with([[10.0, 0, 0], [10.0 + np.sqrt(18.0), 0, 0]])
+            tk.config = TrackerConfig(gate_prob=gate_prob)
+            state = CollabState()
+            _merge_duplicates(tk, state)
+            assert state.merged == merged
+            assert len(tk.tracks) == 2 - merged
 
     def test_pair_outside_gate_stays_apart(self):
         tk = self.tracker_with([[10.0, 0, 0], [20.0, 0, 0]])

@@ -5,7 +5,9 @@
   tracks;
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
-* offload: the broker conserves tasks.
+* offload: the broker conserves tasks;
+* bounded caches: the engine keeps ground truth and poses for one event
+  time only.
 """
 
 import json
@@ -67,3 +69,9 @@ def test_frames_and_tasks_accounted_for(case):
     if sc.pipeline.mode == "cr-dist":
         assert engine.broker.counters["submitted"] > 0
         assert engine.broker.conserved()
+
+
+def test_caches_hold_one_event_time(case):
+    _, engine, _ = case
+    assert len(engine.truth_cache) <= 1
+    assert len(engine._pose_cache) <= 1

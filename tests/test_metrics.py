@@ -9,6 +9,7 @@ from fusionsim.metrics import (
     MetricsError,
     OutOfRange,
     clear_mot,
+    distances,
     match_frame,
     ospa,
     prediction_error,
@@ -130,6 +131,29 @@ class TestClearMot:
         ]
         _, _, idsw = clear_mot(frames)
         assert idsw == 1
+
+
+class TestDistances:
+    def test_match_per_pair_norm(self):
+        rng = np.random.default_rng(11)
+        for n, m in [(0, 0), (0, 4), (3, 0), (1, 1), (7, 5), (60, 60)]:
+            a = list(rng.normal(scale=50.0, size=(n, 3)))
+            b = list(rng.normal(scale=50.0, size=(m, 3)))
+            d = distances(a, b)
+            assert d.shape == (n, m)
+            for i in range(n):
+                for j in range(m):
+                    assert d[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), rel=1e-12)
+
+    def test_matched_distances_are_the_norms(self):
+        rng = np.random.default_rng(12)
+        gt = [(i, rng.uniform(-5, 5, size=3)) for i in range(6)]
+        est = [(100 + i, p + rng.normal(scale=0.3, size=3)) for i, p in gt]
+        by_id = dict(gt) | dict(est)
+        f = match_frame(gt, est, radius=3.0)
+        assert len(f.matches) == 6
+        for gid, eid, d in f.matches:
+            assert d == pytest.approx(np.linalg.norm(by_id[gid] - by_id[eid]), rel=1e-12)
 
 
 class TestOspa:

@@ -21,6 +21,7 @@ from fusionsim.tracker import (
     gate,
     kalman_predict,
     kalman_update,
+    position_d2,
     predict,
     predict_trajectory,
     process_noise,
@@ -107,22 +108,58 @@ class TestUpdate:
 
 class TestGate:
     def test_at_predicted_position(self):
-        tr = fresh_track()
-        ok, d2 = gate(tr, det([0, 0, 0], var=1.0))
-        assert ok and d2 == pytest.approx(0.0, abs=1e-12)
+        cost = gate([fresh_track()], [det([0, 0, 0], var=1.0)])
+        assert cost.shape == (1, 1)
+        assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        ok, d2 = gate(tr, det([3, 0, 0], var=1.0), gate_prob=0.99)
-        assert d2 == pytest.approx(9.0, abs=1e-6)
-        assert ok
+        cost = gate([tr], [det([3, 0, 0], var=1.0)], gate_prob=0.99)
+        assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        ok, d2 = gate(tr, det([4, 0, 0], var=1.0), gate_prob=0.99)
-        assert d2 == pytest.approx(16.0, abs=1e-6)
-        assert not ok
+        cost = gate([tr], [det([4, 0, 0], var=1.0)], gate_prob=0.99)
+        assert cost[0, 0] == np.inf
+        d2 = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)])
+        assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 8), m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           gate_prob=st.sampled_from([0.95, 0.99]))
+    def test_matches_per_pair_reference(self, n, m, seed, gate_prob):
+        rng = np.random.default_rng(seed)
+        tracks = []
+        for i in range(n):
+            a = rng.normal(size=(6, 6))
+            tracks.append(Track(i, rng.normal(scale=5.0, size=6),
+                                a @ a.T + 0.01 * np.eye(6), 0.0, confirm_n=5))
+        dets = []
+        for _ in range(m):
+            b = rng.normal(size=(3, 3))
+            dets.append(Detection3D(rng.normal(scale=5.0, size=3), 0.0,
+                                    b @ b.T + 0.01 * np.eye(3), SOURCE_FUSED, 1.0, 0.0))
+        gamma = chi2_quantile(gate_prob, 3)
+        reference = np.full((n, m), np.inf)
+        for i, tr in enumerate(tracks):
+            for j, d in enumerate(dets):
+                delta = d.position - tr.mean[:3]
+                d2 = float(delta @ np.linalg.solve(d.cov + tr.cov[:3, :3], delta))
+                if d2 <= gamma:
+                    reference[i, j] = d2
+        cost = gate(tracks, dets, gate_prob)
+        assert cost.shape == (n, m)
+        assert np.array_equal(cost, reference)
+
+    def test_any_singular_pair_raises(self):
+        tracks = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in range(3)]
+        tracks.append(fresh_track(cov=np.zeros((6, 6))))
+        dets = [det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0)]
+        with pytest.raises(SingularInnovation):
+            gate(tracks, dets)
+        gate(tracks[:3], dets)  # every other pair is regular
+        gate(tracks, dets[:2])
 
     def test_quantile_lookup(self):
         assert chi2_quantile(0.99, 3) == 11.345
