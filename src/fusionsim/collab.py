@@ -10,12 +10,11 @@ cross-platform correlation is unknown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, check_symmetric, inverse, symmetrize, transform_gaussian
+from .geometry import NonPSD, Pose, check_symmetric, inverse, symmetrize, transform_gaussian
 from .tracker import (
     CONFIRMED,
     TENTATIVE,
@@ -28,8 +27,8 @@ from .tracker import (
 from .fusion import assign
 
 DEFAULT_STALENESS = 1.0  # seconds
-GRID_POINTS = 101
-GOLDEN_TOL = 1e-4
+ROOT_STEPS = 100   # safeguarded Newton iterations for the CI weight
+ROOT_TOL = 1e-12
 
 
 class CollabError(Exception):
@@ -83,11 +82,12 @@ class CollabState:
     fused: int = 0
     spawned: int = 0
     merged: int = 0
+    rejected: int = 0
 
     def counters(self) -> dict:
         return {"received": self.received, "stale": self.stale,
                 "fused": self.fused, "spawned": self.spawned,
-                "merged": self.merged}
+                "merged": self.merged, "rejected": self.rejected}
 
 
 def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
@@ -96,7 +96,9 @@ def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
 
     Each track is CV-predicted in the sender frame with the same process
     noise the trackers use, then mapped by ego_pose^-1 ∘ sender_pose.
-    Raises StaleMessage when the message is older than ``staleness``.
+    Raises StaleMessage when the message is older than ``staleness``,
+    NonPSD for an asymmetric covariance and CollabError for a message from
+    the future or a non-finite track.
     """
     age = t_now - msg.timestamp
     if age < -1e-9:
@@ -106,9 +108,13 @@ def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
     rel = inverse(ego_pose).compose(msg.sender_pose)
     out = []
     for rid, mean, cov in msg.tracks:
+        mean = np.asarray(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        # NaN passes the symmetry check and would reach the CI guards
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise CollabError(f"remote track {rid} is not finite")
         check_symmetric(cov)
-        mean_p, cov_p = kalman_predict(np.asarray(mean, dtype=float),
-                                       np.asarray(cov, dtype=float), max(age, 0.0), q)
+        mean_p, cov_p = kalman_predict(mean, cov, max(age, 0.0), q)
         mean_e, cov_e = transform_gaussian(rel, mean_p, cov_p)
         out.append((rid, mean_e, cov_e))
     return out
@@ -132,17 +138,54 @@ def _check_invertible(p: np.ndarray, label: str) -> None:
         raise NonInvertible(f"{label} has rcond below 1e-12")
 
 
-def _ci_trace(pa_inv: np.ndarray, pb_inv: np.ndarray, omega: float) -> float:
-    return float(np.trace(np.linalg.inv(omega * pa_inv + (1.0 - omega) * pb_inv)))
+def _slope_root(c: list[float], d: list[float]) -> float:
+    """Root in (0, 1) of the fused-trace slope s(w) = -sum c d / (1 + w d)^2.
+
+    s rises from s(0) < 0 to s(1) > 0, so Newton steps that leave the
+    bracket of the sign change fall back to bisection.  Plain floats: the
+    dimension is at most 6 and array calls would cost more than the sums.
+    """
+    lo, hi, w = 0.0, 1.0, 0.5
+    for _ in range(ROOT_STEPS):
+        s = ds = 0.0
+        for ci, di in zip(c, d):
+            u = 1.0 / (1.0 + w * di)
+            t = ci * di * u * u
+            s -= t
+            ds += 2.0 * t * di * u
+        if s > 0.0:
+            hi = w
+        elif s < 0.0:
+            lo = w
+        else:
+            return w
+        nxt = w - s / ds
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - w) <= ROOT_TOL:
+            return nxt
+        w = nxt
+    return w
 
 
 def ci_omega(pa: np.ndarray, pb: np.ndarray) -> float:
     """Covariance-intersection weight minimizing the fused trace.
 
-    Seeds golden-section search from the best of a 101-point grid (the
-    objective is convex in omega).  Exact ties prefer 0.5, then the
-    boundaries, so identical inputs give 0.5 and a strictly dominating
-    input gives exactly 0 or 1.
+    Closed form of Reinhardt, Noack & Hanebeck, "Closed-form optimization
+    of covariance intersection for low-dimensional matrices" (FUSION
+    2012).  The generalized eigenvectors of A = Pa^-1 and B = Pb^-1
+    (A v = lam B v with V'BV = I) diagonalize every fused information
+    matrix w A + (1-w) B at once, so
+
+        tr P(w) = sum_i |v_i|^2 / (1 + w (lam_i - 1)),
+
+    which is convex in w.  The weight is 0 if its slope at 0 is >= 0, 1 if
+    its slope at 1 is <= 0, and otherwise the slope's root.  The
+    candidates 0.5, 0, 1 and that weight are then compared by the traces
+    of their re-inverted information matrices and the first minimum wins,
+    so identical inputs give exactly 0.5 and a strictly dominating input
+    exactly 0 or 1.  Raises NonInvertible when either input is
+    ill-conditioned or the pair is not positive definite.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
@@ -150,36 +193,30 @@ def ci_omega(pa: np.ndarray, pb: np.ndarray) -> float:
     _check_invertible(pb, "Pb")
     pa_inv = np.linalg.inv(pa)
     pb_inv = np.linalg.inv(pb)
-    f = lambda w: _ci_trace(pa_inv, pb_inv, w)
+    # B = LL' with L = M^-T for the Cholesky factor Pb = MM', so the
+    # symmetric problem L^-1 A L^-T = M'AM needs no further inverse and
+    # V = L^-T W = MW
+    try:
+        m = np.linalg.cholesky(pb)
+    except np.linalg.LinAlgError:
+        raise NonInvertible("Pb is not positive definite")
+    lam, w = np.linalg.eigh(m.T @ pa_inv @ m)
+    if lam[0] <= 0.0:
+        raise NonInvertible("Pa is not positive definite")
+    v = m @ w
+    c = (v * v).sum(axis=0).tolist()
+    d = (lam - 1.0).tolist()
+    if sum(ci * di for ci, di in zip(c, d)) <= 0.0:
+        best = 0.0
+    elif sum(ci * di / (1.0 + di) ** 2 for ci, di in zip(c, d)) >= 0.0:
+        best = 1.0
+    else:
+        best = _slope_root(c, d)
 
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    values = [f(w) for w in grid]
-    best = int(np.argmin(values))
-    lo = max(0.0, grid[max(best - 1, 0)])
-    hi = min(1.0, grid[min(best + 1, GRID_POINTS - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    w_gs = (a + b) / 2.0
-
-    candidates = [0.5, 0.0, 1.0, w_gs]
-    best_val = min(f(w) for w in candidates)
-    for w in candidates:
-        if f(w) <= best_val:
-            return w
-    return w_gs  # unreachable
+    candidates = np.array([0.5, 0.0, 1.0, best])
+    info = candidates[:, None, None] * pa_inv + (1.0 - candidates)[:, None, None] * pb_inv
+    traces = np.trace(np.linalg.inv(info), axis1=1, axis2=2)
+    return float(candidates[int(np.argmin(traces))])
 
 
 def ci_fuse(xa: np.ndarray, pa: np.ndarray, xb: np.ndarray, pb: np.ndarray,
@@ -224,7 +261,9 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
     and spawning count as a sighting for M-of-N confirmation.  Association,
     the spawn check and the duplicate merge all gate at the tracker's
     ``gate_prob``.  Per-message failures are counted and never abort the
-    step.
+    step: a message too old to use counts as stale, and a malformed one (a
+    non-finite or asymmetric track, a timestamp from the future) as
+    rejected.
     """
     q = tracker.config.q if q is None else q
     gate_prob = tracker.config.gate_prob
@@ -235,6 +274,9 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
             aligned = align(msg, ego_pose, t_now, q, staleness)
         except StaleMessage:
             state.stale += 1
+            continue
+        except (CollabError, NonPSD):
+            state.rejected += 1
             continue
         locals_ = list(tracker.tracks)
         pairs = t2t_associate(locals_, [(m, c) for _, m, c in aligned], gate_prob)

@@ -125,21 +125,23 @@ def radar_measurement_cov(point: RadarPoint, cfg: SensorNoiseConfig) -> np.ndarr
     Diagonal in (radial, tangential-azimuth, tangential-elevation) axes:
     range_sigma^2 radially and (range * azimuth_sigma)^2 on both tangents.
     """
-    p = point.position
     r = point.range
-    radial = p / r
-    z = np.array([0.0, 0.0, 1.0])
-    t_az = np.cross(z, radial)
-    norm = np.linalg.norm(t_az)
+    rx, ry, rz = (point.position / r).tolist()
+    # t_az = z x radial; the norm stays numpy's, whose sum can differ
+    # from a float one in the last bit
+    norm = float(np.linalg.norm(np.array([-ry, rx, 0.0])))
     if norm < 1e-9:  # looking straight up/down; any horizontal tangent works
-        t_az = np.array([1.0, 0.0, 0.0])
+        tx, ty, tz = 1.0, 0.0, 0.0
     else:
-        t_az = t_az / norm
-    t_el = np.cross(radial, t_az)
-    basis = np.column_stack([radial, t_az, t_el])
+        tx, ty, tz = -ry / norm, rx / norm, 0.0
+    # t_el = radial x t_az in np.cross's terms, tz kept, so each entry
+    # rounds as before; the columns of basis are radial, t_az, t_el
+    basis = np.array([[rx, tx, ry * tz - rz * ty],
+                      [ry, ty, rz * tx - rx * tz],
+                      [rz, tz, rx * ty - ry * tx]])
     sig_t = r * cfg.azimuth_sigma
-    diag = np.diag([cfg.range_sigma**2, sig_t**2, sig_t**2])
-    return symmetrize(basis @ diag @ basis.T)
+    var = np.array([cfg.range_sigma**2, sig_t**2, sig_t**2])
+    return symmetrize((basis * var) @ basis.T)
 
 
 def synthesize(assoc: Association, bboxes: list[Detection2D],

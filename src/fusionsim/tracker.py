@@ -190,14 +190,18 @@ def position_d2(means_a, covs_a, means_b, covs_b, check: bool = False) -> np.nda
 
 def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form position update of a 6-state CV track."""
-    h = np.zeros((3, 6))
-    h[:, :3] = np.eye(3)
-    s = h @ cov @ h.T + r
+    """Joseph-form position update of a 6-state CV track.
+
+    H = [I 0] selects the position block, so HPH', PH', Hx and I - KH are
+    written as slices: the products with H's exact 0/1 entries they
+    replace added only exact zeros.
+    """
+    s = cov[:3, :3] + r
     _check_innovation_cov(s)
-    k = cov @ h.T @ np.linalg.inv(s)
-    mean_new = mean + k @ (z - h @ mean)
-    ikh = np.eye(6) - k @ h
+    k = cov[:, :3] @ np.linalg.inv(s)
+    mean_new = mean + k @ (z - mean[:3])
+    ikh = np.eye(6)
+    ikh[:, :3] -= k
     cov_new = ikh @ cov @ ikh.T + k @ r @ k.T
     return mean_new, (cov_new + cov_new.T) / 2.0
 

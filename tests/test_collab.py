@@ -28,6 +28,10 @@ def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
     return RemoteTrackMsg(sender, pose or Pose.identity(), timestamp, tracks)
 
 
+def fused_trace(pa, pb, w):
+    return float(np.trace(np.linalg.inv(w * np.linalg.inv(pa) + (1 - w) * np.linalg.inv(pb))))
+
+
 def grid_scan_omega(pa, pb, step=1e-3):
     pa_inv, pb_inv = np.linalg.inv(pa), np.linalg.inv(pb)
     grid = np.arange(0.0, 1.0 + step / 2, step)
@@ -123,6 +127,32 @@ class TestCiOmega:
             w = ci_omega(pa, pb)
             w_grid = grid_scan_omega(pa, pb)
             assert abs(w - w_grid) <= 2e-3
+
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_closed_form_matches_a_fine_scan(self, dim, seed, scale):
+        rng = np.random.default_rng(seed)
+        pa, pb = random_psd(rng, dim), random_psd(rng, dim, scale)
+        w = ci_omega(pa, pb)
+        w_scan = grid_scan_omega(pa, pb, step=1e-4)
+        assert 0.0 <= w <= 1.0
+        # both traces come from re-inverted matrices, so allow rounding
+        assert fused_trace(pa, pb, w) <= fused_trace(pa, pb, w_scan) * (1.0 + 1e-9)
+        assert abs(w - w_scan) <= 1e-3
+
+    def test_identical_random_inputs_return_half(self):
+        rng = np.random.default_rng(80)
+        for dim in range(1, 7):
+            p = random_psd(rng, dim, scale=rng.uniform(0.2, 5.0))
+            assert ci_omega(p, p.copy()) == 0.5
+
+    def test_not_positive_definite_rejected(self):
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(NonInvertible):
+            ci_omega(indefinite, np.eye(2))
+        with pytest.raises(NonInvertible):
+            ci_omega(np.eye(2), indefinite)
 
 
 class TestCiFuse:
@@ -227,6 +257,39 @@ class TestCoviStep:
         old = msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0)
         covi_step(tk, [old], Pose.identity(), 5.0, state)
         assert state.stale == 1 and state.received == 1
+
+    def test_asymmetric_remote_covariance_rejected_not_fatal(self):
+        tk = self.make_tracker([[5.0, 0, 0]])
+        before = tk.state_dict()
+        state = CollabState()
+        cov = np.eye(6)
+        cov[0, 1] = 1e-3
+        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])],
+                  Pose.identity(), 0.0, state)
+        assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
+        assert tk.state_dict() == before
+
+    def test_non_finite_remote_track_rejected_not_fatal(self):
+        tk = self.make_tracker([[5.0, 0, 0]])
+        before = tk.state_dict()
+        state = CollabState()
+        cov = np.eye(6)
+        cov[0, 0] = np.nan
+        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])],
+                  Pose.identity(), 0.0, state)
+        assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
+        assert tk.state_dict() == before
+
+    def test_future_message_rejected_not_fatal(self):
+        tk = self.make_tracker([[5.0, 0, 0]])
+        state = CollabState()
+        future = msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), np.eye(6))], timestamp=1.0)
+        good = msg([(2, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))], timestamp=0.0)
+        covi_step(tk, [future, good], Pose.identity(), 0.0, state)
+        assert (state.received, state.rejected, state.stale) == (2, 1, 0)
+        # the message after the rejected one is still used
+        assert state.spawned == 1 and len(tk.tracks) == 2
+        assert state.counters()["rejected"] == 1
 
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate

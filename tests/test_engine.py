@@ -7,7 +7,8 @@
   the end of the run;
 * offload: the broker conserves tasks;
 * bounded caches: the engine keeps ground truth and poses for one event
-  time only.
+  time only;
+* collaboration: urban ``cr-covi`` fuses remote tracks.
 """
 
 import json
@@ -75,3 +76,11 @@ def test_caches_hold_one_event_time(case):
     _, engine, _ = case
     assert len(engine.truth_cache) <= 1
     assert len(engine._pose_cache) <= 1
+
+
+@pytest.mark.parametrize("case", [CASES[1]], ids=["urban-cr-covi"], indirect=True)
+def test_collaboration_fuses_remote_tracks(case):
+    _, _, report = case
+    collab = report.report["counters"]["collab"]
+    assert sum(c["fused"] for c in collab.values()) > 0
+    assert all("merged" in c for c in collab.values())
