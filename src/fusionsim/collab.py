@@ -327,17 +327,12 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
-    means, covs = [tr.mean for tr in tracks], [tr.cov for tr in tracks]
-    # A track's estimate changes only while it is the elder below, so row i
-    # of the all-pairs matrix stays exact until elder i merges something.
-    all_d2 = position_d2(means, covs, means, covs)
     dead: set[int] = set()
     for i, a in enumerate(tracks):
         if a.id in dead:
             continue
-        younger = [j for j in range(i + 1, len(tracks)) if tracks[j].id not in dead]
-        rest = [tracks[j] for j in younger]
-        d2 = all_d2[i, younger]
+        rest = [b for b in tracks[i + 1:] if b.id not in dead]
+        d2 = _d2_to_tracks(a.mean, a.cov, rest)
         for j, b in enumerate(rest):
             if d2[j] > gamma:
                 continue

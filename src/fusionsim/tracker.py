@@ -160,7 +160,7 @@ def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
     """CV prediction of one (6,) mean and (6, 6) covariance, or of stacks
     of them with the same leading axes."""
     f = cv_transition(dt)
-    return (f @ mean[..., None])[..., 0], f @ cov @ f.mT + process_noise(dt, q)
+    return (f @ mean[..., None])[..., 0], f @ cov @ f.T + process_noise(dt, q)
 
 
 # Up to this many S the sure-pass bound runs on Python floats, one matrix
@@ -255,8 +255,8 @@ def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
     ikh = np.zeros(cov.shape)
     ikh[..., :, :3] = -k
     ikh += np.eye(6)
-    cov_new = ikh @ cov @ ikh.mT + k @ r @ k.mT
-    return mean_new, (cov_new + cov_new.mT) / 2.0
+    cov_new = ikh @ cov @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2)
+    return mean_new, (cov_new + cov_new.swapaxes(-1, -2)) / 2.0
 
 
 def predict(tracks: list[Track], dt: float, q: float) -> list[Track]:

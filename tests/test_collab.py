@@ -291,6 +291,16 @@ class TestCoviStep:
         assert state.spawned == 1 and len(tk.tracks) == 2
         assert state.counters()["rejected"] == 1
 
+    def test_zero_covariance_remote_track_not_fatal(self):
+        # finite and symmetric, so align keeps it: it spawns a track with a
+        # singular position block, which the duplicate merge must survive
+        tk = self.make_tracker([[5.0, 0, 0]])
+        state = CollabState()
+        remote = [(3, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6)))]
+        covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+        assert (state.rejected, state.spawned, state.merged) == (0, 1, 0)
+        assert len(tk.tracks) == 2
+
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate
         # (11.345) but outside the 0.95 one (7.815)
