@@ -5,7 +5,8 @@ stamped with a world-from-sender pose.  On receipt the tracks are
 CV-predicted to the local clock, mapped into the receiver's tracking
 frame, associated to local tracks by position Mahalanobis distance, and
 fused by covariance intersection, which stays consistent when the
-cross-platform correlation is unknown.
+cross-platform correlation is unknown.  Fusion builds new tracks and
+replaces the tracker's list; it is outside rollback (see ``Tracker``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NonPSD, Pose, check_symmetric, inverse, symmetrize, transform_gaussian
+from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     CONFIRMED,
     TENTATIVE,
@@ -23,6 +24,7 @@ from .tracker import (
     chi2_quantile,
     kalman_predict,
     position_d2,
+    spawn,
 )
 from .fusion import assign
 
@@ -90,12 +92,13 @@ class CollabState:
                 "merged": self.merged, "rejected": self.rejected}
 
 
-def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
+def align(msg: RemoteTrackMsg, t_now: float, q: float,
           staleness: float = DEFAULT_STALENESS) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Remote tracks predicted to ``t_now`` and mapped into the ego frame.
+    """Remote tracks predicted to ``t_now`` and mapped into the world frame
+    the receiver tracks in.
 
     Each track is CV-predicted in the sender frame with the same process
-    noise the trackers use, then mapped by ego_pose^-1 ∘ sender_pose.
+    noise the trackers use, then mapped by the world-from-sender pose.
     Raises StaleMessage when the message is older than ``staleness``,
     NonPSD for an asymmetric covariance and CollabError for a message from
     the future or a non-finite track.
@@ -105,7 +108,6 @@ def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
         raise CollabError(f"message from the future: {age:+.3f} s")
     if age > staleness:
         raise StaleMessage(f"message age {age:.3f} s exceeds bound {staleness:.3f} s")
-    rel = inverse(ego_pose).compose(msg.sender_pose)
     out = []
     for rid, mean, cov in msg.tracks:
         mean = np.asarray(mean, dtype=float)
@@ -115,8 +117,7 @@ def align(msg: RemoteTrackMsg, ego_pose: Pose, t_now: float, q: float,
             raise CollabError(f"remote track {rid} is not finite")
         check_symmetric(cov)
         mean_p, cov_p = kalman_predict(mean, cov, max(age, 0.0), q)
-        mean_e, cov_e = transform_gaussian(rel, mean_p, cov_p)
-        out.append((rid, mean_e, cov_e))
+        out.append((rid, *transform_gaussian(msg.sender_pose, mean_p, cov_p)))
     return out
 
 
@@ -247,67 +248,61 @@ def ci_fuse(xa: np.ndarray, pa: np.ndarray, xb: np.ndarray, pb: np.ndarray,
     return x, symmetrize(p)
 
 
-def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], ego_pose: Pose,
-              t_now: float, state: CollabState, q: float | None = None,
-              staleness: float = DEFAULT_STALENESS) -> None:
+def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
+              state: CollabState, staleness: float = DEFAULT_STALENESS) -> None:
     """Fold a batch of remote track messages into the local tracker.
 
-    Aligned remote tracks that associate with a local track replace its
-    mean/covariance with the CI fusion; remote tracks gating with no local
-    track spawn tentative local tracks carrying the remote covariance.  A
-    remote track that gates with some local track but lost the one-to-one
-    assignment is a duplicate view of a known object and is dropped, which
-    keeps re-broadcast loops from breeding phantom tracks.  Both fusion
-    and spawning count as a sighting for M-of-N confirmation.  Association,
-    the spawn check and the duplicate merge all gate at the tracker's
-    ``gate_prob``.  Per-message failures are counted and never abort the
-    step: a message too old to use counts as stale, and a malformed one (a
-    non-finite or asymmetric track, a timestamp from the future) as
-    rejected.
+    Aligned remote tracks that associate with a local track replace it by
+    its sighting (``Track.sighted``) at the CI fusion; remote tracks
+    gating with no local track spawn tentative local tracks carrying the
+    remote covariance.  A remote track that gates with some local track
+    but lost the one-to-one assignment is a duplicate view of a known
+    object and is dropped, which keeps re-broadcast loops from breeding
+    phantom tracks.  Fusion and spawning follow the tracker's own hit and
+    spawn rules, so both count as a sighting for M-of-N confirmation.
+    Association, the spawn check and the duplicate merge all gate at the
+    tracker's ``gate_prob``; prediction uses its ``q``.  Per-message
+    failures are counted and never abort the step: a message too old to
+    use counts as stale, and a malformed one (a non-finite or asymmetric
+    track, a timestamp from the future) as rejected.  Each message assigns
+    ``tracker.tracks`` and ``next_id`` once.
     """
-    q = tracker.config.q if q is None else q
-    gate_prob = tracker.config.gate_prob
-    gamma = chi2_quantile(gate_prob, 3)
+    cfg = tracker.config
+    gamma = chi2_quantile(cfg.gate_prob, 3)
     for msg in msgs:
         state.received += 1
         try:
-            aligned = align(msg, ego_pose, t_now, q, staleness)
+            aligned = align(msg, t_now, cfg.q, staleness)
         except StaleMessage:
             state.stale += 1
             continue
         except (CollabError, NonPSD):
             state.rejected += 1
             continue
-        locals_ = list(tracker.tracks)
-        pairs = t2t_associate(locals_, [(m, c) for _, m, c in aligned], gate_prob)
+        tracks = list(tracker.tracks)
+        pairs = t2t_associate(tracks, [(m, c) for _, m, c in aligned], cfg.gate_prob)
         matched_remote = set()
         for i, j in pairs:
-            tr = locals_[i]
+            tr = tracks[i]
             _, mean_r, cov_r = aligned[j]
             try:
                 w = ci_omega(tr.cov, cov_r)
-                tr.mean, tr.cov = ci_fuse(tr.mean, tr.cov, mean_r, cov_r, w)
+                fused = ci_fuse(tr.mean, tr.cov, mean_r, cov_r, w)
             except NonInvertible:
                 continue
-            tr.hits += 1
-            tr.misses = 0
-            tr.recent.append(True)
-            if tr.status == TENTATIVE and sum(tr.recent) >= tracker.config.confirm_m:
-                tr.status = CONFIRMED
+            tracks[i] = tr.sighted(*fused).confirm(cfg.confirm_m)
             state.fused += 1
             matched_remote.add(j)
+        next_id = tracker.next_id
         for j, (_, mean_r, cov_r) in enumerate(aligned):
             if j in matched_remote:
                 continue
-            if np.any(_d2_to_tracks(mean_r, cov_r, tracker.tracks) <= gamma):
+            if np.any(_d2_to_tracks(mean_r, cov_r, tracks) <= gamma):
                 continue
-            tr = Track(tracker.next_id, mean_r, symmetrize(cov_r), t_now,
-                       tracker.config.confirm_n)
-            tracker.next_id += 1
-            if sum(tr.recent) >= tracker.config.confirm_m:
-                tr.status = CONFIRMED
-            tracker.tracks.append(tr)
+            tracks.append(spawn(next_id, mean_r, symmetrize(cov_r), t_now, cfg))
+            next_id += 1
             state.spawned += 1
+        tracker.tracks, tracker.next_id = tracks, next_id
     _merge_duplicates(tracker, state)
 
 
@@ -323,14 +318,17 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     Repeated remote fusion can keep an accidental twin of a well-tracked
     object alive indefinitely (the remote feed alternates between the
     pair); folding such pairs into the elder track keeps one estimate per
-    object without touching genuinely distinct neighbors.
+    object without touching genuinely distinct neighbors.  A new elder
+    takes the old one's list position in the one assignment of the pass.
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
     dead: set[int] = set()
+    elders: dict[int, Track] = {}
     for i, a in enumerate(tracks):
         if a.id in dead:
             continue
+        # only elders are replaced, so ``rest`` holds published tracks
         rest = [b for b in tracks[i + 1:] if b.id not in dead]
         d2 = _d2_to_tracks(a.mean, a.cov, rest)
         for j, b in enumerate(rest):
@@ -338,16 +336,18 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
                 continue
             try:
                 w = ci_omega(a.cov, b.cov)
-                a.mean, a.cov = ci_fuse(a.mean, a.cov, b.mean, b.cov, w)
+                a = a.with_estimate(*ci_fuse(a.mean, a.cov, b.mean, b.cov, w))
             except NonInvertible:
                 continue
             a.hits = max(a.hits, b.hits)
             a.misses = min(a.misses, b.misses)
             if b.status == CONFIRMED and a.status == TENTATIVE:
                 a.status = CONFIRMED
+            elders[a.id] = a
             dead.add(b.id)
             state.merged += 1
             # the elder moved: gate the younger tracks against its new estimate
             d2[j + 1:] = _d2_to_tracks(a.mean, a.cov, rest[j + 1:])
     if dead:
-        tracker.tracks = [tr for tr in tracker.tracks if tr.id not in dead]
+        tracker.tracks = [elders.get(tr.id, tr) for tr in tracker.tracks
+                          if tr.id not in dead]

@@ -18,7 +18,7 @@ import numpy as np
 from .fusion import SOURCE_FUSED, Detection3D, radar_measurement_cov
 from .geometry import Pose, inverse, symmetrize, transform_point
 from .sensing import GroundTruthObject, RadarPoint, SensorNoiseConfig, perturb_polar
-from .tracker import LANE_EDGE, Tracker
+from .tracker import LANE_EDGE, SingularInnovation, Tracker
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -183,6 +183,8 @@ class Broker:
 
     Every task terminates in exactly one counter; their sum always equals
     the number of submissions (the conservation invariant the tests pin).
+    A counter outside the defaults, such as ``singular_dropped``, appears
+    when it is first reached, so healthy runs report the same keys.
     """
 
     pool: WorkerPool = field(default_factory=WorkerPool)
@@ -219,7 +221,7 @@ class Broker:
         if task_id in self.terminated:
             return
         self.terminated[task_id] = counter
-        self.counters[counter] += 1
+        self.counters[counter] = self.counters.get(counter, 0) + 1
         self.pending.pop(task_id, None)
 
     def worker_done(self, worker_id: str) -> list[tuple[TaskRequest, str]]:
@@ -253,7 +255,11 @@ class Broker:
         if result.status != STATUS_OK:
             self._terminate(task_id, "failed")
             return False, sends
-        applied = integrate(tracker, result, t_now)
+        try:
+            applied = integrate(tracker, result, t_now)
+        except SingularInnovation:  # process_batch left the tracker as it was
+            self._terminate(task_id, "singular_dropped")
+            return False, sends
         self._terminate(task_id, "ok_integrated" if applied else "stale_dropped")
         return applied, sends
 

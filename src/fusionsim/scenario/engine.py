@@ -66,21 +66,6 @@ class RunReport:
     def replay_jsonl(self) -> bytes:
         return b"".join(canonical_dumps(line) + b"\n" for line in self.replay_lines)
 
-    def csv_row(self) -> dict:
-        m = self.report["metrics"]
-        return {
-            "mode": self.report["mode"],
-            "seed": self.report["seed"],
-            "precision": m["precision"],
-            "recall": m["recall"],
-            "mota": m["mota"],
-            "motp": m["motp"],
-            "id_switches": m["id_switches"],
-            "ade": m["ade"],
-            "fde": m["fde"],
-            "ospa_mean": m["ospa_mean"],
-        }
-
 
 class _AgentRT:
     """Per-agent mutable pipeline state confined to the event loop."""
@@ -305,7 +290,7 @@ class Engine:
 
         if self.mode == "cr-covi":
             msgs, rt.msg_queue = rt.msg_queue, []
-            covi_step(rt.tracker, msgs, Pose.identity(), t, rt.collab,
+            covi_step(rt.tracker, msgs, t, rt.collab,
                       staleness=self.sc.pipeline.staleness)
             self._maybe_broadcast(rt, t, agent_pose)
 

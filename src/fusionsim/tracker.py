@@ -22,6 +22,7 @@ be integrated exactly by rollback and replay; see ``offload.integrate``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ CHI2_QUANTILES = {
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
-DELETED = "deleted"
 
 NEW_TRACK_VEL_STD = 20.0  # m/s; bootstrap velocity uncertainty
 
@@ -89,10 +89,11 @@ class TrackerConfig:
 
 
 class Track:
-    """One Gaussian track with lifecycle metadata."""
+    """One Gaussian track with lifecycle metadata.  A value: once it is in
+    ``Tracker.tracks`` or a snapshot nothing writes to it; transitions
+    build a new track and set its fields before publishing it."""
 
-    __slots__ = ("id", "mean", "cov", "status", "hits", "misses", "recent",
-                 "last_update", "stamp")
+    __slots__ = ("id", "mean", "cov", "status", "hits", "misses", "recent", "stamp")
 
     def __init__(self, track_id: int, mean, cov, stamp: float, confirm_n: int):
         self.id = track_id
@@ -102,11 +103,7 @@ class Track:
         self.hits = 1
         self.misses = 0
         self.recent: deque[bool] = deque([True], maxlen=confirm_n)
-        self.last_update = stamp
         self.stamp = stamp
-
-    def copy(self) -> "Track":
-        return self.with_estimate(self.mean.copy(), self.cov.copy())
 
     def with_estimate(self, mean: np.ndarray, cov: np.ndarray) -> "Track":
         """A new track with this one's lifecycle state and the given estimate."""
@@ -118,9 +115,24 @@ class Track:
         c.hits = self.hits
         c.misses = self.misses
         c.recent = deque(self.recent, maxlen=self.recent.maxlen)
-        c.last_update = self.last_update
         c.stamp = self.stamp
         return c
+
+    def sighted(self, mean: np.ndarray, cov: np.ndarray) -> "Track":
+        """The hit transition: a new track at the given estimate with one
+        more hit, no misses and a sighting in its M-of-N window."""
+        c = self.with_estimate(mean, cov)
+        c.hits += 1
+        c.misses = 0
+        c.recent.append(True)
+        return c
+
+    def confirm(self, confirm_m: int) -> "Track":
+        """M-of-N confirmation of a track not yet published: tentative
+        becomes confirmed once its window holds ``confirm_m`` sightings."""
+        if self.status == TENTATIVE and sum(self.recent) >= confirm_m:
+            self.status = CONFIRMED
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -131,9 +143,13 @@ class Track:
             "recent": [bool(b) for b in self.recent],
             "mean": [float(x) for x in self.mean],
             "cov": [[float(v) for v in row] for row in self.cov],
-            "last_update": self.last_update,
             "stamp": self.stamp,
         }
+
+
+def spawn(track_id: int, mean, cov, stamp: float, config: TrackerConfig) -> Track:
+    """A track born from one sighting; confirmed at once when ``confirm_m`` is 1."""
+    return Track(track_id, mean, cov, stamp, config.confirm_n).confirm(config.confirm_m)
 
 
 _POS = np.arange(3)
@@ -277,23 +293,16 @@ def predict(tracks: list[Track], dt: float, q: float) -> list[Track]:
 
 
 def update(tracks: list[Track], detections: list[Detection3D]) -> list[Track]:
-    """Measurement-updated copies of tracks[i] by detections[i], in one
-    stacked ``kalman_update``; bumps each hit counter and clears misses.
-    Raises SingularInnovation if any pair's innovation is singular."""
+    """Sighted copies (``Track.sighted``) of tracks[i], measurement-updated
+    by detections[i] in one stacked ``kalman_update``.  Raises
+    SingularInnovation if any pair's innovation is singular."""
     if not tracks:
         return []
     means, covs = kalman_update(np.array([tr.mean for tr in tracks]),
                                 np.array([tr.cov for tr in tracks]),
                                 np.array([d.position for d in detections]),
                                 np.array([d.cov for d in detections]))
-    out = []
-    for tr, mean, cov in zip(tracks, means, covs):
-        u = tr.with_estimate(mean, cov)
-        u.hits += 1
-        u.misses = 0
-        u.last_update = u.stamp
-        out.append(u)
-    return out
+    return [tr.sighted(mean, cov) for tr, mean, cov in zip(tracks, means, covs)]
 
 
 def gate(tracks: list[Track], detections: list[Detection3D],
@@ -322,12 +331,16 @@ class Tracker:
     """Owns the live track set and the rollback machinery.
 
     ``step`` is the plain in-order update; ``process_batch`` wraps it with
-    a global batch key and performs rollback-replay when a batch arrives
-    whose key precedes ones already processed.  Local and edge batches are
-    what a rollback replays.  Remote-track fusion (``collab.covi_step`` and
-    its duplicate merge) edits ``tracks`` after a batch's snapshot was
-    taken and is not replayed.  That is sound only because a ``cr-covi``
-    tracker never receives a late batch, so it never rolls back.
+    a global batch key and performs rollback-replay, all or nothing, when
+    a batch arrives whose key precedes ones already processed.  Tracks are
+    values, so a snapshot shares them: it holds the tuple of tracks, and a
+    restore copies that into a list, not the tracks.  Local and edge
+    batches are what a rollback replays.  Remote-track fusion
+    (``collab.covi_step`` and its duplicate merge) replaces ``tracks``
+    after a batch's snapshot was taken and is not replayed.  That is sound
+    only because a ``cr-covi`` tracker never receives a late batch, so it
+    never rolls back.  A remote batch lane would lift that limit; no
+    workload combines the two modes, and doing so would add an option.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -335,7 +348,7 @@ class Tracker:
         self.tracks: list[Track] = []
         self.next_id = 1
         self.last_time: float | None = None
-        self._snapshots: list[tuple[BatchKey, dict]] = []
+        self._snapshots: list[tuple[BatchKey, tuple]] = []
         self._batches: list[tuple[BatchKey, list[Detection3D], float]] = []
         self._genesis = self._capture()
         self._genesis_key: BatchKey = (-math.inf, -1, -1)
@@ -357,21 +370,19 @@ class Tracker:
                                          [detections[j] for j in pairs.values()])))
         matched_dets = set(pairs.values())
 
+        # predict and update built new tracks: the writes below publish nothing
         survivors: list[Track] = []
         for i, tr in enumerate(predicted):
             if i in updated:
                 tr = updated[i]
-                tr.recent.append(True)
             else:
                 tr.misses += 1
                 tr.recent.append(False)
                 if tr.misses > cfg.max_misses:
-                    tr.status = DELETED
                     continue
-            if tr.status == TENTATIVE and sum(tr.recent) >= cfg.confirm_m:
-                tr.status = CONFIRMED
-            survivors.append(tr)
+            survivors.append(tr.confirm(cfg.confirm_m))
 
+        next_id = self.next_id
         for j, det in enumerate(detections):
             if j in matched_dets:
                 continue
@@ -379,14 +390,10 @@ class Tracker:
             cov = np.zeros((6, 6))
             cov[:3, :3] = det.cov
             cov[3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
-            tr = Track(self.next_id, mean, cov, t, cfg.confirm_n)
-            self.next_id += 1
-            if tr.status == TENTATIVE and cfg.confirm_m <= 1:
-                tr.status = CONFIRMED
-            survivors.append(tr)
+            survivors.append(spawn(next_id, mean, cov, t, cfg))
+            next_id += 1
 
-        self.tracks = survivors
-        self.last_time = t
+        self.tracks, self.next_id, self.last_time = survivors, next_id, t
 
     # -- batch-keyed processing with rollback-replay ------------------------
 
@@ -411,12 +418,10 @@ class Tracker:
 
     def _rollback_replay(self, key: BatchKey, detections: list[Detection3D],
                          t: float) -> bool:
-        idx = -1
-        for i, (k, _) in enumerate(self._snapshots):
-            if k < key:
-                idx = i
-            else:
-                break
+        """Restore the newest snapshot before ``key`` and replay every later
+        batch with this one in key order.  All or nothing: a replayed step
+        that raises leaves the tracker as it was before the call."""
+        idx = bisect_left(self._snapshots, key, key=lambda s: s[0]) - 1
         if idx >= 0:
             restore_key, state = self._snapshots[idx]
         elif self._genesis is not None:
@@ -425,16 +430,20 @@ class Tracker:
             restore_key, state = self._genesis_key, self._genesis
         else:
             return False
-        self._restore(state)
+        # both lists are replaced, not edited, until the replay succeeded
+        held = self._capture(), self._batches, self._snapshots
+        self._batches = sorted(self._batches + [(key, detections, t)], key=lambda b: b[0])
         self._snapshots = self._snapshots[:idx + 1]
-        replay = [b for b in self._batches if b[0] > restore_key]
-        replay.append((key, detections, t))
-        replay.sort(key=lambda b: b[0])
-        self._batches.append((key, detections, t))
-        self._batches.sort(key=lambda b: b[0])
-        for k, dets, tt in replay:
-            self.step(dets, tt)
-            self._snapshots.append((k, self._capture()))
+        self._restore(state)
+        try:
+            for k, dets, tt in self._batches:
+                if k > restore_key:
+                    self.step(dets, tt)
+                    self._snapshots.append((k, self._capture()))
+        except BaseException:
+            state, self._batches, self._snapshots = held
+            self._restore(state)
+            raise
         self._prune(self.last_time)
         return True
 
@@ -448,17 +457,12 @@ class Tracker:
             self._batches.pop(0)
             self._genesis = None  # earliest history is gone; genesis restore unsafe
 
-    def _capture(self) -> dict:
-        return {
-            "tracks": [tr.copy() for tr in self.tracks],
-            "next_id": self.next_id,
-            "last_time": self.last_time,
-        }
+    def _capture(self) -> tuple:
+        return tuple(self.tracks), self.next_id, self.last_time
 
-    def _restore(self, state: dict) -> None:
-        self.tracks = [tr.copy() for tr in state["tracks"]]
-        self.next_id = state["next_id"]
-        self.last_time = state["last_time"]
+    def _restore(self, state: tuple) -> None:
+        tracks, self.next_id, self.last_time = state
+        self.tracks = list(tracks)
 
     # -- views ---------------------------------------------------------------
 

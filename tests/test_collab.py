@@ -16,7 +16,15 @@ from fusionsim.collab import (
 )
 from fusionsim.fusion import Detection3D, SOURCE_FUSED
 from fusionsim.geometry import Pose
-from fusionsim.tracker import CONFIRMED, TENTATIVE, Track, Tracker, TrackerConfig
+from fusionsim.tracker import (
+    CONFIRMED,
+    LANE_EDGE,
+    LANE_LOCAL,
+    TENTATIVE,
+    Track,
+    Tracker,
+    TrackerConfig,
+)
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -43,7 +51,7 @@ def grid_scan_omega(pa, pb, step=1e-3):
 class TestAlign:
     def test_identity_alignment(self):
         cov = np.eye(6)
-        out = align(msg([(7, np.arange(6.0), cov)]), Pose.identity(), 0.0, q=1.0)
+        out = align(msg([(7, np.arange(6.0), cov)]), 0.0, q=1.0)
         rid, mean, cov_out = out[0]
         assert rid == 7
         assert np.allclose(mean, np.arange(6.0), atol=1e-12)
@@ -51,21 +59,17 @@ class TestAlign:
 
     def test_cv_extrapolation(self):
         mean = np.array([0.0, 0, 0, 1, 0, 0])
-        out = align(msg([(1, mean, np.eye(6))], timestamp=0.0),
-                    Pose.identity(), 2.0, q=1.0, staleness=5.0)
+        out = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 2.0, q=1.0, staleness=5.0)
         assert np.allclose(out[0][1][:3], [2, 0, 0], atol=1e-12)
 
     def test_stale_message(self):
         with pytest.raises(StaleMessage):
-            align(msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0),
-                  Pose.identity(), 5.0, q=1.0)
+            align(msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0), 5.0, q=1.0)
 
     def test_frame_mapping(self):
-        # sender 10 m east of the ego tracking frame origin
+        # sender 10 m east of the world origin the receiver tracks in
         sender_pose = Pose(np.eye(3), [10.0, 0.0, 0.0])
-        ego_pose = Pose.identity()
-        out = align(msg([(1, np.zeros(6), np.eye(6))], pose=sender_pose),
-                    ego_pose, 0.0, q=1.0)
+        out = align(msg([(1, np.zeros(6), np.eye(6))], pose=sender_pose), 0.0, q=1.0)
         assert np.allclose(out[0][1][:3], [10, 0, 0], atol=1e-12)
 
 
@@ -218,14 +222,14 @@ class TestCoviStep:
     def test_no_messages_no_change(self):
         tk = self.make_tracker([[5.0, 0, 0]])
         before = tk.state_dict()
-        covi_step(tk, [], Pose.identity(), 0.0, CollabState())
+        covi_step(tk, [], 0.0, CollabState())
         assert tk.state_dict() == before
 
     def test_unseen_remote_spawns_tentative(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
         state = CollabState()
         remote = [(42, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))]
-        covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+        covi_step(tk, [msg(remote)], 0.0, state)
         assert len(tk.tracks) == 1
         assert tk.tracks[0].status == TENTATIVE
         assert np.allclose(tk.tracks[0].mean[:3], [30, 0, 0])
@@ -237,7 +241,7 @@ class TestCoviStep:
         trace_before = float(np.trace(tr.cov))
         state = CollabState()
         remote = [(1, tr.mean.copy(), tr.cov.copy() * 0.8)]
-        covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+        covi_step(tk, [msg(remote)], 0.0, state)
         assert len(tk.tracks) == 1
         assert state.fused == 1
         assert np.trace(tk.tracks[0].cov) <= min(trace_before, trace_before * 0.8) + 1e-9
@@ -246,8 +250,7 @@ class TestCoviStep:
         tk = self.make_tracker([[5.0, 0, 0]])
         tr = tk.tracks[0]
         mean0, cov0 = tr.mean.copy(), tr.cov.copy()
-        covi_step(tk, [msg([(1, mean0.copy(), cov0.copy())])],
-                  Pose.identity(), 0.0, CollabState())
+        covi_step(tk, [msg([(1, mean0.copy(), cov0.copy())])], 0.0, CollabState())
         assert np.allclose(tk.tracks[0].mean, mean0, atol=1e-9)
         assert np.allclose(tk.tracks[0].cov, cov0, atol=1e-9)
 
@@ -255,7 +258,7 @@ class TestCoviStep:
         tk = self.make_tracker([[5.0, 0, 0]])
         state = CollabState()
         old = msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0)
-        covi_step(tk, [old], Pose.identity(), 5.0, state)
+        covi_step(tk, [old], 5.0, state)
         assert state.stale == 1 and state.received == 1
 
     def test_asymmetric_remote_covariance_rejected_not_fatal(self):
@@ -264,8 +267,7 @@ class TestCoviStep:
         state = CollabState()
         cov = np.eye(6)
         cov[0, 1] = 1e-3
-        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])],
-                  Pose.identity(), 0.0, state)
+        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])], 0.0, state)
         assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
         assert tk.state_dict() == before
 
@@ -275,8 +277,7 @@ class TestCoviStep:
         state = CollabState()
         cov = np.eye(6)
         cov[0, 0] = np.nan
-        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])],
-                  Pose.identity(), 0.0, state)
+        covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])], 0.0, state)
         assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
         assert tk.state_dict() == before
 
@@ -285,7 +286,7 @@ class TestCoviStep:
         state = CollabState()
         future = msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), np.eye(6))], timestamp=1.0)
         good = msg([(2, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))], timestamp=0.0)
-        covi_step(tk, [future, good], Pose.identity(), 0.0, state)
+        covi_step(tk, [future, good], 0.0, state)
         assert (state.received, state.rejected, state.stale) == (2, 1, 0)
         # the message after the rejected one is still used
         assert state.spawned == 1 and len(tk.tracks) == 2
@@ -297,7 +298,7 @@ class TestCoviStep:
         tk = self.make_tracker([[5.0, 0, 0]])
         state = CollabState()
         remote = [(3, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6)))]
-        covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+        covi_step(tk, [msg(remote)], 0.0, state)
         assert (state.rejected, state.spawned, state.merged) == (0, 1, 0)
         assert len(tk.tracks) == 2
 
@@ -308,9 +309,9 @@ class TestCoviStep:
         remote = [(7, np.array([3.0, 0, 0, 0, 0, 0]), 0.5 * np.eye(6))]
         for gate_prob, fused in ((0.99, 1), (0.95, 0)):
             tk = Tracker(TrackerConfig(gate_prob=gate_prob))
-            tk.tracks, tk.next_id = [local.copy()], 2
+            tk.tracks, tk.next_id = [local], 2
             state = CollabState()
-            covi_step(tk, [msg(remote)], Pose.identity(), 0.0, state)
+            covi_step(tk, [msg(remote)], 0.0, state)
             assert (state.fused, state.spawned, state.merged) == (fused, 1 - fused, 0)
             assert len(tk.tracks) == 2 - fused
             if not fused:
@@ -322,7 +323,7 @@ class TestCoviStep:
         for k in range(3):
             t = 0.2 * k
             remote = [(9, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))]
-            covi_step(tk, [msg(remote, timestamp=t)], Pose.identity(), t, state)
+            covi_step(tk, [msg(remote, timestamp=t)], t, state)
         assert tk.tracks[0].status == CONFIRMED
         assert state.spawned == 1 and state.fused == 2
 
@@ -360,3 +361,52 @@ class TestMergeDuplicates:
         _merge_duplicates(tk, state)
         assert sorted(tr.id for tr in tk.tracks) == [1, 2]
         assert state.merged == 0
+
+
+# Positions of the objects the published-track property observes; the
+# last two are close enough for remote spawns to breed twins to merge.
+OBJECTS = np.array([[5.0, 0, 0], [15.0, 4.0, 0], [25.0, -3.0, 0], [26.5, -3.0, 0]])
+
+
+def det_at(position, t):
+    return Detection3D(np.asarray(position, dtype=float), 0.0, 0.09 * np.eye(3),
+                       SOURCE_FUSED, 1.0, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(["step", "late", "covi", "merge"]),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=14))
+def test_published_tracks_and_snapshots_never_change(ops):
+    """Every track ever published in ``tracks`` and every held snapshot
+    keeps its state through any later step, late batch, remote fusion or
+    duplicate merge: transitions build new tracks."""
+    tk = Tracker(TrackerConfig(confirm_m=2, confirm_n=3))
+    state = CollabState()
+    seen, held = {}, {}
+    t, edge_seq = 0.0, 0
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        noisy = OBJECTS + rng.normal(scale=0.3, size=OBJECTS.shape)
+        if op == "step" or (op == "late" and t == 0.0):
+            t += 0.1
+            tk.process_batch((t, LANE_LOCAL, 0), [det_at(p, t) for p in noisy], t)
+        elif op == "late":
+            edge_seq += 1
+            t_late = round(float(rng.uniform(max(0.0, t - 0.5), t)), 3)
+            tk.process_batch((t_late, LANE_EDGE, edge_seq),
+                             [det_at(p, t_late) for p in noisy[:2]], t_late)
+        elif op == "covi":
+            remote = [(k, np.concatenate([p, np.zeros(3)]), 0.5 * np.eye(6))
+                      for k, p in enumerate(noisy)]
+            covi_step(tk, [msg(remote, timestamp=t)], t, state)
+        else:
+            _merge_duplicates(tk, state)
+        for tr in tk.tracks:
+            seen.setdefault(id(tr), (tr, tr.to_dict()))
+        for _, snap in tk._snapshots:
+            held.setdefault(id(snap), (snap, [tr.to_dict() for tr in snap[0]]))
+        for tr, before in seen.values():
+            assert tr.to_dict() == before
+        for snap, before in held.values():
+            assert [tr.to_dict() for tr in snap[0]] == before
+

@@ -5,12 +5,15 @@
   tracks;
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
-* offload: the broker conserves tasks;
+* offload: the broker conserves tasks, also when edge results are
+  singular and skipped;
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
-* collaboration: urban ``cr-covi`` fuses remote tracks.
+* collaboration: urban ``cr-covi`` fuses remote tracks;
+* golden outputs: each case's outputs hash to the recorded digests.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -30,6 +33,10 @@ CASES = [
 ]
 
 
+def case_id(name, mode, duration):
+    return f"{name[:-5]}-{mode}"
+
+
 def scenario(scenario_dir, name, mode, duration):
     doc = json.loads((scenario_dir / name).read_text())
     doc["duration"] = duration
@@ -40,7 +47,7 @@ def outputs(report):
     return report.report_bytes(), report.track_jsonl(), report.replay_jsonl()
 
 
-@pytest.fixture(scope="module", params=CASES, ids=[f"{n[:-5]}-{m}" for n, m, _ in CASES])
+@pytest.fixture(scope="module", params=CASES, ids=[case_id(*c) for c in CASES])
 def case(request, scenario_dir):
     sc = scenario(scenario_dir, *request.param)
     engine = Engine(sc)
@@ -50,6 +57,16 @@ def case(request, scenario_dir):
 def test_two_runs_byte_identical(case):
     sc, _, report = case
     assert outputs(Engine(sc).run()) == outputs(report)
+
+
+def test_outputs_match_golden_digests(case, request, golden_dir):
+    # sha256 of each case's three outputs.  Regenerate the file only together
+    # with a CHANGES.md entry that lists the metric deltas the new bytes carry.
+    golden = json.loads((golden_dir / "output_digests.json").read_text())
+    _, _, report = case
+    names = ("report_bytes", "track_jsonl", "replay_jsonl")
+    digests = {n: hashlib.sha256(b).hexdigest() for n, b in zip(names, outputs(report))}
+    assert digests == golden[case_id(*request.node.callspec.params["case"])]
 
 
 def test_replay_reproduces_tracks(case):
@@ -84,3 +101,20 @@ def test_collaboration_fuses_remote_tracks(case):
     collab = report.report["counters"]["collab"]
     assert sum(c["fused"] for c in collab.values()) > 0
     assert all("merged" in c for c in collab.values())
+
+
+def test_singular_edge_results_are_counted_and_skipped(scenario_dir):
+    # noiseless radar and worker detections have zero covariance, so edge
+    # results meet tracks whose innovation covariance is singular
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    zero = {"range_sigma": 0.0, "azimuth_sigma": 0.0}
+    for agent in doc["agents"]:
+        for sensor in agent.get("sensors", []):
+            if sensor["type"] == "radar":
+                sensor["noise"] = dict(zero)
+    doc["pipeline"]["worker"]["profile"] = dict(zero)
+    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist"))
+    offload = engine.run().report["counters"]["offload"]
+    assert offload["singular_dropped"] > 0
+    assert engine.broker.conserved()

@@ -118,14 +118,13 @@ def random_tracks(rng, n):
         tr.hits = int(rng.integers(1, 9))
         tr.misses = int(rng.integers(0, 3))
         tr.recent.extend(bool(b) for b in rng.random(int(rng.integers(0, 6))) < 0.5)
-        tr.last_update = tr.stamp - float(rng.uniform(0.0, 1.0))
         tracks.append(tr)
     return tracks
 
 
 def lifecycle(tr):
     return (tr.id, tr.status, tr.hits, tr.misses, list(tr.recent), tr.recent.maxlen,
-            tr.stamp, tr.last_update)
+            tr.stamp)
 
 
 class TestStacked:
@@ -469,6 +468,31 @@ class TestBatchRollback:
         for key, dets, t in sorted(local + edge, key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
         assert actual.state_dict() == oracle.state_dict()
+
+    def test_late_batch_that_raises_mid_replay_changes_nothing(self):
+        batches = self.make_batches()
+        # a zero-variance detection spawns a track with a zero position
+        # block; a second one at the same time makes its innovation singular
+        twin = [det([20.0, 0, 0], var=0.0, t=0.3)]
+        second = ((0.3, LANE_EDGE, 8), twin, 0.3)
+        first = ((0.3, LANE_EDGE, 7), twin, 0.3)
+        tk, oracle = Tracker(), Tracker()
+        for key, dets, t in batches + [second]:
+            tk.process_batch(key, dets, t)
+            oracle.process_batch(key, dets, t)
+        before = (tk.state_dict(), tk.newest_key, [k for k, _ in tk._snapshots],
+                  [b[0] for b in tk._batches])
+        # replay restores the snapshot at (0.3, local): ``first`` spawns,
+        # then ``second`` raises, with later batches still to come
+        with pytest.raises(SingularInnovation):
+            tk.process_batch(*first)
+        assert (tk.state_dict(), tk.newest_key, [k for k, _ in tk._snapshots],
+                [b[0] for b in tk._batches]) == before
+        # and the tracker goes on exactly like one that never saw the batch
+        for tracker in (tk, oracle):
+            tracker.process_batch((0.42, LANE_EDGE, 9), [det([5.4, 0, 0], t=0.42)], 0.42)
+            tracker.process_batch((1.0, LANE_LOCAL, 0), [det([6.0, 0, 0], t=1.0)], 1.0)
+        assert tk.state_dict() == oracle.state_dict()
 
     def test_too_old_batch_rejected(self):
         batches = self.make_batches(n=40, dt=0.05)  # spans 2 s > horizon 1 s
