@@ -60,8 +60,8 @@ class RemoteTrackMsg:
             "tracks": [
                 {
                     "remote_id": rid,
-                    "mean": [float(x) for x in mean],
-                    "cov": [[float(v) for v in row] for row in cov],
+                    "mean": mean.tolist(),
+                    "cov": cov.tolist(),
                 }
                 for rid, mean, cov in self.tracks
             ],
@@ -77,7 +77,13 @@ class RemoteTrackMsg:
 
 @dataclass
 class CollabState:
-    """Receiver-side counters."""
+    """Receiver-side counters.
+
+    ``singular`` counts the track pairs a gate found with a singular
+    summed position covariance (rcond below 1e-12); such a pair counts as
+    not gated.  Its key is reported only once it is non-zero, so healthy
+    runs report the same keys.
+    """
 
     received: int = 0
     stale: int = 0
@@ -85,11 +91,15 @@ class CollabState:
     spawned: int = 0
     merged: int = 0
     rejected: int = 0
+    singular: int = 0
 
     def counters(self) -> dict:
-        return {"received": self.received, "stale": self.stale,
-                "fused": self.fused, "spawned": self.spawned,
-                "merged": self.merged, "rejected": self.rejected}
+        out = {"received": self.received, "stale": self.stale,
+               "fused": self.fused, "spawned": self.spawned,
+               "merged": self.merged, "rejected": self.rejected}
+        if self.singular:
+            out["singular"] = self.singular
+        return out
 
 
 def align(msg: RemoteTrackMsg, t_now: float, q: float,
@@ -123,15 +133,29 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float,
 
 def t2t_associate(local: list[Track],
                   remote: list[tuple[np.ndarray, np.ndarray]],
-                  gate_prob: float = 0.99) -> list[tuple[int, int]]:
+                  gate_prob: float = 0.99,
+                  state: CollabState | None = None) -> list[tuple[int, int]]:
     """One-to-one local/remote pairing on position-block Mahalanobis distance.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
-    the chi-square quantile for 3 dof.
+    the chi-square quantile for 3 dof.  A pair with a singular summed
+    covariance is not gated; ``state`` counts it.
     """
-    d2 = position_d2([tr.mean for tr in local], [tr.cov for tr in local],
-                     [mean for mean, _ in remote], [cov for _, cov in remote])
-    return assign(np.where(d2 <= chi2_quantile(gate_prob, 3), d2, np.inf))
+    gamma = chi2_quantile(gate_prob, 3)
+    d2 = _gate_d2([tr.mean for tr in local], [tr.cov for tr in local],
+                  [mean for mean, _ in remote], [cov for _, cov in remote], gamma, state)
+    return assign(np.where(d2 <= gamma, d2, np.inf))
+
+
+def _gate_d2(means_a, covs_a, means_b, covs_b, gamma: float,
+             state: CollabState | None) -> np.ndarray:
+    """``position_d2`` for collaboration's gates at ``gamma``: a pair with
+    a singular summed covariance is inf, so not gated, and is counted in
+    ``state.singular``."""
+    d2, singular = position_d2(means_a, covs_a, means_b, covs_b, gamma)
+    if state is not None:
+        state.singular += int(singular.sum())
+    return d2
 
 
 def _check_invertible(p: np.ndarray, label: str) -> None:
@@ -280,7 +304,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             state.rejected += 1
             continue
         tracks = list(tracker.tracks)
-        pairs = t2t_associate(tracks, [(m, c) for _, m, c in aligned], cfg.gate_prob)
+        pairs = t2t_associate(tracks, [(m, c) for _, m, c in aligned], cfg.gate_prob, state)
         matched_remote = set()
         for i, j in pairs:
             tr = tracks[i]
@@ -297,7 +321,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
         for j, (_, mean_r, cov_r) in enumerate(aligned):
             if j in matched_remote:
                 continue
-            if np.any(_d2_to_tracks(mean_r, cov_r, tracks) <= gamma):
+            if np.any(_d2_to_tracks(mean_r, cov_r, tracks, gamma, state) <= gamma):
                 continue
             tracks.append(spawn(next_id, mean_r, symmetrize(cov_r), t_now, cfg))
             next_id += 1
@@ -306,10 +330,12 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     _merge_duplicates(tracker, state)
 
 
-def _d2_to_tracks(mean: np.ndarray, cov: np.ndarray, tracks: list[Track]) -> np.ndarray:
-    """Position d^2 of one estimate against each of ``tracks``."""
-    return position_d2([mean], [cov], [tr.mean for tr in tracks],
-                       [tr.cov for tr in tracks])[0]
+def _d2_to_tracks(mean: np.ndarray, cov: np.ndarray, tracks: list[Track],
+                  gamma: float, state: CollabState) -> np.ndarray:
+    """Position d^2 of one estimate against each of ``tracks``, gated at
+    ``gamma`` as ``_gate_d2`` does."""
+    return _gate_d2([mean], [cov], [tr.mean for tr in tracks],
+                    [tr.cov for tr in tracks], gamma, state)[0]
 
 
 def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
@@ -320,19 +346,27 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     pair); folding such pairs into the elder track keeps one estimate per
     object without touching genuinely distinct neighbors.  A new elder
     takes the old one's list position in the one assignment of the pass.
+
+    All pairs are gated in one call up front, and an elder's row of it
+    is read in the elder's turn.  Only elders are replaced, each in its
+    own turn, so the elder and every younger live track are then still
+    the published tracks that call gated.  After a merge the younger
+    live tracks are gated again against the moved elder.
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
+    means, covs = [tr.mean for tr in tracks], [tr.cov for tr in tracks]
+    d2_all, singular = position_d2(means, covs, means, covs, gamma)
+    state.singular += int(np.triu(singular, 1).sum())
     dead: set[int] = set()
     elders: dict[int, Track] = {}
     for i, a in enumerate(tracks):
         if a.id in dead:
             continue
-        # only elders are replaced, so ``rest`` holds published tracks
-        rest = [b for b in tracks[i + 1:] if b.id not in dead]
-        d2 = _d2_to_tracks(a.mean, a.cov, rest)
-        for j, b in enumerate(rest):
-            if d2[j] > gamma:
+        d2 = d2_all[i]
+        for k in range(i + 1, len(tracks)):
+            b = tracks[k]
+            if b.id in dead or d2[k] > gamma:
                 continue
             try:
                 w = ci_omega(a.cov, b.cov)
@@ -346,8 +380,9 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
             elders[a.id] = a
             dead.add(b.id)
             state.merged += 1
-            # the elder moved: gate the younger tracks against its new estimate
-            d2[j + 1:] = _d2_to_tracks(a.mean, a.cov, rest[j + 1:])
+            # the elder moved: gate the younger live tracks against its new estimate
+            live = [m for m in range(k + 1, len(tracks)) if tracks[m].id not in dead]
+            d2[live] = _d2_to_tracks(a.mean, a.cov, [tracks[m] for m in live], gamma, state)
     if dead:
         tracker.tracks = [elders.get(tr.id, tr) for tr in tracker.tracks
                           if tr.id not in dead]

@@ -5,6 +5,18 @@ points landing strictly inside a 2D box are candidate matches, scored by
 pixel distance from the box center normalized by the box diagonal.  A
 one-to-one assignment over candidates then yields fused 3D detections
 carrying the radar position and a polar-shaped measurement covariance.
+
+Each step is one stacked computation per flush: association projects
+all points and scores all box-point pairs in one cost matrix; synthesis
+maps all points and builds all covariances with one
+``radar_measurement_cov``, which the edge worker shares; and
+``transform_detections`` maps a batch into another frame with one
+``R @ p``, one ``R @ C @ R.T`` and one symmetrize.  Each row keeps the
+bits of the per-detection computation: the matrix products are the same
+BLAS products per row (see ``sensing``), and variances are squared as
+Python floats, because a Python float's ``**`` is libm ``pow``, which
+rounds about one square in a thousand differently from numpy's array
+``**``.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BehindCamera, CameraIntrinsics, Pose, project_to_image, symmetrize, transform_point
+from .geometry import CameraIntrinsics, Pose, norms, symmetrize, transform_point
 from .sensing import Detection2D, RadarPoint, SensorNoiseConfig
 
 PAIR_COST_GATE = 0.5
@@ -23,6 +35,10 @@ RADAR_ONLY_COV_SCALE = 4.0
 
 SOURCE_FUSED = "camera+radar"
 SOURCE_RADAR = "radar-only"
+
+# Component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
+_NEXT = [1, 2, 0]
+_PREV = [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -40,9 +56,9 @@ class Detection3D:
 
     def to_dict(self) -> dict:
         return {
-            "position": [float(x) for x in self.position],
+            "position": self.position.tolist(),
             "radial_speed": self.radial_speed,
-            "cov": [[float(v) for v in row] for row in self.cov],
+            "cov": self.cov.tolist(),
             "source": self.source,
             "score": self.score,
             "timestamp": self.timestamp,
@@ -87,27 +103,24 @@ def frustum_associate(bboxes: list[Detection2D], points: list[RadarPoint],
 
     ``cam_from_radar`` maps radar body coordinates into the camera optical
     frame.  Candidate pairs need the projected pixel strictly inside the
-    box; cost is center distance over box diagonal, gated at 0.5.
+    box, in front of the camera (depth above 1e-6 m); cost is center
+    distance over box diagonal, gated at 0.5.  All points are projected in
+    one stacked transform and all pairs scored in one cost matrix.
     """
     n, m = len(bboxes), len(points)
     cost = np.full((n, m), np.inf)
-    pixels: list[tuple[float, float] | None] = []
-    for point in points:
-        p_cam = transform_point(cam_from_radar, point.position)
-        try:
-            pixels.append(project_to_image(K, p_cam))
-        except BehindCamera:
-            pixels.append(None)
-    for i, det in enumerate(bboxes):
-        umin, vmin, umax, vmax = det.bbox
-        cu, cv = (umin + umax) / 2.0, (vmin + vmax) / 2.0
-        diag = float(np.hypot(umax - umin, vmax - vmin))
-        for j, pix in enumerate(pixels):
-            if pix is None:
-                continue
-            u, v = pix
-            if umin < u < umax and vmin < v < vmax:
-                cost[i, j] = np.hypot(u - cu, v - cv) / diag
+    if n and m:
+        x, y, z = transform_point(cam_from_radar,
+                                  np.array([point.position for point in points])).T
+        front = z > 1e-6
+        z = np.where(front, z, 1.0)  # behind-camera pixels are masked below
+        u = K.fx * x / z + K.cx
+        v = K.fy * y / z + K.cy
+        umin, vmin, umax, vmax = np.array([det.bbox for det in bboxes], dtype=float).T[:, :, None]
+        inside = front & (umin < u) & (u < umax) & (vmin < v) & (v < vmax)
+        diag = np.hypot(umax - umin, vmax - vmin)
+        dist = np.hypot(u - (umin + umax) / 2.0, v - (vmin + vmax) / 2.0) / diag
+        cost = np.where(inside, dist, np.inf)
 
     pairs = [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]
     used_b = {i for i, _ in pairs}
@@ -119,29 +132,36 @@ def frustum_associate(bboxes: list[Detection2D], points: list[RadarPoint],
     )
 
 
-def radar_measurement_cov(point: RadarPoint, cfg: SensorNoiseConfig) -> np.ndarray:
-    """Polar noise covariance of a radar point, in the radar body frame.
+def radar_measurement_cov(positions: np.ndarray, cfg: SensorNoiseConfig) -> np.ndarray:
+    """Polar noise covariances of radar points, in the radar body frame.
 
-    Diagonal in (radial, tangential-azimuth, tangential-elevation) axes:
-    range_sigma^2 radially and (range * azimuth_sigma)^2 on both tangents.
+    Takes an (N, 3) stack of body-frame positions (each with range > 0)
+    and returns the (N, 3, 3) covariances, each diagonal in (radial,
+    tangential-azimuth, tangential-elevation) axes: range_sigma^2
+    radially and (range * azimuth_sigma)^2 on both tangents.
     """
-    r = point.range
-    rx, ry, rz = (point.position / r).tolist()
-    # t_az = z x radial; the norm stays numpy's, whose sum can differ
-    # from a float one in the last bit
-    norm = float(np.linalg.norm(np.array([-ry, rx, 0.0])))
-    if norm < 1e-9:  # looking straight up/down; any horizontal tangent works
-        tx, ty, tz = 1.0, 0.0, 0.0
-    else:
-        tx, ty, tz = -ry / norm, rx / norm, 0.0
-    # t_el = radial x t_az in np.cross's terms, tz kept, so each entry
-    # rounds as before; the columns of basis are radial, t_az, t_el
-    basis = np.array([[rx, tx, ry * tz - rz * ty],
-                      [ry, ty, rz * tx - rx * tz],
-                      [rz, tz, rx * ty - ry * tx]])
-    sig_t = r * cfg.azimuth_sigma
-    var = np.array([cfg.range_sigma**2, sig_t**2, sig_t**2])
-    return symmetrize((basis * var) @ basis.T)
+    r = norms(positions)
+    radial = positions / r[:, None]
+    # t_az = z x radial, normalized; any horizontal tangent serves when
+    # the point is straight up or down
+    t_az = np.zeros_like(radial)
+    t_az[:, 0] = -radial[:, 1]
+    t_az[:, 1] = radial[:, 0]
+    t_norm = norms(t_az)
+    flat = t_norm < 1e-9
+    t_az /= np.where(flat, 1.0, t_norm)[:, None]
+    t_az[flat] = (1.0, 0.0, 0.0)
+    # columns: radial, t_az, t_el = radial x t_az; every cross-product
+    # entry multiplies by t_az's zero z entry as np.cross does, so signed
+    # zeros come out as in the per-point form
+    basis = np.empty((len(r), 3, 3))
+    basis[:, :, 0] = radial
+    basis[:, :, 1] = t_az
+    basis[:, :, 2] = radial[:, _NEXT] * t_az[:, _PREV] - radial[:, _PREV] * t_az[:, _NEXT]
+    var = np.empty_like(radial)
+    var[:, 0] = cfg.range_sigma**2
+    var[:, 1] = var[:, 2] = [(ri * cfg.azimuth_sigma)**2 for ri in r.tolist()]
+    return symmetrize((basis * var[:, None, :]) @ basis.swapaxes(-1, -2))
 
 
 def synthesize(assoc: Association, bboxes: list[Detection2D],
@@ -153,19 +173,32 @@ def synthesize(assoc: Association, bboxes: list[Detection2D],
     radar-only detections with score 0.3 and 4x the measurement
     covariance.  Unmatched boxes yield nothing (no depth available).
     ``cfg`` is the radar's noise config, which shapes the covariance.
+    Positions and covariances of all detections are built in one
+    stacked transform.
     """
+    picks = [(j, bboxes[i].score, SOURCE_FUSED, 1.0, bboxes[i].timestamp)
+             for i, j in assoc.pairs]
+    picks += [(j, RADAR_ONLY_SCORE, SOURCE_RADAR, RADAR_ONLY_COV_SCALE, points[j].timestamp)
+              for j in assoc.unmatched_radar]
+    if not picks:
+        return []
+    radar = np.array([points[j].position for j, *_ in picks])
+    positions = transform_point(agent_from_radar, radar)
     r_ar = agent_from_radar.rotation
-    out: list[Detection3D] = []
+    scale = np.array([pick[3] for pick in picks])[:, None, None]
+    covs = symmetrize(scale * (r_ar @ radar_measurement_cov(radar, cfg) @ r_ar.T))
+    return [Detection3D(pos, points[j].radial_speed, cov, source, score, t)
+            for (j, score, source, _, t), pos, cov in zip(picks, positions, covs)]
 
-    def build(j: int, score: float, source: str, scale: float, t: float) -> Detection3D:
-        point = points[j]
-        pos = transform_point(agent_from_radar, point.position)
-        cov = scale * (r_ar @ radar_measurement_cov(point, cfg) @ r_ar.T)
-        return Detection3D(pos, point.radial_speed, symmetrize(cov), source, score, t)
 
-    for i, j in assoc.pairs:
-        out.append(build(j, bboxes[i].score, SOURCE_FUSED, 1.0, bboxes[i].timestamp))
-    for j in assoc.unmatched_radar:
-        out.append(build(j, RADAR_ONLY_SCORE, SOURCE_RADAR, RADAR_ONLY_COV_SCALE,
-                         points[j].timestamp))
-    return out
+def transform_detections(pose: Pose, detections: list[Detection3D]) -> list[Detection3D]:
+    """Detections mapped from ``pose``'s local frame into its parent frame
+    in one stacked transform: positions by the pose, covariances by
+    R C R', re-symmetrized."""
+    if not detections:
+        return []
+    positions = transform_point(pose, np.array([d.position for d in detections]))
+    r = pose.rotation
+    covs = symmetrize(r @ np.array([d.cov for d in detections]) @ r.T)
+    return [Detection3D(pos, d.radial_speed, cov, d.source, d.score, d.timestamp)
+            for d, pos, cov in zip(detections, positions, covs)]

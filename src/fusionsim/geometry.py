@@ -44,7 +44,13 @@ class NonPSD(GeometryError):
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: rotation (world-from-local) plus translation in meters."""
+    """Rigid transform: rotation (world-from-local) plus translation in meters.
+
+    A pose built from outside input (``Pose(...)``, ``from_rpy_deg``,
+    ``from_payload``) is validated once.  Poses derived from valid ones
+    (``compose``, ``inverse``, ``identity``, a trajectory's pose at a
+    time) are built by ``_trusted``, which skips the check.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -62,9 +68,18 @@ class Pose:
         if abs(np.linalg.det(r) - 1.0) > _ORTHONORMAL_TOL:
             raise GeometryError("rotation must be proper (det = +1)")
 
+    @classmethod
+    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """A pose from a float (3, 3) rotation known to be proper and
+        orthonormal and a float (3,) translation, built without checks."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
+
     @staticmethod
     def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
+        return _IDENTITY
 
     @staticmethod
     def from_rpy_deg(translation, roll: float = 0.0, pitch: float = 0.0,
@@ -74,17 +89,22 @@ class Pose:
 
     def compose(self, other: "Pose") -> "Pose":
         """self ∘ other: apply ``other`` first, then ``self``."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        return Pose._trusted(self.rotation @ other.rotation,
+                             self.rotation @ other.translation + self.translation)
 
     def to_payload(self) -> dict:
         """JSON-ready form carried in bus messages."""
-        return {"rotation": [[float(v) for v in row] for row in self.rotation],
-                "translation": [float(v) for v in self.translation]}
+        return {"rotation": self.rotation.tolist(),
+                "translation": self.translation.tolist()}
 
     @staticmethod
     def from_payload(d: dict) -> "Pose":
         return Pose(np.array(d["rotation"]), np.array(d["translation"]))
+
+
+_IDENTITY = Pose._trusted(np.eye(3), np.zeros(3))
+_IDENTITY.rotation.flags.writeable = False
+_IDENTITY.translation.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -116,13 +136,30 @@ def rotation_from_rpy_deg(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 
 def transform_point(pose: Pose, p) -> np.ndarray:
-    """Map a point from the pose's local frame into its parent frame."""
-    return pose.rotation @ np.asarray(p, dtype=float) + pose.translation
+    """Map a (3,) point, or each row of an (N, 3) stack of them, from the
+    pose's local frame into its parent frame.
+
+    Each row is ``R @ p + t`` as a matrix-vector product: a stacked
+    ``R @ p[..., None]`` runs the same product per row, bit for bit,
+    where ``P @ R.T`` or ``einsum`` sum in another order.
+    """
+    p = np.asarray(p, dtype=float)
+    return (pose.rotation @ p[..., None])[..., 0] + pose.translation
+
+
+def norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 3) stack of points.
+
+    Each equals ``np.linalg.norm`` of its row bit for bit: both take the
+    square root of the row's dot product with itself, which
+    ``norm(points, axis=1)`` would sum in another order.
+    """
+    return np.sqrt(points[:, None, :] @ points[:, :, None])[:, 0, 0]
 
 
 def inverse(pose: Pose) -> Pose:
     rt = pose.rotation.T
-    return Pose(rt, -(rt @ pose.translation))
+    return Pose._trusted(rt, -(rt @ pose.translation))
 
 
 def project_to_image(K: CameraIntrinsics, p_cam) -> tuple[float, float]:
@@ -138,7 +175,8 @@ def project_to_image(K: CameraIntrinsics, p_cam) -> tuple[float, float]:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """(M + M') / 2 of a matrix, or of each matrix in a stack."""
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def check_symmetric(cov: np.ndarray, tol: float = SYMMETRY_TOL) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fusion import SOURCE_FUSED, Detection3D, radar_measurement_cov
 from .geometry import Pose, inverse, symmetrize, transform_point
-from .sensing import GroundTruthObject, RadarPoint, SensorNoiseConfig, perturb_polar
+from .sensing import GroundTruthObject, SensorNoiseConfig, in_range, perturb_polar
 from .tracker import LANE_EDGE, SingularInnovation, Tracker
 
 STATUS_OK = "ok"
@@ -142,30 +142,26 @@ def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
     """High-accuracy detections over ground truth, after a simulated compute.
 
     Draw order: one uniform for the latency, one for failure, then per
-    object one detect uniform and three polar noise normals.  Detections
-    come back in the parent frame of ``sensor_pose`` (the caller passes
-    the emulated rig's pose in the tracking frame).
+    object in range one detect uniform and, if detected, three polar
+    noise normals.  Detections come back in the parent frame of
+    ``sensor_pose`` (the caller passes the emulated rig's pose in the
+    tracking frame).  Body-frame positions and ranges, and the output
+    positions and covariances, are each one stacked computation.
     """
     latency = rng.uniform(cfg.lat_min, cfg.lat_max)
     if rng.uniform() < cfg.p_fail:
         return TaskResult(req.task_id, STATUS_FAILED, req.frame_time, [], latency)
-    body_from_parent = inverse(sensor_pose)
     prof = cfg.profile
-    detections: list[Detection3D] = []
-    for obj in truth:
-        p = transform_point(body_from_parent, obj.position)
-        r_true = float(np.linalg.norm(p))
-        if r_true <= 1e-9 or r_true > prof.max_range:
-            continue
-        if rng.uniform() >= prof.p_detect:
-            continue
-        pos_body = perturb_polar(p, r_true, prof, rng)
-        pos = transform_point(sensor_pose, pos_body)
-        probe = RadarPoint(pos_body, 0.0, 0.0, "edge", req.frame_time)
-        cov_body = radar_measurement_cov(probe, prof)
-        cov = sensor_pose.rotation @ cov_body @ sensor_pose.rotation.T
-        detections.append(Detection3D(pos, 0.0, symmetrize(cov), SOURCE_FUSED,
-                                      EDGE_SCORE, req.frame_time))
+    _, p_body, ranges = in_range(inverse(sensor_pose), truth, prof.max_range)
+    measured = [perturb_polar(p, r_true, prof, rng)
+                for p, r_true in zip(p_body.tolist(), ranges.tolist())
+                if rng.uniform() < prof.p_detect]
+    pos_body = np.array(measured).reshape(-1, 3)
+    positions = transform_point(sensor_pose, pos_body)
+    r = sensor_pose.rotation
+    covs = symmetrize(r @ radar_measurement_cov(pos_body, prof) @ r.T)
+    detections = [Detection3D(pos, 0.0, cov, SOURCE_FUSED, EDGE_SCORE, req.frame_time)
+                  for pos, cov in zip(positions, covs)]
     return TaskResult(req.task_id, STATUS_OK, req.frame_time, detections, latency)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .. import __version__, bus
 from ..bus import BusFrame, canonical_dumps, canonical_loads, link_key
 from ..collab import CollabState, RemoteTrackMsg, covi_step
-from ..fusion import Association, Detection3D, frustum_associate, synthesize
+from ..fusion import Association, frustum_associate, synthesize, transform_detections
 from ..geometry import OPTICAL_FROM_BODY, Pose, inverse, symmetrize, transform_gaussian
 from ..metrics import MetricsAggregator, OutOfRange, prediction_error
 from ..offload import Broker, TaskRequest, TaskResult, emulate_worker, reap_timeouts
@@ -227,9 +227,8 @@ class Engine:
         self._truth_times_recorded.add(t)
         self.replay_lines.append({
             "t": t,
-            "truth": [{"id": o.id, "position": [float(x) for x in o.position],
-                       "velocity": [float(x) for x in o.velocity],
-                       "extent": [float(x) for x in o.extent]}
+            "truth": [{"id": o.id, "position": o.position.tolist(),
+                       "velocity": o.velocity.tolist(), "extent": o.extent.tolist()}
                       for o in self._truth(t)],
         })
 
@@ -285,7 +284,7 @@ class Engine:
         radar_mount = rt.radar_spec.mount if rt.radar_spec is not None \
             else Pose.identity()
         dets_agent = synthesize(assoc, bboxes, points, radar_mount, radar_noise)
-        dets_world = [self._det_to_world(d, agent_pose) for d in dets_agent]
+        dets_world = transform_detections(agent_pose, dets_agent)
         rt.tracker.process_batch((t, LANE_LOCAL, 0), dets_world, t)
 
         if self.mode == "cr-covi":
@@ -303,16 +302,9 @@ class Engine:
         for tr in rt.tracker.tracks:
             self.track_lines.append({
                 "t": t, "agent": spec.id, "id": tr.id, "status": tr.status,
-                "mean": [float(x) for x in tr.mean],
-                "cov_diag": [float(x) for x in np.diag(tr.cov)],
+                "mean": tr.mean.tolist(),
+                "cov_diag": tr.cov.diagonal().tolist(),
             })
-
-    @staticmethod
-    def _det_to_world(det: Detection3D, agent_pose: Pose) -> Detection3D:
-        r = agent_pose.rotation
-        return Detection3D(
-            r @ det.position + agent_pose.translation, det.radial_speed,
-            symmetrize(r @ det.cov @ r.T), det.source, det.score, det.timestamp)
 
     def _maybe_broadcast(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
         period = 1.0 / self.sc.pipeline.broadcast_hz

@@ -92,6 +92,17 @@ def _vec3(value, path: str) -> np.ndarray:
     return arr
 
 
+def _rpy(value, path: str) -> tuple[float, float, float]:
+    """Roll, pitch, yaw in degrees; checked here, so that the poses built
+    from them later need no check."""
+    rpy = tuple(float(x) for x in value)
+    if len(rpy) != 3:
+        raise ValidationError(f"{path} must have 3 entries")
+    if not all(math.isfinite(a) for a in rpy):
+        raise ValidationError(f"{path} must be finite")
+    return rpy
+
+
 # ---------------------------------------------------------------------------
 # motion
 
@@ -142,7 +153,8 @@ class Motion:
                 rot = rotation_from_rpy_deg(0.0, 0.0, math.degrees(math.atan2(v[1], v[0])))
             else:
                 rot = np.eye(3)
-        return Pose(rot, self.position(t))
+        # a yaw-pitch-roll rotation is proper and orthonormal by construction
+        return Pose._trusted(rot, self.position(t))
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -167,18 +179,14 @@ def _parse_motion(d: dict, path: str, allow_static: bool, duration: float) -> Mo
         if not allow_static:
             raise ValidationError(f"{path}: objects cannot be static-pose; use cv with v=0")
         _check_keys(d, ("kind", "position", "rpy_deg"), path)
-        rpy = tuple(float(x) for x in d.get("rpy_deg", (0.0, 0.0, 0.0)))
-        if len(rpy) != 3:
-            raise ValidationError(f"{path}.rpy_deg must have 3 entries")
+        rpy = _rpy(d.get("rpy_deg", (0.0, 0.0, 0.0)), f"{path}.rpy_deg")
         return Motion("static", p0=_vec3(d.get("position", (0, 0, 0)), f"{path}.position"),
                       rpy_deg=rpy)
     if kind == "cv":
         _check_keys(d, ("kind", "p0", "v", "rpy_deg"), path)
         rpy = d.get("rpy_deg")
         if rpy is not None:
-            rpy = tuple(float(x) for x in rpy)
-            if len(rpy) != 3:
-                raise ValidationError(f"{path}.rpy_deg must have 3 entries")
+            rpy = _rpy(rpy, f"{path}.rpy_deg")
         return Motion("cv", p0=_vec3(d.get("p0", (0, 0, 0)), f"{path}.p0"),
                       v=_vec3(d.get("v", (0, 0, 0)), f"{path}.v"), rpy_deg=rpy)
     if kind == "waypoints":
@@ -462,9 +470,7 @@ def _parse_network(d: dict) -> NetworkModel:
 def _parse_mount(d: dict, path: str) -> tuple[Pose, dict]:
     _check_keys(d, ("translation", "rpy_deg"), path)
     translation = _vec3(d.get("translation", (0, 0, 0)), f"{path}.translation")
-    rpy = tuple(float(x) for x in d.get("rpy_deg", (0.0, 0.0, 0.0)))
-    if len(rpy) != 3:
-        raise ValidationError(f"{path}.rpy_deg must have 3 entries")
+    rpy = _rpy(d.get("rpy_deg", (0.0, 0.0, 0.0)), f"{path}.rpy_deg")
     pose = Pose.from_rpy_deg(translation, *rpy)
     raw = {"translation": [float(x) for x in translation], "rpy_deg": list(rpy)}
     return pose, raw

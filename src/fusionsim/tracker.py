@@ -7,12 +7,20 @@ State layout is [px, py, pz, vx, vy, vz].
 
 A step costs a fixed number of array operations rather than one Python
 call per track or pair.  Gating is one all-pairs call: ``position_d2``
-stacks every track x detection residual and innovation covariance and
-solves them together; collaboration (``collab``) gates with the same
-kernel.  Predict and update are stacked too: ``kalman_predict`` and
-``kalman_update`` take leading batch axes, so ``predict`` moves every
-track and ``update`` corrects every matched pair in one call each, with
-the same arithmetic per track as a single-track call.
+stacks every track x detection residual and innovation covariance, tests
+every covariance's rcond, and solves the pairs together; in calls of
+more than ``_FEW_PAIRS`` pairs it solves only those a gate at the
+caller's chi-square quantile gamma could pass.  Collaboration
+(``collab``) gates with the same kernel.  The exact pre-gate skips a
+pair with a positive definite S and |delta|^2 > 2 gamma tr(S): its d2
+exceeds |delta|^2 / lambda_max(S) > |delta|^2 / tr(S) > 2 gamma, and the
+factor 2 covers the solve's relative error, about cond * eps <= 1e-4 for
+any S that passes the rcond >= 1e-12 test, so the pair fails the gate
+whether solved or not.  Predict and update are stacked too:
+``kalman_predict`` and ``kalman_update`` take leading batch axes, so
+``predict`` moves every track and ``update`` corrects every matched pair
+in one call each, with the same arithmetic per track as a single-track
+call.
 
 The tracker also keeps a ring of whole-state snapshots keyed by the batch
 order it processed, which lets delayed (out-of-sequence) detection batches
@@ -141,8 +149,8 @@ class Track:
             "hits": self.hits,
             "misses": self.misses,
             "recent": [bool(b) for b in self.recent],
-            "mean": [float(x) for x in self.mean],
-            "cov": [[float(v) for v in row] for row in self.cov],
+            "mean": self.mean.tolist(),
+            "cov": self.cov.tolist(),
             "stamp": self.stamp,
         }
 
@@ -185,14 +193,16 @@ def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
 _FEW_MATRICES = 32
 
 
-def _check_innovation_cov(s: np.ndarray) -> None:
-    """Raise SingularInnovation if S, or any matrix in a stack of them,
-    has rcond below 1e-12.
+def _regularity(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sure, regular) flags of each S in a stack of them: ``sure`` where S
+    passes the sure-pass bound below, which proves it positive definite,
+    and ``regular`` where its rcond is at least 1e-12 (every sure S is
+    regular).
 
     rcond comes from ``eigvalsh``, which reads the lower triangle, but
-    only for the matrices that fail a sure-pass bound first.  With
-    a, b, c the diagonal, x, y, z the lower off-diagonal entries s10, s21,
-    s20 and tol = 1e-9 tr, the bound asks for each 2x2 principal minor
+    only for the matrices that fail the sure-pass bound.  With a, b, c
+    the diagonal, x, y, z the lower off-diagonal entries s10, s21, s20
+    and tol = 1e-9 tr, the bound asks for each 2x2 principal minor
     > tol tr and det > tol tr^2, with tr in (1e-80, 1e80).  The minors
     give ab > 0 and bc > 0, so a, b, c share a sign, which tr > 0 makes
     positive; S is then positive definite by Sylvester's criterion, every
@@ -205,50 +215,90 @@ def _check_innovation_cov(s: np.ndarray) -> None:
     """
     flat = s.reshape(-1, 9)
     if len(flat) <= _FEW_MATRICES:
-        doubtful = [m for m in flat.tolist() if not _surely_regular(*m)]
+        sure = np.array([_surely_regular(*m) for m in flat.tolist()], dtype=bool)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # extremes fail the range test
-            doubtful = flat[~_surely_regular(*flat.T)]
-    if not len(doubtful):
-        return
-    w = np.abs(np.linalg.eigvalsh(np.reshape(doubtful, (-1, 3, 3))))
-    if np.any(w[..., 0] <= w[..., -1] * 1e-12):
+            sure = _surely_regular(*flat.T)
+    sure = sure.reshape(s.shape[:-2])
+    if sure.all():
+        return sure, sure
+    doubtful = ~sure
+    w = np.abs(np.linalg.eigvalsh(s[doubtful]))
+    regular = sure.copy()
+    regular[doubtful] = ~(w[:, 0] <= w[:, -1] * 1e-12)
+    return sure, regular
+
+
+def _check_innovation_cov(s: np.ndarray) -> None:
+    """Raise SingularInnovation if S, or any matrix in a stack of them,
+    has rcond below 1e-12 (see ``_regularity``)."""
+    if not _regularity(s)[1].all():
         raise SingularInnovation("innovation covariance rcond below 1e-12")
 
 
 def _surely_regular(a, _01, _02, x, b, _12, z, y, c):
-    """The sure-pass bound of ``_check_innovation_cov`` on the row-major
-    entries of one S (floats) or of a stack (arrays, elementwise); only
-    the lower triangle is read."""
+    """The sure-pass bound of ``_regularity`` on the row-major entries of
+    one S (floats) or of a stack (arrays, elementwise); only the lower
+    triangle is read."""
     tr = a + b + c
-    tol = 1e-9 * tr
+    margin = 1e-9 * tr * tr  # tol tr
     minor_bc = b * c - y * y
     det = a * minor_bc - x * (x * c - y * z) + z * (x * y - b * z)
-    return ((1e-80 < tr) & (tr < 1e80) & (a * b - x * x > tol * tr)
-            & (minor_bc > tol * tr) & (a * c - z * z > tol * tr)
-            & (det > tol * tr * tr))
+    return ((1e-80 < tr) & (tr < 1e80) & (a * b - x * x > margin)
+            & (minor_bc > margin) & (a * c - z * z > margin)
+            & (det > margin * tr))
 
 
-def position_d2(means_a, covs_a, means_b, covs_b, check: bool = False) -> np.ndarray:
-    """All-pairs squared Mahalanobis distances over the position blocks.
+# Up to this many pairs, solving every pair costs less than the pre-gate's
+# masks and its gather and scatter of the pairs it keeps: the two cost the
+# same near 64 to 100 pairs (timeit, CPython 3.11, numpy 2.4, x86-64).
+_FEW_PAIRS = 64
+
+
+def position_d2(means_a, covs_a, means_b, covs_b,
+                gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs squared Mahalanobis distances over the position blocks,
+    exact wherever a gate at ``gamma`` could pass them.
 
     Takes N stacked means and covariances for side a and M for side b
-    (state or position dimension, at least 3) and returns the (N, M)
-    matrix of Δ'(P_a + P_b)^-1 Δ with Δ = x_a - x_b.  Each entry equals
-    the per-pair ``delta @ solve(s, delta)`` bit for bit.  With ``check``
-    every summed covariance must pass the innovation rcond test first
-    (raises SingularInnovation).
+    (state or position dimension, at least 3) and returns ``(d2,
+    singular)``: d2 is the (N, M) matrix of Δ'S^-1 Δ with Δ = x_a - x_b
+    and S = P_a + P_b, and ``singular`` the (N, M) mask of pairs whose S
+    has rcond below 1e-12.  Every S is tested; a singular pair is inf in
+    d2 and never solved, and each caller decides what it means.
+
+    Pre-gate: a pair whose S passes the sure-pass bound (so is positive
+    definite) and has |Δ|² > 2 γ tr(S) is inf without a solve.  Its exact
+    d2 >= |Δ|² / λmax(S) > |Δ|² / tr(S) > 2γ, and a solve of an S with
+    rcond >= 1e-12 errs by about cond·eps <= 1e-4 relative, so the factor
+    2 leaves its computed d2 far above γ: the pair would fail any gate at
+    γ anyway.  It runs above ``_FEW_PAIRS`` pairs; below, solving every
+    pair costs less.  The pairs left are solved together and each entry
+    equals the per-pair ``delta @ solve(s, delta)`` bit for bit.
     """
     n, m = len(means_a), len(means_b)
     if n == 0 or m == 0:
-        return np.zeros((n, m))
+        return np.zeros((n, m)), np.zeros((n, m), dtype=bool)
     pos_a = np.asarray(means_a, dtype=float)[:, :3]
     pos_b = np.asarray(means_b, dtype=float)[:, :3]
     delta = pos_a[:, None, :] - pos_b[None, :, :]
     s = (np.asarray(covs_a, dtype=float)[:, None, :3, :3]
          + np.asarray(covs_b, dtype=float)[None, :, :3, :3])
-    if check:
-        _check_innovation_cov(s)
+    sure, regular = _regularity(s)
+    solve = regular
+    if n * m > _FEW_PAIRS:
+        far = (delta * delta).sum(axis=-1) > 2.0 * gamma * np.trace(s, axis1=-2, axis2=-1)
+        solve = regular & ~(sure & far)
+    if solve.all():
+        return _quadratic(s, delta), ~regular
+    d2 = np.full((n, m), np.inf)
+    if solve.any():
+        d2[solve] = _quadratic(s[solve], delta[solve])
+    return d2, ~regular
+
+
+def _quadratic(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """delta' S^-1 delta of each S and delta in stacks of them."""
     x = np.linalg.solve(s, delta[..., None])
     # matmul, not einsum: it sums the three products in the per-pair order
     return (delta[..., None, :] @ x)[..., 0, 0]
@@ -309,11 +359,15 @@ def gate(tracks: list[Track], detections: list[Detection3D],
          gate_prob: float = 0.99) -> np.ndarray:
     """Gated (tracks x detections) cost matrix: the squared Mahalanobis
     distance of each detection from each predicted track position, inf
-    where it fails the chi-square gate."""
-    d2 = position_d2([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                     [d.position for d in detections], [d.cov for d in detections],
-                     check=True)
-    return np.where(d2 <= chi2_quantile(gate_prob, 3), d2, np.inf)
+    where it fails the chi-square gate.  Raises SingularInnovation if any
+    pair's innovation covariance is singular."""
+    gamma = chi2_quantile(gate_prob, 3)
+    d2, singular = position_d2([tr.mean for tr in tracks], [tr.cov for tr in tracks],
+                               [d.position for d in detections], [d.cov for d in detections],
+                               gamma)
+    if singular.any():
+        raise SingularInnovation("innovation covariance rcond below 1e-12")
+    return np.where(d2 <= gamma, d2, np.inf)
 
 
 def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[float, np.ndarray]]:

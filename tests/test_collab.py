@@ -302,6 +302,19 @@ class TestCoviStep:
         assert (state.rejected, state.spawned, state.merged) == (0, 1, 0)
         assert len(tk.tracks) == 2
 
+    def test_singular_pairs_are_not_gated_and_counted(self):
+        # zero position covariances on both sides make S = 0 in the
+        # association, the spawn check and the merge: each counts the pair
+        # and none gates it, so the remote track spawns instead of fusing
+        local = Track(1, np.zeros(6), np.zeros((6, 6)), 0.0, confirm_n=5)
+        tk = Tracker()
+        tk.tracks, tk.next_id = [local], 2
+        state = CollabState()
+        assert "singular" not in state.counters()
+        covi_step(tk, [msg([(7, np.zeros(6), np.zeros((6, 6)))])], 0.0, state)
+        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 1, 0, 3)
+        assert state.counters()["singular"] == 3
+
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate
         # (11.345) but outside the 0.95 one (7.815)

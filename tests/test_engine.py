@@ -7,6 +7,8 @@
   the end of the run;
 * offload: the broker conserves tasks, also when edge results are
   singular and skipped;
+* collaboration skips and counts track pairs with a singular summed
+  covariance instead of aborting;
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks;
@@ -21,25 +23,50 @@ import pytest
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import Engine
 
-# (scenario, mode, shortened duration).  cr-dist runs 8 s: by then an edge
-# task has been sent while an object was out of the camera's view, so the
-# replay check covers how edge tasks pick the objects they see.
+# (scenario, mode, shortened duration, crowd).  cr-dist runs 8 s: by then
+# an edge task has been sent while an object was out of the camera's view,
+# so the replay check covers how edge tasks pick the objects they see.  A
+# crowd case replaces the scenario's objects by ``crowd_grid(crowd)``.
 CASES = [
-    ("urban.json", "cr", 3.0),
-    ("urban.json", "cr-covi", 3.0),
-    ("occlusion.json", "cr", 3.0),
-    ("occlusion.json", "cr-covi", 3.0),
-    ("urban.json", "cr-dist", 8.0),
+    ("urban.json", "cr", 3.0, 0),
+    ("urban.json", "cr-covi", 3.0, 0),
+    ("occlusion.json", "cr", 3.0, 0),
+    ("occlusion.json", "cr-covi", 3.0, 0),
+    ("urban.json", "cr-dist", 8.0, 0),
+    ("urban.json", "cr", 1.5, 40),
 ]
 
+# Box sizes (l, w, h) the crowd cycles through: car, cyclist, van, bus.
+CROWD_EXTENTS = ((4.5, 1.9, 1.6), (2.0, 0.8, 1.8), (4.2, 1.8, 1.5), (8.5, 2.5, 3.2))
 
-def case_id(name, mode, duration):
-    return f"{name[:-5]}-{mode}"
+
+def crowd_grid(n):
+    """``n`` constant-velocity objects on a grid in front of urban's ego:
+    rows 8 m apart from 12 m out, columns 3.5 m apart, so near boxes cover
+    far ones in the cameras and radar sees many returns per tick."""
+    objects = []
+    for k in range(n):
+        row, col = divmod(k, 8)
+        extent = CROWD_EXTENTS[k % len(CROWD_EXTENTS)]
+        objects.append({
+            "id": k + 1,
+            "extent": list(extent),
+            "motion": {"kind": "cv",
+                       "p0": [12.0 + 8.0 * row, 3.5 * (col - 3.5), extent[2] / 2.0],
+                       "v": [0.5 * (k % 3 - 1), 0.25 * (k % 5 - 2), 0.0]},
+        })
+    return objects
 
 
-def scenario(scenario_dir, name, mode, duration):
+def case_id(name, mode, duration, crowd):
+    return f"{'crowd' if crowd else name[:-5]}-{mode}"
+
+
+def scenario(scenario_dir, name, mode, duration, crowd):
     doc = json.loads((scenario_dir / name).read_text())
     doc["duration"] = duration
+    if crowd:
+        doc["objects"] = crowd_grid(crowd)
     return apply_overrides(load_scenario(json.dumps(doc)), mode=mode)
 
 
@@ -101,6 +128,7 @@ def test_collaboration_fuses_remote_tracks(case):
     collab = report.report["counters"]["collab"]
     assert sum(c["fused"] for c in collab.values()) > 0
     assert all("merged" in c for c in collab.values())
+    assert all("singular" not in c for c in collab.values())  # reported only when non-zero
 
 
 def test_singular_edge_results_are_counted_and_skipped(scenario_dir):
@@ -118,3 +146,18 @@ def test_singular_edge_results_are_counted_and_skipped(scenario_dir):
     offload = engine.run().report["counters"]["offload"]
     assert offload["singular_dropped"] > 0
     assert engine.broker.conserved()
+
+
+def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
+    # noiseless radar detections have zero covariance, so updated tracks
+    # have (near) zero position covariance and pairs of them a singular S
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    for agent in doc["agents"]:
+        for sensor in agent.get("sensors", []):
+            if sensor["type"] == "radar":
+                sensor["noise"] = {"range_sigma": 0.0, "azimuth_sigma": 0.0}
+    report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")).run()
+    collab = report.report["counters"]["collab"]
+    assert sum(c.get("singular", 0) for c in collab.values()) > 0
+    assert sum(c["fused"] for c in collab.values()) > 0

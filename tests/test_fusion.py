@@ -191,7 +191,7 @@ class TestSynthesize:
     def test_cov_polar_shape(self):
         # point straight down the x axis: radial = x, tangents = y (azimuth), z (elevation)
         pt = radar_point(10.0, 0.0, 0.0)
-        cov = radar_measurement_cov(pt, RADAR_CFG)
+        cov = radar_measurement_cov(pt.position[None], RADAR_CFG)[0]
         assert cov[0, 0] == pytest.approx(RADAR_CFG.range_sigma**2, rel=1e-12)
         assert cov[1, 1] == pytest.approx((10.0 * RADAR_CFG.azimuth_sigma) ** 2, rel=1e-12)
         assert cov[2, 2] == pytest.approx((10.0 * RADAR_CFG.azimuth_sigma) ** 2, rel=1e-12)

@@ -1,0 +1,447 @@
+"""The stacked measurement path equals per-object scalar references, bit for bit.
+
+Sensing, fusion, the edge worker and the world transform each process all
+objects, points or detections of a tick in one stacked computation.  The
+references below are the per-object forms they replaced, kept here as the
+specification: every property compares floats with ``==`` (or
+``np.array_equal``), never with a tolerance, because the run outputs are
+required to stay byte-identical.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fusionsim.fusion import (
+    PAIR_COST_GATE,
+    RADAR_ONLY_COV_SCALE,
+    RADAR_ONLY_SCORE,
+    SOURCE_FUSED,
+    SOURCE_RADAR,
+    Association,
+    assign,
+    frustum_associate,
+    radar_measurement_cov,
+    synthesize,
+    transform_detections,
+)
+from fusionsim.geometry import (
+    OPTICAL_FROM_BODY,
+    CameraIntrinsics,
+    Pose,
+    inverse,
+    symmetrize,
+    transform_point,
+)
+from fusionsim.offload import EDGE_SCORE, TaskRequest, WorkerConfig, emulate_worker
+from fusionsim.sensing import (
+    OCCLUSION_COVER,
+    TRUE_SNR_DB,
+    Detection2D,
+    GroundTruthObject,
+    RadarPoint,
+    SensorNoiseConfig,
+    camera_candidates,
+    camera_observe,
+    perturb_polar,
+    radar_observe,
+    visible_object_ids,
+)
+from fusionsim.tracker import _FEW_PAIRS, chi2_quantile, position_d2
+
+K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+# -- scalar references ----------------------------------------------------------
+
+
+def ref_transform_point(pose, p):
+    return pose.rotation @ np.asarray(p, dtype=float) + pose.translation
+
+
+def ref_radar_cov(position, cfg):
+    r = float(np.linalg.norm(position))
+    rx, ry, rz = (position / r).tolist()
+    norm = float(np.linalg.norm(np.array([-ry, rx, 0.0])))
+    if norm < 1e-9:
+        tx, ty, tz = 1.0, 0.0, 0.0
+    else:
+        tx, ty, tz = -ry / norm, rx / norm, 0.0
+    basis = np.array([[rx, tx, ry * tz - rz * ty],
+                      [ry, ty, rz * tx - rx * tz],
+                      [rz, tz, rx * ty - ry * tx]])
+    sig_t = r * cfg.azimuth_sigma
+    var = np.array([cfg.range_sigma**2, sig_t**2, sig_t**2])
+    return symmetrize((basis * var) @ basis.T)
+
+
+def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
+    """Returns (position, radial speed) per true return; no clutter."""
+    body_from_world = inverse(sensor_pose)
+    sensor_vel = np.asarray(sensor_velocity, dtype=float)
+    out = []
+    for obj in objects:
+        p = ref_transform_point(body_from_world, obj.position)
+        rng_true = float(np.linalg.norm(p))
+        if rng_true <= 1e-9 or rng_true > cfg.max_range:
+            continue
+        if abs(math.atan2(p[1], p[0])) > cfg.fov_azimuth / 2.0:
+            continue
+        if rng.uniform() >= cfg.p_detect:
+            continue
+        pos = perturb_polar(p, rng_true, cfg, rng)
+        v_rel_body = body_from_world.rotation @ (obj.velocity - sensor_vel)
+        radial = float(np.dot(p / rng_true, v_rel_body))
+        if cfg.speed_sigma > 0:
+            radial += rng.normal(0.0, cfg.speed_sigma)
+        out.append((pos, radial))
+    return out
+
+
+def ref_emulate_worker(truth, sensor_pose, prof, rng):
+    """Detections of an ok task whose latency and failure draws are done."""
+    body_from_parent = inverse(sensor_pose)
+    out = []
+    for obj in truth:
+        p = ref_transform_point(body_from_parent, obj.position)
+        r_true = float(np.linalg.norm(p))
+        if r_true <= 1e-9 or r_true > prof.max_range:
+            continue
+        if rng.uniform() >= prof.p_detect:
+            continue
+        pos_body = perturb_polar(p, r_true, prof, rng)
+        r = sensor_pose.rotation
+        cov = symmetrize(r @ ref_radar_cov(pos_body, prof) @ r.T)
+        out.append((ref_transform_point(sensor_pose, pos_body), cov))
+    return out
+
+
+def ref_camera_candidates(sensor_pose, objects):
+    opt_from_world_r = (sensor_pose.rotation @ OPTICAL_FROM_BODY.T).T
+    cam_origin = sensor_pose.translation
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                     dtype=float)
+    candidates = []
+    for idx, obj in enumerate(objects):
+        center_opt = opt_from_world_r @ (obj.position - cam_origin)
+        z = center_opt[2]
+        if z <= 1e-6:
+            continue
+        cu = K.fx * center_opt[0] / z + K.cx
+        cv = K.fy * center_opt[1] / z + K.cy
+        if not (0.0 <= cu < K.width and 0.0 <= cv < K.height):
+            continue
+        corners = obj.position + signs * (obj.extent / 2.0)
+        corners_opt = (corners - cam_origin) @ opt_from_world_r.T
+        u = K.fx * corners_opt[:, 0] / z + K.cx
+        v = K.fy * corners_opt[:, 1] / z + K.cy
+        umin, vmin = max(float(u.min()), 0.0), max(float(v.min()), 0.0)
+        umax, vmax = min(float(u.max()), float(K.width)), min(float(v.max()), float(K.height))
+        if umin < umax and vmin < vmax:
+            candidates.append((idx, (umin, vmin, umax, vmax), z))
+    return candidates
+
+
+def ref_cover_fraction(inner, outer):
+    iu = max(0.0, min(inner[2], outer[2]) - max(inner[0], outer[0]))
+    iv = max(0.0, min(inner[3], outer[3]) - max(inner[1], outer[1]))
+    area = (inner[2] - inner[0]) * (inner[3] - inner[1])
+    return (iu * iv) / area if area > 0 else 0.0
+
+
+def ref_is_occluded(bbox, depth, candidates):
+    return any(other_depth < depth and ref_cover_fraction(bbox, other) >= OCCLUSION_COVER
+               for _, other, other_depth in candidates)
+
+
+def ref_frustum_cost(bboxes, points, cam_from_radar):
+    cost = np.full((len(bboxes), len(points)), np.inf)
+    pixels = []
+    for point in points:
+        x, y, z = ref_transform_point(cam_from_radar, point.position)
+        pixels.append((K.fx * x / z + K.cx, K.fy * y / z + K.cy) if z > 1e-6 else None)
+    for i, det in enumerate(bboxes):
+        umin, vmin, umax, vmax = det.bbox
+        cu, cv = (umin + umax) / 2.0, (vmin + vmax) / 2.0
+        diag = float(np.hypot(umax - umin, vmax - vmin))
+        for j, pix in enumerate(pixels):
+            if pix is not None and umin < pix[0] < umax and vmin < pix[1] < vmax:
+                cost[i, j] = np.hypot(pix[0] - cu, pix[1] - cv) / diag
+    return cost
+
+
+# -- scenes -----------------------------------------------------------------------
+
+
+def random_pose(rng, spread=20.0):
+    return Pose.from_rpy_deg(rng.normal(0.0, spread, 3), *rng.uniform(-180.0, 180.0, 3))
+
+
+def crowd(rng, n, pose, ahead=60.0):
+    """``n`` objects around ``pose``: most in front, clustered on a few
+    bearings so boxes overlap, some behind it and some wide enough that
+    their boxes clip at the image edge."""
+    objects = []
+    bearings = rng.uniform(-0.9, 0.9, size=4)
+    for k in range(n):
+        kind = rng.integers(0, 4)
+        if kind == 0:    # behind or beside the sensor
+            body = [rng.uniform(-30.0, 2.0), rng.uniform(-30.0, 30.0), rng.uniform(-3.0, 3.0)]
+        elif kind == 1:  # at the image edge
+            x = rng.uniform(3.0, ahead)
+            body = [x, x * rng.choice([-1.0, 1.0]) * rng.uniform(0.85, 1.05),
+                    rng.uniform(-2.0, 2.0)]
+        else:            # on a shared bearing, at several depths
+            x = rng.uniform(2.0, ahead)
+            body = [x, x * bearings[k % 4] + rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)]
+        objects.append(GroundTruthObject(k + 1, ref_transform_point(pose, body),
+                                         rng.normal(0.0, 3.0, 3),
+                                         rng.uniform(0.3, 9.0, 3)))
+    return objects
+
+
+def noise(rng):
+    return SensorNoiseConfig(pixel_sigma=float(rng.choice([0.0, 2.0])),
+                             range_sigma=float(rng.choice([0.0, 0.15])),
+                             azimuth_sigma=float(rng.choice([0.0, 0.02])),
+                             speed_sigma=float(rng.choice([0.0, 0.1])),
+                             p_detect=float(rng.choice([1.0, 0.8])),
+                             fov_azimuth=float(rng.uniform(0.5, 2 * math.pi)),
+                             max_range=float(rng.uniform(20.0, 100.0)))
+
+
+# -- properties -------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(0, 30))
+def test_transform_point_rows_equal_scalar_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    points = rng.normal(0.0, 50.0, (n, 3))
+    assert np.array_equal(transform_point(pose, points),
+                          np.array([ref_transform_point(pose, p) for p in points]).reshape(-1, 3))
+    for p in points[:1]:
+        assert np.array_equal(transform_point(pose, p), ref_transform_point(pose, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(0, 30), vertical=st.booleans())
+def test_radar_cov_equals_scalar_reference(seed, n, vertical):
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(0.0, 40.0, (n, 3)) * rng.choice([1e-6, 1.0, 1e3], (n, 1))
+    if vertical and n:
+        positions[0, :2] = 0.0  # straight up or down: the horizontal-tangent fallback
+    cfg = SensorNoiseConfig(range_sigma=float(rng.uniform(0.0, 1.0)),
+                            azimuth_sigma=float(rng.uniform(0.0, 0.1)))
+    reference = np.array([ref_radar_cov(p, cfg) for p in positions]).reshape(-1, 3, 3)
+    assert np.array_equal(radar_measurement_cov(positions, cfg), reference)
+
+
+def test_radar_cov_squares_variances_as_python_floats():
+    # a Python float's ** is libm pow, which rounds about one square in a
+    # thousand differently from numpy's array **; enough points catch it
+    rng = np.random.default_rng(7)
+    positions = rng.uniform(-100.0, 100.0, (3000, 3))
+    cfg = SensorNoiseConfig(range_sigma=0.15, azimuth_sigma=0.02)
+    reference = np.array([ref_radar_cov(p, cfg) for p in positions])
+    assert np.array_equal(radar_measurement_cov(positions, cfg), reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(0, 40))
+def test_radar_observe_equals_scalar_reference(seed, n):
+    """Transforms, ranges and radial speeds, and the draw order with them."""
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    objects = crowd(rng, n, pose)
+    cfg = noise(rng)
+    sensor_velocity = rng.normal(0.0, 2.0, 3)
+    points = radar_observe(pose, objects, cfg, np.random.default_rng(seed),
+                           sensor_velocity=sensor_velocity)
+    reference = ref_radar_observe(pose, objects, cfg, np.random.default_rng(seed),
+                                  sensor_velocity)
+    assert len(points) == len(reference)
+    for point, (pos, radial) in zip(points, reference):
+        assert np.array_equal(point.position, pos)
+        assert point.radial_speed == radial
+        assert point.snr == TRUE_SNR_DB
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(0, 40))
+def test_emulate_worker_equals_scalar_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    truth = crowd(rng, n, pose, ahead=150.0)
+    cfg = WorkerConfig(profile=noise(rng))
+    result = emulate_worker(TaskRequest(1, "stereo-depth", 2.0), truth, pose, cfg,
+                            np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    draws.uniform(cfg.lat_min, cfg.lat_max)
+    draws.uniform()
+    reference = ref_emulate_worker(truth, pose, cfg.profile, draws)
+    assert len(result.detections) == len(reference)
+    for det, (pos, cov) in zip(result.detections, reference):
+        assert np.array_equal(det.position, pos)
+        assert np.array_equal(det.cov, cov)
+        assert (det.source, det.score, det.timestamp) == (SOURCE_FUSED, EDGE_SCORE, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(0, 12), m=st.integers(0, 12))
+def test_synthesize_and_world_transform_equal_scalar_reference(seed, n, m):
+    rng = np.random.default_rng(seed)
+    cfg = SensorNoiseConfig(range_sigma=float(rng.uniform(0.0, 0.5)),
+                            azimuth_sigma=float(rng.uniform(0.0, 0.05)))
+    bboxes = [Detection2D((0.0, 0.0, 10.0, 10.0), float(rng.uniform(0.5, 1.0)), "cam",
+                          float(rng.uniform(0, 5))) for _ in range(n)]
+    points = [RadarPoint(rng.normal(0.0, 30.0, 3), float(rng.normal()), 20.0, "radar",
+                         float(rng.uniform(0, 5))) for _ in range(m)]
+    pairs = list(zip(rng.permutation(n).tolist(), rng.permutation(m).tolist()))
+    pairs = pairs[:int(rng.integers(0, len(pairs) + 1))]
+    used = {j for _, j in pairs}
+    assoc = Association(pairs, [], [j for j in range(m) if j not in used])
+    agent_from_radar, world_from_agent = random_pose(rng, 2.0), random_pose(rng)
+
+    dets = synthesize(assoc, bboxes, points, agent_from_radar, cfg)
+    picks = [(j, bboxes[i].score, SOURCE_FUSED, 1.0, bboxes[i].timestamp) for i, j in pairs]
+    picks += [(j, RADAR_ONLY_SCORE, SOURCE_RADAR, RADAR_ONLY_COV_SCALE, points[j].timestamp)
+              for j in assoc.unmatched_radar]
+    assert len(dets) == len(picks)
+    r = agent_from_radar.rotation
+    for det, (j, score, source, scale, t) in zip(dets, picks):
+        cov = scale * (r @ ref_radar_cov(points[j].position, cfg) @ r.T)
+        assert np.array_equal(det.position, ref_transform_point(agent_from_radar,
+                                                                points[j].position))
+        assert np.array_equal(det.cov, symmetrize(cov))
+        assert (det.radial_speed, det.source, det.score, det.timestamp) == \
+            (points[j].radial_speed, source, score, t)
+
+    world = transform_detections(world_from_agent, dets)
+    r = world_from_agent.rotation
+    for det, w in zip(dets, world):
+        assert np.array_equal(w.position, ref_transform_point(world_from_agent, det.position))
+        assert np.array_equal(w.cov, symmetrize(r @ det.cov @ r.T))
+        assert (w.radial_speed, w.source, w.score, w.timestamp) == \
+            (det.radial_speed, det.source, det.score, det.timestamp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, n=st.integers(0, 40))
+def test_camera_candidates_and_occlusion_equal_scalar_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    objects = crowd(rng, n, pose)
+    reference = ref_camera_candidates(pose, objects)
+    idx, boxes, depths = camera_candidates(K, pose, objects)
+    assert idx.tolist() == [i for i, _, _ in reference]
+    assert [tuple(b) for b in boxes.tolist()] == [b for _, b, _ in reference]
+    assert depths.tolist() == [float(z) for _, _, z in reference]
+
+    visible = [objects[i].id for i, b, z in reference if not ref_is_occluded(b, z, reference)]
+    assert visible_object_ids(K, pose, objects) == visible
+
+    cfg = noise(rng)
+    dets = camera_observe(K, pose, objects, cfg, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    expected = []
+    for _, bbox, depth in reference:
+        if ref_is_occluded(bbox, depth, reference) or draws.uniform() >= cfg.p_detect:
+            continue
+        noisy = np.array(bbox) + draws.normal(0.0, cfg.pixel_sigma, size=4) \
+            if cfg.pixel_sigma > 0 else np.array(bbox)
+        umin = min(max(noisy[0], 0.0), float(K.width))
+        vmin = min(max(noisy[1], 0.0), float(K.height))
+        umax = min(max(noisy[2], 0.0), float(K.width))
+        vmax = min(max(noisy[3], 0.0), float(K.height))
+        if umin < umax and vmin < vmax:
+            expected.append((umin, vmin, umax, vmax))
+    assert [d.bbox for d in dets] == expected
+
+
+def test_crowded_scenes_exercise_every_branch():
+    """The scenes above do reach occlusion, clipping and the rear."""
+    hidden = clipped = behind = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng)
+        objects = crowd(rng, 40, pose)
+        reference = ref_camera_candidates(pose, objects)
+        hidden += sum(ref_is_occluded(b, z, reference) for _, b, z in reference)
+        clipped += sum(b[0] == 0.0 or b[2] == K.width for _, b, _ in reference)
+        behind += sum(1 for o in objects
+                      if ref_transform_point(inverse(pose), o.position)[0] < 0.0)
+    assert hidden > 20 and clipped > 20 and behind > 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(0, 10), m=st.integers(0, 10))
+def test_frustum_associate_equals_scalar_reference(seed, n, m):
+    rng = np.random.default_rng(seed)
+    cam_from_radar = random_pose(rng, 0.5)
+    bboxes = []
+    for _ in range(n):
+        u, v = rng.uniform(0, 1800), rng.uniform(0, 1000)
+        bboxes.append(Detection2D((u, v, u + rng.uniform(20, 400), v + rng.uniform(20, 300)),
+                                  1.0, "cam", 0.0))
+    points = [RadarPoint(rng.normal(0.0, 20.0, 3), 0.0, 20.0, "radar", 0.0) for _ in range(m)]
+    cost = ref_frustum_cost(bboxes, points, cam_from_radar)
+    assoc = frustum_associate(bboxes, points, K, cam_from_radar)
+    assert assoc.pairs == [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, n=st.integers(0, 14), m=st.integers(0, 12),
+       gate_prob=st.sampled_from([0.95, 0.99]),
+       margin=st.sampled_from([1e-9, 1e-6, 1e-3]))
+@example(seed=1, n=12, m=9, gate_prob=0.99, margin=1e-9)
+def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
+    """Pairs sit just either side of |Δ|² = 2 γ tr(S): in a call of more
+    than ``_FEW_PAIRS`` pairs exactly those beyond it are inf, every other
+    pair equals the per-pair solve bit for bit, and gating at γ cannot
+    tell the two apart."""
+    rng = np.random.default_rng(seed)
+    gamma = chi2_quantile(gate_prob, 3)
+    covs_a = [a @ a.T + 0.01 * np.eye(6) for a in rng.normal(size=(n, 6, 6))]
+    covs_b = [b @ b.T + 0.01 * np.eye(3) for b in rng.normal(size=(m, 3, 3))]
+    means_b = rng.normal(0.0, 5.0, (m, 3))
+    # each track sits on the bound of one detection, off it for the rest
+    means_a = []
+    for i, cov in enumerate(covs_a):
+        mean = rng.normal(0.0, 5.0, 6)
+        if m:
+            j = i % m
+            s = cov[:3, :3] + covs_b[j]
+            side = 1.0 + margin * rng.choice([-1.0, 1.0])
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            mean[:3] = means_b[j] + direction * math.sqrt(side * 2.0 * gamma * np.trace(s))
+        means_a.append(mean)
+
+    d2, singular = position_d2(means_a, covs_a, means_b, covs_b, gamma)
+    assert d2.shape == singular.shape == (n, m)
+    assert not singular.any()
+    for i in range(n):
+        for j in range(m):
+            delta = means_a[i][:3] - means_b[j]
+            s = covs_a[i][:3, :3] + covs_b[j]
+            reference = float(delta @ np.linalg.solve(s, delta))
+            if n * m > _FEW_PAIRS and float(delta @ delta) > 2.0 * gamma * float(np.trace(s)):
+                assert d2[i, j] == np.inf
+                assert reference > gamma
+            else:
+                assert d2[i, j] == reference
+
+
+def test_singular_pairs_are_flagged_and_never_solved():
+    zero = np.zeros((6, 6))
+    d2, singular = position_d2([np.zeros(6), np.ones(6)], [zero, np.eye(6)],
+                               [np.zeros(3)], [np.zeros((3, 3))], chi2_quantile(0.99, 3))
+    assert singular.tolist() == [[True], [False]]
+    assert d2[0, 0] == np.inf
+    assert d2[1, 0] == pytest.approx(3.0)

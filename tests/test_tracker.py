@@ -224,8 +224,10 @@ class TestGate:
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
         cost = gate([tr], [det([4, 0, 0], var=1.0)], gate_prob=0.99)
         assert cost[0, 0] == np.inf
-        d2 = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)])
+        d2, singular = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)],
+                                   chi2_quantile(0.99, 3))
         assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
+        assert not singular[0, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 8), m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
