@@ -22,6 +22,7 @@ from .tracker import (
     Track,
     Tracker,
     chi2_quantile,
+    eig_regular,
     kalman_predict,
     position_d2,
     spawn,
@@ -159,7 +160,7 @@ def _gate_d2(means_a, covs_a, means_b, covs_b, gamma: float,
 
 
 def _check_invertible(p: np.ndarray, label: str) -> None:
-    if np.linalg.cond(p) > 1e12:
+    if not eig_regular(p):
         raise NonInvertible(f"{label} has rcond below 1e-12")
 
 

@@ -34,10 +34,6 @@ class GeometryError(Exception):
     pass
 
 
-class BehindCamera(GeometryError):
-    """Point has non-positive depth along the optical axis."""
-
-
 class NonPSD(GeometryError):
     """Covariance input violates symmetry or positive-semidefiniteness."""
 
@@ -160,18 +156,6 @@ def norms(points: np.ndarray) -> np.ndarray:
 def inverse(pose: Pose) -> Pose:
     rt = pose.rotation.T
     return Pose._trusted(rt, -(rt @ pose.translation))
-
-
-def project_to_image(K: CameraIntrinsics, p_cam) -> tuple[float, float]:
-    """Pinhole projection of an optical-frame point to pixel (u, v).
-
-    Raises BehindCamera when the depth is at or below 1e-6 m.  No clipping
-    to the image bounds is done here.
-    """
-    x, y, z = np.asarray(p_cam, dtype=float)
-    if z <= 1e-6:
-        raise BehindCamera(f"depth {z:.3g} m is not in front of the camera")
-    return (K.fx * x / z + K.cx, K.fy * y / z + K.cy)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

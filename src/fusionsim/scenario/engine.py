@@ -74,14 +74,13 @@ class _AgentRT:
         self.spec = spec
         self.tracker = Tracker(tracker_cfg)
         self.staging: dict[int, list] = {}
-        self.camera_ticked = False
         self.msg_queue: list[RemoteTrackMsg] = []
         self.collab = CollabState()
         self.last_broadcast: float | None = None
-        cam_idx = spec.camera_index()
-        radar_idx = spec.radar_index()
-        self.cam_spec = spec.sensors[cam_idx] if cam_idx is not None else None
-        self.radar_spec = spec.sensors[radar_idx] if radar_idx is not None else None
+        self.cam_idx = spec.camera_index()
+        self.radar_idx = spec.radar_index()
+        self.cam_spec = spec.sensors[self.cam_idx] if self.cam_idx is not None else None
+        self.radar_spec = spec.sensors[self.radar_idx] if self.radar_idx is not None else None
         if self.cam_spec is not None:
             # optical frame sits inside the camera body mount
             agent_from_opt = self.cam_spec.mount.compose(Pose(OPTICAL_FROM_BODY.T, np.zeros(3)))
@@ -107,7 +106,8 @@ class Engine:
                            "by_type": {name: 0 for name in bus.MSG_TYPES.values()}}
         self.track_lines: list[dict] = []
         self.replay_lines: list[dict] = []
-        self._truth_times_recorded: set[float] = set()
+        # handler times never decrease, so the last one recorded is enough
+        self._last_truth_line: float | None = None
         self.events_processed = 0
 
         order = sorted(scenario.agents, key=lambda a: a.id)
@@ -222,9 +222,9 @@ class Engine:
         self._push(at, KIND_DELIVER, (dst, data))
 
     def _record_truth_line(self, t: float) -> None:
-        if t in self._truth_times_recorded:
+        if t == self._last_truth_line:
             return
-        self._truth_times_recorded.add(t)
+        self._last_truth_line = t
         self.replay_lines.append({
             "t": t,
             "truth": [{"id": o.id, "position": o.position.tolist(),
@@ -251,8 +251,6 @@ class Engine:
                                  sensor_velocity=rt.spec.trajectory.velocity(t),
                                  sensor_id=f"{aid}/{sidx}", timestamp=t)
         rt.staging[sidx] = dets
-        if spec.type == "camera":
-            rt.camera_ticked = True
         if self.replay is None:
             self._record_truth_line(t)
             self.replay_lines.append({
@@ -264,13 +262,10 @@ class Engine:
 
     def _flush(self, rt: _AgentRT, t: float) -> None:
         spec = rt.spec
-        cam_idx = spec.camera_index()
-        radar_idx = spec.radar_index()
-        bboxes = rt.staging.get(cam_idx, []) if cam_idx is not None else []
-        points = rt.staging.get(radar_idx, []) if radar_idx is not None else []
-        camera_ticked = rt.camera_ticked
-        rt.staging = {}
-        rt.camera_ticked = False
+        # staging is keyed by sensor index, so a missing sensor's None finds nothing
+        staging, rt.staging = rt.staging, {}
+        bboxes = staging.get(rt.cam_idx, [])
+        points = staging.get(rt.radar_idx, [])
 
         agent_pose = self._agent_pose(rt, t)
         if rt.cam_spec is not None and rt.radar_spec is not None:
@@ -294,7 +289,7 @@ class Engine:
             self._maybe_broadcast(rt, t, agent_pose)
 
         if self.mode == "cr-dist" and spec.id == self.ego_id:
-            if camera_ticked:
+            if rt.cam_idx in staging:  # the camera ticked
                 self._submit_task(rt, t, agent_pose)
             for req, wid in reap_timeouts(self.broker, t):
                 self._send_task_req(req, wid, t)

@@ -22,9 +22,12 @@ whether solved or not.  Predict and update are stacked too:
 in one call each, with the same arithmetic per track as a single-track
 call.
 
-The tracker also keeps a ring of whole-state snapshots keyed by the batch
-order it processed, which lets delayed (out-of-sequence) detection batches
-be integrated exactly by rollback and replay; see ``offload.integrate``.
+The tracker also keeps one key-ordered history of the batches inside its
+horizon, each with the state after it, so a delayed (out-of-sequence)
+detection batch is integrated exactly: restore the state before its key,
+then replay it and every later batch (Bar-Shalom, IEEE TAES 38(3), 2002).
+An in-order batch has nothing to replay; see ``Tracker`` and
+``offload.integrate``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -199,7 +203,7 @@ def _regularity(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and ``regular`` where its rcond is at least 1e-12 (every sure S is
     regular).
 
-    rcond comes from ``eigvalsh``, which reads the lower triangle, but
+    rcond comes from ``eig_regular``, which reads the lower triangle, but
     only for the matrices that fail the sure-pass bound.  With a, b, c
     the diagonal, x, y, z the lower off-diagonal entries s10, s21, s20
     and tol = 1e-9 tr, the bound asks for each 2x2 principal minor
@@ -223,10 +227,18 @@ def _regularity(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if sure.all():
         return sure, sure
     doubtful = ~sure
-    w = np.abs(np.linalg.eigvalsh(s[doubtful]))
     regular = sure.copy()
-    regular[doubtful] = ~(w[:, 0] <= w[:, -1] * 1e-12)
+    regular[doubtful] = eig_regular(s[doubtful])
     return sure, regular
+
+
+def eig_regular(s: np.ndarray) -> np.ndarray:
+    """Whether a symmetric matrix, or each one in a stack, has rcond
+    |lambda|min / |lambda|max above 1e-12, from ``eigvalsh`` on its
+    lower triangle.  For a symmetric matrix this is 1 / cond: the singular
+    values are the |lambda|."""
+    w = np.abs(np.linalg.eigvalsh(s))
+    return ~(w.min(axis=-1) <= w.max(axis=-1) * 1e-12)
 
 
 def _check_innovation_cov(s: np.ndarray) -> None:
@@ -382,19 +394,28 @@ def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[fl
 
 
 class Tracker:
-    """Owns the live track set and the rollback machinery.
+    """Owns the live track set and the keyed batch history.
 
-    ``step`` is the plain in-order update; ``process_batch`` wraps it with
-    a global batch key and performs rollback-replay, all or nothing, when
-    a batch arrives whose key precedes ones already processed.  Tracks are
-    values, so a snapshot shares them: it holds the tuple of tracks, and a
-    restore copies that into a list, not the tracks.  Local and edge
-    batches are what a rollback replays.  Remote-track fusion
-    (``collab.covi_step`` and its duplicate merge) replaces ``tracks``
-    after a batch's snapshot was taken and is not replayed.  That is sound
-    only because a ``cr-covi`` tracker never receives a late batch, so it
-    never rolls back.  A remote batch lane would lift that limit; no
-    workload combines the two modes, and doing so would add an option.
+    ``step`` is the plain in-order update.  ``process_batch`` applies a
+    detection batch at its global key; it is the one way a batch reaches
+    the tracker and the only writer of ``_history``, the key-ordered list
+    of (key, detections, t, state after the batch) for every batch inside
+    the horizon.  A batch after every entry steps from the live state and
+    has nothing to replay.  An earlier one restores the state stored just
+    before its position and replays itself and every later batch in key
+    order, all or nothing.  A batch before every entry replays from the
+    initial state while the history is whole; once the first entry has
+    been pruned, the batches it held are gone and such a batch is refused.
+
+    Tracks are values, so a stored state shares them: it holds the tuple
+    of tracks, and a restore copies that into a list, not the tracks.
+    Remote-track fusion (``collab.covi_step`` and its duplicate merge)
+    replaces ``tracks`` after the batch's entry was stored and is not
+    replayed; that is why an in-order batch steps from the live state
+    rather than from the newest entry.  It is sound only because a
+    ``cr-covi`` tracker never receives a late batch, so it never rolls
+    back.  A remote batch lane would lift that limit; no workload combines
+    the two modes, and doing so would add an option.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -402,10 +423,8 @@ class Tracker:
         self.tracks: list[Track] = []
         self.next_id = 1
         self.last_time: float | None = None
-        self._snapshots: list[tuple[BatchKey, tuple]] = []
-        self._batches: list[tuple[BatchKey, list[Detection3D], float]] = []
-        self._genesis = self._capture()
-        self._genesis_key: BatchKey = (-math.inf, -1, -1)
+        self._history: list[tuple[BatchKey, list[Detection3D], float, tuple]] = []
+        self._genesis: tuple | None = self._capture()  # None once history was pruned
 
     # -- core in-order step -------------------------------------------------
 
@@ -453,63 +472,43 @@ class Tracker:
 
     @property
     def newest_key(self) -> BatchKey | None:
-        return self._batches[-1][0] if self._batches else None
+        return self._history[-1][0] if self._history else None
 
     def process_batch(self, key: BatchKey, detections: list[Detection3D],
                       t: float) -> bool:
         """Apply a detection batch at its global key; returns False when the
-        batch predates every retained restore point and cannot be applied."""
-        if any(b[0] == key for b in self._batches):
+        batch predates every retained entry and the history was pruned.
+        All or nothing: a step that raises leaves the tracker as it was
+        before the call."""
+        history = self._history
+        pos = bisect_left(history, key, key=itemgetter(0))
+        later = history[pos:]
+        if later and later[0][0] == key:
             raise TrackerError(f"duplicate batch key {key}")
-        newest = self.newest_key
-        if newest is None or key > newest:
-            self.step(detections, t)
-            self._batches.append((key, detections, t))
-            self._snapshots.append((key, self._capture()))
-            self._prune(t)
-            return True
-        return self._rollback_replay(key, detections, t)
-
-    def _rollback_replay(self, key: BatchKey, detections: list[Detection3D],
-                         t: float) -> bool:
-        """Restore the newest snapshot before ``key`` and replay every later
-        batch with this one in key order.  All or nothing: a replayed step
-        that raises leaves the tracker as it was before the call."""
-        idx = bisect_left(self._snapshots, key, key=lambda s: s[0]) - 1
-        if idx >= 0:
-            restore_key, state = self._snapshots[idx]
-        elif self._genesis is not None:
-            # Nothing processed before this key has been forgotten yet, so
-            # replaying the whole buffer from the pristine state is exact.
-            restore_key, state = self._genesis_key, self._genesis
-        else:
-            return False
-        # both lists are replaced, not edited, until the replay succeeded
-        held = self._capture(), self._batches, self._snapshots
-        self._batches = sorted(self._batches + [(key, detections, t)], key=lambda b: b[0])
-        self._snapshots = self._snapshots[:idx + 1]
-        self._restore(state)
+        held = self._capture()
+        if later:
+            start = history[pos - 1][3] if pos else self._genesis
+            if start is None:
+                return False
+            self._restore(start)
+        # the list is replaced, not edited, until every step succeeded
+        self._history = history[:pos]
         try:
-            for k, dets, tt in self._batches:
-                if k > restore_key:
-                    self.step(dets, tt)
-                    self._snapshots.append((k, self._capture()))
+            for k, dets, tt in [(key, detections, t)] + [entry[:3] for entry in later]:
+                self.step(dets, tt)
+                self._history.append((k, dets, tt, self._capture()))
         except BaseException:
-            state, self._batches, self._snapshots = held
-            self._restore(state)
+            self._history = history
+            self._restore(held)
             raise
-        self._prune(self.last_time)
+        cutoff = self.last_time - self.config.snapshot_horizon
+        stale = 0
+        while stale < len(self._history) - 1 and self._history[stale][0][0] < cutoff:
+            stale += 1
+        if stale:
+            del self._history[:stale]
+            self._genesis = None  # the earliest batches are gone
         return True
-
-    def _prune(self, now: float | None) -> None:
-        if now is None:
-            return
-        cutoff = now - self.config.snapshot_horizon
-        while len(self._snapshots) > 1 and self._snapshots[0][0][0] < cutoff:
-            self._snapshots.pop(0)
-        while len(self._batches) > 1 and self._batches[0][0][0] < cutoff:
-            self._batches.pop(0)
-            self._genesis = None  # earliest history is gone; genesis restore unsafe
 
     def _capture(self) -> tuple:
         return tuple(self.tracks), self.next_id, self.last_time

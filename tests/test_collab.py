@@ -416,7 +416,7 @@ def test_published_tracks_and_snapshots_never_change(ops):
             _merge_duplicates(tk, state)
         for tr in tk.tracks:
             seen.setdefault(id(tr), (tr, tr.to_dict()))
-        for _, snap in tk._snapshots:
+        for *_, snap in tk._history:
             held.setdefault(id(snap), (snap, [tr.to_dict() for tr in snap[0]]))
         for tr, before in seen.values():
             assert tr.to_dict() == before

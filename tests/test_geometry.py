@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from fusionsim.geometry import (
-    BehindCamera,
     CameraIntrinsics,
     GeometryError,
     NonPSD,
     Pose,
     inverse,
-    project_to_image,
     rotation_from_rpy_deg,
     transform_gaussian,
     transform_point,
@@ -20,9 +18,6 @@ def random_pose(rng):
                              roll=rng.uniform(-180, 180),
                              pitch=rng.uniform(-90, 90),
                              yaw=rng.uniform(-180, 180))
-
-
-K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
 
 
 class TestTransformPoint:
@@ -67,32 +62,6 @@ class TestInverse:
             p = rng.uniform(-100, 100, size=3)
             back = transform_point(inverse(pose), transform_point(pose, p))
             assert np.abs(back - p).max() < 1e-9
-
-
-class TestProjection:
-    def test_principal_axis(self):
-        assert project_to_image(K, [0, 0, 10.0]) == (960.0, 540.0)
-
-    def test_offset_point(self):
-        u, v = project_to_image(K, [1.0, 0.0, 10.0])
-        assert u == pytest.approx(1060.0, abs=1e-9)
-        assert v == pytest.approx(540.0, abs=1e-9)
-
-    def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            project_to_image(K, [0, 0, -5.0])
-
-    def test_rays_map_to_same_pixel(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            direction = rng.uniform(-1, 1, size=3)
-            direction[2] = rng.uniform(0.5, 2.0)
-            z1, z2 = rng.uniform(0.5, 100.0, size=2)
-            p1 = direction / direction[2] * z1
-            p2 = direction / direction[2] * z2
-            u1, v1 = project_to_image(K, p1)
-            u2, v2 = project_to_image(K, p2)
-            assert abs(u1 - u2) < 1e-9 and abs(v1 - v2) < 1e-9
 
 
 class TestTransformGaussian:

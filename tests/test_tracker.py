@@ -1,3 +1,5 @@
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,7 +168,7 @@ class TestStacked:
             stack.append((rot * (signs * eig)) @ rot.T * 10.0**scale)
         stack = np.array(stack)
         w = np.abs(np.linalg.eigvalsh(stack))
-        rejected = w[:, 0] <= w[:, -1] * 1e-12
+        rejected = w.min(axis=1) <= w.max(axis=1) * 1e-12
         for s, bad in zip(stack, rejected):
             if bad:
                 with pytest.raises(SingularInnovation):
@@ -181,6 +183,14 @@ class TestStacked:
                     _check_innovation_cov(s)
             else:
                 _check_innovation_cov(s)
+
+    def test_rcond_takes_the_smallest_magnitude_eigenvalue(self):
+        # eigvalsh sorts by sign: [-1, 0, 0] has |lambda| 1 first and 0 last
+        with pytest.raises(SingularInnovation):
+            _check_innovation_cov(-np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(SingularInnovation):
+            _check_innovation_cov(np.diag([-1.0, 1e-14, 1.0]))
+        _check_innovation_cov(np.diag([-1.0, 1e-3, 1.0]))
 
     def test_one_singular_pair_raises_and_step_keeps_state(self, monkeypatch):
         regular = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in (0.0, 10.0)]
@@ -482,14 +492,14 @@ class TestBatchRollback:
         for key, dets, t in batches + [second]:
             tk.process_batch(key, dets, t)
             oracle.process_batch(key, dets, t)
-        before = (tk.state_dict(), tk.newest_key, [k for k, _ in tk._snapshots],
-                  [b[0] for b in tk._batches])
-        # replay restores the snapshot at (0.3, local): ``first`` spawns,
+        before = (tk.state_dict(), tk.newest_key,
+                  [(k, state) for k, _, _, state in tk._history])
+        # replay restores the state stored at (0.3, local): ``first`` spawns,
         # then ``second`` raises, with later batches still to come
         with pytest.raises(SingularInnovation):
             tk.process_batch(*first)
-        assert (tk.state_dict(), tk.newest_key, [k for k, _ in tk._snapshots],
-                [b[0] for b in tk._batches]) == before
+        assert (tk.state_dict(), tk.newest_key,
+                [(k, state) for k, _, _, state in tk._history]) == before
         # and the tracker goes on exactly like one that never saw the batch
         for tracker in (tk, oracle):
             tracker.process_batch((0.42, LANE_EDGE, 9), [det([5.4, 0, 0], t=0.42)], 0.42)
@@ -514,3 +524,71 @@ class TestBatchRollback:
         tk.process_batch(key, [det([1, 0, 0])], 0.0)
         with pytest.raises(TrackerError):
             tk.process_batch(key, [det([1, 0, 0])], 0.0)
+
+    @staticmethod
+    def run_history(local_delays, edges, horizon=0.25, dt=0.125):
+        """Feed local batch k (time k dt, ``local_delays[k]`` ticks late) and
+        edge batches (k, delay) in arrival order, checking each outcome
+        and the history against a model of the acceptance and prune
+        rules, then the final and the stored states against an in-order
+        oracle over the accepted batches.  Returns the kinds of arrival
+        seen: "genesis" (replayed from the initial state), "refused" and
+        "refused_between" (after the last pruned key, before the oldest
+        retained one)."""
+        rng = np.random.default_rng(23)
+        arrivals = []
+        for k, d in enumerate(local_delays):
+            t = k * dt
+            dets = [det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04, t=t),
+                    det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04, t=t)]
+            arrivals.append((k + d, (t, LANE_LOCAL, 0), dets, t))
+        for i, (k, d) in enumerate(edges):
+            t = k * dt
+            arrivals.append((k + d, (t, LANE_EDGE, i),
+                             [det([5.0 + t, 0.1, 0], var=0.02, t=t)], t))
+        arrivals.sort(key=lambda a: (a[0], a[1]))
+
+        tk = Tracker(TrackerConfig(snapshot_horizon=horizon))
+        retained, last_pruned, accepted, seen = [], None, [], set()
+        for _, key, dets, t in arrivals:
+            expected = last_pruned is None or retained[0] < key
+            assert tk.process_batch(key, dets, t) == expected
+            if not expected:
+                seen.add("refused_between" if key > last_pruned else "refused")
+                continue
+            if retained and key < retained[0]:
+                seen.add("genesis")
+            insort(retained, key)
+            accepted.append((key, dets, t))
+            cutoff = retained[-1][0] - horizon
+            while len(retained) > 1 and retained[0][0] < cutoff:
+                last_pruned = retained.pop(0)
+            assert [entry[0] for entry in tk._history] == retained
+
+        oracle = Tracker(TrackerConfig(snapshot_horizon=horizon))
+        after = {}
+        for key, dets, t in sorted(accepted, key=lambda b: b[0]):
+            oracle.step(dets, t)
+            after[key] = oracle.state_dict()
+        assert tk.state_dict() == oracle.state_dict()
+        for key, _, _, state in tk._history:
+            stored = Tracker()
+            stored._restore(state)
+            assert stored.state_dict() == after[key]
+        # a key already held is a duplicate wherever it sits
+        with pytest.raises(TrackerError):
+            tk.process_batch(retained[0], [], retained[0][0])
+        assert tk.state_dict() == oracle.state_dict()
+        return seen
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=12, max_size=12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 8)), max_size=6))
+    def test_history_matches_model_and_in_order_oracle(self, local_delays, edges):
+        self.run_history(local_delays, edges)
+
+    def test_history_replays_from_genesis_then_refuses_between(self):
+        # local batch 0 arrives at tick 3, before anything was pruned; the
+        # edge batch of tick 7 arrives after its local twin was pruned
+        seen = self.run_history([3] + [0] * 11, [(7, 4)])
+        assert {"genesis", "refused_between"} <= seen
