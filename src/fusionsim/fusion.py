@@ -6,6 +6,17 @@ pixel distance from the box center normalized by the box diagonal.  A
 one-to-one assignment over candidates then yields fused 3D detections
 carrying the radar position and a polar-shaped measurement covariance.
 
+``assign`` is the one assignment solver of the program (tracker gates,
+track-to-track pairing, CLEAR-MOT matching and OSPA use it too).  It is
+Crouse's shortest augmenting path (IEEE TAES 52(4), 2016), the algorithm
+of scipy's ``linear_sum_assignment``, run on the finite cells only: each
+row may also end on a private dummy column at the cost of leaving it
+unmatched.  When every row's least cell is a different column, those
+cells are the answer and no path is searched.  The pairs equal scipy's
+whenever the optimal set of finite pairs is unique; on exact ties the
+solver returns an optimal assignment chosen by scipy's tie rule (the
+lowest reduced cost wins; among equal costs, a free column wins).
+
 Each step is one stacked computation per flush: association projects
 all points and scores all box-point pairs in one cost matrix; synthesis
 maps all points and builds all covariances with one
@@ -24,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import CameraIntrinsics, Pose, norms, symmetrize, transform_point
 from .sensing import Detection2D, RadarPoint, SensorNoiseConfig
@@ -77,24 +87,142 @@ class Association:
     unmatched_radar: list[int]
 
 
-def assign(cost: np.ndarray) -> list[tuple[int, int]]:
+_INF = float("inf")
+# Matrices of up to this many cells are scanned as Python floats; larger
+# ones, sparse gates over many tracks, have their finite cells found by numpy.
+_SCAN_CELLS = 100
+
+
+def assign(cost: np.ndarray, miss: float | None = None) -> list[tuple[int, int]]:
     """Min-cost one-to-one assignment over the finite cells of ``cost``.
 
-    Infinite cells are forbidden.  Among assignments using the maximum
-    number of finite cells, total cost is minimized (the standard
+    Infinite and NaN cells are forbidden.  Among assignments using the
+    maximum number of finite cells, total cost is minimized (the standard
     Kuhn-Munkres behavior with large-value masking), so no finite-cost
-    row/column pair is ever left mutually unassigned.
+    row/column pair is ever left mutually unassigned.  With ``miss``, a
+    line may instead stay unmatched at cost ``miss``: cells at or above
+    it are dropped and the sum of (cost - miss) over the pairs is
+    minimized, which is the dense problem whose cells are clipped at
+    ``miss``.  Pairs come sorted by row.
+
+    The solver follows scipy's ``linear_sum_assignment``: a matrix with
+    more rows than columns is transposed, rows are augmented in order by
+    Crouse's shortest augmenting path with the reduced cost ``min_val + c
+    - u[i] - v[j]``, the lowest reduced cost wins and, among equal costs,
+    a free column wins, and a row's first scan runs its columns from the
+    last to the first.  Two reductions keep the work on the finite cells:
+    each row's scan sees only its finite cells plus a private dummy column
+    at cost ``miss`` (for the masked problem, a value above any total of
+    finite cells), so a search never leaves its connected component; and
+    when the rows' least cells all lie in different columns, they are the
+    answer (each row's first scan would end there).  The result is
+    scipy's whenever the optimal set of finite pairs is unique; on exact
+    ties it is an optimal assignment chosen by the rule above.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.size == 0:
-        return []
-    finite = np.isfinite(cost)
-    if not finite.any():
-        return []
-    big = max(1.0, float(np.abs(cost[finite]).max())) * (min(cost.shape) + 1)
-    masked = np.where(finite, cost, big)
-    rows, cols = linear_sum_assignment(masked)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if finite[r, c]]
+    tall = cost.shape[0] > cost.shape[1]
+    if tall:
+        cost = cost.T
+    rows, width = cost.shape
+    if cost.size <= _SCAN_CELLS:
+        hi = _INF if miss is None else miss
+        cells = [(*divmod(k, width), x) for k, x in enumerate(cost.ravel().tolist())
+                 if hi > x > -_INF]
+    else:
+        keep = np.isfinite(cost)
+        if miss is not None:
+            keep &= cost < miss
+        r, c = np.nonzero(keep)
+        cells = list(zip(r.tolist(), c.tolist(), cost[r, c].tolist()))
+    least: dict[int, tuple[int, float]] = {}
+    for i, j, x in cells:
+        if i not in least or x < least[i][1]:
+            least[i] = (j, x)
+    if len({j for j, _ in least.values()}) == len(least):
+        pairs = [(i, j) for i, (j, _) in least.items()]
+    else:
+        if miss is None:
+            miss = max(1.0, max([abs(x) for _, _, x in cells])) * (rows + 1)
+        scans: dict[int, list[tuple[int, float]]] = {}
+        for i, j, x in reversed(cells):
+            scans.setdefault(i, []).append((j, x))
+        col4row = _augment(dict(reversed(scans.items())), width, miss)
+        pairs = sorted((i, j) for i, j in col4row.items() if j < width)
+    return sorted((j, i) for i, j in pairs) if tall else pairs
+
+
+def _augment(scans: dict[int, list[tuple[int, float]]], width: int,
+             miss: float) -> dict[int, int]:
+    """Crouse's shortest augmenting paths, row by row in ``scans`` order.
+
+    ``scans[i]`` lists row i's finite cells (column, cost); row i's
+    dummy is column ``width + i``, at cost ``miss``.  Returns each row's
+    column.  Dual values, reduced costs and the choice of the next column
+    are scipy's ``augmenting_path`` and ``solve``, over the columns a
+    search has reached instead of all of them.
+    """
+    v = [0.0] * (width + max(scans) + 1)
+    row4col = [-1] * len(v)
+    u: dict[int, float] = {}
+    col4row: dict[int, int] = {}
+    for cur, cells in scans.items():
+        # the search's first scan from a fresh row (min_val = u[cur] = 0),
+        # without its bookkeeping: when it ends on a free column, that is
+        # the whole search, which sets u[cur] and leaves v as it was
+        lowest = _INF
+        for c, x in cells:
+            s = 0.0 + x - 0.0 - v[c]
+            if s < lowest or (s == lowest and row4col[c] == -1):
+                lowest = s
+                j = c
+        s = 0.0 + miss - 0.0 - v[width + cur]
+        if s <= lowest:  # the dummy is always free
+            lowest = s
+            j = width + cur
+        if row4col[j] == -1:
+            u[cur] = lowest
+            row4col[j] = cur
+            col4row[cur] = j
+            continue
+        min_val = ui = 0.0
+        i = cur
+        spc = {j: min_val + x - ui - v[j] for j, x in cells}  # reached, not yet final
+        path = dict.fromkeys(spc, cur)
+        final: dict[int, float] = {}
+        visited: list[int] = []
+        while True:
+            j = width + i
+            spc[j] = min_val + miss - ui - v[j]
+            path[j] = i
+            lowest = _INF
+            for c, s in spc.items():
+                if s < lowest or (s == lowest and row4col[c] == -1):
+                    lowest = s
+                    j = c
+            min_val = final[j] = spc.pop(j)
+            i = row4col[j]
+            if i == -1:
+                break
+            visited.append(i)
+            ui = u[i]
+            for c, x in scans[i]:
+                if c not in final:
+                    r = min_val + x - ui - v[c]
+                    if r < spc.get(c, _INF):
+                        spc[c] = r
+                        path[c] = i
+        u[cur] = min_val
+        for i in visited:
+            u[i] += min_val - final[col4row[i]]
+        for c, s in final.items():
+            v[c] -= min_val - s
+        while True:  # augment along the path back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row.get(i)
+            if i == cur:
+                break
+    return col4row
 
 
 def frustum_associate(bboxes: list[Detection2D], points: list[RadarPoint],

@@ -132,7 +132,9 @@ def ospa(a: list[np.ndarray], b: list[np.ndarray],
 
     Localization errors are truncated at the cutoff ``c`` and cardinality
     mismatch is charged ``c`` per unmatched point; the result never
-    exceeds ``c``.
+    exceeds ``c``.  The assignment is solved over the cells below the
+    cutoff, each point of the smaller set free to stay unmatched at the
+    cutoff cost, which has the optimum of the dense truncated problem.
     """
     if c <= 0 or p < 1:
         raise MetricsError("need cutoff c > 0 and order p >= 1")
@@ -144,8 +146,11 @@ def ospa(a: list[np.ndarray], b: list[np.ndarray],
     if m == 0:
         return c
     d = np.minimum(c, distances(a, b)) ** p
-    pairs = assign(d)
-    loc = sum(d[i, j] for i, j in pairs)
+    # the value of every cut-off cell, from numpy's array ** as d's cells
+    # are (Python's c ** p can round differently)
+    cut = (np.full(1, float(c)) ** p)[0]
+    pairs = dict(assign(d, miss=cut))
+    loc = sum(d[i, pairs[i]] if i in pairs else cut for i in range(m))
     return float(((loc + c**p * (n - m)) / n) ** (1.0 / p))
 
 

@@ -25,9 +25,23 @@ from .. import __version__, bus
 from ..bus import BusFrame, canonical_dumps, canonical_loads, link_key
 from ..collab import CollabState, RemoteTrackMsg, covi_step
 from ..fusion import Association, frustum_associate, synthesize, transform_detections
-from ..geometry import OPTICAL_FROM_BODY, Pose, inverse, symmetrize, transform_gaussian
+from ..geometry import (
+    OPTICAL_FROM_BODY,
+    GeometryError,
+    Pose,
+    inverse,
+    symmetrize,
+    transform_gaussian,
+)
 from ..metrics import MetricsAggregator, OutOfRange, prediction_error
-from ..offload import Broker, TaskRequest, TaskResult, emulate_worker, reap_timeouts
+from ..offload import (
+    Broker,
+    OffloadError,
+    TaskRequest,
+    TaskResult,
+    emulate_worker,
+    reap_timeouts,
+)
 from ..sensing import (
     SensorNoiseConfig,
     camera_observe,
@@ -337,33 +351,34 @@ class Engine:
         self._send(self.ego_id, self.workers[wid], frame, t)
 
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
-        frame, _ = bus.decode(data)
+        """Handle one frame off the bus.  A malformed frame (undecodable,
+        or a payload its parser rejects) is counted under ``malformed``
+        and skipped; the key is reported only once it is non-zero."""
         self.bus_counts["delivered"] += 1
+        try:
+            frame, _ = bus.decode(data)
+            content = _parse_payload(frame)
+        except _MALFORMED:
+            self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
+            return
         if frame.msg_type == bus.MSG_TRACKS:
             # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
-            msg = RemoteTrackMsg.from_payload(canonical_loads(frame.payload))
-            self.agents[dst].msg_queue.append(msg)
+            self.agents[dst].msg_queue.append(content)
         elif frame.msg_type == bus.MSG_TASK_REQ:
-            wid = frame.topic.split("tasks/", 1)[1]
-            req = TaskRequest.from_payload(canonical_loads(frame.payload))
-            inner = canonical_loads(req.payload)
-            visible = set(inner["visible_ids"])
+            wid, req, visible, rig_pose = content
             truth = [o for o in self._truth(req.frame_time) if o.id in visible]
-            result = emulate_worker(req, truth, Pose.from_payload(inner["rig_pose"]),
-                                    self.sc.pipeline.worker, self.worker_rngs[wid])
+            result = emulate_worker(req, truth, rig_pose, self.sc.pipeline.worker,
+                                    self.worker_rngs[wid])
             self._push(t + result.compute_latency, KIND_TASK, (wid, result))
         elif frame.msg_type == bus.MSG_TASK_RESP:
-            wid = frame.topic.rsplit("/", 2)
-            wid = f"{wid[-2]}/{wid[-1]}"
-            result = TaskResult.from_payload(canonical_loads(frame.payload))
+            wid, result = content
             ego = self.agents[self.ego_id]
             _, sends = self.broker.on_result(result, wid, ego.tracker, t)
             for req, target in sends:
                 self._send_task_req(req, target, t)
         elif frame.msg_type == bus.MSG_HEARTBEAT:
             # heartbeats are scheduled only in cr-dist, which has a broker
-            payload = canonical_loads(frame.payload)
-            self.broker.heartbeat(payload["worker_id"], t)
+            self.broker.heartbeat(content, t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         frame = BusFrame(bus.MSG_TASK_RESP, int(round(t * 1e9)),
@@ -451,6 +466,29 @@ class Engine:
             "frames": self.frames_log,
         }
         return RunReport(report, self.track_lines, self.replay_lines)
+
+
+# What a payload parser or the frame decoder raises on malformed input.
+_MALFORMED = (bus.BusError, GeometryError, OffloadError, ValueError, LookupError, TypeError)
+
+
+def _parse_payload(frame: BusFrame):
+    """The content ``on_deliver`` acts on, parsed from a frame: a remote
+    track message, (worker, request, visible ids, rig pose), (worker,
+    result) or a worker id; None for types no handler takes."""
+    if frame.msg_type == bus.MSG_TRACKS:
+        return RemoteTrackMsg.from_payload(canonical_loads(frame.payload))
+    if frame.msg_type == bus.MSG_TASK_REQ:
+        req = TaskRequest.from_payload(canonical_loads(frame.payload))
+        inner = canonical_loads(req.payload)
+        return (frame.topic.split("tasks/", 1)[1], req, set(inner["visible_ids"]),
+                Pose.from_payload(inner["rig_pose"]))
+    if frame.msg_type == bus.MSG_TASK_RESP:
+        parts = frame.topic.rsplit("/", 2)
+        return f"{parts[-2]}/{parts[-1]}", TaskResult.from_payload(canonical_loads(frame.payload))
+    if frame.msg_type == bus.MSG_HEARTBEAT:
+        return canonical_loads(frame.payload)["worker_id"]
+    return None
 
 
 def run(scenario: Scenario, replay=None) -> RunReport:

@@ -549,5 +549,6 @@ def world_at(objects, t: float, duration: float) -> list[GroundTruthObject]:
     """Ground-truth snapshot at time t; t must lie inside the scenario."""
     if t < -1e-9 or t > duration + 1e-9:
         raise OutOfRange(f"t={t} outside [0, {duration}]")
-    return [GroundTruthObject(o.id, o.motion.position(t), o.motion.velocity(t), o.extent)
+    return [GroundTruthObject._trusted(o.id, o.motion.position(t), o.motion.velocity(t),
+                                       o.extent)
             for o in objects]

@@ -75,6 +75,19 @@ class GroundTruthObject:
         if not np.all(self.extent > 0):
             raise SensingError(f"object {self.id}: extent components must be > 0")
 
+    @classmethod
+    def _trusted(cls, obj_id: int, position: np.ndarray, velocity: np.ndarray,
+                 extent: np.ndarray) -> "GroundTruthObject":
+        """An object from a loaded scenario's motion model, whose vectors are
+        float (3,) arrays and whose extent the load checked: not checked
+        again.  Objects read from outside (a replay) use the checked
+        constructor."""
+        obj = object.__new__(cls)
+        for name, value in (("id", obj_id), ("position", position),
+                            ("velocity", velocity), ("extent", extent)):
+            object.__setattr__(obj, name, value)
+        return obj
+
 
 @dataclass(frozen=True)
 class Detection2D:

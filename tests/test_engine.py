@@ -12,6 +12,8 @@
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks;
+* malformed frames: a frame that does not decode or parse is counted and
+  skipped, and the run goes on;
 * golden outputs: each case's outputs hash to the recorded digests.
 """
 
@@ -20,8 +22,9 @@ import json
 
 import pytest
 
+from fusionsim import bus
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
-from fusionsim.scenario.engine import Engine
+from fusionsim.scenario.engine import KIND_DELIVER, Engine
 
 # (scenario, mode, shortened duration, crowd).  cr-dist runs 8 s: by then
 # an edge task has been sent while an object was out of the camera's view,
@@ -161,3 +164,38 @@ def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     collab = report.report["counters"]["collab"]
     assert sum(c.get("singular", 0) for c in collab.values()) > 0
     assert sum(c["fused"] for c in collab.values()) > 0
+
+
+def _malformed_frames(now_ns):
+    """A truncated frame, a garbage-JSON frame and a frame whose JSON lacks
+    every field, of each message type a handler takes."""
+    frames = []
+    for msg_type, topic in ((bus.MSG_TRACKS, "tracks/rsu1"), (bus.MSG_TASK_REQ, "tasks/edge/0"),
+                            (bus.MSG_TASK_RESP, "results/ego/edge/0"),
+                            (bus.MSG_HEARTBEAT, "heartbeat/edge/0")):
+        good = bus.encode(bus.BusFrame(msg_type, now_ns, topic, b'{"worker_id":"edge/0"}'))
+        frames.append(good[:-5])
+        frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b'{"tracks": [1,')))
+        frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b"{}")))
+    return frames
+
+
+@pytest.mark.parametrize("mode", ["cr-covi", "cr-dist"])
+def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode=mode)
+    healthy = Engine(sc).run().report["counters"]["bus"]
+    assert "malformed" not in healthy  # reported only when non-zero
+
+    engine = Engine(sc)
+    frames = _malformed_frames(500_000_000)
+    dst = sorted(engine.agents)[0]
+    for k, data in enumerate(frames):
+        engine._push(0.5 + 0.1 * k, KIND_DELIVER, (dst, data))
+    counts = engine.run().report["counters"]["bus"]
+    assert counts["malformed"] == len(frames)
+    assert counts["delivered"] == healthy["delivered"] + len(frames)
+    if mode == "cr-dist":
+        assert engine.broker.counters["submitted"] > 0
+        assert engine.broker.conserved()
