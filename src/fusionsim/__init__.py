@@ -12,14 +12,4 @@ byte-identical outputs.
 
 __version__ = "0.1.0"
 
-import numpy as _np
-
 from .geometry import CameraIntrinsics, Pose  # noqa: F401
-
-# glibc's malloc hands a freed heap top back to the OS once it passes the
-# trim threshold (128 KiB at start) and faults it in again for the next
-# large temporary: about 3,000 minor page faults in a crowd-60 run, 5% of
-# its speed.  Freeing one block above the mmap threshold raises both
-# thresholds (mmap to the block's size, trim to twice that), which
-# importing scipy used to do as a side effect.  Other allocators ignore it.
-_np.empty(1 << 20, dtype=_np.uint8)

@@ -147,9 +147,10 @@ def ospa(a: list[np.ndarray], b: list[np.ndarray],
         return c
     d = np.minimum(c, distances(a, b)) ** p
     # the value of every cut-off cell, from numpy's array ** as d's cells
-    # are (Python's c ** p can round differently)
+    # are (Python's c ** p can round differently); the solver gets it as a
+    # Python float, whose arithmetic is faster than numpy scalars'
     cut = (np.full(1, float(c)) ** p)[0]
-    pairs = dict(assign(d, miss=cut))
+    pairs = dict(assign(d, miss=float(cut)))
     loc = sum(d[i, pairs[i]] if i in pairs else cut for i in range(m))
     return float(((loc + c**p * (n - m)) / n) ** (1.0 / p))
 

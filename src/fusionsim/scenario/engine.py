@@ -351,34 +351,62 @@ class Engine:
         self._send(self.ego_id, self.workers[wid], frame, t)
 
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
-        """Handle one frame off the bus.  A malformed frame (undecodable,
-        or a payload its parser rejects) is counted under ``malformed``
-        and skipped; the key is reported only once it is non-zero."""
+        """Handle one frame off the bus: parse its payload, then act on it.
+        A malformed frame (undecodable, or a payload its parser rejects) is
+        counted under ``malformed`` and skipped; the key is reported only
+        once it is non-zero."""
         self.bus_counts["delivered"] += 1
         try:
             frame, _ = bus.decode(data)
-            content = _parse_payload(frame)
+            if frame.msg_type not in _DELIVERY:
+                return
+            parse, act = _DELIVERY[frame.msg_type]
+            args = parse(frame)
         except _MALFORMED:
             self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
             return
-        if frame.msg_type == bus.MSG_TRACKS:
-            # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
-            self.agents[dst].msg_queue.append(content)
-        elif frame.msg_type == bus.MSG_TASK_REQ:
-            wid, req, visible, rig_pose = content
-            truth = [o for o in self._truth(req.frame_time) if o.id in visible]
-            result = emulate_worker(req, truth, rig_pose, self.sc.pipeline.worker,
-                                    self.worker_rngs[wid])
-            self._push(t + result.compute_latency, KIND_TASK, (wid, result))
-        elif frame.msg_type == bus.MSG_TASK_RESP:
-            wid, result = content
-            ego = self.agents[self.ego_id]
-            _, sends = self.broker.on_result(result, wid, ego.tracker, t)
-            for req, target in sends:
-                self._send_task_req(req, target, t)
-        elif frame.msg_type == bus.MSG_HEARTBEAT:
-            # heartbeats are scheduled only in cr-dist, which has a broker
-            self.broker.heartbeat(content, t)
+        act(self, t, dst, *args)
+
+    @staticmethod
+    def _parse_tracks(frame: BusFrame) -> tuple[RemoteTrackMsg]:
+        return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload)),)
+
+    def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
+        # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
+        self.agents[dst].msg_queue.append(msg)
+
+    @staticmethod
+    def _parse_task_req(frame: BusFrame) -> tuple[str, TaskRequest, set, Pose]:
+        req = TaskRequest.from_payload(canonical_loads(frame.payload))
+        inner = canonical_loads(req.payload)
+        return (frame.topic.split("tasks/", 1)[1], req, set(inner["visible_ids"]),
+                Pose.from_payload(inner["rig_pose"]))
+
+    def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest,
+                     visible: set, rig_pose: Pose) -> None:
+        truth = [o for o in self._truth(req.frame_time) if o.id in visible]
+        result = emulate_worker(req, truth, rig_pose, self.sc.pipeline.worker,
+                                self.worker_rngs[wid])
+        self._push(t + result.compute_latency, KIND_TASK, (wid, result))
+
+    @staticmethod
+    def _parse_task_resp(frame: BusFrame) -> tuple[str, TaskResult]:
+        parts = frame.topic.rsplit("/", 2)
+        return f"{parts[-2]}/{parts[-1]}", TaskResult.from_payload(canonical_loads(frame.payload))
+
+    def _on_task_resp(self, t: float, dst: str, wid: str, result: TaskResult) -> None:
+        ego = self.agents[self.ego_id]
+        _, sends = self.broker.on_result(result, wid, ego.tracker, t)
+        for req, target in sends:
+            self._send_task_req(req, target, t)
+
+    @staticmethod
+    def _parse_heartbeat(frame: BusFrame) -> tuple[str]:
+        return (canonical_loads(frame.payload)["worker_id"],)
+
+    def _on_heartbeat(self, t: float, dst: str, wid: str) -> None:
+        # heartbeats are scheduled only in cr-dist, which has a broker
+        self.broker.heartbeat(wid, t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         frame = BusFrame(bus.MSG_TASK_RESP, int(round(t * 1e9)),
@@ -422,6 +450,14 @@ class Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> RunReport:
+        # glibc's malloc hands a freed heap top back to the OS once it passes
+        # the trim threshold (128 KiB at start) and faults it in again for the
+        # next large temporary: about 3,000 minor page faults in a crowd-60
+        # run, 5% of its speed.  Freeing one block above the mmap threshold
+        # raises both thresholds (mmap to the block's size, trim to twice
+        # that) for the rest of the process, unless MALLOC_MMAP_THRESHOLD_ or
+        # MALLOC_TRIM_THRESHOLD_ fixes them.  Other allocators ignore it.
+        np.empty(1 << 20, dtype=np.uint8)
         handlers = {
             KIND_TICK: lambda t, d: self.on_tick(t, *d),
             KIND_DELIVER: lambda t, d: self.on_deliver(t, *d),
@@ -468,27 +504,15 @@ class Engine:
         return RunReport(report, self.track_lines, self.replay_lines)
 
 
-# What a payload parser or the frame decoder raises on malformed input.
+# The (parser, handler) pair of each message type an engine acts on.
+_DELIVERY = {
+    bus.MSG_TRACKS: (Engine._parse_tracks, Engine._on_tracks),
+    bus.MSG_TASK_REQ: (Engine._parse_task_req, Engine._on_task_req),
+    bus.MSG_TASK_RESP: (Engine._parse_task_resp, Engine._on_task_resp),
+    bus.MSG_HEARTBEAT: (Engine._parse_heartbeat, Engine._on_heartbeat),
+}
+# What a parser or the frame decoder raises on malformed input.
 _MALFORMED = (bus.BusError, GeometryError, OffloadError, ValueError, LookupError, TypeError)
-
-
-def _parse_payload(frame: BusFrame):
-    """The content ``on_deliver`` acts on, parsed from a frame: a remote
-    track message, (worker, request, visible ids, rig pose), (worker,
-    result) or a worker id; None for types no handler takes."""
-    if frame.msg_type == bus.MSG_TRACKS:
-        return RemoteTrackMsg.from_payload(canonical_loads(frame.payload))
-    if frame.msg_type == bus.MSG_TASK_REQ:
-        req = TaskRequest.from_payload(canonical_loads(frame.payload))
-        inner = canonical_loads(req.payload)
-        return (frame.topic.split("tasks/", 1)[1], req, set(inner["visible_ids"]),
-                Pose.from_payload(inner["rig_pose"]))
-    if frame.msg_type == bus.MSG_TASK_RESP:
-        parts = frame.topic.rsplit("/", 2)
-        return f"{parts[-2]}/{parts[-1]}", TaskResult.from_payload(canonical_loads(frame.payload))
-    if frame.msg_type == bus.MSG_HEARTBEAT:
-        return canonical_loads(frame.payload)["worker_id"]
-    return None
 
 
 def run(scenario: Scenario, replay=None) -> RunReport:
