@@ -17,6 +17,7 @@ the determinism contract hashes and diffs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -102,6 +103,31 @@ def canonical_dumps(obj) -> bytes:
 
 def canonical_loads(data: bytes):
     return json.loads(data.decode("utf-8"))
+
+
+def payload_field(d: dict, key: str, kind: type):
+    """Field ``key`` of a decoded payload, checked: for ``float`` a finite
+    int or float, for any other kind a value of exactly that type (so a
+    bool is not an int).  Anything else raises ValueError."""
+    x = d[key]
+    if kind is float:
+        ok = type(x) in (int, float) and math.isfinite(x)
+    else:
+        ok = type(x) is kind
+    if not ok:
+        raise ValueError(f"payload field {key!r}: {x!r} is not a "
+                         f"{'finite number' if kind is float else kind.__name__}")
+    return x
+
+
+def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
+    """A decoded payload's nested lists of numbers as a float array of
+    exactly ``shape``; anything else raises ValueError.  Non-finite values
+    pass: each caller decides what they mean."""
+    a = np.array(x)
+    if a.shape != shape or a.dtype.kind not in "iuf":
+        raise ValueError(f"payload array is not numbers of shape {shape}")
+    return a.astype(float, copy=False)
 
 
 def encode(frame: BusFrame) -> bytes:

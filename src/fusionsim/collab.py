@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bus import payload_array, payload_field
 from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     CONFIRMED,
@@ -71,9 +72,11 @@ class RemoteTrackMsg:
     @staticmethod
     def from_payload(d: dict) -> "RemoteTrackMsg":
         pose = Pose.from_payload(d["sender_pose"])
-        tracks = [(tr["remote_id"], np.array(tr["mean"]), np.array(tr["cov"]))
-                  for tr in d["tracks"]]
-        return RemoteTrackMsg(d["sender_id"], pose, d["timestamp"], tracks)
+        tracks = [(payload_field(tr, "remote_id", int), payload_array(tr["mean"], (6,)),
+                   payload_array(tr["cov"], (6, 6)))
+                  for tr in payload_field(d, "tracks", list)]
+        return RemoteTrackMsg(payload_field(d, "sender_id", str), pose,
+                              payload_field(d, "timestamp", float), tracks)
 
 
 @dataclass
@@ -374,7 +377,6 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
                 a = a.with_estimate(*ci_fuse(a.mean, a.cov, b.mean, b.cov, w))
             except NonInvertible:
                 continue
-            a.hits = max(a.hits, b.hits)
             a.misses = min(a.misses, b.misses)
             if b.status == CONFIRMED and a.status == TENTATIVE:
                 a.status = CONFIRMED

@@ -3,8 +3,8 @@
 Radar points are projected into the image through the camera model;
 points landing strictly inside a 2D box are candidate matches, scored by
 pixel distance from the box center normalized by the box diagonal.  A
-one-to-one assignment over candidates then yields fused 3D detections
-carrying the radar position and a polar-shaped measurement covariance.
+one-to-one assignment over candidates then yields fused 3D detections:
+the radar position and a polar-shaped measurement covariance.
 
 ``assign`` is the one assignment solver of the program (tracker gates,
 track-to-track pairing, CLEAR-MOT matching and OSPA use it too).  It is
@@ -17,11 +17,13 @@ whenever the optimal set of finite pairs is unique; on exact ties the
 solver returns an optimal assignment chosen by scipy's tie rule (the
 lowest reduced cost wins; among equal costs, a free column wins).
 
+Fused detections travel as one ``Detections`` batch of stacked positions
+and covariances, built once per flush and read by the tracker as arrays.
 Each step is one stacked computation per flush: association projects
 all points and scores all box-point pairs in one cost matrix; synthesis
 maps all points and builds all covariances with one
 ``radar_measurement_cov``, which the edge worker shares; and
-``transform_detections`` maps a batch into another frame with one
+``Detections.to_parent`` maps a batch into another frame with one
 ``R @ p``, one ``R @ C @ R.T`` and one symmetrize.  Each row keeps the
 bits of the per-detection computation: the matrix products are the same
 BLAS products per row (see ``sensing``), and variances are squared as
@@ -40,11 +42,9 @@ from .geometry import CameraIntrinsics, Pose, norms, symmetrize, transform_point
 from .sensing import Detection2D, RadarPoint, SensorNoiseConfig
 
 PAIR_COST_GATE = 0.5
-RADAR_ONLY_SCORE = 0.3
 RADAR_ONLY_COV_SCALE = 4.0
 
 SOURCE_FUSED = "camera+radar"
-SOURCE_RADAR = "radar-only"
 
 # Component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
 _NEXT = [1, 2, 0]
@@ -52,38 +52,29 @@ _PREV = [2, 0, 1]
 
 
 @dataclass(frozen=True)
-class Detection3D:
-    position: np.ndarray      # meters; frame is the caller's (agent by default)
-    radial_speed: float
-    cov: np.ndarray           # 3x3 position covariance, m^2
-    source: str
-    score: float
-    timestamp: float
+class Detections:
+    """A batch of fused 3D detections in one frame (the caller's; the agent
+    frame out of ``synthesize``): row i is a detection at ``positions[i]``
+    (meters) with position covariance ``covs[i]`` (m^2)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float).reshape(3, 3))
+    positions: np.ndarray     # (N, 3)
+    covs: np.ndarray          # (N, 3, 3)
 
-    def to_dict(self) -> dict:
-        return {
-            "position": self.position.tolist(),
-            "radial_speed": self.radial_speed,
-            "cov": self.cov.tolist(),
-            "source": self.source,
-            "score": self.score,
-            "timestamp": self.timestamp,
-        }
+    def __len__(self) -> int:
+        return len(self.positions)
 
-    @staticmethod
-    def from_dict(d: dict) -> "Detection3D":
-        return Detection3D(np.array(d["position"]), d["radial_speed"],
-                           np.array(d["cov"]), d["source"], d["score"], d["timestamp"])
+    def to_parent(self, pose: Pose) -> "Detections":
+        """The batch mapped from ``pose``'s local frame into its parent
+        frame in one stacked transform: positions by the pose, covariances
+        by R C R', re-symmetrized."""
+        r = pose.rotation
+        return Detections(transform_point(pose, self.positions),
+                          symmetrize(r @ self.covs @ r.T))
 
 
 @dataclass(frozen=True)
 class Association:
     pairs: list[tuple[int, int]]       # (bbox index, radar index)
-    unmatched_bboxes: list[int]
     unmatched_radar: list[int]
 
 
@@ -235,13 +226,8 @@ def frustum_associate(bboxes: list[Detection2D], points: list[RadarPoint],
         cost = np.where(inside, dist, np.inf)
 
     pairs = [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]
-    used_b = {i for i, _ in pairs}
-    used_r = {j for _, j in pairs}
-    return Association(
-        pairs=pairs,
-        unmatched_bboxes=[i for i in range(n) if i not in used_b],
-        unmatched_radar=[j for j in range(m) if j not in used_r],
-    )
+    used = {j for _, j in pairs}
+    return Association(pairs, [j for j in range(m) if j not in used])
 
 
 def radar_measurement_cov(positions: np.ndarray, cfg: SensorNoiseConfig) -> np.ndarray:
@@ -276,41 +262,20 @@ def radar_measurement_cov(positions: np.ndarray, cfg: SensorNoiseConfig) -> np.n
     return symmetrize((basis * var[:, None, :]) @ basis.swapaxes(-1, -2))
 
 
-def synthesize(assoc: Association, bboxes: list[Detection2D],
-               points: list[RadarPoint], agent_from_radar: Pose,
-               cfg: SensorNoiseConfig) -> list[Detection3D]:
-    """Fused 3D detections in the agent frame.
+def synthesize(assoc: Association, points: list[RadarPoint], agent_from_radar: Pose,
+               cfg: SensorNoiseConfig) -> Detections:
+    """Fused 3D detections in the agent frame, as one batch.
 
-    Matched pairs carry the box score; unmatched radar points become
-    radar-only detections with score 0.3 and 4x the measurement
+    Rows are the matched radar points, in pair order, then the unmatched
+    ones, which become radar-only detections with 4x the measurement
     covariance.  Unmatched boxes yield nothing (no depth available).
     ``cfg`` is the radar's noise config, which shapes the covariance.
-    Positions and covariances of all detections are built in one
-    stacked transform.
+    Positions and covariances are built in one stacked transform.
     """
-    picks = [(j, bboxes[i].score, SOURCE_FUSED, 1.0, bboxes[i].timestamp)
-             for i, j in assoc.pairs]
-    picks += [(j, RADAR_ONLY_SCORE, SOURCE_RADAR, RADAR_ONLY_COV_SCALE, points[j].timestamp)
-              for j in assoc.unmatched_radar]
-    if not picks:
-        return []
-    radar = np.array([points[j].position for j, *_ in picks])
-    positions = transform_point(agent_from_radar, radar)
+    rows = [j for _, j in assoc.pairs] + assoc.unmatched_radar
+    radar = np.array([points[j].position for j in rows]).reshape(-1, 3)
     r_ar = agent_from_radar.rotation
-    scale = np.array([pick[3] for pick in picks])[:, None, None]
+    scale = np.array([1.0] * len(assoc.pairs)
+                     + [RADAR_ONLY_COV_SCALE] * len(assoc.unmatched_radar))[:, None, None]
     covs = symmetrize(scale * (r_ar @ radar_measurement_cov(radar, cfg) @ r_ar.T))
-    return [Detection3D(pos, points[j].radial_speed, cov, source, score, t)
-            for (j, score, source, _, t), pos, cov in zip(picks, positions, covs)]
-
-
-def transform_detections(pose: Pose, detections: list[Detection3D]) -> list[Detection3D]:
-    """Detections mapped from ``pose``'s local frame into its parent frame
-    in one stacked transform: positions by the pose, covariances by
-    R C R', re-symmetrized."""
-    if not detections:
-        return []
-    positions = transform_point(pose, np.array([d.position for d in detections]))
-    r = pose.rotation
-    covs = symmetrize(r @ np.array([d.cov for d in detections]) @ r.T)
-    return [Detection3D(pos, d.radial_speed, cov, d.source, d.score, d.timestamp)
-            for d, pos, cov in zip(detections, positions, covs)]
+    return Detections(transform_point(agent_from_radar, radar), covs)

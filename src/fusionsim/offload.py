@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import SOURCE_FUSED, Detection3D, radar_measurement_cov
-from .geometry import Pose, inverse, symmetrize, transform_point
+from .bus import payload_array, payload_field
+from .fusion import SOURCE_FUSED, Detections, radar_measurement_cov
+from .geometry import Pose, inverse
 from .sensing import GroundTruthObject, SensorNoiseConfig, in_range, perturb_polar
 from .tracker import LANE_EDGE, SingularInnovation, Tracker
 
@@ -50,8 +51,9 @@ class TaskRequest:
 
     @staticmethod
     def from_payload(d: dict) -> "TaskRequest":
-        return TaskRequest(d["task_id"], d["kind"], d["frame_time"],
-                           bytes.fromhex(d["payload_hex"]))
+        return TaskRequest(payload_field(d, "task_id", int), payload_field(d, "kind", str),
+                           payload_field(d, "frame_time", float),
+                           bytes.fromhex(payload_field(d, "payload_hex", str)))
 
 
 @dataclass(frozen=True)
@@ -59,24 +61,33 @@ class TaskResult:
     task_id: int
     status: str
     frame_time: float
-    detections: list[Detection3D]
+    detections: Detections      # in the tracking frame
     compute_latency: float
 
-    def __post_init__(self):
-        if self.status == STATUS_OK and self.detections is None:
-            raise OffloadError("ok result requires a detections list")
-
     def to_payload(self) -> dict:
+        """The wire form: each detection also carries the fields a
+        detection record has always had on the wire (zero radial speed,
+        the fused source, the edge score and the frame time)."""
         return {"task_id": self.task_id, "status": self.status,
                 "frame_time": self.frame_time,
-                "detections": [d.to_dict() for d in self.detections],
+                "detections": [{"position": pos, "radial_speed": 0.0, "cov": cov,
+                                "source": SOURCE_FUSED, "score": EDGE_SCORE,
+                                "timestamp": self.frame_time}
+                               for pos, cov in zip(self.detections.positions.tolist(),
+                                                   self.detections.covs.tolist())],
                 "compute_latency": self.compute_latency}
 
     @staticmethod
     def from_payload(d: dict) -> "TaskResult":
-        return TaskResult(d["task_id"], d["status"], d["frame_time"],
-                          [Detection3D.from_dict(x) for x in d["detections"]],
-                          d["compute_latency"])
+        dets = payload_field(d, "detections", list)
+        positions = np.array([payload_array(x["position"], (3,)) for x in dets]).reshape(-1, 3)
+        covs = np.array([payload_array(x["cov"], (3, 3)) for x in dets]).reshape(-1, 3, 3)
+        if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
+            raise ValueError("edge detections must be finite")
+        detections = Detections(positions, covs)
+        return TaskResult(payload_field(d, "task_id", int), payload_field(d, "status", str),
+                          payload_field(d, "frame_time", float), detections,
+                          payload_field(d, "compute_latency", float))
 
 
 @dataclass
@@ -150,18 +161,15 @@ def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
     """
     latency = rng.uniform(cfg.lat_min, cfg.lat_max)
     if rng.uniform() < cfg.p_fail:
-        return TaskResult(req.task_id, STATUS_FAILED, req.frame_time, [], latency)
+        return TaskResult(req.task_id, STATUS_FAILED, req.frame_time,
+                          Detections(np.empty((0, 3)), np.empty((0, 3, 3))), latency)
     prof = cfg.profile
     _, p_body, ranges = in_range(inverse(sensor_pose), truth, prof.max_range)
     measured = [perturb_polar(p, r_true, prof, rng)
                 for p, r_true in zip(p_body.tolist(), ranges.tolist())
                 if rng.uniform() < prof.p_detect]
     pos_body = np.array(measured).reshape(-1, 3)
-    positions = transform_point(sensor_pose, pos_body)
-    r = sensor_pose.rotation
-    covs = symmetrize(r @ radar_measurement_cov(pos_body, prof) @ r.T)
-    detections = [Detection3D(pos, 0.0, cov, SOURCE_FUSED, EDGE_SCORE, req.frame_time)
-                  for pos, cov in zip(positions, covs)]
+    detections = Detections(pos_body, radar_measurement_cov(pos_body, prof)).to_parent(sensor_pose)
     return TaskResult(req.task_id, STATUS_OK, req.frame_time, detections, latency)
 
 
@@ -189,7 +197,6 @@ class Broker:
     heartbeat_interval: float = DEFAULT_HEARTBEAT
     queue: list[TaskRequest] = field(default_factory=list)
     pending: dict[int, PendingTask] = field(default_factory=dict)
-    terminated: dict[int, str] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=lambda: {
         "submitted": 0, "ok_integrated": 0, "failed": 0,
         "timeout_dropped": 0, "stale_dropped": 0, "queue_dropped": 0,
@@ -214,9 +221,6 @@ class Broker:
         return target
 
     def _terminate(self, task_id: int, counter: str) -> None:
-        if task_id in self.terminated:
-            return
-        self.terminated[task_id] = counter
         self.counters[counter] = self.counters.get(counter, 0) + 1
         self.pending.pop(task_id, None)
 
@@ -242,12 +246,13 @@ class Broker:
 
     def on_result(self, result: TaskResult, worker_id: str, tracker: Tracker,
                   t_now: float) -> tuple[bool, list[tuple[TaskRequest, str]]]:
-        """Handle a TASK_RESP from ``worker_id``; returns (integrated, resends)."""
+        """Handle a TASK_RESP from ``worker_id``; returns (integrated, resends).
+        A result for a task that is not pending (settled already, or never
+        submitted) is ignored."""
         sends = self.worker_done(worker_id)
         task_id = result.task_id
-        if task_id in self.terminated:
-            return False, sends  # late result for an already-settled task
-        self.pending.pop(task_id, None)
+        if task_id not in self.pending:
+            return False, sends
         if result.status != STATUS_OK:
             self._terminate(task_id, "failed")
             return False, sends
@@ -275,8 +280,8 @@ class Broker:
 def integrate(tracker: Tracker, result: TaskResult, t_now: float) -> bool:
     """Fold an ok edge result into the tracker at its frame time.
 
-    In-horizon results are exact via rollback-replay (an empty detection
-    list is still a batch: it scores misses like any frame).  Results
+    In-horizon results are exact via rollback-replay (a batch with no
+    detections still scores misses like any frame).  Results
     older than the snapshot horizon cannot be restored and report False.
     """
     if result.status != STATUS_OK:

@@ -24,7 +24,7 @@ import numpy as np
 from .. import __version__, bus
 from ..bus import BusFrame, canonical_dumps, canonical_loads, link_key
 from ..collab import CollabState, RemoteTrackMsg, covi_step
-from ..fusion import Association, frustum_associate, synthesize, transform_detections
+from ..fusion import Association, frustum_associate, synthesize
 from ..geometry import (
     OPTICAL_FROM_BODY,
     GeometryError,
@@ -257,13 +257,11 @@ class Engine:
             dets = self.replay.detections_at(t, aid, sidx)
         elif spec.type == "camera":
             dets = camera_observe(spec.intrinsics, sensor_pose, self._truth(t),
-                                  spec.noise, self.sensor_rngs[(aid, sidx)],
-                                  sensor_id=f"{aid}/{sidx}", timestamp=t)
+                                  spec.noise, self.sensor_rngs[(aid, sidx)])
         else:
             dets = radar_observe(sensor_pose, self._truth(t), spec.noise,
                                  self.sensor_rngs[(aid, sidx)],
-                                 sensor_velocity=rt.spec.trajectory.velocity(t),
-                                 sensor_id=f"{aid}/{sidx}", timestamp=t)
+                                 sensor_velocity=rt.spec.trajectory.velocity(t))
         rt.staging[sidx] = dets
         if self.replay is None:
             self._record_truth_line(t)
@@ -286,15 +284,13 @@ class Engine:
             assoc = frustum_associate(bboxes, points, rt.cam_spec.intrinsics,
                                       rt.cam_from_radar)
         else:
-            assoc = Association([], list(range(len(bboxes))),
-                                list(range(len(points))))
+            assoc = Association([], list(range(len(points))))
         radar_noise = rt.radar_spec.noise if rt.radar_spec is not None \
             else SensorNoiseConfig()
         radar_mount = rt.radar_spec.mount if rt.radar_spec is not None \
             else Pose.identity()
-        dets_agent = synthesize(assoc, bboxes, points, radar_mount, radar_noise)
-        dets_world = transform_detections(agent_pose, dets_agent)
-        rt.tracker.process_batch((t, LANE_LOCAL, 0), dets_world, t)
+        detections = synthesize(assoc, points, radar_mount, radar_noise).to_parent(agent_pose)
+        rt.tracker.process_batch((t, LANE_LOCAL, 0), detections, t)
 
         if self.mode == "cr-covi":
             msgs, rt.msg_queue = rt.msg_queue, []
@@ -352,35 +348,41 @@ class Engine:
 
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
         """Handle one frame off the bus: parse its payload, then act on it.
-        A malformed frame (undecodable, or a payload its parser rejects) is
-        counted under ``malformed`` and skipped; the key is reported only
-        once it is non-zero."""
+        A malformed frame (undecodable, a payload its parser rejects, or a
+        frame naming a worker this engine does not run) is counted under
+        ``malformed`` and skipped; the key is reported only once it is
+        non-zero."""
         self.bus_counts["delivered"] += 1
         try:
             frame, _ = bus.decode(data)
             if frame.msg_type not in _DELIVERY:
                 return
             parse, act = _DELIVERY[frame.msg_type]
-            args = parse(frame)
+            args = parse(self, frame)
         except _MALFORMED:
             self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
             return
         act(self, t, dst, *args)
 
-    @staticmethod
-    def _parse_tracks(frame: BusFrame) -> tuple[RemoteTrackMsg]:
+    def _parse_tracks(self, frame: BusFrame) -> tuple[RemoteTrackMsg]:
         return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload)),)
 
     def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
         # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
         self.agents[dst].msg_queue.append(msg)
 
-    @staticmethod
-    def _parse_task_req(frame: BusFrame) -> tuple[str, TaskRequest, set, Pose]:
+    def _worker(self, wid: str) -> str:
+        """``wid`` if this engine runs that edge worker; LookupError if not
+        (only a ``cr-dist`` engine runs any)."""
+        if wid not in self.workers:
+            raise LookupError(f"no worker {wid!r}")
+        return wid
+
+    def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest, set, Pose]:
+        wid = self._worker(frame.topic.split("tasks/", 1)[1])
         req = TaskRequest.from_payload(canonical_loads(frame.payload))
         inner = canonical_loads(req.payload)
-        return (frame.topic.split("tasks/", 1)[1], req, set(inner["visible_ids"]),
-                Pose.from_payload(inner["rig_pose"]))
+        return wid, req, set(inner["visible_ids"]), Pose.from_payload(inner["rig_pose"])
 
     def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest,
                      visible: set, rig_pose: Pose) -> None:
@@ -389,10 +391,10 @@ class Engine:
                                 self.worker_rngs[wid])
         self._push(t + result.compute_latency, KIND_TASK, (wid, result))
 
-    @staticmethod
-    def _parse_task_resp(frame: BusFrame) -> tuple[str, TaskResult]:
+    def _parse_task_resp(self, frame: BusFrame) -> tuple[str, TaskResult]:
         parts = frame.topic.rsplit("/", 2)
-        return f"{parts[-2]}/{parts[-1]}", TaskResult.from_payload(canonical_loads(frame.payload))
+        return (self._worker(f"{parts[-2]}/{parts[-1]}"),
+                TaskResult.from_payload(canonical_loads(frame.payload)))
 
     def _on_task_resp(self, t: float, dst: str, wid: str, result: TaskResult) -> None:
         ego = self.agents[self.ego_id]
@@ -400,12 +402,12 @@ class Engine:
         for req, target in sends:
             self._send_task_req(req, target, t)
 
-    @staticmethod
-    def _parse_heartbeat(frame: BusFrame) -> tuple[str]:
-        return (canonical_loads(frame.payload)["worker_id"],)
+    def _parse_heartbeat(self, frame: BusFrame) -> tuple[str]:
+        return (self._worker(canonical_loads(frame.payload)["worker_id"]),)
 
     def _on_heartbeat(self, t: float, dst: str, wid: str) -> None:
-        # heartbeats are scheduled only in cr-dist, which has a broker
+        # the parser admits only this engine's workers, so this is cr-dist,
+        # which has a broker
         self.broker.heartbeat(wid, t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:

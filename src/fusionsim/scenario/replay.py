@@ -147,11 +147,11 @@ def load_replay(text: str) -> ReplayData:
             raise ReplayError(f"sensor ({aid}, {sidx}) changes type", lineno)
         try:
             if stype == "camera":
-                dets = [Detection2D(tuple(d["bbox"]), float(d["score"]),
-                                    f"{aid}/{sidx}", t) for d in obj["detections"]]
+                dets = [Detection2D(tuple(d["bbox"]), float(d["score"]))
+                        for d in obj["detections"]]
             else:
                 dets = [RadarPoint(np.array(d["position"]), float(d["radial_speed"]),
-                                   float(d.get("snr", 0.0)), f"{aid}/{sidx}", t)
+                                   float(d.get("snr", 0.0)))
                         for d in obj["detections"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ReplayError(f"bad detection entry: {e}", lineno)

@@ -93,8 +93,6 @@ class GroundTruthObject:
 class Detection2D:
     bbox: tuple[float, float, float, float]  # (umin, vmin, umax, vmax) px
     score: float
-    sensor_id: str
-    timestamp: float
 
     def __post_init__(self):
         umin, vmin, umax, vmax = self.bbox
@@ -112,8 +110,6 @@ class RadarPoint:
     position: np.ndarray   # sensor body frame, meters
     radial_speed: float    # m/s, negative = approaching
     snr: float             # dB
-    sensor_id: str
-    timestamp: float
 
     def __post_init__(self):
         p = np.asarray(self.position, dtype=float).reshape(3)
@@ -122,16 +118,14 @@ class RadarPoint:
             raise SensingError("radar point needs a finite position with range > 0")
 
     @classmethod
-    def _trusted(cls, position: np.ndarray, radial_speed: float, snr: float,
-                 sensor_id: str, timestamp: float) -> "RadarPoint":
+    def _trusted(cls, position: np.ndarray, radial_speed: float, snr: float) -> "RadarPoint":
         """A point from this package's sensor models, whose float (3,)
         position is finite with range > 0 by construction: not checked
         again.  Points read from outside (a replay) use the checked
         constructor."""
         point = object.__new__(cls)
         for name, value in (("position", position), ("radial_speed", radial_speed),
-                            ("snr", snr), ("sensor_id", sensor_id),
-                            ("timestamp", timestamp)):
+                            ("snr", snr)):
             object.__setattr__(point, name, value)
         return point
 
@@ -249,8 +243,7 @@ def visible_object_ids(K: CameraIntrinsics, sensor_pose: Pose,
 
 def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
                    objects: list[GroundTruthObject], cfg: SensorNoiseConfig,
-                   rng: np.random.Generator, sensor_id: str = "camera",
-                   timestamp: float = 0.0) -> list[Detection2D]:
+                   rng: np.random.Generator) -> list[Detection2D]:
     """Noisy 2D boxes for the objects visible from ``sensor_pose``.
 
     ``sensor_pose`` is world-from-body for the camera body frame (x
@@ -275,8 +268,7 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
         vmax = min(max(noisy[3], 0.0), float(K.height))
         if umin >= umax or vmin >= vmax:
             continue  # noise collapsed the box; counts as a miss
-        detections.append(Detection2D((umin, vmin, umax, vmax), TRUE_SCORE,
-                                      sensor_id, timestamp))
+        detections.append(Detection2D((umin, vmin, umax, vmax), TRUE_SCORE))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
     for _ in range(n_clutter):
@@ -287,15 +279,13 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
         umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, float(K.width))
         vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, float(K.height))
         if umin < umax and vmin < vmax:
-            detections.append(Detection2D((umin, vmin, umax, vmax), CLUTTER_SCORE,
-                                          sensor_id, timestamp))
+            detections.append(Detection2D((umin, vmin, umax, vmax), CLUTTER_SCORE))
     return detections
 
 
 def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
                   cfg: SensorNoiseConfig, rng: np.random.Generator,
-                  sensor_velocity=(0.0, 0.0, 0.0), sensor_id: str = "radar",
-                  timestamp: float = 0.0) -> list[RadarPoint]:
+                  sensor_velocity=(0.0, 0.0, 0.0)) -> list[RadarPoint]:
     """Noisy 3D point returns (one per object) in the radar body frame.
 
     Objects outside the azimuth field of view (full width
@@ -321,14 +311,13 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
         pos = perturb_polar(p, rng_true, cfg, rng)
         if cfg.speed_sigma > 0:
             radial += rng.normal(0.0, cfg.speed_sigma)
-        points.append(RadarPoint._trusted(pos, radial, TRUE_SNR_DB, sensor_id, timestamp))
+        points.append(RadarPoint._trusted(pos, radial, TRUE_SNR_DB))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         r = max(rng.uniform(0.0, cfg.max_range), 1e-3)
         az = rng.uniform(-cfg.fov_azimuth / 2.0, cfg.fov_azimuth / 2.0)
-        points.append(RadarPoint._trusted(_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB,
-                                          sensor_id, timestamp))
+        points.append(RadarPoint._trusted(_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB))
     return points
 
 

@@ -1,4 +1,4 @@
-"""Multi-object tracking over fused 3D detections.
+"""Multi-object tracking over batches of fused 3D detections.
 
 Global-nearest-neighbor Kalman tracking: constant-velocity prediction,
 Mahalanobis gating against a chi-square quantile, one-to-one assignment on
@@ -40,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fusion import Detection3D, assign
+from .fusion import Detections, assign
 
 # Chi-square quantiles for dof 1..9, embedded so gating needs no stats
 # dependency; tests cross-check them against an independent implementation.
@@ -105,14 +105,13 @@ class Track:
     ``Tracker.tracks`` or a snapshot nothing writes to it; transitions
     build a new track and set its fields before publishing it."""
 
-    __slots__ = ("id", "mean", "cov", "status", "hits", "misses", "recent", "stamp")
+    __slots__ = ("id", "mean", "cov", "status", "misses", "recent", "stamp")
 
     def __init__(self, track_id: int, mean, cov, stamp: float, confirm_n: int):
         self.id = track_id
         self.mean = np.asarray(mean, dtype=float).reshape(6)
         self.cov = np.asarray(cov, dtype=float).reshape(6, 6)
         self.status = TENTATIVE
-        self.hits = 1
         self.misses = 0
         self.recent: deque[bool] = deque([True], maxlen=confirm_n)
         self.stamp = stamp
@@ -124,17 +123,15 @@ class Track:
         c.mean = mean
         c.cov = cov
         c.status = self.status
-        c.hits = self.hits
         c.misses = self.misses
         c.recent = deque(self.recent, maxlen=self.recent.maxlen)
         c.stamp = self.stamp
         return c
 
     def sighted(self, mean: np.ndarray, cov: np.ndarray) -> "Track":
-        """The hit transition: a new track at the given estimate with one
-        more hit, no misses and a sighting in its M-of-N window."""
+        """The hit transition: a new track at the given estimate with no
+        misses and a sighting in its M-of-N window."""
         c = self.with_estimate(mean, cov)
-        c.hits += 1
         c.misses = 0
         c.recent.append(True)
         return c
@@ -150,7 +147,6 @@ class Track:
         return {
             "id": self.id,
             "status": self.status,
-            "hits": self.hits,
             "misses": self.misses,
             "recent": [bool(b) for b in self.recent],
             "mean": self.mean.tolist(),
@@ -354,20 +350,19 @@ def predict(tracks: list[Track], dt: float, q: float) -> list[Track]:
     return out
 
 
-def update(tracks: list[Track], detections: list[Detection3D]) -> list[Track]:
+def update(tracks: list[Track], detections: Detections) -> list[Track]:
     """Sighted copies (``Track.sighted``) of tracks[i], measurement-updated
-    by detections[i] in one stacked ``kalman_update``.  Raises
+    by row i of ``detections`` in one stacked ``kalman_update``.  Raises
     SingularInnovation if any pair's innovation is singular."""
     if not tracks:
         return []
     means, covs = kalman_update(np.array([tr.mean for tr in tracks]),
                                 np.array([tr.cov for tr in tracks]),
-                                np.array([d.position for d in detections]),
-                                np.array([d.cov for d in detections]))
+                                detections.positions, detections.covs)
     return [tr.sighted(mean, cov) for tr, mean, cov in zip(tracks, means, covs)]
 
 
-def gate(tracks: list[Track], detections: list[Detection3D],
+def gate(tracks: list[Track], detections: Detections,
          gate_prob: float = 0.99) -> np.ndarray:
     """Gated (tracks x detections) cost matrix: the squared Mahalanobis
     distance of each detection from each predicted track position, inf
@@ -375,8 +370,7 @@ def gate(tracks: list[Track], detections: list[Detection3D],
     pair's innovation covariance is singular."""
     gamma = chi2_quantile(gate_prob, 3)
     d2, singular = position_d2([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                               [d.position for d in detections], [d.cov for d in detections],
-                               gamma)
+                               detections.positions, detections.covs, gamma)
     if singular.any():
         raise SingularInnovation("innovation covariance rcond below 1e-12")
     return np.where(d2 <= gamma, d2, np.inf)
@@ -396,8 +390,8 @@ def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[fl
 class Tracker:
     """Owns the live track set and the keyed batch history.
 
-    ``step`` is the plain in-order update.  ``process_batch`` applies a
-    detection batch at its global key; it is the one way a batch reaches
+    ``step`` is the plain in-order update of one ``Detections`` batch.
+    ``process_batch`` applies a batch at its global key; it is the one way a batch reaches
     the tracker and the only writer of ``_history``, the key-ordered list
     of (key, detections, t, state after the batch) for every batch inside
     the horizon.  A batch after every entry steps from the live state and
@@ -423,12 +417,12 @@ class Tracker:
         self.tracks: list[Track] = []
         self.next_id = 1
         self.last_time: float | None = None
-        self._history: list[tuple[BatchKey, list[Detection3D], float, tuple]] = []
+        self._history: list[tuple[BatchKey, Detections, float, tuple]] = []
         self._genesis: tuple | None = self._capture()  # None once history was pruned
 
     # -- core in-order step -------------------------------------------------
 
-    def step(self, detections: list[Detection3D], t: float) -> None:
+    def step(self, detections: Detections, t: float) -> None:
         cfg = self.config
         if self.last_time is not None:
             dt = t - self.last_time
@@ -439,9 +433,9 @@ class Tracker:
             dt = 0.0
         predicted = predict(self.tracks, dt, cfg.q)
         pairs = dict(assign(gate(predicted, detections, cfg.gate_prob)))
-        updated = dict(zip(pairs, update([predicted[i] for i in pairs],
-                                         [detections[j] for j in pairs.values()])))
-        matched_dets = set(pairs.values())
+        rows = list(pairs.values())
+        matched = Detections(detections.positions[rows], detections.covs[rows])
+        updated = dict(zip(pairs, update([predicted[i] for i in pairs], matched)))
 
         # predict and update built new tracks: the writes below publish nothing
         survivors: list[Track] = []
@@ -455,13 +449,13 @@ class Tracker:
                     continue
             survivors.append(tr.confirm(cfg.confirm_m))
 
+        kept = set(rows)
+        fresh = [j for j in range(len(detections)) if j not in kept]
         next_id = self.next_id
-        for j, det in enumerate(detections):
-            if j in matched_dets:
-                continue
-            mean = np.concatenate([det.position, np.zeros(3)])
+        for position, det_cov in zip(detections.positions[fresh], detections.covs[fresh]):
+            mean = np.concatenate([position, np.zeros(3)])
             cov = np.zeros((6, 6))
-            cov[:3, :3] = det.cov
+            cov[:3, :3] = det_cov
             cov[3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
             survivors.append(spawn(next_id, mean, cov, t, cfg))
             next_id += 1
@@ -474,7 +468,7 @@ class Tracker:
     def newest_key(self) -> BatchKey | None:
         return self._history[-1][0] if self._history else None
 
-    def process_batch(self, key: BatchKey, detections: list[Detection3D],
+    def process_batch(self, key: BatchKey, detections: Detections,
                       t: float) -> bool:
         """Apply a detection batch at its global key; returns False when the
         batch predates every retained entry and the history was pruned.

@@ -14,7 +14,7 @@ from fusionsim.collab import (
     covi_step,
     t2t_associate,
 )
-from fusionsim.fusion import Detection3D, SOURCE_FUSED
+from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
 from fusionsim.tracker import (
     CONFIRMED,
@@ -32,6 +32,12 @@ def random_psd(rng, dim, scale=1.0):
     return scale * (a @ a.T + 0.1 * np.eye(dim))
 
 
+def detections(positions, var=0.09):
+    """A batch of detections at ``positions``, each with covariance var * I."""
+    positions = np.array(positions, dtype=float).reshape(-1, 3)
+    return Detections(positions, np.tile(var * np.eye(3), (len(positions), 1, 1)))
+
+
 def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
     return RemoteTrackMsg(sender, pose or Pose.identity(), timestamp, tracks)
 
@@ -46,6 +52,44 @@ def grid_scan_omega(pa, pb, step=1e-3):
     info = grid[:, None, None] * pa_inv + (1 - grid)[:, None, None] * pb_inv
     traces = np.trace(np.linalg.inv(info), axis1=1, axis2=2)
     return float(grid[int(np.argmin(traces))])
+
+
+class TestPayload:
+    def payload(self):
+        mean, cov = np.arange(6.0), np.eye(6)
+        return msg([(7, mean, cov)], timestamp=0.5).to_payload()
+
+    def test_round_trip(self):
+        back = RemoteTrackMsg.from_payload(self.payload())
+        assert (back.sender_id, back.timestamp) == ("rsu1", 0.5)
+        [(rid, mean, cov)] = back.tracks
+        assert rid == 7
+        assert np.array_equal(mean, np.arange(6.0)) and np.array_equal(cov, np.eye(6))
+
+    @pytest.mark.parametrize("field,value", [
+        ("sender_id", 3), ("timestamp", "0.5"), ("timestamp", float("nan")),
+        ("timestamp", True), ("tracks", {}),
+    ])
+    def test_bad_field_raises(self, field, value):
+        d = self.payload()
+        d[field] = value
+        with pytest.raises(ValueError):
+            RemoteTrackMsg.from_payload(d)
+
+    @pytest.mark.parametrize("field,value", [
+        ("remote_id", "7"), ("mean", [0.0] * 5), ("mean", ["a"] * 6), ("cov", [[1.0] * 6] * 5),
+    ])
+    def test_bad_track_raises(self, field, value):
+        d = self.payload()
+        d["tracks"][0][field] = value
+        with pytest.raises(ValueError):
+            RemoteTrackMsg.from_payload(d)
+
+    def test_non_finite_track_is_left_to_align(self):
+        # covi_step counts such a message as rejected rather than malformed
+        d = self.payload()
+        d["tracks"][0]["mean"][0] = float("nan")
+        assert np.isnan(RemoteTrackMsg.from_payload(d).tracks[0][1][0])
 
 
 class TestAlign:
@@ -214,9 +258,7 @@ class TestCoviStep:
     def make_tracker(self, positions, confirm=True):
         tk = Tracker(TrackerConfig(confirm_m=1, confirm_n=5))
         t = 0.0
-        dets = [Detection3D(np.asarray(p, dtype=float), 0.0, 0.25 * np.eye(3),
-                            SOURCE_FUSED, 1.0, t) for p in positions]
-        tk.step(dets, t)
+        tk.step(detections(positions, 0.25), t)
         return tk
 
     def test_no_messages_no_change(self):
@@ -381,11 +423,6 @@ class TestMergeDuplicates:
 OBJECTS = np.array([[5.0, 0, 0], [15.0, 4.0, 0], [25.0, -3.0, 0], [26.5, -3.0, 0]])
 
 
-def det_at(position, t):
-    return Detection3D(np.asarray(position, dtype=float), 0.0, 0.09 * np.eye(3),
-                       SOURCE_FUSED, 1.0, t)
-
-
 @settings(max_examples=15, deadline=None)
 @given(ops=st.lists(st.tuples(st.sampled_from(["step", "late", "covi", "merge"]),
                               st.integers(0, 2**32 - 1)), min_size=1, max_size=14))
@@ -402,12 +439,12 @@ def test_published_tracks_and_snapshots_never_change(ops):
         noisy = OBJECTS + rng.normal(scale=0.3, size=OBJECTS.shape)
         if op == "step" or (op == "late" and t == 0.0):
             t += 0.1
-            tk.process_batch((t, LANE_LOCAL, 0), [det_at(p, t) for p in noisy], t)
+            tk.process_batch((t, LANE_LOCAL, 0), detections(noisy), t)
         elif op == "late":
             edge_seq += 1
             t_late = round(float(rng.uniform(max(0.0, t - 0.5), t)), 3)
             tk.process_batch((t_late, LANE_EDGE, edge_seq),
-                             [det_at(p, t_late) for p in noisy[:2]], t_late)
+                             detections(noisy[:2]), t_late)
         elif op == "covi":
             remote = [(k, np.concatenate([p, np.zeros(3)]), 0.5 * np.eye(6))
                       for k, p in enumerate(noisy)]

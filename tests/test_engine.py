@@ -6,23 +6,27 @@
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
 * offload: the broker conserves tasks, also when edge results are
-  singular and skipped;
+  singular and skipped or name a task that was never submitted;
 * collaboration skips and counts track pairs with a singular summed
   covariance instead of aborting;
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks;
-* malformed frames: a frame that does not decode or parse is counted and
-  skipped, and the run goes on;
+* malformed frames: a frame that does not decode or parse, or names a
+  worker the run does not have, is counted and skipped, and the run goes
+  on;
 * golden outputs: each case's outputs hash to the recorded digests.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fusionsim import bus
+from fusionsim.geometry import Pose
+from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import KIND_DELIVER, Engine
 
@@ -166,9 +170,20 @@ def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     assert sum(c["fused"] for c in collab.values()) > 0
 
 
+def _task_req(now_ns, topic, frame_time):
+    """A TASK_REQ frame on ``topic`` whose payload is complete and decodes."""
+    inner = {"visible_ids": [], "rig_pose": Pose.identity().to_payload()}
+    req = {"task_id": 500, "kind": "stereo-depth", "frame_time": frame_time,
+           "payload_hex": bus.canonical_dumps(inner).hex()}
+    return bus.encode(bus.BusFrame(bus.MSG_TASK_REQ, now_ns, topic, bus.canonical_dumps(req)))
+
+
 def _malformed_frames(now_ns):
     """A truncated frame, a garbage-JSON frame and a frame whose JSON lacks
-    every field, of each message type a handler takes."""
+    every field, of each message type a handler takes; then well-formed
+    frames that name no worker of the run (a task request, a heartbeat
+    and a task result), and a task request whose ``frame_time`` is a
+    string."""
     frames = []
     for msg_type, topic in ((bus.MSG_TRACKS, "tracks/rsu1"), (bus.MSG_TASK_REQ, "tasks/edge/0"),
                             (bus.MSG_TASK_RESP, "results/ego/edge/0"),
@@ -177,6 +192,14 @@ def _malformed_frames(now_ns):
         frames.append(good[:-5])
         frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b'{"tracks": [1,')))
         frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b"{}")))
+    frames.append(_task_req(now_ns, "tasks/edge1/w9", 0.5))
+    frames.append(bus.encode(bus.BusFrame(bus.MSG_HEARTBEAT, now_ns, "hb/edge1/w9",
+                                          b'{"t":0.5,"worker_id":"edge1/w9"}')))
+    result = {"task_id": 1, "status": "ok", "frame_time": 0.5, "detections": [],
+              "compute_latency": 0.1}
+    frames.append(bus.encode(bus.BusFrame(bus.MSG_TASK_RESP, now_ns, "results/ego/edge1/w9",
+                                          bus.canonical_dumps(result))))
+    frames.append(_task_req(now_ns, "tasks/edge1/w0", "0.5"))
     return frames
 
 
@@ -199,3 +222,24 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     if mode == "cr-dist":
         assert engine.broker.counters["submitted"] > 0
         assert engine.broker.conserved()
+
+
+def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist")
+    healthy = Engine(sc)
+    expected = healthy.run().report["counters"]["offload"]
+
+    engine = Engine(sc)
+    result = {"task_id": 999, "status": STATUS_OK, "frame_time": 0.5,
+              "detections": [{"position": [10.0, 0.0, 0.0], "cov": np.eye(3).tolist()}],
+              "compute_latency": 0.1}
+    frame = bus.BusFrame(bus.MSG_TASK_RESP, 500_000_000, "results/ego/edge1/w0",
+                         bus.canonical_dumps(result))
+    engine._push(0.5, KIND_DELIVER, (engine.ego_id, bus.encode(frame)))
+    report = engine.run().report
+    assert "malformed" not in report["counters"]["bus"]
+    assert report["counters"]["offload"]["ok_integrated"] == expected["ok_integrated"]
+    assert report["counters"]["offload"]["submitted"] == expected["submitted"]
+    assert engine.broker.conserved()

@@ -6,9 +6,6 @@ import pytest
 
 from fusionsim.fusion import (
     Association,
-    Detection3D,
-    SOURCE_FUSED,
-    SOURCE_RADAR,
     assign,
     frustum_associate,
     radar_measurement_cov,
@@ -24,11 +21,11 @@ RADAR_CFG = SensorNoiseConfig(range_sigma=0.15, azimuth_sigma=0.02)
 
 
 def bbox(umin, vmin, umax, vmax, score=1.0):
-    return Detection2D((umin, vmin, umax, vmax), score, "cam", 0.0)
+    return Detection2D((umin, vmin, umax, vmax), score)
 
 
 def radar_point(x, y, z, speed=0.0):
-    return RadarPoint(np.array([x, y, z], dtype=float), speed, 20.0, "radar", 0.0)
+    return RadarPoint(np.array([x, y, z], dtype=float), speed, 20.0)
 
 
 def oracle_best_assignment(cost: np.ndarray) -> float:
@@ -112,14 +109,14 @@ class TestFrustumAssociate:
         pt = radar_point(10.0, 0.0, 0.0)
         a = frustum_associate([box], [pt], K, CAM_FROM_RADAR)
         assert a.pairs == [(0, 0)]
-        assert a.unmatched_bboxes == [] and a.unmatched_radar == []
+        assert a.unmatched_radar == []
 
     def test_point_outside_all_boxes(self):
         box = bbox(100, 100, 200, 200)
         pt = radar_point(10.0, 0.0, 0.0)  # projects to (960, 540)
         a = frustum_associate([box], [pt], K, CAM_FROM_RADAR)
         assert a.pairs == []
-        assert a.unmatched_bboxes == [0] and a.unmatched_radar == [0]
+        assert a.unmatched_radar == [0]
 
     def test_two_boxes_two_points_containment(self):
         left = bbox(400, 440, 700, 640)
@@ -138,7 +135,7 @@ class TestFrustumAssociate:
 
     def test_empty_inputs(self):
         a = frustum_associate([], [], K, CAM_FROM_RADAR)
-        assert a == Association([], [], [])
+        assert a == Association([], [])
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(3)
@@ -150,43 +147,42 @@ class TestFrustumAssociate:
             points = [radar_point(rng.uniform(5, 60), rng.uniform(-20, 20), rng.uniform(-2, 2))
                       for _ in range(int(rng.integers(0, 5)))]
             a = frustum_associate(boxes, points, K, CAM_FROM_RADAR)
-            b_idx = [i for i, _ in a.pairs] + a.unmatched_bboxes
+            b_idx = [i for i, _ in a.pairs]
             r_idx = [j for _, j in a.pairs] + a.unmatched_radar
-            assert sorted(b_idx) == list(range(len(boxes)))
+            assert len(set(b_idx)) == len(b_idx) and set(b_idx) <= set(range(len(boxes)))
             assert sorted(r_idx) == list(range(len(points)))
 
 
 class TestSynthesize:
     def test_pair_keeps_radar_position(self):
-        box = bbox(900, 500, 1020, 580, score=0.8)
         pt = radar_point(10.0, 0.0, 0.0, speed=-1.5)
-        a = Association([(0, 0)], [], [])
-        dets = synthesize(a, [box], [pt], Pose.identity(), RADAR_CFG)
+        a = Association([(0, 0)], [])
+        dets = synthesize(a, [pt], Pose.identity(), RADAR_CFG)
         assert len(dets) == 1
-        d = dets[0]
-        assert np.allclose(d.position, [10, 0, 0], atol=1e-12)
-        assert d.source == SOURCE_FUSED
-        assert d.score == 0.8
-        assert d.radial_speed == -1.5
+        assert np.allclose(dets.positions[0], [10, 0, 0], atol=1e-12)
 
     def test_unmatched_radar_becomes_radar_only(self):
         pt = radar_point(10.0, 0.0, 0.0)
-        a = Association([], [], [0])
-        dets = synthesize(a, [], [pt], Pose.identity(), RADAR_CFG)
+        dets = synthesize(Association([], [0]), [pt], Pose.identity(), RADAR_CFG)
         assert len(dets) == 1
-        assert dets[0].source == SOURCE_RADAR
-        assert dets[0].score == 0.3
+        assert np.allclose(dets.positions[0], [10, 0, 0], atol=1e-12)
+
+    def test_rows_are_pairs_then_radar_only(self):
+        pts = [radar_point(10.0, 0.0, 0.0), radar_point(20.0, 0.0, 0.0),
+               radar_point(30.0, 0.0, 0.0)]
+        dets = synthesize(Association([(0, 2), (1, 0)], [1]), pts, Pose.identity(), RADAR_CFG)
+        assert dets.positions[:, 0].tolist() == [30.0, 10.0, 20.0]
 
     def test_unmatched_bbox_yields_nothing(self):
-        a = Association([], [0], [])
-        assert synthesize(a, [bbox(0, 0, 10, 10)], [], Pose.identity(), RADAR_CFG) == []
+        dets = synthesize(Association([], []), [], Pose.identity(), RADAR_CFG)
+        assert len(dets) == 0
+        assert dets.positions.shape == (0, 3) and dets.covs.shape == (0, 3, 3)
 
     def test_radar_only_cov_is_4x(self):
         pt = radar_point(20.0, 5.0, 1.0)
-        fused = synthesize(Association([(0, 0)], [], []),
-                           [bbox(0, 0, 1900, 1000)], [pt], Pose.identity(), RADAR_CFG)[0]
-        ronly = synthesize(Association([], [], [0]), [], [pt], Pose.identity(), RADAR_CFG)[0]
-        assert np.allclose(ronly.cov, 4.0 * fused.cov, rtol=1e-12)
+        fused = synthesize(Association([(0, 0)], []), [pt], Pose.identity(), RADAR_CFG)
+        ronly = synthesize(Association([], [0]), [pt], Pose.identity(), RADAR_CFG)
+        assert np.allclose(ronly.covs, 4.0 * fused.covs, rtol=1e-12)
 
     def test_cov_polar_shape(self):
         # point straight down the x axis: radial = x, tangents = y (azimuth), z (elevation)
@@ -201,8 +197,8 @@ class TestSynthesize:
         # radar mounted 1 m forward, yawed 90 deg: body x maps to agent y
         mount = Pose.from_rpy_deg([1.0, 0.0, 0.0], yaw=90.0)
         pt = radar_point(10.0, 0.0, 0.0)
-        d = synthesize(Association([], [], [0]), [], [pt], mount, RADAR_CFG)[0]
-        assert np.allclose(d.position, [1.0, 10.0, 0.0], atol=1e-9)
+        d = synthesize(Association([], [0]), [pt], mount, RADAR_CFG)
+        assert np.allclose(d.positions[0], [1.0, 10.0, 0.0], atol=1e-9)
 
     def test_noise_free_single_object_exact(self):
         # end to end: one object, noise-free sensors, fused detection at truth
@@ -215,7 +211,7 @@ class TestSynthesize:
         points = radar_observe(Pose.identity(), [obj], SensorNoiseConfig(), rng)
         cam_from_radar = Pose(OPTICAL_FROM_BODY, np.zeros(3))
         a = frustum_associate(boxes, points, K, cam_from_radar)
-        dets = synthesize(a, boxes, points, Pose.identity(), SensorNoiseConfig())
+        assert len(a.pairs) == 1
+        dets = synthesize(a, points, Pose.identity(), SensorNoiseConfig())
         assert len(dets) == 1
-        assert dets[0].source == SOURCE_FUSED
-        assert np.abs(dets[0].position - obj.position).max() < 1e-9
+        assert np.abs(dets.positions[0] - obj.position).max() < 1e-9

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from fusionsim.fusion import Detection3D, SOURCE_FUSED
+from fusionsim.bus import canonical_dumps, canonical_loads
+from fusionsim.fusion import SOURCE_FUSED, Detections
 from fusionsim.geometry import Pose
 from fusionsim.offload import (
+    EDGE_SCORE,
     Broker,
     QUEUED,
     STATUS_FAILED,
@@ -25,9 +27,12 @@ def req(task_id, t=0.0):
     return TaskRequest(task_id, "stereo-depth", t)
 
 
-def det(pos, t, var=0.04):
-    return Detection3D(np.asarray(pos, dtype=float), 0.0, var * np.eye(3),
-                       SOURCE_FUSED, 1.0, t)
+NO_DETECTIONS = Detections(np.empty((0, 3)), np.empty((0, 3, 3)))
+
+
+def det(pos, var=0.04):
+    """A batch of one detection at ``pos``."""
+    return Detections(np.array([pos], dtype=float), var * np.eye(3)[None])
 
 
 def pool_of(n):
@@ -83,7 +88,7 @@ class TestEmulateWorker:
         out = emulate_worker(req(1), self.TRUTH, Pose.identity(), cfg,
                              np.random.default_rng(0))
         assert out.status == STATUS_FAILED
-        assert out.detections == []
+        assert len(out.detections) == 0
 
     def test_noise_free_profile_exact(self):
         cfg = WorkerConfig(lat_min=0.1, lat_max=0.1,
@@ -91,7 +96,7 @@ class TestEmulateWorker:
         out = emulate_worker(req(1), self.TRUTH, Pose.identity(), cfg,
                              np.random.default_rng(0))
         assert len(out.detections) == 1
-        assert np.abs(out.detections[0].position - self.TRUTH[0].position).max() < 1e-9
+        assert np.abs(out.detections.positions[0] - self.TRUTH[0].position).max() < 1e-9
 
     def test_deterministic(self):
         cfg = WorkerConfig()
@@ -104,13 +109,13 @@ def local_batches(n=20, dt=0.05):
     out = []
     for k in range(n):
         t = k * dt
-        out.append(((t, LANE_LOCAL, 0), [det([5.0 + t, 0, 0], t)], t))
+        out.append(((t, LANE_LOCAL, 0), det([5.0 + t, 0, 0]), t))
     return out
 
 
 def edge_result(task_id, frame_time, pos):
     return TaskResult(task_id, STATUS_OK, frame_time,
-                      [det(pos, frame_time, var=0.01)], 0.0)
+                      det(pos, var=0.01), 0.0)
 
 
 class TestIntegrate:
@@ -163,8 +168,69 @@ class TestIntegrate:
 
     def test_failed_result_not_integrated(self):
         tk = Tracker()
-        res = TaskResult(1, STATUS_FAILED, 0.0, [], 0.1)
+        res = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1)
         assert not integrate(tk, res, 0.0)
+
+
+class TestPayload:
+    def test_zero_detection_result_round_trips(self):
+        res = TaskResult(3, STATUS_OK, 0.25, NO_DETECTIONS, 0.1)
+        wire = canonical_dumps(res.to_payload())
+        back = TaskResult.from_payload(canonical_loads(wire))
+        assert (back.task_id, back.status, back.frame_time, back.compute_latency) == \
+            (3, STATUS_OK, 0.25, 0.1)
+        assert back.detections.positions.shape == (0, 3)
+        assert back.detections.covs.shape == (0, 3, 3)
+        assert canonical_dumps(back.to_payload()) == wire
+
+    def test_detection_records_keep_their_wire_fields(self):
+        cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.04, 0.0], [0.0, 0.0, 0.09]])
+        res = TaskResult(4, STATUS_OK, 1.5, Detections(np.array([[1.0, 2.0, 3.0]]), cov[None]),
+                         0.2)
+        payload = res.to_payload()
+        assert payload["detections"] == [{
+            "position": [1.0, 2.0, 3.0], "radial_speed": 0.0, "cov": cov.tolist(),
+            "source": SOURCE_FUSED, "score": EDGE_SCORE, "timestamp": 1.5}]
+        back = TaskResult.from_payload(canonical_loads(canonical_dumps(payload)))
+        assert np.array_equal(back.detections.positions, res.detections.positions)
+        assert np.array_equal(back.detections.covs, res.detections.covs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("position", [1.0, 2.0]), ("position", [1.0, 2.0, "3"]), ("position", [[1.0, 2.0, 3.0]]),
+        ("position", [1.0, 2.0, float("nan")]), ("cov", np.eye(2).tolist()),
+        ("cov", [1.0] * 9), ("cov", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+    ])
+    def test_bad_detection_raises(self, field, value):
+        det = {"position": [1.0, 2.0, 3.0], "cov": np.eye(3).tolist()}
+        det[field] = value
+        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
+                   "detections": [det], "compute_latency": 0.1}
+        with pytest.raises(ValueError):
+            TaskResult.from_payload(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("task_id", "1"), ("task_id", True), ("task_id", 1.0), ("status", 1),
+        ("frame_time", "0.5"), ("frame_time", float("inf")), ("frame_time", None),
+        ("compute_latency", float("nan")), ("detections", {}),
+    ])
+    def test_bad_result_field_raises(self, field, value):
+        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
+                   "detections": [], "compute_latency": 0.1}
+        payload[field] = value
+        with pytest.raises(ValueError):
+            TaskResult.from_payload(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("task_id", "1"), ("task_id", False), ("kind", None), ("frame_time", "0.5"),
+        ("frame_time", float("-inf")), ("payload_hex", 7),
+    ])
+    def test_bad_request_field_raises(self, field, value):
+        payload = TaskRequest(1, "stereo-depth", 0.5, b"{}").to_payload()
+        assert TaskRequest.from_payload(dict(payload)) == TaskRequest(1, "stereo-depth", 0.5,
+                                                                      b"{}")
+        payload[field] = value
+        with pytest.raises(ValueError):
+            TaskRequest.from_payload(payload)
 
 
 class TestBrokerConservation:
@@ -177,12 +243,12 @@ class TestBrokerConservation:
             broker.submit(req(k, t=now), now)
         assert broker.counters["queue_dropped"] == 2
         # worker 0 returns ok; queue drains one task onto it
-        tk.process_batch((0.0, LANE_LOCAL, 0), [det([5, 0, 0], 0.0)], 0.0)
+        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
         applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]),
                                           "edge/w0", tk, 0.0)
         assert applied and len(sends) == 1
         # worker 1 fails its task
-        applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, [], 0.1),
+        applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1),
                                       "edge/w1", tk, 0.1)
         assert not applied
         # remaining two pending tasks expire twice: retry then drop
@@ -205,6 +271,18 @@ class TestBrokerConservation:
         assert broker.counters["timeout_dropped"] == 1
         applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), "edge/w0", tk, 2.1)
         assert not applied
+        assert broker.conserved()
+
+    def test_result_for_unknown_task_ignored(self):
+        broker = Broker(pool=pool_of(1), timeout=10.0)
+        tk = Tracker()
+        broker.submit(req(1, t=0.0), 0.0)
+        before = dict(broker.counters)
+        applied, _ = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), "edge/w0", tk, 0.1)
+        assert not applied
+        assert broker.counters == before
+        assert tk.tracks == []
+        assert list(broker.pending) == [1]
         assert broker.conserved()
 
     def test_stale_result_counted(self):

@@ -17,15 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 from fusionsim.fusion import (
     PAIR_COST_GATE,
     RADAR_ONLY_COV_SCALE,
-    RADAR_ONLY_SCORE,
-    SOURCE_FUSED,
-    SOURCE_RADAR,
     Association,
     assign,
     frustum_associate,
     radar_measurement_cov,
     synthesize,
-    transform_detections,
 )
 from fusionsim.geometry import (
     OPTICAL_FROM_BODY,
@@ -35,7 +31,7 @@ from fusionsim.geometry import (
     symmetrize,
     transform_point,
 )
-from fusionsim.offload import EDGE_SCORE, TaskRequest, WorkerConfig, emulate_worker
+from fusionsim.offload import TaskRequest, WorkerConfig, emulate_worker
 from fusionsim.sensing import (
     OCCLUSION_COVER,
     TRUE_SNR_DB,
@@ -274,6 +270,7 @@ def test_radar_observe_equals_scalar_reference(seed, n):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=st.integers(0, 40))
+@example(seed=0, n=0)
 def test_emulate_worker_equals_scalar_reference(seed, n):
     rng = np.random.default_rng(seed)
     pose = random_pose(rng)
@@ -285,50 +282,48 @@ def test_emulate_worker_equals_scalar_reference(seed, n):
     draws.uniform(cfg.lat_min, cfg.lat_max)
     draws.uniform()
     reference = ref_emulate_worker(truth, pose, cfg.profile, draws)
-    assert len(result.detections) == len(reference)
-    for det, (pos, cov) in zip(result.detections, reference):
-        assert np.array_equal(det.position, pos)
-        assert np.array_equal(det.cov, cov)
-        assert (det.source, det.score, det.timestamp) == (SOURCE_FUSED, EDGE_SCORE, 2.0)
+    dets = result.detections
+    assert dets.positions.shape == (len(reference), 3)
+    assert dets.covs.shape == (len(reference), 3, 3)
+    for pos, cov, (ref_pos, ref_cov) in zip(dets.positions, dets.covs, reference):
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(cov, ref_cov)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, n=st.integers(0, 12), m=st.integers(0, 12))
+@example(seed=0, n=0, m=0)
+@example(seed=0, n=3, m=0)
 def test_synthesize_and_world_transform_equal_scalar_reference(seed, n, m):
     rng = np.random.default_rng(seed)
     cfg = SensorNoiseConfig(range_sigma=float(rng.uniform(0.0, 0.5)),
                             azimuth_sigma=float(rng.uniform(0.0, 0.05)))
-    bboxes = [Detection2D((0.0, 0.0, 10.0, 10.0), float(rng.uniform(0.5, 1.0)), "cam",
-                          float(rng.uniform(0, 5))) for _ in range(n)]
-    points = [RadarPoint(rng.normal(0.0, 30.0, 3), float(rng.normal()), 20.0, "radar",
-                         float(rng.uniform(0, 5))) for _ in range(m)]
+    points = [RadarPoint(rng.normal(0.0, 30.0, 3), float(rng.normal()), 20.0)
+              for _ in range(m)]
     pairs = list(zip(rng.permutation(n).tolist(), rng.permutation(m).tolist()))
     pairs = pairs[:int(rng.integers(0, len(pairs) + 1))]
     used = {j for _, j in pairs}
-    assoc = Association(pairs, [], [j for j in range(m) if j not in used])
+    assoc = Association(pairs, [j for j in range(m) if j not in used])
     agent_from_radar, world_from_agent = random_pose(rng, 2.0), random_pose(rng)
 
-    dets = synthesize(assoc, bboxes, points, agent_from_radar, cfg)
-    picks = [(j, bboxes[i].score, SOURCE_FUSED, 1.0, bboxes[i].timestamp) for i, j in pairs]
-    picks += [(j, RADAR_ONLY_SCORE, SOURCE_RADAR, RADAR_ONLY_COV_SCALE, points[j].timestamp)
-              for j in assoc.unmatched_radar]
-    assert len(dets) == len(picks)
+    dets = synthesize(assoc, points, agent_from_radar, cfg)
+    picks = [(j, 1.0) for _, j in pairs]
+    picks += [(j, RADAR_ONLY_COV_SCALE) for j in assoc.unmatched_radar]
+    assert dets.positions.shape == (len(picks), 3)
+    assert dets.covs.shape == (len(picks), 3, 3)
     r = agent_from_radar.rotation
-    for det, (j, score, source, scale, t) in zip(dets, picks):
-        cov = scale * (r @ ref_radar_cov(points[j].position, cfg) @ r.T)
-        assert np.array_equal(det.position, ref_transform_point(agent_from_radar,
-                                                                points[j].position))
-        assert np.array_equal(det.cov, symmetrize(cov))
-        assert (det.radial_speed, det.source, det.score, det.timestamp) == \
-            (points[j].radial_speed, source, score, t)
+    for pos, cov, (j, scale) in zip(dets.positions, dets.covs, picks):
+        assert np.array_equal(pos, ref_transform_point(agent_from_radar, points[j].position))
+        assert np.array_equal(cov, symmetrize(scale * (r @ ref_radar_cov(points[j].position,
+                                                                          cfg) @ r.T)))
 
-    world = transform_detections(world_from_agent, dets)
+    world = dets.to_parent(world_from_agent)
+    assert world.positions.shape == dets.positions.shape
+    assert world.covs.shape == dets.covs.shape
     r = world_from_agent.rotation
-    for det, w in zip(dets, world):
-        assert np.array_equal(w.position, ref_transform_point(world_from_agent, det.position))
-        assert np.array_equal(w.cov, symmetrize(r @ det.cov @ r.T))
-        assert (w.radial_speed, w.source, w.score, w.timestamp) == \
-            (det.radial_speed, det.source, det.score, det.timestamp)
+    for pos, cov, w_pos, w_cov in zip(dets.positions, dets.covs, world.positions, world.covs):
+        assert np.array_equal(w_pos, ref_transform_point(world_from_agent, pos))
+        assert np.array_equal(w_cov, symmetrize(r @ cov @ r.T))
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,8 +383,8 @@ def test_frustum_associate_equals_scalar_reference(seed, n, m):
     for _ in range(n):
         u, v = rng.uniform(0, 1800), rng.uniform(0, 1000)
         bboxes.append(Detection2D((u, v, u + rng.uniform(20, 400), v + rng.uniform(20, 300)),
-                                  1.0, "cam", 0.0))
-    points = [RadarPoint(rng.normal(0.0, 20.0, 3), 0.0, 20.0, "radar", 0.0) for _ in range(m)]
+                                  1.0))
+    points = [RadarPoint(rng.normal(0.0, 20.0, 3), 0.0, 20.0) for _ in range(m)]
     cost = ref_frustum_cost(bboxes, points, cam_from_radar)
     assoc = frustum_associate(bboxes, points, K, cam_from_radar)
     assert assoc.pairs == [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]

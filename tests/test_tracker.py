@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
 import fusionsim.tracker as tracker_module
-from fusionsim.fusion import Detection3D, SOURCE_FUSED
+from fusionsim.fusion import Detections
 from fusionsim.tracker import (
     CHI2_QUANTILES,
     CONFIRMED,
@@ -33,9 +33,15 @@ from fusionsim.tracker import (
 )
 
 
-def det(pos, var=1.0, t=0.0):
-    return Detection3D(np.asarray(pos, dtype=float), 0.0, var * np.eye(3),
-                       SOURCE_FUSED, 1.0, t)
+def det(pos, var=1.0):
+    """A batch of one detection at ``pos``."""
+    return Detections(np.array([pos], dtype=float), var * np.eye(3)[None])
+
+
+def batch(*dets):
+    """The rows of the given batches, in order, as one batch."""
+    return Detections(np.array([p for d in dets for p in d.positions]).reshape(-1, 3),
+                      np.array([c for d in dets for c in d.covs]).reshape(-1, 3, 3))
 
 
 def fresh_track(mean=None, cov=None, stamp=0.0):
@@ -83,31 +89,31 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_mean_shrinks_cov(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update([tr], [det([1, 2, 3])])[0]
+        out = update([tr], det([1, 2, 3]))[0]
         assert np.allclose(out.mean, tr.mean, atol=1e-12)
         assert np.trace(out.cov) < np.trace(tr.cov)
 
     def test_scalar_kalman_algebra(self):
         # prior var 1, measurement var 1, offset 1: posterior offset 0.5, var 0.5
         tr = fresh_track()
-        out = update([tr], [det([1, 0, 0])])[0]
+        out = update([tr], det([1, 0, 0]))[0]
         assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
         assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_uninformative_measurement(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update([tr], [det([100, 100, 100], var=1e12)])[0]
+        out = update([tr], det([100, 100, 100], var=1e12))[0]
         assert np.abs(out.mean - tr.mean).max() < 1e-6
 
     def test_singular_innovation(self):
         tr = fresh_track(cov=np.zeros((6, 6)))
         with pytest.raises(SingularInnovation):
-            update([tr], [det([0, 0, 0], var=0.0)])
+            update([tr], det([0, 0, 0], var=0.0))
 
     def test_counters_and_history(self):
         tr = fresh_track()
-        out = update([tr], [det([0.1, 0, 0])])[0]
-        assert out.hits == 2 and out.misses == 0
+        out = update([tr], det([0.1, 0, 0]))[0]
+        assert out.misses == 0
 
 
 def random_tracks(rng, n):
@@ -117,15 +123,20 @@ def random_tracks(rng, n):
         a = rng.normal(size=(6, 6))
         tr = Track(i + 1, rng.normal(scale=5.0, size=6), a @ a.T + 0.01 * np.eye(6),
                    float(rng.uniform(0.0, 10.0)), confirm_n=5)
-        tr.hits = int(rng.integers(1, 9))
         tr.misses = int(rng.integers(0, 3))
         tr.recent.extend(bool(b) for b in rng.random(int(rng.integers(0, 6))) < 0.5)
         tracks.append(tr)
     return tracks
 
 
+def random_detection(rng):
+    """A one-detection batch with a random position and covariance."""
+    b = rng.normal(size=(3, 3))
+    return Detections(rng.normal(scale=5.0, size=(1, 3)), (b @ b.T + 0.01 * np.eye(3))[None])
+
+
 def lifecycle(tr):
-    return (tr.id, tr.status, tr.hits, tr.misses, list(tr.recent), tr.recent.maxlen,
+    return (tr.id, tr.status, tr.misses, list(tr.recent), tr.recent.maxlen,
             tr.stamp)
 
 
@@ -136,23 +147,19 @@ class TestStacked:
     def test_equal_per_track_kernels_bit_for_bit(self, n, seed, dt, q):
         rng = np.random.default_rng(seed)
         tracks = random_tracks(rng, n)
-        dets = []
-        for _ in range(n):
-            b = rng.normal(size=(3, 3))
-            dets.append(Detection3D(rng.normal(scale=5.0, size=3), 0.0,
-                                    b @ b.T + 0.01 * np.eye(3), SOURCE_FUSED, 1.0, 0.0))
+        dets = [random_detection(rng) for _ in range(n)]
         before = [tr.to_dict() for tr in tracks]
         predicted = predict(tracks, dt, q)
-        updated = update(predicted, dets)
+        updated = update(predicted, batch(*dets))
         assert len(predicted) == len(updated) == n
         assert [tr.to_dict() for tr in tracks] == before
         for tr, p, u, d in zip(tracks, predicted, updated, dets):
             mean, cov = kalman_predict(tr.mean, tr.cov, dt, q)
             assert np.array_equal(p.mean, mean) and np.array_equal(p.cov, cov)
-            mean, cov = kalman_update(mean, cov, d.position, d.cov)
+            mean, cov = kalman_update(mean, cov, d.positions[0], d.covs[0])
             assert np.array_equal(u.mean, mean) and np.array_equal(u.cov, cov)
             assert lifecycle(p) == lifecycle(predict([tr], dt, q)[0])
-            assert lifecycle(u) == lifecycle(update([p], [d])[0])
+            assert lifecycle(u) == lifecycle(update([p], d)[0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -197,16 +204,16 @@ class TestStacked:
         singular = fresh_track(mean=[20, 0, 0, 0, 0, 0], cov=np.zeros((6, 6)))
         dets = [det([0, 0, 0]), det([10, 0, 0]), det([20, 0, 0], var=0.0)]
         with pytest.raises(SingularInnovation):
-            update(regular + [singular], dets)
-        update(regular, dets[:2])  # every other pair is regular
+            update(regular + [singular], batch(*dets))
+        update(regular, batch(*dets[:2]))  # every other pair is regular
         # a zero-variance detection spawns a track with a zero position
         # block; at dt = 0 another one makes its innovation singular
         tk = Tracker()
-        tk.step([det([0, 0, 0])], 0.0)
-        tk.step([det([0.1, 0, 0]), det([20, 0, 0], var=0.0)], 0.1)
+        tk.step(det([0, 0, 0]), 0.0)
+        tk.step(batch(det([0.1, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
         before = tk.state_dict()
         with pytest.raises(SingularInnovation):
-            tk.step([det([0.2, 0, 0]), det([20, 0, 0], var=0.0)], 0.1)
+            tk.step(batch(det([0.2, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
         assert tk.state_dict() == before
         # the gate sees the same S as the update, so force the update to
         # raise after a time advance that moved every predicted track
@@ -214,25 +221,25 @@ class TestStacked:
             raise SingularInnovation("forced")
         monkeypatch.setattr(tracker_module, "update", singular_update)
         with pytest.raises(SingularInnovation):
-            tk.step([det([0.3, 0, 0])], 0.2)
+            tk.step(det([0.3, 0, 0]), 0.2)
         assert tk.state_dict() == before
 
 
 class TestGate:
     def test_at_predicted_position(self):
-        cost = gate([fresh_track()], [det([0, 0, 0], var=1.0)])
+        cost = gate([fresh_track()], det([0, 0, 0], var=1.0))
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost = gate([tr], [det([3, 0, 0], var=1.0)], gate_prob=0.99)
+        cost = gate([tr], det([3, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost = gate([tr], [det([4, 0, 0], var=1.0)], gate_prob=0.99)
+        cost = gate([tr], det([4, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == np.inf
         d2, singular = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)],
                                    chi2_quantile(0.99, 3))
@@ -249,31 +256,27 @@ class TestGate:
             a = rng.normal(size=(6, 6))
             tracks.append(Track(i, rng.normal(scale=5.0, size=6),
                                 a @ a.T + 0.01 * np.eye(6), 0.0, confirm_n=5))
-        dets = []
-        for _ in range(m):
-            b = rng.normal(size=(3, 3))
-            dets.append(Detection3D(rng.normal(scale=5.0, size=3), 0.0,
-                                    b @ b.T + 0.01 * np.eye(3), SOURCE_FUSED, 1.0, 0.0))
+        dets = [random_detection(rng) for _ in range(m)]
         gamma = chi2_quantile(gate_prob, 3)
         reference = np.full((n, m), np.inf)
         for i, tr in enumerate(tracks):
             for j, d in enumerate(dets):
-                delta = d.position - tr.mean[:3]
-                d2 = float(delta @ np.linalg.solve(d.cov + tr.cov[:3, :3], delta))
+                delta = d.positions[0] - tr.mean[:3]
+                d2 = float(delta @ np.linalg.solve(d.covs[0] + tr.cov[:3, :3], delta))
                 if d2 <= gamma:
                     reference[i, j] = d2
-        cost = gate(tracks, dets, gate_prob)
+        cost = gate(tracks, batch(*dets), gate_prob)
         assert cost.shape == (n, m)
         assert np.array_equal(cost, reference)
 
     def test_any_singular_pair_raises(self):
         tracks = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in range(3)]
         tracks.append(fresh_track(cov=np.zeros((6, 6))))
-        dets = [det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0)]
+        dets = batch(det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0))
         with pytest.raises(SingularInnovation):
             gate(tracks, dets)
         gate(tracks[:3], dets)  # every other pair is regular
-        gate(tracks, dets[:2])
+        gate(tracks, Detections(dets.positions[:2], dets.covs[:2]))
 
     def test_quantile_lookup(self):
         assert chi2_quantile(0.99, 3) == 11.345
@@ -284,10 +287,10 @@ class TestGate:
 class TestStepLifecycle:
     def test_confirm_at_third_frame(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5, q=0.5))
-        stream = [det([1.0 + 0.1 * k, 0, 0], var=0.01, t=k * 0.1) for k in range(10)]
+        stream = [det([1.0 + 0.1 * k, 0, 0], var=0.01) for k in range(10)]
         statuses = []
         for k, d in enumerate(stream):
-            tk.step([d], k * 0.1)
+            tk.step(d, k * 0.1)
             statuses.append(tk.tracks[0].status)
         assert statuses[:2] == [TENTATIVE, TENTATIVE]
         assert statuses[2] == CONFIRMED
@@ -297,18 +300,18 @@ class TestStepLifecycle:
     def test_all_tracks_die_without_detections(self):
         cfg = TrackerConfig(max_misses=3)
         tk = Tracker(cfg)
-        tk.step([det([0, 0, 0])], 0.0)
+        tk.step(det([0, 0, 0]), 0.0)
         assert len(tk.tracks) == 1
         for k in range(1, 6):
-            tk.step([], k * 0.1)
+            tk.step(batch(), k * 0.1)
         assert tk.tracks == []
 
     def test_two_separated_objects_two_tracks_no_switch(self):
         tk = Tracker(TrackerConfig(q=0.5))
         for k in range(100):
             t = k * 0.1
-            tk.step([det([10 + t, 0, 0], var=0.01, t=t),
-                     det([-10 - t, 0, 0], var=0.01, t=t)], t)
+            tk.step(batch(det([10 + t, 0, 0], var=0.01),
+                          det([-10 - t, 0, 0], var=0.01)), t)
         assert len(tk.tracks) == 2
         ids = sorted(tr.id for tr in tk.tracks)
         assert ids == [1, 2]  # never replaced
@@ -318,8 +321,8 @@ class TestStepLifecycle:
         seen = set()
         rng = np.random.default_rng(0)
         for k in range(50):
-            dets = [det(rng.uniform(-100, 100, size=3), t=k * 0.1)
-                    for _ in range(int(rng.integers(0, 3)))]
+            dets = batch(*[det(rng.uniform(-100, 100, size=3))
+                           for _ in range(int(rng.integers(0, 3)))])
             tk.step(dets, k * 0.1)
             for tr in tk.tracks:
                 if tr.id not in seen:
@@ -328,17 +331,17 @@ class TestStepLifecycle:
 
     def test_time_going_backwards_rejected(self):
         tk = Tracker()
-        tk.step([], 1.0)
+        tk.step(batch(), 1.0)
         with pytest.raises(TrackerError):
-            tk.step([], 0.5)
+            tk.step(batch(), 0.5)
 
     def test_step_determinism(self):
         def run():
             tk = Tracker(TrackerConfig())
             rng = np.random.default_rng(11)
             for k in range(40):
-                dets = [det(rng.normal(scale=20, size=3), var=0.5, t=k * 0.1)
-                        for _ in range(int(rng.integers(0, 4)))]
+                dets = batch(*[det(rng.normal(scale=20, size=3), var=0.5)
+                               for _ in range(int(rng.integers(0, 4)))])
                 tk.step(dets, k * 0.1)
             return tk.state_dict()
         assert run() == run()
@@ -402,7 +405,7 @@ class TestBatchRollback:
         batches = []
         for k in range(n):
             t = k * dt
-            dets = [det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04, t=t)]
+            dets = det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04)
             batches.append(((t, LANE_LOCAL, 0), dets, t))
         return batches
 
@@ -416,7 +419,7 @@ class TestBatchRollback:
 
     def test_delayed_batch_matches_in_order_oracle(self):
         batches = self.make_batches()
-        late = ((0.33, LANE_EDGE, 7), [det([5.4, 0.2, 0], var=0.01, t=0.33)], 0.33)
+        late = ((0.33, LANE_EDGE, 7), det([5.4, 0.2, 0], var=0.01), 0.33)
         # actual: late batch arrives after everything else
         actual = Tracker()
         for key, dets, t in batches:
@@ -435,7 +438,7 @@ class TestBatchRollback:
         for i, (key, dets, t) in enumerate(batches):
             if i % 5 == 2:
                 lates.append(((t, LANE_EDGE, i),
-                              [det([5.0 + t, 0.1, 0], var=0.02, t=t)], t))
+                              det([5.0 + t, 0.1, 0], var=0.02), t))
         actual = Tracker()
         arrival = []
         for i, b in enumerate(batches):
@@ -464,10 +467,10 @@ class TestBatchRollback:
         local = []
         for k in range(30):
             t = k * dt
-            dets = [det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04, t=t),
-                    det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04, t=t)]
+            dets = batch(det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04),
+                         det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04))
             local.append(((t, LANE_LOCAL, 0), dets, t))
-        edge = [((k * dt, LANE_EDGE, i), [det([5.0 + k * dt, 0.1, 0], var=0.02, t=k * dt)],
+        edge = [((k * dt, LANE_EDGE, i), det([5.0 + k * dt, 0.1, 0], var=0.02),
                  k * dt) for i, (k, _, _) in enumerate(edges)]
         arrival = sorted(
             [(k + 0.5, b) for k, b in enumerate(local)]
@@ -485,7 +488,7 @@ class TestBatchRollback:
         batches = self.make_batches()
         # a zero-variance detection spawns a track with a zero position
         # block; a second one at the same time makes its innovation singular
-        twin = [det([20.0, 0, 0], var=0.0, t=0.3)]
+        twin = det([20.0, 0, 0], var=0.0)
         second = ((0.3, LANE_EDGE, 8), twin, 0.3)
         first = ((0.3, LANE_EDGE, 7), twin, 0.3)
         tk, oracle = Tracker(), Tracker()
@@ -502,28 +505,55 @@ class TestBatchRollback:
                 [(k, state) for k, _, _, state in tk._history]) == before
         # and the tracker goes on exactly like one that never saw the batch
         for tracker in (tk, oracle):
-            tracker.process_batch((0.42, LANE_EDGE, 9), [det([5.4, 0, 0], t=0.42)], 0.42)
-            tracker.process_batch((1.0, LANE_LOCAL, 0), [det([6.0, 0, 0], t=1.0)], 1.0)
+            tracker.process_batch((0.42, LANE_EDGE, 9), det([5.4, 0, 0]), 0.42)
+            tracker.process_batch((1.0, LANE_LOCAL, 0), det([6.0, 0, 0]), 1.0)
         assert tk.state_dict() == oracle.state_dict()
+
+    def test_empty_batch_scores_misses_in_order(self):
+        batches = self.make_batches(n=4)
+        tk, oracle = Tracker(), Tracker()
+        for key, dets, t in batches:
+            tk.process_batch(key, dets, t)
+            oracle.step(dets, t)
+        misses = [tr.misses for tr in tk.tracks]
+        assert tk.process_batch((0.2, LANE_EDGE, 1), batch(), 0.2)
+        oracle.step(batch(), 0.2)
+        assert [tr.misses for tr in tk.tracks] == [m + 1 for m in misses]
+        assert all(not tr.recent[-1] for tr in tk.tracks)
+        assert tk.state_dict() == oracle.state_dict()
+
+    def test_empty_batch_scores_misses_in_a_rollback(self):
+        batches = self.make_batches(n=10)
+        late = ((0.22, LANE_EDGE, 3), batch(), 0.22)
+        actual = Tracker()
+        for key, dets, t in batches:
+            actual.process_batch(key, dets, t)
+        plain = actual.state_dict()
+        assert actual.process_batch(*late)
+        oracle = Tracker()
+        for key, dets, t in sorted(batches + [late], key=lambda b: b[0]):
+            oracle.process_batch(key, dets, t)
+        assert actual.state_dict() == oracle.state_dict()
+        assert actual.state_dict() != plain  # the replayed miss shows
 
     def test_too_old_batch_rejected(self):
         batches = self.make_batches(n=40, dt=0.05)  # spans 2 s > horizon 1 s
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
         for key, dets, t in batches:
             tk.process_batch(key, dets, t)
-        stale = ((0.1, LANE_EDGE, 99), [det([5, 0, 0], t=0.1)], 0.1)
+        stale = ((0.1, LANE_EDGE, 99), det([5, 0, 0]), 0.1)
         assert not tk.process_batch(*stale)
         # and the state is untouched by the refused batch
         before = tk.state_dict()
-        assert not tk.process_batch((0.11, LANE_EDGE, 100), [det([5, 0, 0], t=0.11)], 0.11)
+        assert not tk.process_batch((0.11, LANE_EDGE, 100), det([5, 0, 0]), 0.11)
         assert tk.state_dict() == before
 
     def test_duplicate_key_rejected(self):
         tk = Tracker()
         key = (0.0, LANE_LOCAL, 0)
-        tk.process_batch(key, [det([1, 0, 0])], 0.0)
+        tk.process_batch(key, det([1, 0, 0]), 0.0)
         with pytest.raises(TrackerError):
-            tk.process_batch(key, [det([1, 0, 0])], 0.0)
+            tk.process_batch(key, det([1, 0, 0]), 0.0)
 
     @staticmethod
     def run_history(local_delays, edges, horizon=0.25, dt=0.125):
@@ -539,13 +569,13 @@ class TestBatchRollback:
         arrivals = []
         for k, d in enumerate(local_delays):
             t = k * dt
-            dets = [det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04, t=t),
-                    det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04, t=t)]
+            dets = batch(det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04),
+                         det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04))
             arrivals.append((k + d, (t, LANE_LOCAL, 0), dets, t))
         for i, (k, d) in enumerate(edges):
             t = k * dt
             arrivals.append((k + d, (t, LANE_EDGE, i),
-                             [det([5.0 + t, 0.1, 0], var=0.02, t=t)], t))
+                             det([5.0 + t, 0.1, 0], var=0.02), t))
         arrivals.sort(key=lambda a: (a[0], a[1]))
 
         tk = Tracker(TrackerConfig(snapshot_horizon=horizon))
@@ -577,7 +607,7 @@ class TestBatchRollback:
             assert stored.state_dict() == after[key]
         # a key already held is a duplicate wherever it sits
         with pytest.raises(TrackerError):
-            tk.process_batch(retained[0], [], retained[0][0])
+            tk.process_batch(retained[0], batch(), retained[0][0])
         assert tk.state_dict() == oracle.state_dict()
         return seen
 
