@@ -186,22 +186,6 @@ def decode(data: bytes) -> tuple[BusFrame, int]:
     return BusFrame(msg_type, timestamp_ns, topic, payload, version=version), off
 
 
-def decode_stream(data: bytes) -> list[BusFrame]:
-    """Decode a concatenation of frames; raises on any malformed remainder."""
-    frames = []
-    off = 0
-    while off < len(data):
-        frame, used = decode(data[off:])
-        frames.append(frame)
-        off += used
-    return frames
-
-
-def topic_matches(subscription: str, topic: str) -> bool:
-    """Prefix subscription semantics: "tracks/" matches "tracks/ego"."""
-    return topic.startswith(subscription)
-
-
 @dataclass(frozen=True)
 class LinkParams:
     base_latency: float = 0.02

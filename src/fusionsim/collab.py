@@ -24,6 +24,7 @@ from .tracker import (
     Tracker,
     chi2_quantile,
     eig_regular,
+    gate_cost,
     kalman_predict,
     position_d2,
     spawn,
@@ -84,9 +85,10 @@ class CollabState:
     """Receiver-side counters.
 
     ``singular`` counts the track pairs a gate found with a singular
-    summed position covariance (rcond below 1e-12); such a pair counts as
-    not gated.  Its key is reported only once it is non-zero, so healthy
-    runs report the same keys.
+    summed position covariance (rcond below 1e-12).  Such a pair is never
+    fused or merged, and its remote track is skipped (see
+    ``tracker.gate_cost``).  Its key is reported only once it is non-zero,
+    so healthy runs report the same keys.
     """
 
     received: int = 0
@@ -138,28 +140,20 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float,
 def t2t_associate(local: list[Track],
                   remote: list[tuple[np.ndarray, np.ndarray]],
                   gate_prob: float = 0.99,
-                  state: CollabState | None = None) -> list[tuple[int, int]]:
+                  state: CollabState | None = None) -> tuple[list[tuple[int, int]], list[int]]:
     """One-to-one local/remote pairing on position-block Mahalanobis distance.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
-    the chi-square quantile for 3 dof.  A pair with a singular summed
-    covariance is not gated; ``state`` counts it.
+    the chi-square quantile for 3 dof by ``tracker.gate_cost``.  Returns
+    the (local, remote) pairs and the remote tracks skipped for a pair
+    with a singular summed covariance, which ``state`` counts.
     """
-    gamma = chi2_quantile(gate_prob, 3)
-    d2 = _gate_d2([tr.mean for tr in local], [tr.cov for tr in local],
-                  [mean for mean, _ in remote], [cov for _, cov in remote], gamma, state)
-    return assign(np.where(d2 <= gamma, d2, np.inf))
-
-
-def _gate_d2(means_a, covs_a, means_b, covs_b, gamma: float,
-             state: CollabState | None) -> np.ndarray:
-    """``position_d2`` for collaboration's gates at ``gamma``: a pair with
-    a singular summed covariance is inf, so not gated, and is counted in
-    ``state.singular``."""
-    d2, singular = position_d2(means_a, covs_a, means_b, covs_b, gamma)
+    cost, skipped, singular = gate_cost(
+        [tr.mean for tr in local], [tr.cov for tr in local],
+        [mean for mean, _ in remote], [cov for _, cov in remote], chi2_quantile(gate_prob, 3))
     if state is not None:
-        state.singular += int(singular.sum())
-    return d2
+        state.singular += singular
+    return assign(cost), skipped
 
 
 def _check_invertible(p: np.ndarray, label: str) -> None:
@@ -289,7 +283,9 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     phantom tracks.  Fusion and spawning follow the tracker's own hit and
     spawn rules, so both count as a sighting for M-of-N confirmation.
     Association, the spawn check and the duplicate merge all gate at the
-    tracker's ``gate_prob``; prediction uses its ``q``.  Per-message
+    tracker's ``gate_prob``; prediction uses its ``q``.  A remote track in
+    a pair with a singular summed covariance is neither fused nor spawned,
+    and the pair is counted (``tracker.gate_cost``).  Per-message
     failures are counted and never abort the step: a message too old to
     use counts as stale, and a malformed one (a non-finite or asymmetric
     track, a timestamp from the future) as rejected.  Each message assigns
@@ -308,8 +304,9 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             state.rejected += 1
             continue
         tracks = list(tracker.tracks)
-        pairs = t2t_associate(tracks, [(m, c) for _, m, c in aligned], cfg.gate_prob, state)
-        matched_remote = set()
+        pairs, skipped = t2t_associate(tracks, [(m, c) for _, m, c in aligned],
+                                       cfg.gate_prob, state)
+        done = set(skipped)  # fused, or skipped for a singular pair
         for i, j in pairs:
             tr = tracks[i]
             _, mean_r, cov_r = aligned[j]
@@ -320,26 +317,21 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
                 continue
             tracks[i] = tr.sighted(*fused).confirm(cfg.confirm_m)
             state.fused += 1
-            matched_remote.add(j)
+            done.add(j)
         next_id = tracker.next_id
         for j, (_, mean_r, cov_r) in enumerate(aligned):
-            if j in matched_remote:
+            if j in done:
                 continue
-            if np.any(_d2_to_tracks(mean_r, cov_r, tracks, gamma, state) <= gamma):
+            cost, skip, singular = gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
+                                             [mean_r], [cov_r], gamma)
+            state.singular += singular
+            if skip or np.isfinite(cost).any():
                 continue
             tracks.append(spawn(next_id, mean_r, symmetrize(cov_r), t_now, cfg))
             next_id += 1
             state.spawned += 1
         tracker.tracks, tracker.next_id = tracks, next_id
     _merge_duplicates(tracker, state)
-
-
-def _d2_to_tracks(mean: np.ndarray, cov: np.ndarray, tracks: list[Track],
-                  gamma: float, state: CollabState) -> np.ndarray:
-    """Position d^2 of one estimate against each of ``tracks``, gated at
-    ``gamma`` as ``_gate_d2`` does."""
-    return _gate_d2([mean], [cov], [tr.mean for tr in tracks],
-                    [tr.cov for tr in tracks], gamma, state)[0]
 
 
 def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
@@ -355,7 +347,8 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     is read in the elder's turn.  Only elders are replaced, each in its
     own turn, so the elder and every younger live track are then still
     the published tracks that call gated.  After a merge the younger
-    live tracks are gated again against the moved elder.
+    live tracks are gated again against the moved elder.  A pair with a
+    singular summed covariance is inf, so never merged, and is counted.
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
@@ -385,7 +378,10 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
             state.merged += 1
             # the elder moved: gate the younger live tracks against its new estimate
             live = [m for m in range(k + 1, len(tracks)) if tracks[m].id not in dead]
-            d2[live] = _d2_to_tracks(a.mean, a.cov, [tracks[m] for m in live], gamma, state)
+            d2_live, singular = position_d2([a.mean], [a.cov], [tracks[m].mean for m in live],
+                                            [tracks[m].cov for m in live], gamma)
+            state.singular += int(singular.sum())
+            d2[live] = d2_live[0]
     if dead:
         tracker.tracks = [elders.get(tr.id, tr) for tr in tracker.tracks
                           if tr.id not in dead]

@@ -2,15 +2,17 @@
 
 The ego submits compute-heavy perception tasks to edge workers and gets
 results back later.  Results are folded into the tracker by rollback and
-replay against the tracker's snapshot ring, which reproduces in-order
-processing exactly for any delay inside the snapshot horizon.  The worker
-itself is an emulation: a configurable latency plus a high-accuracy
-sensor profile over ground truth standing in for stereo depth inference.
+replay against the tracker's keyed batch history, which reproduces
+in-order processing exactly for any delay inside the snapshot horizon.
+The worker itself is an emulation: a configurable latency plus a
+high-accuracy sensor profile over ground truth standing in for stereo
+depth inference.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,7 @@ from .bus import payload_array, payload_field
 from .fusion import SOURCE_FUSED, Detections, radar_measurement_cov
 from .geometry import Pose, inverse
 from .sensing import GroundTruthObject, SensorNoiseConfig, in_range, perturb_polar
-from .tracker import LANE_EDGE, SingularInnovation, Tracker
+from .tracker import LANE_EDGE, Tracker
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -93,7 +95,6 @@ class TaskResult:
 @dataclass
 class WorkerInfo:
     worker_id: str
-    busy: bool = False
     last_heartbeat: float = 0.0
 
 
@@ -114,20 +115,21 @@ class WorkerPool:
         return None
 
 
-def dispatch(pool: WorkerPool, req: TaskRequest) -> str:
+def dispatch(pool: WorkerPool, pending: Iterable[PendingTask]) -> str:
     """Round-robin pick of an idle worker; returns its id or QUEUED.
 
+    A worker is busy exactly when one of the ``pending`` tasks names it.
     The cursor starts the scan, so equally loaded workers share tasks
-    evenly; the chosen worker is marked busy.
+    evenly.
     """
+    busy = {pend.worker_id for pend in pending}
     n = len(pool.workers)
     for k in range(n):
         idx = (pool.rr_cursor + k) % n
-        w = pool.workers[idx]
-        if not w.busy:
-            w.busy = True
+        worker_id = pool.workers[idx].worker_id
+        if worker_id not in busy:
             pool.rr_cursor = (idx + 1) % n
-            return w.worker_id
+            return worker_id
     return QUEUED
 
 
@@ -187,8 +189,9 @@ class Broker:
 
     Every task terminates in exactly one counter; their sum always equals
     the number of submissions (the conservation invariant the tests pin).
-    A counter outside the defaults, such as ``singular_dropped``, appears
-    when it is first reached, so healthy runs report the same keys.
+    A worker's busy state is not stored: it is busy while a pending task
+    names it, so settling a task frees its worker, and a result for a task
+    that is not pending changes nothing.
     """
 
     pool: WorkerPool = field(default_factory=WorkerPool)
@@ -209,10 +212,10 @@ class Broker:
         return self._place(req, now, retries=0)
 
     def _place(self, req: TaskRequest, submitted: float, retries: int) -> str | None:
-        target = dispatch(self.pool, req)
+        target = dispatch(self.pool, self.pending.values())
         if target == QUEUED:
             if len(self.queue) >= self.queue_bound:
-                self._terminate(req.task_id, "queue_dropped")
+                self.counters["queue_dropped"] += 1
                 return None
             self.queue.append(req)
             self.pending[req.task_id] = PendingTask(req, submitted, None, retries)
@@ -220,49 +223,46 @@ class Broker:
         self.pending[req.task_id] = PendingTask(req, submitted, target, retries)
         return target
 
+    def _release(self, task_id: int) -> None:
+        """Take a task out of ``pending``, and out of the queue if it waits
+        there; its worker is free again."""
+        pend = self.pending.pop(task_id)
+        if pend.worker_id is None:
+            self.queue.remove(pend.req)
+
     def _terminate(self, task_id: int, counter: str) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + 1
-        self.pending.pop(task_id, None)
+        self.counters[counter] += 1
+        self._release(task_id)
 
-    def worker_done(self, worker_id: str) -> list[tuple[TaskRequest, str]]:
-        """Mark a worker idle again and drain the queue onto free workers.
-
-        Returns (request, worker id) pairs that should now be transmitted.
-        """
-        w = self.pool.get(worker_id)
-        if w is not None:
-            w.busy = False
+    def _drain(self) -> list[tuple[TaskRequest, str]]:
+        """Dispatch queued tasks, in order, onto idle workers; returns
+        (request, worker id) pairs that should now be transmitted."""
         sends = []
         while self.queue:
-            req = self.queue[0]
-            target = dispatch(self.pool, req)
+            target = dispatch(self.pool, self.pending.values())
             if target == QUEUED:
                 break
-            self.queue.pop(0)
-            pend = self.pending[req.task_id]
-            pend.worker_id = target
+            req = self.queue.pop(0)
+            self.pending[req.task_id].worker_id = target
             sends.append((req, target))
         return sends
 
-    def on_result(self, result: TaskResult, worker_id: str, tracker: Tracker,
+    def on_result(self, result: TaskResult, tracker: Tracker,
                   t_now: float) -> tuple[bool, list[tuple[TaskRequest, str]]]:
-        """Handle a TASK_RESP from ``worker_id``; returns (integrated, resends).
-        A result for a task that is not pending (settled already, or never
-        submitted) is ignored."""
-        sends = self.worker_done(worker_id)
+        """Handle a TASK_RESP; returns (integrated, resends).  Settling the
+        task frees its worker for the queue.  A result for a task that is
+        not pending (settled already, or never submitted) is ignored."""
         task_id = result.task_id
         if task_id not in self.pending:
-            return False, sends
+            return False, []
+        applied = False
         if result.status != STATUS_OK:
-            self._terminate(task_id, "failed")
-            return False, sends
-        try:
+            counter = "failed"
+        else:
             applied = integrate(tracker, result, t_now)
-        except SingularInnovation:  # process_batch left the tracker as it was
-            self._terminate(task_id, "singular_dropped")
-            return False, sends
-        self._terminate(task_id, "ok_integrated" if applied else "stale_dropped")
-        return applied, sends
+            counter = "ok_integrated" if applied else "stale_dropped"
+        self._terminate(task_id, counter)
+        return applied, self._drain()
 
     def heartbeat(self, worker_id: str, now: float) -> None:
         w = self.pool.get(worker_id)
@@ -317,17 +317,11 @@ def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]
             (pend.worker_id is not None and pend.worker_id in dead_ids)
         if not expired:
             continue
-        if pend.worker_id is not None and pend.worker_id not in dead_ids:
-            w = broker.pool.get(pend.worker_id)
-            if w is not None:
-                w.busy = False
-        if pend.req in broker.queue:
-            broker.queue.remove(pend.req)
         if pend.retries >= 1:
             broker._terminate(task_id, "timeout_dropped")
             continue
         broker.counters["retries"] += 1
-        broker.pending.pop(task_id, None)
+        broker._release(task_id)
         target = broker._place(pend.req, t_now, retries=1)
         if target is not None:
             sends.append((pend.req, target))

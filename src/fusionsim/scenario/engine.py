@@ -391,14 +391,14 @@ class Engine:
                                 self.worker_rngs[wid])
         self._push(t + result.compute_latency, KIND_TASK, (wid, result))
 
-    def _parse_task_resp(self, frame: BusFrame) -> tuple[str, TaskResult]:
+    def _parse_task_resp(self, frame: BusFrame) -> tuple[TaskResult]:
         parts = frame.topic.rsplit("/", 2)
-        return (self._worker(f"{parts[-2]}/{parts[-1]}"),
-                TaskResult.from_payload(canonical_loads(frame.payload)))
+        self._worker(f"{parts[-2]}/{parts[-1]}")  # a result from no worker of ours is malformed
+        return (TaskResult.from_payload(canonical_loads(frame.payload)),)
 
-    def _on_task_resp(self, t: float, dst: str, wid: str, result: TaskResult) -> None:
+    def _on_task_resp(self, t: float, dst: str, result: TaskResult) -> None:
         ego = self.agents[self.ego_id]
-        _, sends = self.broker.on_result(result, wid, ego.tracker, t)
+        _, sends = self.broker.on_result(result, ego.tracker, t)
         for req, target in sends:
             self._send_task_req(req, target, t)
 
@@ -487,6 +487,11 @@ class Engine:
             c = dict(self.broker.counters)
             c["pending_at_end"] = len(self.broker.pending)
             counters["offload"] = c
+        # reported only when non-zero, so healthy runs report the same keys
+        singular = {aid: {"singular": rt.tracker.singular}
+                    for aid, rt in sorted(self.agents.items()) if rt.tracker.singular}
+        if singular:
+            counters["tracker"] = singular
         report = {
             "fusionsim_version": __version__,
             "scenario": self.sc.to_dict(),

@@ -357,15 +357,3 @@ def _from_polar(r: float, az: float, el: float) -> np.ndarray:
         r * math.sin(el),
     ])
 
-
-def camera_preset(name: str) -> dict:
-    if name not in CAMERA_PRESETS:
-        raise SensingError(f"unknown camera preset {name!r}; have {sorted(CAMERA_PRESETS)}")
-    return CAMERA_PRESETS[name]
-
-
-def radar_preset(name: str) -> dict:
-    if name not in RADAR_PRESETS:
-        raise SensingError(f"unknown radar preset {name!r}; have {sorted(RADAR_PRESETS)}")
-    return RADAR_PRESETS[name]
-

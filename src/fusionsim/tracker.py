@@ -10,13 +10,15 @@ call per track or pair.  Gating is one all-pairs call: ``position_d2``
 stacks every track x detection residual and innovation covariance, tests
 every covariance's rcond, and solves the pairs together; in calls of
 more than ``_FEW_PAIRS`` pairs it solves only those a gate at the
-caller's chi-square quantile gamma could pass.  Collaboration
-(``collab``) gates with the same kernel.  The exact pre-gate skips a
-pair with a positive definite S and |delta|^2 > 2 gamma tr(S): its d2
-exceeds |delta|^2 / lambda_max(S) > |delta|^2 / tr(S) > 2 gamma, and the
-factor 2 covers the solve's relative error, about cond * eps <= 1e-4 for
-any S that passes the rcond >= 1e-12 test, so the pair fails the gate
-whether solved or not.  Predict and update are stacked too:
+caller's chi-square quantile gamma could pass.  The exact pre-gate
+leaves out a pair with a positive definite S and |delta|^2 > 2 gamma
+tr(S): its d2 exceeds |delta|^2 / lambda_max(S) > |delta|^2 / tr(S) >
+2 gamma, and the factor 2 covers the solve's relative error, about
+cond * eps <= 1e-4 for any S that passes the rcond >= 1e-12 test, so the
+pair fails the gate whether solved or not.  ``gate_cost`` holds the one
+rule for a pair whose S fails that test: it is never matched, and its
+measurement is skipped and counted.  Collaboration (``collab``) gates
+through it too.  Predict and update are stacked as well:
 ``kalman_predict`` and ``kalman_update`` take leading batch axes, so
 ``predict`` moves every track and ``update`` corrects every matched pair
 in one call each, with the same arithmetic per track as a single-track
@@ -64,10 +66,6 @@ BatchKey = tuple[float, int, int]
 
 
 class TrackerError(Exception):
-    pass
-
-
-class SingularInnovation(TrackerError):
     pass
 
 
@@ -237,13 +235,6 @@ def eig_regular(s: np.ndarray) -> np.ndarray:
     return ~(w.min(axis=-1) <= w.max(axis=-1) * 1e-12)
 
 
-def _check_innovation_cov(s: np.ndarray) -> None:
-    """Raise SingularInnovation if S, or any matrix in a stack of them,
-    has rcond below 1e-12 (see ``_regularity``)."""
-    if not _regularity(s)[1].all():
-        raise SingularInnovation("innovation covariance rcond below 1e-12")
-
-
 def _surely_regular(a, _01, _02, x, b, _12, z, y, c):
     """The sure-pass bound of ``_regularity`` on the row-major entries of
     one S (floats) or of a stack (arrays, elementwise); only the lower
@@ -305,6 +296,28 @@ def position_d2(means_a, covs_a, means_b, covs_b,
     return d2, ~regular
 
 
+def gate_cost(means_t, covs_t, means_m, covs_m,
+              gamma: float) -> tuple[np.ndarray, list[int], int]:
+    """The one gate rule, for tracks (rows) against measurements (columns):
+    the tracker's detections, and remote tracks in collaboration.
+
+    Returns ``(cost, skipped, singular)``: ``cost`` is the ``position_d2``
+    matrix where an entry is at most ``gamma`` and inf elsewhere.  A pair
+    whose S has rcond below 1e-12 is never matched, and its measurement is
+    skipped: the whole column is inf and its index is in ``skipped``, so
+    the caller neither matches nor spawns it.  A spawn would put a
+    zero-covariance twin next to the track it is singular with.
+    ``singular`` counts the singular pairs.
+    """
+    d2, singular = position_d2(means_t, covs_t, means_m, covs_m, gamma)
+    cost = np.where(d2 <= gamma, d2, np.inf)
+    if not singular.any():
+        return cost, [], 0
+    skipped = singular.any(axis=0)
+    cost[:, skipped] = np.inf
+    return cost, np.flatnonzero(skipped).tolist(), int(singular.sum())
+
+
 def _quadratic(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """delta' S^-1 delta of each S and delta in stacks of them."""
     x = np.linalg.solve(s, delta[..., None])
@@ -320,10 +333,11 @@ def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
 
     H = [I 0] selects the position block, so HPH', PH', Hx and I - KH are
     written as slices: the products with H's exact 0/1 entries they
-    replace added only exact zeros.
+    replace added only exact zeros.  S is not tested here: a matched
+    pair's S is bit for bit the S its gate passed (``gate_cost``), the same
+    operands added in the same order.
     """
     s = cov[..., :3, :3] + r
-    _check_innovation_cov(s)
     k = cov[..., :, :3] @ np.linalg.inv(s)
     mean_new = mean + (k @ (z - mean[..., :3])[..., None])[..., 0]
     ikh = np.zeros(cov.shape)
@@ -352,8 +366,7 @@ def predict(tracks: list[Track], dt: float, q: float) -> list[Track]:
 
 def update(tracks: list[Track], detections: Detections) -> list[Track]:
     """Sighted copies (``Track.sighted``) of tracks[i], measurement-updated
-    by row i of ``detections`` in one stacked ``kalman_update``.  Raises
-    SingularInnovation if any pair's innovation is singular."""
+    by row i of ``detections`` in one stacked ``kalman_update``."""
     if not tracks:
         return []
     means, covs = kalman_update(np.array([tr.mean for tr in tracks]),
@@ -363,17 +376,13 @@ def update(tracks: list[Track], detections: Detections) -> list[Track]:
 
 
 def gate(tracks: list[Track], detections: Detections,
-         gate_prob: float = 0.99) -> np.ndarray:
-    """Gated (tracks x detections) cost matrix: the squared Mahalanobis
-    distance of each detection from each predicted track position, inf
-    where it fails the chi-square gate.  Raises SingularInnovation if any
-    pair's innovation covariance is singular."""
-    gamma = chi2_quantile(gate_prob, 3)
-    d2, singular = position_d2([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                               detections.positions, detections.covs, gamma)
-    if singular.any():
-        raise SingularInnovation("innovation covariance rcond below 1e-12")
-    return np.where(d2 <= gamma, d2, np.inf)
+         gate_prob: float = 0.99) -> tuple[np.ndarray, list[int], int]:
+    """``gate_cost`` of predicted tracks (rows) against a detection batch
+    (columns) at the chi-square quantile of ``gate_prob``: the gated cost
+    matrix, the detections skipped for a singular pair, and the number of
+    singular pairs."""
+    return gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
+                     detections.positions, detections.covs, chi2_quantile(gate_prob, 3))
 
 
 def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[float, np.ndarray]]:
@@ -401,6 +410,11 @@ class Tracker:
     initial state while the history is whole; once the first entry has
     been pruned, the batches it held are gone and such a batch is refused.
 
+    ``singular`` counts the track x detection pairs with a singular
+    innovation covariance, whose detections ``step`` skipped (see
+    ``gate_cost``).  It is part of the stored state, so a replayed batch
+    counts its pairs once.
+
     Tracks are values, so a stored state shares them: it holds the tuple
     of tracks, and a restore copies that into a list, not the tracks.
     Remote-track fusion (``collab.covi_step`` and its duplicate merge)
@@ -417,6 +431,7 @@ class Tracker:
         self.tracks: list[Track] = []
         self.next_id = 1
         self.last_time: float | None = None
+        self.singular = 0
         self._history: list[tuple[BatchKey, Detections, float, tuple]] = []
         self._genesis: tuple | None = self._capture()  # None once history was pruned
 
@@ -432,7 +447,8 @@ class Tracker:
         else:
             dt = 0.0
         predicted = predict(self.tracks, dt, cfg.q)
-        pairs = dict(assign(gate(predicted, detections, cfg.gate_prob)))
+        cost, skipped, singular = gate(predicted, detections, cfg.gate_prob)
+        pairs = dict(assign(cost))
         rows = list(pairs.values())
         matched = Detections(detections.positions[rows], detections.covs[rows])
         updated = dict(zip(pairs, update([predicted[i] for i in pairs], matched)))
@@ -449,8 +465,8 @@ class Tracker:
                     continue
             survivors.append(tr.confirm(cfg.confirm_m))
 
-        kept = set(rows)
-        fresh = [j for j in range(len(detections)) if j not in kept]
+        taken = set(rows).union(skipped)
+        fresh = [j for j in range(len(detections)) if j not in taken]
         next_id = self.next_id
         for position, det_cov in zip(detections.positions[fresh], detections.covs[fresh]):
             mean = np.concatenate([position, np.zeros(3)])
@@ -461,6 +477,7 @@ class Tracker:
             next_id += 1
 
         self.tracks, self.next_id, self.last_time = survivors, next_id, t
+        self.singular += singular
 
     # -- batch-keyed processing with rollback-replay ------------------------
 
@@ -505,10 +522,10 @@ class Tracker:
         return True
 
     def _capture(self) -> tuple:
-        return tuple(self.tracks), self.next_id, self.last_time
+        return tuple(self.tracks), self.next_id, self.last_time, self.singular
 
     def _restore(self, state: tuple) -> None:
-        tracks, self.next_id, self.last_time = state
+        tracks, self.next_id, self.last_time, self.singular = state
         self.tracks = list(tracks)
 
     # -- views ---------------------------------------------------------------

@@ -15,11 +15,9 @@ from fusionsim.bus import (
     UnknownType,
     canonical_dumps,
     decode,
-    decode_stream,
     deliver,
     encode,
     link_key,
-    topic_matches,
 )
 
 GOLDEN_HEARTBEAT_HEX = (
@@ -96,11 +94,6 @@ class TestWireFormat:
         assert out == frame
         assert used == len(data)
 
-    def test_stream_parsing(self):
-        frames = [BusFrame(bus.MSG_HEARTBEAT, i, f"hb/{i}", bytes([i])) for i in range(20)]
-        blob = b"".join(encode(f) for f in frames)
-        assert decode_stream(blob) == frames
-
     def test_bad_magic(self):
         data = bytearray(bytes.fromhex(GOLDEN_HEARTBEAT_HEX))
         data[0] ^= 0xFF
@@ -134,21 +127,6 @@ class TestWireFormat:
             with pytest.raises(Truncated) as exc:
                 decode(data[:cut])
             assert name in str(exc.value)
-
-
-class TestTopics:
-    @pytest.mark.parametrize("sub,topic,expect", [
-        ("tracks/", "tracks/ego", True),
-        ("tracks/", "tracks/", True),
-        ("tracks/ego", "tracks/ego", True),
-        ("tracks/ego", "tracks/ego2", True),   # prefix semantics, like ZMQ SUB
-        ("tracks/rsu", "tracks/ego", False),
-        ("", "anything", True),
-        ("tasks/edge", "tasks/edge", True),
-        ("hb/", "tracks/ego", False),
-    ])
-    def test_table(self, sub, topic, expect):
-        assert topic_matches(sub, topic) is expect
 
 
 class TestNetworkModel:

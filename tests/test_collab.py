@@ -125,21 +125,22 @@ class TestT2TAssociate:
     def test_identical_means_associate(self):
         local = [self.track(1, np.array([5.0, 0, 0]))]
         remote = [(np.array([5.0, 0, 0, 0, 0, 0]), np.eye(6))]
-        assert t2t_associate(local, remote) == [(0, 0)]
+        assert t2t_associate(local, remote) == ([(0, 0)], [])
 
     def test_far_apart_rejected(self):
         local = [self.track(1, np.array([0.0, 0, 0]))]
         remote = [(np.concatenate([[100.0, 0, 0], np.zeros(3)]), np.eye(6))]
         # d2 = 100^2 / 2 = 5000 >> 11.345
-        assert t2t_associate(local, remote) == []
+        assert t2t_associate(local, remote) == ([], [])
 
     def test_crossing_costs_optimal(self):
         local = [self.track(1, np.array([0.0, 0, 0])),
                  self.track(2, np.array([4.0, 0, 0]))]
         remote = [(np.array([3.5, 0, 0, 0, 0, 0]), np.eye(6)),
                   (np.array([0.5, 0, 0, 0, 0, 0]), np.eye(6))]
-        pairs = t2t_associate(local, remote)
+        pairs, skipped = t2t_associate(local, remote)
         assert sorted(pairs) == [(0, 1), (1, 0)]
+        assert skipped == []
 
 
 class TestCiOmega:
@@ -346,16 +347,26 @@ class TestCoviStep:
 
     def test_singular_pairs_are_not_gated_and_counted(self):
         # zero position covariances on both sides make S = 0 in the
-        # association, the spawn check and the merge: each counts the pair
-        # and none gates it, so the remote track spawns instead of fusing
+        # association: the pair is counted, and the remote track is
+        # skipped, so it neither fuses nor spawns a zero-covariance twin
         local = Track(1, np.zeros(6), np.zeros((6, 6)), 0.0, confirm_n=5)
         tk = Tracker()
         tk.tracks, tk.next_id = [local], 2
         state = CollabState()
         assert "singular" not in state.counters()
         covi_step(tk, [msg([(7, np.zeros(6), np.zeros((6, 6)))])], 0.0, state)
-        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 1, 0, 3)
-        assert state.counters()["singular"] == 3
+        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 0, 0, 1)
+        assert state.counters()["singular"] == 1
+        assert [tr.id for tr in tk.tracks] == [1] and tk.next_id == 2
+        # in the spawn check: two zero-covariance remote tracks at one
+        # place far from a regular local track; the first spawns, and the
+        # second is singular against it, so it is skipped
+        tk.tracks = [Track(1, np.zeros(6), np.eye(6), 0.0, confirm_n=5)]
+        state = CollabState()
+        twins = [(k, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6))) for k in (8, 9)]
+        covi_step(tk, [msg(twins)], 0.0, state)
+        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 1, 0, 1)
+        assert [tr.id for tr in tk.tracks] == [1, 2]
 
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate

@@ -5,10 +5,12 @@
   tracks;
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
-* offload: the broker conserves tasks, also when edge results are
-  singular and skipped or name a task that was never submitted;
-* collaboration skips and counts track pairs with a singular summed
-  covariance instead of aborting;
+* offload: the broker conserves tasks, also when a result names a task
+  that was never submitted;
+* singular pairs: with noiseless radar and edge workers, the tracker and
+  collaboration gates count each pair with a singular summed covariance
+  and skip its measurement, and the run goes on; noiseless urban
+  ``cr-dist`` is a full case, so it meets every contract here;
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks;
@@ -30,17 +32,20 @@ from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import KIND_DELIVER, Engine
 
-# (scenario, mode, shortened duration, crowd).  cr-dist runs 8 s: by then
-# an edge task has been sent while an object was out of the camera's view,
-# so the replay check covers how edge tasks pick the objects they see.  A
-# crowd case replaces the scenario's objects by ``crowd_grid(crowd)``.
+# (scenario, mode, shortened duration, crowd, noiseless).  cr-dist runs
+# 8 s: by then an edge task has been sent while an object was out of the
+# camera's view, so the replay check covers how edge tasks pick the
+# objects they see.  A crowd case replaces the scenario's objects by
+# ``crowd_grid(crowd)``.  A noiseless case zeroes the radar and edge worker
+# noise (``noiseless``), so edge results meet singular pairs.
 CASES = [
-    ("urban.json", "cr", 3.0, 0),
-    ("urban.json", "cr-covi", 3.0, 0),
-    ("occlusion.json", "cr", 3.0, 0),
-    ("occlusion.json", "cr-covi", 3.0, 0),
-    ("urban.json", "cr-dist", 8.0, 0),
-    ("urban.json", "cr", 1.5, 40),
+    ("urban.json", "cr", 3.0, 0, False),
+    ("urban.json", "cr-covi", 3.0, 0, False),
+    ("occlusion.json", "cr", 3.0, 0, False),
+    ("occlusion.json", "cr-covi", 3.0, 0, False),
+    ("urban.json", "cr-dist", 8.0, 0, False),
+    ("urban.json", "cr", 1.5, 40, False),
+    ("urban.json", "cr-dist", 8.0, 0, True),
 ]
 
 # Box sizes (l, w, h) the crowd cycles through: car, cyclist, van, bus.
@@ -65,15 +70,29 @@ def crowd_grid(n):
     return objects
 
 
-def case_id(name, mode, duration, crowd):
-    return f"{'crowd' if crowd else name[:-5]}-{mode}"
+def noiseless(doc):
+    """Zero range and azimuth noise on every radar and the edge workers:
+    their detections then have zero covariance."""
+    zero = {"range_sigma": 0.0, "azimuth_sigma": 0.0}
+    for agent in doc["agents"]:
+        for sensor in agent.get("sensors", []):
+            if sensor["type"] == "radar":
+                sensor["noise"] = dict(zero)
+    doc["pipeline"]["worker"]["profile"] = dict(zero)
+    return doc
 
 
-def scenario(scenario_dir, name, mode, duration, crowd):
+def case_id(name, mode, duration, crowd, zero_noise):
+    return f"{'crowd' if crowd else name[:-5]}-{mode}" + ("-noiseless" if zero_noise else "")
+
+
+def scenario(scenario_dir, name, mode, duration, crowd, zero_noise):
     doc = json.loads((scenario_dir / name).read_text())
     doc["duration"] = duration
     if crowd:
         doc["objects"] = crowd_grid(crowd)
+    if zero_noise:
+        noiseless(doc)
     return apply_overrides(load_scenario(json.dumps(doc)), mode=mode)
 
 
@@ -140,19 +159,25 @@ def test_collaboration_fuses_remote_tracks(case):
 
 def test_singular_edge_results_are_counted_and_skipped(scenario_dir):
     # noiseless radar and worker detections have zero covariance, so edge
-    # results meet tracks whose innovation covariance is singular
+    # results meet tracks whose innovation covariance is singular: the
+    # tracker skips those detections and counts the pairs, and integrates
+    # the rest of each result
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 1.0
-    zero = {"range_sigma": 0.0, "azimuth_sigma": 0.0}
-    for agent in doc["agents"]:
-        for sensor in agent.get("sensors", []):
-            if sensor["type"] == "radar":
-                sensor["noise"] = dict(zero)
-    doc["pipeline"]["worker"]["profile"] = dict(zero)
-    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist"))
-    offload = engine.run().report["counters"]["offload"]
-    assert offload["singular_dropped"] > 0
+    engine = Engine(apply_overrides(load_scenario(json.dumps(noiseless(doc))), mode="cr-dist"))
+    counters = engine.run().report["counters"]
+    offload = counters["offload"]
+    assert "singular_dropped" not in offload
+    assert offload["ok_integrated"] > offload["submitted"] / 2
+    assert counters["tracker"]["ego"]["singular"] > 0
     assert engine.broker.conserved()
+
+
+@pytest.mark.parametrize("case", [CASES[0], CASES[4]], ids=["urban-cr", "urban-cr-dist"],
+                         indirect=True)
+def test_tracker_singular_reported_only_when_non_zero(case):
+    _, _, report = case
+    assert "tracker" not in report.report["counters"]
 
 
 def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
@@ -160,11 +185,8 @@ def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     # have (near) zero position covariance and pairs of them a singular S
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 1.0
-    for agent in doc["agents"]:
-        for sensor in agent.get("sensors", []):
-            if sensor["type"] == "radar":
-                sensor["noise"] = {"range_sigma": 0.0, "azimuth_sigma": 0.0}
-    report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")).run()
+    report = Engine(apply_overrides(load_scenario(json.dumps(noiseless(doc))),
+                                    mode="cr-covi")).run()
     collab = report.report["counters"]["collab"]
     assert sum(c.get("singular", 0) for c in collab.values()) > 0
     assert sum(c["fused"] for c in collab.values()) > 0

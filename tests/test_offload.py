@@ -7,6 +7,7 @@ from fusionsim.geometry import Pose
 from fusionsim.offload import (
     EDGE_SCORE,
     Broker,
+    PendingTask,
     QUEUED,
     STATUS_FAILED,
     STATUS_OK,
@@ -35,6 +36,11 @@ def det(pos, var=0.04):
     return Detections(np.array([pos], dtype=float), var * np.eye(3)[None])
 
 
+def pending_on(*worker_ids):
+    """Pending tasks held by the given workers."""
+    return [PendingTask(req(k), 0.0, wid) for k, wid in enumerate(worker_ids)]
+
+
 def pool_of(n):
     p = WorkerPool()
     for i in range(n):
@@ -45,27 +51,27 @@ def pool_of(n):
 class TestDispatch:
     def test_round_robin_saturation(self):
         p = pool_of(2)
-        assert dispatch(p, req(1)) == "edge/w0"
-        assert dispatch(p, req(2)) == "edge/w1"
-        assert dispatch(p, req(3)) == QUEUED
+        assert dispatch(p, []) == "edge/w0"
+        assert dispatch(p, pending_on("edge/w0")) == "edge/w1"
+        assert dispatch(p, pending_on("edge/w0", "edge/w1")) == QUEUED
 
     def test_no_workers(self):
-        assert dispatch(WorkerPool(), req(1)) == QUEUED
+        assert dispatch(WorkerPool(), []) == QUEUED
 
     def test_skips_busy(self):
         p = pool_of(2)
-        p.workers[0].busy = True
-        assert dispatch(p, req(1)) == "edge/w1"
+        assert dispatch(p, pending_on("edge/w0")) == "edge/w1"
+        # a queued task names no worker
+        assert dispatch(p, pending_on(None, "edge/w1")) == "edge/w0"
 
     def test_fairness(self):
         p = pool_of(4)
         counts = {w.worker_id: 0 for w in p.workers}
         for k in range(100):
-            target = dispatch(p, req(k))
+            target = dispatch(p, [])  # instant completion: nothing pending
             if target == QUEUED:
                 break
             counts[target] += 1
-            p.get(target).busy = False  # instant completion
         # re-saturate: with k idle workers and n >> k uniform tasks,
         # per-worker counts differ by at most one
         assert max(counts.values()) - min(counts.values()) <= 1
@@ -244,12 +250,11 @@ class TestBrokerConservation:
         assert broker.counters["queue_dropped"] == 2
         # worker 0 returns ok; queue drains one task onto it
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
-        applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]),
-                                          "edge/w0", tk, 0.0)
+        applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]), tk, 0.0)
         assert applied and len(sends) == 1
         # worker 1 fails its task
         applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1),
-                                      "edge/w1", tk, 0.1)
+                                      tk, 0.1)
         assert not applied
         # remaining two pending tasks expire twice: retry then drop
         reap_timeouts(broker, 2.0)
@@ -269,7 +274,7 @@ class TestBrokerConservation:
         reap_timeouts(broker, 1.0)   # retry once
         reap_timeouts(broker, 2.0)   # second expiry: dropped
         assert broker.counters["timeout_dropped"] == 1
-        applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), "edge/w0", tk, 2.1)
+        applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), tk, 2.1)
         assert not applied
         assert broker.conserved()
 
@@ -278,11 +283,47 @@ class TestBrokerConservation:
         tk = Tracker()
         broker.submit(req(1, t=0.0), 0.0)
         before = dict(broker.counters)
-        applied, _ = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), "edge/w0", tk, 0.1)
+        applied, _ = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), tk, 0.1)
         assert not applied
         assert broker.counters == before
         assert tk.tracks == []
         assert list(broker.pending) == [1]
+        assert broker.conserved()
+
+    def test_stray_result_leaves_its_worker_busy(self):
+        broker = Broker(pool=pool_of(1), timeout=10.0)
+        tk = Tracker()
+        assert broker.submit(req(1, t=0.0), 0.0) == "edge/w0"
+        assert broker.submit(req(2, t=0.0), 0.0) is None  # queued
+        # w0 still holds task 1: a result for task 999 frees nothing
+        applied, sends = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), tk, 0.1)
+        assert (applied, sends) == (False, [])
+        assert broker.queue == [req(2, t=0.0)]
+        assert broker.pending[2].worker_id is None
+        assert broker.submit(req(3, t=0.1), 0.1) is None
+        # task 1's own result frees w0, and the queue drains onto it
+        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
+        applied, sends = broker.on_result(edge_result(1, 0.0, [5.1, 0, 0]), tk, 0.2)
+        assert applied and sends == [(req(2, t=0.0), "edge/w0")]
+        assert broker.conserved()
+
+    def test_result_for_a_queued_retry_settles_it(self):
+        # w0 dies holding task 1, whose retry waits for w1, busy with task 2;
+        # task 1's late result settles it and takes it out of the queue
+        broker = Broker(pool=pool_of(2), timeout=100.0, heartbeat_interval=0.5)
+        tk = Tracker()
+        broker.submit(req(1), 0.0)
+        broker.submit(req(2), 0.0)
+        broker.pool.workers[1].last_heartbeat = 10.0
+        assert reap_timeouts(broker, 10.0) == []
+        assert broker.queue == [req(1)] and broker.pending[1].worker_id is None
+        failed = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1)
+        assert broker.on_result(failed, tk, 10.1) == (False, [])
+        assert broker.queue == [] and list(broker.pending) == [2]
+        # freeing w1 finds no queued task left to send
+        failed = TaskResult(2, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1)
+        assert broker.on_result(failed, tk, 10.2) == (False, [])
+        assert broker.counters["failed"] == 2 and broker.pending == {}
         assert broker.conserved()
 
     def test_stale_result_counted(self):
@@ -291,7 +332,7 @@ class TestBrokerConservation:
         for key, dets, t in local_batches(n=50, dt=0.05):
             tk.process_batch(key, dets, t)
         broker.submit(req(7, t=0.1), 0.1)
-        applied, _ = broker.on_result(edge_result(7, 0.1, [5, 0, 0]), "edge/w0", tk, 2.45)
+        applied, _ = broker.on_result(edge_result(7, 0.1, [5, 0, 0]), tk, 2.45)
         assert not applied
         assert broker.counters["stale_dropped"] == 1
         assert broker.conserved()
@@ -335,4 +376,4 @@ class TestReapTimeouts:
         assert broker.pool.workers == []
         broker.heartbeat("edge/w0", 10.5)
         assert len(broker.pool.workers) == 1
-        assert not broker.pool.workers[0].busy
+        assert broker.submit(req(1, t=10.5), 10.5) == "edge/w0"  # idle

@@ -10,9 +10,7 @@ from fusionsim.sensing import (
     SensingError,
     SensorNoiseConfig,
     camera_observe,
-    camera_preset,
     radar_observe,
-    radar_preset,
 )
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
@@ -158,19 +156,6 @@ class TestRadarObserve:
 
 
 class TestPresetsAndValidation:
-    def test_presets_exist(self):
-        cam = camera_preset("blackfly-s")
-        assert cam["rate"] == 10.0 and cam["noise"].pixel_sigma == 2.0
-        rad = radar_preset("iwr1443")
-        assert rad["rate"] == 20.0
-        assert rad["noise"].range_sigma == 0.15
-        assert rad["noise"].azimuth_sigma == 0.02
-        assert rad["noise"].speed_sigma == 0.1
-
-    def test_unknown_preset(self):
-        with pytest.raises(SensingError):
-            camera_preset("nope")
-
     def test_invalid_configs(self):
         with pytest.raises(SensingError):
             SensorNoiseConfig(pixel_sigma=-1)

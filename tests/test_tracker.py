@@ -2,7 +2,7 @@ from bisect import insort
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
 import fusionsim.tracker as tracker_module
@@ -13,16 +13,16 @@ from fusionsim.tracker import (
     LANE_EDGE,
     LANE_LOCAL,
     NotConfirmed,
-    SingularInnovation,
     TENTATIVE,
     Track,
     Tracker,
     TrackerConfig,
     TrackerError,
-    _check_innovation_cov,
+    _regularity,
     chi2_quantile,
     cv_transition,
     gate,
+    gate_cost,
     kalman_predict,
     kalman_update,
     position_d2,
@@ -106,9 +106,13 @@ class TestUpdate:
         assert np.abs(out.mean - tr.mean).max() < 1e-6
 
     def test_singular_innovation(self):
-        tr = fresh_track(cov=np.zeros((6, 6)))
-        with pytest.raises(SingularInnovation):
-            update([tr], det([0, 0, 0], var=0.0))
+        # update no longer tests S: a singular one never reaches it, since
+        # the gate skips its detection and S here is the gate's S bit for bit
+        tk = Tracker()
+        tk.tracks, tk.next_id, tk.last_time = [fresh_track(cov=np.zeros((6, 6)))], 2, 0.0
+        tk.step(det([0, 0, 0], var=0.0), 0.0)
+        assert tk.singular == 1
+        assert [(tr.id, tr.misses) for tr in tk.tracks] == [(1, 1)]
 
     def test_counters_and_history(self):
         tr = fresh_track()
@@ -177,106 +181,125 @@ class TestStacked:
         w = np.abs(np.linalg.eigvalsh(stack))
         rejected = w.min(axis=1) <= w.max(axis=1) * 1e-12
         for s, bad in zip(stack, rejected):
-            if bad:
-                with pytest.raises(SingularInnovation):
-                    _check_innovation_cov(s)
-            else:
-                _check_innovation_cov(s)
+            assert bool(_regularity(s)[1]) is not bad
         # a stack too large for the per-matrix float path takes the array path
-        large = np.concatenate([stack] * (tracker_module._FEW_MATRICES // len(stack) + 1))
-        for s in (stack, large):
-            if rejected.any():
-                with pytest.raises(SingularInnovation):
-                    _check_innovation_cov(s)
-            else:
-                _check_innovation_cov(s)
+        copies = tracker_module._FEW_MATRICES // len(stack) + 1
+        large = np.concatenate([stack] * copies)
+        assert np.array_equal(_regularity(stack)[1], ~rejected)
+        assert np.array_equal(_regularity(large)[1], np.tile(~rejected, copies))
 
     def test_rcond_takes_the_smallest_magnitude_eigenvalue(self):
         # eigvalsh sorts by sign: [-1, 0, 0] has |lambda| 1 first and 0 last
-        with pytest.raises(SingularInnovation):
-            _check_innovation_cov(-np.diag([1.0, 0.0, 0.0]))
-        with pytest.raises(SingularInnovation):
-            _check_innovation_cov(np.diag([-1.0, 1e-14, 1.0]))
-        _check_innovation_cov(np.diag([-1.0, 1e-3, 1.0]))
+        assert not _regularity(-np.diag([1.0, 0.0, 0.0]))[1]
+        assert not _regularity(np.diag([-1.0, 1e-14, 1.0]))[1]
+        assert _regularity(np.diag([-1.0, 1e-3, 1.0]))[1]
 
-    def test_one_singular_pair_raises_and_step_keeps_state(self, monkeypatch):
-        regular = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in (0.0, 10.0)]
-        singular = fresh_track(mean=[20, 0, 0, 0, 0, 0], cov=np.zeros((6, 6)))
-        dets = [det([0, 0, 0]), det([10, 0, 0]), det([20, 0, 0], var=0.0)]
-        with pytest.raises(SingularInnovation):
-            update(regular + [singular], batch(*dets))
-        update(regular, batch(*dets[:2]))  # every other pair is regular
+    def test_one_singular_pair_skips_its_detection_and_a_failed_step_keeps_state(
+            self, monkeypatch):
         # a zero-variance detection spawns a track with a zero position
         # block; at dt = 0 another one makes its innovation singular
         tk = Tracker()
         tk.step(det([0, 0, 0]), 0.0)
         tk.step(batch(det([0.1, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
-        before = tk.state_dict()
-        with pytest.raises(SingularInnovation):
-            tk.step(batch(det([0.2, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
-        assert tk.state_dict() == before
-        # the gate sees the same S as the update, so force the update to
-        # raise after a time advance that moved every predicted track
-        def singular_update(tracks, detections):
-            raise SingularInnovation("forced")
-        monkeypatch.setattr(tracker_module, "update", singular_update)
-        with pytest.raises(SingularInnovation):
-            tk.step(det([0.3, 0, 0]), 0.2)
-        assert tk.state_dict() == before
+        assert tk.singular == 0
+        tk.step(batch(det([0.2, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
+        # the singular pair's detection is skipped: no twin spawns, the
+        # zero-covariance track misses, and the other pair is updated
+        assert tk.singular == 1
+        assert [(tr.id, tr.misses) for tr in tk.tracks] == [(1, 0), (2, 1)]
+        assert tk.next_id == 3
+        before = (tk.state_dict(), tk.singular)
+        # step assigns nothing before predict, gate and update returned
+        def failing_update(tracks, detections):
+            raise TrackerError("forced")
+        monkeypatch.setattr(tracker_module, "update", failing_update)
+        with pytest.raises(TrackerError):
+            tk.step(batch(det([0.3, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
+        assert (tk.state_dict(), tk.singular) == before
 
 
 class TestGate:
     def test_at_predicted_position(self):
-        cost = gate([fresh_track()], det([0, 0, 0], var=1.0))
+        cost, _, _ = gate([fresh_track()], det([0, 0, 0], var=1.0))
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost = gate([tr], det([3, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate([tr], det([3, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost = gate([tr], det([4, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate([tr], det([4, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == np.inf
         d2, singular = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)],
                                    chi2_quantile(0.99, 3))
         assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
         assert not singular[0, 0]
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 8), m=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
-           gate_prob=st.sampled_from([0.95, 0.99]))
-    def test_matches_per_pair_reference(self, n, m, seed, gate_prob):
-        rng = np.random.default_rng(seed)
-        tracks = []
-        for i in range(n):
-            a = rng.normal(size=(6, 6))
-            tracks.append(Track(i, rng.normal(scale=5.0, size=6),
-                                a @ a.T + 0.01 * np.eye(6), 0.0, confirm_n=5))
-        dets = [random_detection(rng) for _ in range(m)]
-        gamma = chi2_quantile(gate_prob, 3)
-        reference = np.full((n, m), np.inf)
-        for i, tr in enumerate(tracks):
-            for j, d in enumerate(dets):
-                delta = d.positions[0] - tr.mean[:3]
-                d2 = float(delta @ np.linalg.solve(d.covs[0] + tr.cov[:3, :3], delta))
-                if d2 <= gamma:
-                    reference[i, j] = d2
-        cost = gate(tracks, batch(*dets), gate_prob)
-        assert cost.shape == (n, m)
-        assert np.array_equal(cost, reference)
-
-    def test_any_singular_pair_raises(self):
+    def test_a_singular_pair_skips_its_detection(self):
         tracks = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in range(3)]
         tracks.append(fresh_track(cov=np.zeros((6, 6))))
         dets = batch(det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0))
-        with pytest.raises(SingularInnovation):
-            gate(tracks, dets)
-        gate(tracks[:3], dets)  # every other pair is regular
-        gate(tracks, Detections(dets.positions[:2], dets.covs[:2]))
+        cost, skipped, singular = gate(tracks, dets)
+        assert (skipped, singular) == ([2], 1)
+        # the skipped column is inf for every track, the others unchanged
+        assert np.all(cost[:, 2] == np.inf)
+        regular, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]))
+        assert np.array_equal(cost[:, :2], regular)
+        # every other pair is regular
+        assert gate(tracks[:3], dets)[1:] == ([], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           gate_prob=st.sampled_from([0.95, 0.99]), zero_share=st.sampled_from([0.0, 0.2, 0.5]))
+    @example(n=12, m=12, seed=7, gate_prob=0.99, zero_share=0.2)
+    def test_matches_per_pair_reference(self, n, m, seed, gate_prob, zero_share):
+        """``gate_cost`` against a per-pair solve.  Tracks and measurements
+        with a zero or rank-one position block give singular pairs: those
+        are inf and skip their measurement, and the count is exact; every
+        other pair is the per-pair solve gated at gamma.  Up to 144 pairs
+        reach past ``_FEW_PAIRS`` (pre-gate) and ``_FEW_MATRICES`` (array
+        rcond path)."""
+        rng = np.random.default_rng(seed)
+
+        def cov(dim):
+            kind = rng.random()
+            if kind < zero_share:
+                return np.zeros((dim, dim))
+            v = rng.normal(size=(dim, 1))
+            if kind < 2 * zero_share:
+                return v @ v.T  # rank one
+            a = rng.normal(size=(dim, dim))
+            return a @ a.T + 0.01 * np.eye(dim)
+
+        means_t = [rng.normal(scale=3.0, size=6) for _ in range(n)]
+        covs_t = [cov(6) for _ in range(n)]
+        means_m = [rng.normal(scale=3.0, size=3) for _ in range(m)]
+        covs_m = [cov(3) for _ in range(m)]
+        gamma = chi2_quantile(gate_prob, 3)
+        reference = np.full((n, m), np.inf)
+        bad = np.zeros((n, m), dtype=bool)
+        for i in range(n):
+            for j in range(m):
+                s = covs_t[i][:3, :3] + covs_m[j]
+                w = np.abs(np.linalg.eigvalsh(s))
+                if w.min() <= w.max() * 1e-12:
+                    bad[i, j] = True
+                    continue
+                delta = means_t[i][:3] - means_m[j]
+                d2 = float(delta @ np.linalg.solve(s, delta))
+                if d2 <= gamma:
+                    reference[i, j] = d2
+        skipped = bad.any(axis=0)
+        reference[:, skipped] = np.inf
+        cost, skipped_cols, singular = gate_cost(means_t, covs_t, means_m, covs_m, gamma)
+        assert cost.shape == (n, m)
+        assert np.array_equal(cost, reference)
+        assert skipped_cols == np.flatnonzero(skipped).tolist()
+        assert singular == int(bad.sum())
 
     def test_quantile_lookup(self):
         assert chi2_quantile(0.99, 3) == 11.345
@@ -456,12 +479,11 @@ class TestBatchRollback:
             oracle.process_batch(key, dets, t)
         assert actual.state_dict() == oracle.state_dict()
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 15), st.floats(0.0, 0.99)),
-                    max_size=8, unique_by=lambda e: e[0]))
-    def test_edge_arrival_order_within_horizon_matches_key_order(self, edges):
-        """Edge batch k (time k*dt) arrives d ticks late, at phase p between
-        local batches; any such order inside the horizon equals key order."""
+    @staticmethod
+    def check_arrival_order(edges, edge_dets):
+        """Edge batch i (time k*dt, detections ``edge_dets(t)``) arrives d
+        ticks late, at phase p between local batches; the result equals
+        key order, in state and in the singular count."""
         dt = 0.05
         rng = np.random.default_rng(11)
         local = []
@@ -470,8 +492,8 @@ class TestBatchRollback:
             dets = batch(det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04),
                          det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04))
             local.append(((t, LANE_LOCAL, 0), dets, t))
-        edge = [((k * dt, LANE_EDGE, i), det([5.0 + k * dt, 0.1, 0], var=0.02),
-                 k * dt) for i, (k, _, _) in enumerate(edges)]
+        edge = [((k * dt, LANE_EDGE, i), edge_dets(k * dt), k * dt)
+                for i, (k, _, _) in enumerate(edges)]
         arrival = sorted(
             [(k + 0.5, b) for k, b in enumerate(local)]
             + [(k + d + p, b) for (k, d, p), b in zip(edges, edge)],
@@ -483,12 +505,37 @@ class TestBatchRollback:
         for key, dets, t in sorted(local + edge, key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
         assert actual.state_dict() == oracle.state_dict()
+        assert actual.singular == oracle.singular
+        return oracle.singular
 
-    def test_late_batch_that_raises_mid_replay_changes_nothing(self):
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 15), st.floats(0.0, 0.99)),
+                    max_size=8, unique_by=lambda e: e[0]))
+    def test_edge_arrival_order_within_horizon_matches_key_order(self, edges):
+        self.check_arrival_order(edges, lambda t: det([5.0 + t, 0.1, 0], var=0.02))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 15), st.floats(0.0, 0.99)),
+                    max_size=8))
+    def test_zero_variance_edge_arrival_order_matches_key_order(self, edges):
+        """Noiseless edge detections: one on the near object, one where no
+        track is.  The first batch at a time spawns a zero-covariance track
+        there, and a second batch at that time (dt = 0) meets it in a
+        singular pair, whose detection is skipped and counted."""
+        self.check_arrival_order(edges, lambda t: batch(det([5.0 + t, 0.1, 0], var=0.0),
+                                                        det([5.0 + t, 6.0, 0], var=0.0)))
+
+    def test_zero_variance_edge_twins_count_singular_pairs_once(self):
+        # the two batches at tick 12 arrive late and in reverse key order
+        edges = [(12, 6, 0.7), (12, 3, 0.2), (20, 1, 0.5)]
+        singular = self.check_arrival_order(
+            edges, lambda t: batch(det([5.0 + t, 0.1, 0], var=0.0),
+                                   det([5.0 + t, 6.0, 0], var=0.0)))
+        assert singular > 0
+
+    def test_late_batch_that_raises_mid_replay_changes_nothing(self, monkeypatch):
         batches = self.make_batches()
-        # a zero-variance detection spawns a track with a zero position
-        # block; a second one at the same time makes its innovation singular
-        twin = det([20.0, 0, 0], var=0.0)
+        twin = det([20.0, 0, 0], var=0.04)
         second = ((0.3, LANE_EDGE, 8), twin, 0.3)
         first = ((0.3, LANE_EDGE, 7), twin, 0.3)
         tk, oracle = Tracker(), Tracker()
@@ -497,10 +544,18 @@ class TestBatchRollback:
             oracle.process_batch(key, dets, t)
         before = (tk.state_dict(), tk.newest_key,
                   [(k, state) for k, _, _, state in tk._history])
-        # replay restores the state stored at (0.3, local): ``first`` spawns,
-        # then ``second`` raises, with later batches still to come
-        with pytest.raises(SingularInnovation):
-            tk.process_batch(*first)
+        # replay restores the state stored at (0.3, local): ``first`` spawns
+        # a track at x = 20, then ``second`` updates it, and that update
+        # raises, with later batches still to come
+        def update(tracks, detections):
+            if np.any(detections.positions[:, 0] == 20.0):
+                raise TrackerError("forced")
+            return plain_update(tracks, detections)
+        plain_update = tracker_module.update
+        with monkeypatch.context() as patch:
+            patch.setattr(tracker_module, "update", update)
+            with pytest.raises(TrackerError):
+                tk.process_batch(*first)
         assert (tk.state_dict(), tk.newest_key,
                 [(k, state) for k, _, _, state in tk._history]) == before
         # and the tracker goes on exactly like one that never saw the batch
