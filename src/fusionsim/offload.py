@@ -191,7 +191,9 @@ class Broker:
     the number of submissions (the conservation invariant the tests pin).
     A worker's busy state is not stored: it is busy while a pending task
     names it, so settling a task frees its worker, and a result for a task
-    that is not pending changes nothing.
+    that is not pending changes nothing.  No registered worker is idle
+    while a task waits: each call that frees or registers a worker ends by
+    draining the queue, oldest task first.
     """
 
     pool: WorkerPool = field(default_factory=WorkerPool)
@@ -209,19 +211,21 @@ class Broker:
     def submit(self, req: TaskRequest, now: float) -> str | None:
         """Returns the worker id to transmit to, or None (queued or dropped)."""
         self.counters["submitted"] += 1
-        return self._place(req, now, retries=0)
-
-    def _place(self, req: TaskRequest, submitted: float, retries: int) -> str | None:
         target = dispatch(self.pool, self.pending.values())
         if target == QUEUED:
-            if len(self.queue) >= self.queue_bound:
-                self.counters["queue_dropped"] += 1
-                return None
-            self.queue.append(req)
-            self.pending[req.task_id] = PendingTask(req, submitted, None, retries)
+            self._enqueue(req, now, retries=0)
             return None
-        self.pending[req.task_id] = PendingTask(req, submitted, target, retries)
+        self.pending[req.task_id] = PendingTask(req, now, target)
         return target
+
+    def _enqueue(self, req: TaskRequest, submitted: float, retries: int) -> None:
+        """Put a task at the queue's tail, or count it dropped when the
+        queue is full."""
+        if len(self.queue) >= self.queue_bound:
+            self.counters["queue_dropped"] += 1
+            return
+        self.queue.append(req)
+        self.pending[req.task_id] = PendingTask(req, submitted, None, retries)
 
     def _release(self, task_id: int) -> None:
         """Take a task out of ``pending``, and out of the queue if it waits
@@ -264,12 +268,16 @@ class Broker:
         self._terminate(task_id, counter)
         return applied, self._drain()
 
-    def heartbeat(self, worker_id: str, now: float) -> None:
+    def heartbeat(self, worker_id: str, now: float) -> list[tuple[TaskRequest, str]]:
+        """Note a worker's heartbeat.  An unknown (or deregistered) worker
+        is registered, and the queue drains onto it; returns the
+        (request, worker id) pairs to transmit."""
         w = self.pool.get(worker_id)
-        if w is None:
-            self.pool.add(worker_id, now)
-        else:
+        if w is not None:
             w.last_heartbeat = now
+            return []
+        self.pool.add(worker_id, now)
+        return self._drain()
 
     def conserved(self) -> bool:
         terminal = sum(v for k, v in self.counters.items()
@@ -293,10 +301,12 @@ def integrate(tracker: Tracker, result: TaskResult, t_now: float) -> bool:
 def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]:
     """Expire overdue tasks and dead workers; returns requests to resend.
 
-    A pending request older than the timeout is retried exactly once; a
-    second expiry drops it.  Workers silent for three heartbeat intervals
-    are deregistered and their in-flight tasks expired (heartbeats seen
-    again later re-register the worker).
+    A pending request older than the timeout is retried exactly once, at
+    the queue's tail (dropped if the queue is full); a second expiry drops
+    it.  Workers silent for three heartbeat intervals are deregistered and
+    their in-flight tasks expired (heartbeats seen again later re-register
+    the worker).  The queue then drains onto the idle workers, so no
+    worker is left idle while a task waits.
     """
     dead = [w for w in broker.pool.workers
             if t_now - w.last_heartbeat > HEARTBEAT_MISSES * broker.heartbeat_interval]
@@ -308,7 +318,6 @@ def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]
         broker.pool.rr_cursor = 0
     dead_ids = {w.worker_id for w in dead}
 
-    sends: list[tuple[TaskRequest, str]] = []
     for task_id in sorted(broker.pending):
         pend = broker.pending.get(task_id)
         if pend is None:
@@ -322,7 +331,5 @@ def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]
             continue
         broker.counters["retries"] += 1
         broker._release(task_id)
-        target = broker._place(pend.req, t_now, retries=1)
-        if target is not None:
-            sends.append((pend.req, target))
-    return sends
+        broker._enqueue(pend.req, t_now, retries=1)
+    return broker._drain()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -65,20 +66,88 @@ def stream_rng(master_seed: int, key: str) -> np.random.Generator:
 
 @dataclass
 class RunReport:
-    """Everything a run produces; serialization is canonical and stable."""
+    """Everything a run produces; serialization is canonical and stable.
+
+    Track and replay lines are held as compact records until they are
+    serialised: a line's ints and strings as they are, and its numbers in
+    one float64 array that the record owns.  ``track_jsonl`` and
+    ``replay_jsonl`` rebuild each line from its record and write it as
+    ``canonical_dumps(line)``; ``.tolist()`` gives back the same Python
+    floats, so the bytes are those of the lines themselves.
+
+    * a track record, per flush with tracks:
+      ``(t, agent, ids, statuses, (n, 2, 6) means and covariance diagonals)``;
+    * a detection record, per live sensor tick:
+      ``(t, agent, sensor, type, (n, 5) numbers)``, a camera's bbox and
+      score or a radar's position, radial speed and SNR;
+    * a truth record, per ground-truth time:
+      ``(t, ids, (n, 3, 3) positions, velocities and extents)``.
+
+    A tick without detections or a time without objects records an empty
+    array, and its line an empty list.
+    """
 
     report: dict
-    track_lines: list[dict]
-    replay_lines: list[dict]
+    track_records: list[tuple]
+    replay_records: list[tuple]
 
     def report_bytes(self) -> bytes:
         return canonical_dumps(self.report) + b"\n"
 
     def track_jsonl(self) -> bytes:
-        return b"".join(canonical_dumps(line) + b"\n" for line in self.track_lines)
+        return _jsonl(_track_dicts(self.track_records))
 
     def replay_jsonl(self) -> bytes:
-        return b"".join(canonical_dumps(line) + b"\n" for line in self.replay_lines)
+        return _jsonl(_replay_dicts(self.replay_records))
+
+
+def _jsonl(lines) -> bytes:
+    out = io.BytesIO()
+    for line in lines:
+        out.write(canonical_dumps(line) + b"\n")
+    return out.getvalue()
+
+
+def _track_dicts(records):
+    for t, agent, ids, statuses, nums in records:
+        for tid, status, (mean, cov_diag) in zip(ids, statuses, nums.tolist()):
+            yield {"t": t, "agent": agent, "id": tid, "status": status,
+                   "mean": mean, "cov_diag": cov_diag}
+
+
+def _replay_dicts(records):
+    for record in records:
+        if len(record) == 3:  # ground truth
+            t, ids, nums = record
+            yield {"t": t, "truth": [
+                {"id": oid, "position": position, "velocity": velocity, "extent": extent}
+                for oid, (position, velocity, extent) in zip(ids, nums.tolist())]}
+            continue
+        t, agent, sidx, stype, nums = record
+        if stype == "camera":
+            dets = [{"bbox": row[:4], "score": row[4]} for row in nums.tolist()]
+        else:
+            dets = [{"position": row[:3], "radial_speed": row[3], "snr": row[4]}
+                    for row in nums.tolist()]
+        yield {"t": t, "agent": agent, "sensor": sidx, "type": stype, "detections": dets}
+
+
+def _track_record(t: float, agent: str, tracks) -> tuple:
+    return (t, agent, tuple([tr.id for tr in tracks]), tuple([tr.status for tr in tracks]),
+            np.array([(tr.mean, tr.cov.diagonal()) for tr in tracks], dtype=float))
+
+
+def _detection_record(t: float, agent: str, sidx: int, stype: str, dets: list) -> tuple:
+    if stype == "camera":
+        nums = [d.bbox + (d.score,) for d in dets]
+    else:
+        nums = [d.position.tolist() + [d.radial_speed, d.snr] for d in dets]
+    return (t, agent, sidx, stype, np.array(nums, dtype=float))
+
+
+def _truth_record(t: float, objs) -> tuple:
+    return (t, tuple([o.id for o in objs]),
+            np.array([(o.position, o.velocity, o.extent) for o in objs], dtype=float))
 
 
 class _AgentRT:
@@ -103,6 +172,14 @@ class _AgentRT:
 
 
 class Engine:
+    """One run of a scenario, live or driven from a replay.
+
+    Handlers record each output line when it happens, as a compact record
+    (see ``RunReport``) that copies its numbers out of the tracker and
+    sensing state; nothing is serialised until ``RunReport`` is asked for
+    bytes.  A replay run records no replay lines.
+    """
+
     def __init__(self, scenario: Scenario, replay=None):
         self.sc = scenario
         self.replay = replay
@@ -118,8 +195,8 @@ class Engine:
         self.frames_log: list[dict] = []
         self.bus_counts = {"sent": 0, "delivered": 0, "dropped": 0,
                            "by_type": {name: 0 for name in bus.MSG_TYPES.values()}}
-        self.track_lines: list[dict] = []
-        self.replay_lines: list[dict] = []
+        self._track_records: list[tuple] = []
+        self._replay_records: list[tuple] = []
         # handler times never decrease, so the last one recorded is enough
         self._last_truth_line: float | None = None
         self.events_processed = 0
@@ -239,12 +316,7 @@ class Engine:
         if t == self._last_truth_line:
             return
         self._last_truth_line = t
-        self.replay_lines.append({
-            "t": t,
-            "truth": [{"id": o.id, "position": o.position.tolist(),
-                       "velocity": o.velocity.tolist(), "extent": o.extent.tolist()}
-                      for o in self._truth(t)],
-        })
+        self._replay_records.append(_truth_record(t, self._truth(t)))
 
     # -- event handlers ------------------------------------------------------
 
@@ -265,10 +337,7 @@ class Engine:
         rt.staging[sidx] = dets
         if self.replay is None:
             self._record_truth_line(t)
-            self.replay_lines.append({
-                "t": t, "agent": aid, "sensor": sidx, "type": spec.type,
-                "detections": [d.to_dict() for d in dets],
-            })
+            self._replay_records.append(_detection_record(t, aid, sidx, spec.type, dets))
         if flush:
             self._flush(rt, t)
 
@@ -304,12 +373,8 @@ class Engine:
             for req, wid in reap_timeouts(self.broker, t):
                 self._send_task_req(req, wid, t)
 
-        for tr in rt.tracker.tracks:
-            self.track_lines.append({
-                "t": t, "agent": spec.id, "id": tr.id, "status": tr.status,
-                "mean": tr.mean.tolist(),
-                "cov_diag": tr.cov.diagonal().tolist(),
-            })
+        if rt.tracker.tracks:
+            self._track_records.append(_track_record(t, spec.id, rt.tracker.tracks))
 
     def _maybe_broadcast(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
         period = 1.0 / self.sc.pipeline.broadcast_hz
@@ -408,7 +473,8 @@ class Engine:
     def _on_heartbeat(self, t: float, dst: str, wid: str) -> None:
         # the parser admits only this engine's workers, so this is cr-dist,
         # which has a broker
-        self.broker.heartbeat(wid, t)
+        for req, target in self.broker.heartbeat(wid, t):
+            self._send_task_req(req, target, t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         frame = BusFrame(bus.MSG_TASK_RESP, int(round(t * 1e9)),
@@ -508,7 +574,7 @@ class Engine:
             },
             "frames": self.frames_log,
         }
-        return RunReport(report, self.track_lines, self.replay_lines)
+        return RunReport(report, self._track_records, self._replay_records)
 
 
 # The (parser, handler) pair of each message type an engine acts on.

@@ -12,9 +12,12 @@ Ground-truth lines:
     {"t": 0.1, "truth": [{"id": 1, "position": [...], "velocity": [...],
                           "extent": [...]}, ...]}
 
-Every run records its own sensor stream in this format, so a run can be
-replayed bit-for-bit; dataset converters (out of scope here) only need to
-emit these lines to drive the same pipelines.
+Every live run records its own sensor stream in this format, so a run can
+be replayed bit-for-bit; dataset converters (out of scope here) only need
+to emit these lines to drive the same pipelines.  A live run holds each
+line as a compact record (its ints and strings, plus one float64 array)
+and writes the lines from those records when its ``replay_jsonl`` is
+asked for; the format, and every byte of it, is the one shown here.
 """
 
 from __future__ import annotations

@@ -101,9 +101,6 @@ class Detection2D:
         if not 0.0 <= self.score <= 1.0:
             raise SensingError(f"score {self.score} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"bbox": list(self.bbox), "score": self.score}
-
 
 @dataclass(frozen=True)
 class RadarPoint:
@@ -132,13 +129,6 @@ class RadarPoint:
     @property
     def range(self) -> float:
         return float(np.linalg.norm(self.position))
-
-    def to_dict(self) -> dict:
-        return {
-            "position": self.position.tolist(),
-            "radial_speed": self.radial_speed,
-            "snr": self.snr,
-        }
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
 * offload: the broker conserves tasks, also when a result names a task
-  that was never submitted;
+  that was never submitted; with one flaky, slow edge worker, urban
+  ``cr-dist`` queues, retries, fails and times out tasks, and is a full
+  case, so it meets every contract here;
 * singular pairs: with noiseless radar and edge workers, the tracker and
   collaboration gates count each pair with a singular summed covariance
   and skip its measurement, and the run goes on; noiseless urban
@@ -26,26 +28,30 @@ import json
 import numpy as np
 import pytest
 
-from fusionsim import bus
+from fusionsim import bus, offload
 from fusionsim.geometry import Pose
-from fusionsim.offload import STATUS_OK
+from fusionsim.offload import QUEUED, STATUS_OK, dispatch
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import KIND_DELIVER, Engine
 
-# (scenario, mode, shortened duration, crowd, noiseless).  cr-dist runs
+# (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
 # 8 s: by then an edge task has been sent while an object was out of the
 # camera's view, so the replay check covers how edge tasks pick the
 # objects they see.  A crowd case replaces the scenario's objects by
-# ``crowd_grid(crowd)``.  A noiseless case zeroes the radar and edge worker
-# noise (``noiseless``), so edge results meet singular pairs.
+# ``crowd_grid(crowd)``.  A variant edits the scenario document: a
+# noiseless case zeroes the radar and edge worker noise (``noiseless``),
+# so edge results meet singular pairs; a flaky case leaves one edge worker
+# that fails some tasks and may take longer than the timeout (``flaky``),
+# so the broker queues, retries and times tasks out.
 CASES = [
-    ("urban.json", "cr", 3.0, 0, False),
-    ("urban.json", "cr-covi", 3.0, 0, False),
-    ("occlusion.json", "cr", 3.0, 0, False),
-    ("occlusion.json", "cr-covi", 3.0, 0, False),
-    ("urban.json", "cr-dist", 8.0, 0, False),
-    ("urban.json", "cr", 1.5, 40, False),
-    ("urban.json", "cr-dist", 8.0, 0, True),
+    ("urban.json", "cr", 3.0, 0, ""),
+    ("urban.json", "cr-covi", 3.0, 0, ""),
+    ("occlusion.json", "cr", 3.0, 0, ""),
+    ("occlusion.json", "cr-covi", 3.0, 0, ""),
+    ("urban.json", "cr-dist", 8.0, 0, ""),
+    ("urban.json", "cr", 1.5, 40, ""),
+    ("urban.json", "cr-dist", 8.0, 0, "noiseless"),
+    ("urban.json", "cr-dist", 8.0, 0, "flaky"),
 ]
 
 # Box sizes (l, w, h) the crowd cycles through: car, cyclist, van, bus.
@@ -82,17 +88,32 @@ def noiseless(doc):
     return doc
 
 
-def case_id(name, mode, duration, crowd, zero_noise):
-    return f"{'crowd' if crowd else name[:-5]}-{mode}" + ("-noiseless" if zero_noise else "")
+def flaky(doc):
+    """One edge worker whose latency can pass a 0.2 s timeout and which
+    fails a tenth of its tasks: with a task per camera frame it is often
+    busy, so tasks queue, time out, are retried and are dropped."""
+    for agent in doc["agents"]:
+        if agent["kind"] == "edge-server":
+            agent["workers"] = 1
+    doc["pipeline"]["timeout"] = 0.2
+    doc["pipeline"]["worker"].update(lat_min=0.02, lat_max=0.5, p_fail=0.1)
+    return doc
 
 
-def scenario(scenario_dir, name, mode, duration, crowd, zero_noise):
+VARIANTS = {"noiseless": noiseless, "flaky": flaky}
+
+
+def case_id(name, mode, duration, crowd, variant):
+    return f"{'crowd' if crowd else name[:-5]}-{mode}" + (f"-{variant}" if variant else "")
+
+
+def scenario(scenario_dir, name, mode, duration, crowd, variant):
     doc = json.loads((scenario_dir / name).read_text())
     doc["duration"] = duration
     if crowd:
         doc["objects"] = crowd_grid(crowd)
-    if zero_noise:
-        noiseless(doc)
+    if variant:
+        VARIANTS[variant](doc)
     return apply_overrides(load_scenario(json.dumps(doc)), mode=mode)
 
 
@@ -155,6 +176,24 @@ def test_collaboration_fuses_remote_tracks(case):
     assert sum(c["fused"] for c in collab.values()) > 0
     assert all("merged" in c for c in collab.values())
     assert all("singular" not in c for c in collab.values())  # reported only when non-zero
+
+
+def test_flaky_worker_queues_retries_and_times_out(scenario_dir, monkeypatch):
+    seen = []
+
+    def counted(pool, pending):
+        seen.append(dispatch(pool, pending))
+        return seen[-1]
+
+    monkeypatch.setattr(offload, "dispatch", counted)
+    engine = Engine(scenario(scenario_dir, *CASES[7]))
+    counters = engine.run().report["counters"]["offload"]
+    assert counters["retries"] > 0
+    assert counters["timeout_dropped"] > 0
+    assert counters["failed"] > 0
+    assert counters["ok_integrated"] > 0
+    assert QUEUED in seen
+    assert engine.broker.conserved()
 
 
 def test_singular_edge_results_are_counted_and_skipped(scenario_dir):

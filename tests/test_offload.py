@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from fusionsim.bus import canonical_dumps, canonical_loads
 from fusionsim.fusion import SOURCE_FUSED, Detections
@@ -46,6 +54,14 @@ def pool_of(n):
     for i in range(n):
         p.add(f"edge/w{i}")
     return p
+
+
+def idle_while_queued(broker):
+    """Registered workers that no pending task names, while a task waits."""
+    if not broker.queue:
+        return []
+    busy = {pend.worker_id for pend in broker.pending.values()}
+    return [w.worker_id for w in broker.pool.workers if w.worker_id not in busy]
 
 
 class TestDispatch:
@@ -350,6 +366,36 @@ class TestReapTimeouts:
         assert 1 not in broker.pending
         assert broker.counters["timeout_dropped"] == 1
 
+    def test_retry_queues_behind_older_tasks_and_the_queue_drains(self):
+        # one worker, timeout 1 s: task 1 is sent at 0 and task 2 queued at
+        # 0.5.  Task 1's retry joins the queue behind task 2, and every reap
+        # drains the queue onto the worker it frees
+        broker = Broker(pool=pool_of(1), timeout=1.0, heartbeat_interval=10.0)
+        assert broker.submit(req(1), 0.0) == "edge/w0"
+        assert broker.submit(req(2, t=0.5), 0.5) is None
+        assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
+        assert broker.queue == [req(1)]
+        for now, sent in ((1.6, req(1)), (2.2, req(2, t=0.5))):
+            assert reap_timeouts(broker, now) == [(sent, "edge/w0")]
+            assert idle_while_queued(broker) == []
+        assert reap_timeouts(broker, 2.8) == []
+        assert broker.counters["retries"] == 2
+        assert broker.counters["timeout_dropped"] == 2
+        assert broker.pending == {} and broker.conserved()
+
+    def test_a_retry_finding_the_queue_full_is_dropped(self):
+        broker = Broker(pool=pool_of(1), timeout=1.0, queue_bound=1, heartbeat_interval=10.0)
+        broker.submit(req(1), 0.0)
+        broker.submit(req(2, t=0.5), 0.5)
+        broker.submit(req(3, t=0.9), 0.9)  # the queue is full
+        assert broker.counters["queue_dropped"] == 1
+        # task 1 times out while task 2 holds the queue's one place: the
+        # retry is dropped, and task 2 takes the freed worker
+        assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
+        assert broker.counters["queue_dropped"] == 2
+        assert broker.counters["retries"] == 1
+        assert broker.conserved()
+
     def test_healthy_heartbeat_no_change(self):
         broker = Broker(pool=pool_of(2))
         for w in broker.pool.workers:
@@ -374,6 +420,111 @@ class TestReapTimeouts:
         broker = Broker(pool=pool_of(1), heartbeat_interval=0.5)
         reap_timeouts(broker, 10.0)
         assert broker.pool.workers == []
-        broker.heartbeat("edge/w0", 10.5)
+        assert broker.heartbeat("edge/w0", 10.5) == []
         assert len(broker.pool.workers) == 1
         assert broker.submit(req(1, t=10.5), 10.5) == "edge/w0"  # idle
+
+    def test_a_returning_worker_takes_the_queue(self):
+        broker = Broker(pool=pool_of(1), timeout=100.0, heartbeat_interval=0.5)
+        reap_timeouts(broker, 10.0)
+        assert broker.submit(req(1, t=10.0), 10.0) is None  # no worker: queued
+        assert broker.heartbeat("edge/w0", 10.5) == [(req(1, t=10.0), "edge/w0")]
+        assert broker.heartbeat("edge/w0", 11.0) == []
+        assert broker.pending[1].worker_id == "edge/w0"
+
+
+WORKERS = ("edge/w0", "edge/w1")
+
+
+class BrokerMachine(RuleBasedStateMachine):
+    """Random sequences of submissions, results (on time, late, stray and
+    failed), timeout reaps, and heartbeats lost and back on one or two
+    workers.  After every step the broker conserves tasks, names each
+    worker in at most one pending task, keeps exactly its worker-less
+    pending tasks in the queue, and leaves no registered worker idle while
+    a task waits.
+
+    Reaps come 0.6 s apart, so a task expires at its second reap after
+    submission: short enough for a retry to meet younger queued tasks in
+    a few steps."""
+
+    @initialize(n_workers=st.sampled_from([1, 2]))
+    def start(self, n_workers):
+        self.broker = Broker(pool=pool_of(n_workers), timeout=1.0, queue_bound=2,
+                             heartbeat_interval=0.5)
+        self.tracker = Tracker()
+        self.now = 0.0
+        self.submitted: list[int] = []
+        self.workers = WORKERS[:n_workers]
+        self.beating = set(self.workers)
+
+    @rule()
+    def submit(self):
+        task_id = len(self.submitted) + 1
+        self.submitted.append(task_id)
+        self.broker.submit(req(task_id, t=self.now), self.now)
+
+    @rule()
+    def reap(self):
+        # as in a run, time moves on between reaps and workers that still
+        # beat have sent a heartbeat
+        self.now += 0.6
+        for wid in sorted(self.beating):
+            self.broker.heartbeat(wid, self.now)
+        reap_timeouts(self.broker, self.now)
+
+    @precondition(lambda self: self.broker.pending)
+    @rule(k=st.integers(0, 7), ok=st.booleans())
+    def result_pending(self, k, ok):
+        # on time from the worker it names, or late from a retried task's
+        # first worker: the broker settles the task either way
+        pending = sorted(self.broker.pending)
+        task_id = pending[k % len(pending)]
+        frame_time = self.broker.pending[task_id].req.frame_time
+        result = edge_result(task_id, frame_time, [5.0, 0.0, 0.0]) if ok else \
+            TaskResult(task_id, STATUS_FAILED, frame_time, NO_DETECTIONS, 0.1)
+        self.broker.on_result(result, self.tracker, self.now)
+        assert task_id not in self.broker.pending
+
+    @rule(k=st.integers(0, 7))
+    def result_not_pending(self, k):
+        # late, for a task settled already, or stray, for one never submitted
+        settled = [i for i in self.submitted if i not in self.broker.pending]
+        task_id = settled[k % len(settled)] if k < len(settled) else 10_000 + k
+        before = (dict(self.broker.counters), dict(self.broker.pending), list(self.broker.queue))
+        result = edge_result(task_id, 0.0, [5.0, 0.0, 0.0])
+        assert self.broker.on_result(result, self.tracker, self.now) == (False, [])
+        assert (self.broker.counters, self.broker.pending, self.broker.queue) == before
+
+    @rule(k=st.integers(0, 1))
+    def heartbeat_lost(self, k):
+        self.beating.discard(self.workers[k % len(self.workers)])
+
+    @rule(k=st.integers(0, 1))
+    def heartbeat_back(self, k):
+        wid = self.workers[k % len(self.workers)]
+        self.beating.add(wid)
+        self.broker.heartbeat(wid, self.now)
+
+    @invariant()
+    def conserved(self):
+        assert self.broker.conserved()
+
+    @invariant()
+    def one_pending_task_per_worker(self):
+        named = [p.worker_id for p in self.broker.pending.values() if p.worker_id]
+        assert len(named) == len(set(named))
+
+    @invariant()
+    def queued_exactly_when_pending_without_worker(self):
+        queued = [r.task_id for r in self.broker.queue]
+        assert len(queued) == len(set(queued))
+        assert set(queued) == {i for i, p in self.broker.pending.items() if p.worker_id is None}
+
+    @invariant()
+    def no_idle_worker_while_a_task_waits(self):
+        assert idle_while_queued(self.broker) == []
+
+
+TestBrokerMachine = BrokerMachine.TestCase
+TestBrokerMachine.settings = settings(max_examples=60, stateful_step_count=50, deadline=None)

@@ -1,0 +1,203 @@
+"""Output lines held as compact records until they are serialised.
+
+The engine records each track, detection and ground-truth line as its
+ints and strings plus one float64 array, and ``RunReport`` rebuilds the
+lines only when asked for bytes.  These tests pin that:
+
+* the record path writes the bytes the lines themselves give
+  (``canonical_dumps`` of each line's dict, as built from the tracks,
+  detections and objects), for any finite numbers;
+* a record copies its numbers, so later writes to the source arrays do
+  not reach the output;
+* a non-finite number still makes serialisation raise;
+* memory grows with a run's length by no more than its output bytes do.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fusionsim.bus import canonical_dumps
+from fusionsim.scenario.engine import (
+    RunReport,
+    _detection_record,
+    _track_record,
+    _truth_record,
+)
+from fusionsim.sensing import Detection2D, GroundTruthObject, RadarPoint
+from fusionsim.tracker import CONFIRMED, TENTATIVE, Track
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Any finite float, with the ones whose text is easiest to get wrong drawn
+# more often: signed zero, subnormals and magnitudes near the top.
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 20.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+TIMES = st.floats(0.0, 1e4, allow_nan=False)
+AGENTS = st.sampled_from(["ego", "rsu1", "veh-2"])
+
+
+def vector(n):
+    return st.lists(FLOATS, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def tracks(draw):
+    track = Track(draw(st.integers(0, 10**6)), draw(vector(6)),
+                  draw(vector(36)).reshape(6, 6), 0.0, 3)
+    track.status = draw(st.sampled_from([TENTATIVE, CONFIRMED]))
+    return track
+
+
+@st.composite
+def boxes(draw):
+    umin, umax = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
+    vmin, vmax = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
+    score = draw(st.one_of(st.sampled_from([-0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)))
+    return Detection2D((umin, vmin, umax, vmax), score)
+
+
+POINTS = st.builds(RadarPoint._trusted, vector(3), FLOATS, FLOATS)
+OBJECTS = st.builds(GroundTruthObject._trusted, st.integers(0, 10**6),
+                    vector(3), vector(3), vector(3))
+
+
+def flushes():
+    return st.lists(st.tuples(TIMES, AGENTS, st.lists(tracks(), max_size=4)), max_size=4)
+
+
+def replay_events():
+    camera = st.tuples(st.just("camera"), TIMES, AGENTS, st.integers(0, 3),
+                       st.lists(boxes(), max_size=4))
+    radar = st.tuples(st.just("radar"), TIMES, AGENTS, st.integers(0, 3),
+                      st.lists(POINTS, max_size=4))
+    truth = st.tuples(st.just("truth"), TIMES, st.lists(OBJECTS, max_size=4))
+    return st.lists(st.one_of(camera, radar, truth), max_size=6)
+
+
+def jsonl(lines):
+    return b"".join(canonical_dumps(line) + b"\n" for line in lines)
+
+
+def track_lines(flushed):
+    """Each track's line as a dict built from the track itself."""
+    return [{"t": t, "agent": agent, "id": tr.id, "status": tr.status,
+             "mean": tr.mean.tolist(), "cov_diag": tr.cov.diagonal().tolist()}
+            for t, agent, trs in flushed for tr in trs]
+
+
+def detection_dict(d):
+    if isinstance(d, Detection2D):
+        return {"bbox": list(d.bbox), "score": d.score}
+    return {"position": d.position.tolist(), "radial_speed": d.radial_speed, "snr": d.snr}
+
+
+def replay_lines(events):
+    """Each replay line as a dict built from the detections or objects."""
+    lines = []
+    for kind, t, *rest in events:
+        if kind == "truth":
+            lines.append({"t": t, "truth": [
+                {"id": o.id, "position": o.position.tolist(),
+                 "velocity": o.velocity.tolist(), "extent": o.extent.tolist()}
+                for o in rest[0]]})
+        else:
+            agent, sidx, dets = rest
+            lines.append({"t": t, "agent": agent, "sensor": sidx, "type": kind,
+                          "detections": [detection_dict(d) for d in dets]})
+    return lines
+
+
+def records(flushed, events):
+    """A report holding the records the engine makes of the same lines."""
+    track_records = [_track_record(t, agent, trs) for t, agent, trs in flushed if trs]
+    replay_records = []
+    for kind, t, *rest in events:
+        if kind == "truth":
+            replay_records.append(_truth_record(t, *rest))
+        else:
+            agent, sidx, dets = rest
+            replay_records.append(_detection_record(t, agent, sidx, kind, dets))
+    return RunReport({}, track_records, replay_records)
+
+
+@settings(max_examples=30, deadline=None)
+@given(flushed=flushes(), events=replay_events())
+@example(flushed=[], events=[("truth", 0.0, []), ("camera", 0.1, "ego", 0, []),
+                             ("radar", 0.1, "ego", 1, [])])
+def test_records_write_the_bytes_of_the_lines(flushed, events):
+    report = records(flushed, events)
+    assert report.track_jsonl() == jsonl(track_lines(flushed))
+    assert report.replay_jsonl() == jsonl(replay_lines(events))
+
+
+def test_records_copy_their_numbers():
+    track = Track(7, np.arange(6.0), np.diag(np.arange(1.0, 7.0)), 0.0, 3)
+    box = Detection2D((1.0, 2.0, 3.0, 4.0), 1.0)
+    point = RadarPoint._trusted(np.array([5.0, 1.0, 0.5]), -2.0, 20.0)
+    obj = GroundTruthObject._trusted(3, np.ones(3), np.zeros(3), np.full(3, 2.0))
+    report = records([(0.1, "ego", [track])],
+                     [("truth", 0.1, [obj]), ("camera", 0.1, "ego", 0, [box]),
+                      ("radar", 0.1, "ego", 1, [point])])
+    before = report.track_jsonl(), report.replay_jsonl()
+    for array in (track.mean, track.cov, point.position, obj.position, obj.velocity,
+                  obj.extent):
+        array[...] = -1.0
+    assert (report.track_jsonl(), report.replay_jsonl()) == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_track_mean_raises(bad):
+    mean = np.zeros(6)
+    mean[2] = bad
+    track = Track(1, mean, np.eye(6), 0.0, 3)
+    with pytest.raises(ValueError):
+        RunReport({}, [_track_record(0.5, "ego", [track])], []).track_jsonl()
+
+
+# One run in a fresh process: its peak resident memory after ``Engine.run``
+# and the size of its three outputs, both in bytes.  The peak is the
+# process's VmHWM, not ``ru_maxrss``: at exec, Linux folds the spawning
+# process's high-water mark into ``ru_maxrss``, so a child of a large test
+# process would report the test process's peak instead of its own.
+RUN_CROWD = """
+import json, re, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import URBAN, crowd_objects, outputs
+from fusionsim.scenario import apply_overrides, load_scenario
+from fusionsim.scenario.engine import Engine
+
+doc = json.loads(URBAN.read_text())
+doc["objects"] = crowd_objects(42, 12)
+doc["duration"] = float(sys.argv[2])
+report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist", seed=42)).run()
+with open("/proc/self/status") as status:
+    peak = 1024 * int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
+print(json.dumps([peak, sum(len(part) for part in outputs(report))]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_memory_grows_no_faster_than_the_outputs():
+    # A generated 12-object cr-dist run at 5 s and at 20 s: what the run
+    # keeps for its outputs may not cost more memory than the outputs'
+    # bytes.  Held as dicts of lists, it cost several times that.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    runs = [subprocess.Popen([sys.executable, "-c", RUN_CROWD, str(REPO / "perfbench"), seconds],
+                             env=env, stdout=subprocess.PIPE, text=True)
+            for seconds in ("5", "20")]
+    (peak_short, out_short), (peak_long, out_long) = (
+        json.loads(run.communicate(timeout=120)[0].splitlines()[-1]) for run in runs)
+    assert all(run.returncode == 0 for run in runs)
+    assert out_long > out_short
+    assert peak_long - peak_short <= out_long - out_short

@@ -50,7 +50,7 @@ class TestCameraObserve:
         outs = []
         for _ in range(2):
             dets = camera_observe(K, CAM_POSE, objs, cfg, np.random.default_rng(123))
-            outs.append(canonical_dumps([d.to_dict() for d in dets]))
+            outs.append(canonical_dumps([(d.bbox, d.score) for d in dets]))
         assert outs[0] == outs[1]
 
     def test_noise_off_counts_visible(self):
@@ -97,7 +97,8 @@ class TestCameraObserve:
             camera_observe(K, CAM_POSE, objs,
                            SensorNoiseConfig(pixel_sigma=pixel_sigma), cam_rng)
             pts = radar_observe(CAM_POSE, objs, radar_cfg, radar_rng)
-            outs.append(canonical_dumps([p.to_dict() for p in pts]))
+            outs.append(canonical_dumps([(p.position.tolist(), p.radial_speed, p.snr)
+                                         for p in pts]))
         assert outs[0] == outs[1]
 
 
@@ -140,7 +141,8 @@ class TestRadarObserve:
         outs = []
         for _ in range(2):
             pts = radar_observe(Pose.identity(), objs, cfg, np.random.default_rng(5))
-            outs.append(canonical_dumps([p.to_dict() for p in pts]))
+            outs.append(canonical_dumps([(p.position.tolist(), p.radial_speed, p.snr)
+                                         for p in pts]))
         assert outs[0] == outs[1]
 
     def test_noise_reconstruction_consistency(self):
