@@ -1,5 +1,8 @@
 """Local camera-radar late fusion.
 
+The inputs are one tick's sensing arrays (see ``sensing``): camera rows
+``[umin, vmin, umax, vmax, score]`` and radar rows ``[x, y, z,
+radial_speed, snr]``; fusion reads only the boxes and the positions.
 Radar points are projected into the image through the camera model;
 points landing strictly inside a 2D box are candidate matches, scored by
 pixel distance from the box center normalized by the box diagonal.  A
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, norms, symmetrize, transform_point
-from .sensing import Detection2D, RadarPoint, SensorNoiseConfig
+from .sensing import SensorNoiseConfig
 
 PAIR_COST_GATE = 0.5
 RADAR_ONLY_COV_SCALE = 4.0
@@ -200,26 +203,27 @@ def _augment(scans: dict[int, list[tuple[int, float]]], width: int,
     return col4row
 
 
-def frustum_associate(bboxes: list[Detection2D], points: list[RadarPoint],
+def frustum_associate(boxes: np.ndarray, points: np.ndarray,
                       K: CameraIntrinsics, cam_from_radar: Pose) -> Association:
     """Match radar points to 2D boxes by projected containment.
 
-    ``cam_from_radar`` maps radar body coordinates into the camera optical
-    frame.  Candidate pairs need the projected pixel strictly inside the
-    box, in front of the camera (depth above 1e-6 m); cost is center
-    distance over box diagonal, gated at 0.5.  All points are projected in
-    one stacked transform and all pairs scored in one cost matrix.
+    ``boxes`` are camera rows and ``points`` radar rows; only
+    ``boxes[:, :4]`` and ``points[:, :3]`` are read.  ``cam_from_radar``
+    maps radar body coordinates into the camera optical frame.  Candidate
+    pairs need the projected pixel strictly inside the box, in front of
+    the camera (depth above 1e-6 m); cost is center distance over box
+    diagonal, gated at 0.5.  All points are projected in one stacked
+    transform and all pairs scored in one cost matrix.
     """
-    n, m = len(bboxes), len(points)
+    n, m = len(boxes), len(points)
     cost = np.full((n, m), np.inf)
     if n and m:
-        x, y, z = transform_point(cam_from_radar,
-                                  np.array([point.position for point in points])).T
+        x, y, z = transform_point(cam_from_radar, points[:, :3]).T
         front = z > 1e-6
         z = np.where(front, z, 1.0)  # behind-camera pixels are masked below
         u = K.fx * x / z + K.cx
         v = K.fy * y / z + K.cy
-        umin, vmin, umax, vmax = np.array([det.bbox for det in bboxes], dtype=float).T[:, :, None]
+        umin, vmin, umax, vmax = boxes[:, :4].T[:, :, None]
         inside = front & (umin < u) & (u < umax) & (vmin < v) & (v < vmax)
         diag = np.hypot(umax - umin, vmax - vmin)
         dist = np.hypot(u - (umin + umax) / 2.0, v - (vmin + vmax) / 2.0) / diag
@@ -262,18 +266,20 @@ def radar_measurement_cov(positions: np.ndarray, cfg: SensorNoiseConfig) -> np.n
     return symmetrize((basis * var[:, None, :]) @ basis.swapaxes(-1, -2))
 
 
-def synthesize(assoc: Association, points: list[RadarPoint], agent_from_radar: Pose,
+def synthesize(assoc: Association, points: np.ndarray, agent_from_radar: Pose,
                cfg: SensorNoiseConfig) -> Detections:
     """Fused 3D detections in the agent frame, as one batch.
 
-    Rows are the matched radar points, in pair order, then the unmatched
-    ones, which become radar-only detections with 4x the measurement
-    covariance.  Unmatched boxes yield nothing (no depth available).
-    ``cfg`` is the radar's noise config, which shapes the covariance.
-    Positions and covariances are built in one stacked transform.
+    ``points`` are the radar rows ``assoc`` indexes; only their positions
+    (``points[rows, :3]``) are read.  Rows are the matched radar points,
+    in pair order, then the unmatched ones, which become radar-only
+    detections with 4x the measurement covariance.  Unmatched boxes yield
+    nothing (no depth available).  ``cfg`` is the radar's noise config,
+    which shapes the covariance.  Positions and covariances are built in
+    one stacked transform.
     """
     rows = [j for _, j in assoc.pairs] + assoc.unmatched_radar
-    radar = np.array([points[j].position for j in rows]).reshape(-1, 3)
+    radar = points[rows, :3]
     r_ar = agent_from_radar.rotation
     scale = np.array([1.0] * len(assoc.pairs)
                      + [RADAR_ONLY_COV_SCALE] * len(assoc.unmatched_radar))[:, None, None]

@@ -178,7 +178,7 @@ def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
 @dataclass
 class PendingTask:
     req: TaskRequest
-    submitted: float
+    submitted: float            # when it was queued, or last sent to a worker
     worker_id: str | None       # None while queued
     retries: int = 0
 
@@ -238,16 +238,18 @@ class Broker:
         self.counters[counter] += 1
         self._release(task_id)
 
-    def _drain(self) -> list[tuple[TaskRequest, str]]:
+    def _drain(self, now: float) -> list[tuple[TaskRequest, str]]:
         """Dispatch queued tasks, in order, onto idle workers; returns
-        (request, worker id) pairs that should now be transmitted."""
+        (request, worker id) pairs that should now be transmitted.  A
+        task's timeout runs from ``now``, when it is sent."""
         sends = []
         while self.queue:
             target = dispatch(self.pool, self.pending.values())
             if target == QUEUED:
                 break
             req = self.queue.pop(0)
-            self.pending[req.task_id].worker_id = target
+            pend = self.pending[req.task_id]
+            pend.worker_id, pend.submitted = target, now
             sends.append((req, target))
         return sends
 
@@ -266,7 +268,7 @@ class Broker:
             applied = integrate(tracker, result, t_now)
             counter = "ok_integrated" if applied else "stale_dropped"
         self._terminate(task_id, counter)
-        return applied, self._drain()
+        return applied, self._drain(t_now)
 
     def heartbeat(self, worker_id: str, now: float) -> list[tuple[TaskRequest, str]]:
         """Note a worker's heartbeat.  An unknown (or deregistered) worker
@@ -277,7 +279,7 @@ class Broker:
             w.last_heartbeat = now
             return []
         self.pool.add(worker_id, now)
-        return self._drain()
+        return self._drain(now)
 
     def conserved(self) -> bool:
         terminal = sum(v for k, v in self.counters.items()
@@ -301,8 +303,9 @@ def integrate(tracker: Tracker, result: TaskResult, t_now: float) -> bool:
 def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]:
     """Expire overdue tasks and dead workers; returns requests to resend.
 
-    A pending request older than the timeout is retried exactly once, at
-    the queue's tail (dropped if the queue is full); a second expiry drops
+    A pending request whose timeout has run out, counted from when it was
+    queued or last sent to a worker, is retried exactly once, at the
+    queue's tail (dropped if the queue is full); a second expiry drops
     it.  Workers silent for three heartbeat intervals are deregistered and
     their in-flight tasks expired (heartbeats seen again later re-register
     the worker).  The queue then drains onto the idle workers, so no
@@ -332,4 +335,4 @@ def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]
         broker.counters["retries"] += 1
         broker._release(task_id)
         broker._enqueue(pend.req, t_now, retries=1)
-    return broker._drain()
+    return broker._drain(t_now)

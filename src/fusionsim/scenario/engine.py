@@ -46,16 +46,23 @@ from ..offload import (
 from ..sensing import (
     SensorNoiseConfig,
     camera_observe,
+    measurement_rows,
     radar_observe,
     visible_object_ids,
 )
 from ..tracker import LANE_LOCAL, Tracker, predict_trajectory
 from .model import Scenario, world_at
+from .replay import ReplayError, detection_line
 
 KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
 KIND_TASK = "TaskComplete"
 KIND_METRIC = "MetricSample"
+
+# The rows a flush reads for a sensor that did not tick, or that the agent
+# does not have.
+_NO_ROWS = measurement_rows([])
+_NO_ROWS.setflags(write=False)
 
 
 def stream_rng(master_seed: int, key: str) -> np.random.Generator:
@@ -78,8 +85,10 @@ class RunReport:
     * a track record, per flush with tracks:
       ``(t, agent, ids, statuses, (n, 2, 6) means and covariance diagonals)``;
     * a detection record, per live sensor tick:
-      ``(t, agent, sensor, type, (n, 5) numbers)``, a camera's bbox and
-      score or a radar's position, radial speed and SNR;
+      ``(t, agent, sensor, type, rows)``, where ``rows`` is the tick's
+      sensing array itself (camera or radar rows, see ``sensing``): sensing
+      makes a new array on every call and nothing writes to it, so the
+      record owns it; ``replay.detection_line`` writes its line;
     * a truth record, per ground-truth time:
       ``(t, ids, (n, 3, 3) positions, velocities and extents)``.
 
@@ -123,26 +132,12 @@ def _replay_dicts(records):
                 {"id": oid, "position": position, "velocity": velocity, "extent": extent}
                 for oid, (position, velocity, extent) in zip(ids, nums.tolist())]}
             continue
-        t, agent, sidx, stype, nums = record
-        if stype == "camera":
-            dets = [{"bbox": row[:4], "score": row[4]} for row in nums.tolist()]
-        else:
-            dets = [{"position": row[:3], "radial_speed": row[3], "snr": row[4]}
-                    for row in nums.tolist()]
-        yield {"t": t, "agent": agent, "sensor": sidx, "type": stype, "detections": dets}
+        yield detection_line(*record)
 
 
 def _track_record(t: float, agent: str, tracks) -> tuple:
     return (t, agent, tuple([tr.id for tr in tracks]), tuple([tr.status for tr in tracks]),
             np.array([(tr.mean, tr.cov.diagonal()) for tr in tracks], dtype=float))
-
-
-def _detection_record(t: float, agent: str, sidx: int, stype: str, dets: list) -> tuple:
-    if stype == "camera":
-        nums = [d.bbox + (d.score,) for d in dets]
-    else:
-        nums = [d.position.tolist() + [d.radial_speed, d.snr] for d in dets]
-    return (t, agent, sidx, stype, np.array(nums, dtype=float))
 
 
 def _truth_record(t: float, objs) -> tuple:
@@ -156,7 +151,7 @@ class _AgentRT:
     def __init__(self, spec, tracker_cfg):
         self.spec = spec
         self.tracker = Tracker(tracker_cfg)
-        self.staging: dict[int, list] = {}
+        self.staging: dict[int, np.ndarray] = {}
         self.msg_queue: list[RemoteTrackMsg] = []
         self.collab = CollabState()
         self.last_broadcast: float | None = None
@@ -176,8 +171,10 @@ class Engine:
 
     Handlers record each output line when it happens, as a compact record
     (see ``RunReport``) that copies its numbers out of the tracker and
-    sensing state; nothing is serialised until ``RunReport`` is asked for
-    bytes.  A replay run records no replay lines.
+    ground truth, or keeps the sensing array it was handed; nothing is
+    serialised until ``RunReport`` is asked for bytes.  A replay run
+    records no replay lines.  A replay run refuses, when it is built, a
+    replay that gives a scenario sensor another type.
     """
 
     def __init__(self, scenario: Scenario, replay=None):
@@ -239,8 +236,13 @@ class Engine:
         ticks: dict[float, list] = {}
         if self.replay is not None:
             # replay drives ticks at the recorded instants, whatever grid
-            # the original sensors used
-            known = {(a.id, i) for a in order for i in range(len(a.sensors))}
+            # the original sensors used.  Rows do not carry their sensor's
+            # type, so a replayed sensor must have the scenario's type.
+            known = {(a.id, i): sensor.type for a in order for i, sensor in enumerate(a.sensors)}
+            for (aid, sidx), stype in sorted(self.replay.sensor_types.items()):
+                if known.get((aid, sidx), stype) != stype:
+                    raise ReplayError(f"replay sensor ({aid}, {sidx}) is a {stype}, "
+                                      f"the scenario's a {known[aid, sidx]}")
             for (t, aid, sidx) in self.replay.detections:
                 if (aid, sidx) in known and t <= sc.duration + 1e-9:
                     ticks.setdefault(t, []).append((aid, sidx))
@@ -326,18 +328,18 @@ class Engine:
         agent_pose = self._agent_pose(rt, t)
         sensor_pose = agent_pose.compose(spec.mount)
         if self.replay is not None:
-            dets = self.replay.detections_at(t, aid, sidx)
+            rows = self.replay.detections_at(t, aid, sidx)
         elif spec.type == "camera":
-            dets = camera_observe(spec.intrinsics, sensor_pose, self._truth(t),
+            rows = camera_observe(spec.intrinsics, sensor_pose, self._truth(t),
                                   spec.noise, self.sensor_rngs[(aid, sidx)])
         else:
-            dets = radar_observe(sensor_pose, self._truth(t), spec.noise,
+            rows = radar_observe(sensor_pose, self._truth(t), spec.noise,
                                  self.sensor_rngs[(aid, sidx)],
                                  sensor_velocity=rt.spec.trajectory.velocity(t))
-        rt.staging[sidx] = dets
+        rt.staging[sidx] = rows
         if self.replay is None:
             self._record_truth_line(t)
-            self._replay_records.append(_detection_record(t, aid, sidx, spec.type, dets))
+            self._replay_records.append((t, aid, sidx, spec.type, rows))
         if flush:
             self._flush(rt, t)
 
@@ -345,12 +347,12 @@ class Engine:
         spec = rt.spec
         # staging is keyed by sensor index, so a missing sensor's None finds nothing
         staging, rt.staging = rt.staging, {}
-        bboxes = staging.get(rt.cam_idx, [])
-        points = staging.get(rt.radar_idx, [])
+        boxes = staging.get(rt.cam_idx, _NO_ROWS)
+        points = staging.get(rt.radar_idx, _NO_ROWS)
 
         agent_pose = self._agent_pose(rt, t)
         if rt.cam_spec is not None and rt.radar_spec is not None:
-            assoc = frustum_associate(bboxes, points, rt.cam_spec.intrinsics,
+            assoc = frustum_associate(boxes, points, rt.cam_spec.intrinsics,
                                       rt.cam_from_radar)
         else:
             assoc = Association([], list(range(len(points))))

@@ -14,10 +14,17 @@ Ground-truth lines:
 
 Every live run records its own sensor stream in this format, so a run can
 be replayed bit-for-bit; dataset converters (out of scope here) only need
-to emit these lines to drive the same pipelines.  A live run holds each
-line as a compact record (its ints and strings, plus one float64 array)
-and writes the lines from those records when its ``replay_jsonl`` is
-asked for; the format, and every byte of it, is the one shown here.
+to emit these lines to drive the same pipelines.
+
+A detection line holds one sensor tick's sensing array (see ``sensing``
+for the camera and radar row layouts), one entry per row, and this
+module owns the line in both directions: ``detection_line`` writes it
+from a live run's array, and ``load_replay`` reads it back into one
+``(n, 5)`` array.  The loader holds each row to what the sensor models
+guarantee: a camera box with ``umin < umax`` and ``vmin < vmax`` and a
+score in [0, 1], a finite radar position with range > 0, a bbox of
+exactly 4 numbers and a position of exactly 3.  A bad line raises
+``ReplayError`` with its line number.
 """
 
 from __future__ import annotations
@@ -28,19 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sensing import Detection2D, GroundTruthObject, RadarPoint
-from .model import (
-    AgentSpec,
-    MetricsConfig,
-    Motion,
-    PipelineConfig,
-    Scenario,
-    ValidationError,
-    _parse_sensor,
-    _validate_mode,
-)
-from ..bus import NetworkModel
-from ..tracker import TrackerConfig
+from ..geometry import norms
+from ..sensing import GroundTruthObject, measurement_rows
 
 
 class ReplayError(Exception):
@@ -51,17 +47,14 @@ class ReplayError(Exception):
 
 @dataclass
 class ReplayData:
-    detections: dict[tuple[float, str, int], list]
+    detections: dict[tuple[float, str, int], np.ndarray]
     sensor_types: dict[tuple[str, int], str]
     truth_times: list[float]
     truth: dict[float, list[GroundTruthObject]]
-    max_t: float
 
-    def agents_seen(self) -> list[str]:
-        return sorted({aid for _, aid, _ in self.detections})
-
-    def detections_at(self, t: float, agent: str, sidx: int) -> list:
-        return self.detections.get((t, agent, sidx), [])
+    def detections_at(self, t: float, agent: str, sidx: int) -> np.ndarray:
+        """The rows of a recorded tick."""
+        return self.detections[(t, agent, sidx)]
 
     def truth_at(self, t: float) -> list[GroundTruthObject]:
         if t in self.truth:
@@ -114,12 +107,53 @@ class ReplayData:
         return None
 
 
+# The sensor types a detection line may name, and what each of its entries
+# holds, in row order.
+_ROW_FIELDS = {"camera": "a bbox of 4 numbers and a score",
+               "radar": "a position of 3 numbers, a radial speed and an SNR"}
+
+
+def detection_line(t: float, agent: str, sidx: int, stype: str, rows: np.ndarray) -> dict:
+    """The replay line of one sensor tick's measurement rows."""
+    if stype == "camera":
+        dets = [{"bbox": row[:4], "score": row[4]} for row in rows.tolist()]
+    else:
+        dets = [{"position": row[:3], "radial_speed": row[3], "snr": row[4]}
+                for row in rows.tolist()]
+    return {"t": t, "agent": agent, "sensor": sidx, "type": stype, "detections": dets}
+
+
+def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
+    """A detection line's entries as one checked ``(n, 5)`` array."""
+    try:
+        if stype == "camera":
+            rows = measurement_rows([[*d["bbox"], d["score"]] for d in dets])
+        else:
+            rows = measurement_rows([[*d["position"], d["radial_speed"], d.get("snr", 0.0)]
+                                     for d in dets])
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ReplayError(f"bad detection entry: {e}", lineno)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ReplayError(f"every {stype} detection needs {_ROW_FIELDS[stype]}", lineno)
+    if stype == "camera":
+        bad = ~((rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3]))
+        if bad.any():
+            raise ReplayError(f"degenerate bbox {rows[bad][0, :4].tolist()}", lineno)
+        bad = ~((0.0 <= rows[:, 4]) & (rows[:, 4] <= 1.0))
+        if bad.any():
+            raise ReplayError(f"score {rows[bad][0, 4]} outside [0, 1]", lineno)
+    else:
+        positions = rows[:, :3]
+        if not (np.isfinite(positions).all() and (norms(positions) > 0.0).all()):
+            raise ReplayError("radar point needs a finite position with range > 0", lineno)
+    return rows
+
+
 def load_replay(text: str) -> ReplayData:
     """Parse and validate a replay JSONL document."""
-    detections: dict[tuple[float, str, int], list] = {}
+    detections: dict[tuple[float, str, int], np.ndarray] = {}
     sensor_types: dict[tuple[str, int], str] = {}
     truth: dict[float, list[GroundTruthObject]] = {}
-    max_t = 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -130,7 +164,6 @@ def load_replay(text: str) -> ReplayData:
         if not isinstance(obj, dict) or "t" not in obj:
             raise ReplayError("every line needs a 't' field", lineno)
         t = float(obj["t"])
-        max_t = max(max_t, t)
         if "truth" in obj:
             try:
                 truth[t] = [GroundTruthObject(int(o["id"]), np.array(o["position"]),
@@ -143,56 +176,13 @@ def load_replay(text: str) -> ReplayData:
             if key not in obj:
                 raise ReplayError(f"detection line missing {key!r}", lineno)
         aid, sidx, stype = str(obj["agent"]), int(obj["sensor"]), obj["type"]
-        if stype not in ("camera", "radar"):
+        if stype not in _ROW_FIELDS:
             raise ReplayError(f"unknown sensor type {stype!r}", lineno)
         prev = sensor_types.setdefault((aid, sidx), stype)
         if prev != stype:
             raise ReplayError(f"sensor ({aid}, {sidx}) changes type", lineno)
-        try:
-            if stype == "camera":
-                dets = [Detection2D(tuple(d["bbox"]), float(d["score"]))
-                        for d in obj["detections"]]
-            else:
-                dets = [RadarPoint(np.array(d["position"]), float(d["radial_speed"]),
-                                   float(d.get("snr", 0.0)))
-                        for d in obj["detections"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ReplayError(f"bad detection entry: {e}", lineno)
         key = (t, aid, sidx)
         if key in detections:
             raise ReplayError(f"duplicate detection line for {key}", lineno)
-        detections[key] = dets
-    return ReplayData(detections, sensor_types, sorted(truth), truth, max_t)
-
-
-def infer_scenario(replay: ReplayData, mode: str = "cr", seed: int = 0) -> Scenario:
-    """Minimal scenario for a replay file without an accompanying scenario.
-
-    Agents get identity trajectories and default sensor presets; supply
-    the original scenario file when mounts and noise configs matter.  An
-    empty replay yields a sensor-less ego so the run still produces an
-    (empty) report.
-    """
-    agent_ids = replay.agents_seen()
-    ego = "ego" if "ego" in agent_ids else (agent_ids[0] if agent_ids else "ego")
-    agents = []
-    for aid in agent_ids:
-        indexed = sorted((sidx, stype) for (a, sidx), stype in replay.sensor_types.items()
-                         if a == aid)
-        if [i for i, _ in indexed] != list(range(len(indexed))):
-            raise ValidationError(
-                f"replay sensor indices for agent {aid!r} must be contiguous from 0")
-        sensors = tuple(_parse_sensor({"type": stype}, f"$.agents[{aid}]")
-                        for _, stype in indexed)
-        agents.append(AgentSpec(aid, "ego" if aid == ego else "vehicle",
-                                Motion("static", p0=np.zeros(3), rpy_deg=(0, 0, 0)),
-                                sensors))
-    if not agents:
-        agents = [AgentSpec("ego", "ego",
-                            Motion("static", p0=np.zeros(3), rpy_deg=(0, 0, 0)), ())]
-    duration = max(replay.max_t, 1e-3)
-    sc = Scenario(duration=duration, seed=seed, pipeline=PipelineConfig(mode=mode),
-                  tracker=TrackerConfig(), metrics=MetricsConfig(),
-                  network=NetworkModel(), agents=tuple(agents), objects=())
-    _validate_mode(sc)
-    return sc
+        detections[key] = _detection_rows(stype, obj["detections"], lineno)
+    return ReplayData(detections, sensor_types, sorted(truth), truth)

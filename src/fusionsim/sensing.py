@@ -4,6 +4,18 @@ These stand in for real detectors, datasets and hardware.  Both sensors
 draw from an explicitly passed generator, so callers own determinism and
 can run per-sensor streams in parallel.
 
+Each tick's measurements are one new float64 ``(n, 5)`` array, one row
+per box or return, in draw order:
+
+* a camera row is ``[umin, vmin, umax, vmax, score]``: a box in pixels
+  with ``umin < umax`` and ``vmin < vmax``, and a score in [0, 1];
+* a radar row is ``[x, y, z, radial_speed, snr]``: a finite position in
+  the radar body frame with range > 0 (meters), the radial speed (m/s,
+  negative when approaching) and the SNR (dB).
+
+The sensor models meet these conditions by construction; a replay file
+is checked against them when it is loaded.
+
 Camera bounding boxes are the hull of the eight box corners projected at
 the center's depth (a billboard at the object center), clipped to the
 image.  That keeps the box model cheap, total for any object in front of
@@ -87,48 +99,6 @@ class GroundTruthObject:
                             ("velocity", velocity), ("extent", extent)):
             object.__setattr__(obj, name, value)
         return obj
-
-
-@dataclass(frozen=True)
-class Detection2D:
-    bbox: tuple[float, float, float, float]  # (umin, vmin, umax, vmax) px
-    score: float
-
-    def __post_init__(self):
-        umin, vmin, umax, vmax = self.bbox
-        if not (umin < umax and vmin < vmax):
-            raise SensingError(f"degenerate bbox {self.bbox}")
-        if not 0.0 <= self.score <= 1.0:
-            raise SensingError(f"score {self.score} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class RadarPoint:
-    position: np.ndarray   # sensor body frame, meters
-    radial_speed: float    # m/s, negative = approaching
-    snr: float             # dB
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
-        object.__setattr__(self, "position", p)
-        if not np.all(np.isfinite(p)) or float(np.linalg.norm(p)) <= 0.0:
-            raise SensingError("radar point needs a finite position with range > 0")
-
-    @classmethod
-    def _trusted(cls, position: np.ndarray, radial_speed: float, snr: float) -> "RadarPoint":
-        """A point from this package's sensor models, whose float (3,)
-        position is finite with range > 0 by construction: not checked
-        again.  Points read from outside (a replay) use the checked
-        constructor."""
-        point = object.__new__(cls)
-        for name, value in (("position", position), ("radial_speed", radial_speed),
-                            ("snr", snr)):
-            object.__setattr__(point, name, value)
-        return point
-
-    @property
-    def range(self) -> float:
-        return float(np.linalg.norm(self.position))
 
 
 @dataclass(frozen=True)
@@ -231,10 +201,17 @@ def visible_object_ids(K: CameraIntrinsics, sensor_pose: Pose,
     return [objects[i].id for i in idx[~_occluded(boxes, depths)].tolist()]
 
 
+def measurement_rows(rows) -> np.ndarray:
+    """One tick's measurement rows as a new float64 array; ``(0, 5)`` when
+    there are none."""
+    return np.array(rows, dtype=float) if rows else np.empty((0, 5))
+
+
 def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
                    objects: list[GroundTruthObject], cfg: SensorNoiseConfig,
-                   rng: np.random.Generator) -> list[Detection2D]:
-    """Noisy 2D boxes for the objects visible from ``sensor_pose``.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Noisy 2D boxes for the objects visible from ``sensor_pose``, as
+    camera rows ``[umin, vmin, umax, vmax, score]``.
 
     ``sensor_pose`` is world-from-body for the camera body frame (x
     forward); the optical-axis remap happens internally.  Per visible,
@@ -244,7 +221,7 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
     """
     _, boxes, depths = camera_candidates(K, sensor_pose, objects)
 
-    detections: list[Detection2D] = []
+    rows = []
     for bbox, hidden in zip(boxes.tolist(), _occluded(boxes, depths).tolist()):
         if hidden:
             continue
@@ -258,7 +235,7 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
         vmax = min(max(noisy[3], 0.0), float(K.height))
         if umin >= umax or vmin >= vmax:
             continue  # noise collapsed the box; counts as a miss
-        detections.append(Detection2D((umin, vmin, umax, vmax), TRUE_SCORE))
+        rows.append((umin, vmin, umax, vmax, TRUE_SCORE))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
     for _ in range(n_clutter):
@@ -269,14 +246,15 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
         umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, float(K.width))
         vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, float(K.height))
         if umin < umax and vmin < vmax:
-            detections.append(Detection2D((umin, vmin, umax, vmax), CLUTTER_SCORE))
-    return detections
+            rows.append((umin, vmin, umax, vmax, CLUTTER_SCORE))
+    return measurement_rows(rows)
 
 
 def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
                   cfg: SensorNoiseConfig, rng: np.random.Generator,
-                  sensor_velocity=(0.0, 0.0, 0.0)) -> list[RadarPoint]:
-    """Noisy 3D point returns (one per object) in the radar body frame.
+                  sensor_velocity=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Noisy 3D point returns (one per object), as radar rows ``[x, y, z,
+    radial_speed, snr]`` in the radar body frame.
 
     Objects outside the azimuth field of view (full width
     ``cfg.fov_azimuth``) or beyond ``cfg.max_range`` are excluded.  Range
@@ -291,7 +269,7 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
     v_rel_body = (body_from_world.rotation @ v_rel[:, :, None])[:, :, 0]
     radial_speeds = ((p_body / ranges[:, None])[:, None, :] @ v_rel_body[:, :, None])[:, 0, 0]
 
-    points: list[RadarPoint] = []
+    rows = []
     for p, rng_true, radial in zip(p_body.tolist(), ranges.tolist(), radial_speeds.tolist()):
         az = math.atan2(p[1], p[0])
         if abs(az) > cfg.fov_azimuth / 2.0:
@@ -301,14 +279,14 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
         pos = perturb_polar(p, rng_true, cfg, rng)
         if cfg.speed_sigma > 0:
             radial += rng.normal(0.0, cfg.speed_sigma)
-        points.append(RadarPoint._trusted(pos, radial, TRUE_SNR_DB))
+        rows.append((*pos.tolist(), radial, TRUE_SNR_DB))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         r = max(rng.uniform(0.0, cfg.max_range), 1e-3)
         az = rng.uniform(-cfg.fov_azimuth / 2.0, cfg.fov_azimuth / 2.0)
-        points.append(RadarPoint._trusted(_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB))
-    return points
+        rows.append((*_from_polar(r, az, 0.0).tolist(), 0.0, CLUTTER_SNR_DB))
+    return measurement_rows(rows)
 
 
 def in_range(body_from_world: Pose, objects: list[GroundTruthObject],

@@ -2,7 +2,8 @@
 
 * determinism: two runs of one input give byte-identical outputs;
 * replay: driving a scenario from its own ``replay.jsonl`` gives the same
-  tracks;
+  tracks, and a replay whose sensor types differ from the scenario's is
+  refused when the engine is built;
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
 * offload: the broker conserves tasks, also when a result names a task
@@ -33,6 +34,7 @@ from fusionsim.geometry import Pose
 from fusionsim.offload import QUEUED, STATUS_OK, dispatch
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import KIND_DELIVER, Engine
+from fusionsim.scenario.replay import ReplayError
 
 # (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
 # 8 s: by then an edge task has been sent while an object was out of the
@@ -148,6 +150,21 @@ def test_replay_reproduces_tracks(case):
     replay = load_replay(report.replay_jsonl().decode())
     replayed = Engine(sc, replay=replay).run()
     assert replayed.track_jsonl() == report.track_jsonl()
+
+
+def test_a_replay_with_another_sensor_type_is_refused_at_set_up(scenario_dir):
+    # the ego's camera index carries the ego radar's lines: the rows would
+    # read as boxes, so the engine refuses the replay before it runs
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = load_scenario(json.dumps(doc))
+    lines = [json.loads(line) for line in Engine(sc).run().replay_jsonl().splitlines()]
+    swapped = [dict(line, sensor=0) for line in lines
+               if line.get("agent") == "ego" and line["type"] == "radar"]
+    assert any(line["detections"] for line in swapped)
+    replay = load_replay("\n".join(json.dumps(line) for line in swapped))
+    with pytest.raises(ReplayError, match=r"\(ego, 0\) is a radar"):
+        Engine(sc, replay=replay)
 
 
 def test_frames_and_tasks_accounted_for(case):

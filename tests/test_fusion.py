@@ -12,7 +12,7 @@ from fusionsim.fusion import (
     synthesize,
 )
 from fusionsim.geometry import OPTICAL_FROM_BODY, CameraIntrinsics, Pose
-from fusionsim.sensing import Detection2D, RadarPoint, SensorNoiseConfig
+from fusionsim.sensing import SensorNoiseConfig
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
 # radar body coords straight into the optical frame (co-located, boresights aligned)
@@ -21,11 +21,18 @@ RADAR_CFG = SensorNoiseConfig(range_sigma=0.15, azimuth_sigma=0.02)
 
 
 def bbox(umin, vmin, umax, vmax, score=1.0):
-    return Detection2D((umin, vmin, umax, vmax), score)
+    """A camera row."""
+    return (umin, vmin, umax, vmax, score)
 
 
 def radar_point(x, y, z, speed=0.0):
-    return RadarPoint(np.array([x, y, z], dtype=float), speed, 20.0)
+    """A radar row."""
+    return (x, y, z, speed, 20.0)
+
+
+def rows(*dets):
+    """Camera or radar rows as one sensing array."""
+    return np.array(dets, dtype=float).reshape(-1, 5)
 
 
 def oracle_best_assignment(cost: np.ndarray) -> float:
@@ -107,14 +114,14 @@ class TestFrustumAssociate:
         box = bbox(900, 500, 1020, 580)
         # optical (0, 0, 10) is radar body (10, 0, 0): projects to the principal point
         pt = radar_point(10.0, 0.0, 0.0)
-        a = frustum_associate([box], [pt], K, CAM_FROM_RADAR)
+        a = frustum_associate(rows(box), rows(pt), K, CAM_FROM_RADAR)
         assert a.pairs == [(0, 0)]
         assert a.unmatched_radar == []
 
     def test_point_outside_all_boxes(self):
         box = bbox(100, 100, 200, 200)
         pt = radar_point(10.0, 0.0, 0.0)  # projects to (960, 540)
-        a = frustum_associate([box], [pt], K, CAM_FROM_RADAR)
+        a = frustum_associate(rows(box), rows(pt), K, CAM_FROM_RADAR)
         assert a.pairs == []
         assert a.unmatched_radar == [0]
 
@@ -124,17 +131,17 @@ class TestFrustumAssociate:
         # radar body (z fwd, x right in optical): y left positive => left of image
         pt_left = radar_point(10.0, 4.0, 0.0)    # u = 960 - 400 = 560
         pt_right = radar_point(10.0, -4.0, 0.0)  # u = 1360
-        a = frustum_associate([left, right], [pt_right, pt_left], K, CAM_FROM_RADAR)
+        a = frustum_associate(rows(left, right), rows(pt_right, pt_left), K, CAM_FROM_RADAR)
         assert sorted(a.pairs) == [(0, 1), (1, 0)]
 
     def test_point_behind_camera_unmatched(self):
         box = bbox(900, 500, 1020, 580)
         pt = radar_point(-10.0, 0.0, 0.0)
-        a = frustum_associate([box], [pt], K, CAM_FROM_RADAR)
+        a = frustum_associate(rows(box), rows(pt), K, CAM_FROM_RADAR)
         assert a.pairs == [] and a.unmatched_radar == [0]
 
     def test_empty_inputs(self):
-        a = frustum_associate([], [], K, CAM_FROM_RADAR)
+        a = frustum_associate(rows(), rows(), K, CAM_FROM_RADAR)
         assert a == Association([], [])
 
     def test_partition_invariant(self):
@@ -146,7 +153,7 @@ class TestFrustumAssociate:
                 boxes.append(bbox(u, v, u + rng.uniform(30, 200), v + rng.uniform(30, 150)))
             points = [radar_point(rng.uniform(5, 60), rng.uniform(-20, 20), rng.uniform(-2, 2))
                       for _ in range(int(rng.integers(0, 5)))]
-            a = frustum_associate(boxes, points, K, CAM_FROM_RADAR)
+            a = frustum_associate(rows(*boxes), rows(*points), K, CAM_FROM_RADAR)
             b_idx = [i for i, _ in a.pairs]
             r_idx = [j for _, j in a.pairs] + a.unmatched_radar
             assert len(set(b_idx)) == len(b_idx) and set(b_idx) <= set(range(len(boxes)))
@@ -157,37 +164,37 @@ class TestSynthesize:
     def test_pair_keeps_radar_position(self):
         pt = radar_point(10.0, 0.0, 0.0, speed=-1.5)
         a = Association([(0, 0)], [])
-        dets = synthesize(a, [pt], Pose.identity(), RADAR_CFG)
+        dets = synthesize(a, rows(pt), Pose.identity(), RADAR_CFG)
         assert len(dets) == 1
         assert np.allclose(dets.positions[0], [10, 0, 0], atol=1e-12)
 
     def test_unmatched_radar_becomes_radar_only(self):
         pt = radar_point(10.0, 0.0, 0.0)
-        dets = synthesize(Association([], [0]), [pt], Pose.identity(), RADAR_CFG)
+        dets = synthesize(Association([], [0]), rows(pt), Pose.identity(), RADAR_CFG)
         assert len(dets) == 1
         assert np.allclose(dets.positions[0], [10, 0, 0], atol=1e-12)
 
     def test_rows_are_pairs_then_radar_only(self):
-        pts = [radar_point(10.0, 0.0, 0.0), radar_point(20.0, 0.0, 0.0),
-               radar_point(30.0, 0.0, 0.0)]
+        pts = rows(radar_point(10.0, 0.0, 0.0), radar_point(20.0, 0.0, 0.0),
+                   radar_point(30.0, 0.0, 0.0))
         dets = synthesize(Association([(0, 2), (1, 0)], [1]), pts, Pose.identity(), RADAR_CFG)
         assert dets.positions[:, 0].tolist() == [30.0, 10.0, 20.0]
 
     def test_unmatched_bbox_yields_nothing(self):
-        dets = synthesize(Association([], []), [], Pose.identity(), RADAR_CFG)
+        dets = synthesize(Association([], []), rows(), Pose.identity(), RADAR_CFG)
         assert len(dets) == 0
         assert dets.positions.shape == (0, 3) and dets.covs.shape == (0, 3, 3)
 
     def test_radar_only_cov_is_4x(self):
         pt = radar_point(20.0, 5.0, 1.0)
-        fused = synthesize(Association([(0, 0)], []), [pt], Pose.identity(), RADAR_CFG)
-        ronly = synthesize(Association([], [0]), [pt], Pose.identity(), RADAR_CFG)
+        fused = synthesize(Association([(0, 0)], []), rows(pt), Pose.identity(), RADAR_CFG)
+        ronly = synthesize(Association([], [0]), rows(pt), Pose.identity(), RADAR_CFG)
         assert np.allclose(ronly.covs, 4.0 * fused.covs, rtol=1e-12)
 
     def test_cov_polar_shape(self):
         # point straight down the x axis: radial = x, tangents = y (azimuth), z (elevation)
         pt = radar_point(10.0, 0.0, 0.0)
-        cov = radar_measurement_cov(pt.position[None], RADAR_CFG)[0]
+        cov = radar_measurement_cov(rows(pt)[:, :3], RADAR_CFG)[0]
         assert cov[0, 0] == pytest.approx(RADAR_CFG.range_sigma**2, rel=1e-12)
         assert cov[1, 1] == pytest.approx((10.0 * RADAR_CFG.azimuth_sigma) ** 2, rel=1e-12)
         assert cov[2, 2] == pytest.approx((10.0 * RADAR_CFG.azimuth_sigma) ** 2, rel=1e-12)
@@ -197,7 +204,7 @@ class TestSynthesize:
         # radar mounted 1 m forward, yawed 90 deg: body x maps to agent y
         mount = Pose.from_rpy_deg([1.0, 0.0, 0.0], yaw=90.0)
         pt = radar_point(10.0, 0.0, 0.0)
-        d = synthesize(Association([], [0]), [pt], mount, RADAR_CFG)
+        d = synthesize(Association([], [0]), rows(pt), mount, RADAR_CFG)
         assert np.allclose(d.positions[0], [1.0, 10.0, 0.0], atol=1e-9)
 
     def test_noise_free_single_object_exact(self):

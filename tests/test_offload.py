@@ -369,16 +369,19 @@ class TestReapTimeouts:
     def test_retry_queues_behind_older_tasks_and_the_queue_drains(self):
         # one worker, timeout 1 s: task 1 is sent at 0 and task 2 queued at
         # 0.5.  Task 1's retry joins the queue behind task 2, and every reap
-        # drains the queue onto the worker it frees
+        # drains the queue onto the worker it frees.  Task 2's timeout runs
+        # from 1.1, when it is sent: the 1.6 reap leaves it on the worker,
+        # the 2.2 reap retries it, and task 1's retry, still queued since
+        # 1.1, is dropped there
         broker = Broker(pool=pool_of(1), timeout=1.0, heartbeat_interval=10.0)
         assert broker.submit(req(1), 0.0) == "edge/w0"
         assert broker.submit(req(2, t=0.5), 0.5) is None
         assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
         assert broker.queue == [req(1)]
-        for now, sent in ((1.6, req(1)), (2.2, req(2, t=0.5))):
-            assert reap_timeouts(broker, now) == [(sent, "edge/w0")]
+        for now, sends in ((1.6, []), (2.2, [(req(2, t=0.5), "edge/w0")]), (2.8, []),
+                           (3.3, [])):
+            assert reap_timeouts(broker, now) == sends
             assert idle_while_queued(broker) == []
-        assert reap_timeouts(broker, 2.8) == []
         assert broker.counters["retries"] == 2
         assert broker.counters["timeout_dropped"] == 2
         assert broker.pending == {} and broker.conserved()
@@ -442,7 +445,9 @@ class BrokerMachine(RuleBasedStateMachine):
     workers.  After every step the broker conserves tasks, names each
     worker in at most one pending task, keeps exactly its worker-less
     pending tasks in the queue, and leaves no registered worker idle while
-    a task waits.
+    a task waits.  A reap expires a task on a live worker only once it has
+    been on that worker for longer than the timeout since it was last
+    sent, also when it waited in the queue before.
 
     Reaps come 0.6 s apart, so a task expires at its second reap after
     submission: short enough for a retry to meet younger queued tasks in
@@ -457,12 +462,18 @@ class BrokerMachine(RuleBasedStateMachine):
         self.submitted: list[int] = []
         self.workers = WORKERS[:n_workers]
         self.beating = set(self.workers)
+        self.sent_at: dict[int, float] = {}  # task id -> when it was last sent
+
+    def sent(self, sends):
+        for request, _ in sends:
+            self.sent_at[request.task_id] = self.now
 
     @rule()
     def submit(self):
         task_id = len(self.submitted) + 1
         self.submitted.append(task_id)
-        self.broker.submit(req(task_id, t=self.now), self.now)
+        if self.broker.submit(req(task_id, t=self.now), self.now) is not None:
+            self.sent_at[task_id] = self.now
 
     @rule()
     def reap(self):
@@ -470,8 +481,16 @@ class BrokerMachine(RuleBasedStateMachine):
         # beat have sent a heartbeat
         self.now += 0.6
         for wid in sorted(self.beating):
-            self.broker.heartbeat(wid, self.now)
-        reap_timeouts(self.broker, self.now)
+            self.sent(self.broker.heartbeat(wid, self.now))
+        on_worker = {i: p for i, p in self.broker.pending.items() if p.worker_id is not None}
+        sends = reap_timeouts(self.broker, self.now)
+        alive = {w.worker_id for w in self.broker.pool.workers}
+        for task_id, pend in on_worker.items():
+            # an expired task is settled or retried as a new pending entry;
+            # one on a worker that died expires whatever its age
+            if self.broker.pending.get(task_id) is not pend and pend.worker_id in alive:
+                assert self.now - self.sent_at[task_id] > self.broker.timeout
+        self.sent(sends)
 
     @precondition(lambda self: self.broker.pending)
     @rule(k=st.integers(0, 7), ok=st.booleans())
@@ -483,7 +502,7 @@ class BrokerMachine(RuleBasedStateMachine):
         frame_time = self.broker.pending[task_id].req.frame_time
         result = edge_result(task_id, frame_time, [5.0, 0.0, 0.0]) if ok else \
             TaskResult(task_id, STATUS_FAILED, frame_time, NO_DETECTIONS, 0.1)
-        self.broker.on_result(result, self.tracker, self.now)
+        self.sent(self.broker.on_result(result, self.tracker, self.now)[1])
         assert task_id not in self.broker.pending
 
     @rule(k=st.integers(0, 7))
@@ -504,7 +523,7 @@ class BrokerMachine(RuleBasedStateMachine):
     def heartbeat_back(self, k):
         wid = self.workers[k % len(self.workers)]
         self.beating.add(wid)
-        self.broker.heartbeat(wid, self.now)
+        self.sent(self.broker.heartbeat(wid, self.now))
 
     @invariant()
     def conserved(self):

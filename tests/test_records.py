@@ -6,9 +6,11 @@ lines only when asked for bytes.  These tests pin that:
 
 * the record path writes the bytes the lines themselves give
   (``canonical_dumps`` of each line's dict, as built from the tracks,
-  detections and objects), for any finite numbers;
-* a record copies its numbers, so later writes to the source arrays do
-  not reach the output;
+  measurement rows and objects), for any finite numbers;
+* a track or truth record copies its numbers, so later writes to the
+  source arrays do not reach the output;
+* a detection record is the tick's sensing array itself, which nothing
+  writes to after sensing returns it;
 * a non-finite number still makes serialisation raise;
 * memory grows with a run's length by no more than its output bytes do.
 """
@@ -24,13 +26,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fusionsim.bus import canonical_dumps
-from fusionsim.scenario.engine import (
-    RunReport,
-    _detection_record,
-    _track_record,
-    _truth_record,
-)
-from fusionsim.sensing import Detection2D, GroundTruthObject, RadarPoint
+from fusionsim.scenario import engine as engine_module
+from fusionsim.scenario import apply_overrides, load_scenario
+from fusionsim.scenario.engine import Engine, RunReport, _track_record, _truth_record
+from fusionsim.sensing import GroundTruthObject, measurement_rows
 from fusionsim.tracker import CONFIRMED, TENTATIVE, Track
 
 REPO = Path(__file__).resolve().parent.parent
@@ -59,13 +58,15 @@ def tracks(draw):
 
 @st.composite
 def boxes(draw):
+    """A camera row, as Python floats."""
     umin, umax = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
     vmin, vmax = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
     score = draw(st.one_of(st.sampled_from([-0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)))
-    return Detection2D((umin, vmin, umax, vmax), score)
+    return (umin, vmin, umax, vmax, score)
 
 
-POINTS = st.builds(RadarPoint._trusted, vector(3), FLOATS, FLOATS)
+# A radar row, as Python floats: position, radial speed and SNR.
+POINTS = st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
 OBJECTS = st.builds(GroundTruthObject._trusted, st.integers(0, 10**6),
                     vector(3), vector(3), vector(3))
 
@@ -94,10 +95,10 @@ def track_lines(flushed):
             for t, agent, trs in flushed for tr in trs]
 
 
-def detection_dict(d):
-    if isinstance(d, Detection2D):
-        return {"bbox": list(d.bbox), "score": d.score}
-    return {"position": d.position.tolist(), "radial_speed": d.radial_speed, "snr": d.snr}
+def detection_dict(kind, row):
+    if kind == "camera":
+        return {"bbox": list(row[:4]), "score": row[4]}
+    return {"position": list(row[:3]), "radial_speed": row[3], "snr": row[4]}
 
 
 def replay_lines(events):
@@ -112,12 +113,13 @@ def replay_lines(events):
         else:
             agent, sidx, dets = rest
             lines.append({"t": t, "agent": agent, "sensor": sidx, "type": kind,
-                          "detections": [detection_dict(d) for d in dets]})
+                          "detections": [detection_dict(kind, row) for row in dets]})
     return lines
 
 
 def records(flushed, events):
-    """A report holding the records the engine makes of the same lines."""
+    """A report holding the records the engine makes of the same lines; a
+    detection record holds the array sensing returns for its rows."""
     track_records = [_track_record(t, agent, trs) for t, agent, trs in flushed if trs]
     replay_records = []
     for kind, t, *rest in events:
@@ -125,7 +127,7 @@ def records(flushed, events):
             replay_records.append(_truth_record(t, *rest))
         else:
             agent, sidx, dets = rest
-            replay_records.append(_detection_record(t, agent, sidx, kind, dets))
+            replay_records.append((t, agent, sidx, kind, measurement_rows(dets)))
     return RunReport({}, track_records, replay_records)
 
 
@@ -139,19 +141,43 @@ def test_records_write_the_bytes_of_the_lines(flushed, events):
     assert report.replay_jsonl() == jsonl(replay_lines(events))
 
 
-def test_records_copy_their_numbers():
+def test_track_and_truth_records_copy_their_numbers():
     track = Track(7, np.arange(6.0), np.diag(np.arange(1.0, 7.0)), 0.0, 3)
-    box = Detection2D((1.0, 2.0, 3.0, 4.0), 1.0)
-    point = RadarPoint._trusted(np.array([5.0, 1.0, 0.5]), -2.0, 20.0)
+    box = (1.0, 2.0, 3.0, 4.0, 1.0)
+    point = (5.0, 1.0, 0.5, -2.0, 20.0)
     obj = GroundTruthObject._trusted(3, np.ones(3), np.zeros(3), np.full(3, 2.0))
     report = records([(0.1, "ego", [track])],
                      [("truth", 0.1, [obj]), ("camera", 0.1, "ego", 0, [box]),
                       ("radar", 0.1, "ego", 1, [point])])
     before = report.track_jsonl(), report.replay_jsonl()
-    for array in (track.mean, track.cov, point.position, obj.position, obj.velocity,
-                  obj.extent):
+    for array in (track.mean, track.cov, obj.position, obj.velocity, obj.extent):
         array[...] = -1.0
     assert (report.track_jsonl(), report.replay_jsonl()) == before
+
+
+def test_detection_records_are_the_sensing_arrays_and_nothing_writes_them(
+        scenario_dir, monkeypatch):
+    # every array camera_observe and radar_observe return in a 1 s urban
+    # cr-covi run is recorded as it is, and still holds its numbers at the end
+    returned = []
+
+    def kept(observe):
+        def wrapper(*args, **kwargs):
+            rows = observe(*args, **kwargs)
+            returned.append((rows, rows.copy()))
+            return rows
+        return wrapper
+
+    for name in ("camera_observe", "radar_observe"):
+        monkeypatch.setattr(engine_module, name, kept(getattr(engine_module, name)))
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")).run()
+    recorded = [record[-1] for record in report.replay_records if len(record) == 5]
+    assert len(recorded) == len(returned) > 0
+    for rows, (array, copy) in zip(recorded, returned):
+        assert rows is array
+        assert np.array_equal(rows, copy) and rows.dtype == np.float64
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -34,10 +34,9 @@ from fusionsim.geometry import (
 from fusionsim.offload import TaskRequest, WorkerConfig, emulate_worker
 from fusionsim.sensing import (
     OCCLUSION_COVER,
+    TRUE_SCORE,
     TRUE_SNR_DB,
-    Detection2D,
     GroundTruthObject,
-    RadarPoint,
     SensorNoiseConfig,
     camera_candidates,
     camera_observe,
@@ -155,13 +154,14 @@ def ref_is_occluded(bbox, depth, candidates):
 
 
 def ref_frustum_cost(bboxes, points, cam_from_radar):
+    """Per box and point, from camera and radar rows given one at a time."""
     cost = np.full((len(bboxes), len(points)), np.inf)
     pixels = []
     for point in points:
-        x, y, z = ref_transform_point(cam_from_radar, point.position)
+        x, y, z = ref_transform_point(cam_from_radar, point[:3])
         pixels.append((K.fx * x / z + K.cx, K.fy * y / z + K.cy) if z > 1e-6 else None)
     for i, det in enumerate(bboxes):
-        umin, vmin, umax, vmax = det.bbox
+        umin, vmin, umax, vmax = det[:4]
         cu, cv = (umin + umax) / 2.0, (vmin + vmax) / 2.0
         diag = float(np.hypot(umax - umin, vmax - vmin))
         for j, pix in enumerate(pixels):
@@ -261,11 +261,11 @@ def test_radar_observe_equals_scalar_reference(seed, n):
                            sensor_velocity=sensor_velocity)
     reference = ref_radar_observe(pose, objects, cfg, np.random.default_rng(seed),
                                   sensor_velocity)
-    assert len(points) == len(reference)
-    for point, (pos, radial) in zip(points, reference):
-        assert np.array_equal(point.position, pos)
-        assert point.radial_speed == radial
-        assert point.snr == TRUE_SNR_DB
+    assert points.shape == (len(reference), 5)
+    for row, (pos, radial) in zip(points, reference):
+        assert np.array_equal(row[:3], pos)
+        assert row[3] == radial
+        assert row[4] == TRUE_SNR_DB
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,8 +298,8 @@ def test_synthesize_and_world_transform_equal_scalar_reference(seed, n, m):
     rng = np.random.default_rng(seed)
     cfg = SensorNoiseConfig(range_sigma=float(rng.uniform(0.0, 0.5)),
                             azimuth_sigma=float(rng.uniform(0.0, 0.05)))
-    points = [RadarPoint(rng.normal(0.0, 30.0, 3), float(rng.normal()), 20.0)
-              for _ in range(m)]
+    points = np.array([[*rng.normal(0.0, 30.0, 3), rng.normal(), 20.0]
+                       for _ in range(m)]).reshape(-1, 5)
     pairs = list(zip(rng.permutation(n).tolist(), rng.permutation(m).tolist()))
     pairs = pairs[:int(rng.integers(0, len(pairs) + 1))]
     used = {j for _, j in pairs}
@@ -313,9 +313,9 @@ def test_synthesize_and_world_transform_equal_scalar_reference(seed, n, m):
     assert dets.covs.shape == (len(picks), 3, 3)
     r = agent_from_radar.rotation
     for pos, cov, (j, scale) in zip(dets.positions, dets.covs, picks):
-        assert np.array_equal(pos, ref_transform_point(agent_from_radar, points[j].position))
-        assert np.array_equal(cov, symmetrize(scale * (r @ ref_radar_cov(points[j].position,
-                                                                          cfg) @ r.T)))
+        position = points[j, :3].copy()
+        assert np.array_equal(pos, ref_transform_point(agent_from_radar, position))
+        assert np.array_equal(cov, symmetrize(scale * (r @ ref_radar_cov(position, cfg) @ r.T)))
 
     world = dets.to_parent(world_from_agent)
     assert world.positions.shape == dets.positions.shape
@@ -355,8 +355,9 @@ def test_camera_candidates_and_occlusion_equal_scalar_reference(seed, n):
         umax = min(max(noisy[2], 0.0), float(K.width))
         vmax = min(max(noisy[3], 0.0), float(K.height))
         if umin < umax and vmin < vmax:
-            expected.append((umin, vmin, umax, vmax))
-    assert [d.bbox for d in dets] == expected
+            expected.append([umin, vmin, umax, vmax, TRUE_SCORE])
+    assert dets.shape == (len(expected), 5)
+    assert dets.tolist() == expected
 
 
 def test_crowded_scenes_exercise_every_branch():
@@ -382,11 +383,11 @@ def test_frustum_associate_equals_scalar_reference(seed, n, m):
     bboxes = []
     for _ in range(n):
         u, v = rng.uniform(0, 1800), rng.uniform(0, 1000)
-        bboxes.append(Detection2D((u, v, u + rng.uniform(20, 400), v + rng.uniform(20, 300)),
-                                  1.0))
-    points = [RadarPoint(rng.normal(0.0, 20.0, 3), 0.0, 20.0) for _ in range(m)]
+        bboxes.append((u, v, u + rng.uniform(20, 400), v + rng.uniform(20, 300), 1.0))
+    points = [np.array([*rng.normal(0.0, 20.0, 3), 0.0, 20.0]) for _ in range(m)]
     cost = ref_frustum_cost(bboxes, points, cam_from_radar)
-    assoc = frustum_associate(bboxes, points, K, cam_from_radar)
+    assoc = frustum_associate(np.array(bboxes).reshape(-1, 5), np.array(points).reshape(-1, 5),
+                              K, cam_from_radar)
     assert assoc.pairs == [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]
 
 
