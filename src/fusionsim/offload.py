@@ -20,7 +20,7 @@ import numpy as np
 from .bus import payload_array, payload_field
 from .fusion import SOURCE_FUSED, Detections, radar_measurement_cov
 from .geometry import Pose, inverse
-from .sensing import GroundTruthObject, SensorNoiseConfig, in_range, perturb_polar
+from .sensing import SensorNoiseConfig, in_range, perturb_polar
 from .tracker import LANE_EDGE, Tracker
 
 STATUS_OK = "ok"
@@ -149,10 +149,10 @@ class WorkerConfig:
             raise OffloadError("p_fail must be in [0, 1]")
 
 
-def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
-                   sensor_pose: Pose, cfg: WorkerConfig,
-                   rng: np.random.Generator) -> TaskResult:
-    """High-accuracy detections over ground truth, after a simulated compute.
+def emulate_worker(req: TaskRequest, positions: np.ndarray, sensor_pose: Pose,
+                   cfg: WorkerConfig, rng: np.random.Generator) -> TaskResult:
+    """High-accuracy detections of the ground-truth objects at the ``(n, 3)``
+    world ``positions``, after a simulated compute.
 
     Draw order: one uniform for the latency, one for failure, then per
     object in range one detect uniform and, if detected, three polar
@@ -166,7 +166,7 @@ def emulate_worker(req: TaskRequest, truth: list[GroundTruthObject],
         return TaskResult(req.task_id, STATUS_FAILED, req.frame_time,
                           Detections(np.empty((0, 3)), np.empty((0, 3, 3))), latency)
     prof = cfg.profile
-    _, p_body, ranges = in_range(inverse(sensor_pose), truth, prof.max_range)
+    _, p_body, ranges = in_range(inverse(sensor_pose), positions, prof.max_range)
     measured = [perturb_polar(p, r_true, prof, rng)
                 for p, r_true in zip(p_body.tolist(), ranges.tolist())
                 if rng.uniform() < prof.p_detect]

@@ -45,6 +45,7 @@ from ..offload import (
 )
 from ..sensing import (
     SensorNoiseConfig,
+    Truth,
     camera_observe,
     measurement_rows,
     radar_observe,
@@ -52,7 +53,7 @@ from ..sensing import (
 )
 from ..tracker import LANE_LOCAL, Tracker, predict_trajectory
 from .model import Scenario, world_at
-from .replay import ReplayError, detection_line
+from .replay import ReplayError, detection_line, truth_line
 
 KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
@@ -89,8 +90,10 @@ class RunReport:
       sensing array itself (camera or radar rows, see ``sensing``): sensing
       makes a new array on every call and nothing writes to it, so the
       record owns it; ``replay.detection_line`` writes its line;
-    * a truth record, per ground-truth time:
-      ``(t, ids, (n, 3, 3) positions, velocities and extents)``.
+    * a truth record, per ground-truth time: ``(t, truth)``, where
+      ``truth`` is the ``sensing.Truth`` batch itself: ``world_at`` makes
+      new arrays on every call and nothing writes to them, so the record
+      owns them; ``replay.truth_line`` writes its line.
 
     A tick without detections or a time without objects records an empty
     array, and its line an empty list.
@@ -126,23 +129,12 @@ def _track_dicts(records):
 
 def _replay_dicts(records):
     for record in records:
-        if len(record) == 3:  # ground truth
-            t, ids, nums = record
-            yield {"t": t, "truth": [
-                {"id": oid, "position": position, "velocity": velocity, "extent": extent}
-                for oid, (position, velocity, extent) in zip(ids, nums.tolist())]}
-            continue
-        yield detection_line(*record)
+        yield truth_line(*record) if len(record) == 2 else detection_line(*record)
 
 
 def _track_record(t: float, agent: str, tracks) -> tuple:
     return (t, agent, tuple([tr.id for tr in tracks]), tuple([tr.status for tr in tracks]),
             np.array([(tr.mean, tr.cov.diagonal()) for tr in tracks], dtype=float))
-
-
-def _truth_record(t: float, objs) -> tuple:
-    return (t, tuple([o.id for o in objs]),
-            np.array([(o.position, o.velocity, o.extent) for o in objs], dtype=float))
 
 
 class _AgentRT:
@@ -170,9 +162,9 @@ class Engine:
     """One run of a scenario, live or driven from a replay.
 
     Handlers record each output line when it happens, as a compact record
-    (see ``RunReport``) that copies its numbers out of the tracker and
-    ground truth, or keeps the sensing array it was handed; nothing is
-    serialised until ``RunReport`` is asked for bytes.  A replay run
+    (see ``RunReport``) that copies its numbers out of the tracker, or
+    keeps the sensing array or ground-truth batch it was handed; nothing
+    is serialised until ``RunReport`` is asked for bytes.  A replay run
     records no replay lines.  A replay run refuses, when it is built, a
     replay that gives a scenario sensor another type.
     """
@@ -186,7 +178,7 @@ class Engine:
         self.heap: list = []
         # Both caches hold the last time asked for only: ground truth and
         # poses are pure functions of time, so an older time is recomputed.
-        self.truth_cache: dict[float, list] = {}
+        self.truth_cache: dict[float, Truth] = {}
         self._pose_cache: dict[float, dict[str, Pose]] = {}
         self.link_rngs: dict[str, np.random.Generator] = {}
         self.frames_log: list[dict] = []
@@ -318,7 +310,7 @@ class Engine:
         if t == self._last_truth_line:
             return
         self._last_truth_line = t
-        self._replay_records.append(_truth_record(t, self._truth(t)))
+        self._replay_records.append((t, self._truth(t)))
 
     # -- event handlers ------------------------------------------------------
 
@@ -453,8 +445,9 @@ class Engine:
 
     def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest,
                      visible: set, rig_pose: Pose) -> None:
-        truth = [o for o in self._truth(req.frame_time) if o.id in visible]
-        result = emulate_worker(req, truth, rig_pose, self.sc.pipeline.worker,
+        truth = self._truth(req.frame_time)
+        rows = [i for i, oid in enumerate(truth.ids) if oid in visible]
+        result = emulate_worker(req, truth.positions[rows], rig_pose, self.sc.pipeline.worker,
                                 self.worker_rngs[wid])
         self._push(t + result.compute_latency, KIND_TASK, (wid, result))
 
@@ -490,7 +483,8 @@ class Engine:
         if self.ego_id not in self.agents:  # sensor-less ego: nothing to score
             return
         ego = self.agents[self.ego_id]
-        gt = [(o.id, o.position) for o in self._truth(t)]
+        truth = self._truth(t)
+        gt = list(zip(truth.ids, truth.positions))
         est = []
         for tr in ego.tracker.confirmed():
             pos = tr.mean[:3] + tr.mean[3:] * (t - tr.stamp)

@@ -25,10 +25,10 @@ from ..offload import (
 )
 from ..sensing import (
     CAMERA_PRESETS,
-    GroundTruthObject,
     RADAR_PRESETS,
     SensingError,
     SensorNoiseConfig,
+    Truth,
 )
 from ..tracker import TrackerConfig, TrackerError
 
@@ -545,10 +545,12 @@ def _parse_object(d: dict, path: str, duration: float) -> ObjectSpec:
     return ObjectSpec(obj_id, extent, motion)
 
 
-def world_at(objects, t: float, duration: float) -> list[GroundTruthObject]:
-    """Ground-truth snapshot at time t; t must lie inside the scenario."""
+def world_at(objects, t: float, duration: float) -> Truth:
+    """Ground truth at time t, in object order, as new arrays; t must lie
+    inside the scenario."""
     if t < -1e-9 or t > duration + 1e-9:
         raise OutOfRange(f"t={t} outside [0, {duration}]")
-    return [GroundTruthObject._trusted(o.id, o.motion.position(t), o.motion.velocity(t),
-                                       o.extent)
-            for o in objects]
+    return Truth(tuple([o.id for o in objects]),
+                 np.array([o.motion.position(t) for o in objects]).reshape(-1, 3),
+                 np.array([o.motion.velocity(t) for o in objects]).reshape(-1, 3),
+                 np.array([o.extent for o in objects]).reshape(-1, 3))

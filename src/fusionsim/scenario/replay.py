@@ -17,26 +17,40 @@ be replayed bit-for-bit; dataset converters (out of scope here) only need
 to emit these lines to drive the same pipelines.
 
 A detection line holds one sensor tick's sensing array (see ``sensing``
-for the camera and radar row layouts), one entry per row, and this
-module owns the line in both directions: ``detection_line`` writes it
-from a live run's array, and ``load_replay`` reads it back into one
-``(n, 5)`` array.  The loader holds each row to what the sensor models
-guarantee: a camera box with ``umin < umax`` and ``vmin < vmax`` and a
-score in [0, 1], a finite radar position with range > 0, a bbox of
-exactly 4 numbers and a position of exactly 3.  A bad line raises
-``ReplayError`` with its line number.
+for the camera and radar row layouts), one entry per row, and a truth
+line one ``sensing.Truth`` batch, one entry per row.  This module owns
+both lines in both directions: ``detection_line`` and ``truth_line``
+write them from a live run's arrays, and ``load_replay`` reads each back
+into one ``(n, 5)`` array or one ``Truth``.  The loader holds every line
+to what a live run guarantees, and a bad line raises ``ReplayError`` with
+its line number:
+
+* every line: a finite number ``t``; a detection line an integer
+  ``sensor``;
+* a detection row: a camera box with ``umin < umax`` and ``vmin < vmax``
+  and a score in [0, 1], or a finite radar position with range > 0; a
+  bbox of exactly 4 numbers and a position of exactly 3;
+* a truth line: at most one per ``t``, with unique ids; a position,
+  velocity and extent of exactly 3 finite numbers each, and extent
+  components > 0.
+
+A row or vector of the wrong length is refused, never reshaped.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..geometry import norms
-from ..sensing import GroundTruthObject, measurement_rows
+from ..sensing import Truth, measurement_rows
+
+# What reading a line's field as a number can raise.
+_FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class ReplayError(Exception):
@@ -50,61 +64,85 @@ class ReplayData:
     detections: dict[tuple[float, str, int], np.ndarray]
     sensor_types: dict[tuple[str, int], str]
     truth_times: list[float]
-    truth: dict[float, list[GroundTruthObject]]
+    truth: dict[float, Truth]
 
     def detections_at(self, t: float, agent: str, sidx: int) -> np.ndarray:
         """The rows of a recorded tick."""
         return self.detections[(t, agent, sidx)]
 
-    def truth_at(self, t: float) -> list[GroundTruthObject]:
+    def truth_at(self, t: float) -> Truth:
+        """Ground truth at ``t``.  At a recorded time it is that line's
+        batch.  Otherwise it holds, in id order, the objects of both lines
+        around ``t`` (before the first line or after the last, that line
+        alone), at positions interpolated linearly between the two lines,
+        with the later line's velocities and extents."""
         if t in self.truth:
             return self.truth[t]
-        if not self.truth_times:
-            return []
-        objs = {}
-        for oid in self._ids():
-            pos = self.truth_position(oid, t)
-            if pos is None:
-                continue
-            ref = self._find(oid, self._nearest_time(t))
-            objs[oid] = GroundTruthObject(oid, pos, ref.velocity, ref.extent)
-        return [objs[k] for k in sorted(objs)]
+        before, after, alpha = self._around(t)
+        ids = sorted(set(before.ids) & set(after.ids))
+        a, b = [before.ids.index(oid) for oid in ids], [after.ids.index(oid) for oid in ids]
+        return Truth(tuple(ids), _between(before.positions[a], after.positions[b], alpha),
+                     after.velocities[b], after.extents[b])
 
-    def truth_position(self, obj_id: int, t: float):
+    def truth_position(self, obj_id: int, t: float) -> np.ndarray | None:
+        """``obj_id``'s position in ``truth_at(t)``; None when it has none."""
+        before, after, alpha = self._around(t)
+        if obj_id not in before.ids or obj_id not in after.ids:
+            return None
+        return _between(before.positions[before.ids.index(obj_id)],
+                        after.positions[after.ids.index(obj_id)], alpha)
+
+    def _around(self, t: float) -> tuple[Truth, Truth, float | None]:
+        """The lines before and after ``t`` and the later one's weight; at
+        a recorded time or outside the lines, the one nearest line twice
+        and no weight."""
         times = self.truth_times
         if not times:
-            return None
+            empty = Truth((), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+            return empty, empty, None
         i = bisect.bisect_left(times, t)
-        if i < len(times) and times[i] == t:
-            obj = self._find(obj_id, times[i])
-            return None if obj is None else obj.position
-        lo = max(i - 1, 0)
-        hi = min(i, len(times) - 1)
-        a, b = self._find(obj_id, times[lo]), self._find(obj_id, times[hi])
-        if a is None or b is None:
-            return None
-        if times[hi] == times[lo]:
-            return a.position
-        alpha = (t - times[lo]) / (times[hi] - times[lo])
-        alpha = min(max(alpha, 0.0), 1.0)
-        return a.position + alpha * (b.position - a.position)
+        if 0 < i < len(times) and times[i] != t:
+            t0, t1 = times[i - 1], times[i]
+            return self.truth[t0], self.truth[t1], (t - t0) / (t1 - t0)
+        nearest = self.truth[times[min(i, len(times) - 1)]]
+        return nearest, nearest, None
 
-    def _ids(self):
-        out = set()
-        for objs in self.truth.values():
-            out.update(o.id for o in objs)
-        return sorted(out)
 
-    def _nearest_time(self, t: float) -> float:
-        i = bisect.bisect_left(self.truth_times, t)
-        i = min(max(i, 0), len(self.truth_times) - 1)
-        return self.truth_times[i]
+def _between(a: np.ndarray, b: np.ndarray, alpha: float | None) -> np.ndarray:
+    return a if alpha is None else a + alpha * (b - a)
 
-    def _find(self, obj_id: int, t: float):
-        for o in self.truth.get(t, []):
-            if o.id == obj_id:
-                return o
-        return None
+
+def truth_line(t: float, truth: Truth) -> dict:
+    """The replay line of the ground truth at one time."""
+    return {"t": t, "truth": [
+        {"id": oid, "position": position, "velocity": velocity, "extent": extent}
+        for oid, position, velocity, extent in zip(
+            truth.ids, truth.positions.tolist(), truth.velocities.tolist(),
+            truth.extents.tolist())]}
+
+
+def _truth(entries, lineno: int) -> Truth:
+    """A truth line's entries as one checked batch."""
+    if not isinstance(entries, list):
+        raise ReplayError("'truth' must be a list", lineno)
+    try:
+        ids = tuple([int(entry["id"]) for entry in entries])
+        positions, velocities, extents = (
+            np.array([entry[key] for entry in entries], dtype=float) if ids else np.empty((0, 3))
+            for key in ("position", "velocity", "extent"))
+    except _FIELD_ERRORS as e:
+        raise ReplayError(f"bad truth entry: {e}", lineno)
+    for array in (positions, velocities, extents):
+        if array.shape != (len(ids), 3):
+            raise ReplayError("every truth object needs a position, a velocity and an "
+                              "extent of 3 numbers each", lineno)
+        if not np.isfinite(array).all():
+            raise ReplayError("truth positions, velocities and extents must be finite", lineno)
+    if not (extents > 0.0).all():
+        raise ReplayError("truth extent components must be > 0", lineno)
+    if len(set(ids)) != len(ids):
+        raise ReplayError("truth ids must be unique within a line", lineno)
+    return Truth(ids, positions, velocities, extents)
 
 
 # The sensor types a detection line may name, and what each of its entries
@@ -131,7 +169,7 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
         else:
             rows = measurement_rows([[*d["position"], d["radial_speed"], d.get("snr", 0.0)]
                                      for d in dets])
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except _FIELD_ERRORS as e:
         raise ReplayError(f"bad detection entry: {e}", lineno)
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise ReplayError(f"every {stype} detection needs {_ROW_FIELDS[stype]}", lineno)
@@ -153,7 +191,7 @@ def load_replay(text: str) -> ReplayData:
     """Parse and validate a replay JSONL document."""
     detections: dict[tuple[float, str, int], np.ndarray] = {}
     sensor_types: dict[tuple[str, int], str] = {}
-    truth: dict[float, list[GroundTruthObject]] = {}
+    truth: dict[float, Truth] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -163,19 +201,25 @@ def load_replay(text: str) -> ReplayData:
             raise ReplayError(f"malformed JSON: {e.msg}", lineno)
         if not isinstance(obj, dict) or "t" not in obj:
             raise ReplayError("every line needs a 't' field", lineno)
-        t = float(obj["t"])
+        try:
+            t = float(obj["t"])
+        except _FIELD_ERRORS as e:
+            raise ReplayError(f"bad 't': {e}", lineno)
+        if not math.isfinite(t):
+            raise ReplayError(f"'t' must be finite, not {t}", lineno)
         if "truth" in obj:
-            try:
-                truth[t] = [GroundTruthObject(int(o["id"]), np.array(o["position"]),
-                                              np.array(o["velocity"]), np.array(o["extent"]))
-                            for o in obj["truth"]]
-            except (KeyError, TypeError, ValueError) as e:
-                raise ReplayError(f"bad truth entry: {e}", lineno)
+            if t in truth:
+                raise ReplayError(f"duplicate truth line for t={t}", lineno)
+            truth[t] = _truth(obj["truth"], lineno)
             continue
         for key in ("agent", "sensor", "type", "detections"):
             if key not in obj:
                 raise ReplayError(f"detection line missing {key!r}", lineno)
-        aid, sidx, stype = str(obj["agent"]), int(obj["sensor"]), obj["type"]
+        try:
+            sidx = int(obj["sensor"])
+        except _FIELD_ERRORS as e:
+            raise ReplayError(f"bad 'sensor': {e}", lineno)
+        aid, stype = str(obj["agent"]), obj["type"]
         if stype not in _ROW_FIELDS:
             raise ReplayError(f"unknown sensor type {stype!r}", lineno)
         prev = sensor_types.setdefault((aid, sidx), stype)

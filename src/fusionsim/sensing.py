@@ -4,6 +4,14 @@ These stand in for real detectors, datasets and hardware.  Both sensors
 draw from an explicitly passed generator, so callers own determinism and
 can run per-sensor streams in parallel.
 
+Ground truth at one time is one ``Truth`` batch: ``ids``, a tuple of
+unique ints, and three C-contiguous float64 ``(n, 3)`` arrays whose row i
+belongs to ``ids[i]``: ``positions`` (world, meters), ``velocities``
+(world, m/s) and ``extents`` (full box dims (l, w, h) in meters, each
+> 0).  ``scenario.world_at`` builds one per time from a checked scenario
+and the replay loader one per truth line, checked there; nothing writes
+to a batch once it is built.
+
 Each tick's measurements are one new float64 ``(n, 5)`` array, one row
 per box or return, in draw order:
 
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,32 +82,13 @@ class SensingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
-    id: int
-    position: np.ndarray   # world, meters
-    velocity: np.ndarray   # world, m/s
-    extent: np.ndarray     # full box dims (l, w, h), meters
+class Truth(NamedTuple):
+    """Ground truth at one time: row i of each array belongs to ``ids[i]``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float).reshape(3))
-        object.__setattr__(self, "extent", np.asarray(self.extent, dtype=float).reshape(3))
-        if not np.all(self.extent > 0):
-            raise SensingError(f"object {self.id}: extent components must be > 0")
-
-    @classmethod
-    def _trusted(cls, obj_id: int, position: np.ndarray, velocity: np.ndarray,
-                 extent: np.ndarray) -> "GroundTruthObject":
-        """An object from a loaded scenario's motion model, whose vectors are
-        float (3,) arrays and whose extent the load checked: not checked
-        again.  Objects read from outside (a replay) use the checked
-        constructor."""
-        obj = object.__new__(cls)
-        for name, value in (("id", obj_id), ("position", position),
-                            ("velocity", velocity), ("extent", extent)):
-            object.__setattr__(obj, name, value)
-        return obj
+    ids: tuple[int, ...]
+    positions: np.ndarray    # (n, 3) world, meters
+    velocities: np.ndarray   # (n, 3) world, m/s
+    extents: np.ndarray      # (n, 3) full box dims (l, w, h), meters, each > 0
 
 
 @dataclass(frozen=True)
@@ -150,11 +140,10 @@ _CORNER_SIGNS = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for s
                          dtype=float)
 
 
-def camera_candidates(K: CameraIntrinsics, sensor_pose: Pose,
-                      objects: list[GroundTruthObject]
+def camera_candidates(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noise-free clipped boxes: (object indices, (n, 4) boxes as rows of
-    (umin, vmin, umax, vmax), center depths), in object order.
+    """Noise-free clipped boxes: (truth row indices, (n, 4) boxes as rows
+    of (umin, vmin, umax, vmax), center depths), in row order.
 
     Includes every object whose center is in front of the camera and
     projects inside the image and whose clipped box is not empty;
@@ -162,7 +151,7 @@ def camera_candidates(K: CameraIntrinsics, sensor_pose: Pose,
     """
     opt_from_world = (sensor_pose.rotation @ OPTICAL_FROM_BODY.T).T
     cam_origin = sensor_pose.translation
-    positions = np.array([obj.position for obj in objects]).reshape(-1, 3)
+    positions = truth.positions
     centers = (opt_from_world @ (positions - cam_origin)[:, :, None])[:, :, 0]
     idx = np.flatnonzero(centers[:, 2] > 1e-6)
     x, y, z = centers[idx].T
@@ -170,7 +159,7 @@ def camera_candidates(K: CameraIntrinsics, sensor_pose: Pose,
     cv = K.fy * y / z + K.cy
     inside = (0.0 <= cu) & (cu < K.width) & (0.0 <= cv) & (cv < K.height)
     idx, z = idx[inside], z[inside]
-    half = np.array([objects[i].extent for i in idx.tolist()]).reshape(-1, 3) / 2.0
+    half = truth.extents[idx] / 2.0
     corners = positions[idx, None, :] + _CORNER_SIGNS * half[:, None, :]
     corners_opt = (corners - cam_origin) @ opt_from_world.T
     u = K.fx * corners_opt[:, :, 0] / z[:, None] + K.cx
@@ -194,11 +183,10 @@ def _occluded(boxes: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return ((depths[None, :] < depths[:, None]) & (cover >= OCCLUSION_COVER)).any(axis=1)
 
 
-def visible_object_ids(K: CameraIntrinsics, sensor_pose: Pose,
-                       objects: list[GroundTruthObject]) -> list[int]:
+def visible_object_ids(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth) -> list[int]:
     """Ids of objects the camera could see (in image, not occluded)."""
-    idx, boxes, depths = camera_candidates(K, sensor_pose, objects)
-    return [objects[i].id for i in idx[~_occluded(boxes, depths)].tolist()]
+    idx, boxes, depths = camera_candidates(K, sensor_pose, truth)
+    return [truth.ids[i] for i in idx[~_occluded(boxes, depths)].tolist()]
 
 
 def measurement_rows(rows) -> np.ndarray:
@@ -207,9 +195,8 @@ def measurement_rows(rows) -> np.ndarray:
     return np.array(rows, dtype=float) if rows else np.empty((0, 5))
 
 
-def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
-                   objects: list[GroundTruthObject], cfg: SensorNoiseConfig,
-                   rng: np.random.Generator) -> np.ndarray:
+def camera_observe(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth,
+                   cfg: SensorNoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """Noisy 2D boxes for the objects visible from ``sensor_pose``, as
     camera rows ``[umin, vmin, umax, vmax, score]``.
 
@@ -219,7 +206,7 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
     decision, then four edge perturbations.  Clutter follows: a Poisson
     count, then (center, size) draws per clutter box.
     """
-    _, boxes, depths = camera_candidates(K, sensor_pose, objects)
+    _, boxes, depths = camera_candidates(K, sensor_pose, truth)
 
     rows = []
     for bbox, hidden in zip(boxes.tolist(), _occluded(boxes, depths).tolist()):
@@ -250,9 +237,8 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose,
     return measurement_rows(rows)
 
 
-def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
-                  cfg: SensorNoiseConfig, rng: np.random.Generator,
-                  sensor_velocity=(0.0, 0.0, 0.0)) -> np.ndarray:
+def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
+                  rng: np.random.Generator, sensor_velocity=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Noisy 3D point returns (one per object), as radar rows ``[x, y, z,
     radial_speed, snr]`` in the radar body frame.
 
@@ -264,8 +250,8 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
     """
     body_from_world = inverse(sensor_pose)
     sensor_vel = np.asarray(sensor_velocity, dtype=float).reshape(3)
-    idx, p_body, ranges = in_range(body_from_world, objects, cfg.max_range)
-    v_rel = np.array([objects[i].velocity for i in idx.tolist()]).reshape(-1, 3) - sensor_vel
+    idx, p_body, ranges = in_range(body_from_world, truth.positions, cfg.max_range)
+    v_rel = truth.velocities[idx] - sensor_vel
     v_rel_body = (body_from_world.rotation @ v_rel[:, :, None])[:, :, 0]
     radial_speeds = ((p_body / ranges[:, None])[:, None, :] @ v_rel_body[:, :, None])[:, 0, 0]
 
@@ -289,13 +275,12 @@ def radar_observe(sensor_pose: Pose, objects: list[GroundTruthObject],
     return measurement_rows(rows)
 
 
-def in_range(body_from_world: Pose, objects: list[GroundTruthObject],
+def in_range(body_from_world: Pose, positions: np.ndarray,
              max_range: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indices, body-frame positions, ranges) of the objects whose range
-    from the sensor is above 1e-9 m and at most ``max_range``, in object
-    order, in one stacked transform."""
-    p_body = transform_point(body_from_world,
-                             np.array([obj.position for obj in objects]).reshape(-1, 3))
+    """(row indices, body-frame positions, ranges) of the ``(n, 3)`` world
+    positions whose range from the sensor is above 1e-9 m and at most
+    ``max_range``, in row order, in one stacked transform."""
+    p_body = transform_point(body_from_world, positions)
     ranges = norms(p_body)
     idx = np.flatnonzero((ranges > 1e-9) & (ranges <= max_range))
     return idx, p_body[idx], ranges[idx]

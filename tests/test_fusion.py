@@ -209,16 +209,15 @@ class TestSynthesize:
 
     def test_noise_free_single_object_exact(self):
         # end to end: one object, noise-free sensors, fused detection at truth
-        from fusionsim.sensing import GroundTruthObject, camera_observe, radar_observe
-        obj = GroundTruthObject(1, np.array([12.0, 1.0, 0.0]), np.zeros(3),
-                                np.array([2.0, 2.0, 2.0]))
+        from fusionsim.sensing import Truth, camera_observe, radar_observe
+        obj = Truth((1,), np.array([[12.0, 1.0, 0.0]]), np.zeros((1, 3)), np.full((1, 3), 2.0))
         rng = np.random.default_rng(0)
         cam_pose = Pose.identity()
-        boxes = camera_observe(K, cam_pose, [obj], SensorNoiseConfig(), rng)
-        points = radar_observe(Pose.identity(), [obj], SensorNoiseConfig(), rng)
+        boxes = camera_observe(K, cam_pose, obj, SensorNoiseConfig(), rng)
+        points = radar_observe(Pose.identity(), obj, SensorNoiseConfig(), rng)
         cam_from_radar = Pose(OPTICAL_FROM_BODY, np.zeros(3))
         a = frustum_associate(boxes, points, K, cam_from_radar)
         assert len(a.pairs) == 1
         dets = synthesize(a, points, Pose.identity(), SensorNoiseConfig())
         assert len(dets) == 1
-        assert np.abs(dets.positions[0] - obj.position).max() < 1e-9
+        assert np.abs(dets.positions[0] - obj.positions[0]).max() < 1e-9

@@ -28,7 +28,7 @@ from fusionsim.offload import (
     integrate,
     reap_timeouts,
 )
-from fusionsim.sensing import GroundTruthObject, SensorNoiseConfig
+from fusionsim.sensing import SensorNoiseConfig
 from fusionsim.tracker import LANE_LOCAL, Tracker, TrackerConfig
 
 
@@ -94,12 +94,11 @@ class TestDispatch:
 
 
 class TestEmulateWorker:
-    TRUTH = [GroundTruthObject(1, np.array([10.0, 2.0, 0.5]), np.zeros(3),
-                               np.array([2.0, 2.0, 2.0]))]
+    POSITIONS = np.array([[10.0, 2.0, 0.5]])
 
     def test_fixed_latency_ok(self):
         cfg = WorkerConfig(lat_min=0.2, lat_max=0.2, p_fail=0.0)
-        out = emulate_worker(req(1, t=3.0), self.TRUTH, Pose.identity(), cfg,
+        out = emulate_worker(req(1, t=3.0), self.POSITIONS, Pose.identity(), cfg,
                              np.random.default_rng(0))
         assert out.status == STATUS_OK
         assert out.compute_latency == pytest.approx(0.2)
@@ -107,7 +106,7 @@ class TestEmulateWorker:
 
     def test_always_fails(self):
         cfg = WorkerConfig(p_fail=1.0)
-        out = emulate_worker(req(1), self.TRUTH, Pose.identity(), cfg,
+        out = emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
                              np.random.default_rng(0))
         assert out.status == STATUS_FAILED
         assert len(out.detections) == 0
@@ -115,14 +114,14 @@ class TestEmulateWorker:
     def test_noise_free_profile_exact(self):
         cfg = WorkerConfig(lat_min=0.1, lat_max=0.1,
                            profile=SensorNoiseConfig(p_detect=1.0, max_range=500.0))
-        out = emulate_worker(req(1), self.TRUTH, Pose.identity(), cfg,
+        out = emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
                              np.random.default_rng(0))
         assert len(out.detections) == 1
-        assert np.abs(out.detections.positions[0] - self.TRUTH[0].position).max() < 1e-9
+        assert np.abs(out.detections.positions[0] - self.POSITIONS[0]).max() < 1e-9
 
     def test_deterministic(self):
         cfg = WorkerConfig()
-        outs = [emulate_worker(req(1), self.TRUTH, Pose.identity(), cfg,
+        outs = [emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
                                np.random.default_rng(5)).to_payload() for _ in range(2)]
         assert outs[0] == outs[1]
 

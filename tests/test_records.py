@@ -1,16 +1,18 @@
 """Output lines held as compact records until they are serialised.
 
-The engine records each track, detection and ground-truth line as its
-ints and strings plus one float64 array, and ``RunReport`` rebuilds the
-lines only when asked for bytes.  These tests pin that:
+The engine records each track and detection line as its ints and
+strings plus one float64 array, and each ground-truth line as the truth
+batch, and ``RunReport`` rebuilds the lines only when asked for bytes.
+These tests pin that:
 
 * the record path writes the bytes the lines themselves give
   (``canonical_dumps`` of each line's dict, as built from the tracks,
-  measurement rows and objects), for any finite numbers;
-* a track or truth record copies its numbers, so later writes to the
-  source arrays do not reach the output;
-* a detection record is the tick's sensing array itself, which nothing
-  writes to after sensing returns it;
+  measurement rows and truth rows), for any finite numbers;
+* a track record copies its numbers, so later writes to the source
+  arrays do not reach the output;
+* a detection record is the tick's sensing array itself, and a truth
+  record the batch ``world_at`` returned, which nothing writes to after
+  they are returned;
 * a non-finite number still makes serialisation raise;
 * memory grows with a run's length by no more than its output bytes do.
 """
@@ -28,8 +30,8 @@ from hypothesis import example, given, settings, strategies as st
 from fusionsim.bus import canonical_dumps
 from fusionsim.scenario import engine as engine_module
 from fusionsim.scenario import apply_overrides, load_scenario
-from fusionsim.scenario.engine import Engine, RunReport, _track_record, _truth_record
-from fusionsim.sensing import GroundTruthObject, measurement_rows
+from fusionsim.scenario.engine import Engine, RunReport, _track_record
+from fusionsim.sensing import Truth, measurement_rows
 from fusionsim.tracker import CONFIRMED, TENTATIVE, Track
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,8 +69,14 @@ def boxes(draw):
 
 # A radar row, as Python floats: position, radial speed and SNR.
 POINTS = st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
-OBJECTS = st.builds(GroundTruthObject._trusted, st.integers(0, 10**6),
-                    vector(3), vector(3), vector(3))
+
+
+@st.composite
+def truths(draw):
+    """A truth batch of up to four objects, zero included."""
+    n = draw(st.integers(0, 4))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    return Truth(tuple(ids), *(draw(vector(3 * n)).reshape(n, 3) for _ in range(3)))
 
 
 def flushes():
@@ -80,7 +88,7 @@ def replay_events():
                        st.lists(boxes(), max_size=4))
     radar = st.tuples(st.just("radar"), TIMES, AGENTS, st.integers(0, 3),
                       st.lists(POINTS, max_size=4))
-    truth = st.tuples(st.just("truth"), TIMES, st.lists(OBJECTS, max_size=4))
+    truth = st.tuples(st.just("truth"), TIMES, truths())
     return st.lists(st.one_of(camera, radar, truth), max_size=6)
 
 
@@ -102,14 +110,16 @@ def detection_dict(kind, row):
 
 
 def replay_lines(events):
-    """Each replay line as a dict built from the detections or objects."""
+    """Each replay line as a dict built from the detections or truth rows."""
     lines = []
     for kind, t, *rest in events:
         if kind == "truth":
+            truth = rest[0]
             lines.append({"t": t, "truth": [
-                {"id": o.id, "position": o.position.tolist(),
-                 "velocity": o.velocity.tolist(), "extent": o.extent.tolist()}
-                for o in rest[0]]})
+                {"id": oid, "position": position.tolist(), "velocity": velocity.tolist(),
+                 "extent": extent.tolist()}
+                for oid, position, velocity, extent in zip(
+                    truth.ids, truth.positions, truth.velocities, truth.extents)]})
         else:
             agent, sidx, dets = rest
             lines.append({"t": t, "agent": agent, "sensor": sidx, "type": kind,
@@ -119,12 +129,13 @@ def replay_lines(events):
 
 def records(flushed, events):
     """A report holding the records the engine makes of the same lines; a
-    detection record holds the array sensing returns for its rows."""
+    detection record holds the array sensing returns for its rows, and a
+    truth record the batch."""
     track_records = [_track_record(t, agent, trs) for t, agent, trs in flushed if trs]
     replay_records = []
     for kind, t, *rest in events:
         if kind == "truth":
-            replay_records.append(_truth_record(t, *rest))
+            replay_records.append((t, rest[0]))
         else:
             agent, sidx, dets = rest
             replay_records.append((t, agent, sidx, kind, measurement_rows(dets)))
@@ -133,7 +144,9 @@ def records(flushed, events):
 
 @settings(max_examples=30, deadline=None)
 @given(flushed=flushes(), events=replay_events())
-@example(flushed=[], events=[("truth", 0.0, []), ("camera", 0.1, "ego", 0, []),
+@example(flushed=[], events=[("truth", 0.0, Truth((), np.empty((0, 3)), np.empty((0, 3)),
+                                                   np.empty((0, 3)))),
+                             ("camera", 0.1, "ego", 0, []),
                              ("radar", 0.1, "ego", 1, [])])
 def test_records_write_the_bytes_of_the_lines(flushed, events):
     report = records(flushed, events)
@@ -141,18 +154,13 @@ def test_records_write_the_bytes_of_the_lines(flushed, events):
     assert report.replay_jsonl() == jsonl(replay_lines(events))
 
 
-def test_track_and_truth_records_copy_their_numbers():
+def test_track_records_copy_their_numbers():
     track = Track(7, np.arange(6.0), np.diag(np.arange(1.0, 7.0)), 0.0, 3)
-    box = (1.0, 2.0, 3.0, 4.0, 1.0)
-    point = (5.0, 1.0, 0.5, -2.0, 20.0)
-    obj = GroundTruthObject._trusted(3, np.ones(3), np.zeros(3), np.full(3, 2.0))
-    report = records([(0.1, "ego", [track])],
-                     [("truth", 0.1, [obj]), ("camera", 0.1, "ego", 0, [box]),
-                      ("radar", 0.1, "ego", 1, [point])])
-    before = report.track_jsonl(), report.replay_jsonl()
-    for array in (track.mean, track.cov, obj.position, obj.velocity, obj.extent):
+    report = records([(0.1, "ego", [track])], [])
+    before = report.track_jsonl()
+    for array in (track.mean, track.cov):
         array[...] = -1.0
-    assert (report.track_jsonl(), report.replay_jsonl()) == before
+    assert report.track_jsonl() == before
 
 
 def test_detection_records_are_the_sensing_arrays_and_nothing_writes_them(
@@ -170,14 +178,42 @@ def test_detection_records_are_the_sensing_arrays_and_nothing_writes_them(
 
     for name in ("camera_observe", "radar_observe"):
         monkeypatch.setattr(engine_module, name, kept(getattr(engine_module, name)))
-    doc = json.loads((scenario_dir / "urban.json").read_text())
-    doc["duration"] = 1.0
-    report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")).run()
+    report = run_urban_covi(scenario_dir)
     recorded = [record[-1] for record in report.replay_records if len(record) == 5]
     assert len(recorded) == len(returned) > 0
     for rows, (array, copy) in zip(recorded, returned):
         assert rows is array
         assert np.array_equal(rows, copy) and rows.dtype == np.float64
+
+
+def test_truth_records_are_the_world_at_batches_and_nothing_writes_them(
+        scenario_dir, monkeypatch):
+    # every truth record of a 1 s urban cr-covi run is a batch world_at
+    # returned, and every batch it returned still holds its numbers at the end
+    returned = []
+    world_at = engine_module.world_at
+
+    def kept(*args):
+        truth = world_at(*args)
+        returned.append((truth, [array.copy() for array in truth[1:]]))
+        return truth
+
+    monkeypatch.setattr(engine_module, "world_at", kept)
+    report = run_urban_covi(scenario_dir)
+    recorded = [record[1] for record in report.replay_records if len(record) == 2]
+    assert len(recorded) > 0
+    assert all(any(truth is batch for batch, _ in returned) for truth in recorded)
+    for batch, copies in returned:
+        for array, copy in zip(batch[1:], copies):
+            assert np.array_equal(array, copy) and array.dtype == np.float64
+            assert array.flags.c_contiguous
+
+
+def run_urban_covi(scenario_dir):
+    """The report of a 1 s urban cr-covi run."""
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    return Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")).run()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,9 +1,12 @@
-"""The replay loader: each detection line becomes one (n, 5) array.
+"""The replay loader: each detection line becomes one (n, 5) array and
+each truth line one ``Truth`` batch.
 
 A camera row is ``[umin, vmin, umax, vmax, score]`` and a radar row
-``[x, y, z, radial_speed, snr]``.  The loader holds every row to what the
-sensor models guarantee, and a bad line raises ``ReplayError`` naming its
-line number.  A row of the wrong length is refused, never reshaped.
+``[x, y, z, radial_speed, snr]``.  The loader holds every row and truth
+object to what a live run guarantees, and a bad line raises
+``ReplayError`` naming its line number.  A row or vector of the wrong
+length is refused, never reshaped.  Between and beyond the truth lines,
+``truth_at`` and ``truth_position`` interpolate as pinned below.
 """
 
 import json
@@ -13,7 +16,9 @@ import pytest
 
 from fusionsim.bus import canonical_dumps
 from fusionsim.scenario import load_replay
+from fusionsim.scenario.engine import RunReport
 from fusionsim.scenario.replay import ReplayError, detection_line
+from fusionsim.sensing import Truth
 
 BOX = {"bbox": [10.0, 20.0, 110.0, 90.0], "score": 1.0}
 POINT = {"position": [12.0, -1.5, 0.25], "radial_speed": -2.0, "snr": 20.0}
@@ -138,3 +143,161 @@ def test_five_four_number_rows_are_not_reshaped_into_four_rows_of_five():
     numbers = [10.0, 20.0, 110.0, 90.0, 0.5] * 4
     short = [{"bbox": numbers[4 * k:4 * k + 3], "score": numbers[4 * k + 3]} for k in range(5)]
     assert refused_at(text(camera([BOX]), camera(short, t=0.2))) == 2
+
+
+# -- ground truth between and beyond the recorded lines -----------------------
+
+
+def truth_dict(t, *objects):
+    """A truth line of ``(id, position, velocity, extent)`` objects."""
+    return {"t": t, "truth": [{"id": oid, "position": p, "velocity": v, "extent": e}
+                              for oid, p, v, e in objects]}
+
+
+def objects_of(truth):
+    """A ``truth_at`` result as ``(id, position, velocity, extent)`` lists,
+    in its order."""
+    return list(zip(truth.ids, truth.positions.tolist(), truth.velocities.tolist(),
+                    truth.extents.tolist()))
+
+
+CAR = (7, [0.0, 10.0, 0.5], [1.0, 0.0, 0.0], [4.5, 1.9, 1.6])
+VAN = (3, [5.0, -2.0, 0.75], [0.0, 2.0, 0.0], [4.2, 1.8, 1.5])
+LATER = [(7, [2.0, 10.0, 0.5], [3.0, 0.0, 0.0], [4.5, 2.0, 1.6]),
+         (3, [5.0, 2.0, 0.75], [0.0, 4.0, 0.0], [4.2, 1.8, 1.5]),
+         (9, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])]
+RECORDED = text(truth_dict(1.0, CAR, VAN), camera([BOX]), truth_dict(2.0, *LATER))
+
+
+def test_truth_at_a_recorded_time_is_its_line():
+    replay = load_replay(RECORDED)
+    assert objects_of(replay.truth_at(1.0)) == [CAR, VAN]
+    assert objects_of(replay.truth_at(2.0)) == LATER
+    assert replay.truth_position(3, 1.0).tolist() == VAN[1]
+    assert replay.truth_position(9, 2.0).tolist() == LATER[2][1]
+
+
+def test_truth_between_lines_interpolates_positions_and_takes_the_later_line():
+    replay = load_replay(RECORDED)
+    # id order; velocity and extent from the line at 2.0
+    assert objects_of(replay.truth_at(1.5)) == [
+        (3, [5.0, 0.0, 0.75], [0.0, 4.0, 0.0], [4.2, 1.8, 1.5]),
+        (7, [1.0, 10.0, 0.5], [3.0, 0.0, 0.0], [4.5, 2.0, 1.6])]
+    alpha = (1.3 - 1.0) / (2.0 - 1.0)
+    expected = np.array(CAR[1]) + alpha * (np.array(LATER[0][1]) - np.array(CAR[1]))
+    assert np.array_equal(replay.truth_position(7, 1.3), expected)
+    assert objects_of(replay.truth_at(1.3))[1][1] == expected.tolist()
+
+
+def test_truth_outside_the_lines_is_the_nearest_line():
+    replay = load_replay(RECORDED)
+    assert objects_of(replay.truth_at(0.25)) == [VAN, CAR]
+    assert objects_of(replay.truth_at(9.0)) == sorted(LATER)
+    assert replay.truth_position(7, 0.0).tolist() == CAR[1]
+    assert replay.truth_position(9, 9.0).tolist() == LATER[2][1]
+
+
+def test_an_object_missing_from_a_neighbouring_line_is_left_out():
+    replay = load_replay(RECORDED)
+    assert [oid for oid, *_ in objects_of(replay.truth_at(1.5))] == [3, 7]
+    assert replay.truth_position(9, 1.5) is None
+    assert replay.truth_position(9, 0.5) is None
+    assert replay.truth_position(9, 1.0) is None
+    assert replay.truth_position(4, 2.0) is None
+
+
+def test_without_truth_lines_there_is_no_truth():
+    replay = load_replay(text(camera([BOX])))
+    assert replay.truth_times == []
+    assert objects_of(replay.truth_at(0.1)) == []
+    assert replay.truth_position(1, 0.1) is None
+
+
+# -- truth line checks ----------------------------------------------------------
+
+
+def truth_entry(**fields):
+    return dict(TRUTH["truth"][0], **fields)
+
+
+@pytest.mark.parametrize("extent", [[4.5, -1.9, 1.6], [0.0, 1.9, 1.6], [4.5, 1.9, -0.0]])
+def test_a_truth_extent_that_is_not_positive(extent):
+    assert refused_at(text(TRUTH, camera([BOX]), {"t": 0.2, "truth": [
+        truth_entry(), truth_entry(id=2, extent=extent)]})) == 3
+
+
+@pytest.mark.parametrize("field", ["position", "velocity", "extent"])
+@pytest.mark.parametrize("value", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [], 1.0,
+                                   [[1.0], [2.0], [3.0]], None])
+def test_a_truth_vector_that_is_not_three_numbers(field, value):
+    bad = truth_entry(id=2, **{field: value})
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": [bad]})) == 2
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": [bad, dict(bad, id=3)]})) == 2
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": [truth_entry(), bad]})) == 2
+
+
+@pytest.mark.parametrize("field", ["position", "velocity", "extent"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_truth_vector(field, bad):
+    vector = list(truth_entry()[field])
+    vector[1] = bad
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": [truth_entry(**{field: vector})]})) == 2
+
+
+def test_a_duplicate_id_within_a_truth_line():
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": [
+        truth_entry(), truth_entry(id=2), truth_entry(position=[0.0, 1.0, 2.0])]})) == 2
+
+
+def test_a_second_truth_line_for_the_same_time():
+    assert refused_at(text(TRUTH, camera([BOX], t=0.0), TRUTH)) == 3
+
+
+@pytest.mark.parametrize("entries", [None, {}, {"id": 1}, "", "abc", [1, 2], [{"id": 1}]])
+def test_a_malformed_truth_list(entries):
+    assert refused_at(text(TRUTH, {"t": 0.2, "truth": entries})) == 2
+
+
+@pytest.mark.parametrize("t", [None, "x", [0.1], float("nan"), float("inf"), -float("inf"),
+                               pytest.param(10**400, id="beyond-float")])
+def test_a_bad_time(t):
+    assert refused_at(text(TRUTH, {"t": t, "truth": []})) == 2
+    assert refused_at(text(TRUTH, camera([BOX], t=t))) == 2
+
+
+def test_a_detection_number_beyond_float_range():
+    assert refused_at(text(camera([BOX]), radar([dict(POINT, radial_speed=10**400)]))) == 2
+
+
+@pytest.mark.parametrize("sensor", [None, "x", [0], float("nan"), float("inf")])
+def test_a_bad_sensor_index(sensor):
+    assert refused_at(text(TRUTH, camera([BOX], sensor=sensor))) == 2
+
+
+def test_truth_lines_round_trip_bit_for_bit():
+    # the report's truth records, read back, are the batches they hold,
+    # with signed zeros, subnormals and the largest magnitudes among the numbers
+    rng = np.random.default_rng(11)
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 20.0])
+
+    def batch(n):
+        ids = tuple(rng.permutation(100)[:n].tolist())
+        positions, velocities = (np.where(rng.uniform(size=(n, 3)) < 0.3,
+                                          rng.choice(edge, (n, 3)),
+                                          rng.normal(0.0, 1e3, (n, 3))) for _ in range(2))
+        extents = np.where(rng.uniform(size=(n, 3)) < 0.3, rng.choice(edge[4:], (n, 3)),
+                           rng.uniform(0.1, 10.0, (n, 3)))
+        return Truth(ids, positions, velocities, np.abs(extents))
+
+    records = [(0.05 * k, batch(n)) for k, n in enumerate([3, 0, 7, 1])]
+    records.insert(2, (0.05, "ego", 0, "camera", np.array([[1.0, 2.0, 3.0, 4.0, 1.0]])))
+    replay = load_replay(RunReport({}, [], records).replay_jsonl().decode())
+    truth_records = [record for record in records if len(record) == 2]
+    assert replay.truth_times == [t for t, _ in truth_records]
+    for t, truth in truth_records:
+        loaded = replay.truth[t]
+        assert loaded.ids == truth.ids
+        for got, want in zip(loaded[1:], truth[1:]):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -9,6 +9,7 @@ required to stay byte-identical.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from fusionsim.sensing import (
     OCCLUSION_COVER,
     TRUE_SCORE,
     TRUE_SNR_DB,
-    GroundTruthObject,
     SensorNoiseConfig,
+    Truth,
     camera_candidates,
     camera_observe,
     perturb_polar,
@@ -47,6 +48,9 @@ from fusionsim.sensing import (
 from fusionsim.tracker import _FEW_PAIRS, chi2_quantile, position_d2
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
+
+# One ground-truth object, as the per-object references read it.
+Obj = namedtuple("Obj", "id position velocity extent")
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -194,10 +198,16 @@ def crowd(rng, n, pose, ahead=60.0):
         else:            # on a shared bearing, at several depths
             x = rng.uniform(2.0, ahead)
             body = [x, x * bearings[k % 4] + rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)]
-        objects.append(GroundTruthObject(k + 1, ref_transform_point(pose, body),
-                                         rng.normal(0.0, 3.0, 3),
-                                         rng.uniform(0.3, 9.0, 3)))
+        objects.append(Obj(k + 1, ref_transform_point(pose, body), rng.normal(0.0, 3.0, 3),
+                           rng.uniform(0.3, 9.0, 3)))
     return objects
+
+
+def batch(objects):
+    """The ground-truth batch of ``objects``, in order."""
+    return Truth(tuple(o.id for o in objects),
+                 *(np.array([getattr(o, name) for o in objects]).reshape(-1, 3)
+                   for name in ("position", "velocity", "extent")))
 
 
 def noise(rng):
@@ -257,7 +267,7 @@ def test_radar_observe_equals_scalar_reference(seed, n):
     objects = crowd(rng, n, pose)
     cfg = noise(rng)
     sensor_velocity = rng.normal(0.0, 2.0, 3)
-    points = radar_observe(pose, objects, cfg, np.random.default_rng(seed),
+    points = radar_observe(pose, batch(objects), cfg, np.random.default_rng(seed),
                            sensor_velocity=sensor_velocity)
     reference = ref_radar_observe(pose, objects, cfg, np.random.default_rng(seed),
                                   sensor_velocity)
@@ -276,8 +286,8 @@ def test_emulate_worker_equals_scalar_reference(seed, n):
     pose = random_pose(rng)
     truth = crowd(rng, n, pose, ahead=150.0)
     cfg = WorkerConfig(profile=noise(rng))
-    result = emulate_worker(TaskRequest(1, "stereo-depth", 2.0), truth, pose, cfg,
-                            np.random.default_rng(seed))
+    result = emulate_worker(TaskRequest(1, "stereo-depth", 2.0), batch(truth).positions, pose,
+                            cfg, np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     draws.uniform(cfg.lat_min, cfg.lat_max)
     draws.uniform()
@@ -333,16 +343,16 @@ def test_camera_candidates_and_occlusion_equal_scalar_reference(seed, n):
     pose = random_pose(rng)
     objects = crowd(rng, n, pose)
     reference = ref_camera_candidates(pose, objects)
-    idx, boxes, depths = camera_candidates(K, pose, objects)
+    idx, boxes, depths = camera_candidates(K, pose, batch(objects))
     assert idx.tolist() == [i for i, _, _ in reference]
     assert [tuple(b) for b in boxes.tolist()] == [b for _, b, _ in reference]
     assert depths.tolist() == [float(z) for _, _, z in reference]
 
     visible = [objects[i].id for i, b, z in reference if not ref_is_occluded(b, z, reference)]
-    assert visible_object_ids(K, pose, objects) == visible
+    assert visible_object_ids(K, pose, batch(objects)) == visible
 
     cfg = noise(rng)
-    dets = camera_observe(K, pose, objects, cfg, np.random.default_rng(seed))
+    dets = camera_observe(K, pose, batch(objects), cfg, np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     expected = []
     for _, bbox, depth in reference:
