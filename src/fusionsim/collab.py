@@ -4,14 +4,26 @@ Remote platforms broadcast their confirmed tracks in their own frame,
 stamped with a world-from-sender pose.  On receipt the tracks are
 CV-predicted to the local clock, mapped into the receiver's tracking
 frame, associated to local tracks by position Mahalanobis distance, and
-fused by covariance intersection, which stays consistent when the
+fused by covariance intersection (CI), which stays consistent when the
 cross-platform correlation is unknown.  Fusion builds new tracks and
 replaces the tracker's list; it is outside rollback (see ``Tracker``).
+
+A received message is one stack from end to end: ``align`` predicts and
+maps all its tracks in one call each, and CI has one path, run once per
+message over the stack of its matched pairs.  ``ci_omega`` checks each
+pair, inverts its inputs, finds its weight and inverts the candidate
+information matrices; ``ci_fuse`` reuses that work for the fused
+estimates.  A pair that fails a check is left out without touching the
+rest of the stack, and every other pair gives bit for bit what it gives
+in a stack of its own: numpy's linear algebra and ``@`` work slice by
+slice, and the weight search runs per pair on Python floats.  The
+duplicate merge calls the same two functions on stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +53,6 @@ class CollabError(Exception):
 
 
 class StaleMessage(CollabError):
-    pass
-
-
-class NonInvertible(CollabError):
     pass
 
 
@@ -109,39 +117,40 @@ class CollabState:
 
 
 def align(msg: RemoteTrackMsg, t_now: float, q: float,
-          staleness: float = DEFAULT_STALENESS) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Remote tracks predicted to ``t_now`` and mapped into the world frame
-    the receiver tracks in.
+          staleness: float = DEFAULT_STALENESS) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The message's remote track ids, and their (k, 6) means and (k, 6, 6)
+    covariances predicted to ``t_now`` and mapped into the world frame the
+    receiver tracks in.
 
-    Each track is CV-predicted in the sender frame with the same process
-    noise the trackers use, then mapped by the world-from-sender pose.
+    The tracks are CV-predicted in the sender frame with the same process
+    noise the trackers use, in one stacked ``kalman_predict``, then mapped
+    by the world-from-sender pose in one stacked ``transform_gaussian``.
     Raises StaleMessage when the message is older than ``staleness``,
-    NonPSD for an asymmetric covariance and CollabError for a message from
-    the future or a non-finite track.
+    NonPSD for an asymmetric covariance, before or after the prediction,
+    and CollabError for a message from the future or a non-finite track.
     """
     age = t_now - msg.timestamp
     if age < -1e-9:
         raise CollabError(f"message from the future: {age:+.3f} s")
     if age > staleness:
         raise StaleMessage(f"message age {age:.3f} s exceeds bound {staleness:.3f} s")
-    out = []
-    for rid, mean, cov in msg.tracks:
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        # NaN passes the symmetry check and would reach the CI guards
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise CollabError(f"remote track {rid} is not finite")
-        check_symmetric(cov)
-        mean_p, cov_p = kalman_predict(mean, cov, max(age, 0.0), q)
-        out.append((rid, *transform_gaussian(msg.sender_pose, mean_p, cov_p)))
-    return out
+    ids = [rid for rid, _, _ in msg.tracks]
+    means = np.array([mean for _, mean, _ in msg.tracks], dtype=float).reshape(-1, 6)
+    covs = np.array([cov for _, _, cov in msg.tracks], dtype=float).reshape(-1, 6, 6)
+    # NaN passes the symmetry check and would reach the CI checks
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise CollabError(f"remote track {ids[int(np.argmin(finite))]} is not finite")
+    check_symmetric(covs)
+    means, covs = kalman_predict(means, covs, max(age, 0.0), q)
+    return (ids, *transform_gaussian(msg.sender_pose, means, covs))
 
 
-def t2t_associate(local: list[Track],
-                  remote: list[tuple[np.ndarray, np.ndarray]],
+def t2t_associate(local: list[Track], means: np.ndarray, covs: np.ndarray,
                   gate_prob: float = 0.99,
                   state: CollabState | None = None) -> tuple[list[tuple[int, int]], list[int]]:
-    """One-to-one local/remote pairing on position-block Mahalanobis distance.
+    """One-to-one pairing of local tracks with the remote tracks of stacked
+    ``means`` and ``covs``, on position-block Mahalanobis distance.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
     the chi-square quantile for 3 dof by ``tracker.gate_cost``.  Returns
@@ -149,25 +158,26 @@ def t2t_associate(local: list[Track],
     with a singular summed covariance, which ``state`` counts.
     """
     cost, skipped, singular = gate_cost(
-        [tr.mean for tr in local], [tr.cov for tr in local],
-        [mean for mean, _ in remote], [cov for _, cov in remote], chi2_quantile(gate_prob, 3))
+        [tr.mean for tr in local], [tr.cov for tr in local], means, covs,
+        chi2_quantile(gate_prob, 3))
     if state is not None:
         state.singular += singular
     return assign(cost), skipped
 
 
-def _check_invertible(p: np.ndarray, label: str) -> None:
-    if not eig_regular(p):
-        raise NonInvertible(f"{label} has rcond below 1e-12")
+def _trace_minimum(c: list[float], d: list[float]) -> float:
+    """The weight w in [0, 1] minimizing tr P(w) = sum c / (1 + w d).
 
-
-def _slope_root(c: list[float], d: list[float]) -> float:
-    """Root in (0, 1) of the fused-trace slope s(w) = -sum c d / (1 + w d)^2.
-
-    s rises from s(0) < 0 to s(1) > 0, so Newton steps that leave the
-    bracket of the sign change fall back to bisection.  Plain floats: the
-    dimension is at most 6 and array calls would cost more than the sums.
+    Its slope s(w) = -sum c d / (1 + w d)^2 rises with w.  The weight is 0
+    if s(0) >= 0, 1 if s(1) <= 0, and otherwise the root of s, where
+    Newton steps that leave the bracket of the sign change fall back to
+    bisection.  Plain floats: the dimension is at most 6 and array calls
+    would cost more than the sums.
     """
+    if sum(ci * di for ci, di in zip(c, d)) <= 0.0:
+        return 0.0
+    if sum(ci * di / (1.0 + di) ** 2 for ci, di in zip(c, d)) >= 0.0:
+        return 1.0
     lo, hi, w = 0.0, 1.0, 0.5
     for _ in range(ROOT_STEPS):
         s = ds = 0.0
@@ -191,8 +201,53 @@ def _slope_root(c: list[float], d: list[float]) -> float:
     return w
 
 
-def ci_omega(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Covariance-intersection weight minimizing the fused trace.
+def _cholesky(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of matrices, and which matrices
+    have one; the identity stands in for the factor of any other.
+
+    ``np.linalg.cholesky`` raises for the whole stack when one matrix is
+    not positive definite, so such a stack is factored again one matrix
+    at a time, each giving the bits it gives in the stack.
+    """
+    try:
+        return np.linalg.cholesky(p), np.ones(len(p), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty(p.shape)
+    ok = np.ones(len(p), dtype=bool)
+    for n, pn in enumerate(p):
+        try:
+            factors[n] = np.linalg.cholesky(pn)
+        except np.linalg.LinAlgError:
+            factors[n] = np.eye(p.shape[-1])
+            ok[n] = False
+    return factors, ok
+
+
+class CiPairs(NamedTuple):
+    """What ``ci_omega`` found for the pairs of a stack that passed every
+    check, in stack order, and what ``ci_fuse`` reuses of it.
+
+    ``index`` holds their positions in the stack, ``omega`` their weights
+    w, ``pa`` and ``pb`` their inputs and ``pa_inv`` and ``pb_inv`` the
+    inverses of those.  ``info`` is the fused information matrix
+    w Pa^-1 + (1-w) Pb^-1, the candidate that won the trace comparison,
+    and ``cov`` its inverse, the fused covariance.
+    """
+
+    index: np.ndarray
+    omega: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
+    pa_inv: np.ndarray
+    pb_inv: np.ndarray
+    info: np.ndarray
+    cov: np.ndarray
+
+
+def ci_omega(pa: np.ndarray, pb: np.ndarray) -> CiPairs:
+    """Covariance-intersection weights minimizing the fused trace, for a
+    stack of k pairs of (d, d) covariances Pa and Pb.
 
     Closed form of Reinhardt, Noack & Hanebeck, "Closed-form optimization
     of covariance intersection for low-dimensional matrices" (FUSION
@@ -207,67 +262,81 @@ def ci_omega(pa: np.ndarray, pb: np.ndarray) -> float:
     candidates 0.5, 0, 1 and that weight are then compared by the traces
     of their re-inverted information matrices and the first minimum wins,
     so identical inputs give exactly 0.5 and a strictly dominating input
-    exactly 0 or 1.  Raises NonInvertible when either input is
-    ill-conditioned or the pair is not positive definite.
+    exactly 0 or 1.
+
+    The checks, inverses, factorizations and eigendecompositions run once
+    over the stack, and the weight search per pair.  A pair is left out of
+    the result when either input has rcond below 1e-12 or the pair is not
+    positive definite; the others are unaffected.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    _check_invertible(pa, "Pa")
-    _check_invertible(pb, "Pb")
-    pa_inv = np.linalg.inv(pa)
-    pb_inv = np.linalg.inv(pb)
+    k = len(pa)
+    ok = eig_regular(np.concatenate((pa, pb))).reshape(2, k).all(axis=0)
+    if not ok.all():
+        # the identity stands in for a left-out pair, so no call below fails on it
+        eye = np.eye(pa.shape[-1])
+        pa = np.where(ok[:, None, None], pa, eye)
+        pb = np.where(ok[:, None, None], pb, eye)
+    pa_inv, pb_inv = np.linalg.inv(np.stack((pa, pb)))
     # B = LL' with L = M^-T for the Cholesky factor Pb = MM', so the
     # symmetric problem L^-1 A L^-T = M'AM needs no further inverse and
     # V = L^-T W = MW
-    try:
-        m = np.linalg.cholesky(pb)
-    except np.linalg.LinAlgError:
-        raise NonInvertible("Pb is not positive definite")
-    lam, w = np.linalg.eigh(m.T @ pa_inv @ m)
-    if lam[0] <= 0.0:
-        raise NonInvertible("Pa is not positive definite")
+    m, factored = _cholesky(pb)
+    lam, w = np.linalg.eigh(m.swapaxes(-1, -2) @ pa_inv @ m)
+    ok &= factored & (lam[:, 0] > 0.0)
+    index = np.flatnonzero(ok)
+    if len(index) < k:
+        pa, pb, pa_inv, pb_inv, m, w, lam = (
+            a[index] for a in (pa, pb, pa_inv, pb_inv, m, w, lam))
     v = m @ w
-    c = (v * v).sum(axis=0).tolist()
+    c = (v * v).sum(axis=-2).tolist()
     d = (lam - 1.0).tolist()
-    if sum(ci * di for ci, di in zip(c, d)) <= 0.0:
-        best = 0.0
-    elif sum(ci * di / (1.0 + di) ** 2 for ci, di in zip(c, d)) >= 0.0:
-        best = 1.0
-    else:
-        best = _slope_root(c, d)
-
-    candidates = np.array([0.5, 0.0, 1.0, best])
-    info = candidates[:, None, None] * pa_inv + (1.0 - candidates)[:, None, None] * pb_inv
-    traces = np.trace(np.linalg.inv(info), axis1=1, axis2=2)
-    return float(candidates[int(np.argmin(traces))])
+    candidates = np.array([[0.5, 0.0, 1.0, _trace_minimum(cn, dn)]
+                           for cn, dn in zip(c, d)]).reshape(-1, 4)
+    info = (candidates[..., None, None] * pa_inv[:, None]
+            + (1.0 - candidates)[..., None, None] * pb_inv[:, None])
+    covs = np.linalg.inv(info)
+    rows = np.arange(len(index))
+    win = np.argmin(np.trace(covs, axis1=-2, axis2=-1), axis=-1)
+    return CiPairs(index, candidates[rows, win], pa, pb, pa_inv, pb_inv,
+                   info[rows, win], covs[rows, win])
 
 
-def ci_fuse(xa: np.ndarray, pa: np.ndarray, xb: np.ndarray, pb: np.ndarray,
-            omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance intersection of two estimates at a given weight.
+def ci_fuse(xa: np.ndarray, xb: np.ndarray,
+            ci: CiPairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance intersection of a stack of pairs of means ``xa`` and
+    ``xb`` with the covariances and weights ``ci_omega`` found for it.
 
-    P = (w Pa^-1 + (1-w) Pb^-1)^-1 and the matching information-weighted
-    mean.  The boundaries return the corresponding input exactly.
+    Each fused pair gets P = (w Pa^-1 + (1-w) Pb^-1)^-1 and the matching
+    information-weighted mean; the boundaries w = 1 and w = 0 return the
+    corresponding input exactly.  P and the inverses are those of ``ci``:
+    ``ci_omega`` ran the same ``inv`` on the same operands.  A pair inside
+    the boundaries whose fused information matrix has rcond below 1e-12
+    is not fused.  Returns the stack positions of the fused pairs, in
+    order, with their means and covariances.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise CollabError(f"omega {omega} outside [0, 1]")
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    if omega == 1.0:
-        return xa.copy(), pa.copy()
-    if omega == 0.0:
-        return xb.copy(), pb.copy()
-    _check_invertible(pa, "Pa")
-    _check_invertible(pb, "Pb")
-    pa_inv = np.linalg.inv(pa)
-    pb_inv = np.linalg.inv(pb)
-    info = omega * pa_inv + (1.0 - omega) * pb_inv
-    _check_invertible(info, "fused information matrix")
-    p = np.linalg.inv(info)
-    x = p @ (omega * (pa_inv @ xa) + (1.0 - omega) * (pb_inv @ xb))
-    return x, symmetrize(p)
+    w = ci.omega
+    xa = np.asarray(xa, dtype=float)[ci.index]
+    xb = np.asarray(xb, dtype=float)[ci.index]
+    one = w == 1.0
+    x = np.where(one[:, None], xa, xb)
+    p = np.where(one[:, None, None], ci.pa, ci.pb)
+    inside = np.flatnonzero((0.0 < w) & (w < 1.0))
+    if not len(inside):
+        return ci.index, x, p
+    regular = eig_regular(ci.info[inside])
+    n = inside[regular]
+    wn = w[n, None]
+    mix = (wn * (ci.pa_inv[n] @ xa[n, :, None])[..., 0]
+           + (1.0 - wn) * (ci.pb_inv[n] @ xb[n, :, None])[..., 0])
+    x[n] = (ci.cov[n] @ mix[..., None])[..., 0]
+    p[n] = symmetrize(ci.cov[n])
+    if regular.all():
+        return ci.index, x, p
+    fused = np.ones(len(w), dtype=bool)
+    fused[inside[~regular]] = False
+    return ci.index[fused], x[fused], p[fused]
 
 
 def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
@@ -288,15 +357,23 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     and the pair is counted (``tracker.gate_cost``).  Per-message
     failures are counted and never abort the step: a message too old to
     use counts as stale, and a malformed one (a non-finite or asymmetric
-    track, a timestamp from the future) as rejected.  Each message assigns
-    ``tracker.tracks`` and ``next_id`` once.
+    track, a timestamp from the future) as rejected.  A matched pair that
+    CI cannot fuse is neither fused nor spawned.
+
+    Each message is one stack: it is aligned in one call, its matched
+    pairs go through one ``ci_omega`` and one ``ci_fuse``, each pair
+    reading its local track as it was before the message, and its
+    unmatched remote tracks are gated in one call against the tracks as
+    they were before any spawn, then each against the tracks spawned
+    before it.  Each message assigns ``tracker.tracks`` and ``next_id``
+    once.
     """
     cfg = tracker.config
     gamma = chi2_quantile(cfg.gate_prob, 3)
     for msg in msgs:
         state.received += 1
         try:
-            aligned = align(msg, t_now, cfg.q, staleness)
+            ids, means_r, covs_r = align(msg, t_now, cfg.q, staleness)
         except StaleMessage:
             state.stale += 1
             continue
@@ -304,34 +381,54 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             state.rejected += 1
             continue
         tracks = list(tracker.tracks)
-        pairs, skipped = t2t_associate(tracks, [(m, c) for _, m, c in aligned],
-                                       cfg.gate_prob, state)
+        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gate_prob, state)
         done = set(skipped)  # fused, or skipped for a singular pair
-        for i, j in pairs:
-            tr = tracks[i]
-            _, mean_r, cov_r = aligned[j]
-            try:
-                w = ci_omega(tr.cov, cov_r)
-                fused = ci_fuse(tr.mean, tr.cov, mean_r, cov_r, w)
-            except NonInvertible:
-                continue
-            tracks[i] = tr.sighted(*fused).confirm(cfg.confirm_m)
-            state.fused += 1
-            done.add(j)
-        next_id = tracker.next_id
-        for j, (_, mean_r, cov_r) in enumerate(aligned):
-            if j in done:
-                continue
-            cost, skip, singular = gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                                             [mean_r], [cov_r], gamma)
-            state.singular += singular
-            if skip or np.isfinite(cost).any():
-                continue
-            tracks.append(spawn(next_id, mean_r, symmetrize(cov_r), t_now, cfg))
-            next_id += 1
-            state.spawned += 1
-        tracker.tracks, tracker.next_id = tracks, next_id
+        if pairs:
+            rows, cols = (list(line) for line in zip(*pairs))
+            ci = ci_omega(np.array([tracks[i].cov for i in rows]), covs_r[cols])
+            fused, means, covs = ci_fuse(np.array([tracks[i].mean for i in rows]),
+                                         means_r[cols], ci)
+            for n, mean, cov in zip(fused.tolist(), means, covs):
+                i = rows[n]
+                tracks[i] = tracks[i].sighted(mean, cov).confirm(cfg.confirm_m)
+                done.add(cols[n])
+            state.fused += len(fused)
+        fresh = [j for j in range(len(ids)) if j not in done]
+        born = [fresh[n] for n in _spawning(tracks, means_r[fresh], covs_r[fresh], gamma, state)]
+        for n, j in enumerate(born):
+            tracks.append(spawn(tracker.next_id + n, means_r[j], symmetrize(covs_r[j]), t_now, cfg))
+        state.spawned += len(born)
+        tracker.tracks, tracker.next_id = tracks, tracker.next_id + len(born)
     _merge_duplicates(tracker, state)
+
+
+def _spawning(tracks: list[Track], means: np.ndarray, covs: np.ndarray, gamma: float,
+              state: CollabState) -> list[int]:
+    """Which of a message's unmatched remote tracks spawn, as positions in
+    the stacked ``means`` and ``covs``, in order.
+
+    A remote track spawns when it gates at ``gamma`` with none of
+    ``tracks`` and none of the tracks spawned before it, and forms a
+    singular pair with none of them (``tracker.gate_cost``); ``state``
+    counts the singular pairs.  All are gated against ``tracks`` in one
+    call, then each against the tracks spawned before it, which carry its
+    predecessors' means and symmetrized covariances.
+    """
+    cost, skipped, singular = gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
+                                        means, covs, gamma)
+    state.singular += singular
+    clear = ~np.isfinite(cost).any(axis=0)
+    clear[skipped] = False
+    born: list[int] = []
+    for j, spawns in enumerate(clear.tolist()):
+        if born:
+            cost, skipped, singular = gate_cost(means[born], symmetrize(covs[born]),
+                                                means[j:j + 1], covs[j:j + 1], gamma)
+            state.singular += singular
+            spawns = spawns and not skipped and not np.isfinite(cost).any()
+        if spawns:
+            born.append(j)
+    return born
 
 
 def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
@@ -349,12 +446,15 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     the published tracks that call gated.  After a merge the younger
     live tracks are gated again against the moved elder.  A pair with a
     singular summed covariance is inf, so never merged, and is counted.
+    Each merge is a CI of a stack of one pair, since it moves the elder
+    that the next pair reads.
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
     tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
     means, covs = [tr.mean for tr in tracks], [tr.cov for tr in tracks]
     d2_all, singular = position_d2(means, covs, means, covs, gamma)
-    state.singular += int(np.triu(singular, 1).sum())
+    if singular.any():
+        state.singular += int(np.triu(singular, 1).sum())
     dead: set[int] = set()
     elders: dict[int, Track] = {}
     for i, a in enumerate(tracks):
@@ -365,11 +465,10 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
             b = tracks[k]
             if b.id in dead or d2[k] > gamma:
                 continue
-            try:
-                w = ci_omega(a.cov, b.cov)
-                a = a.with_estimate(*ci_fuse(a.mean, a.cov, b.mean, b.cov, w))
-            except NonInvertible:
+            fused, x, p = ci_fuse(a.mean[None], b.mean[None], ci_omega(a.cov[None], b.cov[None]))
+            if not len(fused):
                 continue
+            a = a.with_estimate(x[0], p[0])
             a.misses = min(a.misses, b.misses)
             if b.status == CONFIRMED and a.status == TENTATIVE:
                 a.status = CONFIRMED

@@ -164,26 +164,33 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(cov: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
+    """Raise NonPSD when a matrix, or any matrix in a stack, is asymmetric
+    by more than ``tol``."""
     cov = np.asarray(cov)
-    err = np.abs(cov - cov.T).max() if cov.size else 0.0
+    err = np.abs(cov - cov.swapaxes(-1, -2)).max() if cov.size else 0.0
     if err > tol:
         raise NonPSD(f"covariance asymmetry {err:.3e} exceeds tolerance {tol:.1e}")
 
 
 def transform_gaussian(pose: Pose, mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    """Map a Gaussian over [position(3), velocity(3)] through a rigid pose.
+    """Map a Gaussian over [position(3), velocity(3)] through a rigid pose,
+    or each one of a stack of (6,) means and (6, 6) covariances.
 
     Position is mapped by the full pose, velocity is rotated only.  The
     covariance is congruence-transformed by blockdiag(R, R) and
-    re-symmetrized.
+    re-symmetrized.  Raises NonPSD when any input covariance is
+    asymmetric.  Stacked, each Gaussian maps bit for bit as it would
+    alone: means go through ``R @ m[..., None]`` and covariances through
+    ``T @ P @ T'``, which run the same products per slice, where ``M @
+    R.T`` or ``einsum`` sum in another order.
     """
-    mean = np.asarray(mean, dtype=float).reshape(6)
-    cov = np.asarray(cov, dtype=float).reshape(6, 6)
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
     check_symmetric(cov)
     r = pose.rotation
-    out_mean = np.empty(6)
-    out_mean[:3] = r @ mean[:3] + pose.translation
-    out_mean[3:] = r @ mean[3:]
+    out_mean = np.empty(mean.shape)
+    out_mean[..., :3] = (r @ mean[..., :3, None])[..., 0] + pose.translation
+    out_mean[..., 3:] = (r @ mean[..., 3:, None])[..., 0]
     t = np.zeros((6, 6))
     t[:3, :3] = r
     t[3:, 3:] = r

@@ -178,7 +178,7 @@ def emulate_worker(req: TaskRequest, positions: np.ndarray, sensor_pose: Pose,
 @dataclass
 class PendingTask:
     req: TaskRequest
-    submitted: float            # when it was queued, or last sent to a worker
+    sent: float | None          # when it was last sent to a worker; None while queued
     worker_id: str | None       # None while queued
     retries: int = 0
 
@@ -213,19 +213,19 @@ class Broker:
         self.counters["submitted"] += 1
         target = dispatch(self.pool, self.pending.values())
         if target == QUEUED:
-            self._enqueue(req, now, retries=0)
+            self._enqueue(req, retries=0)
             return None
         self.pending[req.task_id] = PendingTask(req, now, target)
         return target
 
-    def _enqueue(self, req: TaskRequest, submitted: float, retries: int) -> None:
+    def _enqueue(self, req: TaskRequest, retries: int) -> None:
         """Put a task at the queue's tail, or count it dropped when the
         queue is full."""
         if len(self.queue) >= self.queue_bound:
             self.counters["queue_dropped"] += 1
             return
         self.queue.append(req)
-        self.pending[req.task_id] = PendingTask(req, submitted, None, retries)
+        self.pending[req.task_id] = PendingTask(req, None, None, retries)
 
     def _release(self, task_id: int) -> None:
         """Take a task out of ``pending``, and out of the queue if it waits
@@ -249,7 +249,7 @@ class Broker:
                 break
             req = self.queue.pop(0)
             pend = self.pending[req.task_id]
-            pend.worker_id, pend.submitted = target, now
+            pend.worker_id, pend.sent = target, now
             sends.append((req, target))
         return sends
 
@@ -303,13 +303,14 @@ def integrate(tracker: Tracker, result: TaskResult, t_now: float) -> bool:
 def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]:
     """Expire overdue tasks and dead workers; returns requests to resend.
 
-    A pending request whose timeout has run out, counted from when it was
-    queued or last sent to a worker, is retried exactly once, at the
-    queue's tail (dropped if the queue is full); a second expiry drops
-    it.  Workers silent for three heartbeat intervals are deregistered and
-    their in-flight tasks expired (heartbeats seen again later re-register
-    the worker).  The queue then drains onto the idle workers, so no
-    worker is left idle while a task waits.
+    A request on a worker whose timeout has run out, counted from when it
+    was last sent, is retried exactly once, at the queue's tail (dropped
+    if the queue is full); a second expiry drops it.  A queued request
+    does not time out: its clock starts when it is sent.  Workers silent
+    for three heartbeat intervals are deregistered and their in-flight
+    tasks expired (heartbeats seen again later re-register the worker).
+    The queue then drains onto the idle workers, so no worker is left
+    idle while a task waits.
     """
     dead = [w for w in broker.pool.workers
             if t_now - w.last_heartbeat > HEARTBEAT_MISSES * broker.heartbeat_interval]
@@ -323,16 +324,14 @@ def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]
 
     for task_id in sorted(broker.pending):
         pend = broker.pending.get(task_id)
-        if pend is None:
+        if pend is None or pend.worker_id is None:  # settled, or queued
             continue
-        expired = (t_now - pend.submitted > broker.timeout) or \
-            (pend.worker_id is not None and pend.worker_id in dead_ids)
-        if not expired:
+        if t_now - pend.sent <= broker.timeout and pend.worker_id not in dead_ids:
             continue
         if pend.retries >= 1:
             broker._terminate(task_id, "timeout_dropped")
             continue
         broker.counters["retries"] += 1
         broker._release(task_id)
-        broker._enqueue(pend.req, t_now, retries=1)
+        broker._enqueue(pend.req, retries=1)
     return broker._drain(t_now)

@@ -376,11 +376,13 @@ class Engine:
             return
         rt.last_broadcast = t
         world_from_agent = agent_pose
-        agent_from_world = inverse(world_from_agent)
+        confirmed = rt.tracker.confirmed()
         tracks = []
-        for tr in rt.tracker.confirmed():
-            mean, cov = transform_gaussian(agent_from_world, tr.mean, symmetrize(tr.cov))
-            tracks.append((tr.id, mean, cov))
+        if confirmed:
+            means, covs = transform_gaussian(
+                inverse(world_from_agent), np.array([tr.mean for tr in confirmed]),
+                symmetrize(np.array([tr.cov for tr in confirmed])))
+            tracks = list(zip([tr.id for tr in confirmed], means, covs))
         msg = RemoteTrackMsg(rt.spec.id, world_from_agent, t, tracks)
         payload = canonical_dumps(msg.to_payload())
         frame = BusFrame(bus.MSG_TRACKS, int(round(t * 1e9)),

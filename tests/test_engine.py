@@ -16,7 +16,8 @@
   ``cr-dist`` is a full case, so it meets every contract here;
 * bounded caches: the engine keeps ground truth and poses for one event
   time only;
-* collaboration: urban ``cr-covi`` fuses remote tracks;
+* collaboration: urban ``cr-covi`` fuses remote tracks, through the
+  collab functions the benchmark hooks by name;
 * malformed frames: a frame that does not decode or parse, or names a
   worker the run does not have, is counted and skipped, and the run goes
   on;
@@ -29,7 +30,7 @@ import json
 import numpy as np
 import pytest
 
-from fusionsim import bus, offload
+from fusionsim import bus, collab, offload
 from fusionsim.geometry import Pose
 from fusionsim.offload import QUEUED, STATUS_OK, dispatch
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
@@ -91,14 +92,18 @@ def noiseless(doc):
 
 
 def flaky(doc):
-    """One edge worker whose latency can pass a 0.2 s timeout and which
-    fails a tenth of its tasks: with a task per camera frame it is often
-    busy, so tasks queue, time out, are retried and are dropped."""
+    """One edge worker whose latency often passes a 0.1 s timeout, up to
+    fifteenfold, and which fails a tenth of its tasks: with a task per
+    camera frame it is often busy, so tasks queue, time out and are
+    retried.  A retry is dropped when it finds the queue full, or when it
+    times out again before its first attempt's result arrives, which
+    takes a latency well past the timeout, since a task's timeout runs
+    only while it is on the worker."""
     for agent in doc["agents"]:
         if agent["kind"] == "edge-server":
             agent["workers"] = 1
-    doc["pipeline"]["timeout"] = 0.2
-    doc["pipeline"]["worker"].update(lat_min=0.02, lat_max=0.5, p_fail=0.1)
+    doc["pipeline"]["timeout"] = 0.1
+    doc["pipeline"]["worker"].update(lat_min=0.02, lat_max=1.5, p_fail=0.1)
     return doc
 
 
@@ -193,6 +198,25 @@ def test_collaboration_fuses_remote_tracks(case):
     assert sum(c["fused"] for c in collab.values()) > 0
     assert all("merged" in c for c in collab.values())
     assert all("singular" not in c for c in collab.values())  # reported only when non-zero
+
+
+def test_collaboration_runs_through_its_hooked_names(scenario_dir, monkeypatch):
+    # the benchmark times align, association and CI by wrapping these
+    # module globals; a step that stopped calling one would zero its span
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("align", "t2t_associate", "ci_omega", "ci_fuse")
+    for name in names:
+        monkeypatch.setattr(collab, name, counted(name, getattr(collab, name)))
+    report = Engine(scenario(scenario_dir, "urban.json", "cr-covi", 1.0, 0, "")).run()
+    assert sum(c["fused"] for c in report.report["counters"]["collab"].values()) > 0
+    assert all(calls.get(name, 0) > 0 for name in names), calls
 
 
 def test_flaky_worker_queues_retries_and_times_out(scenario_dir, monkeypatch):

@@ -6,6 +6,7 @@ from fusionsim.geometry import (
     GeometryError,
     NonPSD,
     Pose,
+    check_symmetric,
     inverse,
     rotation_from_rpy_deg,
     transform_gaussian,
@@ -110,6 +111,23 @@ class TestTransformGaussian:
         m, _ = transform_gaussian(pose, mean, np.eye(6))
         assert np.allclose(m[:3], [10, 0, 0])
         assert np.allclose(m[3:], [1, 2, 3])
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    def test_stack_of_symmetric_matrices_passes(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, 6, 6))
+        check_symmetric(np.tile(np.eye(6), (k, 1, 1)))
+        check_symmetric(a + a.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("k", [1, 4, 6])
+    def test_one_asymmetric_matrix_in_a_stack_is_rejected(self, k):
+        for bad in range(k):
+            stack = np.tile(np.eye(6), (k, 1, 1))
+            stack[bad, 0, 1] = 1e-3
+            with pytest.raises(NonPSD):
+                check_symmetric(stack)
 
 
 class TestPoseValidation:

@@ -271,10 +271,13 @@ class TestBrokerConservation:
         applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1),
                                       tk, 0.1)
         assert not applied
-        # remaining two pending tasks expire twice: retry then drop
-        reap_timeouts(broker, 2.0)
-        assert broker.counters["retries"] == 2
-        reap_timeouts(broker, 4.0)
+        # remaining two pending tasks expire twice on their live workers:
+        # retry then drop
+        for now in (2.0, 4.0):
+            for w in broker.pool.workers:
+                broker.heartbeat(w.worker_id, now)
+            reap_timeouts(broker, now)
+            assert broker.counters["retries"] == 2
         c = broker.counters
         assert c["submitted"] == 6
         assert c["ok_integrated"] + c["failed"] + c["timeout_dropped"] + \
@@ -368,17 +371,17 @@ class TestReapTimeouts:
     def test_retry_queues_behind_older_tasks_and_the_queue_drains(self):
         # one worker, timeout 1 s: task 1 is sent at 0 and task 2 queued at
         # 0.5.  Task 1's retry joins the queue behind task 2, and every reap
-        # drains the queue onto the worker it frees.  Task 2's timeout runs
-        # from 1.1, when it is sent: the 1.6 reap leaves it on the worker,
-        # the 2.2 reap retries it, and task 1's retry, still queued since
-        # 1.1, is dropped there
+        # drains the queue onto the worker it frees.  A task's timeout runs
+        # from its send, never while it waits in the queue: task 2, sent at
+        # 1.1, is retried at 2.2, when task 1's retry, queued since 1.1, is
+        # sent; that is dropped at 3.3 and task 2's retry, sent then, at 4.4
         broker = Broker(pool=pool_of(1), timeout=1.0, heartbeat_interval=10.0)
         assert broker.submit(req(1), 0.0) == "edge/w0"
         assert broker.submit(req(2, t=0.5), 0.5) is None
         assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
         assert broker.queue == [req(1)]
-        for now, sends in ((1.6, []), (2.2, [(req(2, t=0.5), "edge/w0")]), (2.8, []),
-                           (3.3, [])):
+        for now, sends in ((1.6, []), (2.2, [(req(1), "edge/w0")]), (2.8, []),
+                           (3.3, [(req(2, t=0.5), "edge/w0")]), (3.9, []), (4.4, [])):
             assert reap_timeouts(broker, now) == sends
             assert idle_while_queued(broker) == []
         assert broker.counters["retries"] == 2
@@ -446,7 +449,8 @@ class BrokerMachine(RuleBasedStateMachine):
     pending tasks in the queue, and leaves no registered worker idle while
     a task waits.  A reap expires a task on a live worker only once it has
     been on that worker for longer than the timeout since it was last
-    sent, also when it waited in the queue before.
+    sent, also when it waited in the queue before, and never expires a
+    task that waits in the queue.
 
     Reaps come 0.6 s apart, so a task expires at its second reap after
     submission: short enough for a retry to meet younger queued tasks in
@@ -481,13 +485,17 @@ class BrokerMachine(RuleBasedStateMachine):
         self.now += 0.6
         for wid in sorted(self.beating):
             self.sent(self.broker.heartbeat(wid, self.now))
-        on_worker = {i: p for i, p in self.broker.pending.items() if p.worker_id is not None}
+        before = dict(self.broker.pending)
+        on_worker = {i for i, p in before.items() if p.worker_id is not None}
         sends = reap_timeouts(self.broker, self.now)
         alive = {w.worker_id for w in self.broker.pool.workers}
-        for task_id, pend in on_worker.items():
+        for task_id, pend in before.items():
             # an expired task is settled or retried as a new pending entry;
             # one on a worker that died expires whatever its age
-            if self.broker.pending.get(task_id) is not pend and pend.worker_id in alive:
+            if self.broker.pending.get(task_id) is pend:
+                continue
+            assert task_id in on_worker
+            if pend.worker_id in alive:
                 assert self.now - self.sent_at[task_id] > self.broker.timeout
         self.sent(sends)
 
