@@ -5,8 +5,9 @@ stamped with a world-from-sender pose.  On receipt the tracks are
 CV-predicted to the local clock, mapped into the receiver's tracking
 frame, associated to local tracks by position Mahalanobis distance, and
 fused by covariance intersection (CI), which stays consistent when the
-cross-platform correlation is unknown.  Fusion builds new tracks and
-replaces the tracker's list; it is outside rollback (see ``Tracker``).
+cross-platform correlation is unknown.  Fusion builds a new track batch
+(``tracker.Tracks``) and replaces the tracker's; it is outside rollback
+(see ``Tracker``).
 
 A received message is one stack from end to end: ``align`` predicts and
 maps all its tracks in one call each, and CI has one path, run once per
@@ -30,10 +31,8 @@ import numpy as np
 from .bus import payload_array, payload_field
 from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
-    CONFIRMED,
-    TENTATIVE,
-    Track,
     Tracker,
+    Tracks,
     chi2_quantile,
     eig_regular,
     gate_cost,
@@ -146,7 +145,7 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float,
     return (ids, *transform_gaussian(msg.sender_pose, means, covs))
 
 
-def t2t_associate(local: list[Track], means: np.ndarray, covs: np.ndarray,
+def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray,
                   gate_prob: float = 0.99,
                   state: CollabState | None = None) -> tuple[list[tuple[int, int]], list[int]]:
     """One-to-one pairing of local tracks with the remote tracks of stacked
@@ -157,9 +156,8 @@ def t2t_associate(local: list[Track], means: np.ndarray, covs: np.ndarray,
     the (local, remote) pairs and the remote tracks skipped for a pair
     with a singular summed covariance, which ``state`` counts.
     """
-    cost, skipped, singular = gate_cost(
-        [tr.mean for tr in local], [tr.cov for tr in local], means, covs,
-        chi2_quantile(gate_prob, 3))
+    cost, skipped, singular = gate_cost(local.means, local.covs, means, covs,
+                                        chi2_quantile(gate_prob, 3))
     if state is not None:
         state.singular += singular
     return assign(cost), skipped
@@ -344,7 +342,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     """Fold a batch of remote track messages into the local tracker.
 
     Aligned remote tracks that associate with a local track replace it by
-    its sighting (``Track.sighted``) at the CI fusion; remote tracks
+    its sighting (``Tracks.sighted``) at the CI fusion; remote tracks
     gating with no local track spawn tentative local tracks carrying the
     remote covariance.  A remote track that gates with some local track
     but lost the one-to-one assignment is a duplicate view of a known
@@ -380,29 +378,28 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
         except (CollabError, NonPSD):
             state.rejected += 1
             continue
-        tracks = list(tracker.tracks)
+        tracks = tracker.tracks
         pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gate_prob, state)
         done = set(skipped)  # fused, or skipped for a singular pair
         if pairs:
             rows, cols = (list(line) for line in zip(*pairs))
-            ci = ci_omega(np.array([tracks[i].cov for i in rows]), covs_r[cols])
-            fused, means, covs = ci_fuse(np.array([tracks[i].mean for i in rows]),
-                                         means_r[cols], ci)
-            for n, mean, cov in zip(fused.tolist(), means, covs):
-                i = rows[n]
-                tracks[i] = tracks[i].sighted(mean, cov).confirm(cfg.confirm_m)
-                done.add(cols[n])
+            ci = ci_omega(tracks.covs[rows], covs_r[cols])
+            fused, means, covs = ci_fuse(tracks.means[rows], means_r[cols], ci)
+            fused = fused.tolist()
+            tracks = tracks.sighted([rows[n] for n in fused], means, covs, cfg.confirm_m)
+            done.update(cols[n] for n in fused)
             state.fused += len(fused)
         fresh = [j for j in range(len(ids)) if j not in done]
         born = [fresh[n] for n in _spawning(tracks, means_r[fresh], covs_r[fresh], gamma, state)]
-        for n, j in enumerate(born):
-            tracks.append(spawn(tracker.next_id + n, means_r[j], symmetrize(covs_r[j]), t_now, cfg))
+        if born:
+            tracks = tracks.then(spawn(tracker.next_id, means_r[born], symmetrize(covs_r[born]),
+                                       t_now, cfg))
         state.spawned += len(born)
         tracker.tracks, tracker.next_id = tracks, tracker.next_id + len(born)
     _merge_duplicates(tracker, state)
 
 
-def _spawning(tracks: list[Track], means: np.ndarray, covs: np.ndarray, gamma: float,
+def _spawning(tracks: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
               state: CollabState) -> list[int]:
     """Which of a message's unmatched remote tracks spawn, as positions in
     the stacked ``means`` and ``covs``, in order.
@@ -414,8 +411,7 @@ def _spawning(tracks: list[Track], means: np.ndarray, covs: np.ndarray, gamma: f
     call, then each against the tracks spawned before it, which carry its
     predecessors' means and symmetrized covariances.
     """
-    cost, skipped, singular = gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                                        means, covs, gamma)
+    cost, skipped, singular = gate_cost(tracks.means, tracks.covs, means, covs, gamma)
     state.singular += singular
     clear = ~np.isfinite(cost).any(axis=0)
     clear[skipped] = False
@@ -438,7 +434,7 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     object alive indefinitely (the remote feed alternates between the
     pair); folding such pairs into the elder track keeps one estimate per
     object without touching genuinely distinct neighbors.  A new elder
-    takes the old one's list position in the one assignment of the pass.
+    takes the old one's row in the one assignment of the pass.
 
     All pairs are gated in one call up front, and an elder's row of it
     is read in the elder's turn.  Only elders are replaced, each in its
@@ -450,37 +446,36 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     that the next pair reads.
     """
     gamma = chi2_quantile(tracker.config.gate_prob, 3)
-    tracks = sorted(tracker.tracks, key=lambda tr: tr.id)
-    means, covs = [tr.mean for tr in tracks], [tr.cov for tr in tracks]
+    tracks = tracker.tracks  # in id order: an elder comes before its juniors
+    means, covs = tracks.means.copy(), tracks.covs.copy()
+    misses, confirmed = tracks.misses.copy(), tracks.confirmed.copy()
     d2_all, singular = position_d2(means, covs, means, covs, gamma)
     if singular.any():
         state.singular += int(np.triu(singular, 1).sum())
-    dead: set[int] = set()
-    elders: dict[int, Track] = {}
-    for i, a in enumerate(tracks):
-        if a.id in dead:
+    n = len(tracks)
+    dead = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if dead[i]:
             continue
         d2 = d2_all[i]
-        for k in range(i + 1, len(tracks)):
-            b = tracks[k]
-            if b.id in dead or d2[k] > gamma:
+        for k in range(i + 1, n):
+            if dead[k] or d2[k] > gamma:
                 continue
-            fused, x, p = ci_fuse(a.mean[None], b.mean[None], ci_omega(a.cov[None], b.cov[None]))
+            fused, x, p = ci_fuse(means[i:i + 1], means[k:k + 1],
+                                  ci_omega(covs[i:i + 1], covs[k:k + 1]))
             if not len(fused):
                 continue
-            a = a.with_estimate(x[0], p[0])
-            a.misses = min(a.misses, b.misses)
-            if b.status == CONFIRMED and a.status == TENTATIVE:
-                a.status = CONFIRMED
-            elders[a.id] = a
-            dead.add(b.id)
+            means[i], covs[i] = x[0], p[0]
+            misses[i] = min(misses[i], misses[k])
+            confirmed[i] |= confirmed[k]
+            dead[k] = True
             state.merged += 1
             # the elder moved: gate the younger live tracks against its new estimate
-            live = [m for m in range(k + 1, len(tracks)) if tracks[m].id not in dead]
-            d2_live, singular = position_d2([a.mean], [a.cov], [tracks[m].mean for m in live],
-                                            [tracks[m].cov for m in live], gamma)
+            live = [m for m in range(k + 1, n) if not dead[m]]
+            d2_live, singular = position_d2(means[i:i + 1], covs[i:i + 1], means[live],
+                                            covs[live], gamma)
             state.singular += int(singular.sum())
             d2[live] = d2_live[0]
-    if dead:
-        tracker.tracks = [elders.get(tr.id, tr) for tr in tracker.tracks
-                          if tr.id not in dead]
+    if dead.any():
+        tracker.tracks = Tracks(tracks.ids, means, covs, confirmed, misses, tracks.window,
+                                tracks.stamps).take(~dead)

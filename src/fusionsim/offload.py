@@ -193,20 +193,26 @@ class Broker:
     names it, so settling a task frees its worker, and a result for a task
     that is not pending changes nothing.  No registered worker is idle
     while a task waits: each call that frees or registers a worker ends by
-    draining the queue, oldest task first.
+    draining the queue, oldest task first.  Nor is the queue stored: it is
+    the pending tasks without a worker in ``pending``'s order, which is
+    their queue order, since a retry is taken out and put back at the end.
     """
 
     pool: WorkerPool = field(default_factory=WorkerPool)
     timeout: float = DEFAULT_TIMEOUT
     queue_bound: int = DEFAULT_QUEUE_BOUND
     heartbeat_interval: float = DEFAULT_HEARTBEAT
-    queue: list[TaskRequest] = field(default_factory=list)
     pending: dict[int, PendingTask] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=lambda: {
         "submitted": 0, "ok_integrated": 0, "failed": 0,
         "timeout_dropped": 0, "stale_dropped": 0, "queue_dropped": 0,
         "retries": 0,
     })
+
+    @property
+    def queue(self) -> list[TaskRequest]:
+        """The queued tasks, oldest first."""
+        return [pend.req for pend in self.pending.values() if pend.worker_id is None]
 
     def submit(self, req: TaskRequest, now: float) -> str | None:
         """Returns the worker id to transmit to, or None (queued or dropped)."""
@@ -224,15 +230,12 @@ class Broker:
         if len(self.queue) >= self.queue_bound:
             self.counters["queue_dropped"] += 1
             return
-        self.queue.append(req)
         self.pending[req.task_id] = PendingTask(req, None, None, retries)
 
     def _release(self, task_id: int) -> None:
-        """Take a task out of ``pending``, and out of the queue if it waits
-        there; its worker is free again."""
-        pend = self.pending.pop(task_id)
-        if pend.worker_id is None:
-            self.queue.remove(pend.req)
+        """Take a task out of ``pending``, and so out of the queue if it
+        waits there; its worker is free again."""
+        del self.pending[task_id]
 
     def _terminate(self, task_id: int, counter: str) -> None:
         self.counters[counter] += 1
@@ -243,11 +246,10 @@ class Broker:
         (request, worker id) pairs that should now be transmitted.  A
         task's timeout runs from ``now``, when it is sent."""
         sends = []
-        while self.queue:
+        for req in self.queue:
             target = dispatch(self.pool, self.pending.values())
             if target == QUEUED:
                 break
-            req = self.queue.pop(0)
             pend = self.pending[req.task_id]
             pend.worker_id, pend.sent = target, now
             sends.append((req, target))
@@ -265,7 +267,7 @@ class Broker:
         if result.status != STATUS_OK:
             counter = "failed"
         else:
-            applied = integrate(tracker, result, t_now)
+            applied = integrate(tracker, result)
             counter = "ok_integrated" if applied else "stale_dropped"
         self._terminate(task_id, counter)
         return applied, self._drain(t_now)
@@ -287,15 +289,13 @@ class Broker:
         return terminal + len(self.pending) == self.counters["submitted"]
 
 
-def integrate(tracker: Tracker, result: TaskResult, t_now: float) -> bool:
+def integrate(tracker: Tracker, result: TaskResult) -> bool:
     """Fold an ok edge result into the tracker at its frame time.
 
     In-horizon results are exact via rollback-replay (a batch with no
     detections still scores misses like any frame).  Results
     older than the snapshot horizon cannot be restored and report False.
     """
-    if result.status != STATUS_OK:
-        return False
     key = (result.frame_time, LANE_EDGE, result.task_id)
     return tracker.process_batch(key, result.detections, result.frame_time)
 

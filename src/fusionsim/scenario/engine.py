@@ -51,7 +51,7 @@ from ..sensing import (
     radar_observe,
     visible_object_ids,
 )
-from ..tracker import LANE_LOCAL, Tracker, predict_trajectory
+from ..tracker import CONFIRMED, LANE_LOCAL, TENTATIVE, Tracker, Tracks, predict_trajectory
 from .model import Scenario, world_at
 from .replay import ReplayError, detection_line, truth_line
 
@@ -83,8 +83,10 @@ class RunReport:
     ``canonical_dumps(line)``; ``.tolist()`` gives back the same Python
     floats, so the bytes are those of the lines themselves.
 
-    * a track record, per flush with tracks:
-      ``(t, agent, ids, statuses, (n, 2, 6) means and covariance diagonals)``;
+    * a track record, per flush with tracks: ``(t, agent, ids, confirmed,
+      (n, 2, 6) means and covariance diagonals)``, the ids and confirmed
+      flags as tuples: held as the ``Tracks`` batch's own small arrays,
+      they raised peak memory;
     * a detection record, per live sensor tick:
       ``(t, agent, sensor, type, rows)``, where ``rows`` is the tick's
       sensing array itself (camera or radar rows, see ``sensing``): sensing
@@ -121,9 +123,10 @@ def _jsonl(lines) -> bytes:
 
 
 def _track_dicts(records):
-    for t, agent, ids, statuses, nums in records:
-        for tid, status, (mean, cov_diag) in zip(ids, statuses, nums.tolist()):
-            yield {"t": t, "agent": agent, "id": tid, "status": status,
+    for t, agent, ids, confirmed, nums in records:
+        for tid, conf, (mean, cov_diag) in zip(ids, confirmed, nums.tolist()):
+            yield {"t": t, "agent": agent, "id": tid,
+                   "status": CONFIRMED if conf else TENTATIVE,
                    "mean": mean, "cov_diag": cov_diag}
 
 
@@ -132,9 +135,9 @@ def _replay_dicts(records):
         yield truth_line(*record) if len(record) == 2 else detection_line(*record)
 
 
-def _track_record(t: float, agent: str, tracks) -> tuple:
-    return (t, agent, tuple([tr.id for tr in tracks]), tuple([tr.status for tr in tracks]),
-            np.array([(tr.mean, tr.cov.diagonal()) for tr in tracks], dtype=float))
+def _track_record(t: float, agent: str, tracks: Tracks) -> tuple:
+    return (t, agent, tuple(tracks.ids.tolist()), tuple(tracks.confirmed.tolist()),
+            np.stack((tracks.means, tracks.covs.diagonal(axis1=1, axis2=2)), axis=1))
 
 
 class _AgentRT:
@@ -367,7 +370,7 @@ class Engine:
             for req, wid in reap_timeouts(self.broker, t):
                 self._send_task_req(req, wid, t)
 
-        if rt.tracker.tracks:
+        if len(rt.tracker.tracks):
             self._track_records.append(_track_record(t, spec.id, rt.tracker.tracks))
 
     def _maybe_broadcast(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
@@ -378,11 +381,10 @@ class Engine:
         world_from_agent = agent_pose
         confirmed = rt.tracker.confirmed()
         tracks = []
-        if confirmed:
-            means, covs = transform_gaussian(
-                inverse(world_from_agent), np.array([tr.mean for tr in confirmed]),
-                symmetrize(np.array([tr.cov for tr in confirmed])))
-            tracks = list(zip([tr.id for tr in confirmed], means, covs))
+        if len(confirmed):
+            means, covs = transform_gaussian(inverse(world_from_agent), confirmed.means,
+                                             symmetrize(confirmed.covs))
+            tracks = list(zip(confirmed.ids.tolist(), means, covs))
         msg = RemoteTrackMsg(rt.spec.id, world_from_agent, t, tracks)
         payload = canonical_dumps(msg.to_payload())
         frame = BusFrame(bus.MSG_TRACKS, int(round(t * 1e9)),
@@ -487,19 +489,17 @@ class Engine:
         ego = self.agents[self.ego_id]
         truth = self._truth(t)
         gt = list(zip(truth.ids, truth.positions))
-        est = []
-        for tr in ego.tracker.confirmed():
-            pos = tr.mean[:3] + tr.mean[3:] * (t - tr.stamp)
-            est.append((tr.id, pos))
-        frame = self.agg.sample(t, gt, est)
+        confirmed = ego.tracker.confirmed()
+        ids, means, stamps = confirmed.ids.tolist(), confirmed.means, confirmed.stamps
+        positions = means[:, :3] + means[:, 3:] * (t - stamps)[:, None]
+        frame = self.agg.sample(t, gt, list(zip(ids, positions)))
         mc = self.sc.metrics
         if t + mc.prediction_horizon <= self.sc.duration + 1e-9:
-            by_id = {tr.id: tr for tr in ego.tracker.confirmed()}
+            row = {tid: n for n, tid in enumerate(ids)}
             for gid, eid, _ in frame.matches:
-                tr = by_id.get(eid)
-                if tr is None:
-                    continue
-                wps = predict_trajectory(tr, mc.prediction_horizon, mc.prediction_dt)
+                n = row[eid]
+                wps = predict_trajectory(means[n], stamps[n].item(), mc.prediction_horizon,
+                                         mc.prediction_dt)
                 truth_fn = self._truth_interpolator(gid)
                 try:
                     ade, fde = prediction_error(wps, truth_fn, self.sc.duration)
@@ -567,7 +567,7 @@ class Engine:
             "counters": counters,
             "events_processed": self.events_processed,
             "confirmed_tracks_final": {
-                aid: [tr.id for tr in rt.tracker.confirmed()]
+                aid: rt.tracker.confirmed().ids.tolist()
                 for aid, rt in sorted(self.agents.items())
             },
             "frames": self.frames_log,

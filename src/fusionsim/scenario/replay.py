@@ -30,10 +30,13 @@ its line number:
 * a detection row: a camera box with ``umin < umax`` and ``vmin < vmax``
   and a score in [0, 1], or a finite radar position with range > 0; a
   bbox of exactly 4 numbers and a position of exactly 3;
-* a truth line: at most one per ``t``, with unique ids; a position,
-  velocity and extent of exactly 3 finite numbers each, and extent
-  components > 0.
+* a truth line: at most one per ``t``, with unique integer ids; a
+  position, velocity and extent of exactly 3 finite numbers each, and
+  extent components > 0.
 
+Numbers are typed as on the bus, never converted: a scalar passes
+``bus.payload_field``'s rule (a bool, a numeric string or a fractional
+id is refused), and a line's vectors, stacked, ``bus.payload_array``'s.
 A row or vector of the wrong length is refused, never reshaped.
 """
 
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import norms
-from ..sensing import Truth, measurement_rows
+from ..bus import payload_array, payload_field
+from ..sensing import Truth
 
 # What reading a line's field as a number can raise.
 _FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
@@ -126,18 +129,19 @@ def _truth(entries, lineno: int) -> Truth:
     if not isinstance(entries, list):
         raise ReplayError("'truth' must be a list", lineno)
     try:
-        ids = tuple([int(entry["id"]) for entry in entries])
-        positions, velocities, extents = (
-            np.array([entry[key] for entry in entries], dtype=float) if ids else np.empty((0, 3))
-            for key in ("position", "velocity", "extent"))
+        ids = tuple([payload_field(entry, "id", int) for entry in entries])
+        vectors = [[entry["position"], entry["velocity"], entry["extent"]] for entry in entries]
     except _FIELD_ERRORS as e:
         raise ReplayError(f"bad truth entry: {e}", lineno)
-    for array in (positions, velocities, extents):
-        if array.shape != (len(ids), 3):
-            raise ReplayError("every truth object needs a position, a velocity and an "
-                              "extent of 3 numbers each", lineno)
-        if not np.isfinite(array).all():
-            raise ReplayError("truth positions, velocities and extents must be finite", lineno)
+    try:
+        stacked = payload_array(vectors, (len(ids), 3, 3)) if ids else np.empty((0, 3, 3))
+    except ValueError:
+        raise ReplayError("every truth object needs a position, a velocity and an "
+                          "extent of 3 numbers each", lineno)
+    if not np.isfinite(stacked).all():
+        raise ReplayError("truth positions, velocities and extents must be finite", lineno)
+    # one C-contiguous (n, 3) array per field
+    positions, velocities, extents = stacked.transpose(1, 0, 2).copy()
     if not (extents > 0.0).all():
         raise ReplayError("truth extent components must be > 0", lineno)
     if len(set(ids)) != len(ids):
@@ -165,26 +169,32 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
     """A detection line's entries as one checked ``(n, 5)`` array."""
     try:
         if stype == "camera":
-            rows = measurement_rows([[*d["bbox"], d["score"]] for d in dets])
+            rows = [[*d["bbox"], payload_field(d, "score", float)] for d in dets]
         else:
-            rows = measurement_rows([[*d["position"], d["radial_speed"], d.get("snr", 0.0)]
-                                     for d in dets])
+            rows = [[*d["position"], payload_field(d, "radial_speed", float),
+                     payload_field(d, "snr", float) if "snr" in d else 0.0] for d in dets]
     except _FIELD_ERRORS as e:
         raise ReplayError(f"bad detection entry: {e}", lineno)
-    if rows.ndim != 2 or rows.shape[1] != 5:
+    try:
+        array = payload_array(rows, (len(rows), 5)) if rows else np.empty((0, 5))
+    except ValueError:
         raise ReplayError(f"every {stype} detection needs {_ROW_FIELDS[stype]}", lineno)
+    # A line holds a few rows, and comparing Python floats costs less than
+    # array operations.
     if stype == "camera":
-        bad = ~((rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3]))
-        if bad.any():
-            raise ReplayError(f"degenerate bbox {rows[bad][0, :4].tolist()}", lineno)
-        bad = ~((0.0 <= rows[:, 4]) & (rows[:, 4] <= 1.0))
-        if bad.any():
-            raise ReplayError(f"score {rows[bad][0, 4]} outside [0, 1]", lineno)
+        for umin, vmin, umax, vmax, score in array.tolist():
+            if not (umin < umax and vmin < vmax):
+                raise ReplayError(f"degenerate bbox {[umin, vmin, umax, vmax]}", lineno)
+            if not 0.0 <= score <= 1.0:
+                raise ReplayError(f"score {score} outside [0, 1]", lineno)
     else:
-        positions = rows[:, :3]
-        if not (np.isfinite(positions).all() and (norms(positions) > 0.0).all()):
-            raise ReplayError("radar point needs a finite position with range > 0", lineno)
-    return rows
+        for x, y, z, _, _ in array.tolist():
+            # a sum of squares, in any order, is 0 exactly when every square
+            # is 0 or underflows: the range > 0 test of ``geometry.norms``
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+                    and x * x + y * y + z * z > 0.0):
+                raise ReplayError("radar point needs a finite position with range > 0", lineno)
+    return array
 
 
 def load_replay(text: str) -> ReplayData:
@@ -202,11 +212,9 @@ def load_replay(text: str) -> ReplayData:
         if not isinstance(obj, dict) or "t" not in obj:
             raise ReplayError("every line needs a 't' field", lineno)
         try:
-            t = float(obj["t"])
+            t = float(payload_field(obj, "t", float))
         except _FIELD_ERRORS as e:
             raise ReplayError(f"bad 't': {e}", lineno)
-        if not math.isfinite(t):
-            raise ReplayError(f"'t' must be finite, not {t}", lineno)
         if "truth" in obj:
             if t in truth:
                 raise ReplayError(f"duplicate truth line for t={t}", lineno)
@@ -216,7 +224,7 @@ def load_replay(text: str) -> ReplayData:
             if key not in obj:
                 raise ReplayError(f"detection line missing {key!r}", lineno)
         try:
-            sidx = int(obj["sensor"])
+            sidx = payload_field(obj, "sensor", int)
         except _FIELD_ERRORS as e:
             raise ReplayError(f"bad 'sensor': {e}", lineno)
         aid, stype = str(obj["agent"]), obj["type"]

@@ -6,23 +6,24 @@ gated squared distances, M-of-N confirmation, and miss-based deletion.
 State layout is [px, py, pz, vx, vy, vz].
 
 A step costs a fixed number of array operations rather than one Python
-call per track or pair.  Gating is one all-pairs call: ``position_d2``
-stacks every track x detection residual and innovation covariance, tests
-every covariance's rcond, and solves the pairs together; in calls of
-more than ``_FEW_PAIRS`` pairs it solves only those a gate at the
-caller's chi-square quantile gamma could pass.  The exact pre-gate
-leaves out a pair with a positive definite S and |delta|^2 > 2 gamma
-tr(S): its d2 exceeds |delta|^2 / lambda_max(S) > |delta|^2 / tr(S) >
-2 gamma, and the factor 2 covers the solve's relative error, about
-cond * eps <= 1e-4 for any S that passes the rcond >= 1e-12 test, so the
-pair fails the gate whether solved or not.  ``gate_cost`` holds the one
+call per track or pair: the tracks are one ``Tracks`` batch of stacked
+ids, estimates and lifecycle state.  Gating is one all-pairs call:
+``position_d2`` stacks every track x detection residual and innovation
+covariance, tests every covariance's rcond, and solves the pairs
+together; in calls of more than ``_FEW_PAIRS`` pairs it solves only
+those a gate at the caller's chi-square quantile gamma could pass.  The
+exact pre-gate leaves out a pair with a positive definite S and
+|delta|^2 > 2 gamma tr(S): its d2 exceeds |delta|^2 / lambda_max(S) >
+|delta|^2 / tr(S) > 2 gamma, and the factor 2 covers the solve's
+relative error, about cond * eps <= 1e-4 for any S that passes the
+rcond >= 1e-12 test, so the pair fails the gate whether solved or not.  ``gate_cost`` holds the one
 rule for a pair whose S fails that test: it is never matched, and its
 measurement is skipped and counted.  Collaboration (``collab``) gates
 through it too.  Predict and update are stacked as well:
 ``kalman_predict`` and ``kalman_update`` take leading batch axes, so
 ``predict`` moves every track and ``update`` corrects every matched pair
 in one call each, with the same arithmetic per track as a single-track
-call.
+call, and scores every track's hit or miss as one array transition.
 
 The tracker also keeps one key-ordered history of the batches inside its
 horizon, each with the state after it, so a delayed (out-of-sequence)
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -53,6 +53,7 @@ CHI2_QUANTILES = {
            6: 16.812, 7: 18.475, 8: 20.090, 9: 21.666},
 }
 
+# A track's status as its output line names it.
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 
@@ -66,10 +67,6 @@ BatchKey = tuple[float, int, int]
 
 
 class TrackerError(Exception):
-    pass
-
-
-class NotConfirmed(TrackerError):
     pass
 
 
@@ -98,64 +95,74 @@ class TrackerConfig:
             raise TrackerError("max_misses must be >= 1")
 
 
-class Track:
-    """One Gaussian track with lifecycle metadata.  A value: once it is in
-    ``Tracker.tracks`` or a snapshot nothing writes to it; transitions
-    build a new track and set its fields before publishing it."""
+@dataclass(frozen=True)
+class Tracks:
+    """A batch of Gaussian tracks with their lifecycle state; row i is one
+    track.  A value: once it is in ``Tracker.tracks`` or a stored state
+    nothing writes to its arrays, and every transition builds new ones.
 
-    __slots__ = ("id", "mean", "cov", "status", "misses", "recent", "stamp")
+    ``window`` holds each track's last ``confirm_n`` sightings, oldest
+    first, with False before the track existed: M-of-N confirmation
+    counts its True entries.  ``stamps`` is the time each estimate is for.
+    """
 
-    def __init__(self, track_id: int, mean, cov, stamp: float, confirm_n: int):
-        self.id = track_id
-        self.mean = np.asarray(mean, dtype=float).reshape(6)
-        self.cov = np.asarray(cov, dtype=float).reshape(6, 6)
-        self.status = TENTATIVE
-        self.misses = 0
-        self.recent: deque[bool] = deque([True], maxlen=confirm_n)
-        self.stamp = stamp
+    ids: np.ndarray        # (n,) int
+    means: np.ndarray      # (n, 6)
+    covs: np.ndarray       # (n, 6, 6)
+    confirmed: np.ndarray  # (n,) bool; tentative where False
+    misses: np.ndarray     # (n,) int, consecutive
+    window: np.ndarray     # (n, confirm_n) bool
+    stamps: np.ndarray     # (n,) float
 
-    def with_estimate(self, mean: np.ndarray, cov: np.ndarray) -> "Track":
-        """A new track with this one's lifecycle state and the given estimate."""
-        c = Track.__new__(Track)
-        c.id = self.id
-        c.mean = mean
-        c.cov = cov
-        c.status = self.status
-        c.misses = self.misses
-        c.recent = deque(self.recent, maxlen=self.recent.maxlen)
-        c.stamp = self.stamp
-        return c
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def sighted(self, mean: np.ndarray, cov: np.ndarray) -> "Track":
-        """The hit transition: a new track at the given estimate with no
-        misses and a sighting in its M-of-N window."""
-        c = self.with_estimate(mean, cov)
-        c.misses = 0
-        c.recent.append(True)
-        return c
+    def take(self, rows) -> "Tracks":
+        """The tracks at ``rows`` (indices or a mask), in that order."""
+        return Tracks(self.ids[rows], self.means[rows], self.covs[rows], self.confirmed[rows],
+                      self.misses[rows], self.window[rows], self.stamps[rows])
 
-    def confirm(self, confirm_m: int) -> "Track":
-        """M-of-N confirmation of a track not yet published: tentative
-        becomes confirmed once its window holds ``confirm_m`` sightings."""
-        if self.status == TENTATIVE and sum(self.recent) >= confirm_m:
-            self.status = CONFIRMED
-        return self
+    def then(self, other: "Tracks") -> "Tracks":
+        """These tracks followed by ``other``'s."""
+        return Tracks(np.concatenate((self.ids, other.ids)),
+                      np.concatenate((self.means, other.means)),
+                      np.concatenate((self.covs, other.covs)),
+                      np.concatenate((self.confirmed, other.confirmed)),
+                      np.concatenate((self.misses, other.misses)),
+                      np.concatenate((self.window, other.window)),
+                      np.concatenate((self.stamps, other.stamps)))
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "misses": self.misses,
-            "recent": [bool(b) for b in self.recent],
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-            "stamp": self.stamp,
-        }
+    def sighted(self, rows: list[int], means: np.ndarray, covs: np.ndarray, confirm_m: int,
+                others_miss: bool = False) -> "Tracks":
+        """The hit transition of the tracks at ``rows``: they take the
+        estimates ``means`` and ``covs``, no misses and a sighting in their
+        window.  With ``others_miss`` (a step's scoring) every other track
+        takes a miss and a gap in its window; without, it is unchanged.
+        Then M-of-N confirmation: a tentative track is confirmed once its
+        window holds ``confirm_m`` sightings."""
+        hit = np.zeros(len(self), dtype=bool)
+        hit[rows] = True
+        new_means, new_covs = self.means.copy(), self.covs.copy()
+        new_means[rows], new_covs[rows] = means, covs
+        window = np.concatenate((self.window[:, 1:], hit[:, None]), axis=1)
+        if not others_miss:
+            window = np.where(hit[:, None], window, self.window)
+        return Tracks(self.ids, new_means, new_covs,
+                      self.confirmed | (window.sum(axis=1) >= confirm_m),
+                      np.where(hit, 0, self.misses + int(others_miss)), window, self.stamps)
 
 
-def spawn(track_id: int, mean, cov, stamp: float, config: TrackerConfig) -> Track:
-    """A track born from one sighting; confirmed at once when ``confirm_m`` is 1."""
-    return Track(track_id, mean, cov, stamp, config.confirm_n).confirm(config.confirm_m)
+def spawn(first_id: int, means: np.ndarray, covs: np.ndarray, stamp: float,
+          config: TrackerConfig) -> Tracks:
+    """Tracks born from one sighting each at the stacked ``means`` and
+    ``covs``, with ids from ``first_id`` up; confirmed at once when
+    ``confirm_m`` is 1."""
+    n = len(means)
+    window = np.zeros((n, config.confirm_n), dtype=bool)
+    window[:, -1] = True
+    return Tracks(np.arange(first_id, first_id + n), means, covs,
+                  np.full(n, config.confirm_m == 1), np.zeros(n, dtype=int), window,
+                  np.full(n, stamp))
 
 
 _POS = np.arange(3)
@@ -347,53 +354,45 @@ def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
     return mean_new, (cov_new + cov_new.swapaxes(-1, -2)) / 2.0
 
 
-def predict(tracks: list[Track], dt: float, q: float) -> list[Track]:
-    """CV-predicted copies of the tracks, dt seconds ahead, in one
-    stacked ``kalman_predict``."""
+def predict(tracks: Tracks, dt: float, q: float) -> Tracks:
+    """The tracks CV-predicted dt seconds ahead, in one stacked
+    ``kalman_predict``."""
     if dt < 0:
         raise TrackerError("predict needs dt >= 0")
-    if not tracks:
-        return []
-    means, covs = kalman_predict(np.array([tr.mean for tr in tracks]),
-                                 np.array([tr.cov for tr in tracks]), dt, q)
-    out = []
-    for tr, mean, cov in zip(tracks, means, covs):
-        p = tr.with_estimate(mean, cov)
-        p.stamp = tr.stamp + dt
-        out.append(p)
-    return out
+    means, covs = kalman_predict(tracks.means, tracks.covs, dt, q)
+    return Tracks(tracks.ids, means, covs, tracks.confirmed, tracks.misses, tracks.window,
+                  tracks.stamps + dt)
 
 
-def update(tracks: list[Track], detections: Detections) -> list[Track]:
-    """Sighted copies (``Track.sighted``) of tracks[i], measurement-updated
-    by row i of ``detections`` in one stacked ``kalman_update``."""
-    if not tracks:
-        return []
-    means, covs = kalman_update(np.array([tr.mean for tr in tracks]),
-                                np.array([tr.cov for tr in tracks]),
+def update(tracks: Tracks, rows: list[int], detections: Detections,
+           confirm_m: int) -> Tracks:
+    """The scoring of a step (``Tracks.sighted``): track ``rows[i]`` is
+    measurement-updated by row i of ``detections``, in one stacked
+    ``kalman_update``, and sighted; every other track misses."""
+    means, covs = kalman_update(tracks.means[rows], tracks.covs[rows],
                                 detections.positions, detections.covs)
-    return [tr.sighted(mean, cov) for tr, mean, cov in zip(tracks, means, covs)]
+    return tracks.sighted(rows, means, covs, confirm_m, others_miss=True)
 
 
-def gate(tracks: list[Track], detections: Detections,
+def gate(tracks: Tracks, detections: Detections,
          gate_prob: float = 0.99) -> tuple[np.ndarray, list[int], int]:
     """``gate_cost`` of predicted tracks (rows) against a detection batch
     (columns) at the chi-square quantile of ``gate_prob``: the gated cost
     matrix, the detections skipped for a singular pair, and the number of
     singular pairs."""
-    return gate_cost([tr.mean for tr in tracks], [tr.cov for tr in tracks],
-                     detections.positions, detections.covs, chi2_quantile(gate_prob, 3))
+    return gate_cost(tracks.means, tracks.covs, detections.positions, detections.covs,
+                     chi2_quantile(gate_prob, 3))
 
 
-def predict_trajectory(track: Track, horizon: float, dt: float) -> list[tuple[float, np.ndarray]]:
-    """CV waypoint extrapolation; only confirmed tracks are worth predicting."""
-    if track.status != CONFIRMED:
-        raise NotConfirmed(f"track {track.id} is {track.status}")
+def predict_trajectory(mean: np.ndarray, stamp: float, horizon: float,
+                       dt: float) -> list[tuple[float, np.ndarray]]:
+    """CV waypoint extrapolation of one track's (6,) ``mean``, the estimate
+    at time ``stamp``."""
     if horizon <= 0 or dt <= 0:
         raise TrackerError("horizon and dt must be > 0")
     steps = int(math.floor(horizon / dt + 1e-9))
-    pos, vel = track.mean[:3], track.mean[3:]
-    return [(track.stamp + k * dt, pos + vel * (k * dt)) for k in range(1, steps + 1)]
+    pos, vel = mean[:3], mean[3:]
+    return [(stamp + k * dt, pos + vel * (k * dt)) for k in range(1, steps + 1)]
 
 
 class Tracker:
@@ -415,20 +414,22 @@ class Tracker:
     ``gate_cost``).  It is part of the stored state, so a replayed batch
     counts its pairs once.
 
-    Tracks are values, so a stored state shares them: it holds the tuple
-    of tracks, and a restore copies that into a list, not the tracks.
-    Remote-track fusion (``collab.covi_step`` and its duplicate merge)
-    replaces ``tracks`` after the batch's entry was stored and is not
-    replayed; that is why an in-order batch steps from the live state
-    rather than from the newest entry.  It is sound only because a
-    ``cr-covi`` tracker never receives a late batch, so it never rolls
-    back.  A remote batch lane would lift that limit; no workload combines
-    the two modes, and doing so would add an option.
+    ``tracks`` is one ``Tracks`` batch, and a value: a step builds a new
+    batch and never writes to a published one, so a stored state holds
+    the batch itself and a restore puts it back.  Its rows are in id
+    order: a new track's id is above every earlier one's, and no
+    transition reorders rows.  Remote-track fusion (``collab.covi_step``
+    and its duplicate merge) replaces ``tracks`` after the batch's entry
+    was stored and is not replayed; that is why an in-order batch steps
+    from the live state rather than from the newest entry.  It is sound
+    only because a ``cr-covi`` tracker never receives a late batch, so it
+    never rolls back.  A remote batch lane would lift that limit; no
+    workload combines the two modes, and doing so would add an option.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []
+        self.tracks: Tracks = spawn(1, np.empty((0, 6)), np.empty((0, 6, 6)), 0.0, self.config)
         self.next_id = 1
         self.last_time: float | None = None
         self.singular = 0
@@ -448,35 +449,25 @@ class Tracker:
             dt = 0.0
         predicted = predict(self.tracks, dt, cfg.q)
         cost, skipped, singular = gate(predicted, detections, cfg.gate_prob)
-        pairs = dict(assign(cost))
-        rows = list(pairs.values())
-        matched = Detections(detections.positions[rows], detections.covs[rows])
-        updated = dict(zip(pairs, update([predicted[i] for i in pairs], matched)))
+        pairs = assign(cost)
+        rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+        matched = Detections(detections.positions[cols], detections.covs[cols])
+        tracks = update(predicted, rows, matched, cfg.confirm_m)
+        alive = tracks.misses <= cfg.max_misses
+        if not alive.all():
+            tracks = tracks.take(alive)
 
-        # predict and update built new tracks: the writes below publish nothing
-        survivors: list[Track] = []
-        for i, tr in enumerate(predicted):
-            if i in updated:
-                tr = updated[i]
-            else:
-                tr.misses += 1
-                tr.recent.append(False)
-                if tr.misses > cfg.max_misses:
-                    continue
-            survivors.append(tr.confirm(cfg.confirm_m))
-
-        taken = set(rows).union(skipped)
+        taken = set(cols).union(skipped)
         fresh = [j for j in range(len(detections)) if j not in taken]
-        next_id = self.next_id
-        for position, det_cov in zip(detections.positions[fresh], detections.covs[fresh]):
-            mean = np.concatenate([position, np.zeros(3)])
-            cov = np.zeros((6, 6))
-            cov[:3, :3] = det_cov
-            cov[3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
-            survivors.append(spawn(next_id, mean, cov, t, cfg))
-            next_id += 1
+        if fresh:
+            means = np.zeros((len(fresh), 6))
+            means[:, :3] = detections.positions[fresh]
+            covs = np.zeros((len(fresh), 6, 6))
+            covs[:, :3, :3] = detections.covs[fresh]
+            covs[:, 3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
+            tracks = tracks.then(spawn(self.next_id, means, covs, t, cfg))
 
-        self.tracks, self.next_id, self.last_time = survivors, next_id, t
+        self.tracks, self.next_id, self.last_time = tracks, self.next_id + len(fresh), t
         self.singular += singular
 
     # -- batch-keyed processing with rollback-replay ------------------------
@@ -522,22 +513,12 @@ class Tracker:
         return True
 
     def _capture(self) -> tuple:
-        return tuple(self.tracks), self.next_id, self.last_time, self.singular
+        return self.tracks, self.next_id, self.last_time, self.singular
 
     def _restore(self, state: tuple) -> None:
-        tracks, self.next_id, self.last_time, self.singular = state
-        self.tracks = list(tracks)
+        self.tracks, self.next_id, self.last_time, self.singular = state
 
     # -- views ---------------------------------------------------------------
 
-    def confirmed(self) -> list[Track]:
-        return [tr for tr in self.tracks if tr.status == CONFIRMED]
-
-    def state_dict(self) -> dict:
-        """Canonical-serializable full state; equality here is the
-        bit-exactness contract used by the distributed-mode tests."""
-        return {
-            "last_time": self.last_time,
-            "next_id": self.next_id,
-            "tracks": [tr.to_dict() for tr in sorted(self.tracks, key=lambda tr: tr.id)],
-        }
+    def confirmed(self) -> Tracks:
+        return self.tracks.take(self.tracks.confirmed)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import batch_bytes, state_bytes, tracker_state
 from hypothesis import given, settings, strategies as st
 
 from fusionsim.collab import (
@@ -16,15 +19,7 @@ from fusionsim.collab import (
 )
 from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
-from fusionsim.tracker import (
-    CONFIRMED,
-    LANE_EDGE,
-    LANE_LOCAL,
-    TENTATIVE,
-    Track,
-    Tracker,
-    TrackerConfig,
-)
+from fusionsim.tracker import LANE_EDGE, LANE_LOCAL, Tracker, TrackerConfig, spawn
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -42,6 +37,14 @@ def stacked(remote):
     """(mean, cov) pairs as the stacked means and covariances ``align``
     returns."""
     return np.array([m for m, _ in remote]), np.array([c for _, c in remote])
+
+
+def local_tracks(positions, cov=np.eye(6)):
+    """A batch of new tentative tracks, ids from 1, at rest at ``positions``
+    with covariance ``cov``."""
+    positions = np.array(positions, dtype=float).reshape(-1, 3)
+    means = np.concatenate([positions, np.zeros_like(positions)], axis=1)
+    return spawn(1, means, np.tile(cov, (len(means), 1, 1)), 0.0, TrackerConfig())
 
 
 def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
@@ -146,24 +149,19 @@ class TestAlign:
 
 
 class TestT2TAssociate:
-    def track(self, tid, pos, var=1.0):
-        mean = np.concatenate([pos, np.zeros(3)])
-        return Track(tid, mean, var * np.eye(6), 0.0, confirm_n=5)
-
     def test_identical_means_associate(self):
-        local = [self.track(1, np.array([5.0, 0, 0]))]
+        local = local_tracks([[5.0, 0, 0]])
         remote = [(np.array([5.0, 0, 0, 0, 0, 0]), np.eye(6))]
         assert t2t_associate(local, *stacked(remote)) == ([(0, 0)], [])
 
     def test_far_apart_rejected(self):
-        local = [self.track(1, np.array([0.0, 0, 0]))]
+        local = local_tracks([[0.0, 0, 0]])
         remote = [(np.concatenate([[100.0, 0, 0], np.zeros(3)]), np.eye(6))]
         # d2 = 100^2 / 2 = 5000 >> 11.345
         assert t2t_associate(local, *stacked(remote)) == ([], [])
 
     def test_crossing_costs_optimal(self):
-        local = [self.track(1, np.array([0.0, 0, 0])),
-                 self.track(2, np.array([4.0, 0, 0]))]
+        local = local_tracks([[0.0, 0, 0], [4.0, 0, 0]])
         remote = [(np.array([3.5, 0, 0, 0, 0, 0]), np.eye(6)),
                   (np.array([0.5, 0, 0, 0, 0, 0]), np.eye(6))]
         pairs, skipped = t2t_associate(local, *stacked(remote))
@@ -282,9 +280,9 @@ class TestCoviStep:
 
     def test_no_messages_no_change(self):
         tk = self.make_tracker([[5.0, 0, 0]])
-        before = tk.state_dict()
+        before = tracker_state(tk)
         covi_step(tk, [], 0.0, CollabState())
-        assert tk.state_dict() == before
+        assert tracker_state(tk) == before
 
     def test_unseen_remote_spawns_tentative(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
@@ -292,28 +290,27 @@ class TestCoviStep:
         remote = [(42, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))]
         covi_step(tk, [msg(remote)], 0.0, state)
         assert len(tk.tracks) == 1
-        assert tk.tracks[0].status == TENTATIVE
-        assert np.allclose(tk.tracks[0].mean[:3], [30, 0, 0])
+        assert not tk.tracks.confirmed[0]
+        assert np.allclose(tk.tracks.means[0, :3], [30, 0, 0])
         assert state.spawned == 1
 
     def test_duplicate_remote_fuses_and_shrinks(self):
         tk = self.make_tracker([[5.0, 0, 0]])
-        tr = tk.tracks[0]
-        trace_before = float(np.trace(tr.cov))
+        mean, cov = tk.tracks.means[0], tk.tracks.covs[0]
+        trace_before = float(np.trace(cov))
         state = CollabState()
-        remote = [(1, tr.mean.copy(), tr.cov.copy() * 0.8)]
+        remote = [(1, mean.copy(), cov * 0.8)]
         covi_step(tk, [msg(remote)], 0.0, state)
         assert len(tk.tracks) == 1
         assert state.fused == 1
-        assert np.trace(tk.tracks[0].cov) <= min(trace_before, trace_before * 0.8) + 1e-9
+        assert np.trace(tk.tracks.covs[0]) <= min(trace_before, trace_before * 0.8) + 1e-9
 
     def test_identical_estimate_fusion_idempotent(self):
         tk = self.make_tracker([[5.0, 0, 0]])
-        tr = tk.tracks[0]
-        mean0, cov0 = tr.mean.copy(), tr.cov.copy()
+        mean0, cov0 = tk.tracks.means[0].copy(), tk.tracks.covs[0].copy()
         covi_step(tk, [msg([(1, mean0.copy(), cov0.copy())])], 0.0, CollabState())
-        assert np.allclose(tk.tracks[0].mean, mean0, atol=1e-9)
-        assert np.allclose(tk.tracks[0].cov, cov0, atol=1e-9)
+        assert np.allclose(tk.tracks.means[0], mean0, atol=1e-9)
+        assert np.allclose(tk.tracks.covs[0], cov0, atol=1e-9)
 
     def test_stale_message_counted_not_fatal(self):
         tk = self.make_tracker([[5.0, 0, 0]])
@@ -324,23 +321,23 @@ class TestCoviStep:
 
     def test_asymmetric_remote_covariance_rejected_not_fatal(self):
         tk = self.make_tracker([[5.0, 0, 0]])
-        before = tk.state_dict()
+        before = tracker_state(tk)
         state = CollabState()
         cov = np.eye(6)
         cov[0, 1] = 1e-3
         covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])], 0.0, state)
         assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
-        assert tk.state_dict() == before
+        assert tracker_state(tk) == before
 
     def test_non_finite_remote_track_rejected_not_fatal(self):
         tk = self.make_tracker([[5.0, 0, 0]])
-        before = tk.state_dict()
+        before = tracker_state(tk)
         state = CollabState()
         cov = np.eye(6)
         cov[0, 0] = np.nan
         covi_step(tk, [msg([(1, np.array([5.0, 0, 0, 0, 0, 0]), cov)])], 0.0, state)
         assert (state.received, state.rejected, state.fused, state.spawned) == (1, 1, 0, 0)
-        assert tk.state_dict() == before
+        assert tracker_state(tk) == before
 
     def test_future_message_rejected_not_fatal(self):
         tk = self.make_tracker([[5.0, 0, 0]])
@@ -367,39 +364,38 @@ class TestCoviStep:
         # zero position covariances on both sides make S = 0 in the
         # association: the pair is counted, and the remote track is
         # skipped, so it neither fuses nor spawns a zero-covariance twin
-        local = Track(1, np.zeros(6), np.zeros((6, 6)), 0.0, confirm_n=5)
         tk = Tracker()
-        tk.tracks, tk.next_id = [local], 2
+        tk.tracks, tk.next_id = local_tracks([[0.0, 0, 0]], np.zeros((6, 6))), 2
         state = CollabState()
         assert "singular" not in state.counters()
         covi_step(tk, [msg([(7, np.zeros(6), np.zeros((6, 6)))])], 0.0, state)
         assert (state.fused, state.spawned, state.merged, state.singular) == (0, 0, 0, 1)
         assert state.counters()["singular"] == 1
-        assert [tr.id for tr in tk.tracks] == [1] and tk.next_id == 2
+        assert tk.tracks.ids.tolist() == [1] and tk.next_id == 2
         # in the spawn check: two zero-covariance remote tracks at one
         # place far from a regular local track; the first spawns, and the
         # second is singular against it, so it is skipped
-        tk.tracks = [Track(1, np.zeros(6), np.eye(6), 0.0, confirm_n=5)]
+        tk.tracks = local_tracks([[0.0, 0, 0]])
         state = CollabState()
         twins = [(k, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6))) for k in (8, 9)]
         covi_step(tk, [msg(twins)], 0.0, state)
         assert (state.fused, state.spawned, state.merged, state.singular) == (0, 1, 0, 1)
-        assert [tr.id for tr in tk.tracks] == [1, 2]
+        assert tk.tracks.ids.tolist() == [1, 2]
 
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate
         # (11.345) but outside the 0.95 one (7.815)
-        local = Track(1, np.zeros(6), 0.5 * np.eye(6), 0.0, confirm_n=5)
+        local = local_tracks([[0.0, 0, 0]], 0.5 * np.eye(6))
         remote = [(7, np.array([3.0, 0, 0, 0, 0, 0]), 0.5 * np.eye(6))]
         for gate_prob, fused in ((0.99, 1), (0.95, 0)):
             tk = Tracker(TrackerConfig(gate_prob=gate_prob))
-            tk.tracks, tk.next_id = [local], 2
+            tk.tracks, tk.next_id = local, 2
             state = CollabState()
             covi_step(tk, [msg(remote)], 0.0, state)
             assert (state.fused, state.spawned, state.merged) == (fused, 1 - fused, 0)
             assert len(tk.tracks) == 2 - fused
             if not fused:
-                assert np.array_equal(tk.tracks[0].mean, local.mean)
+                assert np.array_equal(tk.tracks.means[0], local.means[0])
 
     def test_remote_sightings_confirm_spawned_track(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
@@ -408,26 +404,31 @@ class TestCoviStep:
             t = 0.2 * k
             remote = [(9, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))]
             covi_step(tk, [msg(remote, timestamp=t)], t, state)
-        assert tk.tracks[0].status == CONFIRMED
+        assert tk.tracks.confirmed[0]
         assert state.spawned == 1 and state.fused == 2
 
 
 class TestMergeDuplicates:
     def tracker_with(self, positions):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
-        # listed newest first, so the merge has to pick the lower id itself
-        tk.tracks = [Track(i, np.concatenate([p, np.zeros(3)]), np.eye(6), 0.0, confirm_n=5)
-                     for i, p in reversed(list(enumerate(positions, start=1)))]
+        tk.tracks = local_tracks(positions)
         return tk
 
     def test_gating_pair_folds_into_lower_id(self):
         tk = self.tracker_with([[10.0, 0, 0], [10.5, 0, 0]])
+        # a tentative elder with misses takes its confirmed junior's status
+        # and fewer misses
+        tk.tracks = replace(tk.tracks, confirmed=np.array([False, True]),
+                            misses=np.array([2, 0]))
+        published, before = tk.tracks, batch_bytes(tk.tracks)
         state = CollabState()
         _merge_duplicates(tk, state)
-        assert [tr.id for tr in tk.tracks] == [1]
+        assert batch_bytes(published) == before
+        assert tk.tracks.ids.tolist() == [1]
         assert state.merged == 1
         # equal covariances: CI weighs both halves alike
-        assert np.allclose(tk.tracks[0].mean[:3], [10.25, 0, 0])
+        assert np.allclose(tk.tracks.means[0, :3], [10.25, 0, 0])
+        assert (tk.tracks.confirmed.tolist(), tk.tracks.misses.tolist()) == ([True], [0])
 
     def test_merge_gates_at_the_tracker_gate_prob(self):
         # equal unit covariances: d² = |Δ|² / 2 = 9 at Δ = sqrt(18)
@@ -443,7 +444,7 @@ class TestMergeDuplicates:
         tk = self.tracker_with([[10.0, 0, 0], [20.0, 0, 0]])
         state = CollabState()
         _merge_duplicates(tk, state)
-        assert sorted(tr.id for tr in tk.tracks) == [1, 2]
+        assert tk.tracks.ids.tolist() == [1, 2]
         assert state.merged == 0
 
 
@@ -456,9 +457,11 @@ OBJECTS = np.array([[5.0, 0, 0], [15.0, 4.0, 0], [25.0, -3.0, 0], [26.5, -3.0, 0
 @given(ops=st.lists(st.tuples(st.sampled_from(["step", "late", "covi", "merge"]),
                               st.integers(0, 2**32 - 1)), min_size=1, max_size=14))
 def test_published_tracks_and_snapshots_never_change(ops):
-    """Every track ever published in ``tracks`` and every held snapshot
-    keeps its state through any later step, late batch, remote fusion or
-    duplicate merge: transitions build new tracks."""
+    """Every track batch ever published in ``tracks`` and every held
+    history state keeps its array bytes through any later step, late
+    batch, remote fusion or duplicate merge: transitions build new arrays
+    and never write to a published one.  Each batch is in id order, which
+    the duplicate merge relies on to find a pair's elder."""
     tk = Tracker(TrackerConfig(confirm_m=2, confirm_n=3))
     state = CollabState()
     seen, held = {}, {}
@@ -480,12 +483,12 @@ def test_published_tracks_and_snapshots_never_change(ops):
             covi_step(tk, [msg(remote, timestamp=t)], t, state)
         else:
             _merge_duplicates(tk, state)
-        for tr in tk.tracks:
-            seen.setdefault(id(tr), (tr, tr.to_dict()))
+        assert (np.diff(tk.tracks.ids) > 0).all()
+        seen.setdefault(id(tk.tracks), (tk.tracks, batch_bytes(tk.tracks)))
         for *_, snap in tk._history:
-            held.setdefault(id(snap), (snap, [tr.to_dict() for tr in snap[0]]))
-        for tr, before in seen.values():
-            assert tr.to_dict() == before
+            held.setdefault(id(snap), (snap, state_bytes(snap)))
+        for tracks, before in seen.values():
+            assert batch_bytes(tracks) == before
         for snap, before in held.values():
-            assert [tr.to_dict() for tr in snap[0]] == before
+            assert state_bytes(snap) == before
 

@@ -24,7 +24,14 @@ from fusionsim.collab import (
     ci_omega,
 )
 from fusionsim.geometry import Pose, symmetrize
-from fusionsim.tracker import Track, chi2_quantile, eig_regular, gate_cost, kalman_predict
+from fusionsim.tracker import (
+    TrackerConfig,
+    chi2_quantile,
+    eig_regular,
+    gate_cost,
+    kalman_predict,
+    spawn,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -93,7 +100,7 @@ def ref_ci_fuse(xa, pa, xb, pb, omega):
 def ref_spawning(tracks, means, covs, gamma):
     """(spawned positions, singular pairs), one remote track at a time
     against every track, the spawned ones included."""
-    rows = [(tr.mean, tr.cov) for tr in tracks]
+    rows = list(zip(tracks.means, tracks.covs))
     born, singular_pairs = [], 0
     for j, (mean, cov) in enumerate(zip(means, covs)):
         cost, skip, singular = gate_cost([m for m, _ in rows], [c for _, c in rows],
@@ -219,8 +226,9 @@ def test_spawn_check_matches_per_remote_reference(seed, n, m, spread):
     def cov():
         return np.zeros((6, 6)) if rng.uniform() < 0.2 else random_psd(rng, 6, 0.3)
 
-    tracks = [Track(k + 1, np.r_[rng.uniform(-spread, spread, 3), np.zeros(3)], cov(), 0.0,
-                    confirm_n=5) for k in range(n)]
+    local = [(np.r_[rng.uniform(-spread, spread, 3), np.zeros(3)], cov()) for _ in range(n)]
+    tracks = spawn(1, np.array([m for m, _ in local]).reshape(-1, 6),
+                   np.array([c for _, c in local]).reshape(-1, 6, 6), 0.0, TrackerConfig())
     means = np.array([np.r_[rng.uniform(-spread, spread, 3), np.zeros(3)]
                       for _ in range(m)]).reshape(-1, 6)
     covs = np.array([cov() for _ in range(m)]).reshape(-1, 6, 6)

@@ -1,13 +1,18 @@
-"""Every name the benchmark's hooks wrap still exists.
+"""Every name the benchmark's hooks wrap still exists, and the values
+its wrappers read still mean what they count.
 
 ``perfbench/hooks.py`` patches program functions and methods by name and
 reports a missing one as absent instead of failing, so a rename would
 only show as a silently missing span.  This installs every hook, checks
-that none is absent and undoes them; it runs no engine.
+that none is absent and undoes them; it runs no engine.  A wrapper also
+reads program values (``len(tracker.tracks)``, ``newest_key``), so a
+change of their meaning would only show as a wrong counter.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 HOOKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "hooks.py"
 
@@ -29,5 +34,36 @@ def test_every_hook_target_exists():
         finally:
             events.undo()
         assert spans.absent == []
+    finally:
+        spans.undo()
+
+
+def test_the_values_the_wrappers_read_keep_their_meaning():
+    # the step wrapper counts ``len(tracker.tracks) * len(detections)``
+    # pairs, and the batch wrapper tells a rollback by ``newest_key``: a
+    # track batch whose len were not its number of tracks (a NamedTuple's
+    # is its field count) would miscount pairs without failing
+    hooks = load_hooks()
+    tracer = hooks.Tracer()
+    spans = hooks.install_spans(tracer)
+    try:
+        from fusionsim.fusion import Detections
+        from fusionsim.tracker import LANE_EDGE, LANE_LOCAL, Tracker
+
+        def detections(*xs):
+            return Detections(np.array([[x, 0.0, 0.0] for x in xs]).reshape(-1, 3),
+                              np.tile(np.eye(3), (len(xs), 1, 1)))
+
+        tk = Tracker()
+        tk.process_batch((0.0, LANE_LOCAL, 0), detections(0.0, 20.0, 40.0), 0.0)
+        assert len(tk.tracks) == len(tk.tracks.ids) == 3
+        tk.process_batch((0.1, LANE_LOCAL, 0), detections(0.0, 20.0), 0.1)
+        assert tracer.counts["tracker.pairs"] == 0 * 3 + 3 * 2
+        assert tk.newest_key == (0.1, LANE_LOCAL, 0)
+        # a late batch replays the later one: two steps under one rollback
+        tk.process_batch((0.05, LANE_EDGE, 1), detections(40.0), 0.05)
+        assert tracer.calls["tracker.rollback"] == 1
+        assert tracer.counts["tracker.rollback_steps"] == 2
+        assert len(tk.tracks) == len(tk.tracks.ids) == 3
     finally:
         spans.undo()

@@ -1,15 +1,16 @@
 """Output lines held as compact records until they are serialised.
 
-The engine records each track and detection line as its ints and
-strings plus one float64 array, and each ground-truth line as the truth
-batch, and ``RunReport`` rebuilds the lines only when asked for bytes.
-These tests pin that:
+The engine records the track lines of a flush as the ids and confirmed
+flags of the tracker's batch plus one float64 array of their numbers,
+each detection line as the tick's sensing array, and each ground-truth
+line as the truth batch, and ``RunReport`` rebuilds the lines only when
+asked for bytes.  These tests pin that:
 
 * the record path writes the bytes the lines themselves give
-  (``canonical_dumps`` of each line's dict, as built from the tracks,
-  measurement rows and truth rows), for any finite numbers;
-* a track record copies its numbers, so later writes to the source
-  arrays do not reach the output;
+  (``canonical_dumps`` of each line's dict, as built from the track
+  batches, measurement rows and truth rows), for any finite numbers;
+* a track record copies its means and covariance diagonals, so later
+  writes to the batch's estimate arrays do not reach the output;
 * a detection record is the tick's sensing array itself, and a truth
   record the batch ``world_at`` returned, which nothing writes to after
   they are returned;
@@ -32,7 +33,7 @@ from fusionsim.scenario import engine as engine_module
 from fusionsim.scenario import apply_overrides, load_scenario
 from fusionsim.scenario.engine import Engine, RunReport, _track_record
 from fusionsim.sensing import Truth, measurement_rows
-from fusionsim.tracker import CONFIRMED, TENTATIVE, Track
+from fusionsim.tracker import CONFIRMED, TENTATIVE, TrackerConfig, Tracks, spawn
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,10 +53,14 @@ def vector(n):
 
 @st.composite
 def tracks(draw):
-    track = Track(draw(st.integers(0, 10**6)), draw(vector(6)),
-                  draw(vector(36)).reshape(6, 6), 0.0, 3)
-    track.status = draw(st.sampled_from([TENTATIVE, CONFIRMED]))
-    return track
+    """A track batch of up to four tracks, zero included."""
+    n = draw(st.integers(0, 4))
+    batch = spawn(0, draw(vector(6 * n)).reshape(n, 6), draw(vector(36 * n)).reshape(n, 6, 6),
+                  0.0, TrackerConfig())
+    ids = np.array(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int)
+    confirmed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return Tracks(ids, batch.means, batch.covs, confirmed, batch.misses, batch.window,
+                  batch.stamps)
 
 
 @st.composite
@@ -80,7 +85,7 @@ def truths(draw):
 
 
 def flushes():
-    return st.lists(st.tuples(TIMES, AGENTS, st.lists(tracks(), max_size=4)), max_size=4)
+    return st.lists(st.tuples(TIMES, AGENTS, tracks()), max_size=4)
 
 
 def replay_events():
@@ -97,10 +102,11 @@ def jsonl(lines):
 
 
 def track_lines(flushed):
-    """Each track's line as a dict built from the track itself."""
-    return [{"t": t, "agent": agent, "id": tr.id, "status": tr.status,
-             "mean": tr.mean.tolist(), "cov_diag": tr.cov.diagonal().tolist()}
-            for t, agent, trs in flushed for tr in trs]
+    """Each track's line as a dict built from its row of the batch."""
+    return [{"t": t, "agent": agent, "id": int(trs.ids[i]),
+             "status": CONFIRMED if trs.confirmed[i] else TENTATIVE,
+             "mean": trs.means[i].tolist(), "cov_diag": trs.covs[i].diagonal().tolist()}
+            for t, agent, trs in flushed for i in range(len(trs))]
 
 
 def detection_dict(kind, row):
@@ -131,7 +137,7 @@ def records(flushed, events):
     """A report holding the records the engine makes of the same lines; a
     detection record holds the array sensing returns for its rows, and a
     truth record the batch."""
-    track_records = [_track_record(t, agent, trs) for t, agent, trs in flushed if trs]
+    track_records = [_track_record(t, agent, trs) for t, agent, trs in flushed if len(trs)]
     replay_records = []
     for kind, t, *rest in events:
         if kind == "truth":
@@ -155,10 +161,11 @@ def test_records_write_the_bytes_of_the_lines(flushed, events):
 
 
 def test_track_records_copy_their_numbers():
-    track = Track(7, np.arange(6.0), np.diag(np.arange(1.0, 7.0)), 0.0, 3)
-    report = records([(0.1, "ego", [track])], [])
+    track = spawn(7, np.arange(6.0)[None], np.diag(np.arange(1.0, 7.0))[None], 0.0,
+                  TrackerConfig())
+    report = records([(0.1, "ego", track)], [])
     before = report.track_jsonl()
-    for array in (track.mean, track.cov):
+    for array in (track.means, track.covs):
         array[...] = -1.0
     assert report.track_jsonl() == before
 
@@ -220,9 +227,9 @@ def run_urban_covi(scenario_dir):
 def test_non_finite_track_mean_raises(bad):
     mean = np.zeros(6)
     mean[2] = bad
-    track = Track(1, mean, np.eye(6), 0.0, 3)
+    track = spawn(1, mean[None], np.eye(6)[None], 0.0, TrackerConfig())
     with pytest.raises(ValueError):
-        RunReport({}, [_track_record(0.5, "ego", [track])], []).track_jsonl()
+        RunReport({}, [_track_record(0.5, "ego", track)], []).track_jsonl()
 
 
 # One run in a fresh process: its peak resident memory after ``Engine.run``

@@ -114,7 +114,8 @@ def test_a_score_outside_the_unit_interval(score):
 
 
 @pytest.mark.parametrize("position", [[0.0, 0.0, 0.0], [float("nan"), 1.0, 2.0],
-                                      [float("inf"), 1.0, 2.0], [1.0, -float("inf"), 2.0]])
+                                      [float("inf"), 1.0, 2.0], [1.0, -float("inf"), 2.0],
+                                      pytest.param([1e-170, -1e-170, 0.0], id="range-underflows")])
 def test_a_non_finite_or_zero_range_radar_position(position):
     point = dict(POINT, position=position)
     assert refused_at(text(camera([BOX]), radar([POINT], t=0.2), radar([point], t=0.3))) == 3
@@ -272,6 +273,44 @@ def test_a_detection_number_beyond_float_range():
 @pytest.mark.parametrize("sensor", [None, "x", [0], float("nan"), float("inf")])
 def test_a_bad_sensor_index(sensor):
     assert refused_at(text(TRUTH, camera([BOX], sensor=sensor))) == 2
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(camera([BOX], t="0.5"), id="t-string"),
+    pytest.param(camera([BOX], t=True), id="t-bool"),
+    pytest.param(camera([BOX], sensor=1.7), id="sensor-fraction"),
+    pytest.param(camera([BOX], sensor=1.0), id="sensor-float"),
+    pytest.param(camera([BOX], sensor=True), id="sensor-bool"),
+    pytest.param(camera([BOX], sensor="0"), id="sensor-string"),
+    pytest.param(camera([dict(BOX, score="1")]), id="score-string"),
+    pytest.param(camera([dict(BOX, score=True)]), id="score-bool"),
+    pytest.param(camera([dict(BOX, bbox=["10", "20", "110", "90"])]), id="bbox-strings"),
+    pytest.param(radar([dict(POINT, position=["1", "2", "3"])]), id="position-strings"),
+    pytest.param(radar([dict(POINT, position=[1.0, "2", 3.0])]), id="position-one-string"),
+    pytest.param(radar([dict(POINT, radial_speed="-2")]), id="radial-speed-string"),
+    pytest.param(radar([dict(POINT, snr=True)]), id="snr-bool"),
+    pytest.param(radar([dict(POINT, snr=None)]), id="snr-null"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(id=2.9)]}, id="id-fraction"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(id=2.0)]}, id="id-float"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(id=True)]}, id="id-bool"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(id="2")]}, id="id-string"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(position=["1", "2", "3"])]},
+                 id="truth-position-strings"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(velocity=["1", "0", "0"])]},
+                 id="truth-velocity-strings"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(id=None)]}, id="id-null"),
+])
+def test_a_number_of_another_type_is_refused_not_converted(line):
+    assert refused_at(text(TRUTH, line)) == 2
+
+
+def test_ints_load_as_the_numbers_they_are():
+    # an int is a number of the line's own type: it loads as its float
+    replay = load_replay(text({"t": 0, "truth": [truth_entry(position=[12, -1, 0])]},
+                              radar([dict(POINT, position=[12, -1, 1], snr=20)], t=1)))
+    assert replay.truth_times == [0.0] and type(replay.truth_times[0]) is float
+    assert replay.truth[0.0].positions.tolist() == [[12.0, -1.0, 0.0]]
+    assert replay.detections_at(1.0, "ego", 1).tolist() == [[12.0, -1.0, 1.0, -2.0, 20.0]]
 
 
 def test_truth_lines_round_trip_bit_for_bit():

@@ -2,6 +2,7 @@ from bisect import insort
 
 import numpy as np
 import pytest
+from conftest import batch_bytes, state_bytes, tracker_state
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
@@ -9,15 +10,12 @@ import fusionsim.tracker as tracker_module
 from fusionsim.fusion import Detections
 from fusionsim.tracker import (
     CHI2_QUANTILES,
-    CONFIRMED,
     LANE_EDGE,
     LANE_LOCAL,
-    NotConfirmed,
-    TENTATIVE,
-    Track,
     Tracker,
     TrackerConfig,
     TrackerError,
+    Tracks,
     _regularity,
     chi2_quantile,
     cv_transition,
@@ -29,6 +27,7 @@ from fusionsim.tracker import (
     predict,
     predict_trajectory,
     process_noise,
+    spawn,
     update,
 )
 
@@ -44,10 +43,19 @@ def batch(*dets):
                       np.array([c for d in dets for c in d.covs]).reshape(-1, 3, 3))
 
 
+def fresh_tracks(means, covs=None, stamp=0.0):
+    """A batch of new tentative tracks, ids from 1, at ``means`` with
+    covariances ``covs`` (identities by default)."""
+    means = np.asarray(means, dtype=float).reshape(-1, 6)
+    covs = np.tile(np.eye(6), (len(means), 1, 1)) if covs is None else \
+        np.asarray(covs, dtype=float).reshape(-1, 6, 6)
+    return spawn(1, means, covs, stamp, TrackerConfig())
+
+
 def fresh_track(mean=None, cov=None, stamp=0.0):
-    mean = np.zeros(6) if mean is None else np.asarray(mean, dtype=float)
-    cov = np.eye(6) if cov is None else np.asarray(cov, dtype=float)
-    return Track(1, mean, cov, stamp, confirm_n=5)
+    """A batch of one new tentative track."""
+    return fresh_tracks(np.zeros(6) if mean is None else mean,
+                        None if cov is None else [cov], stamp)
 
 
 def test_chi2_table_matches_independent_implementation():
@@ -59,23 +67,24 @@ def test_chi2_table_matches_independent_implementation():
 class TestPredict:
     def test_dt_zero_unchanged(self):
         tr = fresh_track(mean=[1, 2, 3, 4, 5, 6])
-        out = predict([tr], 0.0, q=1.0)[0]
-        assert np.allclose(out.mean, tr.mean)
-        assert np.allclose(out.cov, tr.cov)
+        out = predict(tr, 0.0, q=1.0)
+        assert np.allclose(out.means, tr.means)
+        assert np.allclose(out.covs, tr.covs)
 
     def test_ballistic_motion(self):
         tr = fresh_track(mean=[0, 0, 0, 1, 0, 0])
-        out = predict([tr], 2.0, q=1e-12)[0]
-        assert np.allclose(out.mean[:3], [2, 0, 0], atol=1e-9)
+        out = predict(tr, 2.0, q=1e-12)
+        assert np.allclose(out.means[0, :3], [2, 0, 0], atol=1e-9)
         f = cv_transition(2.0)
-        assert np.allclose(out.cov, f @ tr.cov @ f.T, atol=1e-9)
+        assert np.allclose(out.covs[0], f @ tr.covs[0] @ f.T, atol=1e-9)
+        assert out.stamps[0] == 2.0
 
     def test_process_noise_grows_trace(self):
         tr = fresh_track()
         f = cv_transition(0.5)
-        base = np.trace(f @ tr.cov @ f.T)
-        out = predict([tr], 0.5, q=2.0)[0]
-        assert np.trace(out.cov) > base
+        base = np.trace(f @ tr.covs[0] @ f.T)
+        out = predict(tr, 0.5, q=2.0)
+        assert np.trace(out.covs[0]) > base
 
     def test_q_block_structure(self):
         q = process_noise(0.1, 3.0)
@@ -89,48 +98,44 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_mean_shrinks_cov(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update([tr], det([1, 2, 3]))[0]
-        assert np.allclose(out.mean, tr.mean, atol=1e-12)
-        assert np.trace(out.cov) < np.trace(tr.cov)
+        out = update(tr, [0], det([1, 2, 3]), 3)
+        assert np.allclose(out.means, tr.means, atol=1e-12)
+        assert np.trace(out.covs[0]) < np.trace(tr.covs[0])
 
     def test_scalar_kalman_algebra(self):
         # prior var 1, measurement var 1, offset 1: posterior offset 0.5, var 0.5
         tr = fresh_track()
-        out = update([tr], det([1, 0, 0]))[0]
-        assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
-        assert out.cov[0, 0] == pytest.approx(0.5, abs=1e-12)
+        out = update(tr, [0], det([1, 0, 0]), 3)
+        assert out.means[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert out.covs[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_uninformative_measurement(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update([tr], det([100, 100, 100], var=1e12))[0]
-        assert np.abs(out.mean - tr.mean).max() < 1e-6
+        out = update(tr, [0], det([100, 100, 100], var=1e12), 3)
+        assert np.abs(out.means - tr.means).max() < 1e-6
 
     def test_singular_innovation(self):
         # update no longer tests S: a singular one never reaches it, since
         # the gate skips its detection and S here is the gate's S bit for bit
         tk = Tracker()
-        tk.tracks, tk.next_id, tk.last_time = [fresh_track(cov=np.zeros((6, 6)))], 2, 0.0
+        tk.tracks, tk.next_id, tk.last_time = fresh_track(cov=np.zeros((6, 6))), 2, 0.0
         tk.step(det([0, 0, 0], var=0.0), 0.0)
         assert tk.singular == 1
-        assert [(tr.id, tr.misses) for tr in tk.tracks] == [(1, 1)]
+        assert (tk.tracks.ids.tolist(), tk.tracks.misses.tolist()) == ([1], [1])
 
     def test_counters_and_history(self):
-        tr = fresh_track()
-        out = update([tr], det([0.1, 0, 0]))[0]
-        assert out.misses == 0
+        tr = fresh_tracks([np.zeros(6)] * 2)
+        out = update(tr, [1], det([0.1, 0, 0]), 3)
+        assert out.misses.tolist() == [1, 0]
+        assert out.window[:, -2:].tolist() == [[True, False], [True, True]]
 
 
 def random_tracks(rng, n):
     """n tracks with random estimates and lifecycle state."""
-    tracks = []
-    for i in range(n):
-        a = rng.normal(size=(6, 6))
-        tr = Track(i + 1, rng.normal(scale=5.0, size=6), a @ a.T + 0.01 * np.eye(6),
-                   float(rng.uniform(0.0, 10.0)), confirm_n=5)
-        tr.misses = int(rng.integers(0, 3))
-        tr.recent.extend(bool(b) for b in rng.random(int(rng.integers(0, 6))) < 0.5)
-        tracks.append(tr)
-    return tracks
+    a = rng.normal(size=(n, 6, 6))
+    return Tracks(np.arange(1, n + 1), rng.normal(scale=5.0, size=(n, 6)),
+                  a @ a.swapaxes(1, 2) + 0.01 * np.eye(6), rng.random(n) < 0.5,
+                  rng.integers(0, 3, n), rng.random((n, 5)) < 0.5, rng.uniform(0.0, 10.0, n))
 
 
 def random_detection(rng):
@@ -139,31 +144,43 @@ def random_detection(rng):
     return Detections(rng.normal(scale=5.0, size=(1, 3)), (b @ b.T + 0.01 * np.eye(3))[None])
 
 
-def lifecycle(tr):
-    return (tr.id, tr.status, tr.misses, list(tr.recent), tr.recent.maxlen,
-            tr.stamp)
+def lifecycle(tracks, i):
+    """Track i's id and lifecycle state."""
+    return (tracks.ids[i], tracks.confirmed[i], tracks.misses[i], tracks.window[i].tolist(),
+            tracks.stamps[i])
 
 
 class TestStacked:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
-           dt=st.floats(0.0, 0.5), q=st.floats(0.1, 5.0))
-    def test_equal_per_track_kernels_bit_for_bit(self, n, seed, dt, q):
+           dt=st.floats(0.0, 0.5), q=st.floats(0.1, 5.0), confirm_m=st.integers(1, 5))
+    def test_equal_per_track_kernels_bit_for_bit(self, n, seed, dt, q, confirm_m):
+        """A predict and update of a whole batch, where a random subset of
+        the tracks is hit in a random order, equal the single-row calls on
+        each track, and leave the input batch as it was."""
         rng = np.random.default_rng(seed)
         tracks = random_tracks(rng, n)
-        dets = [random_detection(rng) for _ in range(n)]
-        before = [tr.to_dict() for tr in tracks]
+        rows = rng.permutation(n)[:rng.integers(0, n + 1)].tolist()
+        dets = {i: random_detection(rng) for i in rows}
+        before = batch_bytes(tracks)
         predicted = predict(tracks, dt, q)
-        updated = update(predicted, batch(*dets))
-        assert len(predicted) == len(updated) == n
-        assert [tr.to_dict() for tr in tracks] == before
-        for tr, p, u, d in zip(tracks, predicted, updated, dets):
-            mean, cov = kalman_predict(tr.mean, tr.cov, dt, q)
-            assert np.array_equal(p.mean, mean) and np.array_equal(p.cov, cov)
-            mean, cov = kalman_update(mean, cov, d.positions[0], d.covs[0])
-            assert np.array_equal(u.mean, mean) and np.array_equal(u.cov, cov)
-            assert lifecycle(p) == lifecycle(predict([tr], dt, q)[0])
-            assert lifecycle(u) == lifecycle(update([p], d)[0])
+        scored = update(predicted, rows, batch(*[dets[i] for i in rows]), confirm_m)
+        assert len(predicted) == len(scored) == n
+        assert batch_bytes(tracks) == before
+        for i in range(n):
+            mean, cov = kalman_predict(tracks.means[i], tracks.covs[i], dt, q)
+            assert np.array_equal(predicted.means[i], mean)
+            assert np.array_equal(predicted.covs[i], cov)
+            one = predict(tracks.take([i]), dt, q)
+            assert lifecycle(predicted, i) == lifecycle(one, 0)
+            if i in dets:
+                mean, cov = kalman_update(mean, cov, dets[i].positions[0], dets[i].covs[0])
+                one = update(one, [0], dets[i], confirm_m)
+            else:
+                one = update(one, [], batch(), confirm_m)
+            assert np.array_equal(scored.means[i], mean)
+            assert np.array_equal(scored.covs[i], cov)
+            assert batch_bytes(scored.take([i])) == batch_bytes(one)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -206,42 +223,42 @@ class TestStacked:
         # the singular pair's detection is skipped: no twin spawns, the
         # zero-covariance track misses, and the other pair is updated
         assert tk.singular == 1
-        assert [(tr.id, tr.misses) for tr in tk.tracks] == [(1, 0), (2, 1)]
+        assert (tk.tracks.ids.tolist(), tk.tracks.misses.tolist()) == ([1, 2], [0, 1])
         assert tk.next_id == 3
-        before = (tk.state_dict(), tk.singular)
+        before = tracker_state(tk)
         # step assigns nothing before predict, gate and update returned
-        def failing_update(tracks, detections):
+        def failing_update(*args):
             raise TrackerError("forced")
         monkeypatch.setattr(tracker_module, "update", failing_update)
         with pytest.raises(TrackerError):
             tk.step(batch(det([0.3, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
-        assert (tk.state_dict(), tk.singular) == before
+        assert tracker_state(tk) == before
 
 
 class TestGate:
     def test_at_predicted_position(self):
-        cost, _, _ = gate([fresh_track()], det([0, 0, 0], var=1.0))
+        cost, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0))
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate([tr], det([3, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate(tr, det([3, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate([tr], det([4, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate(tr, det([4, 0, 0], var=1.0), gate_prob=0.99)
         assert cost[0, 0] == np.inf
-        d2, singular = position_d2([tr.mean], [tr.cov], [[4.0, 0, 0]], [np.eye(3)],
+        d2, singular = position_d2(tr.means, tr.covs, [[4.0, 0, 0]], [np.eye(3)],
                                    chi2_quantile(0.99, 3))
         assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
         assert not singular[0, 0]
 
     def test_a_singular_pair_skips_its_detection(self):
-        tracks = [fresh_track(mean=[x, 0, 0, 0, 0, 0]) for x in range(3)]
-        tracks.append(fresh_track(cov=np.zeros((6, 6))))
+        tracks = fresh_tracks([[x, 0, 0, 0, 0, 0] for x in range(4)],
+                              [np.eye(6)] * 3 + [np.zeros((6, 6))])
         dets = batch(det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0))
         cost, skipped, singular = gate(tracks, dets)
         assert (skipped, singular) == ([2], 1)
@@ -250,7 +267,7 @@ class TestGate:
         regular, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]))
         assert np.array_equal(cost[:, :2], regular)
         # every other pair is regular
-        assert gate(tracks[:3], dets)[1:] == ([], 0)
+        assert gate(tracks.take([0, 1, 2]), dets)[1:] == ([], 0)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
@@ -314,10 +331,9 @@ class TestStepLifecycle:
         statuses = []
         for k, d in enumerate(stream):
             tk.step(d, k * 0.1)
-            statuses.append(tk.tracks[0].status)
-        assert statuses[:2] == [TENTATIVE, TENTATIVE]
-        assert statuses[2] == CONFIRMED
-        err = abs(tk.tracks[0].mean[0] - 1.9)
+            statuses.append(bool(tk.tracks.confirmed[0]))
+        assert statuses[:3] == [False, False, True]
+        err = abs(tk.tracks.means[0, 0] - 1.9)
         assert err < 0.05
 
     def test_all_tracks_die_without_detections(self):
@@ -327,7 +343,7 @@ class TestStepLifecycle:
         assert len(tk.tracks) == 1
         for k in range(1, 6):
             tk.step(batch(), k * 0.1)
-        assert tk.tracks == []
+        assert len(tk.tracks) == 0
 
     def test_two_separated_objects_two_tracks_no_switch(self):
         tk = Tracker(TrackerConfig(q=0.5))
@@ -335,9 +351,7 @@ class TestStepLifecycle:
             t = k * 0.1
             tk.step(batch(det([10 + t, 0, 0], var=0.01),
                           det([-10 - t, 0, 0], var=0.01)), t)
-        assert len(tk.tracks) == 2
-        ids = sorted(tr.id for tr in tk.tracks)
-        assert ids == [1, 2]  # never replaced
+        assert tk.tracks.ids.tolist() == [1, 2]  # never replaced
 
     def test_ids_strictly_increasing_never_reused(self):
         tk = Tracker(TrackerConfig(max_misses=1))
@@ -347,10 +361,10 @@ class TestStepLifecycle:
             dets = batch(*[det(rng.uniform(-100, 100, size=3))
                            for _ in range(int(rng.integers(0, 3)))])
             tk.step(dets, k * 0.1)
-            for tr in tk.tracks:
-                if tr.id not in seen:
-                    assert tr.id > max(seen, default=0)
-                seen.add(tr.id)
+            for tid in tk.tracks.ids.tolist():
+                if tid not in seen:
+                    assert tid > max(seen, default=0)
+                seen.add(tid)
 
     def test_time_going_backwards_rejected(self):
         tk = Tracker()
@@ -366,7 +380,7 @@ class TestStepLifecycle:
                 dets = batch(*[det(rng.normal(scale=20, size=3), var=0.5)
                                for _ in range(int(rng.integers(0, 4)))])
                 tk.step(dets, k * 0.1)
-            return tk.state_dict()
+            return tracker_state(tk)
         assert run() == run()
 
 
@@ -393,33 +407,26 @@ def test_joseph_form_psd_many_random_steps():
 
 
 class TestPredictTrajectory:
-    def confirmed_track(self, mean):
-        tr = fresh_track(mean=mean, stamp=5.0)
-        tr.status = CONFIRMED
-        return tr
-
     def test_unit_velocity_waypoints(self):
-        tr = self.confirmed_track([0, 0, 0, 1, 0, 0])
-        wps = predict_trajectory(tr, horizon=2.0, dt=1.0)
+        wps = predict_trajectory(np.array([0.0, 0, 0, 1, 0, 0]), 5.0, horizon=2.0, dt=1.0)
         assert len(wps) == 2
         assert wps[0][0] == pytest.approx(6.0)
         assert np.allclose(wps[0][1], [1, 0, 0])
         assert np.allclose(wps[1][1], [2, 0, 0])
 
     def test_zero_velocity_constant(self):
-        tr = self.confirmed_track([3, 4, 5, 0, 0, 0])
-        wps = predict_trajectory(tr, horizon=1.0, dt=0.25)
+        wps = predict_trajectory(np.array([3.0, 4, 5, 0, 0, 0]), 5.0, horizon=1.0, dt=0.25)
         assert all(np.allclose(p, [3, 4, 5]) for _, p in wps)
 
     def test_waypoint_count(self):
-        tr = self.confirmed_track([0, 0, 0, 1, 1, 1])
-        assert len(predict_trajectory(tr, 3.0, 0.5)) == 6
-        assert len(predict_trajectory(tr, 0.3, 0.1)) == 3
+        mean = np.array([0.0, 0, 0, 1, 1, 1])
+        assert len(predict_trajectory(mean, 5.0, 3.0, 0.5)) == 6
+        assert len(predict_trajectory(mean, 5.0, 0.3, 0.1)) == 3
 
-    def test_tentative_rejected(self):
-        tr = fresh_track()
-        with pytest.raises(NotConfirmed):
-            predict_trajectory(tr, 1.0, 0.5)
+    @pytest.mark.parametrize("horizon,dt", [(0.0, 0.5), (1.0, 0.0), (-1.0, 0.5)])
+    def test_a_horizon_or_step_that_is_not_positive_rejected(self, horizon, dt):
+        with pytest.raises(TrackerError):
+            predict_trajectory(np.zeros(6), 5.0, horizon, dt)
 
 
 class TestBatchRollback:
@@ -438,7 +445,7 @@ class TestBatchRollback:
         for key, dets, t in batches:
             a.process_batch(key, dets, t)
             b.step(dets, t)
-        assert a.state_dict() == b.state_dict()
+        assert tracker_state(a) == tracker_state(b)
 
     def test_delayed_batch_matches_in_order_oracle(self):
         batches = self.make_batches()
@@ -452,7 +459,7 @@ class TestBatchRollback:
         oracle = Tracker()
         for key, dets, t in sorted(batches + [late], key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
-        assert actual.state_dict() == oracle.state_dict()
+        assert tracker_state(actual) == tracker_state(oracle)
 
     def test_interleaved_delays_match_oracle(self):
         batches = self.make_batches(n=30)
@@ -477,7 +484,7 @@ class TestBatchRollback:
         oracle = Tracker()
         for key, dets, t in sorted(batches + lates, key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
-        assert actual.state_dict() == oracle.state_dict()
+        assert tracker_state(actual) == tracker_state(oracle)
 
     @staticmethod
     def check_arrival_order(edges, edge_dets):
@@ -504,7 +511,7 @@ class TestBatchRollback:
         oracle = Tracker(TrackerConfig(snapshot_horizon=1.0))
         for key, dets, t in sorted(local + edge, key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
-        assert actual.state_dict() == oracle.state_dict()
+        assert tracker_state(actual) == tracker_state(oracle)
         assert actual.singular == oracle.singular
         return oracle.singular
 
@@ -542,27 +549,27 @@ class TestBatchRollback:
         for key, dets, t in batches + [second]:
             tk.process_batch(key, dets, t)
             oracle.process_batch(key, dets, t)
-        before = (tk.state_dict(), tk.newest_key,
-                  [(k, state) for k, _, _, state in tk._history])
+        before = (tracker_state(tk), tk.newest_key,
+                  [(k, state_bytes(state)) for k, _, _, state in tk._history])
         # replay restores the state stored at (0.3, local): ``first`` spawns
         # a track at x = 20, then ``second`` updates it, and that update
         # raises, with later batches still to come
-        def update(tracks, detections):
+        def update(tracks, rows, detections, confirm_m):
             if np.any(detections.positions[:, 0] == 20.0):
                 raise TrackerError("forced")
-            return plain_update(tracks, detections)
+            return plain_update(tracks, rows, detections, confirm_m)
         plain_update = tracker_module.update
         with monkeypatch.context() as patch:
             patch.setattr(tracker_module, "update", update)
             with pytest.raises(TrackerError):
                 tk.process_batch(*first)
-        assert (tk.state_dict(), tk.newest_key,
-                [(k, state) for k, _, _, state in tk._history]) == before
+        assert (tracker_state(tk), tk.newest_key,
+                [(k, state_bytes(state)) for k, _, _, state in tk._history]) == before
         # and the tracker goes on exactly like one that never saw the batch
         for tracker in (tk, oracle):
             tracker.process_batch((0.42, LANE_EDGE, 9), det([5.4, 0, 0]), 0.42)
             tracker.process_batch((1.0, LANE_LOCAL, 0), det([6.0, 0, 0]), 1.0)
-        assert tk.state_dict() == oracle.state_dict()
+        assert tracker_state(tk) == tracker_state(oracle)
 
     def test_empty_batch_scores_misses_in_order(self):
         batches = self.make_batches(n=4)
@@ -570,12 +577,12 @@ class TestBatchRollback:
         for key, dets, t in batches:
             tk.process_batch(key, dets, t)
             oracle.step(dets, t)
-        misses = [tr.misses for tr in tk.tracks]
+        misses = tk.tracks.misses.tolist()
         assert tk.process_batch((0.2, LANE_EDGE, 1), batch(), 0.2)
         oracle.step(batch(), 0.2)
-        assert [tr.misses for tr in tk.tracks] == [m + 1 for m in misses]
-        assert all(not tr.recent[-1] for tr in tk.tracks)
-        assert tk.state_dict() == oracle.state_dict()
+        assert tk.tracks.misses.tolist() == [m + 1 for m in misses]
+        assert not tk.tracks.window[:, -1].any()
+        assert tracker_state(tk) == tracker_state(oracle)
 
     def test_empty_batch_scores_misses_in_a_rollback(self):
         batches = self.make_batches(n=10)
@@ -583,13 +590,13 @@ class TestBatchRollback:
         actual = Tracker()
         for key, dets, t in batches:
             actual.process_batch(key, dets, t)
-        plain = actual.state_dict()
+        plain = tracker_state(actual)
         assert actual.process_batch(*late)
         oracle = Tracker()
         for key, dets, t in sorted(batches + [late], key=lambda b: b[0]):
             oracle.process_batch(key, dets, t)
-        assert actual.state_dict() == oracle.state_dict()
-        assert actual.state_dict() != plain  # the replayed miss shows
+        assert tracker_state(actual) == tracker_state(oracle)
+        assert tracker_state(actual) != plain  # the replayed miss shows
 
     def test_too_old_batch_rejected(self):
         batches = self.make_batches(n=40, dt=0.05)  # spans 2 s > horizon 1 s
@@ -599,9 +606,9 @@ class TestBatchRollback:
         stale = ((0.1, LANE_EDGE, 99), det([5, 0, 0]), 0.1)
         assert not tk.process_batch(*stale)
         # and the state is untouched by the refused batch
-        before = tk.state_dict()
+        before = tracker_state(tk)
         assert not tk.process_batch((0.11, LANE_EDGE, 100), det([5, 0, 0]), 0.11)
-        assert tk.state_dict() == before
+        assert tracker_state(tk) == before
 
     def test_duplicate_key_rejected(self):
         tk = Tracker()
@@ -654,16 +661,14 @@ class TestBatchRollback:
         after = {}
         for key, dets, t in sorted(accepted, key=lambda b: b[0]):
             oracle.step(dets, t)
-            after[key] = oracle.state_dict()
-        assert tk.state_dict() == oracle.state_dict()
+            after[key] = tracker_state(oracle)
+        assert tracker_state(tk) == tracker_state(oracle)
         for key, _, _, state in tk._history:
-            stored = Tracker()
-            stored._restore(state)
-            assert stored.state_dict() == after[key]
+            assert state_bytes(state) == after[key]
         # a key already held is a duplicate wherever it sits
         with pytest.raises(TrackerError):
             tk.process_batch(retained[0], batch(), retained[0][0])
-        assert tk.state_dict() == oracle.state_dict()
+        assert tracker_state(tk) == tracker_state(oracle)
         return seen
 
     @settings(max_examples=30, deadline=None)
