@@ -1,4 +1,4 @@
-"""Framed pub/sub transport: wire format, topic matching, link impairments.
+"""Framed pub/sub transport: wire format, payload fields, link impairments.
 
 Wire layout (normative, little-endian):
 
@@ -9,9 +9,23 @@ Wire layout (normative, little-endian):
     topic_len u16    then topic bytes (UTF-8)
     payload_len u32  then payload bytes
 
-Payloads are canonical JSON: UTF-8, keys sorted, no insignificant
-whitespace, floats in shortest round-trip form.  Canonical bytes are what
-the determinism contract hashes and diffs.
+A delivery is exactly one frame: bytes after it are an error.
+
+Message types (normative).  A payload holds exactly the keys its parser
+reads, and a field of k rows is one stack (``[]`` when k is 0):
+
+    TRACKS     tracks/{sender}         sender_pose, timestamp, ids (k ints),
+                                       means (k, 6), covs (k, 6, 6)
+    TASK_REQ   tasks/{worker}          task_id, frame_time, visible_ids
+                                       (ints), rig_pose
+    TASK_RESP  results/{ego}/{worker}  task_id, status, frame_time,
+                                       positions (k, 3), covs (k, 3, 3)
+    HEARTBEAT  hb/{worker}             nothing: the payload is empty
+
+A pose is {rotation (3, 3), translation (3,)}.  Payloads are canonical
+JSON: UTF-8, keys sorted, no insignificant whitespace, floats in shortest
+round-trip form.  Canonical bytes are what the determinism contract
+hashes and diffs.
 """
 
 from __future__ import annotations
@@ -26,20 +40,16 @@ import numpy as np
 MAGIC = b"FBUS"
 VERSION = 1
 
-MSG_DETECTIONS = 1
 MSG_TRACKS = 2
 MSG_TASK_REQ = 3
 MSG_TASK_RESP = 4
 MSG_HEARTBEAT = 5
-MSG_CLOCK = 6
 
 MSG_TYPES = {
-    MSG_DETECTIONS: "DETECTIONS",
     MSG_TRACKS: "TRACKS",
     MSG_TASK_REQ: "TASK_REQ",
     MSG_TASK_RESP: "TASK_RESP",
     MSG_HEARTBEAT: "HEARTBEAT",
-    MSG_CLOCK: "CLOCK",
 }
 
 MAX_TOPIC = 0xFFFF
@@ -76,17 +86,12 @@ class Truncated(BusError):
     pass
 
 
-class UnknownLink(BusError):
-    pass
-
-
 @dataclass(frozen=True)
 class BusFrame:
     msg_type: int
     timestamp_ns: int
     topic: str
     payload: bytes = b""
-    version: int = VERSION
 
     def __post_init__(self):
         if self.msg_type not in MSG_TYPES:
@@ -120,11 +125,22 @@ def payload_field(d: dict, key: str, kind: type):
     return x
 
 
+def payload_ints(d: dict, key: str) -> list[int]:
+    """Field ``key``, a list of exact ints (not a bool or 2.5), or ValueError."""
+    ints = payload_field(d, key, list)
+    if not all(type(i) is int for i in ints):
+        raise ValueError(f"payload field {key!r}: {ints!r} is not a list of ints")
+    return ints
+
+
 def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
     """A decoded payload's nested lists of numbers as a float array of
-    exactly ``shape``; anything else raises ValueError.  Non-finite values
-    pass: each caller decides what they mean."""
+    exactly ``shape``; anything else raises ValueError.  A stack of zero
+    rows (``shape[0] == 0``) is ``[]``.  Non-finite values pass: each
+    caller decides what they mean."""
     a = np.array(x)
+    if shape[0] == 0 and a.shape == (0,):
+        return np.empty(shape)
     if a.shape != shape or a.dtype.kind not in "iuf":
         raise ValueError(f"payload array is not numbers of shape {shape}")
     return a.astype(float, copy=False)
@@ -137,7 +153,7 @@ def encode(frame: BusFrame) -> bytes:
     if len(frame.payload) > MAX_PAYLOAD:
         raise PayloadTooLong(f"payload is {len(frame.payload)} bytes, limit {MAX_PAYLOAD}")
     parts = [
-        _HEADER.pack(MAGIC, frame.version, frame.msg_type, frame.timestamp_ns),
+        _HEADER.pack(MAGIC, VERSION, frame.msg_type, frame.timestamp_ns),
         struct.pack("<H", len(topic)),
         topic,
         struct.pack("<I", len(frame.payload)),
@@ -146,12 +162,8 @@ def encode(frame: BusFrame) -> bytes:
     return b"".join(parts)
 
 
-def decode(data: bytes) -> tuple[BusFrame, int]:
-    """Decode one frame from the head of ``data``.
-
-    Returns (frame, bytes consumed); callers parsing a stream continue at
-    the consumed offset.
-    """
+def decode(data: bytes) -> BusFrame:
+    """Decode ``data``, which must be exactly one frame."""
     if len(data) < 4:
         raise Truncated("magic: fewer than 4 bytes available")
     if data[:4] != MAGIC:
@@ -179,11 +191,12 @@ def decode(data: bytes) -> tuple[BusFrame, int]:
         raise Truncated("payload_len: buffer ends inside field")
     (payload_len,) = struct.unpack_from("<I", data, off)
     off += 4
-    if len(data) < off + payload_len:
+    end = off + payload_len
+    if len(data) < end:
         raise Truncated("payload: buffer ends inside payload bytes")
-    payload = bytes(data[off:off + payload_len])
-    off += payload_len
-    return BusFrame(msg_type, timestamp_ns, topic, payload, version=version), off
+    if len(data) > end:
+        raise BusError(f"{len(data) - end} bytes after the frame")
+    return BusFrame(msg_type, timestamp_ns, topic, bytes(data[off:end]))
 
 
 @dataclass(frozen=True)
@@ -203,14 +216,8 @@ class LinkParams:
 class NetworkModel:
     """Per-link stochastic impairments; unknown links fall back to default."""
 
-    default: LinkParams | None = field(default_factory=LinkParams)
+    default: LinkParams = field(default_factory=LinkParams)
     links: dict[str, LinkParams] = field(default_factory=dict)
-
-    def params(self, link: str) -> LinkParams:
-        p = self.links.get(link, self.default)
-        if p is None:
-            raise UnknownLink(f"link {link!r} not configured and no default set")
-        return p
 
 
 def link_key(src: str, dst: str) -> str:
@@ -225,7 +232,7 @@ def deliver(net: NetworkModel, link: str, send_time: float, frame: BusFrame,
     jitter when the frame survives and jitter > 0.  Reordering emerges
     naturally when jitter windows of consecutive sends overlap.
     """
-    p = net.params(link)
+    p = net.links.get(link, net.default)
     if rng.uniform() < p.drop_prob:
         return None
     delay = p.base_latency

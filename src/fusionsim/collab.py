@@ -9,16 +9,19 @@ cross-platform correlation is unknown.  Fusion builds a new track batch
 (``tracker.Tracks``) and replaces the tracker's; it is outside rollback
 (see ``Tracker``).
 
-A received message is one stack from end to end: ``align`` predicts and
-maps all its tracks in one call each, and CI has one path, run once per
-message over the stack of its matched pairs.  ``ci_omega`` checks each
-pair, inverts its inputs, finds its weight and inverts the candidate
-information matrices; ``ci_fuse`` reuses that work for the fused
-estimates.  A pair that fails a check is left out without touching the
-rest of the stack, and every other pair gives bit for bit what it gives
-in a stack of its own: numpy's linear algebra and ``@`` work slice by
-slice, and the weight search runs per pair on Python floats.  The
-duplicate merge calls the same two functions on stacks of one.
+A message (``RemoteTrackMsg``) holds the sender's tracks as one
+``RemoteTracks`` stack, on the bus too (see ``bus``), so a received
+message is one stack from end to end: ``align`` reads the stack as it
+came off the wire, predicts and maps all its tracks in one call each, and
+CI has one path, run once per message over the stack of its matched
+pairs.  ``ci_omega`` checks each pair, inverts its inputs, finds its
+weight and inverts the candidate information matrices; ``ci_fuse``
+reuses that work for the fused estimates.  A pair that fails a check is
+left out without touching the rest of the stack, and every other pair
+gives bit for bit what it gives in a stack of its own: numpy's linear
+algebra and ``@`` work slice by slice, and the weight search runs per
+pair on Python floats.  The duplicate merge calls the same two functions
+on stacks of one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bus import payload_array, payload_field
+from .bus import payload_array, payload_field, payload_ints
 from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     Tracker,
@@ -56,34 +59,35 @@ class StaleMessage(CollabError):
 
 
 @dataclass(frozen=True)
+class RemoteTracks:
+    """A sender's tracks as one stack, in the sender's frame: ``ids``
+    (k ints), ``means`` (k, 6) and ``covs`` (k, 6, 6); ``len()`` is k."""
+
+    ids: tuple[int, ...]
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
 class RemoteTrackMsg:
-    sender_id: str
     sender_pose: Pose            # world-from-sender
     timestamp: float
-    tracks: list[tuple[int, np.ndarray, np.ndarray]]  # (remote id, mean6, cov6x6)
+    tracks: RemoteTracks
 
     def to_payload(self) -> dict:
-        return {
-            "sender_id": self.sender_id,
-            "sender_pose": self.sender_pose.to_payload(),
-            "timestamp": self.timestamp,
-            "tracks": [
-                {
-                    "remote_id": rid,
-                    "mean": mean.tolist(),
-                    "cov": cov.tolist(),
-                }
-                for rid, mean, cov in self.tracks
-            ],
-        }
+        return {"sender_pose": self.sender_pose.to_payload(), "timestamp": self.timestamp,
+                "ids": list(self.tracks.ids), "means": self.tracks.means.tolist(),
+                "covs": self.tracks.covs.tolist()}
 
     @staticmethod
     def from_payload(d: dict) -> "RemoteTrackMsg":
-        pose = Pose.from_payload(d["sender_pose"])
-        tracks = [(payload_field(tr, "remote_id", int), payload_array(tr["mean"], (6,)),
-                   payload_array(tr["cov"], (6, 6)))
-                  for tr in payload_field(d, "tracks", list)]
-        return RemoteTrackMsg(payload_field(d, "sender_id", str), pose,
+        ids = payload_ints(d, "ids")
+        tracks = RemoteTracks(tuple(ids), payload_array(d["means"], (len(ids), 6)),
+                              payload_array(d["covs"], (len(ids), 6, 6)))
+        return RemoteTrackMsg(Pose.from_payload(d["sender_pose"]),
                               payload_field(d, "timestamp", float), tracks)
 
 
@@ -116,10 +120,10 @@ class CollabState:
 
 
 def align(msg: RemoteTrackMsg, t_now: float, q: float,
-          staleness: float = DEFAULT_STALENESS) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The message's remote track ids, and their (k, 6) means and (k, 6, 6)
-    covariances predicted to ``t_now`` and mapped into the world frame the
-    receiver tracks in.
+          staleness: float = DEFAULT_STALENESS) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 6) means and (k, 6, 6) covariances of the message's tracks,
+    predicted to ``t_now`` and mapped into the world frame the receiver
+    tracks in.
 
     The tracks are CV-predicted in the sender frame with the same process
     noise the trackers use, in one stacked ``kalman_predict``, then mapped
@@ -133,16 +137,14 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float,
         raise CollabError(f"message from the future: {age:+.3f} s")
     if age > staleness:
         raise StaleMessage(f"message age {age:.3f} s exceeds bound {staleness:.3f} s")
-    ids = [rid for rid, _, _ in msg.tracks]
-    means = np.array([mean for _, mean, _ in msg.tracks], dtype=float).reshape(-1, 6)
-    covs = np.array([cov for _, _, cov in msg.tracks], dtype=float).reshape(-1, 6, 6)
+    tracks = msg.tracks
     # NaN passes the symmetry check and would reach the CI checks
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    finite = np.isfinite(tracks.means).all(axis=1) & np.isfinite(tracks.covs).all(axis=(1, 2))
     if not finite.all():
-        raise CollabError(f"remote track {ids[int(np.argmin(finite))]} is not finite")
-    check_symmetric(covs)
-    means, covs = kalman_predict(means, covs, max(age, 0.0), q)
-    return (ids, *transform_gaussian(msg.sender_pose, means, covs))
+        raise CollabError(f"remote track {tracks.ids[int(np.argmin(finite))]} is not finite")
+    check_symmetric(tracks.covs)
+    means, covs = kalman_predict(tracks.means, tracks.covs, max(age, 0.0), q)
+    return transform_gaussian(msg.sender_pose, means, covs)
 
 
 def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray,
@@ -371,7 +373,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     for msg in msgs:
         state.received += 1
         try:
-            ids, means_r, covs_r = align(msg, t_now, cfg.q, staleness)
+            means_r, covs_r = align(msg, t_now, cfg.q, staleness)
         except StaleMessage:
             state.stale += 1
             continue
@@ -389,7 +391,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             tracks = tracks.sighted([rows[n] for n in fused], means, covs, cfg.confirm_m)
             done.update(cols[n] for n in fused)
             state.fused += len(fused)
-        fresh = [j for j in range(len(ids)) if j not in done]
+        fresh = [j for j in range(len(msg.tracks)) if j not in done]
         born = [fresh[n] for n in _spawning(tracks, means_r[fresh], covs_r[fresh], gamma, state)]
         if born:
             tracks = tracks.then(spawn(tracker.next_id, means_r[born], symmetrize(covs_r[born]),

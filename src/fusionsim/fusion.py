@@ -47,8 +47,6 @@ from .sensing import SensorNoiseConfig
 PAIR_COST_GATE = 0.5
 RADAR_ONLY_COV_SCALE = 4.0
 
-SOURCE_FUSED = "camera+radar"
-
 # Component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
 _NEXT = [1, 2, 0]
 _PREV = [2, 0, 1]

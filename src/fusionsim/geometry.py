@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bus import payload_array
+
 # Symmetry tolerance for covariance inputs.  Long simulations accumulate
 # float drift; this must not abort them.
 SYMMETRY_TOL = 1e-6
@@ -95,7 +97,10 @@ class Pose:
 
     @staticmethod
     def from_payload(d: dict) -> "Pose":
-        return Pose(np.array(d["rotation"]), np.array(d["translation"]))
+        """The pose of a ``to_payload`` dict: a (3, 3) rotation and a (3,)
+        translation of numbers, exactly (see ``bus.payload_array``)."""
+        return Pose(payload_array(d["rotation"], (3, 3)),
+                    payload_array(d["translation"], (3,)))
 
 
 _IDENTITY = Pose._trusted(np.eye(3), np.zeros(3))

@@ -1,9 +1,13 @@
 """Edge offloading: broker, emulated workers, delayed-result integration.
 
 The ego submits compute-heavy perception tasks to edge workers and gets
-results back later.  Results are folded into the tracker by rollback and
-replay against the tracker's keyed batch history, which reproduces
-in-order processing exactly for any delay inside the snapshot horizon.
+results back later.  A task (``TaskRequest``) names the ground-truth
+objects in view of the ego's camera rig and the rig's pose, and its
+result (``TaskResult``) is one stack of detections in the tracking frame;
+the bus carries both as exactly these fields (see ``bus``).  Results are
+folded into the tracker by rollback and replay against the tracker's
+keyed batch history, which reproduces in-order processing exactly for
+any delay inside the snapshot horizon.
 The worker itself is an emulation: a configurable latency plus a
 high-accuracy sensor profile over ground truth standing in for stereo
 depth inference.
@@ -17,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import payload_array, payload_field
-from .fusion import SOURCE_FUSED, Detections, radar_measurement_cov
+from .bus import payload_array, payload_field, payload_ints
+from .fusion import Detections, radar_measurement_cov
 from .geometry import Pose, inverse
 from .sensing import SensorNoiseConfig, in_range, perturb_polar
 from .tracker import LANE_EDGE, Tracker
@@ -30,7 +34,6 @@ DEFAULT_TIMEOUT = 1.0
 DEFAULT_QUEUE_BOUND = 16
 DEFAULT_HEARTBEAT = 0.5
 HEARTBEAT_MISSES = 3
-EDGE_SCORE = 0.9
 
 QUEUED = "queued"
 
@@ -41,21 +44,23 @@ class OffloadError(Exception):
 
 @dataclass(frozen=True)
 class TaskRequest:
+    """A perception task: the ground-truth ids in view of the ego camera
+    rig at ``frame_time``, and the rig's pose in the tracking frame."""
+
     task_id: int
-    kind: str
     frame_time: float
-    payload: bytes = b""
+    visible_ids: tuple[int, ...]
+    rig_pose: Pose
 
     def to_payload(self) -> dict:
-        return {"task_id": self.task_id, "kind": self.kind,
-                "frame_time": self.frame_time,
-                "payload_hex": self.payload.hex()}
+        return {"task_id": self.task_id, "frame_time": self.frame_time,
+                "visible_ids": list(self.visible_ids), "rig_pose": self.rig_pose.to_payload()}
 
     @staticmethod
     def from_payload(d: dict) -> "TaskRequest":
-        return TaskRequest(payload_field(d, "task_id", int), payload_field(d, "kind", str),
-                           payload_field(d, "frame_time", float),
-                           bytes.fromhex(payload_field(d, "payload_hex", str)))
+        return TaskRequest(payload_field(d, "task_id", int), payload_field(d, "frame_time", float),
+                           tuple(payload_ints(d, "visible_ids")),
+                           Pose.from_payload(d["rig_pose"]))
 
 
 @dataclass(frozen=True)
@@ -64,32 +69,22 @@ class TaskResult:
     status: str
     frame_time: float
     detections: Detections      # in the tracking frame
-    compute_latency: float
 
     def to_payload(self) -> dict:
-        """The wire form: each detection also carries the fields a
-        detection record has always had on the wire (zero radial speed,
-        the fused source, the edge score and the frame time)."""
         return {"task_id": self.task_id, "status": self.status,
                 "frame_time": self.frame_time,
-                "detections": [{"position": pos, "radial_speed": 0.0, "cov": cov,
-                                "source": SOURCE_FUSED, "score": EDGE_SCORE,
-                                "timestamp": self.frame_time}
-                               for pos, cov in zip(self.detections.positions.tolist(),
-                                                   self.detections.covs.tolist())],
-                "compute_latency": self.compute_latency}
+                "positions": self.detections.positions.tolist(),
+                "covs": self.detections.covs.tolist()}
 
     @staticmethod
     def from_payload(d: dict) -> "TaskResult":
-        dets = payload_field(d, "detections", list)
-        positions = np.array([payload_array(x["position"], (3,)) for x in dets]).reshape(-1, 3)
-        covs = np.array([payload_array(x["cov"], (3, 3)) for x in dets]).reshape(-1, 3, 3)
+        n = len(payload_field(d, "positions", list))
+        positions = payload_array(d["positions"], (n, 3))
+        covs = payload_array(d["covs"], (n, 3, 3))
         if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
             raise ValueError("edge detections must be finite")
-        detections = Detections(positions, covs)
         return TaskResult(payload_field(d, "task_id", int), payload_field(d, "status", str),
-                          payload_field(d, "frame_time", float), detections,
-                          payload_field(d, "compute_latency", float))
+                          payload_field(d, "frame_time", float), Detections(positions, covs))
 
 
 @dataclass
@@ -149,30 +144,32 @@ class WorkerConfig:
             raise OffloadError("p_fail must be in [0, 1]")
 
 
-def emulate_worker(req: TaskRequest, positions: np.ndarray, sensor_pose: Pose,
-                   cfg: WorkerConfig, rng: np.random.Generator) -> TaskResult:
-    """High-accuracy detections of the ground-truth objects at the ``(n, 3)``
-    world ``positions``, after a simulated compute.
+def emulate_worker(req: TaskRequest, positions: np.ndarray, cfg: WorkerConfig,
+                   rng: np.random.Generator) -> tuple[float, TaskResult]:
+    """The simulated compute latency and the result: high-accuracy
+    detections of the ground-truth objects at the ``(n, 3)`` world
+    ``positions``.
 
     Draw order: one uniform for the latency, one for failure, then per
     object in range one detect uniform and, if detected, three polar
-    noise normals.  Detections come back in the parent frame of
-    ``sensor_pose`` (the caller passes the emulated rig's pose in the
-    tracking frame).  Body-frame positions and ranges, and the output
-    positions and covariances, are each one stacked computation.
+    noise normals.  Detections come back in the parent frame of the
+    request's ``rig_pose``, the tracking frame.  Body-frame positions and
+    ranges, and the output positions and covariances, are each one
+    stacked computation.
     """
     latency = rng.uniform(cfg.lat_min, cfg.lat_max)
     if rng.uniform() < cfg.p_fail:
-        return TaskResult(req.task_id, STATUS_FAILED, req.frame_time,
-                          Detections(np.empty((0, 3)), np.empty((0, 3, 3))), latency)
+        return latency, TaskResult(req.task_id, STATUS_FAILED, req.frame_time,
+                                   Detections(np.empty((0, 3)), np.empty((0, 3, 3))))
     prof = cfg.profile
-    _, p_body, ranges = in_range(inverse(sensor_pose), positions, prof.max_range)
+    _, p_body, ranges = in_range(inverse(req.rig_pose), positions, prof.max_range)
     measured = [perturb_polar(p, r_true, prof, rng)
                 for p, r_true in zip(p_body.tolist(), ranges.tolist())
                 if rng.uniform() < prof.p_detect]
     pos_body = np.array(measured).reshape(-1, 3)
-    detections = Detections(pos_body, radar_measurement_cov(pos_body, prof)).to_parent(sensor_pose)
-    return TaskResult(req.task_id, STATUS_OK, req.frame_time, detections, latency)
+    detections = Detections(pos_body, radar_measurement_cov(pos_body, prof))
+    return latency, TaskResult(req.task_id, STATUS_OK, req.frame_time,
+                               detections.to_parent(req.rig_pose))
 
 
 @dataclass

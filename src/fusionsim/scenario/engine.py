@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import __version__, bus
 from ..bus import BusFrame, canonical_dumps, canonical_loads, link_key
-from ..collab import CollabState, RemoteTrackMsg, covi_step
+from ..collab import CollabState, RemoteTrackMsg, RemoteTracks, covi_step
 from ..fusion import Association, frustum_associate, synthesize
 from ..geometry import (
     OPTICAL_FROM_BODY,
@@ -170,6 +170,11 @@ class Engine:
     is serialised until ``RunReport`` is asked for bytes.  A replay run
     records no replay lines.  A replay run refuses, when it is built, a
     replay that gives a scenario sensor another type.
+
+    Agents talk over the bus (see ``bus`` for each type's payload): in
+    ``cr-covi`` sensor agents broadcast TRACKS; in ``cr-dist`` the ego
+    sends TASK_REQ frames to edge workers, which answer with TASK_RESP and
+    send empty HEARTBEATs.
     """
 
     def __init__(self, scenario: Scenario, replay=None):
@@ -260,13 +265,9 @@ class Engine:
             hb = sc.pipeline.heartbeat_interval
             n = int(np.floor(sc.duration / hb + 1e-9))
             for wid in sorted(self.workers):
-                src = self.workers[wid]
                 for k in range(n + 1):
-                    t = k * hb
-                    frame = BusFrame(bus.MSG_HEARTBEAT, int(round(t * 1e9)),
-                                     f"hb/{wid}",
-                                     canonical_dumps({"worker_id": wid, "t": t}))
-                    self._send(src, self.ego_id, frame, t)
+                    self._send(self.workers[wid], self.ego_id, k * hb, bus.MSG_HEARTBEAT,
+                               f"hb/{wid}")
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -291,7 +292,9 @@ class Engine:
             poses[rt.spec.id] = rt.spec.trajectory.pose(t)
         return poses[rt.spec.id]
 
-    def _send(self, src: str, dst: str, frame: BusFrame, t: float) -> None:
+    def _send(self, src: str, dst: str, t: float, msg_type: int, topic: str,
+              payload: bytes = b"") -> None:
+        frame = BusFrame(msg_type, int(round(t * 1e9)), topic, payload)
         data = bus.encode(frame)
         link = link_key(src, dst)
         at = bus.deliver(self.net, link, t, frame, self._link_rng(link))
@@ -378,48 +381,37 @@ class Engine:
         if rt.last_broadcast is not None and t - rt.last_broadcast < period - 1e-9:
             return
         rt.last_broadcast = t
-        world_from_agent = agent_pose
         confirmed = rt.tracker.confirmed()
-        tracks = []
-        if len(confirmed):
-            means, covs = transform_gaussian(inverse(world_from_agent), confirmed.means,
-                                             symmetrize(confirmed.covs))
-            tracks = list(zip(confirmed.ids.tolist(), means, covs))
-        msg = RemoteTrackMsg(rt.spec.id, world_from_agent, t, tracks)
-        payload = canonical_dumps(msg.to_payload())
-        frame = BusFrame(bus.MSG_TRACKS, int(round(t * 1e9)),
-                         f"tracks/{rt.spec.id}", payload)
+        means, covs = transform_gaussian(inverse(agent_pose), confirmed.means,
+                                         symmetrize(confirmed.covs))
+        tracks = RemoteTracks(tuple(confirmed.ids.tolist()), means, covs)
+        payload = canonical_dumps(RemoteTrackMsg(agent_pose, t, tracks).to_payload())
         for other in sorted(self.agents):
             if other != rt.spec.id:
-                self._send(rt.spec.id, other, frame, t)
+                self._send(rt.spec.id, other, t, bus.MSG_TRACKS, f"tracks/{rt.spec.id}", payload)
 
     def _submit_task(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
         cam = rt.cam_spec
         rig_pose = agent_pose.compose(cam.mount)
         visible = sorted(visible_object_ids(cam.intrinsics, rig_pose, self._truth(t)))
-        inner = {"visible_ids": visible, "rig_pose": rig_pose.to_payload()}
-        req = TaskRequest(next(self.task_counter), self.sc.pipeline.task_kind, t,
-                          canonical_dumps(inner))
+        req = TaskRequest(next(self.task_counter), t, tuple(visible), rig_pose)
         wid = self.broker.submit(req, t)
         if wid is not None:
             self._send_task_req(req, wid, t)
 
     def _send_task_req(self, req: TaskRequest, wid: str, t: float) -> None:
-        frame = BusFrame(bus.MSG_TASK_REQ, int(round(t * 1e9)), f"tasks/{wid}",
-                         canonical_dumps(req.to_payload()))
-        self._send(self.ego_id, self.workers[wid], frame, t)
+        self._send(self.ego_id, self.workers[wid], t, bus.MSG_TASK_REQ, f"tasks/{wid}",
+                   canonical_dumps(req.to_payload()))
 
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
         """Handle one frame off the bus: parse its payload, then act on it.
-        A malformed frame (undecodable, a payload its parser rejects, or a
-        frame naming a worker this engine does not run) is counted under
-        ``malformed`` and skipped; the key is reported only once it is
-        non-zero."""
+        A malformed frame (not exactly one frame, a payload its parser
+        rejects, or a topic naming no worker this engine runs) is counted
+        under ``malformed`` and skipped; the key is reported only once it
+        is non-zero."""
         self.bus_counts["delivered"] += 1
         try:
-            frame, _ = bus.decode(data)
-            if frame.msg_type not in _DELIVERY:
-                return
+            frame = bus.decode(data)
             parse, act = _DELIVERY[frame.msg_type]
             args = parse(self, frame)
         except _MALFORMED:
@@ -434,30 +426,28 @@ class Engine:
         # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
         self.agents[dst].msg_queue.append(msg)
 
-    def _worker(self, wid: str) -> str:
-        """``wid`` if this engine runs that edge worker; LookupError if not
-        (only a ``cr-dist`` engine runs any)."""
-        if wid not in self.workers:
-            raise LookupError(f"no worker {wid!r}")
+    def _worker(self, topic: str, prefix: str) -> str:
+        """The worker ``topic`` names after ``prefix``, if this engine runs
+        it; LookupError if not (only a ``cr-dist`` engine runs any)."""
+        wid = topic[len(prefix):]
+        if not topic.startswith(prefix) or wid not in self.workers:
+            raise LookupError(f"topic {topic!r} names no worker")
         return wid
 
-    def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest, set, Pose]:
-        wid = self._worker(frame.topic.split("tasks/", 1)[1])
-        req = TaskRequest.from_payload(canonical_loads(frame.payload))
-        inner = canonical_loads(req.payload)
-        return wid, req, set(inner["visible_ids"]), Pose.from_payload(inner["rig_pose"])
+    def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest]:
+        return (self._worker(frame.topic, "tasks/"),
+                TaskRequest.from_payload(canonical_loads(frame.payload)))
 
-    def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest,
-                     visible: set, rig_pose: Pose) -> None:
+    def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest) -> None:
         truth = self._truth(req.frame_time)
-        rows = [i for i, oid in enumerate(truth.ids) if oid in visible]
-        result = emulate_worker(req, truth.positions[rows], rig_pose, self.sc.pipeline.worker,
-                                self.worker_rngs[wid])
-        self._push(t + result.compute_latency, KIND_TASK, (wid, result))
+        rows = [i for i, oid in enumerate(truth.ids) if oid in req.visible_ids]
+        latency, result = emulate_worker(req, truth.positions[rows], self.sc.pipeline.worker,
+                                         self.worker_rngs[wid])
+        self._push(t + latency, KIND_TASK, (wid, result))
 
     def _parse_task_resp(self, frame: BusFrame) -> tuple[TaskResult]:
-        parts = frame.topic.rsplit("/", 2)
-        self._worker(f"{parts[-2]}/{parts[-1]}")  # a result from no worker of ours is malformed
+        # a result from no worker of ours is malformed
+        self._worker(frame.topic, f"results/{self.ego_id}/")
         return (TaskResult.from_payload(canonical_loads(frame.payload)),)
 
     def _on_task_resp(self, t: float, dst: str, result: TaskResult) -> None:
@@ -467,7 +457,9 @@ class Engine:
             self._send_task_req(req, target, t)
 
     def _parse_heartbeat(self, frame: BusFrame) -> tuple[str]:
-        return (self._worker(canonical_loads(frame.payload)["worker_id"]),)
+        if frame.payload:
+            raise ValueError("a heartbeat's payload is empty")
+        return (self._worker(frame.topic, "hb/"),)
 
     def _on_heartbeat(self, t: float, dst: str, wid: str) -> None:
         # the parser admits only this engine's workers, so this is cr-dist,
@@ -476,10 +468,8 @@ class Engine:
             self._send_task_req(req, target, t)
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
-        frame = BusFrame(bus.MSG_TASK_RESP, int(round(t * 1e9)),
-                         f"results/{self.ego_id}/{wid}",
-                         canonical_dumps(result.to_payload()))
-        self._send(self.workers[wid], self.ego_id, frame, t)
+        self._send(self.workers[wid], self.ego_id, t, bus.MSG_TASK_RESP,
+                   f"results/{self.ego_id}/{wid}", canonical_dumps(result.to_payload()))
 
     def on_metric(self, t: float) -> None:
         if self.replay is None:

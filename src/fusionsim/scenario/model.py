@@ -291,7 +291,6 @@ class PipelineConfig:
     mode: str = "cr"
     broadcast_hz: float = 5.0
     staleness: float = 1.0
-    task_kind: str = "stereo-depth"
     timeout: float = DEFAULT_TIMEOUT
     queue_bound: int = DEFAULT_QUEUE_BOUND
     heartbeat_interval: float = DEFAULT_HEARTBEAT
@@ -307,7 +306,6 @@ class PipelineConfig:
             worker = asdict(self.worker)
             worker["profile"] = {k: worker["profile"][k] for k in WORKER_PROFILE_KEYS}
             out.update({
-                "task_kind": self.task_kind,
                 "timeout": self.timeout,
                 "queue_bound": self.queue_bound,
                 "heartbeat_interval": self.heartbeat_interval,

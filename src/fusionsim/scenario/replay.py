@@ -134,7 +134,7 @@ def _truth(entries, lineno: int) -> Truth:
     except _FIELD_ERRORS as e:
         raise ReplayError(f"bad truth entry: {e}", lineno)
     try:
-        stacked = payload_array(vectors, (len(ids), 3, 3)) if ids else np.empty((0, 3, 3))
+        stacked = payload_array(vectors, (len(ids), 3, 3))
     except ValueError:
         raise ReplayError("every truth object needs a position, a velocity and an "
                           "extent of 3 numbers each", lineno)
@@ -176,7 +176,7 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
     except _FIELD_ERRORS as e:
         raise ReplayError(f"bad detection entry: {e}", lineno)
     try:
-        array = payload_array(rows, (len(rows), 5)) if rows else np.empty((0, 5))
+        array = payload_array(rows, (len(rows), 5))
     except ValueError:
         raise ReplayError(f"every {stype} detection needs {_ROW_FIELDS[stype]}", lineno)
     # A line holds a few rows, and comparing Python floats costs less than

@@ -9,6 +9,7 @@ from fusionsim.collab import (
     CiPairs,
     CollabState,
     RemoteTrackMsg,
+    RemoteTracks,
     StaleMessage,
     align,
     ci_fuse,
@@ -47,8 +48,12 @@ def local_tracks(positions, cov=np.eye(6)):
     return spawn(1, means, np.tile(cov, (len(means), 1, 1)), 0.0, TrackerConfig())
 
 
-def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
-    return RemoteTrackMsg(sender, pose or Pose.identity(), timestamp, tracks)
+def msg(tracks, timestamp=0.0, pose=None):
+    """A message of (remote id, mean, cov) tracks, stacked."""
+    stack = RemoteTracks(tuple(rid for rid, _, _ in tracks),
+                         np.array([mean for _, mean, _ in tracks], dtype=float).reshape(-1, 6),
+                         np.array([cov for _, _, cov in tracks], dtype=float).reshape(-1, 6, 6))
+    return RemoteTrackMsg(pose or Pose.identity(), timestamp, stack)
 
 
 def fused_trace(pa, pb, w):
@@ -89,18 +94,27 @@ def grid_scan_omega(pa, pb, step=1e-3):
 class TestPayload:
     def payload(self):
         mean, cov = np.arange(6.0), np.eye(6)
-        return msg([(7, mean, cov)], timestamp=0.5).to_payload()
+        return msg([(7, mean, cov), (9, -mean, 2.0 * cov)], timestamp=0.5).to_payload()
 
     def test_round_trip(self):
+        assert sorted(self.payload()) == ["covs", "ids", "means", "sender_pose", "timestamp"]
         back = RemoteTrackMsg.from_payload(self.payload())
-        assert (back.sender_id, back.timestamp) == ("rsu1", 0.5)
-        [(rid, mean, cov)] = back.tracks
-        assert rid == 7
-        assert np.array_equal(mean, np.arange(6.0)) and np.array_equal(cov, np.eye(6))
+        assert back.timestamp == 0.5 and back.tracks.ids == (7, 9) and len(back.tracks) == 2
+        assert np.array_equal(back.tracks.means, [np.arange(6.0), -np.arange(6.0)])
+        assert np.array_equal(back.tracks.covs, [np.eye(6), 2.0 * np.eye(6)])
+
+    def test_empty_message_is_a_stack_of_zero_rows(self):
+        d = msg([]).to_payload()
+        assert (d["ids"], d["means"], d["covs"]) == ([], [], [])
+        back = RemoteTrackMsg.from_payload(d)
+        assert back.tracks.means.shape == (0, 6) and back.tracks.covs.shape == (0, 6, 6)
 
     @pytest.mark.parametrize("field,value", [
-        ("sender_id", 3), ("timestamp", "0.5"), ("timestamp", float("nan")),
-        ("timestamp", True), ("tracks", {}),
+        ("timestamp", "0.5"), ("timestamp", float("nan")), ("timestamp", True),
+        ("ids", {}), ("ids", [7]), ("ids", [7, 9, 11]), ("means", [0.0] * 12),
+        ("means", [[0.0] * 6]), ("covs", [np.eye(6).tolist()]),
+        ("sender_pose", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1, 2, 3]}),
+        ("sender_pose", {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}),
     ])
     def test_bad_field_raises(self, field, value):
         d = self.payload()
@@ -110,31 +124,32 @@ class TestPayload:
 
     @pytest.mark.parametrize("field,value", [
         ("remote_id", "7"), ("mean", [0.0] * 5), ("mean", ["a"] * 6), ("cov", [[1.0] * 6] * 5),
+        ("remote_id", True), ("remote_id", 2.5),
     ])
     def test_bad_track_raises(self, field, value):
+        # one track's row of the stacks
         d = self.payload()
-        d["tracks"][0][field] = value
+        d[{"remote_id": "ids", "mean": "means", "cov": "covs"}[field]][0] = value
         with pytest.raises(ValueError):
             RemoteTrackMsg.from_payload(d)
 
     def test_non_finite_track_is_left_to_align(self):
         # covi_step counts such a message as rejected rather than malformed
         d = self.payload()
-        d["tracks"][0]["mean"][0] = float("nan")
-        assert np.isnan(RemoteTrackMsg.from_payload(d).tracks[0][1][0])
+        d["means"][0][0] = float("nan")
+        assert np.isnan(RemoteTrackMsg.from_payload(d).tracks.means[0, 0])
 
 
 class TestAlign:
     def test_identity_alignment(self):
         cov = np.eye(6)
-        ids, means, covs = align(msg([(7, np.arange(6.0), cov)]), 0.0, q=1.0)
-        assert ids == [7]
+        means, covs = align(msg([(7, np.arange(6.0), cov)]), 0.0, q=1.0)
         assert np.allclose(means[0], np.arange(6.0), atol=1e-12)
         assert np.allclose(covs[0], cov, atol=1e-12)
 
     def test_cv_extrapolation(self):
         mean = np.array([0.0, 0, 0, 1, 0, 0])
-        _, means, _ = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 2.0, q=1.0, staleness=5.0)
+        means, _ = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 2.0, q=1.0, staleness=5.0)
         assert np.allclose(means[0][:3], [2, 0, 0], atol=1e-12)
 
     def test_stale_message(self):
@@ -144,7 +159,7 @@ class TestAlign:
     def test_frame_mapping(self):
         # sender 10 m east of the world origin the receiver tracks in
         sender_pose = Pose(np.eye(3), [10.0, 0.0, 0.0])
-        _, means, _ = align(msg([(1, np.zeros(6), np.eye(6))], pose=sender_pose), 0.0, q=1.0)
+        means, _ = align(msg([(1, np.zeros(6), np.eye(6))], pose=sender_pose), 0.0, q=1.0)
         assert np.allclose(means[0][:3], [10, 0, 0], atol=1e-12)
 
 

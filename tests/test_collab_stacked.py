@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from fusionsim.collab import (
     CollabState,
     RemoteTrackMsg,
+    RemoteTracks,
     _spawning,
     _trace_minimum,
     align,
@@ -52,9 +53,9 @@ def ref_transform_gaussian(pose, mean, cov):
 
 def ref_align(msg, t_now, q):
     out = []
-    for rid, mean, cov in msg.tracks:
+    for mean, cov in zip(msg.tracks.means, msg.tracks.covs):
         mean_p, cov_p = kalman_predict(mean, cov, max(t_now - msg.timestamp, 0.0), q)
-        out.append((rid, *ref_transform_gaussian(msg.sender_pose, mean_p, cov_p)))
+        out.append(ref_transform_gaussian(msg.sender_pose, mean_p, cov_p))
     return out
 
 
@@ -163,15 +164,15 @@ def ci_pair(rng, kind, dim):
 @example(seed=0, n=0, age=0.0)
 def test_align_matches_per_track_reference(seed, n, age):
     rng = np.random.default_rng(seed)
-    tracks = [(int(rng.integers(1, 1000)), rng.normal(0.0, 30.0, 6), random_psd(rng, 6))
-              for _ in range(n)]
-    msg = RemoteTrackMsg("rsu1", random_pose(rng), 5.0, tracks)
+    tracks = RemoteTracks(tuple(rng.integers(1, 1000, n).tolist()),
+                          rng.normal(0.0, 30.0, (n, 6)),
+                          np.array([random_psd(rng, 6) for _ in range(n)]).reshape(n, 6, 6))
+    msg = RemoteTrackMsg(random_pose(rng), 5.0, tracks)
     q = float(rng.uniform(0.1, 3.0))
-    ids, means, covs = align(msg, 5.0 + age, q)
+    means, covs = align(msg, 5.0 + age, q)
     ref = ref_align(msg, 5.0 + age, q)
-    assert ids == [rid for rid, _, _ in ref]
     assert means.shape == (n, 6) and covs.shape == (n, 6, 6)
-    for (_, mean, cov), m, c in zip(ref, means, covs):
+    for (mean, cov), m, c in zip(ref, means, covs):
         assert np.array_equal(mean, m) and np.array_equal(cov, c)
 
 

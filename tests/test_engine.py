@@ -18,9 +18,9 @@
   time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
   collab functions the benchmark hooks by name;
-* malformed frames: a frame that does not decode or parse, or names a
-  worker the run does not have, is counted and skipped, and the run goes
-  on;
+* malformed frames: a delivery that is not exactly one frame, a frame
+  that does not parse, or one whose topic names no worker the run has, is
+  counted and skipped, and the run goes on;
 * golden outputs: each case's outputs hash to the recorded digests.
 """
 
@@ -34,7 +34,7 @@ from fusionsim import bus, collab, offload
 from fusionsim.geometry import Pose
 from fusionsim.offload import QUEUED, STATUS_OK, dispatch
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
-from fusionsim.scenario.engine import KIND_DELIVER, Engine
+from fusionsim.scenario.engine import _DELIVERY, KIND_DELIVER, Engine
 from fusionsim.scenario.replay import ReplayError
 
 # (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
@@ -272,37 +272,90 @@ def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     assert sum(c["fused"] for c in collab.values()) > 0
 
 
-def _task_req(now_ns, topic, frame_time):
-    """A TASK_REQ frame on ``topic`` whose payload is complete and decodes."""
-    inner = {"visible_ids": [], "rig_pose": Pose.identity().to_payload()}
-    req = {"task_id": 500, "kind": "stereo-depth", "frame_time": frame_time,
-           "payload_hex": bus.canonical_dumps(inner).hex()}
-    return bus.encode(bus.BusFrame(bus.MSG_TASK_REQ, now_ns, topic, bus.canonical_dumps(req)))
+# A pose whose rotation is a flat list, and one whose translation is
+# numeric strings: ``Pose.from_payload`` refuses both.
+FLAT_ROTATION = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1.0, 2.0, 3.0]}
+STRING_TRANSLATION = {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}
+
+
+def _frame(now_ns, msg_type, topic, payload: dict | bytes = b"") -> bytes:
+    if isinstance(payload, dict):
+        payload = bus.canonical_dumps(payload)
+    return bus.encode(bus.BusFrame(msg_type, now_ns, topic, payload))
+
+
+def _tracks(now_ns, **fields):
+    """A TRACKS frame with two remote tracks, ``fields`` replaced."""
+    payload = {"sender_pose": Pose.identity().to_payload(), "timestamp": 0.4, "ids": [1, 2],
+               "means": [[30.0, 0, 0, 0, 0, 0]] * 2, "covs": [np.eye(6).tolist()] * 2}
+    return _frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1", {**payload, **fields})
+
+
+def _task_req(now_ns, topic, **fields):
+    """A TASK_REQ frame on ``topic``, ``fields`` replaced."""
+    payload = {"task_id": 500, "frame_time": 0.5, "visible_ids": [1],
+               "rig_pose": Pose.identity().to_payload()}
+    return _frame(now_ns, bus.MSG_TASK_REQ, topic, {**payload, **fields})
+
+
+def _task_resp(now_ns, topic, **fields):
+    """A TASK_RESP frame with one detection on ``topic``, ``fields`` replaced."""
+    payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5, "positions": [[10.0, 0, 0]],
+               "covs": [np.eye(3).tolist()]}
+    return _frame(now_ns, bus.MSG_TASK_RESP, topic, {**payload, **fields})
+
+
+def _accepted_frames(now_ns):
+    """One frame of each message type that a ``cr-dist`` engine parses."""
+    return [_tracks(now_ns), _task_req(now_ns, "tasks/edge1/w0"),
+            _task_resp(now_ns, "results/ego/edge1/w0"),
+            _frame(now_ns, bus.MSG_HEARTBEAT, "hb/edge1/w0")]
 
 
 def _malformed_frames(now_ns):
-    """A truncated frame, a garbage-JSON frame and a frame whose JSON lacks
-    every field, of each message type a handler takes; then well-formed
-    frames that name no worker of the run (a task request, a heartbeat
-    and a task result), and a task request whose ``frame_time`` is a
-    string."""
+    """Malformed frames of each message type a handler takes: truncated,
+    garbage JSON, JSON that lacks every field (for a heartbeat, both are a
+    payload where none belongs), and an accepted frame with bytes after
+    it; then well-formed frames whose topic names no worker of the run (a
+    task request, two heartbeats and a task result); then one frame per
+    refused field: a task request whose ``frame_time`` is a string or
+    whose ``visible_ids`` holds a float, a remote track message whose id
+    count differs from its row count or whose ids hold a bool or 2.5, a
+    task result whose positions and covariances differ in row count, and
+    a remote track message and a task request whose pose has a flat
+    rotation or a translation of strings."""
     frames = []
-    for msg_type, topic in ((bus.MSG_TRACKS, "tracks/rsu1"), (bus.MSG_TASK_REQ, "tasks/edge/0"),
-                            (bus.MSG_TASK_RESP, "results/ego/edge/0"),
-                            (bus.MSG_HEARTBEAT, "heartbeat/edge/0")):
-        good = bus.encode(bus.BusFrame(msg_type, now_ns, topic, b'{"worker_id":"edge/0"}'))
+    for good in _accepted_frames(now_ns):
+        frame = bus.decode(good)
         frames.append(good[:-5])
-        frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b'{"tracks": [1,')))
-        frames.append(bus.encode(bus.BusFrame(msg_type, now_ns, topic, b"{}")))
-    frames.append(_task_req(now_ns, "tasks/edge1/w9", 0.5))
-    frames.append(bus.encode(bus.BusFrame(bus.MSG_HEARTBEAT, now_ns, "hb/edge1/w9",
-                                          b'{"t":0.5,"worker_id":"edge1/w9"}')))
-    result = {"task_id": 1, "status": "ok", "frame_time": 0.5, "detections": [],
-              "compute_latency": 0.1}
-    frames.append(bus.encode(bus.BusFrame(bus.MSG_TASK_RESP, now_ns, "results/ego/edge1/w9",
-                                          bus.canonical_dumps(result))))
-    frames.append(_task_req(now_ns, "tasks/edge1/w0", "0.5"))
+        frames.append(_frame(now_ns, frame.msg_type, frame.topic, b'{"ids": [1,'))
+        frames.append(_frame(now_ns, frame.msg_type, frame.topic, b"{}"))
+        frames.append(good + good[:3])
+    frames.append(_task_req(now_ns, "tasks/edge1/w9"))
+    frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "hb/edge1/w9"))
+    frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "heartbeat/edge1/w0"))
+    frames.append(_task_resp(now_ns, "results/ego/edge1/w9"))
+    frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time="0.5"))
+    frames.append(_task_req(now_ns, "tasks/edge1/w0", visible_ids=[1, 2.0]))
+    frames.append(_tracks(now_ns, ids=[1]))
+    frames.append(_tracks(now_ns, ids=[1, True]))
+    frames.append(_tracks(now_ns, ids=[1, 2.5]))
+    frames.append(_task_resp(now_ns, "results/ego/edge1/w0",
+                             positions=[[10.0, 0, 0], [12.0, 0, 0]]))
+    for pose in (FLAT_ROTATION, STRING_TRANSLATION):
+        frames.append(_tracks(now_ns, sender_pose=pose))
+        frames.append(_task_req(now_ns, "tasks/edge1/w0", rig_pose=pose))
     return frames
+
+
+def test_the_malformed_frames_edit_accepted_ones(scenario_dir):
+    # each refused field is refused by its own check: the frame it edits parses
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist"))
+    for data in _accepted_frames(500_000_000):
+        frame = bus.decode(data)
+        parse, _ = _DELIVERY[frame.msg_type]
+        parse(engine, frame)
 
 
 @pytest.mark.parametrize("mode", ["cr-covi", "cr-dist"])
@@ -317,7 +370,7 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     frames = _malformed_frames(500_000_000)
     dst = sorted(engine.agents)[0]
     for k, data in enumerate(frames):
-        engine._push(0.5 + 0.1 * k, KIND_DELIVER, (dst, data))
+        engine._push(0.5 + 0.05 * k, KIND_DELIVER, (dst, data))
     counts = engine.run().report["counters"]["bus"]
     assert counts["malformed"] == len(frames)
     assert counts["delivered"] == healthy["delivered"] + len(frames)
@@ -334,12 +387,8 @@ def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):
     expected = healthy.run().report["counters"]["offload"]
 
     engine = Engine(sc)
-    result = {"task_id": 999, "status": STATUS_OK, "frame_time": 0.5,
-              "detections": [{"position": [10.0, 0.0, 0.0], "cov": np.eye(3).tolist()}],
-              "compute_latency": 0.1}
-    frame = bus.BusFrame(bus.MSG_TASK_RESP, 500_000_000, "results/ego/edge1/w0",
-                         bus.canonical_dumps(result))
-    engine._push(0.5, KIND_DELIVER, (engine.ego_id, bus.encode(frame)))
+    frame = _task_resp(500_000_000, "results/ego/edge1/w0", task_id=999)
+    engine._push(0.5, KIND_DELIVER, (engine.ego_id, frame))
     report = engine.run().report
     assert "malformed" not in report["counters"]["bus"]
     assert report["counters"]["offload"]["ok_integrated"] == expected["ok_integrated"]

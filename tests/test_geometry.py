@@ -142,6 +142,24 @@ class TestPoseValidation:
         with pytest.raises(GeometryError):
             Pose(r, np.zeros(3))
 
+    def test_payload_round_trips(self):
+        pose = random_pose(np.random.default_rng(3))
+        back = Pose.from_payload(pose.to_payload())
+        assert np.array_equal(back.rotation, pose.rotation)
+        assert np.array_equal(back.translation, pose.translation)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rotation", [1, 0, 0, 0, 1, 0, 0, 0, 1]), ("rotation", np.eye(3)[:2].tolist()),
+        ("rotation", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        ("rotation", [[1, 0, 0], [0, 1], [0, 0, 1]]), ("translation", ["1", "2", "3"]),
+        ("translation", [1.0, 2.0]), ("translation", [[1.0, 2.0, 3.0]]), ("translation", 1.0),
+    ])
+    def test_payload_of_another_shape_or_type_is_refused(self, field, value):
+        # neither reshaped nor converted
+        d = {"rotation": np.eye(3).tolist(), "translation": [1.0, 2.0, 3.0], field: value}
+        with pytest.raises(ValueError):
+            Pose.from_payload(d)
+
     def test_intrinsics_validation(self):
         with pytest.raises(GeometryError):
             CameraIntrinsics(fx=-1, fy=1, cx=10, cy=10, width=100, height=100)

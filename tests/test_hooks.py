@@ -5,11 +5,13 @@ its wrappers read still mean what they count.
 reports a missing one as absent instead of failing, so a rename would
 only show as a silently missing span.  This installs every hook, checks
 that none is absent and undoes them; it runs no engine.  A wrapper also
-reads program values (``len(tracker.tracks)``, ``newest_key``), so a
-change of their meaning would only show as a wrong counter.
+reads program values (``len(tracker.tracks)``, ``newest_key``,
+``len(msg.tracks)``), so a change of their meaning would only show as a
+wrong counter.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +40,31 @@ def test_every_hook_target_exists():
         spans.undo()
 
 
-def test_the_values_the_wrappers_read_keep_their_meaning():
+def test_the_values_the_wrappers_read_keep_their_meaning(scenario_dir, monkeypatch):
     # the step wrapper counts ``len(tracker.tracks) * len(detections)``
-    # pairs, and the batch wrapper tells a rollback by ``newest_key``: a
-    # track batch whose len were not its number of tracks (a NamedTuple's
-    # is its field count) would miscount pairs without failing
+    # pairs, the batch wrapper tells a rollback by ``newest_key``, and the
+    # covi wrapper counts ``len(msg.tracks)`` remote tracks per message: a
+    # batch whose len were not its number of tracks (a NamedTuple's is its
+    # field count) would miscount without failing
+    from fusionsim.fusion import Detections
+    from fusionsim.scenario import apply_overrides, engine, load_scenario
+    from fusionsim.tracker import LANE_EDGE, LANE_LOCAL, Tracker
+
+    remote_ids = []
+    covi_step = engine.covi_step
+
+    def recording(tracker, msgs, *args, **kwargs):
+        remote_ids.extend(len(msg.tracks.ids) for msg in msgs)
+        return covi_step(tracker, msgs, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "covi_step", recording)
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")
     hooks = load_hooks()
     tracer = hooks.Tracer()
     spans = hooks.install_spans(tracer)
     try:
-        from fusionsim.fusion import Detections
-        from fusionsim.tracker import LANE_EDGE, LANE_LOCAL, Tracker
-
         def detections(*xs):
             return Detections(np.array([[x, 0.0, 0.0] for x in xs]).reshape(-1, 3),
                               np.tile(np.eye(3), (len(xs), 1, 1)))
@@ -65,5 +80,9 @@ def test_the_values_the_wrappers_read_keep_their_meaning():
         assert tracer.calls["tracker.rollback"] == 1
         assert tracer.counts["tracker.rollback_steps"] == 2
         assert len(tk.tracks) == len(tk.tracks.ids) == 3
+
+        engine.Engine(sc).run()
+        assert sum(remote_ids) > 0
+        assert tracer.counts["collab.remote_tracks"] == sum(remote_ids)
     finally:
         spans.undo()

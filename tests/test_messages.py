@@ -1,0 +1,95 @@
+"""Every bus message type round-trips through its canonical wire form bit
+for bit: ``from_payload(canonical_loads(canonical_dumps(to_payload())))``
+gives back each field with its type, and each float and array with its
+bits (-0.0, subnormals and integral floats included).  A heartbeat has no
+payload; its worker travels in its topic."""
+
+import json
+import struct
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fusionsim import bus
+from fusionsim.bus import canonical_dumps, canonical_loads
+from fusionsim.collab import RemoteTrackMsg, RemoteTracks
+from fusionsim.fusion import Detections
+from fusionsim.geometry import Pose, rotation_from_rpy_deg
+from fusionsim.offload import TaskRequest, TaskResult
+from fusionsim.scenario import apply_overrides, load_scenario
+from fusionsim.scenario.engine import _DELIVERY, Engine
+
+numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+ids = st.integers(-2**63, 2**63)
+rows = st.integers(0, 4)
+angles = st.floats(-180.0, 180.0)
+
+
+def stack(k, *shape):
+    return arrays(np.float64, (k, *shape), elements=numbers)
+
+
+poses = st.builds(lambda r, p, y, t: Pose(rotation_from_rpy_deg(r, p, y), t),
+                  angles, angles, angles, stack(3))
+
+
+def bits(x):
+    """``x`` as nested tuples that are equal exactly when the values are
+    equal bit for bit, types, dtypes and shapes included."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if is_dataclass(x):
+        return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, tuple):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, float):
+        return "float", struct.pack("<d", x)
+    return type(x).__name__, x
+
+
+def round_trip(message):
+    return type(message).from_payload(canonical_loads(canonical_dumps(message.to_payload())))
+
+
+@st.composite
+def remote_track_msgs(draw):
+    k = draw(rows)
+    tracks = RemoteTracks(tuple(draw(st.lists(ids, min_size=k, max_size=k))),
+                          draw(stack(k, 6)), draw(stack(k, 6, 6)))
+    return RemoteTrackMsg(draw(poses), draw(numbers), tracks)
+
+
+@st.composite
+def task_results(draw):
+    k = draw(rows)
+    return TaskResult(draw(ids), draw(st.text()), draw(numbers),
+                      Detections(draw(stack(k, 3)), draw(stack(k, 3, 3))))
+
+
+task_requests = st.builds(TaskRequest, ids, numbers, st.lists(ids, max_size=4).map(tuple), poses)
+
+
+@pytest.mark.parametrize("messages", [remote_track_msgs(), task_requests, task_results()],
+                         ids=["TRACKS", "TASK_REQ", "TASK_RESP"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_the_payload_round_trips_bit_for_bit(messages, data):
+    message = data.draw(messages)
+    back = round_trip(message)
+    assert bits(back) == bits(message)
+    if isinstance(back, RemoteTrackMsg):
+        assert len(back.tracks) == len(back.tracks.ids) == len(back.tracks.means)
+
+
+def test_a_heartbeat_names_its_worker_in_its_topic(scenario_dir):
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist"))
+    parse, _ = _DELIVERY[bus.MSG_HEARTBEAT]
+    assert engine.workers
+    for wid in engine.workers:
+        frame = bus.decode(bus.encode(bus.BusFrame(bus.MSG_HEARTBEAT, 0, f"hb/{wid}")))
+        assert frame.payload == b"" and parse(engine, frame) == (wid,)

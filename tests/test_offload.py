@@ -11,10 +11,9 @@ from hypothesis.stateful import (
 )
 
 from fusionsim.bus import canonical_dumps, canonical_loads
-from fusionsim.fusion import SOURCE_FUSED, Detections
+from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
 from fusionsim.offload import (
-    EDGE_SCORE,
     Broker,
     PendingTask,
     QUEUED,
@@ -33,8 +32,8 @@ from fusionsim.sensing import SensorNoiseConfig
 from fusionsim.tracker import LANE_LOCAL, Tracker, TrackerConfig
 
 
-def req(task_id, t=0.0):
-    return TaskRequest(task_id, "stereo-depth", t)
+def req(task_id, t=0.0, visible_ids=(), rig_pose=Pose.identity()):
+    return TaskRequest(task_id, t, visible_ids, rig_pose)
 
 
 NO_DETECTIONS = Detections(np.empty((0, 3)), np.empty((0, 3, 3)))
@@ -99,31 +98,29 @@ class TestEmulateWorker:
 
     def test_fixed_latency_ok(self):
         cfg = WorkerConfig(lat_min=0.2, lat_max=0.2, p_fail=0.0)
-        out = emulate_worker(req(1, t=3.0), self.POSITIONS, Pose.identity(), cfg,
-                             np.random.default_rng(0))
+        latency, out = emulate_worker(req(1, t=3.0), self.POSITIONS, cfg,
+                                      np.random.default_rng(0))
         assert out.status == STATUS_OK
-        assert out.compute_latency == pytest.approx(0.2)
+        assert latency == pytest.approx(0.2)
         assert out.frame_time == 3.0
 
     def test_always_fails(self):
         cfg = WorkerConfig(p_fail=1.0)
-        out = emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
-                             np.random.default_rng(0))
+        _, out = emulate_worker(req(1), self.POSITIONS, cfg, np.random.default_rng(0))
         assert out.status == STATUS_FAILED
         assert len(out.detections) == 0
 
     def test_noise_free_profile_exact(self):
         cfg = WorkerConfig(lat_min=0.1, lat_max=0.1,
                            profile=SensorNoiseConfig(p_detect=1.0, max_range=500.0))
-        out = emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
-                             np.random.default_rng(0))
+        _, out = emulate_worker(req(1), self.POSITIONS, cfg, np.random.default_rng(0))
         assert len(out.detections) == 1
         assert np.abs(out.detections.positions[0] - self.POSITIONS[0]).max() < 1e-9
 
     def test_deterministic(self):
         cfg = WorkerConfig()
-        outs = [emulate_worker(req(1), self.POSITIONS, Pose.identity(), cfg,
-                               np.random.default_rng(5)).to_payload() for _ in range(2)]
+        outs = [emulate_worker(req(1), self.POSITIONS, cfg, np.random.default_rng(5))[1]
+                .to_payload() for _ in range(2)]
         assert outs[0] == outs[1]
 
 
@@ -137,7 +134,7 @@ def local_batches(n=20, dt=0.05):
 
 def edge_result(task_id, frame_time, pos):
     return TaskResult(task_id, STATUS_OK, frame_time,
-                      det(pos, var=0.01), 0.0)
+                      det(pos, var=0.01))
 
 
 class TestIntegrate:
@@ -191,26 +188,15 @@ class TestIntegrate:
 
 class TestPayload:
     def test_zero_detection_result_round_trips(self):
-        res = TaskResult(3, STATUS_OK, 0.25, NO_DETECTIONS, 0.1)
+        res = TaskResult(3, STATUS_OK, 0.25, NO_DETECTIONS)
         wire = canonical_dumps(res.to_payload())
+        assert canonical_loads(wire) == {"task_id": 3, "status": STATUS_OK, "frame_time": 0.25,
+                                         "positions": [], "covs": []}
         back = TaskResult.from_payload(canonical_loads(wire))
-        assert (back.task_id, back.status, back.frame_time, back.compute_latency) == \
-            (3, STATUS_OK, 0.25, 0.1)
+        assert (back.task_id, back.status, back.frame_time) == (3, STATUS_OK, 0.25)
         assert back.detections.positions.shape == (0, 3)
         assert back.detections.covs.shape == (0, 3, 3)
         assert canonical_dumps(back.to_payload()) == wire
-
-    def test_detection_records_keep_their_wire_fields(self):
-        cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.04, 0.0], [0.0, 0.0, 0.09]])
-        res = TaskResult(4, STATUS_OK, 1.5, Detections(np.array([[1.0, 2.0, 3.0]]), cov[None]),
-                         0.2)
-        payload = res.to_payload()
-        assert payload["detections"] == [{
-            "position": [1.0, 2.0, 3.0], "radial_speed": 0.0, "cov": cov.tolist(),
-            "source": SOURCE_FUSED, "score": EDGE_SCORE, "timestamp": 1.5}]
-        back = TaskResult.from_payload(canonical_loads(canonical_dumps(payload)))
-        assert np.array_equal(back.detections.positions, res.detections.positions)
-        assert np.array_equal(back.detections.covs, res.detections.covs)
 
     @pytest.mark.parametrize("field,value", [
         ("position", [1.0, 2.0]), ("position", [1.0, 2.0, "3"]), ("position", [[1.0, 2.0, 3.0]]),
@@ -218,33 +204,45 @@ class TestPayload:
         ("cov", [1.0] * 9), ("cov", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
     ])
     def test_bad_detection_raises(self, field, value):
-        det = {"position": [1.0, 2.0, 3.0], "cov": np.eye(3).tolist()}
-        det[field] = value
+        # one detection's row of the stacks
         payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
-                   "detections": [det], "compute_latency": 0.1}
+                   "positions": [[1.0, 2.0, 3.0]], "covs": [np.eye(3).tolist()]}
+        payload[field + "s"] = [value]
+        with pytest.raises(ValueError):
+            TaskResult.from_payload(payload)
+
+    @pytest.mark.parametrize("positions,covs", [
+        ([[1.0, 2.0, 3.0]] * 2, [np.eye(3).tolist()]), ([], [np.eye(3).tolist()]),
+        ([[1.0, 2.0, 3.0]], []), ([1.0, 2.0, 3.0], [np.eye(3).tolist()]),
+    ])
+    def test_stacks_of_another_row_count_raise(self, positions, covs):
+        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
+                   "positions": positions, "covs": covs}
         with pytest.raises(ValueError):
             TaskResult.from_payload(payload)
 
     @pytest.mark.parametrize("field,value", [
         ("task_id", "1"), ("task_id", True), ("task_id", 1.0), ("status", 1),
         ("frame_time", "0.5"), ("frame_time", float("inf")), ("frame_time", None),
-        ("compute_latency", float("nan")), ("detections", {}),
+        ("positions", {}),
     ])
     def test_bad_result_field_raises(self, field, value):
         payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
-                   "detections": [], "compute_latency": 0.1}
+                   "positions": [], "covs": []}
         payload[field] = value
         with pytest.raises(ValueError):
             TaskResult.from_payload(payload)
 
     @pytest.mark.parametrize("field,value", [
-        ("task_id", "1"), ("task_id", False), ("kind", None), ("frame_time", "0.5"),
-        ("frame_time", float("-inf")), ("payload_hex", 7),
+        ("task_id", "1"), ("task_id", False), ("frame_time", "0.5"),
+        ("frame_time", float("-inf")), ("visible_ids", {}), ("visible_ids", [1, True]),
+        ("visible_ids", [2.5]), ("visible_ids", ["2"]),
+        ("rig_pose", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1, 2, 3]}),
+        ("rig_pose", {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}),
     ])
     def test_bad_request_field_raises(self, field, value):
-        payload = TaskRequest(1, "stereo-depth", 0.5, b"{}").to_payload()
-        assert TaskRequest.from_payload(dict(payload)) == TaskRequest(1, "stereo-depth", 0.5,
-                                                                      b"{}")
+        payload = req(1, 0.5, (2, 7)).to_payload()
+        assert TaskRequest.from_payload(dict(payload)).to_payload() == payload
         payload[field] = value
         with pytest.raises(ValueError):
             TaskRequest.from_payload(payload)
@@ -264,7 +262,7 @@ class TestBrokerConservation:
         applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]), tk, 0.0)
         assert applied and len(sends) == 1
         # worker 1 fails its task
-        applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1),
+        applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS),
                                       tk, 0.1)
         assert not applied
         # remaining two pending tasks expire twice on their live workers:
@@ -331,11 +329,11 @@ class TestBrokerConservation:
         broker.pool.workers[1].last_heartbeat = 10.0
         assert reap_timeouts(broker, 10.0) == []
         assert broker.queue == [req(1)] and broker.pending[1].worker_id is None
-        failed = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1)
+        failed = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS)
         assert broker.on_result(failed, tk, 10.1) == (False, [])
         assert broker.queue == [] and list(broker.pending) == [2]
         # freeing w1 finds no queued task left to send
-        failed = TaskResult(2, STATUS_FAILED, 0.0, NO_DETECTIONS, 0.1)
+        failed = TaskResult(2, STATUS_FAILED, 0.0, NO_DETECTIONS)
         assert broker.on_result(failed, tk, 10.2) == (False, [])
         assert broker.counters["failed"] == 2 and broker.pending == {}
         assert broker.conserved()
@@ -348,7 +346,7 @@ class TestBrokerConservation:
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
         broker.submit(req(1, t=0.0), 0.0)
         before = tracker_state(tk)
-        failed = TaskResult(1, STATUS_FAILED, 0.0, det([5.1, 0, 0]), 0.1)
+        failed = TaskResult(1, STATUS_FAILED, 0.0, det([5.1, 0, 0]))
         assert broker.on_result(failed, tk, 0.1) == (False, [])
         assert broker.counters["failed"] == 1 and broker.pending == {}
         assert tracker_state(tk) == before
@@ -516,7 +514,7 @@ class BrokerMachine(RuleBasedStateMachine):
         task_id = pending[k % len(pending)]
         frame_time = self.broker.pending[task_id].req.frame_time
         result = edge_result(task_id, frame_time, [5.0, 0.0, 0.0]) if ok else \
-            TaskResult(task_id, STATUS_FAILED, frame_time, NO_DETECTIONS, 0.1)
+            TaskResult(task_id, STATUS_FAILED, frame_time, NO_DETECTIONS)
         self.sent(self.broker.on_result(result, self.tracker, self.now)[1])
         assert task_id not in self.broker.pending
 

@@ -46,6 +46,7 @@ UNKNOWN_KEY_PATHS = {
     "network.links": ("network", "links", "ego->rsu1", "bogus"),
     "sensor.noise": ("agents", 0, "sensors", 1, "noise", "bogus"),
     "sensor.intrinsics": ("agents", 0, "sensors", 0, "intrinsics", "bogus"),
+    "pipeline.task_kind": ("pipeline", "task_kind"),
     "pipeline.worker": ("pipeline", "worker", "bogus"),
     "pipeline.worker.profile": ("pipeline", "worker", "profile", "bogus"),
     "profile.fov_azimuth": ("pipeline", "worker", "profile", "fov_azimuth"),

@@ -286,8 +286,8 @@ def test_emulate_worker_equals_scalar_reference(seed, n):
     pose = random_pose(rng)
     truth = crowd(rng, n, pose, ahead=150.0)
     cfg = WorkerConfig(profile=noise(rng))
-    result = emulate_worker(TaskRequest(1, "stereo-depth", 2.0), batch(truth).positions, pose,
-                            cfg, np.random.default_rng(seed))
+    _, result = emulate_worker(TaskRequest(1, 2.0, (), pose), batch(truth).positions, cfg,
+                               np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
     draws.uniform(cfg.lat_min, cfg.lat_max)
     draws.uniform()
