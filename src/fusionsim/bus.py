@@ -224,9 +224,9 @@ def link_key(src: str, dst: str) -> str:
     return f"{src}->{dst}"
 
 
-def deliver(net: NetworkModel, link: str, send_time: float, frame: BusFrame,
+def deliver(net: NetworkModel, link: str, send_time: float,
             rng: np.random.Generator) -> float | None:
-    """Delivery time for a frame on a link, or None when dropped.
+    """Delivery time for a frame sent on a link, or None when dropped.
 
     Draw order is fixed: one uniform for the drop decision, then one for
     jitter when the frame survives and jitter > 0.  Reordering emerges

@@ -51,9 +51,9 @@ from ..sensing import (
     radar_observe,
     visible_object_ids,
 )
-from ..tracker import CONFIRMED, LANE_LOCAL, TENTATIVE, Tracker, Tracks, predict_trajectory
+from ..tracker import LANE_LOCAL, Tracker, Tracks, predict_trajectory
 from .model import Scenario, world_at
-from .replay import ReplayError, detection_line, truth_line
+from .replay import ReplayError, detection_line, track_lines, truth_line
 
 KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
@@ -79,9 +79,14 @@ class RunReport:
     Track and replay lines are held as compact records until they are
     serialised: a line's ints and strings as they are, and its numbers in
     one float64 array that the record owns.  ``track_jsonl`` and
-    ``replay_jsonl`` rebuild each line from its record and write it as
-    ``canonical_dumps(line)``; ``.tolist()`` gives back the same Python
-    floats, so the bytes are those of the lines themselves.
+    ``replay_jsonl`` write each record with its line writer in
+    ``replay`` (``track_lines``, ``detection_line`` or ``truth_line``),
+    which gives the bytes ``canonical_dumps`` gives the line's dict: keys
+    in sorted order, floats as ``float.__repr__`` writes them, and a
+    ``ValueError`` for a non-finite number, found with one
+    ``np.isfinite`` test per record array.  Each record's bytes go into
+    one ``io.BytesIO``, so the output is never held twice as text.  The
+    writers run only when bytes are asked for, never in an event handler.
 
     * a track record, per flush with tracks: ``(t, agent, ids, confirmed,
       (n, 2, 6) means and covariance diagonals)``, the ids and confirmed
@@ -91,11 +96,11 @@ class RunReport:
       ``(t, agent, sensor, type, rows)``, where ``rows`` is the tick's
       sensing array itself (camera or radar rows, see ``sensing``): sensing
       makes a new array on every call and nothing writes to it, so the
-      record owns it; ``replay.detection_line`` writes its line;
+      record owns it;
     * a truth record, per ground-truth time: ``(t, truth)``, where
       ``truth`` is the ``sensing.Truth`` batch itself: ``world_at`` makes
       new arrays on every call and nothing writes to them, so the record
-      owns them; ``replay.truth_line`` writes its line.
+      owns them.
 
     A tick without detections or a time without objects records an empty
     array, and its line an empty list.
@@ -109,30 +114,16 @@ class RunReport:
         return canonical_dumps(self.report) + b"\n"
 
     def track_jsonl(self) -> bytes:
-        return _jsonl(_track_dicts(self.track_records))
+        out = io.BytesIO()
+        for record in self.track_records:
+            out.write(track_lines(*record))
+        return out.getvalue()
 
     def replay_jsonl(self) -> bytes:
-        return _jsonl(_replay_dicts(self.replay_records))
-
-
-def _jsonl(lines) -> bytes:
-    out = io.BytesIO()
-    for line in lines:
-        out.write(canonical_dumps(line) + b"\n")
-    return out.getvalue()
-
-
-def _track_dicts(records):
-    for t, agent, ids, confirmed, nums in records:
-        for tid, conf, (mean, cov_diag) in zip(ids, confirmed, nums.tolist()):
-            yield {"t": t, "agent": agent, "id": tid,
-                   "status": CONFIRMED if conf else TENTATIVE,
-                   "mean": mean, "cov_diag": cov_diag}
-
-
-def _replay_dicts(records):
-    for record in records:
-        yield truth_line(*record) if len(record) == 2 else detection_line(*record)
+        out = io.BytesIO()
+        for record in self.replay_records:
+            out.write(truth_line(*record) if len(record) == 2 else detection_line(*record))
+        return out.getvalue()
 
 
 def _track_record(t: float, agent: str, tracks: Tracks) -> tuple:
@@ -297,7 +288,7 @@ class Engine:
         frame = BusFrame(msg_type, int(round(t * 1e9)), topic, payload)
         data = bus.encode(frame)
         link = link_key(src, dst)
-        at = bus.deliver(self.net, link, t, frame, self._link_rng(link))
+        at = bus.deliver(self.net, link, t, self._link_rng(link))
         self.bus_counts["sent"] += 1
         self.bus_counts["by_type"][bus.MSG_TYPES[frame.msg_type]] += 1
         entry = {
@@ -406,7 +397,9 @@ class Engine:
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
         """Handle one frame off the bus: parse its payload, then act on it.
         A malformed frame (not exactly one frame, a payload its parser
-        rejects, or a topic naming no worker this engine runs) is counted
+        rejects, a topic naming no worker this engine runs, or TRACKS that
+        no flush reads: outside ``cr-covi`` or to an agent without
+        sensors) is counted
         under ``malformed`` and skipped; the key is reported only once it
         is non-zero."""
         self.bus_counts["delivered"] += 1
@@ -415,15 +408,23 @@ class Engine:
             parse, act = _DELIVERY[frame.msg_type]
             args = parse(self, frame)
         except _MALFORMED:
-            self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
+            self._count_malformed()
             return
         act(self, t, dst, *args)
+
+    def _count_malformed(self) -> None:
+        self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
 
     def _parse_tracks(self, frame: BusFrame) -> tuple[RemoteTrackMsg]:
         return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload)),)
 
     def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
-        # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor agents
+        # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor
+        # agents; only a cr-covi flush, which only a sensor agent runs,
+        # drains the queue
+        if self.mode != "cr-covi" or dst not in self.agents:
+            self._count_malformed()
+            return
         self.agents[dst].msg_queue.append(msg)
 
     def _worker(self, topic: str, prefix: str) -> str:

@@ -21,9 +21,23 @@ for the camera and radar row layouts), one entry per row, and a truth
 line one ``sensing.Truth`` batch, one entry per row.  This module owns
 both lines in both directions: ``detection_line`` and ``truth_line``
 write them from a live run's arrays, and ``load_replay`` reads each back
-into one ``(n, 5)`` array or one ``Truth``.  The loader holds every line
-to what a live run guarantees, and a bad line raises ``ReplayError`` with
-its line number:
+into one ``(n, 5)`` array or one ``Truth``.  It also owns the line of
+the tracks output, ``{"agent", "cov_diag", "id", "mean", "status",
+"t"}``, one per track, which ``track_lines`` writes from a run's track
+record.
+
+The writers give the bytes ``bus.canonical_dumps`` gives the line's dict,
+newline included, without building the dict: the constant key text in
+sorted-key order, each number from one ``.tolist()`` of the record's
+array as ``float.__repr__`` writes it (the text ``json`` writes for a
+float, also for a numpy ``float64``), an int as its decimal text, and
+``json.dumps`` only for the agent and type strings.  Like
+``canonical_dumps(allow_nan=False)``, a writer refuses a non-finite
+number with ``ValueError``: one ``np.isfinite`` test per array of the
+record and one of ``t``.
+
+The loader holds every line to what a live run guarantees, and a bad
+line raises ``ReplayError`` with its line number:
 
 * every line: a finite number ``t``; a detection line an integer
   ``sensor``;
@@ -51,6 +65,7 @@ import numpy as np
 
 from ..bus import payload_array, payload_field
 from ..sensing import Truth
+from ..tracker import CONFIRMED, TENTATIVE
 
 # What reading a line's field as a number can raise.
 _FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
@@ -115,13 +130,33 @@ def _between(a: np.ndarray, b: np.ndarray, alpha: float | None) -> np.ndarray:
     return a if alpha is None else a + alpha * (b - a)
 
 
-def truth_line(t: float, truth: Truth) -> dict:
+_float = float.__repr__
+
+
+def _finite(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        if not np.isfinite(array).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+
+
+def _time(t: float) -> str:
+    """``t``'s text, as ``json`` writes a float; ValueError if not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"Out of range float values are not JSON compliant: {t!r}")
+    return _float(t)
+
+
+def truth_line(t: float, truth: Truth) -> bytes:
     """The replay line of the ground truth at one time."""
-    return {"t": t, "truth": [
-        {"id": oid, "position": position, "velocity": velocity, "extent": extent}
+    _finite(truth.positions, truth.velocities, truth.extents)
+    objects = ",".join([
+        f'{{"extent":[{",".join(map(_float, extent))}],"id":{oid},'
+        f'"position":[{",".join(map(_float, position))}],'
+        f'"velocity":[{",".join(map(_float, velocity))}]}}'
         for oid, position, velocity, extent in zip(
             truth.ids, truth.positions.tolist(), truth.velocities.tolist(),
-            truth.extents.tolist())]}
+            truth.extents.tolist())])
+    return f'{{"t":{_time(t)},"truth":[{objects}]}}\n'.encode()
 
 
 def _truth(entries, lineno: int) -> Truth:
@@ -155,14 +190,33 @@ _ROW_FIELDS = {"camera": "a bbox of 4 numbers and a score",
                "radar": "a position of 3 numbers, a radial speed and an SNR"}
 
 
-def detection_line(t: float, agent: str, sidx: int, stype: str, rows: np.ndarray) -> dict:
+def detection_line(t: float, agent: str, sidx: int, stype: str, rows: np.ndarray) -> bytes:
     """The replay line of one sensor tick's measurement rows."""
+    _finite(rows)
     if stype == "camera":
-        dets = [{"bbox": row[:4], "score": row[4]} for row in rows.tolist()]
+        dets = ",".join([f'{{"bbox":[{_float(umin)},{_float(vmin)},{_float(umax)},'
+                         f'{_float(vmax)}],"score":{_float(score)}}}'
+                         for umin, vmin, umax, vmax, score in rows.tolist()])
     else:
-        dets = [{"position": row[:3], "radial_speed": row[3], "snr": row[4]}
-                for row in rows.tolist()]
-    return {"t": t, "agent": agent, "sensor": sidx, "type": stype, "detections": dets}
+        dets = ",".join([f'{{"position":[{_float(x)},{_float(y)},{_float(z)}],'
+                         f'"radial_speed":{_float(speed)},"snr":{_float(snr)}}}'
+                         for x, y, z, speed, snr in rows.tolist()])
+    return (f'{{"agent":{json.dumps(agent)},"detections":[{dets}],"sensor":{sidx},'
+            f'"t":{_time(t)},"type":{json.dumps(stype)}}}\n').encode()
+
+
+def track_lines(t: float, agent: str, ids: tuple[int, ...], confirmed: tuple[bool, ...],
+                nums: np.ndarray) -> bytes:
+    """The tracks-output lines of one flush's tracks: ids, confirmed
+    flags, and the ``(n, 2, 6)`` means and covariance diagonals."""
+    _finite(nums)
+    head = f'{{"agent":{json.dumps(agent)},"cov_diag":['
+    tail = f'"t":{_time(t)}}}\n'
+    return "".join([
+        f'{head}{",".join(map(_float, cov_diag))}],"id":{tid},'
+        f'"mean":[{",".join(map(_float, mean))}],'
+        f'"status":"{CONFIRMED if conf else TENTATIVE}",{tail}'
+        for tid, conf, (mean, cov_diag) in zip(ids, confirmed, nums.tolist())]).encode()
 
 
 def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:

@@ -265,13 +265,13 @@ def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
         pos = perturb_polar(p, rng_true, cfg, rng)
         if cfg.speed_sigma > 0:
             radial += rng.normal(0.0, cfg.speed_sigma)
-        rows.append((*pos.tolist(), radial, TRUE_SNR_DB))
+        rows.append((*pos, radial, TRUE_SNR_DB))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         r = max(rng.uniform(0.0, cfg.max_range), 1e-3)
         az = rng.uniform(-cfg.fov_azimuth / 2.0, cfg.fov_azimuth / 2.0)
-        rows.append((*_from_polar(r, az, 0.0).tolist(), 0.0, CLUTTER_SNR_DB))
+        rows.append((*_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB))
     return measurement_rows(rows)
 
 
@@ -287,9 +287,9 @@ def in_range(body_from_world: Pose, positions: np.ndarray,
 
 
 def perturb_polar(p, r_true: float, cfg: SensorNoiseConfig,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator) -> tuple[float, float, float]:
     """Body-frame point ``p`` (three coordinates, range ``r_true``) with
-    polar measurement noise.
+    polar measurement noise, as three floats.
 
     Draw order: range, then azimuth, then elevation; elevation reuses the
     azimuth sigma.  Noisy ranges are floored at 1 um.
@@ -303,10 +303,7 @@ def perturb_polar(p, r_true: float, cfg: SensorNoiseConfig,
     return _from_polar(max(r, 1e-6), az, el)
 
 
-def _from_polar(r: float, az: float, el: float) -> np.ndarray:
-    return np.array([
-        r * math.cos(el) * math.cos(az),
-        r * math.cos(el) * math.sin(az),
-        r * math.sin(el),
-    ])
+def _from_polar(r: float, az: float, el: float) -> tuple[float, float, float]:
+    return (r * math.cos(el) * math.cos(az), r * math.cos(el) * math.sin(az),
+            r * math.sin(el))
 

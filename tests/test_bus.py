@@ -129,46 +129,40 @@ class TestNetworkModel:
     def test_always_drop(self):
         net = NetworkModel(default=LinkParams(drop_prob=1.0))
         rng = np.random.default_rng(0)
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
-        assert deliver(net, "a->b", 0.0, frame, rng) is None
+        assert deliver(net, "a->b", 0.0, rng) is None
 
     def test_fixed_latency(self):
         net = NetworkModel(default=LinkParams(base_latency=0.05, jitter=0.0, drop_prob=0.0))
         rng = np.random.default_rng(0)
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
-        assert deliver(net, "a->b", 1.0, frame, rng) == 1.05
+        assert deliver(net, "a->b", 1.0, rng) == 1.05
 
     def test_empirical_drop_rate(self):
         net = NetworkModel(default=LinkParams(base_latency=0.05, drop_prob=0.1))
         rng = np.random.default_rng(42)
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
-        drops = sum(deliver(net, "a->b", 0.0, frame, rng) is None for _ in range(10_000))
+        drops = sum(deliver(net, "a->b", 0.0, rng) is None for _ in range(10_000))
         assert abs(drops / 10_000 - 0.1) <= 0.01
 
     def test_jitter_bounds_delay(self):
         net = NetworkModel(default=LinkParams(base_latency=0.05, jitter=0.02))
         rng = np.random.default_rng(1)
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
         for _ in range(1000):
-            at = deliver(net, "a->b", 0.0, frame, rng)
+            at = deliver(net, "a->b", 0.0, rng)
             assert 0.03 <= at <= 0.07
 
     def test_deterministic_given_seed(self):
         net = NetworkModel(default=LinkParams(base_latency=0.05, jitter=0.02, drop_prob=0.3))
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            outs.append([deliver(net, "a->b", 0.0, frame, rng) for _ in range(500)])
+            outs.append([deliver(net, "a->b", 0.0, rng) for _ in range(500)])
         assert outs[0] == outs[1]
 
     def test_per_link_override(self):
         net = NetworkModel(default=LinkParams(base_latency=0.05),
                            links={link_key("ego", "rsu1"): LinkParams(base_latency=0.2)})
         rng = np.random.default_rng(0)
-        frame = BusFrame(bus.MSG_HEARTBEAT, 0, "hb")
-        assert deliver(net, "ego->rsu1", 0.0, frame, rng) == 0.2
-        assert deliver(net, "ego->other", 0.0, frame, rng) == 0.05
+        assert deliver(net, "ego->rsu1", 0.0, rng) == 0.2
+        assert deliver(net, "ego->other", 0.0, rng) == 0.05
 
     def test_invalid_params(self):
         with pytest.raises(bus.BusError):

@@ -19,8 +19,9 @@
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
   collab functions the benchmark hooks by name;
 * malformed frames: a delivery that is not exactly one frame, a frame
-  that does not parse, or one whose topic names no worker the run has, is
-  counted and skipped, and the run goes on;
+  that does not parse, one whose topic names no worker the run has, or
+  TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
+  sensors), is counted and skipped, and the run goes on;
 * golden outputs: each case's outputs hash to the recorded digests.
 """
 
@@ -377,6 +378,22 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     if mode == "cr-dist":
         assert engine.broker.counters["submitted"] > 0
         assert engine.broker.conserved()
+
+
+@pytest.mark.parametrize("mode, dst", [("cr-dist", "ego"), ("cr-covi", "edge1")])
+def test_tracks_no_flush_reads_are_malformed_and_never_queued(scenario_dir, mode, dst):
+    # only a cr-covi flush drains an agent's remote-track queue, and only
+    # a sensor agent flushes: urban's edge1 has no sensors
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode=mode))
+    assert (dst in engine.agents) == (mode == "cr-dist")
+    for k in range(30):
+        engine._push(0.5 + 0.05 * k, KIND_DELIVER, (dst, _tracks(500_000_000)))
+    counts = engine.run().report["counters"]["bus"]
+    assert counts["malformed"] == 30
+    if mode == "cr-dist":  # a cr-covi queue may hold a real message at the end
+        assert not any(rt.msg_queue for rt in engine.agents.values())
 
 
 def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):

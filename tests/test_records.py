@@ -6,15 +6,17 @@ each detection line as the tick's sensing array, and each ground-truth
 line as the truth batch, and ``RunReport`` rebuilds the lines only when
 asked for bytes.  These tests pin that:
 
-* the record path writes the bytes the lines themselves give
+* the line writers give the bytes the lines themselves give
   (``canonical_dumps`` of each line's dict, as built from the track
-  batches, measurement rows and truth rows), for any finite numbers;
+  batches, measurement rows and truth rows), for any finite numbers, any
+  agent string, ids of any size and a ``t`` that is a numpy float64;
 * a track record copies its means and covariance diagonals, so later
   writes to the batch's estimate arrays do not reach the output;
 * a detection record is the tick's sensing array itself, and a truth
   record the batch ``world_at`` returned, which nothing writes to after
   they are returned;
-* a non-finite number still makes serialisation raise;
+* a non-finite number in any array of a record, or a non-finite ``t``,
+  makes the writer raise ``ValueError``, as it makes ``canonical_dumps``;
 * memory grows with a run's length by no more than its output bytes do.
 """
 
@@ -38,13 +40,22 @@ from fusionsim.tracker import CONFIRMED, TENTATIVE, TrackerConfig, Tracks, spawn
 REPO = Path(__file__).resolve().parent.parent
 
 # Any finite float, with the ones whose text is easiest to get wrong drawn
-# more often: signed zero, subnormals and magnitudes near the top.
+# more often: signed zero, subnormals, integral floats, the powers of ten
+# where repr turns to exponent form, and magnitudes near the top.
 FLOATS = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 20.0]),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 20.0,
+                     1e16, -1e16, 1e22, 2.0**53]),
+    st.integers(-2**60, 2**60).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-TIMES = st.floats(0.0, 1e4, allow_nan=False)
-AGENTS = st.sampled_from(["ego", "rsu1", "veh-2"])
+# A time as a float or a numpy float64, which json writes as the same text.
+TIMES = st.floats(0.0, 1e4, allow_nan=False).flatmap(
+    lambda t: st.sampled_from([t, np.float64(t)]))
+# Any string: non-ASCII text, quotes, backslashes and JSON punctuation.
+AGENTS = st.one_of(st.sampled_from(["ego", "rsu1", '", "', "\\", "%s{}"]), st.text())
+# Ids up to and beyond the int64 and uint64 limits.
+IDS = st.one_of(st.integers(0, 10**6), st.sampled_from([2**63 - 1, 2**63, 2**64]),
+                st.integers(0, 2**70))
 
 
 def vector(n):
@@ -57,7 +68,9 @@ def tracks(draw):
     n = draw(st.integers(0, 4))
     batch = spawn(0, draw(vector(6 * n)).reshape(n, 6), draw(vector(36 * n)).reshape(n, 6, 6),
                   0.0, TrackerConfig())
-    ids = np.array(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int)
+    # an id beyond int64 needs an object array, whose tolist gives it back
+    ids = draw(st.lists(IDS, min_size=n, max_size=n))
+    ids = np.array(ids, dtype=int if all(i < 2**63 for i in ids) else object)
     confirmed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     return Tracks(ids, batch.means, batch.covs, confirmed, batch.misses, batch.window,
                   batch.stamps)
@@ -80,7 +93,7 @@ POINTS = st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
 def truths(draw):
     """A truth batch of up to four objects, zero included."""
     n = draw(st.integers(0, 4))
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n))
     return Truth(tuple(ids), *(draw(vector(3 * n)).reshape(n, 3) for _ in range(3)))
 
 
@@ -230,6 +243,49 @@ def test_non_finite_track_mean_raises(bad):
     track = spawn(1, mean[None], np.eye(6)[None], 0.0, TrackerConfig())
     with pytest.raises(ValueError):
         RunReport({}, [_track_record(0.5, "ego", track)], []).track_jsonl()
+
+
+def track_with(t=0.5, mean=0.0, cov_diag=1.0):
+    """A flush of one track whose mean and covariance diagonal hold the
+    numbers given."""
+    track = spawn(1, np.full((1, 6), mean), np.diag(np.full(6, cov_diag))[None], 0.0,
+                  TrackerConfig())
+    return [(t, "ego", track)], []
+
+
+def truth_with(t=0.5, **fields):
+    """A truth line of two objects whose named vector fields hold the
+    numbers given."""
+    vectors = {name: np.ones((2, 3)) for name in ("positions", "velocities", "extents")}
+    for name, value in fields.items():
+        vectors[name][1, 2] = value
+    return [], [("truth", t, Truth((1, 2), **vectors))]
+
+
+# Where a non-finite number sits, as the (flushed, events) that hold it.
+NON_FINITE_AT = {
+    "track cov_diag": lambda bad: track_with(cov_diag=bad),
+    "track t": lambda bad: track_with(t=bad),
+    "camera row": lambda bad: ([], [("camera", 0.5, "ego", 0, [(1.0, 2.0, bad, 4.0, 1.0)])]),
+    "radar row": lambda bad: ([], [("radar", 0.5, "ego", 1, [(1.0, 2.0, 3.0, -2.0, bad)])]),
+    "detection t": lambda bad: ([], [("radar", bad, "ego", 1, [])]),
+    "truth position": lambda bad: truth_with(positions=bad),
+    "truth velocity": lambda bad: truth_with(velocities=bad),
+    "truth extent": lambda bad: truth_with(extents=bad),
+    "truth t": lambda bad: truth_with(t=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", NON_FINITE_AT)
+def test_a_non_finite_number_is_refused_as_canonical_dumps_refuses_it(where, bad):
+    flushed, events = NON_FINITE_AT[where](bad)
+    with pytest.raises(ValueError):
+        jsonl(track_lines(flushed) + replay_lines(events))
+    report = records(flushed, events)
+    with pytest.raises(ValueError):
+        report.track_jsonl()
+        report.replay_jsonl()
 
 
 # One run in a fresh process: its peak resident memory after ``Engine.run``

@@ -112,7 +112,7 @@ def ref_emulate_worker(truth, sensor_pose, prof, rng):
             continue
         if rng.uniform() >= prof.p_detect:
             continue
-        pos_body = perturb_polar(p, r_true, prof, rng)
+        pos_body = np.array(perturb_polar(p, r_true, prof, rng))
         r = sensor_pose.rotation
         cov = symmetrize(r @ ref_radar_cov(pos_body, prof) @ r.T)
         out.append((ref_transform_point(sensor_pose, pos_body), cov))
