@@ -188,6 +188,7 @@ class Engine:
         # handler times never decrease, so the last one recorded is enough
         self._last_truth_line: float | None = None
         self.events_processed = 0
+        self._motions = {o.id: o.motion for o in scenario.objects}
 
         order = sorted(scenario.agents, key=lambda a: a.id)
         self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.has_sensors}
@@ -501,8 +502,7 @@ class Engine:
     def _truth_interpolator(self, obj_id: int):
         if self.replay is not None:
             return lambda t: self.replay.truth_position(obj_id, t)
-        obj = next(o for o in self.sc.objects if o.id == obj_id)
-        return lambda t: obj.motion.position(t)
+        return self._motions[obj_id].position
 
     # -- main loop -----------------------------------------------------------
 

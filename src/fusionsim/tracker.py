@@ -7,17 +7,20 @@ State layout is [px, py, pz, vx, vy, vz].
 
 A step costs a fixed number of array operations rather than one Python
 call per track or pair: the tracks are one ``Tracks`` batch of stacked
-ids, estimates and lifecycle state.  Gating is one all-pairs call:
-``position_d2`` stacks every track x detection residual and innovation
-covariance, tests every covariance's rcond, and solves the pairs
-together; in calls of more than ``_FEW_PAIRS`` pairs it solves only
-those a gate at the caller's chi-square quantile gamma could pass.  The
-exact pre-gate leaves out a pair with a positive definite S and
-|delta|^2 > 2 gamma tr(S): its d2 exceeds |delta|^2 / lambda_max(S) >
-|delta|^2 / tr(S) > 2 gamma, and the factor 2 covers the solve's
-relative error, about cond * eps <= 1e-4 for any S that passes the
-rcond >= 1e-12 test, so the pair fails the gate whether solved or not.  ``gate_cost`` holds the one
-rule for a pair whose S fails that test: it is never matched, and its
+ids, estimates and lifecycle state.  Gating is one all-pairs call,
+``position_d2``, whose matrix work grows with tracks + detections and
+the few pairs a gate could pass, not with their product.  It proves
+regularity per side: one sure-pass bound over every track's and
+detection's position block, and when both sides of a pair pass, their
+sum S is positive definite and regular; only a pair with a doubtful
+side has its own S tested.  In calls of more than ``_FEW_PAIRS`` pairs
+an exact pre-gate then leaves out a positive definite pair with
+Δ_k² > 2 γ S_kk on some axis k, at the caller's chi-square quantile γ:
+d2 >= Δ_k² / S_kk > 2γ by Cauchy–Schwarz, and the factor 2 covers the
+solve's relative error, about cond·eps <= 1e-4 for any S with rcond >=
+1e-12, so the pair fails the gate whether solved or not.  S is built
+and solved only for the pairs left.  ``gate_cost`` holds the one rule
+for a pair whose S fails the rcond test: it is never matched, and its
 measurement is skipped and counted.  Collaboration (``collab``) gates
 through it too.  Predict and update are stacked as well:
 ``kalman_predict`` and ``kalman_update`` take leading batch axes, so
@@ -192,10 +195,23 @@ def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
     return (f @ mean[..., None])[..., 0], f @ cov @ f.T + process_noise(dt, q)
 
 
-# Up to this many S the sure-pass bound runs on Python floats, one matrix
-# at a time, beyond it on arrays: the two cost the same near 30 matrices
-# (timeit, CPython 3.11, numpy 2.4, x86-64).
+# Up to this many matrices the sure-pass bound runs on Python floats, one
+# matrix at a time, beyond it on arrays: the two cost the same near 30
+# matrices (timeit, CPython 3.11, numpy 2.4, x86-64).  ``position_d2``
+# runs it on a call's N + M position blocks.
 _FEW_MATRICES = 32
+
+
+def _sure(blocks: np.ndarray) -> np.ndarray:
+    """Whether each 3x3 matrix in a stack passes the sure-pass bound of
+    ``_regularity``, which proves it positive definite with rcond > 4e-9."""
+    flat = blocks.reshape(-1, 9)
+    if len(flat) <= _FEW_MATRICES:
+        sure = np.array([_surely_regular(*m) for m in flat.tolist()], dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # extremes fail the range test
+            sure = _surely_regular(*flat.T)
+    return sure.reshape(blocks.shape[:-2])
 
 
 def _regularity(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,13 +234,7 @@ def _regularity(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lambda_2 lambda_3 <= ((lambda_2 + lambda_3) / 2)^2 <= tr^2 / 4; so
     rcond >= 4 det / tr^3 > 4e-9, and ``eigvalsh`` would pass S too.
     """
-    flat = s.reshape(-1, 9)
-    if len(flat) <= _FEW_MATRICES:
-        sure = np.array([_surely_regular(*m) for m in flat.tolist()], dtype=bool)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # extremes fail the range test
-            sure = _surely_regular(*flat.T)
-    sure = sure.reshape(s.shape[:-2])
+    sure = _sure(s)
     if sure.all():
         return sure, sure
     doubtful = ~sure
@@ -255,9 +265,11 @@ def _surely_regular(a, _01, _02, x, b, _12, z, y, c):
             & (det > margin * tr))
 
 
-# Up to this many pairs, solving every pair costs less than the pre-gate's
-# masks and its gather and scatter of the pairs it keeps: the two cost the
-# same near 64 to 100 pairs (timeit, CPython 3.11, numpy 2.4, x86-64).
+# Up to this many pairs, solving every regular pair costs less than the
+# pre-gate's masks and its gather and scatter of the pairs it keeps: on
+# the gate calls of an urban-covi run, where most pairs are near enough
+# to be solved either way, the two cost the same near 64 to 96 pairs
+# (timeit, CPython 3.11, numpy 2.4, x86-64).
 _FEW_PAIRS = 64
 
 
@@ -270,36 +282,64 @@ def position_d2(means_a, covs_a, means_b, covs_b,
     (state or position dimension, at least 3) and returns ``(d2,
     singular)``: d2 is the (N, M) matrix of Δ'S^-1 Δ with Δ = x_a - x_b
     and S = P_a + P_b, and ``singular`` the (N, M) mask of pairs whose S
-    has rcond below 1e-12.  Every S is tested; a singular pair is inf in
-    d2 and never solved, and each caller decides what it means.
+    has rcond below 1e-12.  Every pair is tested; a singular pair is inf
+    in d2 and never solved, and each caller decides what it means.
 
-    Pre-gate: a pair whose S passes the sure-pass bound (so is positive
-    definite) and has |Δ|² > 2 γ tr(S) is inf without a solve.  Its exact
-    d2 >= |Δ|² / λmax(S) > |Δ|² / tr(S) > 2γ, and a solve of an S with
-    rcond >= 1e-12 errs by about cond·eps <= 1e-4 relative, so the factor
-    2 leaves its computed d2 far above γ: the pair would fail any gate at
-    γ anyway.  It runs above ``_FEW_PAIRS`` pairs; below, solving every
-    pair costs less.  The pairs left are solved together and each entry
-    equals the per-pair ``delta @ solve(s, delta)`` bit for bit.
+    Regularity is proved per side: the sure-pass bound of ``_regularity``
+    runs once over the N + M position blocks.  A block A that passes it
+    is positive definite with λmin(A) > 4e-9 tr(A), so when both sides
+    pass, λmin(A + B) >= λmin(A) + λmin(B) (Weyl) > 4e-9 tr(S) >= 4e-9
+    λmax(S), and S is regular; by Minkowski's determinant inequality,
+    det(A + B)^(1/k) >= det(A)^(1/k) + det(B)^(1/k) on each k x k
+    principal block, S meets the bound's margins as well.  Only a pair
+    with a side that fails the bound (zero, rank-one, indefinite or not
+    finite) gets ``_regularity`` on its own S, so ``singular`` is the
+    pairwise test's verdict on every pair.
+
+    Pre-gate: for a positive definite S, Cauchy–Schwarz gives d2 >=
+    Δ_k² / S_kk on each axis k.  A pair proven positive definite with
+    Δ_k² > 2 γ S_kk on some axis, S_kk = A_kk + B_kk, is inf without a
+    solve: its exact d2 exceeds 2γ, and a solve of an S with rcond >=
+    1e-12 errs by about cond·eps <= 1e-4 relative, so the factor 2
+    leaves its computed d2 far above γ, and it would fail any gate at γ
+    anyway.  Its trace form, |Δ|² > 2 γ tr(S), implies the per-axis one.
+    It runs above ``_FEW_PAIRS`` pairs; below, solving every regular
+    pair costs less.  S is built only for the pairs solved, each as
+    P_a + P_b, and they are solved together: each entry equals the
+    per-pair ``delta @ solve(s, delta)`` bit for bit.
     """
     n, m = len(means_a), len(means_b)
     if n == 0 or m == 0:
         return np.zeros((n, m)), np.zeros((n, m), dtype=bool)
     pos_a = np.asarray(means_a, dtype=float)[:, :3]
     pos_b = np.asarray(means_b, dtype=float)[:, :3]
-    delta = pos_a[:, None, :] - pos_b[None, :, :]
-    s = (np.asarray(covs_a, dtype=float)[:, None, :3, :3]
-         + np.asarray(covs_b, dtype=float)[None, :, :3, :3])
-    sure, regular = _regularity(s)
+    pa = np.asarray(covs_a, dtype=float)[:, :3, :3]
+    pb = np.asarray(covs_b, dtype=float)[:, :3, :3]
+    blocks = np.concatenate((pa, pb))
+    sure = _sure(blocks)
+    proven = sure[:n, None] & sure[None, n:]  # positive definite
+    regular = proven
+    if not proven.all():
+        rows, cols = np.nonzero(~proven)
+        regular = proven.copy()
+        proven[rows, cols], regular[rows, cols] = _regularity(pa[rows] + pb[cols])
     solve = regular
     if n * m > _FEW_PAIRS:
-        far = (delta * delta).sum(axis=-1) > 2.0 * gamma * np.trace(s, axis1=-2, axis2=-1)
-        solve = regular & ~(sure & far)
-    if solve.all():
-        return _quadratic(s, delta), ~regular
+        # (3, N, M) stacks of Δ_k² and of 2γ S_kk, from axis-major copies
+        # of the sides: numpy broadcasts over a 3-long inner axis slowly
+        pos = np.concatenate((pos_a, pos_b)).T.copy()
+        diag = blocks.diagonal(axis1=1, axis2=2).T.copy()
+        delta2 = pos[:, :n, None] - pos[:, None, n:]
+        delta2 *= delta2
+        bound = diag[:, :n, None] + diag[:, None, n:]
+        bound *= 2.0 * gamma
+        solve = regular & ~(proven & (delta2 > bound).any(axis=0))
+    elif solve.all():
+        return _quadratic(pa[:, None] + pb[None, :], pos_a[:, None] - pos_b[None, :]), ~regular
     d2 = np.full((n, m), np.inf)
-    if solve.any():
-        d2[solve] = _quadratic(s[solve], delta[solve])
+    rows, cols = np.nonzero(solve)
+    if len(rows):
+        d2[rows, cols] = _quadratic(pa[rows] + pb[cols], pos_a[rows] - pos_b[cols])
     return d2, ~regular
 
 

@@ -407,26 +407,28 @@ def test_frustum_associate_equals_scalar_reference(seed, n, m):
        margin=st.sampled_from([1e-9, 1e-6, 1e-3]))
 @example(seed=1, n=12, m=9, gate_prob=0.99, margin=1e-9)
 def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
-    """Pairs sit just either side of |Δ|² = 2 γ tr(S): in a call of more
-    than ``_FEW_PAIRS`` pairs exactly those beyond it are inf, every other
-    pair equals the per-pair solve bit for bit, and gating at γ cannot
-    tell the two apart."""
+    """Pairs sit just either side of Δ_k² = 2 γ S_kk on one axis k, inside
+    the bound on the others: in a call of more than ``_FEW_PAIRS`` pairs
+    exactly those beyond it on some axis are inf, every other pair equals
+    the per-pair solve bit for bit, and gating at γ cannot tell the two
+    apart."""
     rng = np.random.default_rng(seed)
     gamma = chi2_quantile(gate_prob, 3)
     covs_a = [a @ a.T + 0.01 * np.eye(6) for a in rng.normal(size=(n, 6, 6))]
     covs_b = [b @ b.T + 0.01 * np.eye(3) for b in rng.normal(size=(m, 3, 3))]
     means_b = rng.normal(0.0, 5.0, (m, 3))
-    # each track sits on the bound of one detection, off it for the rest
+    # each track sits on the bound of one detection on one axis, off it
+    # for the rest
     means_a = []
     for i, cov in enumerate(covs_a):
         mean = rng.normal(0.0, 5.0, 6)
         if m:
             j = i % m
-            s = cov[:3, :3] + covs_b[j]
-            side = 1.0 + margin * rng.choice([-1.0, 1.0])
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            mean[:3] = means_b[j] + direction * math.sqrt(side * 2.0 * gamma * np.trace(s))
+            bound = 2.0 * gamma * (cov[:3, :3] + covs_b[j]).diagonal()
+            side = rng.uniform(-0.9, 0.9, 3)
+            axis = rng.integers(3)
+            side[axis] = rng.choice([-1.0, 1.0]) * (1.0 + margin * rng.choice([-1.0, 1.0]))
+            mean[:3] = means_b[j] + np.sign(side) * np.sqrt(np.abs(side) * bound)
         means_a.append(mean)
 
     d2, singular = position_d2(means_a, covs_a, means_b, covs_b, gamma)
@@ -437,7 +439,7 @@ def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
             delta = means_a[i][:3] - means_b[j]
             s = covs_a[i][:3, :3] + covs_b[j]
             reference = float(delta @ np.linalg.solve(s, delta))
-            if n * m > _FEW_PAIRS and float(delta @ delta) > 2.0 * gamma * float(np.trace(s)):
+            if n * m > _FEW_PAIRS and any(delta * delta > 2.0 * gamma * s.diagonal()):
                 assert d2[i, j] == np.inf
                 assert reference > gamma
             else:

@@ -3,7 +3,7 @@ from bisect import insort
 import numpy as np
 import pytest
 from conftest import batch_bytes, state_bytes, tracker_state
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
 import fusionsim.tracker as tracker_module
@@ -19,6 +19,7 @@ from fusionsim.tracker import (
     _regularity,
     chi2_quantile,
     cv_transition,
+    eig_regular,
     gate,
     gate_cost,
     kalman_predict,
@@ -235,6 +236,87 @@ class TestStacked:
         assert tracker_state(tk) == before
 
 
+def near_margin_block(seed, scale, slack):
+    """A positive definite 3x3 block 10^scale R diag(1, e, t) R', whose
+    det / tr^3 is (1 + slack) 1e-9: the sure-pass bound's det margin."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    e, t = 10.0 ** rng.uniform(-2.0, 0.0), 0.0
+    for _ in range(20):
+        t = (1.0 + slack) * 1e-9 * (1.0 + e + t) ** 3 / e
+    return (rot * [1.0, e, t]) @ rot.T * 10.0**scale
+
+
+def side(kind, seed, scale):
+    """A position and a position block that passes the sure-pass bound
+    ("sure") or fails it: "zero", "rank one" or "negative definite".  The
+    position is a few block scales from the origin."""
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(scale=3.0 * 10.0 ** (scale / 2), size=3)
+    if kind == "sure":
+        return mean, near_margin_block(seed, scale, 1.0)
+    if kind == "zero":
+        return mean, np.zeros((3, 3))
+    a = rng.normal(size=(3, 3))
+    if kind == "rank one":
+        return mean, np.outer(a[0], a[0]) * 10.0**scale
+    return mean, -(a @ a.T + 0.01 * np.eye(3)) * 10.0**scale
+
+
+class TestPerSideRegularity:
+    @settings(max_examples=200, deadline=None)
+    @given(sides=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0),
+                                    st.sampled_from([1e-5, 1e-3, 1.0, 1e3])),
+                          min_size=2, max_size=2))
+    def test_sides_that_pass_the_bound_sum_to_a_regular_s(self, sides):
+        """Blocks A and B that each pass the sure-pass bound, at scales
+        1e-6 to 1e6 and near its det margin: A + B passes it too and
+        ``eig_regular`` agrees, so ``position_d2`` tests no such pair."""
+        a, b = (near_margin_block(*drawn) for drawn in sides)
+        assume(tracker_module._surely_regular(*a.ravel()))
+        assume(tracker_module._surely_regular(*b.ravel()))
+        s = a + b
+        assert tracker_module._surely_regular(*s.ravel())
+        assert eig_regular(s)
+        _, singular = position_d2(np.zeros((1, 3)), [a], np.zeros((1, 3)), [b], 11.345)
+        assert not singular.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sides=st.lists(st.lists(st.tuples(
+        st.sampled_from(["sure", "zero", "rank one", "negative definite"]),
+        st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0)), min_size=1, max_size=20),
+        min_size=2, max_size=2), nan_at=st.none() | st.integers(0, 19))
+    @example(sides=[[("zero", 0, 0.0), ("sure", 1, 0.0)], [("zero", 2, 0.0)]], nan_at=None)
+    @example(sides=[[("negative definite", 3, 0.0)], [("sure", 4, 6.0), ("rank one", 5, 0.0)]],
+             nan_at=0)
+    def test_a_doubtful_side_gets_the_pairwise_verdict(self, sides, nan_at):
+        """Every pair's ``singular`` flag is ``_regularity``'s verdict on
+        its own S, whatever mix of sure and doubtful (zero, rank-one or
+        negative definite) sides it has, and a regular pair that gates is
+        its per-pair solve.  A NaN on the diagonal of side a's block
+        ``nan_at`` makes that verdict raise, as ``eigvalsh`` does, and
+        ``position_d2`` raises too."""
+        (means_a, blocks_a), (means_b, blocks_b) = (
+            map(list, zip(*(side(*s) for s in side_list))) for side_list in sides)
+        if nan_at is not None and nan_at < len(blocks_a):
+            blocks_a[nan_at][nan_at % 3, nan_at % 3] = np.nan
+        gamma = chi2_quantile(0.99, 3)
+        try:
+            regular = np.array([[_regularity(a + b)[1] for b in blocks_b] for a in blocks_a])
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                position_d2(means_a, blocks_a, means_b, blocks_b, gamma)
+            return
+        d2, singular = position_d2(means_a, blocks_a, means_b, blocks_b, gamma)
+        assert np.array_equal(singular, ~regular)
+        for i, j in np.argwhere(regular):
+            delta = means_a[i] - means_b[j]
+            reference = float(delta @ np.linalg.solve(blocks_a[i] + blocks_b[j], delta))
+            if d2[i, j] <= gamma or reference <= gamma:
+                assert d2[i, j] == reference
+        assert np.all(d2[singular] == np.inf)
+
+
 class TestGate:
     def test_at_predicted_position(self):
         cost, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0))
@@ -271,15 +353,20 @@ class TestGate:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-           gate_prob=st.sampled_from([0.95, 0.99]), zero_share=st.sampled_from([0.0, 0.2, 0.5]))
-    @example(n=12, m=12, seed=7, gate_prob=0.99, zero_share=0.2)
-    def test_matches_per_pair_reference(self, n, m, seed, gate_prob, zero_share):
+           gate_prob=st.sampled_from([0.95, 0.99]), zero_share=st.sampled_from([0.0, 0.2, 0.5]),
+           spread=st.sampled_from([3.0, 30.0]))
+    @example(n=12, m=12, seed=7, gate_prob=0.99, zero_share=0.2, spread=3.0)
+    @example(n=60, m=65, seed=42, gate_prob=0.99, zero_share=0.0, spread=30.0)
+    @example(n=60, m=65, seed=43, gate_prob=0.99, zero_share=0.2, spread=30.0)
+    @example(n=60, m=65, seed=44, gate_prob=0.95, zero_share=0.2, spread=3.0)
+    def test_matches_per_pair_reference(self, n, m, seed, gate_prob, zero_share, spread):
         """``gate_cost`` against a per-pair solve.  Tracks and measurements
         with a zero or rank-one position block give singular pairs: those
         are inf and skip their measurement, and the count is exact; every
         other pair is the per-pair solve gated at gamma.  Up to 144 pairs
         reach past ``_FEW_PAIRS`` (pre-gate) and ``_FEW_MATRICES`` (array
-        rcond path)."""
+        sure-pass path); the 60 x 65 examples are a crowd-sized call,
+        where a ``spread`` of 30 m leaves the pre-gate most pairs."""
         rng = np.random.default_rng(seed)
 
         def cov(dim):
@@ -292,9 +379,9 @@ class TestGate:
             a = rng.normal(size=(dim, dim))
             return a @ a.T + 0.01 * np.eye(dim)
 
-        means_t = [rng.normal(scale=3.0, size=6) for _ in range(n)]
+        means_t = [rng.normal(scale=spread, size=6) for _ in range(n)]
         covs_t = [cov(6) for _ in range(n)]
-        means_m = [rng.normal(scale=3.0, size=3) for _ in range(m)]
+        means_m = [rng.normal(scale=spread, size=3) for _ in range(m)]
         covs_m = [cov(3) for _ in range(m)]
         gamma = chi2_quantile(gate_prob, 3)
         reference = np.full((n, m), np.inf)
