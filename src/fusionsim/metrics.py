@@ -5,6 +5,17 @@ exist in the pipeline, so distance is the honest criterion).  Tracking
 follows the CLEAR conventions: MOTA folds misses, false positives and
 identity switches into one number, MOTP is the mean matched distance.
 Cardinality-aware set error comes from OSPA.
+
+Motion prediction is scored for all matches of a sample at once:
+``prediction_error`` takes the (M, K, 3) predicted waypoints of M
+matched tracks, the true positions at their (M, K) times, and returns
+per-row ADE and FDE and the mask of rows scored, in a fixed number of
+array operations.  Each row gets the bits the per-waypoint computation
+gives: an error is ``geometry.norms`` of the difference, which equals
+``np.linalg.norm`` of that one vector bit for bit, and the ADE is the
+mean over the row's contiguous K axis, which numpy sums in the order
+``np.mean`` sums the row's errors as a list.  ``distances`` keeps the
+same rule for every pair of points.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import assign
+from .geometry import norms
 
 DEFAULT_MATCH_RADIUS = 2.0  # meters
 DEFAULT_OSPA_CUTOFF = 5.0
@@ -21,10 +33,6 @@ DEFAULT_OSPA_ORDER = 1.0
 
 
 class MetricsError(Exception):
-    pass
-
-
-class OutOfRange(MetricsError):
     pass
 
 
@@ -93,9 +101,11 @@ def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarra
 
 def distances(a, b) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances between two lists of 3D points."""
-    a = np.asarray(a, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
-    diff = a[:, None, :] - b[None, :, :]
+    a = np.asarray(a, dtype=float).reshape(-1, 3).T.copy()
+    b = np.asarray(b, dtype=float).reshape(-1, 3).T.copy()
+    # numpy subtracts axis-major (3, n) copies about 4x faster than (n, 3)
+    # rows broadcast over a 3-long inner axis
+    diff = (a[:, :, None] - b[:, None, :]).transpose(1, 2, 0)
     # matmul sums the squares in the order np.linalg.norm's dot does, so each
     # entry equals norm(a[i] - b[j]) bit for bit
     return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
@@ -155,21 +165,22 @@ def ospa(a: list[np.ndarray], b: list[np.ndarray],
     return float(((loc + c**p * (n - m)) / n) ** (1.0 / p))
 
 
-def prediction_error(predicted: list[tuple[float, np.ndarray]],
-                     truth_at, duration: float) -> tuple[float, float]:
-    """(ADE, FDE) of a predicted trajectory against a truth interpolator.
+def prediction_error(waypoints: np.ndarray, times: np.ndarray, truth: np.ndarray,
+                     duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADE and FDE of M predicted trajectories, one row each.
 
-    ``truth_at(t)`` returns the true position; waypoint times past the
-    scenario duration raise OutOfRange.
+    ``waypoints`` and ``truth`` are the (M, K, 3) predicted and true
+    positions at the (M, K) waypoint ``times``.  Returns the (M,) ADE, the
+    mean error over a row's waypoints, the (M,) FDE, its last waypoint's
+    error, and the (M,) mask of rows scored: a row with a waypoint time
+    outside [0, duration] is not.
     """
-    if not predicted:
+    m, k = times.shape
+    if k == 0:
         raise MetricsError("no waypoints to score")
-    errors = []
-    for t, pos in predicted:
-        if t > duration + 1e-9 or t < -1e-9:
-            raise OutOfRange(f"waypoint time {t} outside [0, {duration}]")
-        errors.append(float(np.linalg.norm(np.asarray(pos, dtype=float) - truth_at(t))))
-    return float(np.mean(errors)), errors[-1]
+    errors = norms((waypoints - truth).reshape(-1, 3)).reshape(m, k)
+    outside = (times > duration + 1e-9) | (times < -1e-9)
+    return errors.mean(axis=1), errors[:, -1], ~outside.any(axis=1)
 
 
 @dataclass

@@ -8,6 +8,7 @@ from .model import (  # noqa: F401
     Scenario,
     SensorSpec,
     ValidationError,
+    World,
     apply_overrides,
     load_scenario,
     world_at,

@@ -34,7 +34,7 @@ from ..geometry import (
     symmetrize,
     transform_gaussian,
 )
-from ..metrics import MetricsAggregator, OutOfRange, prediction_error
+from ..metrics import MetricsAggregator, prediction_error
 from ..offload import (
     Broker,
     OffloadError,
@@ -51,8 +51,8 @@ from ..sensing import (
     radar_observe,
     visible_object_ids,
 )
-from ..tracker import LANE_LOCAL, Tracker, Tracks, predict_trajectory
-from .model import Scenario, world_at
+from ..tracker import LANE_LOCAL, Tracker, Tracks, predict_waypoints
+from .model import Scenario, World, world_at
 from .replay import ReplayError, detection_line, track_lines, truth_line
 
 KIND_TICK = "SensorTick"
@@ -98,9 +98,10 @@ class RunReport:
       makes a new array on every call and nothing writes to it, so the
       record owns it;
     * a truth record, per ground-truth time: ``(t, truth)``, where
-      ``truth`` is the ``sensing.Truth`` batch itself: ``world_at`` makes
-      new arrays on every call and nothing writes to them, so the record
-      owns them.
+      ``truth`` is the ``sensing.Truth`` batch itself: ``world_at``
+      evaluates the run's stacked ``World`` into new arrays on every call,
+      extents copied too, and nothing writes to them, so the record owns
+      them.
 
     A tick without detections or a time without objects records an empty
     array, and its line an empty list.
@@ -188,7 +189,7 @@ class Engine:
         # handler times never decrease, so the last one recorded is enough
         self._last_truth_line: float | None = None
         self.events_processed = 0
-        self._motions = {o.id: o.motion for o in scenario.objects}
+        self.world = World(scenario.objects)
 
         order = sorted(scenario.agents, key=lambda a: a.id)
         self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.has_sensors}
@@ -268,7 +269,7 @@ class Engine:
             if self.replay is not None:
                 self.truth_cache = {t: self.replay.truth_at(t)}
             else:
-                self.truth_cache = {t: world_at(self.sc.objects, t, self.sc.duration)}
+                self.truth_cache = {t: world_at(self.world, t, self.sc.duration)}
         return self.truth_cache[t]
 
     def _link_rng(self, link: str) -> np.random.Generator:
@@ -486,23 +487,36 @@ class Engine:
         positions = means[:, :3] + means[:, 3:] * (t - stamps)[:, None]
         frame = self.agg.sample(t, gt, list(zip(ids, positions)))
         mc = self.sc.metrics
-        if t + mc.prediction_horizon <= self.sc.duration + 1e-9:
+        if frame.matches and t + mc.prediction_horizon <= self.sc.duration + 1e-9:
             row = {tid: n for n, tid in enumerate(ids)}
-            for gid, eid, _ in frame.matches:
-                n = row[eid]
-                wps = predict_trajectory(means[n], stamps[n].item(), mc.prediction_horizon,
-                                         mc.prediction_dt)
-                truth_fn = self._truth_interpolator(gid)
-                try:
-                    ade, fde = prediction_error(wps, truth_fn, self.sc.duration)
-                except OutOfRange:
-                    continue
-                self.agg.add_prediction(ade, fde)
+            gids, eids, _ = zip(*frame.matches)
+            rows = [row[eid] for eid in eids]
+            times, waypoints = predict_waypoints(means[rows], stamps[rows],
+                                                 mc.prediction_horizon, mc.prediction_dt)
+            truth, found = self._truth_positions(gids, times)
+            ade, fde, scored = prediction_error(waypoints, times, truth, self.sc.duration)
+            for a, f, ok in zip(ade.tolist(), fde.tolist(), (scored & found).tolist()):
+                if ok:
+                    self.agg.add_prediction(a, f)
 
-    def _truth_interpolator(self, obj_id: int):
-        if self.replay is not None:
-            return lambda t: self.replay.truth_position(obj_id, t)
-        return self._motions[obj_id].position
+    def _truth_positions(self, gids: tuple[int, ...], times: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """The (M, K, 3) true positions of objects ``gids`` at their (M, K)
+        ``times``, and the (M,) mask of the objects that have one at every
+        time: a replay's truth lines may leave an object out."""
+        if self.replay is None:
+            return (self.world.positions([self.world.row[gid] for gid in gids], times),
+                    np.ones(len(gids), dtype=bool))
+        truth = np.zeros(times.shape + (3,))
+        found = np.ones(len(gids), dtype=bool)
+        for m, (gid, row_times) in enumerate(zip(gids, times.tolist())):
+            for k, tk in enumerate(row_times):
+                position = self.replay.truth_position(gid, tk)
+                if position is None:
+                    found[m] = False
+                    break
+                truth[m, k] = position
+        return truth, found
 
     # -- main loop -----------------------------------------------------------
 

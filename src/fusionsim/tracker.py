@@ -424,15 +424,21 @@ def gate(tracks: Tracks, detections: Detections,
                      chi2_quantile(gate_prob, 3))
 
 
-def predict_trajectory(mean: np.ndarray, stamp: float, horizon: float,
-                       dt: float) -> list[tuple[float, np.ndarray]]:
-    """CV waypoint extrapolation of one track's (6,) ``mean``, the estimate
-    at time ``stamp``."""
+def predict_waypoints(means: np.ndarray, stamps: np.ndarray, horizon: float,
+                      dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """CV waypoint extrapolation of M tracks at once: their (M, 6) ``means``,
+    each the estimate at its time in the (M,) ``stamps``.
+
+    Returns the (M, K) waypoint times ``stamp + k dt`` and the (M, K, 3)
+    positions ``pos + vel (k dt)``, k = 1 .. K, K = floor(horizon / dt),
+    each with the bits the same arithmetic gives one track and one k.
+    """
     if horizon <= 0 or dt <= 0:
         raise TrackerError("horizon and dt must be > 0")
     steps = int(math.floor(horizon / dt + 1e-9))
-    pos, vel = mean[:3], mean[3:]
-    return [(stamp + k * dt, pos + vel * (k * dt)) for k in range(1, steps + 1)]
+    ahead = np.arange(1, steps + 1) * dt
+    return (stamps[:, None] + ahead,
+            means[:, None, :3] + means[:, None, 3:] * ahead[:, None])
 
 
 class Tracker:

@@ -22,7 +22,10 @@
   that does not parse, one whose topic names no worker the run has, or
   TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
   sensors), is counted and skipped, and the run goes on;
-* golden outputs: each case's outputs hash to the recorded digests.
+* golden outputs: each case's outputs hash to the recorded digests, and
+  a crowd run long enough to score predictions gives pinned ADE and FDE;
+* missing truth: a replay whose truth lines leave out a matched object
+  leaves that object's predictions unscored, and the run goes on.
 """
 
 import hashlib
@@ -158,6 +161,17 @@ def test_replay_reproduces_tracks(case):
     assert replayed.track_jsonl() == report.track_jsonl()
 
 
+def test_crowd_prediction_scores_are_pinned(scenario_dir):
+    # the golden crowd case ends before the first prediction horizon does,
+    # so no digest covers prediction scoring at crowd size: a 3 s run scores
+    # the matches of its first 11 metric samples, 380 in all
+    sc = apply_overrides(scenario(scenario_dir, "urban.json", "cr", 3.0, 40, ""), seed=42)
+    engine = Engine(sc)
+    metrics = engine.run().report["metrics"]
+    assert len(engine.agg.ade_samples) == 380
+    assert (metrics["ade"], metrics["fde"]) == (4.003822328448829, 6.176053553276757)
+
+
 def test_a_replay_with_another_sensor_type_is_refused_at_set_up(scenario_dir):
     # the ego's camera index carries the ego radar's lines: the rows would
     # read as boxes, so the engine refuses the replay before it runs
@@ -171,6 +185,31 @@ def test_a_replay_with_another_sensor_type_is_refused_at_set_up(scenario_dir):
     replay = load_replay("\n".join(json.dumps(line) for line in swapped))
     with pytest.raises(ReplayError, match=r"\(ego, 0\) is a radar"):
         Engine(sc, replay=replay)
+
+
+def test_a_replay_that_loses_a_matched_object_goes_on_without_scoring_it(scenario_dir):
+    # from t = 1.5 on, the truth lines of a 3 s urban replay leave out an
+    # object the ego's tracks matched: its predicted waypoints past 1.5
+    # have no truth, so each of its matches goes unscored, and the rest are
+    # scored as in the whole replay
+    sc = scenario(scenario_dir, "urban.json", "cr", 3.0, 0, "")
+    lines = [json.loads(line) for line in Engine(sc).run().replay_jsonl().splitlines()]
+    whole = Engine(sc, replay=load_replay("\n".join(json.dumps(line) for line in lines)))
+    whole.run()
+    horizon = sc.metrics.prediction_horizon
+    scored = [gid for f in whole.agg.frames if f.t + horizon <= sc.duration + 1e-9
+              for gid, _, _ in f.matches]
+    gone = min(scored)
+    for line in lines:
+        if "truth" in line and line["t"] > 1.5:
+            line["truth"] = [entry for entry in line["truth"] if entry["id"] != gone]
+    cut = Engine(sc, replay=load_replay("\n".join(json.dumps(line) for line in lines)))
+    cut.run()
+    assert [f.matches for f in cut.agg.frames if f.t <= 1.5] == \
+        [f.matches for f in whole.agg.frames if f.t <= 1.5]
+    assert len(whole.agg.ade_samples) == len(scored) and gone in scored
+    assert cut.agg.ade_samples == [ade for ade, gid in zip(whole.agg.ade_samples, scored)
+                                   if gid != gone]
 
 
 def test_frames_and_tasks_accounted_for(case):

@@ -7,7 +7,6 @@ from fusionsim.metrics import (
     FrameMatchResult,
     MetricsAggregator,
     MetricsError,
-    OutOfRange,
     clear_mot,
     distances,
     match_frame,
@@ -143,7 +142,7 @@ class TestDistances:
             assert d.shape == (n, m)
             for i in range(n):
                 for j in range(m):
-                    assert d[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), rel=1e-12)
+                    assert d[i, j] == np.linalg.norm(a[i] - b[j])
 
     def test_matched_distances_are_the_norms(self):
         rng = np.random.default_rng(12)
@@ -198,18 +197,29 @@ class TestOspa:
             ospa([], [], p=0.5)
 
 
+def score(predicted, truth, duration):
+    """The stacked scorer's (ADE, FDE, scored) of one trajectory, given as
+    (t, position) waypoints and a truth function of time."""
+    times = np.array([[t for t, _ in predicted]])
+    waypoints = np.array([[p for _, p in predicted]])
+    true = np.array([[truth(t) for t, _ in predicted]])
+    ade, fde, scored = prediction_error(waypoints, times, true, duration)
+    assert ade.shape == fde.shape == scored.shape == (1,)
+    return ade[0], fde[0], scored[0]
+
+
 class TestPredictionError:
     def test_perfect_cv(self):
         truth = lambda t: np.array([t, 0.0, 0.0])
         predicted = [(t, np.array([t, 0.0, 0.0])) for t in (1.0, 2.0)]
-        ade, fde = prediction_error(predicted, truth, duration=10.0)
-        assert ade == 0.0 and fde == 0.0
+        ade, fde, scored = score(predicted, truth, duration=10.0)
+        assert ade == 0.0 and fde == 0.0 and scored
 
     def test_constant_offset(self):
         truth = lambda t: np.array([t, 0.0, 0.0])
         predicted = [(t, np.array([t, 1.0, 0.0])) for t in (1.0, 2.0, 3.0)]
-        ade, fde = prediction_error(predicted, truth, duration=10.0)
-        assert ade == pytest.approx(1.0) and fde == pytest.approx(1.0)
+        ade, fde, scored = score(predicted, truth, duration=10.0)
+        assert ade == pytest.approx(1.0) and fde == pytest.approx(1.0) and scored
 
     def test_turning_object_fde_exceeds_ade(self):
         # truth turns at t=1; CV prediction keeps going straight
@@ -218,13 +228,17 @@ class TestPredictionError:
                 return np.array([t, 0.0, 0.0])
             return np.array([1.0, t - 1.0, 0.0])
         predicted = [(t, np.array([t, 0.0, 0.0])) for t in (0.5, 1.0, 1.5, 2.0)]
-        ade, fde = prediction_error(predicted, truth, duration=10.0)
-        assert fde >= ade > 0.0
+        ade, fde, scored = score(predicted, truth, duration=10.0)
+        assert fde >= ade > 0.0 and scored
 
     def test_out_of_range(self):
         truth = lambda t: np.zeros(3)
-        with pytest.raises(OutOfRange):
-            prediction_error([(11.0, np.zeros(3))], truth, duration=10.0)
+        assert not score([(11.0, np.zeros(3))], truth, duration=10.0)[2]
+        assert not score([(1.0, np.zeros(3)), (-0.5, np.zeros(3))], truth, duration=10.0)[2]
+
+    def test_no_waypoints(self):
+        with pytest.raises(MetricsError):
+            prediction_error(np.zeros((2, 0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 3)), 10.0)
 
 
 class TestAggregator:

@@ -88,7 +88,11 @@ def test_integer_fields_cast_to_int(scenario_dir):
     (("tracker", "q"), 0),
     (("agents", 0, "sensors", 0, "intrinsics", "cx"), 5000.0),
     (("network", "default", "jitter"), 0.5),
-], ids=["q-zero", "cx-outside-image", "jitter-above-base-latency"])
+    (("metrics", "prediction_horizon"), 0.0),
+    (("metrics", "prediction_dt"), -0.5),
+    (("metrics", "prediction_dt"), 2.5),
+], ids=["q-zero", "cx-outside-image", "jitter-above-base-latency", "prediction-horizon-zero",
+        "prediction-dt-negative", "prediction-dt-past-horizon"])
 def test_invalid_values_rejected(scenario_dir, path, value):
     with pytest.raises(ValidationError):
         load(_set(load_doc(scenario_dir), path, value))

@@ -1,3 +1,4 @@
+import math
 from bisect import insort
 
 import numpy as np
@@ -26,7 +27,7 @@ from fusionsim.tracker import (
     kalman_update,
     position_d2,
     predict,
-    predict_trajectory,
+    predict_waypoints,
     process_noise,
     spawn,
     update,
@@ -493,27 +494,46 @@ def test_joseph_form_psd_many_random_steps():
     assert worst > -1e-9
 
 
-class TestPredictTrajectory:
+class TestPredictWaypoints:
     def test_unit_velocity_waypoints(self):
-        wps = predict_trajectory(np.array([0.0, 0, 0, 1, 0, 0]), 5.0, horizon=2.0, dt=1.0)
-        assert len(wps) == 2
-        assert wps[0][0] == pytest.approx(6.0)
-        assert np.allclose(wps[0][1], [1, 0, 0])
-        assert np.allclose(wps[1][1], [2, 0, 0])
+        times, wps = predict_waypoints(np.array([[0.0, 0, 0, 1, 0, 0]]), np.array([5.0]),
+                                       horizon=2.0, dt=1.0)
+        assert times.shape == (1, 2) and wps.shape == (1, 2, 3)
+        assert times[0, 0] == pytest.approx(6.0)
+        assert np.allclose(wps[0, 0], [1, 0, 0])
+        assert np.allclose(wps[0, 1], [2, 0, 0])
 
     def test_zero_velocity_constant(self):
-        wps = predict_trajectory(np.array([3.0, 4, 5, 0, 0, 0]), 5.0, horizon=1.0, dt=0.25)
-        assert all(np.allclose(p, [3, 4, 5]) for _, p in wps)
+        _, wps = predict_waypoints(np.array([[3.0, 4, 5, 0, 0, 0]]), np.array([5.0]),
+                                   horizon=1.0, dt=0.25)
+        assert all(np.allclose(p, [3, 4, 5]) for p in wps[0])
 
     def test_waypoint_count(self):
-        mean = np.array([0.0, 0, 0, 1, 1, 1])
-        assert len(predict_trajectory(mean, 5.0, 3.0, 0.5)) == 6
-        assert len(predict_trajectory(mean, 5.0, 0.3, 0.1)) == 3
+        means, stamps = np.array([[0.0, 0, 0, 1, 1, 1]]), np.array([5.0])
+        assert predict_waypoints(means, stamps, 3.0, 0.5)[1].shape == (1, 6, 3)
+        assert predict_waypoints(means, stamps, 0.3, 0.1)[1].shape == (1, 3, 3)
 
     @pytest.mark.parametrize("horizon,dt", [(0.0, 0.5), (1.0, 0.0), (-1.0, 0.5)])
     def test_a_horizon_or_step_that_is_not_positive_rejected(self, horizon, dt):
         with pytest.raises(TrackerError):
-            predict_trajectory(np.zeros(6), 5.0, horizon, dt)
+            predict_waypoints(np.zeros((1, 6)), np.array([5.0]), horizon, dt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6),
+           horizon=st.floats(0.1, 4.0), dt=st.floats(0.05, 1.0))
+    def test_each_row_is_the_one_track_extrapolation(self, seed, m, horizon, dt):
+        # row m, waypoint k holds the bits of (stamp + k dt, pos + vel (k dt))
+        # computed for that one track
+        rng = np.random.default_rng(seed)
+        means, stamps = rng.normal(scale=20.0, size=(m, 6)), rng.uniform(0.0, 10.0, m)
+        times, wps = predict_waypoints(means, stamps, horizon, dt)
+        steps = int(math.floor(horizon / dt + 1e-9))
+        assert times.shape == (m, steps) and wps.shape == (m, steps, 3)
+        for mean, stamp, row_times, row_wps in zip(means, stamps.tolist(), times, wps):
+            for k in range(1, steps + 1):
+                assert row_times[k - 1] == stamp + k * dt
+                expected = mean[:3] + mean[3:] * (k * dt)
+                assert row_wps[k - 1].tobytes() == expected.tobytes()
 
 
 class TestBatchRollback:
