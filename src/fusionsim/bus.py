@@ -30,6 +30,7 @@ hashes and diffs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -135,14 +136,21 @@ def payload_ints(d: dict, key: str) -> list[int]:
 
 def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
     """A decoded payload's nested lists of numbers as a float array of
-    exactly ``shape``; anything else raises ValueError.  A stack of zero
-    rows (``shape[0] == 0``) is ``[]``.  Non-finite values pass: each
-    caller decides what they mean."""
+    exactly ``shape``; anything else raises ValueError.  A number is an
+    int or a float, as in ``payload_field``: numpy would read a bool among
+    numbers as 0 or 1, so each number's own type is checked.  A stack of
+    zero rows (``shape[0] == 0``) is ``[]``.  Non-finite values pass:
+    each caller decides what they mean."""
     a = np.array(x)
     if shape[0] == 0 and a.shape == (0,):
         return np.empty(shape)
     if a.shape != shape or a.dtype.kind not in "iuf":
         raise ValueError(f"payload array is not numbers of shape {shape}")
+    numbers = x
+    for _ in shape[1:]:
+        numbers = itertools.chain.from_iterable(numbers)
+    if bool in map(type, numbers):
+        raise ValueError(f"payload array of shape {shape} holds a bool")
     return a.astype(float, copy=False)
 
 

@@ -2,9 +2,18 @@
 
 Matching uses 3D center distance at a fixed radius (no oriented boxes
 exist in the pipeline, so distance is the honest criterion).  Tracking
-follows the CLEAR conventions: MOTA folds misses, false positives and
-identity switches into one number, MOTP is the mean matched distance.
-Cardinality-aware set error comes from OSPA.
+follows the CLEAR MOT conventions (Bernardin & Stiefelhagen, 2008): MOTA
+folds misses, false positives and identity switches into one number,
+MOTP is the mean matched distance.  Cardinality-aware set error comes
+from OSPA (Schuhmacher, Vo & Vo, 2008) of order 1, its cutoff the one
+parameter.
+
+A sample computes one (N, M) ``distances`` matrix from its N true to
+its M estimated positions, and both ``match_frame`` and ``ospa`` read
+it.  OSPA puts the smaller set on the rows, so with more truths than
+estimates it reads the matrix transposed.  That is bit for bit the
+matrix of the sets swapped: each entry's difference is exactly negated,
+and its squares are the same.
 
 Motion prediction is scored for all matches of a sample at once:
 ``prediction_error`` takes the (M, K, 3) predicted waypoints of M
@@ -29,27 +38,17 @@ from .geometry import norms
 
 DEFAULT_MATCH_RADIUS = 2.0  # meters
 DEFAULT_OSPA_CUTOFF = 5.0
-DEFAULT_OSPA_ORDER = 1.0
 
 
 class MetricsError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FrameMatchResult:
-    t: float
-    matches: list[tuple[int, int, float]]   # (gt id, estimate id, distance m)
-    fp: int
-    fn: int
-    gt_count: int
-
-
-def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarray]],
-                radius: float = DEFAULT_MATCH_RADIUS,
-                prev: dict[int, int] | None = None,
-                t: float = 0.0) -> FrameMatchResult:
-    """Match ground truth to estimates by center distance within ``radius``.
+def match_frame(gt_ids, est_ids, dist: np.ndarray, radius: float = DEFAULT_MATCH_RADIUS,
+                prev: dict[int, int] | None = None) -> list[tuple[int, int, float]]:
+    """Match ground truth to estimates by center distance within ``radius``:
+    the sorted (gt id, estimate id, distance) triples, one per match, read
+    from the (N, M) ``dist`` of ``gt_ids`` to ``est_ids``.
 
     Carry-over first: a gt keeps last frame's estimate id when that
     estimate still exists and is still within radius; the remainder is
@@ -59,14 +58,11 @@ def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarra
     if radius <= 0:
         raise MetricsError("radius must be > 0")
     prev = prev or {}
-    est_ids = [e for e, _ in est]
     est_col = {eid: j for j, eid in enumerate(est_ids)}
-    if len(est_col) != len(est):
+    if len(est_col) != len(est_ids):
         raise MetricsError("estimate ids must be unique within a frame")
-    gt_ids = [g for g, _ in gt]
     if len(set(gt_ids)) != len(gt_ids):
         raise MetricsError("gt ids must be unique within a frame")
-    dist = distances([p for _, p in gt], [p for _, p in est])
 
     matches: list[tuple[int, int, float]] = []
     used_est: set[int] = set()
@@ -87,16 +83,7 @@ def match_frame(gt: list[tuple[int, np.ndarray]], est: list[tuple[int, np.ndarra
     cost = np.where(rest <= radius, rest, np.inf)
     for i, j in assign(cost):
         matches.append((gt_ids[rest_gt[i]], est_ids[rest_est[j]], float(cost[i, j])))
-
-    matched_gt = {g for g, _, _ in matches}
-    matched_est = {e for _, e, _ in matches}
-    return FrameMatchResult(
-        t=t,
-        matches=sorted(matches),
-        fp=len(est) - len(matched_est),
-        fn=len(gt) - len(matched_gt),
-        gt_count=len(gt),
-    )
+    return sorted(matches)
 
 
 def distances(a, b) -> np.ndarray:
@@ -111,58 +98,31 @@ def distances(a, b) -> np.ndarray:
     return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
-def clear_mot(frames: list[FrameMatchResult]) -> tuple[float | None, float | None, int]:
-    """(MOTA, MOTP, identity switches) over a frame sequence.
-
-    MOTA = 1 - (FN + FP + IDSW) / GT, None when no ground truth exists;
-    MOTP is the mean matched distance, None when nothing ever matched.
-    A switch is counted when a gt id's matched estimate id differs from
-    its previous matched frame.
-    """
-    total_gt = sum(f.gt_count for f in frames)
-    total_fp = sum(f.fp for f in frames)
-    total_fn = sum(f.fn for f in frames)
-    idsw = 0
-    last_est: dict[int, int] = {}
-    dists: list[float] = []
-    for f in frames:
-        for gid, eid, d in f.matches:
-            if gid in last_est and last_est[gid] != eid:
-                idsw += 1
-            last_est[gid] = eid
-            dists.append(d)
-    mota = None if total_gt == 0 else 1.0 - (total_fn + total_fp + idsw) / total_gt
-    motp = None if not dists else float(np.mean(dists))
-    return mota, motp, idsw
-
-
-def ospa(a: list[np.ndarray], b: list[np.ndarray],
-         c: float = DEFAULT_OSPA_CUTOFF, p: float = DEFAULT_OSPA_ORDER) -> float:
-    """Optimal subpattern assignment distance between two point sets.
+def ospa(dist: np.ndarray, c: float = DEFAULT_OSPA_CUTOFF) -> float:
+    """Optimal subpattern assignment distance, of order 1, between two
+    point sets, from their (N, M) ``distances``.
 
     Localization errors are truncated at the cutoff ``c`` and cardinality
     mismatch is charged ``c`` per unmatched point; the result never
-    exceeds ``c``.  The assignment is solved over the cells below the
-    cutoff, each point of the smaller set free to stay unmatched at the
-    cutoff cost, which has the optimum of the dense truncated problem.
+    exceeds ``c``.  The smaller set indexes the rows: with more rows than
+    columns, ``dist`` is read transposed.  The assignment is solved over
+    the cells below the cutoff, each point of the smaller set free to stay
+    unmatched at the cutoff cost, which has the optimum of the dense
+    truncated problem.
     """
-    if c <= 0 or p < 1:
-        raise MetricsError("need cutoff c > 0 and order p >= 1")
-    if len(a) > len(b):
-        a, b = b, a
-    m, n = len(a), len(b)
+    if c <= 0:
+        raise MetricsError("need cutoff c > 0")
+    if dist.shape[0] > dist.shape[1]:
+        dist = dist.T
+    m, n = dist.shape
     if n == 0:
         return 0.0
     if m == 0:
         return c
-    d = np.minimum(c, distances(a, b)) ** p
-    # the value of every cut-off cell, from numpy's array ** as d's cells
-    # are (Python's c ** p can round differently); the solver gets it as a
-    # Python float, whose arithmetic is faster than numpy scalars'
-    cut = (np.full(1, float(c)) ** p)[0]
-    pairs = dict(assign(d, miss=float(cut)))
-    loc = sum(d[i, pairs[i]] if i in pairs else cut for i in range(m))
-    return float(((loc + c**p * (n - m)) / n) ** (1.0 / p))
+    d = np.minimum(c, dist)
+    pairs = dict(assign(d, miss=float(c)))
+    loc = sum(d[i, pairs[i]] if i in pairs else c for i in range(m))
+    return float((loc + c * (n - m)) / n)
 
 
 def prediction_error(waypoints: np.ndarray, times: np.ndarray, truth: np.ndarray,
@@ -185,52 +145,65 @@ def prediction_error(waypoints: np.ndarray, times: np.ndarray, truth: np.ndarray
 
 @dataclass
 class MetricsAggregator:
-    """Accumulates per-frame match results and OSPA samples during a run."""
+    """Scores a run one sample at a time.  It keeps the CLEAR-MOT counts
+    as running totals, with each gt id's last matched estimate id for the
+    identity switches, every matched distance in sample order for MOTP,
+    the OSPA series and the prediction errors."""
 
     radius: float = DEFAULT_MATCH_RADIUS
     ospa_cutoff: float = DEFAULT_OSPA_CUTOFF
-    ospa_order: float = DEFAULT_OSPA_ORDER
-    frames: list[FrameMatchResult] = field(default_factory=list)
+    frames: int = 0
+    gt_total: int = 0
+    fp_total: int = 0
+    fn_total: int = 0
+    id_switches: int = 0
+    matched: list[float] = field(default_factory=list)
     ospa_series: list[tuple[float, float]] = field(default_factory=list)
     ade_samples: list[float] = field(default_factory=list)
     fde_samples: list[float] = field(default_factory=list)
     _prev: dict[int, int] = field(default_factory=dict)
 
-    def sample(self, t: float, gt: list[tuple[int, np.ndarray]],
-               est: list[tuple[int, np.ndarray]]) -> FrameMatchResult:
-        frame = match_frame(gt, est, self.radius, self._prev, t=t)
-        for gid, eid, _ in frame.matches:
+    def sample(self, t: float, truth_ids, truth_positions: np.ndarray,
+               est_ids, est_positions: np.ndarray) -> list[tuple[int, int, float]]:
+        """Score the estimates at ``t`` against the truth: the ids and their
+        (N, 3) and (M, 3) positions.  Returns the frame's matches."""
+        dist = distances(truth_positions, est_positions)
+        matches = match_frame(truth_ids, est_ids, dist, self.radius, self._prev)
+        for gid, eid, d in matches:
+            # a switch: the gt id's last match, in any earlier frame, was another estimate
+            if self._prev.get(gid, eid) != eid:
+                self.id_switches += 1
             self._prev[gid] = eid
-        self.frames.append(frame)
-        self.ospa_series.append(
-            (t, ospa([p for _, p in gt], [p for _, p in est],
-                     self.ospa_cutoff, self.ospa_order)))
-        return frame
+            self.matched.append(d)
+        self.frames += 1
+        self.gt_total += len(truth_ids)
+        self.fp_total += len(est_ids) - len(matches)
+        self.fn_total += len(truth_ids) - len(matches)
+        self.ospa_series.append((t, ospa(dist, self.ospa_cutoff)))
+        return matches
 
     def add_prediction(self, ade: float, fde: float) -> None:
         self.ade_samples.append(ade)
         self.fde_samples.append(fde)
 
     def report(self) -> dict:
-        mota, motp, idsw = clear_mot(self.frames)
-        total_gt = sum(f.gt_count for f in self.frames)
-        tp = sum(len(f.matches) for f in self.frames)
-        fp = sum(f.fp for f in self.frames)
-        precision = None if tp + fp == 0 else tp / (tp + fp)
-        recall = None if total_gt == 0 else tp / total_gt
+        """Precision and recall; MOTA = 1 - (FN + FP + IDSW) / GT, None
+        without ground truth; MOTP, the mean matched distance, None when
+        nothing matched; the mean ADE, FDE and OSPA; and the totals."""
+        gt, tp, fp, fn = self.gt_total, len(self.matched), self.fp_total, self.fn_total
         return {
-            "precision": precision,
-            "recall": recall,
-            "mota": mota,
-            "motp": motp,
-            "id_switches": idsw,
+            "precision": None if tp + fp == 0 else tp / (tp + fp),
+            "recall": None if gt == 0 else tp / gt,
+            "mota": None if gt == 0 else 1.0 - (fn + fp + self.id_switches) / gt,
+            "motp": None if not self.matched else float(np.mean(self.matched)),
+            "id_switches": self.id_switches,
             "ade": None if not self.ade_samples else float(np.mean(self.ade_samples)),
             "fde": None if not self.fde_samples else float(np.mean(self.fde_samples)),
             "ospa_mean": None if not self.ospa_series else
                 float(np.mean([v for _, v in self.ospa_series])),
-            "frames": len(self.frames),
-            "gt_total": total_gt,
+            "frames": self.frames,
+            "gt_total": gt,
             "tp_total": tp,
             "fp_total": fp,
-            "fn_total": sum(f.fn for f in self.frames),
+            "fn_total": fn,
         }

@@ -190,6 +190,8 @@ class Engine:
         self._last_truth_line: float | None = None
         self.events_processed = 0
         self.world = World(scenario.objects)
+        # the true positions that predictions are scored against
+        self.truth_source = self.world if replay is None else replay
 
         order = sorted(scenario.agents, key=lambda a: a.id)
         self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.has_sensors}
@@ -481,42 +483,22 @@ class Engine:
             return
         ego = self.agents[self.ego_id]
         truth = self._truth(t)
-        gt = list(zip(truth.ids, truth.positions))
         confirmed = ego.tracker.confirmed()
         ids, means, stamps = confirmed.ids.tolist(), confirmed.means, confirmed.stamps
         positions = means[:, :3] + means[:, 3:] * (t - stamps)[:, None]
-        frame = self.agg.sample(t, gt, list(zip(ids, positions)))
+        matches = self.agg.sample(t, truth.ids, truth.positions, ids, positions)
         mc = self.sc.metrics
-        if frame.matches and t + mc.prediction_horizon <= self.sc.duration + 1e-9:
+        if matches and t + mc.prediction_horizon <= self.sc.duration + 1e-9:
             row = {tid: n for n, tid in enumerate(ids)}
-            gids, eids, _ = zip(*frame.matches)
+            gids, eids, _ = zip(*matches)
             rows = [row[eid] for eid in eids]
             times, waypoints = predict_waypoints(means[rows], stamps[rows],
                                                  mc.prediction_horizon, mc.prediction_dt)
-            truth, found = self._truth_positions(gids, times)
+            truth, found = self.truth_source.positions(gids, times)
             ade, fde, scored = prediction_error(waypoints, times, truth, self.sc.duration)
             for a, f, ok in zip(ade.tolist(), fde.tolist(), (scored & found).tolist()):
                 if ok:
                     self.agg.add_prediction(a, f)
-
-    def _truth_positions(self, gids: tuple[int, ...], times: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """The (M, K, 3) true positions of objects ``gids`` at their (M, K)
-        ``times``, and the (M,) mask of the objects that have one at every
-        time: a replay's truth lines may leave an object out."""
-        if self.replay is None:
-            return (self.world.positions([self.world.row[gid] for gid in gids], times),
-                    np.ones(len(gids), dtype=bool))
-        truth = np.zeros(times.shape + (3,))
-        found = np.ones(len(gids), dtype=bool)
-        for m, (gid, row_times) in enumerate(zip(gids, times.tolist())):
-            for k, tk in enumerate(row_times):
-                position = self.replay.truth_position(gid, tk)
-                if position is None:
-                    found[m] = False
-                    break
-                truth[m, k] = position
-        return truth, found
 
     # -- main loop -----------------------------------------------------------
 

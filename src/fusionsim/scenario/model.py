@@ -573,16 +573,19 @@ class World:
             np.concatenate(parts).reshape(-1, 3, 3).transpose(1, 0, 2).copy()
         self.others = {i: m for i, m in enumerate(motions) if m.kind != "cv"}
 
-    def positions(self, rows: list[int], times: np.ndarray) -> np.ndarray:
-        """(M, K, 3) positions of the objects in ``rows`` at their (M, K)
-        ``times``: row m's at ``times[m]``."""
+    def positions(self, gids, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, K, 3) positions of the objects ``gids`` at their (M, K)
+        ``times``, row m's at ``times[m]``, and the (M,) mask of the
+        objects found: all of them, as every object has a motion for all
+        time (``ReplayData.positions`` has this signature too)."""
+        rows = [self.row[gid] for gid in gids]
         out = self.p0[rows, None] + self.v[rows, None] * times[..., None]
         if self.others:
             for m, i in enumerate(rows):
                 motion = self.others.get(i)
                 if motion is not None:
                     out[m] = [motion.position(t) for t in times[m].tolist()]
-        return out
+        return out, np.ones(len(rows), dtype=bool)
 
 
 def world_at(world: World, t: float, duration: float) -> Truth:

@@ -42,16 +42,19 @@ line raises ``ReplayError`` with its line number:
 * every line: a finite number ``t``; a detection line an integer
   ``sensor``;
 * a detection row: a camera box with ``umin < umax`` and ``vmin < vmax``
-  and a score in [0, 1], or a finite radar position with range > 0; a
-  bbox of exactly 4 numbers and a position of exactly 3;
+  and a score in [0, 1], or a finite radar position with range > 0 and
+  a finite radial speed and SNR; a bbox of exactly 4 numbers and a
+  position of exactly 3;
 * a truth line: at most one per ``t``, with unique integer ids; a
   position, velocity and extent of exactly 3 finite numbers each, and
   extent components > 0.
 
-Numbers are typed as on the bus, never converted: a scalar passes
-``bus.payload_field``'s rule (a bool, a numeric string or a fractional
-id is refused), and a line's vectors, stacked, ``bus.payload_array``'s.
-A row or vector of the wrong length is refused, never reshaped.
+Numbers are typed as on the bus, never converted: ``t``, ``sensor`` and
+a truth id pass ``bus.payload_field``'s rule (a bool, a numeric string
+or a fractional id is refused), and a line's rows or vectors, stacked,
+``bus.payload_array``'s, which types each number once (a bool, a
+string or a null is refused).  A row or vector of the wrong length is
+refused, never reshaped.
 """
 
 from __future__ import annotations
@@ -102,13 +105,25 @@ class ReplayData:
         return Truth(tuple(ids), _between(before.positions[a], after.positions[b], alpha),
                      after.velocities[b], after.extents[b])
 
-    def truth_position(self, obj_id: int, t: float) -> np.ndarray | None:
-        """``obj_id``'s position in ``truth_at(t)``; None when it has none."""
-        before, after, alpha = self._around(t)
-        if obj_id not in before.ids or obj_id not in after.ids:
-            return None
-        return _between(before.positions[before.ids.index(obj_id)],
-                        after.positions[after.ids.index(obj_id)], alpha)
+    def positions(self, gids, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, K, 3) positions of the objects ``gids`` at their (M, K)
+        ``times``, row m's at ``times[m]``, each as ``truth_at`` gives it,
+        and the (M,) mask of the objects found.  At a recorded time, or
+        before the first line or after the last, a position is that line's
+        own row, not ``a + 0 * (b - a)``.  An object missing from either
+        line around any of its times is not found; its row is zero from
+        that time on."""
+        out = np.zeros(times.shape + (3,))
+        found = np.ones(len(gids), dtype=bool)
+        for m, (gid, row_times) in enumerate(zip(gids, times.tolist())):
+            for k, tk in enumerate(row_times):
+                before, after, alpha = self._around(tk)
+                if gid not in before.ids or gid not in after.ids:
+                    found[m] = False
+                    break
+                out[m, k] = _between(before.positions[before.ids.index(gid)],
+                                     after.positions[after.ids.index(gid)], alpha)
+        return out, found
 
     def _around(self, t: float) -> tuple[Truth, Truth, float | None]:
         """The lines before and after ``t`` and the later one's weight; at
@@ -223,10 +238,9 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
     """A detection line's entries as one checked ``(n, 5)`` array."""
     try:
         if stype == "camera":
-            rows = [[*d["bbox"], payload_field(d, "score", float)] for d in dets]
+            rows = [[*d["bbox"], d["score"]] for d in dets]
         else:
-            rows = [[*d["position"], payload_field(d, "radial_speed", float),
-                     payload_field(d, "snr", float) if "snr" in d else 0.0] for d in dets]
+            rows = [[*d["position"], d["radial_speed"], d.get("snr", 0.0)] for d in dets]
     except _FIELD_ERRORS as e:
         raise ReplayError(f"bad detection entry: {e}", lineno)
     try:
@@ -242,12 +256,14 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
             if not 0.0 <= score <= 1.0:
                 raise ReplayError(f"score {score} outside [0, 1]", lineno)
     else:
-        for x, y, z, _, _ in array.tolist():
+        for x, y, z, speed, snr in array.tolist():
             # a sum of squares, in any order, is 0 exactly when every square
             # is 0 or underflows: the range > 0 test of ``geometry.norms``
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
                     and x * x + y * y + z * z > 0.0):
                 raise ReplayError("radar point needs a finite position with range > 0", lineno)
+            if not (math.isfinite(speed) and math.isfinite(snr)):
+                raise ReplayError("radar radial speed and SNR must be finite", lineno)
     return array
 
 

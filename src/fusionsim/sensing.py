@@ -10,8 +10,9 @@ belongs to ``ids[i]``: ``positions`` (world, meters), ``velocities``
 (world, m/s) and ``extents`` (full box dims (l, w, h) in meters, each
 > 0).  ``scenario.world_at`` builds one per time, as new arrays, from
 the ``scenario.World`` a run builds once from its checked objects: every
-cv motion evaluated in one ``p0 + v * t``, any other by its own rule.  The replay loader builds one per truth line, checked
-there; nothing writes to a batch once it is built.
+cv motion evaluated in one ``p0 + v * t``, any other by its own rule.
+The replay loader builds one per truth line, checked there; nothing
+writes to a batch once it is built.
 
 Each tick's measurements are one new float64 ``(n, 5)`` array, one row
 per box or return, in draw order:

@@ -192,6 +192,27 @@ class TestPayloadFields:
         with pytest.raises(ValueError):
             bus.payload_array([[]], (0, 5))
 
+    def test_a_bool_among_numbers_is_not_a_number(self):
+        # numpy alone reads [1.0, True, 2.0] as [1., 1., 2.]
+        for x, shape in (([1.0, True, 2.0], (3,)), ([False, 0.0], (2,)),
+                         ([[1, 2], [3, True]], (2, 2)),
+                         ([[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, False]]], (2, 2, 2)),
+                         ([True, False], (2,))):
+            with pytest.raises(ValueError):
+                bus.payload_array(x, shape)
+
+    def test_ints_and_floats_load_as_floats(self):
+        a = bus.payload_array([[1, 2.5], [0, -0.0]], (2, 2))
+        assert a.dtype == np.float64 and a.tolist() == [[1.0, 2.5], [0.0, -0.0]]
+        assert np.signbit(a[1, 1])
+
+    def test_anything_but_numbers_of_the_shape_is_refused(self):
+        for x, shape in (([1.0, "2"], (2,)), ([1.0, None], (2,)), ([[1.0], [2.0, 3.0]], (2, 2)),
+                         ([1.0, 2.0], (2, 1)), ([[1.0, 2.0]], (2,)), ([{}, {}], (2,)),
+                         ([10**400, 1.0], (2,))):
+            with pytest.raises(ValueError):
+                bus.payload_array(x, shape)
+
     def test_ints_are_exactly_ints(self):
         assert bus.payload_ints({"ids": [3, -1, 0]}, "ids") == [3, -1, 0]
         assert bus.payload_ints({"ids": []}, "ids") == []

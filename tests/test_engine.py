@@ -25,7 +25,15 @@
 * golden outputs: each case's outputs hash to the recorded digests, and
   a crowd run long enough to score predictions gives pinned ADE and FDE;
 * missing truth: a replay whose truth lines leave out a matched object
-  leaves that object's predictions unscored, and the run goes on.
+  leaves that object's predictions unscored (``ReplayData.positions``
+  does not find it), and the run goes on;
+* relation R3, ``cr-dist`` reduced to ``cr``: on 2 s urban at two seeds,
+  ``cr-dist`` with workers that fail every task, or with every bus frame
+  dropped, gives ``cr``'s track bytes;
+* relation R5, stream independence: on 2 s urban at two seeds and in
+  every mode, a sensor agent added 7 km away, its id sorting first or
+  last, leaves the ego's track lines and every other replay line
+  byte-identical.
 """
 
 import hashlib
@@ -187,6 +195,20 @@ def test_a_replay_with_another_sensor_type_is_refused_at_set_up(scenario_dir):
         Engine(sc, replay=replay)
 
 
+def run_keeping_matches(engine):
+    """Run ``engine``; the (t, matches) of each metric sample, in order."""
+    sample, frames = engine.agg.sample, []
+
+    def keep(t, *arrays):
+        matches = sample(t, *arrays)
+        frames.append((t, matches))
+        return matches
+
+    engine.agg.sample = keep
+    engine.run()
+    return frames
+
+
 def test_a_replay_that_loses_a_matched_object_goes_on_without_scoring_it(scenario_dir):
     # from t = 1.5 on, the truth lines of a 3 s urban replay leave out an
     # object the ego's tracks matched: its predicted waypoints past 1.5
@@ -195,18 +217,17 @@ def test_a_replay_that_loses_a_matched_object_goes_on_without_scoring_it(scenari
     sc = scenario(scenario_dir, "urban.json", "cr", 3.0, 0, "")
     lines = [json.loads(line) for line in Engine(sc).run().replay_jsonl().splitlines()]
     whole = Engine(sc, replay=load_replay("\n".join(json.dumps(line) for line in lines)))
-    whole.run()
+    whole_frames = run_keeping_matches(whole)
     horizon = sc.metrics.prediction_horizon
-    scored = [gid for f in whole.agg.frames if f.t + horizon <= sc.duration + 1e-9
-              for gid, _, _ in f.matches]
+    scored = [gid for t, matches in whole_frames if t + horizon <= sc.duration + 1e-9
+              for gid, _, _ in matches]
     gone = min(scored)
     for line in lines:
         if "truth" in line and line["t"] > 1.5:
             line["truth"] = [entry for entry in line["truth"] if entry["id"] != gone]
     cut = Engine(sc, replay=load_replay("\n".join(json.dumps(line) for line in lines)))
-    cut.run()
-    assert [f.matches for f in cut.agg.frames if f.t <= 1.5] == \
-        [f.matches for f in whole.agg.frames if f.t <= 1.5]
+    cut_frames = run_keeping_matches(cut)
+    assert [f for f in cut_frames if f[0] <= 1.5] == [f for f in whole_frames if f[0] <= 1.5]
     assert len(whole.agg.ade_samples) == len(scored) and gone in scored
     assert cut.agg.ade_samples == [ade for ade, gid in zip(whole.agg.ade_samples, scored)
                                    if gid != gone]
@@ -450,3 +471,76 @@ def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):
     assert report["counters"]["offload"]["ok_integrated"] == expected["ok_integrated"]
     assert report["counters"]["offload"]["submitted"] == expected["submitted"]
     assert engine.broker.conserved()
+
+
+# -- relations: runs that differ in a way that must not matter ------------------
+
+RELATION_SEEDS = (42, 1009)
+
+
+def urban_run(scenario_dir, mode, seed, edit=None):
+    """A 2 s urban run in ``mode`` at ``seed``, its document changed by
+    ``edit`` first."""
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    if edit:
+        edit(doc)
+    return Engine(apply_overrides(load_scenario(json.dumps(doc)), mode=mode, seed=seed)).run()
+
+
+def failing_workers(doc):
+    doc["pipeline"]["worker"]["p_fail"] = 1.0
+
+
+def dropping_links(doc):
+    network = doc["network"]
+    for link in (network["default"], *network.get("links", {}).values()):
+        link["drop_prob"] = 1.0
+
+
+@pytest.mark.parametrize("seed", RELATION_SEEDS)
+def test_r3_cr_dist_without_edge_results_gives_the_tracks_of_cr(scenario_dir, seed):
+    # edge results change the tracks when they arrive; a worker that fails
+    # every task, or a bus that drops every frame, leaves only local fusion
+    cr = urban_run(scenario_dir, "cr", seed).track_jsonl()
+    assert urban_run(scenario_dir, "cr-dist", seed).track_jsonl() != cr
+    failing = urban_run(scenario_dir, "cr-dist", seed, failing_workers)
+    assert failing.report["counters"]["offload"]["failed"] > 0
+    assert failing.track_jsonl() == cr
+    dropped = urban_run(scenario_dir, "cr-dist", seed, dropping_links)
+    bus_counts = dropped.report["counters"]["bus"]
+    assert bus_counts["sent"] == bus_counts["dropped"] > 0
+    assert dropped.track_jsonl() == cr
+
+
+def far_sensor_agent(agent_id):
+    """An edit that adds a static camera and radar agent about 7 km from
+    the scene, where it sees nothing."""
+    def edit(doc):
+        doc["agents"].append({
+            "id": agent_id, "kind": "infrastructure",
+            "trajectory": {"kind": "static", "position": [7000.0, 0.0, 4.0]},
+            "sensors": [{"type": "camera", "preset": "blackfly-s"},
+                        {"type": "radar", "preset": "iwr1443"}]})
+    return edit
+
+
+def lines_of(jsonl, keep):
+    """The lines of ``jsonl`` whose agent (None for a truth line) ``keep`` keeps."""
+    return [line for line in jsonl.splitlines() if keep(json.loads(line).get("agent"))]
+
+
+@pytest.mark.parametrize("mode", ("cr", "cr-covi", "cr-dist"))
+@pytest.mark.parametrize("seed", RELATION_SEEDS)
+def test_r5_a_far_sensor_agent_leaves_every_other_stream_alone(scenario_dir, mode, seed):
+    # every random stream is keyed by its own name, so adding an agent
+    # shifts no other agent's noise; the new agent sorts first, then last
+    base = urban_run(scenario_dir, mode, seed)
+    ego_tracks = lines_of(base.track_jsonl(), lambda agent: agent == "ego")
+    assert ego_tracks
+    for far in ("a-far", "z-far"):
+        run = urban_run(scenario_dir, mode, seed, far_sensor_agent(far))
+        assert lines_of(run.track_jsonl(), lambda agent: agent == "ego") == ego_tracks
+        assert lines_of(run.replay_jsonl(), lambda agent: agent != far) == \
+            base.replay_jsonl().splitlines()
+        assert lines_of(run.replay_jsonl(), lambda agent: agent == far)

@@ -6,7 +6,9 @@ A camera row is ``[umin, vmin, umax, vmax, score]`` and a radar row
 object to what a live run guarantees, and a bad line raises
 ``ReplayError`` naming its line number.  A row or vector of the wrong
 length is refused, never reshaped.  Between and beyond the truth lines,
-``truth_at`` and ``truth_position`` interpolate as pinned below.  The
+``truth_at`` and ``positions`` interpolate as pinned below, and
+``positions`` gives the position ``truth_at`` gives at every waypoint,
+or marks the object not found where a line around it leaves it out.  The
 line writers and the loader agree both ways: arrays written and loaded
 are the same arrays, and a live run's file loaded and written is the
 same lines.
@@ -165,6 +167,12 @@ def objects_of(truth):
                     truth.extents.tolist()))
 
 
+def position(replay, obj_id, t):
+    """``obj_id``'s position at ``t`` by ``positions``; None if not found."""
+    out, found = replay.positions((obj_id,), np.array([[t]]))
+    return out[0, 0] if found[0] else None
+
+
 CAR = (7, [0.0, 10.0, 0.5], [1.0, 0.0, 0.0], [4.5, 1.9, 1.6])
 VAN = (3, [5.0, -2.0, 0.75], [0.0, 2.0, 0.0], [4.2, 1.8, 1.5])
 LATER = [(7, [2.0, 10.0, 0.5], [3.0, 0.0, 0.0], [4.5, 2.0, 1.6]),
@@ -177,8 +185,8 @@ def test_truth_at_a_recorded_time_is_its_line():
     replay = load_replay(RECORDED)
     assert objects_of(replay.truth_at(1.0)) == [CAR, VAN]
     assert objects_of(replay.truth_at(2.0)) == LATER
-    assert replay.truth_position(3, 1.0).tolist() == VAN[1]
-    assert replay.truth_position(9, 2.0).tolist() == LATER[2][1]
+    assert position(replay, 3, 1.0).tolist() == VAN[1]
+    assert position(replay, 9, 2.0).tolist() == LATER[2][1]
 
 
 def test_truth_between_lines_interpolates_positions_and_takes_the_later_line():
@@ -189,7 +197,7 @@ def test_truth_between_lines_interpolates_positions_and_takes_the_later_line():
         (7, [1.0, 10.0, 0.5], [3.0, 0.0, 0.0], [4.5, 2.0, 1.6])]
     alpha = (1.3 - 1.0) / (2.0 - 1.0)
     expected = np.array(CAR[1]) + alpha * (np.array(LATER[0][1]) - np.array(CAR[1]))
-    assert np.array_equal(replay.truth_position(7, 1.3), expected)
+    assert np.array_equal(position(replay, 7, 1.3), expected)
     assert objects_of(replay.truth_at(1.3))[1][1] == expected.tolist()
 
 
@@ -197,24 +205,50 @@ def test_truth_outside_the_lines_is_the_nearest_line():
     replay = load_replay(RECORDED)
     assert objects_of(replay.truth_at(0.25)) == [VAN, CAR]
     assert objects_of(replay.truth_at(9.0)) == sorted(LATER)
-    assert replay.truth_position(7, 0.0).tolist() == CAR[1]
-    assert replay.truth_position(9, 9.0).tolist() == LATER[2][1]
+    assert position(replay, 7, 0.0).tolist() == CAR[1]
+    assert position(replay, 9, 9.0).tolist() == LATER[2][1]
 
 
 def test_an_object_missing_from_a_neighbouring_line_is_left_out():
     replay = load_replay(RECORDED)
     assert [oid for oid, *_ in objects_of(replay.truth_at(1.5))] == [3, 7]
-    assert replay.truth_position(9, 1.5) is None
-    assert replay.truth_position(9, 0.5) is None
-    assert replay.truth_position(9, 1.0) is None
-    assert replay.truth_position(4, 2.0) is None
+    assert position(replay, 9, 1.5) is None
+    assert position(replay, 9, 0.5) is None
+    assert position(replay, 9, 1.0) is None
+    assert position(replay, 4, 2.0) is None
+
+
+def test_positions_are_truth_at_at_every_waypoint():
+    replay = load_replay(RECORDED)
+    times = np.array([[0.5, 1.0, 1.3, 2.0, 9.0], [1.0, 1.25, 1.5, 1.75, 2.0]])
+    out, found = replay.positions((7, 3), times)
+    assert found.tolist() == [True, True]
+    for m, oid in enumerate((7, 3)):
+        for k, t in enumerate(times[m].tolist()):
+            truth = replay.truth_at(t)
+            assert out[m, k].tolist() == truth.positions[truth.ids.index(oid)].tolist()
+
+
+def test_a_position_at_or_beyond_a_line_is_its_own_row():
+    # a + 0 * (b - a) would turn the line's -0.0 into 0.0
+    replay = load_replay(text(truth_dict(1.0, (7, [-0.0, 10.0, 0.5], *CAR[2:])),
+                              truth_dict(2.0, CAR)))
+    out, _ = replay.positions((7,), np.array([[0.0, 1.0]]))
+    assert np.signbit(out[0, :, 0]).tolist() == [True, True]
+
+
+def test_an_object_missing_at_any_waypoint_is_not_found():
+    replay = load_replay(RECORDED)
+    _, found = replay.positions((9, 3, 9, 4), np.array([[2.0, 1.5], [1.0, 2.0],
+                                                        [2.0, 9.0], [2.0, 2.0]]))
+    assert found.tolist() == [False, True, True, False]
 
 
 def test_without_truth_lines_there_is_no_truth():
     replay = load_replay(text(camera([BOX])))
     assert replay.truth_times == []
     assert objects_of(replay.truth_at(0.1)) == []
-    assert replay.truth_position(1, 0.1) is None
+    assert position(replay, 1, 0.1) is None
 
 
 # -- truth line checks ----------------------------------------------------------
@@ -269,6 +303,12 @@ def test_a_bad_time(t):
     assert refused_at(text(TRUTH, camera([BOX], t=t))) == 2
 
 
+@pytest.mark.parametrize("field", ["radial_speed", "snr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_radial_speed_or_snr(field, value):
+    assert refused_at(text(camera([BOX]), radar([dict(POINT, **{field: value})]))) == 2
+
+
 def test_a_detection_number_beyond_float_range():
     assert refused_at(text(camera([BOX]), radar([dict(POINT, radial_speed=10**400)]))) == 2
 
@@ -293,6 +333,10 @@ def test_a_bad_sensor_index(sensor):
     pytest.param(radar([dict(POINT, radial_speed="-2")]), id="radial-speed-string"),
     pytest.param(radar([dict(POINT, snr=True)]), id="snr-bool"),
     pytest.param(radar([dict(POINT, snr=None)]), id="snr-null"),
+    pytest.param(radar([dict(POINT, position=[12.0, True, 0.25])]), id="position-one-bool"),
+    pytest.param(camera([dict(BOX, bbox=[10.0, 20.0, 110.0, True])]), id="bbox-one-bool"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(extent=[4.5, True, 1.6])]},
+                 id="truth-extent-one-bool"),
     pytest.param({"t": 0.2, "truth": [truth_entry(id=2.9)]}, id="id-fraction"),
     pytest.param({"t": 0.2, "truth": [truth_entry(id=2.0)]}, id="id-float"),
     pytest.param({"t": 0.2, "truth": [truth_entry(id=True)]}, id="id-bool"),

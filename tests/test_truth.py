@@ -80,8 +80,8 @@ def test_positions_at_many_times_give_each_object_its_own_motion(motions, data):
     k = data.draw(st.integers(1, 5))
     times = np.array([[data.draw(instants(motions, -10.0)) for _ in range(k)]
                       for _ in rows])
-    out = world.positions(rows, times)
-    assert out.shape == (len(rows), k, 3)
+    out, found = world.positions([world.ids[i] for i in rows], times)
+    assert out.shape == (len(rows), k, 3) and found.tolist() == [True] * len(rows)
     for m, i in enumerate(rows):
         for j in range(k):
             assert bits(out[m, j]) == bits(motions[i].position(float(times[m, j])))
@@ -123,7 +123,8 @@ def test_stacked_scorer_equals_the_per_match_loop(motions, seed, m, horizon, ste
     rows = data.draw(st.lists(st.integers(0, len(motions) - 1), min_size=m, max_size=m))
     dt = horizon / steps
     times, waypoints = predict_waypoints(means, stamps, horizon, dt)
-    truth = world_of(motions).positions(rows, times)
+    world = world_of(motions)
+    truth, _ = world.positions([world.ids[i] for i in rows], times)
     ade, fde, scored = prediction_error(waypoints, times, truth, duration)
     stacked = [(a, f) if ok else None
                for a, f, ok in zip(ade.tolist(), fde.tolist(), scored.tolist())]
