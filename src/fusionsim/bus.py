@@ -18,7 +18,8 @@ reads, and a field of k rows is one stack (``[]`` when k is 0):
                                        means (k, 6), covs (k, 6, 6)
     TASK_REQ   tasks/{worker}          task_id, frame_time, visible_ids
                                        (ints), rig_pose
-    TASK_RESP  results/{ego}/{worker}  task_id, status, frame_time,
+    TASK_RESP  results/{ego}/{worker}  task_id, status ("ok" or
+                                       "failed"), frame_time,
                                        positions (k, 3), covs (k, 3, 3)
     HEARTBEAT  hb/{worker}             nothing: the payload is empty
 

@@ -8,6 +8,9 @@ the bus carries both as exactly these fields (see ``bus``).  Results are
 folded into the tracker by rollback and replay against the tracker's
 keyed batch history, which reproduces in-order processing exactly for
 any delay inside the snapshot horizon.
+The ego's ``Broker`` holds the workers, the pending tasks and the
+terminal counters.  Its whole surface is ``submit``, ``on_result``,
+``heartbeat``, ``reap`` and ``conserved``.
 The worker itself is an emulation: a configurable latency plus a
 high-accuracy sensor profile over ground truth standing in for stereo
 depth inference.
@@ -16,7 +19,6 @@ depth inference.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +36,6 @@ DEFAULT_TIMEOUT = 1.0
 DEFAULT_QUEUE_BOUND = 16
 DEFAULT_HEARTBEAT = 0.5
 HEARTBEAT_MISSES = 3
-
-QUEUED = "queued"
 
 
 class OffloadError(Exception):
@@ -83,49 +83,11 @@ class TaskResult:
         covs = payload_array(d["covs"], (n, 3, 3))
         if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
             raise ValueError("edge detections must be finite")
-        return TaskResult(payload_field(d, "task_id", int), payload_field(d, "status", str),
+        status = payload_field(d, "status", str)
+        if status not in (STATUS_OK, STATUS_FAILED):
+            raise ValueError(f"task status {status!r} is neither ok nor failed")
+        return TaskResult(payload_field(d, "task_id", int), status,
                           payload_field(d, "frame_time", float), Detections(positions, covs))
-
-
-@dataclass
-class WorkerInfo:
-    worker_id: str
-    last_heartbeat: float = 0.0
-
-
-@dataclass
-class WorkerPool:
-    workers: list[WorkerInfo] = field(default_factory=list)
-    rr_cursor: int = 0
-
-    def add(self, worker_id: str, now: float = 0.0) -> None:
-        if any(w.worker_id == worker_id for w in self.workers):
-            raise OffloadError(f"worker {worker_id!r} already registered")
-        self.workers.append(WorkerInfo(worker_id, last_heartbeat=now))
-
-    def get(self, worker_id: str) -> WorkerInfo | None:
-        for w in self.workers:
-            if w.worker_id == worker_id:
-                return w
-        return None
-
-
-def dispatch(pool: WorkerPool, pending: Iterable[PendingTask]) -> str:
-    """Round-robin pick of an idle worker; returns its id or QUEUED.
-
-    A worker is busy exactly when one of the ``pending`` tasks names it.
-    The cursor starts the scan, so equally loaded workers share tasks
-    evenly.
-    """
-    busy = {pend.worker_id for pend in pending}
-    n = len(pool.workers)
-    for k in range(n):
-        idx = (pool.rr_cursor + k) % n
-        worker_id = pool.workers[idx].worker_id
-        if worker_id not in busy:
-            pool.rr_cursor = (idx + 1) % n
-            return worker_id
-    return QUEUED
 
 
 @dataclass(frozen=True)
@@ -184,6 +146,14 @@ class PendingTask:
 class Broker:
     """Ego-side bookkeeping of workers, in-flight tasks and terminal counters.
 
+    Its whole surface is five calls: ``submit`` a task, settle one
+    ``on_result``, note a worker's ``heartbeat``, ``reap`` overdue tasks
+    and dead workers, and check that tasks are ``conserved``.  The calls
+    that may free or register a worker return the (request, worker id)
+    pairs to transmit.  ``workers`` maps each registered worker to its
+    last heartbeat, in registration order, and ``rr_cursor`` is the
+    position in that order where the next round-robin scan starts.
+
     Every task terminates in exactly one counter; their sum always equals
     the number of submissions (the conservation invariant the tests pin).
     A worker's busy state is not stored: it is busy while a pending task
@@ -195,7 +165,7 @@ class Broker:
     their queue order, since a retry is taken out and put back at the end.
     """
 
-    pool: WorkerPool = field(default_factory=WorkerPool)
+    workers: dict[str, float] = field(default_factory=dict)
     timeout: float = DEFAULT_TIMEOUT
     queue_bound: int = DEFAULT_QUEUE_BOUND
     heartbeat_interval: float = DEFAULT_HEARTBEAT
@@ -205,6 +175,7 @@ class Broker:
         "timeout_dropped": 0, "stale_dropped": 0, "queue_dropped": 0,
         "retries": 0,
     })
+    rr_cursor: int = field(default=0, init=False)
 
     @property
     def queue(self) -> list[TaskRequest]:
@@ -214,12 +185,26 @@ class Broker:
     def submit(self, req: TaskRequest, now: float) -> str | None:
         """Returns the worker id to transmit to, or None (queued or dropped)."""
         self.counters["submitted"] += 1
-        target = dispatch(self.pool, self.pending.values())
-        if target == QUEUED:
+        target = self._idle()
+        if target is None:
             self._enqueue(req, retries=0)
-            return None
-        self.pending[req.task_id] = PendingTask(req, now, target)
+        else:
+            self.pending[req.task_id] = PendingTask(req, now, target)
         return target
+
+    def _idle(self) -> str | None:
+        """Round-robin pick of an idle worker, or None if there is none.
+        The scan starts at the cursor, so equally loaded workers share
+        tasks evenly."""
+        busy = {pend.worker_id for pend in self.pending.values()}
+        order = list(self.workers)
+        n = len(order)
+        for k in range(n):
+            idx = (self.rr_cursor + k) % n
+            if order[idx] not in busy:
+                self.rr_cursor = (idx + 1) % n
+                return order[idx]
+        return None
 
     def _enqueue(self, req: TaskRequest, retries: int) -> None:
         """Put a task at the queue's tail, or count it dropped when the
@@ -229,23 +214,18 @@ class Broker:
             return
         self.pending[req.task_id] = PendingTask(req, None, None, retries)
 
-    def _release(self, task_id: int) -> None:
-        """Take a task out of ``pending``, and so out of the queue if it
-        waits there; its worker is free again."""
-        del self.pending[task_id]
-
     def _terminate(self, task_id: int, counter: str) -> None:
         self.counters[counter] += 1
-        self._release(task_id)
+        del self.pending[task_id]
 
     def _drain(self, now: float) -> list[tuple[TaskRequest, str]]:
-        """Dispatch queued tasks, in order, onto idle workers; returns
-        (request, worker id) pairs that should now be transmitted.  A
-        task's timeout runs from ``now``, when it is sent."""
+        """Send queued tasks, in order, to idle workers; returns the
+        (request, worker id) pairs to transmit.  A task's timeout runs
+        from ``now``, when it is sent."""
         sends = []
         for req in self.queue:
-            target = dispatch(self.pool, self.pending.values())
-            if target == QUEUED:
+            target = self._idle()
+            if target is None:
                 break
             pend = self.pending[req.task_id]
             pend.worker_id, pend.sent = target, now
@@ -270,14 +250,39 @@ class Broker:
         return applied, self._drain(t_now)
 
     def heartbeat(self, worker_id: str, now: float) -> list[tuple[TaskRequest, str]]:
-        """Note a worker's heartbeat.  An unknown (or deregistered) worker
-        is registered, and the queue drains onto it; returns the
-        (request, worker id) pairs to transmit."""
-        w = self.pool.get(worker_id)
-        if w is not None:
-            w.last_heartbeat = now
-            return []
-        self.pool.add(worker_id, now)
+        """Note a worker's heartbeat.  An unknown (or reaped) worker is
+        registered last in the order, and the queue drains onto it."""
+        known = worker_id in self.workers
+        self.workers[worker_id] = now
+        return [] if known else self._drain(now)
+
+    def reap(self, now: float) -> list[tuple[TaskRequest, str]]:
+        """Expire overdue tasks and dead workers, then drain the queue.
+
+        A task on a worker whose timeout has run out, counted from when it
+        was last sent, is retried exactly once, at the queue's tail
+        (dropped if the queue is full); a second expiry drops it.  A
+        queued task does not time out: its clock starts when it is sent.
+        Workers silent for three heartbeat intervals are deregistered and
+        their tasks expired, whatever their age (a heartbeat seen again
+        later registers the worker again).  A task never names a worker
+        that is not registered, since only this call deregisters one.
+        """
+        for wid in [wid for wid, beat in self.workers.items()
+                    if now - beat > HEARTBEAT_MISSES * self.heartbeat_interval]:
+            del self.workers[wid]
+        self.rr_cursor = self.rr_cursor % len(self.workers) if self.workers else 0
+        for task_id in sorted(self.pending):
+            pend = self.pending[task_id]
+            if pend.worker_id is None or (now - pend.sent <= self.timeout
+                                          and pend.worker_id in self.workers):
+                continue
+            if pend.retries >= 1:
+                self._terminate(task_id, "timeout_dropped")
+                continue
+            self.counters["retries"] += 1
+            del self.pending[task_id]
+            self._enqueue(pend.req, retries=1)
         return self._drain(now)
 
     def conserved(self) -> bool:
@@ -295,40 +300,3 @@ def integrate(tracker: Tracker, result: TaskResult) -> bool:
     """
     key = (result.frame_time, LANE_EDGE, result.task_id)
     return tracker.process_batch(key, result.detections, result.frame_time)
-
-
-def reap_timeouts(broker: Broker, t_now: float) -> list[tuple[TaskRequest, str]]:
-    """Expire overdue tasks and dead workers; returns requests to resend.
-
-    A request on a worker whose timeout has run out, counted from when it
-    was last sent, is retried exactly once, at the queue's tail (dropped
-    if the queue is full); a second expiry drops it.  A queued request
-    does not time out: its clock starts when it is sent.  Workers silent
-    for three heartbeat intervals are deregistered and their in-flight
-    tasks expired (heartbeats seen again later re-register the worker).
-    The queue then drains onto the idle workers, so no worker is left
-    idle while a task waits.
-    """
-    dead = [w for w in broker.pool.workers
-            if t_now - w.last_heartbeat > HEARTBEAT_MISSES * broker.heartbeat_interval]
-    for w in dead:
-        broker.pool.workers.remove(w)
-    if broker.pool.workers:
-        broker.pool.rr_cursor %= len(broker.pool.workers)
-    else:
-        broker.pool.rr_cursor = 0
-    dead_ids = {w.worker_id for w in dead}
-
-    for task_id in sorted(broker.pending):
-        pend = broker.pending.get(task_id)
-        if pend is None or pend.worker_id is None:  # settled, or queued
-            continue
-        if t_now - pend.sent <= broker.timeout and pend.worker_id not in dead_ids:
-            continue
-        if pend.retries >= 1:
-            broker._terminate(task_id, "timeout_dropped")
-            continue
-        broker.counters["retries"] += 1
-        broker._release(task_id)
-        broker._enqueue(pend.req, retries=1)
-    return broker._drain(t_now)

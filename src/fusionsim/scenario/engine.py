@@ -35,14 +35,7 @@ from ..geometry import (
     transform_gaussian,
 )
 from ..metrics import MetricsAggregator, prediction_error
-from ..offload import (
-    Broker,
-    OffloadError,
-    TaskRequest,
-    TaskResult,
-    emulate_worker,
-    reap_timeouts,
-)
+from ..offload import Broker, TaskRequest, TaskResult, emulate_worker
 from ..sensing import (
     SensorNoiseConfig,
     Truth,
@@ -215,7 +208,7 @@ class Engine:
                 if a.kind == "edge-server":
                     for i in range(a.workers):
                         wid = f"{a.id}/w{i}"
-                        self.broker.pool.add(wid)
+                        self.broker.workers[wid] = 0.0
                         self.workers[wid] = a.id
                         self.worker_rngs[wid] = stream_rng(scenario.seed, f"worker:{wid}")
 
@@ -365,7 +358,7 @@ class Engine:
         if self.mode == "cr-dist" and spec.id == self.ego_id:
             if rt.cam_idx in staging:  # the camera ticked
                 self._submit_task(rt, t, agent_pose)
-            for req, wid in reap_timeouts(self.broker, t):
+            for req, wid in self.broker.reap(t):
                 self._send_task_req(req, wid, t)
 
         if len(rt.tracker.tracks):
@@ -570,7 +563,7 @@ _DELIVERY = {
     bus.MSG_HEARTBEAT: (Engine._parse_heartbeat, Engine._on_heartbeat),
 }
 # What a parser or the frame decoder raises on malformed input.
-_MALFORMED = (bus.BusError, GeometryError, OffloadError, ValueError, LookupError, TypeError)
+_MALFORMED = (bus.BusError, GeometryError, ValueError, LookupError, TypeError)
 
 
 def run(scenario: Scenario, replay=None) -> RunReport:

@@ -41,10 +41,10 @@ line raises ``ReplayError`` with its line number:
 
 * every line: a finite number ``t``; a detection line an integer
   ``sensor``;
-* a detection row: a camera box with ``umin < umax`` and ``vmin < vmax``
-  and a score in [0, 1], or a finite radar position with range > 0 and
-  a finite radial speed and SNR; a bbox of exactly 4 numbers and a
-  position of exactly 3;
+* a detection row: a finite camera box with ``umin < umax`` and
+  ``vmin < vmax`` and a score in [0, 1], or a finite radar position with
+  range > 0 and a finite radial speed and SNR; a bbox of exactly 4
+  numbers and a position of exactly 3;
 * a truth line: at most one per ``t``, with unique integer ids; a
   position, velocity and extent of exactly 3 finite numbers each, and
   extent components > 0.
@@ -251,8 +251,8 @@ def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
     # array operations.
     if stype == "camera":
         for umin, vmin, umax, vmax, score in array.tolist():
-            if not (umin < umax and vmin < vmax):
-                raise ReplayError(f"degenerate bbox {[umin, vmin, umax, vmax]}", lineno)
+            if not (-math.inf < umin < umax < math.inf and -math.inf < vmin < vmax < math.inf):
+                raise ReplayError(f"degenerate or infinite bbox {[umin, vmin, umax, vmax]}", lineno)
             if not 0.0 <= score <= 1.0:
                 raise ReplayError(f"score {score} outside [0, 1]", lineno)
     else:

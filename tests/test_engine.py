@@ -8,8 +8,8 @@
   the end of the run;
 * offload: the broker conserves tasks, also when a result names a task
   that was never submitted; with one flaky, slow edge worker, urban
-  ``cr-dist`` queues, retries, fails and times out tasks, and is a full
-  case, so it meets every contract here;
+  ``cr-dist`` fills its queue, retries, fails and times out tasks, and
+  is a full case, so it meets every contract here;
 * singular pairs: with noiseless radar and edge workers, the tracker and
   collaboration gates count each pair with a singular summed covariance
   and skip its measurement, and the run goes on; noiseless urban
@@ -19,7 +19,8 @@
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
   collab functions the benchmark hooks by name;
 * malformed frames: a delivery that is not exactly one frame, a frame
-  that does not parse, one whose topic names no worker the run has, or
+  that does not parse (a task result's status is ``ok`` or ``failed``),
+  one whose topic names no worker the run has, or
   TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
   sensors), is counted and skipped, and the run goes on;
 * golden outputs: each case's outputs hash to the recorded digests, and
@@ -27,26 +28,34 @@
 * missing truth: a replay whose truth lines leave out a matched object
   leaves that object's predictions unscored (``ReplayData.positions``
   does not find it), and the run goes on;
-* relation R3, ``cr-dist`` reduced to ``cr``: on 2 s urban at two seeds,
-  ``cr-dist`` with workers that fail every task, or with every bus frame
-  dropped, gives ``cr``'s track bytes;
-* relation R5, stream independence: on 2 s urban at two seeds and in
-  every mode, a sensor agent added 7 km away, its id sorting first or
-  last, leaves the ego's track lines and every other replay line
-  byte-identical.
+* relations between runs, each on 2 s urban and on 2 s urban with
+  ``crowd_grid(12)`` for its objects, at two seeds, sharing their
+  unedited runs through one cache:
+  - R1, translation: in every mode, shifting every agent and object by
+    (1000, -500, 0) m keeps each track line's time, agent, id and status,
+    moves its position by the shift within 1e-9 m, keeps every metric but
+    MOTP and OSPA exactly, and those within 1e-12 relative;
+  - R3, ``cr-dist`` reduced to ``cr``: ``cr-dist`` with workers that fail
+    every task, or with every bus frame dropped, gives ``cr``'s track
+    bytes;
+  - R5, stream independence: in every mode, a sensor agent added 7 km
+    away, its id sorting first or last, leaves the ego's track lines and
+    every other replay line byte-identical.
 """
 
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from fusionsim import bus, collab, offload
+from fusionsim import bus, collab
 from fusionsim.geometry import Pose
-from fusionsim.offload import QUEUED, STATUS_OK, dispatch
+from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import _DELIVERY, KIND_DELIVER, Engine
+from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
 
 # (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
@@ -280,21 +289,15 @@ def test_collaboration_runs_through_its_hooked_names(scenario_dir, monkeypatch):
     assert all(calls.get(name, 0) > 0 for name in names), calls
 
 
-def test_flaky_worker_queues_retries_and_times_out(scenario_dir, monkeypatch):
-    seen = []
-
-    def counted(pool, pending):
-        seen.append(dispatch(pool, pending))
-        return seen[-1]
-
-    monkeypatch.setattr(offload, "dispatch", counted)
-    engine = Engine(scenario(scenario_dir, *CASES[7]))
-    counters = engine.run().report["counters"]["offload"]
+@pytest.mark.parametrize("case", [CASES[7]], ids=["urban-cr-dist-flaky"], indirect=True)
+def test_flaky_worker_queues_retries_and_times_out(case):
+    _, engine, report = case
+    counters = report.report["counters"]["offload"]
     assert counters["retries"] > 0
     assert counters["timeout_dropped"] > 0
     assert counters["failed"] > 0
     assert counters["ok_integrated"] > 0
-    assert QUEUED in seen
+    assert counters["queue_dropped"] > 0  # tasks waited until the queue was full
     assert engine.broker.conserved()
 
 
@@ -382,8 +385,9 @@ def _malformed_frames(now_ns):
     refused field: a task request whose ``frame_time`` is a string or
     whose ``visible_ids`` holds a float, a remote track message whose id
     count differs from its row count or whose ids hold a bool or 2.5, a
-    task result whose positions and covariances differ in row count, and
-    a remote track message and a task request whose pose has a flat
+    task result whose positions and covariances differ in row count, a
+    task result whose status is neither ``ok`` nor ``failed``, and a
+    remote track message and a task request whose pose has a flat
     rotation or a translation of strings."""
     frames = []
     for good in _accepted_frames(now_ns):
@@ -403,6 +407,7 @@ def _malformed_frames(now_ns):
     frames.append(_tracks(now_ns, ids=[1, 2.5]))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w0",
                              positions=[[10.0, 0, 0], [12.0, 0, 0]]))
+    frames.append(_task_resp(now_ns, "results/ego/edge1/w0", status="banana"))
     for pose in (FLAT_ROTATION, STRING_TRANSLATION):
         frames.append(_tracks(now_ns, sender_pose=pose))
         frames.append(_task_req(now_ns, "tasks/edge1/w0", rig_pose=pose))
@@ -476,16 +481,66 @@ def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):
 # -- relations: runs that differ in a way that must not matter ------------------
 
 RELATION_SEEDS = (42, 1009)
+# urban as shipped, and urban with ``crowd_grid(12)`` for its objects
+SCENES = ("urban", "crowd")
+SHIFT = (1000.0, -500.0, 0.0)
 
 
-def urban_run(scenario_dir, mode, seed, edit=None):
-    """A 2 s urban run in ``mode`` at ``seed``, its document changed by
-    ``edit`` first."""
+def relation_run(scenario_dir, scene, mode, seed, edit=None):
+    """A 2 s run of ``scene`` in ``mode`` at ``seed``, its document changed
+    by ``edit`` first."""
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 2.0
+    if scene == "crowd":
+        doc["objects"] = crowd_grid(12)
     if edit:
         edit(doc)
     return Engine(apply_overrides(load_scenario(json.dumps(doc)), mode=mode, seed=seed)).run()
+
+
+@functools.cache
+def base_run(scenario_dir, scene, mode, seed):
+    """The unedited ``relation_run``, run once for all relations."""
+    return relation_run(scenario_dir, scene, mode, seed)
+
+
+def translated(doc):
+    """Shift every agent trajectory and object motion by ``SHIFT``."""
+    def shift(p):
+        return [x + d for x, d in zip(p, SHIFT)]
+    for motion in [a["trajectory"] for a in doc["agents"]] + [o["motion"] for o in doc["objects"]]:
+        if motion["kind"] == "waypoints":
+            motion["points"] = [[t, shift(p)] for t, p in motion["points"]]
+        else:
+            key = "position" if motion["kind"] == "static" else "p0"
+            motion[key] = shift(motion[key])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("seed", RELATION_SEEDS)
+def test_r1_a_translated_world_gives_translated_tracks_and_equal_metrics(
+        scenario_dir, seed, scene, mode):
+    # sensors measure from their agent, so shifting the whole world moves
+    # the tracks by the shift and changes no score beyond rounding
+    base = base_run(scenario_dir, scene, mode, seed)
+    moved = relation_run(scenario_dir, scene, mode, seed, translated)
+    lines = [json.loads(line) for line in base.track_jsonl().splitlines()]
+    moved_lines = [json.loads(line) for line in moved.track_jsonl().splitlines()]
+    assert lines
+
+    def labels(line):
+        return line["t"], line["agent"], line["id"], line["status"]
+
+    assert [labels(line) for line in moved_lines] == [labels(line) for line in lines]
+    positions = np.array([line["mean"][:3] for line in lines])
+    moved_positions = np.array([line["mean"][:3] for line in moved_lines])
+    assert np.abs(moved_positions - positions - SHIFT).max() <= 1e-9
+    metrics, moved_metrics = base.report["metrics"], moved.report["metrics"]
+    rounded = ("motp", "ospa_mean")
+    for name in rounded:
+        assert moved_metrics.pop(name) == pytest.approx(metrics[name], rel=1e-12, abs=0.0)
+    assert moved_metrics == {k: v for k, v in metrics.items() if k not in rounded}
 
 
 def failing_workers(doc):
@@ -498,16 +553,17 @@ def dropping_links(doc):
         link["drop_prob"] = 1.0
 
 
+@pytest.mark.parametrize("scene", SCENES)
 @pytest.mark.parametrize("seed", RELATION_SEEDS)
-def test_r3_cr_dist_without_edge_results_gives_the_tracks_of_cr(scenario_dir, seed):
+def test_r3_cr_dist_without_edge_results_gives_the_tracks_of_cr(scenario_dir, seed, scene):
     # edge results change the tracks when they arrive; a worker that fails
     # every task, or a bus that drops every frame, leaves only local fusion
-    cr = urban_run(scenario_dir, "cr", seed).track_jsonl()
-    assert urban_run(scenario_dir, "cr-dist", seed).track_jsonl() != cr
-    failing = urban_run(scenario_dir, "cr-dist", seed, failing_workers)
+    cr = base_run(scenario_dir, scene, "cr", seed).track_jsonl()
+    assert base_run(scenario_dir, scene, "cr-dist", seed).track_jsonl() != cr
+    failing = relation_run(scenario_dir, scene, "cr-dist", seed, failing_workers)
     assert failing.report["counters"]["offload"]["failed"] > 0
     assert failing.track_jsonl() == cr
-    dropped = urban_run(scenario_dir, "cr-dist", seed, dropping_links)
+    dropped = relation_run(scenario_dir, scene, "cr-dist", seed, dropping_links)
     bus_counts = dropped.report["counters"]["bus"]
     assert bus_counts["sent"] == bus_counts["dropped"] > 0
     assert dropped.track_jsonl() == cr
@@ -530,16 +586,17 @@ def lines_of(jsonl, keep):
     return [line for line in jsonl.splitlines() if keep(json.loads(line).get("agent"))]
 
 
-@pytest.mark.parametrize("mode", ("cr", "cr-covi", "cr-dist"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scene", SCENES)
 @pytest.mark.parametrize("seed", RELATION_SEEDS)
-def test_r5_a_far_sensor_agent_leaves_every_other_stream_alone(scenario_dir, mode, seed):
+def test_r5_a_far_sensor_agent_leaves_every_other_stream_alone(scenario_dir, seed, scene, mode):
     # every random stream is keyed by its own name, so adding an agent
     # shifts no other agent's noise; the new agent sorts first, then last
-    base = urban_run(scenario_dir, mode, seed)
+    base = base_run(scenario_dir, scene, mode, seed)
     ego_tracks = lines_of(base.track_jsonl(), lambda agent: agent == "ego")
     assert ego_tracks
     for far in ("a-far", "z-far"):
-        run = urban_run(scenario_dir, mode, seed, far_sensor_agent(far))
+        run = relation_run(scenario_dir, scene, mode, seed, far_sensor_agent(far))
         assert lines_of(run.track_jsonl(), lambda agent: agent == "ego") == ego_tracks
         assert lines_of(run.replay_jsonl(), lambda agent: agent != far) == \
             base.replay_jsonl().splitlines()

@@ -7,7 +7,8 @@ only show as a silently missing span.  This installs every hook, checks
 that none is absent and undoes them; it runs no engine.  A wrapper also
 reads program values (``len(tracker.tracks)``, ``newest_key``,
 ``len(msg.tracks)``), so a change of their meaning would only show as a
-wrong counter.
+wrong counter.  A short ``cr-dist`` run checks that the offload spans
+see the broker at work.
 """
 
 import importlib.util
@@ -86,3 +87,23 @@ def test_the_values_the_wrappers_read_keep_their_meaning(scenario_dir, monkeypat
         assert tracer.counts["collab.remote_tracks"] == sum(remote_ids)
     finally:
         spans.undo()
+
+
+def test_the_offload_spans_see_the_broker(scenario_dir):
+    # edge work is timed by wrapping ``emulate_worker`` in the engine's
+    # globals and ``Broker.on_result`` on its class: a broker that settled
+    # results by another path would leave the offload spans at zero
+    from fusionsim.scenario import apply_overrides, engine, load_scenario
+
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    run = engine.Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist"))
+    hooks = load_hooks()
+    tracer = hooks.Tracer()
+    spans = hooks.install_spans(tracer)
+    try:
+        run.run()
+    finally:
+        spans.undo()
+    assert tracer.calls["offload.emulate_worker"] > 0
+    assert tracer.calls["offload.on_result"] >= run.broker.counters["ok_integrated"] > 0

@@ -18,7 +18,7 @@ from fusionsim.bus import canonical_dumps, canonical_loads
 from fusionsim.collab import RemoteTrackMsg, RemoteTracks
 from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose, rotation_from_rpy_deg
-from fusionsim.offload import TaskRequest, TaskResult
+from fusionsim.offload import STATUS_FAILED, STATUS_OK, TaskRequest, TaskResult
 from fusionsim.scenario import apply_overrides, load_scenario
 from fusionsim.scenario.engine import _DELIVERY, Engine
 
@@ -26,6 +26,7 @@ numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0]) 
     allow_nan=False, allow_infinity=False)
 ids = st.integers(-2**63, 2**63)
 rows = st.integers(0, 4)
+statuses = st.sampled_from([STATUS_OK, STATUS_FAILED])
 angles = st.floats(-180.0, 180.0)
 
 
@@ -66,7 +67,7 @@ def remote_track_msgs(draw):
 @st.composite
 def task_results(draw):
     k = draw(rows)
-    return TaskResult(draw(ids), draw(st.text()), draw(numbers),
+    return TaskResult(draw(ids), draw(statuses), draw(numbers),
                       Detections(draw(stack(k, 3)), draw(stack(k, 3, 3))))
 
 

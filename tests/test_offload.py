@@ -16,17 +16,13 @@ from fusionsim.geometry import Pose
 from fusionsim.offload import (
     Broker,
     PendingTask,
-    QUEUED,
     STATUS_FAILED,
     STATUS_OK,
     TaskRequest,
     TaskResult,
     WorkerConfig,
-    WorkerPool,
-    dispatch,
     emulate_worker,
     integrate,
-    reap_timeouts,
 )
 from fusionsim.sensing import SensorNoiseConfig
 from fusionsim.tracker import LANE_LOCAL, Tracker, TrackerConfig
@@ -44,16 +40,15 @@ def det(pos, var=0.04):
     return Detections(np.array([pos], dtype=float), var * np.eye(3)[None])
 
 
+def broker_of(n, **kwargs):
+    """A broker with workers ``edge/w0`` .. ``edge/w{n-1}``, each last
+    heard at 0, as the engine registers them."""
+    return Broker(workers={f"edge/w{i}": 0.0 for i in range(n)}, **kwargs)
+
+
 def pending_on(*worker_ids):
-    """Pending tasks held by the given workers."""
-    return [PendingTask(req(k), 0.0, wid) for k, wid in enumerate(worker_ids)]
-
-
-def pool_of(n):
-    p = WorkerPool()
-    for i in range(n):
-        p.add(f"edge/w{i}")
-    return p
+    """Pending tasks 100, 101, ... held by the given workers."""
+    return {100 + k: PendingTask(req(100 + k), 0.0, wid) for k, wid in enumerate(worker_ids)}
 
 
 def idle_while_queued(broker):
@@ -61,36 +56,47 @@ def idle_while_queued(broker):
     if not broker.queue:
         return []
     busy = {pend.worker_id for pend in broker.pending.values()}
-    return [w.worker_id for w in broker.pool.workers if w.worker_id not in busy]
+    return [wid for wid in broker.workers if wid not in busy]
 
 
 class TestDispatch:
+    """The round-robin pick a submission (or a drain) makes: an idle
+    worker, or none, and then the task waits in the queue."""
+
     def test_round_robin_saturation(self):
-        p = pool_of(2)
-        assert dispatch(p, []) == "edge/w0"
-        assert dispatch(p, pending_on("edge/w0")) == "edge/w1"
-        assert dispatch(p, pending_on("edge/w0", "edge/w1")) == QUEUED
+        broker = broker_of(2)
+        assert broker.submit(req(1), 0.0) == "edge/w0"
+        assert broker.submit(req(2), 0.0) == "edge/w1"
+        assert broker.submit(req(3), 0.0) is None
+        assert broker.queue == [req(3)]
 
     def test_no_workers(self):
-        assert dispatch(WorkerPool(), []) == QUEUED
+        broker = Broker()
+        assert broker.submit(req(1), 0.0) is None
+        assert broker.queue == [req(1)]
 
     def test_skips_busy(self):
-        p = pool_of(2)
-        assert dispatch(p, pending_on("edge/w0")) == "edge/w1"
+        broker = broker_of(2)
+        broker.pending.update(pending_on("edge/w0"))
+        assert broker.submit(req(1), 0.0) == "edge/w1"
         # a queued task names no worker
-        assert dispatch(p, pending_on(None, "edge/w1")) == "edge/w0"
+        broker = broker_of(2)
+        broker.pending.update(pending_on(None, "edge/w1"))
+        assert broker.submit(req(1), 0.0) == "edge/w0"
 
     def test_fairness(self):
-        p = pool_of(4)
-        counts = {w.worker_id: 0 for w in p.workers}
+        broker = broker_of(4)
+        counts = dict.fromkeys(broker.workers, 0)
+        tk = Tracker()
         for k in range(100):
-            target = dispatch(p, [])  # instant completion: nothing pending
-            if target == QUEUED:
-                break
-            counts[target] += 1
+            # instant completion: the task settles before the next one
+            counts[broker.submit(req(k), 0.0)] += 1
+            failed = TaskResult(k, STATUS_FAILED, 0.0, NO_DETECTIONS)
+            assert broker.on_result(failed, tk, 0.0) == (False, [])
         # re-saturate: with k idle workers and n >> k uniform tasks,
         # per-worker counts differ by at most one
         assert max(counts.values()) - min(counts.values()) <= 1
+        assert broker.conserved() and broker.counters["failed"] == 100
 
 
 class TestEmulateWorker:
@@ -223,6 +229,7 @@ class TestPayload:
 
     @pytest.mark.parametrize("field,value", [
         ("task_id", "1"), ("task_id", True), ("task_id", 1.0), ("status", 1),
+        ("status", "banana"), ("status", "OK"), ("status", ""),
         ("frame_time", "0.5"), ("frame_time", float("inf")), ("frame_time", None),
         ("positions", {}),
     ])
@@ -250,7 +257,7 @@ class TestPayload:
 
 class TestBrokerConservation:
     def test_every_task_terminates_once(self):
-        broker = Broker(pool=pool_of(2), timeout=1.0, queue_bound=2)
+        broker = broker_of(2, timeout=1.0, queue_bound=2)
         tk = Tracker()
         now = 0.0
         # 6 submissions: 2 dispatched, 2 queued, 2 dropped (queue full)
@@ -268,9 +275,9 @@ class TestBrokerConservation:
         # remaining two pending tasks expire twice on their live workers:
         # retry then drop
         for now in (2.0, 4.0):
-            for w in broker.pool.workers:
-                broker.heartbeat(w.worker_id, now)
-            reap_timeouts(broker, now)
+            for wid in list(broker.workers):
+                broker.heartbeat(wid, now)
+            broker.reap(now)
             assert broker.counters["retries"] == 2
         c = broker.counters
         assert c["submitted"] == 6
@@ -280,18 +287,18 @@ class TestBrokerConservation:
         assert broker.pending == {}
 
     def test_late_result_for_settled_task_ignored(self):
-        broker = Broker(pool=pool_of(1), timeout=0.5)
+        broker = broker_of(1, timeout=0.5)
         tk = Tracker()
         broker.submit(req(1, t=0.0), 0.0)
-        reap_timeouts(broker, 1.0)   # retry once
-        reap_timeouts(broker, 2.0)   # second expiry: dropped
+        broker.reap(1.0)   # retry once
+        broker.reap(2.0)   # second expiry: dropped
         assert broker.counters["timeout_dropped"] == 1
         applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), tk, 2.1)
         assert not applied
         assert broker.conserved()
 
     def test_result_for_unknown_task_ignored(self):
-        broker = Broker(pool=pool_of(1), timeout=10.0)
+        broker = broker_of(1, timeout=10.0)
         tk = Tracker()
         broker.submit(req(1, t=0.0), 0.0)
         before = dict(broker.counters)
@@ -303,7 +310,7 @@ class TestBrokerConservation:
         assert broker.conserved()
 
     def test_stray_result_leaves_its_worker_busy(self):
-        broker = Broker(pool=pool_of(1), timeout=10.0)
+        broker = broker_of(1, timeout=10.0)
         tk = Tracker()
         assert broker.submit(req(1, t=0.0), 0.0) == "edge/w0"
         assert broker.submit(req(2, t=0.0), 0.0) is None  # queued
@@ -322,12 +329,12 @@ class TestBrokerConservation:
     def test_result_for_a_queued_retry_settles_it(self):
         # w0 dies holding task 1, whose retry waits for w1, busy with task 2;
         # task 1's late result settles it and takes it out of the queue
-        broker = Broker(pool=pool_of(2), timeout=100.0, heartbeat_interval=0.5)
+        broker = broker_of(2, timeout=100.0, heartbeat_interval=0.5)
         tk = Tracker()
         broker.submit(req(1), 0.0)
         broker.submit(req(2), 0.0)
-        broker.pool.workers[1].last_heartbeat = 10.0
-        assert reap_timeouts(broker, 10.0) == []
+        broker.workers["edge/w1"] = 10.0
+        assert broker.reap(10.0) == []
         assert broker.queue == [req(1)] and broker.pending[1].worker_id is None
         failed = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS)
         assert broker.on_result(failed, tk, 10.1) == (False, [])
@@ -341,7 +348,7 @@ class TestBrokerConservation:
     def test_failed_result_not_integrated(self):
         # a failed result for a pending task inside the horizon is counted
         # failed, and its detections never reach the tracker
-        broker = Broker(pool=pool_of(1), timeout=10.0)
+        broker = broker_of(1, timeout=10.0)
         tk = Tracker()
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
         broker.submit(req(1, t=0.0), 0.0)
@@ -352,7 +359,7 @@ class TestBrokerConservation:
         assert tracker_state(tk) == before
 
     def test_stale_result_counted(self):
-        broker = Broker(pool=pool_of(1), timeout=10.0)
+        broker = broker_of(1, timeout=10.0)
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
         for key, dets, t in local_batches(n=50, dt=0.05):
             tk.process_batch(key, dets, t)
@@ -365,13 +372,13 @@ class TestBrokerConservation:
 
 class TestReapTimeouts:
     def test_retry_then_drop(self):
-        broker = Broker(pool=pool_of(1), timeout=1.0)
+        broker = broker_of(1, timeout=1.0)
         broker.submit(req(1, t=0.0), 0.0)
         assert broker.pending[1].retries == 0
-        sends = reap_timeouts(broker, 1.5)
+        sends = broker.reap(1.5)
         assert broker.pending[1].retries == 1
         assert len(sends) == 1  # resent to the (now freed) worker
-        reap_timeouts(broker, 3.0)
+        broker.reap(3.0)
         assert 1 not in broker.pending
         assert broker.counters["timeout_dropped"] == 1
 
@@ -382,63 +389,78 @@ class TestReapTimeouts:
         # from its send, never while it waits in the queue: task 2, sent at
         # 1.1, is retried at 2.2, when task 1's retry, queued since 1.1, is
         # sent; that is dropped at 3.3 and task 2's retry, sent then, at 4.4
-        broker = Broker(pool=pool_of(1), timeout=1.0, heartbeat_interval=10.0)
+        broker = broker_of(1, timeout=1.0, heartbeat_interval=10.0)
         assert broker.submit(req(1), 0.0) == "edge/w0"
         assert broker.submit(req(2, t=0.5), 0.5) is None
-        assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
+        assert broker.reap(1.1) == [(req(2, t=0.5), "edge/w0")]
         assert broker.queue == [req(1)]
         for now, sends in ((1.6, []), (2.2, [(req(1), "edge/w0")]), (2.8, []),
                            (3.3, [(req(2, t=0.5), "edge/w0")]), (3.9, []), (4.4, [])):
-            assert reap_timeouts(broker, now) == sends
+            assert broker.reap(now) == sends
             assert idle_while_queued(broker) == []
         assert broker.counters["retries"] == 2
         assert broker.counters["timeout_dropped"] == 2
         assert broker.pending == {} and broker.conserved()
 
     def test_a_retry_finding_the_queue_full_is_dropped(self):
-        broker = Broker(pool=pool_of(1), timeout=1.0, queue_bound=1, heartbeat_interval=10.0)
+        broker = broker_of(1, timeout=1.0, queue_bound=1, heartbeat_interval=10.0)
         broker.submit(req(1), 0.0)
         broker.submit(req(2, t=0.5), 0.5)
         broker.submit(req(3, t=0.9), 0.9)  # the queue is full
         assert broker.counters["queue_dropped"] == 1
         # task 1 times out while task 2 holds the queue's one place: the
         # retry is dropped, and task 2 takes the freed worker
-        assert reap_timeouts(broker, 1.1) == [(req(2, t=0.5), "edge/w0")]
+        assert broker.reap(1.1) == [(req(2, t=0.5), "edge/w0")]
         assert broker.counters["queue_dropped"] == 2
         assert broker.counters["retries"] == 1
         assert broker.conserved()
 
     def test_healthy_heartbeat_no_change(self):
-        broker = Broker(pool=pool_of(2))
-        for w in broker.pool.workers:
-            w.last_heartbeat = 9.9
+        broker = broker_of(2)
+        for wid in broker.workers:
+            broker.workers[wid] = 9.9
         broker.submit(req(1, t=9.9), 9.9)
-        sends = reap_timeouts(broker, 10.0)
+        sends = broker.reap(10.0)
         assert sends == []
-        assert len(broker.pool.workers) == 2
+        assert len(broker.workers) == 2
         assert 1 in broker.pending
 
     def test_dead_worker_deregistered_and_task_expired(self):
-        broker = Broker(pool=pool_of(2), heartbeat_interval=0.5)
-        broker.pool.workers[0].last_heartbeat = 0.0
-        broker.pool.workers[1].last_heartbeat = 10.0
+        broker = broker_of(2, heartbeat_interval=0.5)
+        broker.workers["edge/w1"] = 10.0
         broker.submit(req(1, t=0.0), 0.0)  # lands on w0
-        sends = reap_timeouts(broker, 10.0)
-        assert [w.worker_id for w in broker.pool.workers] == ["edge/w1"]
+        sends = broker.reap(10.0)
+        assert broker.workers == {"edge/w1": 10.0}
         # task retried onto the surviving worker immediately
         assert sends and sends[0][1] == "edge/w1"
 
     def test_heartbeat_reregisters(self):
-        broker = Broker(pool=pool_of(1), heartbeat_interval=0.5)
-        reap_timeouts(broker, 10.0)
-        assert broker.pool.workers == []
+        broker = broker_of(1, heartbeat_interval=0.5)
+        broker.reap(10.0)
+        assert broker.workers == {}
         assert broker.heartbeat("edge/w0", 10.5) == []
-        assert len(broker.pool.workers) == 1
+        assert broker.workers == {"edge/w0": 10.5}
         assert broker.submit(req(1, t=10.5), 10.5) == "edge/w0"  # idle
 
+    def test_a_returning_worker_is_last_in_the_order(self):
+        # w0 takes task 1, so the cursor moves to position 1; reaped, w0
+        # leaves w1 and w2, and the cursor stays at position 1 (1 % 2),
+        # now w2's; back again, w0 registers after them
+        broker = broker_of(3, timeout=100.0, heartbeat_interval=0.5)
+        assert broker.submit(req(1), 0.0) == "edge/w0"
+        assert broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS),
+                                Tracker(), 0.0) == (False, [])
+        broker.heartbeat("edge/w1", 10.0)
+        broker.heartbeat("edge/w2", 10.0)
+        assert broker.reap(10.0) == [] and broker.rr_cursor == 1
+        assert broker.heartbeat("edge/w0", 10.1) == []
+        assert list(broker.workers) == ["edge/w1", "edge/w2", "edge/w0"]
+        assert [broker.submit(req(k), 10.2) for k in (2, 3, 4)] == \
+            ["edge/w2", "edge/w0", "edge/w1"]
+
     def test_a_returning_worker_takes_the_queue(self):
-        broker = Broker(pool=pool_of(1), timeout=100.0, heartbeat_interval=0.5)
-        reap_timeouts(broker, 10.0)
+        broker = broker_of(1, timeout=100.0, heartbeat_interval=0.5)
+        broker.reap(10.0)
         assert broker.submit(req(1, t=10.0), 10.0) is None  # no worker: queued
         assert broker.heartbeat("edge/w0", 10.5) == [(req(1, t=10.0), "edge/w0")]
         assert broker.heartbeat("edge/w0", 11.0) == []
@@ -464,7 +486,7 @@ class BrokerMachine(RuleBasedStateMachine):
 
     @initialize(n_workers=st.sampled_from([1, 2]))
     def start(self, n_workers):
-        self.broker = Broker(pool=pool_of(n_workers), timeout=1.0, queue_bound=2,
+        self.broker = broker_of(n_workers, timeout=1.0, queue_bound=2,
                              heartbeat_interval=0.5)
         self.tracker = Tracker()
         self.now = 0.0
@@ -493,8 +515,8 @@ class BrokerMachine(RuleBasedStateMachine):
             self.sent(self.broker.heartbeat(wid, self.now))
         before = dict(self.broker.pending)
         on_worker = {i for i, p in before.items() if p.worker_id is not None}
-        sends = reap_timeouts(self.broker, self.now)
-        alive = {w.worker_id for w in self.broker.pool.workers}
+        sends = self.broker.reap(self.now)
+        alive = set(self.broker.workers)
         for task_id, pend in before.items():
             # an expired task is settled or retried as a new pending entry;
             # one on a worker that died expires whatever its age

@@ -108,7 +108,12 @@ def test_a_duplicate_detection_line():
 
 
 @pytest.mark.parametrize("bbox", [[10.0, 20.0, 10.0, 90.0], [10.0, 90.0, 110.0, 20.0],
-                                  [110.0, 20.0, 10.0, 90.0], [float("nan"), 20.0, 110.0, 90.0]])
+                                  [110.0, 20.0, 10.0, 90.0], [float("nan"), 20.0, 110.0, 90.0],
+                                  # ordered, but a live run writes finite boxes only
+                                  [-float("inf"), 20.0, 110.0, 90.0],
+                                  [10.0, -float("inf"), 110.0, 90.0],
+                                  [10.0, 20.0, float("inf"), 90.0],
+                                  [10.0, 20.0, 110.0, float("inf")]])
 def test_a_degenerate_bbox(bbox):
     assert refused_at(text(TRUTH, camera([BOX, {"bbox": bbox, "score": 1.0}]))) == 2
 
