@@ -64,30 +64,6 @@ class BusError(Exception):
     pass
 
 
-class TopicTooLong(BusError):
-    pass
-
-
-class PayloadTooLong(BusError):
-    pass
-
-
-class BadMagic(BusError):
-    pass
-
-
-class BadVersion(BusError):
-    pass
-
-
-class UnknownType(BusError):
-    pass
-
-
-class Truncated(BusError):
-    pass
-
-
 @dataclass(frozen=True)
 class BusFrame:
     msg_type: int
@@ -97,7 +73,7 @@ class BusFrame:
 
     def __post_init__(self):
         if self.msg_type not in MSG_TYPES:
-            raise UnknownType(f"msg_type {self.msg_type} not in {sorted(MSG_TYPES)}")
+            raise BusError(f"msg_type {self.msg_type} not in {sorted(MSG_TYPES)}")
         if not 0 <= self.timestamp_ns < 2**64:
             raise BusError("timestamp_ns must fit in u64")
 
@@ -114,17 +90,18 @@ def canonical_loads(data: bytes):
 
 def payload_field(d: dict, key: str, kind: type):
     """Field ``key`` of a decoded payload, checked: for ``float`` a finite
-    int or float, for any other kind a value of exactly that type (so a
-    bool is not an int).  Anything else raises ValueError."""
+    int or float, returned as a float, for any other kind a value of
+    exactly that type (so a bool is not an int).  Anything else raises
+    ValueError."""
     x = d[key]
-    if kind is float:
-        ok = type(x) in (int, float) and math.isfinite(x)
-    else:
-        ok = type(x) is kind
+    try:
+        ok = type(x) in (int, float) and math.isfinite(x) if kind is float else type(x) is kind
+    except OverflowError:  # an int past the float range
+        ok = False
     if not ok:
         raise ValueError(f"payload field {key!r}: {x!r} is not a "
                          f"{'finite number' if kind is float else kind.__name__}")
-    return x
+    return float(x) if kind is float else x
 
 
 def payload_ints(d: dict, key: str) -> list[int]:
@@ -158,9 +135,9 @@ def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
 def encode(frame: BusFrame) -> bytes:
     topic = frame.topic.encode("utf-8")
     if len(topic) > MAX_TOPIC:
-        raise TopicTooLong(f"topic is {len(topic)} bytes, limit {MAX_TOPIC}")
+        raise BusError(f"topic is {len(topic)} bytes, limit {MAX_TOPIC}")
     if len(frame.payload) > MAX_PAYLOAD:
-        raise PayloadTooLong(f"payload is {len(frame.payload)} bytes, limit {MAX_PAYLOAD}")
+        raise BusError(f"payload is {len(frame.payload)} bytes, limit {MAX_PAYLOAD}")
     parts = [
         _HEADER.pack(MAGIC, VERSION, frame.msg_type, frame.timestamp_ns),
         struct.pack("<H", len(topic)),
@@ -174,35 +151,33 @@ def encode(frame: BusFrame) -> bytes:
 def decode(data: bytes) -> BusFrame:
     """Decode ``data``, which must be exactly one frame."""
     if len(data) < 4:
-        raise Truncated("magic: fewer than 4 bytes available")
+        raise BusError("magic: fewer than 4 bytes available")
     if data[:4] != MAGIC:
-        raise BadMagic(f"magic bytes {data[:4]!r} != {MAGIC!r}")
+        raise BusError(f"magic bytes {data[:4]!r} != {MAGIC!r}")
     if len(data) < _HEADER.size:
-        raise Truncated("header: buffer ends before timestamp_ns")
+        raise BusError("header: buffer ends before timestamp_ns")
     _, version, msg_type, timestamp_ns = _HEADER.unpack_from(data)
     if version != VERSION:
-        raise BadVersion(f"version {version} unsupported (expect {VERSION})")
-    if msg_type not in MSG_TYPES:
-        raise UnknownType(f"msg_type {msg_type} unknown")
+        raise BusError(f"version {version} unsupported (expect {VERSION})")
     off = _HEADER.size
     if len(data) < off + 2:
-        raise Truncated("topic_len: buffer ends inside field")
+        raise BusError("topic_len: buffer ends inside field")
     (topic_len,) = struct.unpack_from("<H", data, off)
     off += 2
     if len(data) < off + topic_len:
-        raise Truncated("topic: buffer ends inside topic bytes")
+        raise BusError("topic: buffer ends inside topic bytes")
     try:
         topic = data[off:off + topic_len].decode("utf-8")
     except UnicodeDecodeError as e:
         raise BusError(f"topic is not valid UTF-8: {e}") from e
     off += topic_len
     if len(data) < off + 4:
-        raise Truncated("payload_len: buffer ends inside field")
+        raise BusError("payload_len: buffer ends inside field")
     (payload_len,) = struct.unpack_from("<I", data, off)
     off += 4
     end = off + payload_len
     if len(data) < end:
-        raise Truncated("payload: buffer ends inside payload bytes")
+        raise BusError("payload: buffer ends inside payload bytes")
     if len(data) > end:
         raise BusError(f"{len(data) - end} bytes after the frame")
     return BusFrame(msg_type, timestamp_ns, topic, bytes(data[off:end]))

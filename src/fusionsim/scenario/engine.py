@@ -433,8 +433,12 @@ class Engine:
         return wid
 
     def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest]:
-        return (self._worker(frame.topic, "tasks/"),
-                TaskRequest.from_payload(canonical_loads(frame.payload)))
+        req = TaskRequest.from_payload(canonical_loads(frame.payload))
+        # the worker reads the truth at frame_time, which world_at has
+        # only inside the scenario
+        if not -1e-9 <= req.frame_time <= self.sc.duration + 1e-9:
+            raise ValueError(f"frame_time {req.frame_time} outside the scenario")
+        return self._worker(frame.topic, "tasks/"), req
 
     def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest) -> None:
         truth = self._truth(req.frame_time)

@@ -282,7 +282,7 @@ def load_replay(text: str) -> ReplayData:
         if not isinstance(obj, dict) or "t" not in obj:
             raise ReplayError("every line needs a 't' field", lineno)
         try:
-            t = float(payload_field(obj, "t", float))
+            t = payload_field(obj, "t", float)
         except _FIELD_ERRORS as e:
             raise ReplayError(f"bad 't': {e}", lineno)
         if "truth" in obj:

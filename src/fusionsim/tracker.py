@@ -96,6 +96,7 @@ class TrackerConfig:
             raise TrackerError("need 1 <= confirm_m <= confirm_n")
         if self.max_misses < 1:
             raise TrackerError("max_misses must be >= 1")
+        chi2_quantile(self.gate_prob, 3)  # the gate's; raises if none is embedded
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,10 @@ from hypothesis import given, strategies as st
 
 from fusionsim import bus
 from fusionsim.bus import (
-    BadMagic,
-    BadVersion,
     BusError,
     BusFrame,
     LinkParams,
     NetworkModel,
-    PayloadTooLong,
-    TopicTooLong,
-    Truncated,
-    UnknownType,
     canonical_dumps,
     decode,
     deliver,
@@ -51,7 +45,7 @@ class TestWireFormat:
         assert len(encode(frame)) == 20
 
     def test_topic_too_long(self):
-        with pytest.raises(TopicTooLong):
+        with pytest.raises(BusError, match="^topic is 65536 bytes, limit 65535$"):
             encode(BusFrame(bus.MSG_HEARTBEAT, 0, "x" * 65536))
 
     def test_topic_at_limit_ok(self):
@@ -63,7 +57,7 @@ class TestWireFormat:
             def __len__(self):
                 return 2**32
 
-        with pytest.raises(PayloadTooLong):
+        with pytest.raises(BusError, match=r"^payload is 4294967296 bytes, limit 4294967295$"):
             encode(BusFrame(bus.MSG_HEARTBEAT, 0, "t", FakeBytes()))
 
     def test_round_trip_fuzz(self):
@@ -93,19 +87,19 @@ class TestWireFormat:
     def test_bad_magic(self):
         data = bytearray(bytes.fromhex(GOLDEN_HEARTBEAT_HEX))
         data[0] ^= 0xFF
-        with pytest.raises(BadMagic):
+        with pytest.raises(BusError, match="^magic bytes .* != b'FBUS'$"):
             decode(bytes(data))
 
     def test_bad_version(self):
         data = bytearray(bytes.fromhex(GOLDEN_HEARTBEAT_HEX))
         data[4] = 9
-        with pytest.raises(BadVersion):
+        with pytest.raises(BusError, match=r"^version 9 unsupported \(expect 1\)$"):
             decode(bytes(data))
 
     def test_unknown_type(self):
         data = bytearray(bytes.fromhex(GOLDEN_HEARTBEAT_HEX))
         data[5] = 99
-        with pytest.raises(UnknownType):
+        with pytest.raises(BusError, match=r"^msg_type 99 not in \[2, 3, 4, 5\]$"):
             decode(bytes(data))
 
     def test_truncations_name_the_field(self):
@@ -120,9 +114,8 @@ class TestWireFormat:
             len(data) - 1: "payload",
         }
         for cut, name in cases.items():
-            with pytest.raises(Truncated) as exc:
+            with pytest.raises(BusError, match=f"^{name}: "):
                 decode(data[:cut])
-            assert name in str(exc.value)
 
 
 class TestNetworkModel:
@@ -212,6 +205,14 @@ class TestPayloadFields:
                          ([10**400, 1.0], (2,))):
             with pytest.raises(ValueError):
                 bus.payload_array(x, shape)
+
+    def test_a_number_field_is_a_finite_int_or_float_read_as_a_float(self):
+        for x in (2, -0.0, 1.5, 10**300):
+            got = bus.payload_field({"t": x}, "t", float)
+            assert type(got) is float and got == float(x)
+        for bad in (True, "1.5", None, [1.0], float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValueError, match="is not a finite number"):
+                bus.payload_field({"t": bad}, "t", float)
 
     def test_ints_are_exactly_ints(self):
         assert bus.payload_ints({"ids": [3, -1, 0]}, "ids") == [3, -1, 0]

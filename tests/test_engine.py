@@ -19,7 +19,8 @@
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
   collab functions the benchmark hooks by name;
 * malformed frames: a delivery that is not exactly one frame, a frame
-  that does not parse (a task result's status is ``ok`` or ``failed``),
+  that does not parse (a task result's status is ``ok`` or ``failed``,
+  and a task request's frame time lies inside the scenario),
   one whose topic names no worker the run has, or
   TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
   sensors), is counted and skipped, and the run goes on;
@@ -383,9 +384,11 @@ def _malformed_frames(now_ns):
     it; then well-formed frames whose topic names no worker of the run (a
     task request, two heartbeats and a task result); then one frame per
     refused field: a task request whose ``frame_time`` is a string or
-    whose ``visible_ids`` holds a float, a remote track message whose id
-    count differs from its row count or whose ids hold a bool or 2.5, a
-    task result whose positions and covariances differ in row count, a
+    lies outside the 2 s scenario (1e6, -3.0 and 2.5 s; the worker reads
+    the truth at it) or whose ``visible_ids`` holds a float, a remote
+    track message whose id count differs from its row count or whose ids
+    hold a bool or 2.5, a task result whose positions and covariances
+    differ in row count, a
     task result whose status is neither ``ok`` nor ``failed``, and a
     remote track message and a task request whose pose has a flat
     rotation or a translation of strings."""
@@ -401,6 +404,8 @@ def _malformed_frames(now_ns):
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "heartbeat/edge1/w0"))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w9"))
     frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time="0.5"))
+    for frame_time in (1e6, -3.0, 2.5):
+        frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time=frame_time))
     frames.append(_task_req(now_ns, "tasks/edge1/w0", visible_ids=[1, 2.0]))
     frames.append(_tracks(now_ns, ids=[1]))
     frames.append(_tracks(now_ns, ids=[1, True]))
@@ -435,8 +440,8 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     engine = Engine(sc)
     frames = _malformed_frames(500_000_000)
     dst = sorted(engine.agents)[0]
-    for k, data in enumerate(frames):
-        engine._push(0.5 + 0.05 * k, KIND_DELIVER, (dst, data))
+    for k, data in enumerate(frames):  # all inside the 2 s run
+        engine._push(0.5 + 0.04 * k, KIND_DELIVER, (dst, data))
     counts = engine.run().report["counters"]["bus"]
     assert counts["malformed"] == len(frames)
     assert counts["delivered"] == healthy["delivered"] + len(frames)
