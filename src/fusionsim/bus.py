@@ -212,14 +212,14 @@ def deliver(net: NetworkModel, link: str, send_time: float,
             rng: np.random.Generator) -> float | None:
     """Delivery time for a frame sent on a link, or None when dropped.
 
-    Draw order is fixed: one uniform for the drop decision, then one for
-    jitter when the frame survives and jitter > 0.  Reordering emerges
-    naturally when jitter windows of consecutive sends overlap.
+    Draw order is fixed, as in ``sensing``: one ``rng.random()`` for the
+    drop decision, then one for jitter when the frame survives and jitter
+    > 0.  Reordering emerges when jitter windows of consecutive sends overlap.
     """
     p = net.links.get(link, net.default)
-    if rng.uniform() < p.drop_prob:
+    if rng.random() < p.drop_prob:
         return None
     delay = p.base_latency
     if p.jitter > 0.0:
-        delay += rng.uniform(-p.jitter, p.jitter)
+        delay += -p.jitter + (p.jitter + p.jitter) * rng.random()
     return send_time + delay

@@ -26,7 +26,7 @@ on stacks of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,12 +111,7 @@ class CollabState:
     singular: int = 0
 
     def counters(self) -> dict:
-        out = {"received": self.received, "stale": self.stale,
-               "fused": self.fused, "spawned": self.spawned,
-               "merged": self.merged, "rejected": self.rejected}
-        if self.singular:
-            out["singular"] = self.singular
-        return out
+        return {k: v for k, v in asdict(self).items() if v or k != "singular"}
 
 
 def align(msg: RemoteTrackMsg, t_now: float, q: float,

@@ -135,8 +135,9 @@ class _AgentRT:
         self.msg_queue: list[RemoteTrackMsg] = []
         self.collab = CollabState()
         self.last_broadcast: float | None = None
-        self.cam_idx = spec.camera_index()
-        self.radar_idx = spec.radar_index()
+        types = [s.type for s in spec.sensors]
+        self.cam_idx = types.index("camera") if "camera" in types else None
+        self.radar_idx = types.index("radar") if "radar" in types else None
         self.cam_spec = spec.sensors[self.cam_idx] if self.cam_idx is not None else None
         self.radar_spec = spec.sensors[self.radar_idx] if self.radar_idx is not None else None
         if self.cam_spec is not None:
@@ -187,7 +188,7 @@ class Engine:
         self.truth_source = self.world if replay is None else replay
 
         order = sorted(scenario.agents, key=lambda a: a.id)
-        self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.has_sensors}
+        self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.sensors}
         self.sensor_rngs = {
             (a.id, i): stream_rng(scenario.seed, f"agent:{a.id}/sensor:{i}")
             for a in order for i in range(len(a.sensors))
@@ -342,10 +343,8 @@ class Engine:
                                       rt.cam_from_radar)
         else:
             assoc = Association([], list(range(len(points))))
-        radar_noise = rt.radar_spec.noise if rt.radar_spec is not None \
-            else SensorNoiseConfig()
-        radar_mount = rt.radar_spec.mount if rt.radar_spec is not None \
-            else Pose.identity()
+        radar_noise, radar_mount = (rt.radar_spec.noise, rt.radar_spec.mount) \
+            if rt.radar_spec is not None else (SensorNoiseConfig(), Pose.identity())
         detections = synthesize(assoc, points, radar_mount, radar_noise).to_parent(agent_pose)
         rt.tracker.process_batch((t, LANE_LOCAL, 0), detections, t)
 

@@ -49,6 +49,10 @@ _CONFIG_ERRORS = (BusError, GeometryError, OffloadError, SensingError, TrackerEr
 # _get's kind of a 3-vector field (its shape), and its default of a required field
 _VEC3 = (3,)
 _REQUIRED = object()
+# The most items one config may ask a run for over its duration (sensor
+# ticks x (1 + clutter rate), workers x heartbeats, track window x all
+# ticks, metric samples x (1 + waypoints)); urban asks under 10^4 each.
+MAX_WORK = 10**7
 
 
 class ScenarioError(Exception):
@@ -153,9 +157,7 @@ class Motion:
         pts = self.points
         for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
             if t <= t1:
-                return (p1 - p0) / (t1 - t0)
-        t0, p0 = pts[-2]
-        t1, p1 = pts[-1]
+                break  # past the last waypoint, the loop ends on the last segment
         return (p1 - p0) / (t1 - t0)
 
     def pose(self, t: float) -> Pose:
@@ -260,22 +262,6 @@ class AgentSpec:
     trajectory: Motion
     sensors: tuple[SensorSpec, ...] = ()
     workers: int = 0
-
-    @property
-    def has_sensors(self) -> bool:
-        return len(self.sensors) > 0
-
-    def camera_index(self) -> int | None:
-        for i, s in enumerate(self.sensors):
-            if s.type == "camera":
-                return i
-        return None
-
-    def radar_index(self) -> int | None:
-        for i, s in enumerate(self.sensors):
-            if s.type == "radar":
-                return i
-        return None
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "kind": self.kind,
@@ -418,8 +404,26 @@ def load_scenario(text: str) -> Scenario:
 
     scenario = Scenario(duration, seed, pipeline, tracker, metrics, network,
                         agents, objects)
+    _check_work(scenario)
     _validate_mode(scenario)
     return scenario
+
+
+def _check_work(s: Scenario) -> None:
+    """Refuse a config that asks for more than MAX_WORK items.  Heartbeats
+    count in every mode, as an override may switch to ``cr-dist``."""
+    d, m = s.duration, s.metrics
+    asks = [(f"$.agents[{i}].sensors[{j}]", d * sensor.rate + 1, 1 + sensor.noise.clutter_rate)
+            for i, a in enumerate(s.agents) for j, sensor in enumerate(a.sensors)]
+    asks += [("$.tracker.confirm_n", s.tracker.confirm_n, sum(ticks for _, ticks, _ in asks)),
+             ("$.metrics", d * m.rate + 1, 1 + m.prediction_horizon / m.prediction_dt)]
+    asks += [(f"$.agents[{i}].workers", a.workers, d / s.pipeline.heartbeat_interval + 1)
+             for i, a in enumerate(s.agents)]
+    for path, *factors in asks:
+        # each factor clamped just past the bound: no product overflows,
+        # and a zero factor still means no work
+        if math.prod(min(f, MAX_WORK + 1) for f in factors) > MAX_WORK:
+            raise ValidationError(f"{path} asks for more than {MAX_WORK:.0e} items in {d} s")
 
 
 def apply_overrides(scenario: Scenario, mode: str | None = None,
@@ -441,7 +445,7 @@ def apply_overrides(scenario: Scenario, mode: str | None = None,
 
 def _validate_mode(s: Scenario) -> None:
     if s.pipeline.mode == "cr-covi":
-        if not any(a.kind != "ego" and a.has_sensors for a in s.agents):
+        if not any(a.kind != "ego" and a.sensors for a in s.agents):
             raise ValidationError(
                 "cr-covi requires at least one non-ego agent with sensors (no collaborator)")
     if s.pipeline.mode == "cr-dist":

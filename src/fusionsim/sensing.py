@@ -38,9 +38,16 @@ through everything.
 Each tick handles all objects in a few stacked array operations: the
 camera computes every center, box corner and clipped box at once and
 occlusion as one (n, n) cover-and-depth mask; the radar computes every
-body-frame position, range and radial speed at once.  Only the detect
-and noise draws stay in a loop over the objects that pass, so each
-generator is drawn in the same order as by a per-object loop.
+body-frame position, range and radial speed at once.  Only the draws
+stay in a loop over the objects that pass, in row order: per object one
+``rng.random()`` to detect it, then, if detected, one
+``rng.standard_normal(k)``, k its positive noise sigmas, a component
+being ``0.0 + sigma * z``.  Clutter follows: one ``rng.poisson`` if
+``clutter_rate`` > 0, then one ``rng.random((n, k))``, a value in [a, b)
+being ``a + (b - a) * u``.  These equal the older ``uniform()``,
+``uniform(a, b)`` and ``normal(0.0, sigma)`` draws bit for bit, as numpy
+computes those so and a size-k draw reads the stream as k scalar calls
+(``tests/test_draws.py``).
 
 The stacked forms give every row the bits the per-object computation
 gives.  A stacked ``R @ p[..., None]`` runs the same matrix-vector
@@ -203,37 +210,33 @@ def camera_observe(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth,
     camera rows ``[umin, vmin, umax, vmax, score]``.
 
     ``sensor_pose`` is world-from-body for the camera body frame (x
-    forward); the optical-axis remap happens internally.  Per visible,
-    unoccluded object the draw order is: one uniform for the detect/miss
-    decision, then four edge perturbations.  Clutter follows: a Poisson
-    count, then (center, size) draws per clutter box.
+    forward); the optical-axis remap happens internally.  Draws: per
+    visible, unoccluded object, the detect draw, then 4 edge noises if
+    ``pixel_sigma`` > 0; per clutter box, width, height, center u and v.
     """
     _, boxes, depths = camera_candidates(K, sensor_pose, truth)
+    width, height, sigma = float(K.width), float(K.height), cfg.pixel_sigma
 
     rows = []
     for bbox, hidden in zip(boxes.tolist(), _occluded(boxes, depths).tolist()):
-        if hidden:
+        if hidden or rng.random() >= cfg.p_detect:
             continue
-        if rng.uniform() >= cfg.p_detect:
-            continue
-        noisy = np.array(bbox) + rng.normal(0.0, cfg.pixel_sigma, size=4) \
-            if cfg.pixel_sigma > 0 else np.array(bbox)
-        umin = min(max(noisy[0], 0.0), float(K.width))
-        vmin = min(max(noisy[1], 0.0), float(K.height))
-        umax = min(max(noisy[2], 0.0), float(K.width))
-        vmax = min(max(noisy[3], 0.0), float(K.height))
+        if sigma > 0:
+            bbox = [b + (0.0 + sigma * z) for b, z in zip(bbox, rng.standard_normal(4).tolist())]
+        umin, vmin, umax, vmax = bbox
+        umin, umax = min(max(umin, 0.0), width), min(max(umax, 0.0), width)
+        vmin, vmax = min(max(vmin, 0.0), height), min(max(vmax, 0.0), height)
         if umin >= umax or vmin >= vmax:
             continue  # noise collapsed the box; counts as a miss
         rows.append((umin, vmin, umax, vmax, TRUE_SCORE))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
-    for _ in range(n_clutter):
-        w = rng.uniform(CLUTTER_BOX_MIN, CLUTTER_BOX_MAX)
-        h = rng.uniform(CLUTTER_BOX_MIN, CLUTTER_BOX_MAX)
-        cu = rng.uniform(0.0, float(K.width))
-        cv = rng.uniform(0.0, float(K.height))
-        umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, float(K.width))
-        vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, float(K.height))
+    span = CLUTTER_BOX_MAX - CLUTTER_BOX_MIN
+    for uw, uh, uu, uv in rng.random((n_clutter, 4)).tolist():
+        w, h = CLUTTER_BOX_MIN + span * uw, CLUTTER_BOX_MIN + span * uh
+        cu, cv = width * uu, height * uv  # a + (b - a) * u for a = 0
+        umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, width)
+        vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, height)
         if umin < umax and vmin < vmax:
             rows.append((umin, vmin, umax, vmax, CLUTTER_SCORE))
     return measurement_rows(rows)
@@ -248,7 +251,10 @@ def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
     ``cfg.fov_azimuth``) or beyond ``cfg.max_range`` are excluded.  Range
     and azimuth get their own sigmas; elevation reuses the azimuth sigma
     (coarse-elevation radar).  Radial speed is the line-of-sight component
-    of object velocity relative to the sensor.
+    of object velocity relative to the sensor.  Draws: per object in
+    view, the detect draw, then ``noisy_polar``'s noise and the speed
+    noise, each if its sigma is positive; per clutter return, range and
+    azimuth.
     """
     body_from_world = inverse(sensor_pose)
     sensor_vel = np.asarray(sensor_velocity, dtype=float).reshape(3)
@@ -257,23 +263,23 @@ def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
     v_rel_body = (body_from_world.rotation @ v_rel[:, :, None])[:, :, 0]
     radial_speeds = ((p_body / ranges[:, None])[:, None, :] @ v_rel_body[:, :, None])[:, 0, 0]
 
+    half_fov, speed_sigma = cfg.fov_azimuth / 2.0, cfg.speed_sigma
+    k = polar_draws(cfg) + (speed_sigma > 0)
     rows = []
     for p, rng_true, radial in zip(p_body.tolist(), ranges.tolist(), radial_speeds.tolist()):
         az = math.atan2(p[1], p[0])
-        if abs(az) > cfg.fov_azimuth / 2.0:
+        if abs(az) > half_fov or rng.random() >= cfg.p_detect:
             continue
-        if rng.uniform() >= cfg.p_detect:
-            continue
-        pos = perturb_polar(p, rng_true, cfg, rng)
-        if cfg.speed_sigma > 0:
-            radial += rng.normal(0.0, cfg.speed_sigma)
+        z = iter(rng.standard_normal(k).tolist())
+        pos = noisy_polar(p, rng_true, az, z, cfg)
+        if speed_sigma > 0:
+            radial += 0.0 + speed_sigma * next(z)
         rows.append((*pos, radial, TRUE_SNR_DB))
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
-    for _ in range(n_clutter):
-        r = max(rng.uniform(0.0, cfg.max_range), 1e-3)
-        az = rng.uniform(-cfg.fov_azimuth / 2.0, cfg.fov_azimuth / 2.0)
-        rows.append((*_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB))
+    for ur, ua in rng.random((n_clutter, 2)).tolist():
+        az = -half_fov + (half_fov + half_fov) * ua
+        rows.append((*_from_polar(max(cfg.max_range * ur, 1e-3), az, 0.0), 0.0, CLUTTER_SNR_DB))
     return measurement_rows(rows)
 
 
@@ -288,21 +294,24 @@ def in_range(body_from_world: Pose, positions: np.ndarray,
     return idx, p_body[idx], ranges[idx]
 
 
-def perturb_polar(p, r_true: float, cfg: SensorNoiseConfig,
-                  rng: np.random.Generator) -> tuple[float, float, float]:
-    """Body-frame point ``p`` (three coordinates, range ``r_true``) with
-    polar measurement noise, as three floats.
+def polar_draws(cfg: SensorNoiseConfig) -> int:
+    """How many standard normals ``noisy_polar`` takes."""
+    return (cfg.range_sigma > 0) + 2 * (cfg.azimuth_sigma > 0)
 
-    Draw order: range, then azimuth, then elevation; elevation reuses the
-    azimuth sigma.  Noisy ranges are floored at 1 um.
-    """
-    az = math.atan2(p[1], p[0])
+
+def noisy_polar(p, r_true: float, az: float, z, cfg: SensorNoiseConfig
+                ) -> tuple[float, float, float]:
+    """Body-frame point ``p`` (range ``r_true``, azimuth ``az``) with
+    polar noise ``0.0 + sigma * next(z)``, ``z`` the object's standard
+    normals: range, azimuth, then elevation (on the azimuth sigma), each
+    if its sigma is positive.  Noisy ranges are floored at 1 um."""
     el = math.atan2(p[2], math.hypot(p[0], p[1]))
-    r = r_true + (rng.normal(0.0, cfg.range_sigma) if cfg.range_sigma > 0 else 0.0)
+    if cfg.range_sigma > 0:
+        r_true += 0.0 + cfg.range_sigma * next(z)
     if cfg.azimuth_sigma > 0:
-        az += rng.normal(0.0, cfg.azimuth_sigma)
-        el += rng.normal(0.0, cfg.azimuth_sigma)
-    return _from_polar(max(r, 1e-6), az, el)
+        az += 0.0 + cfg.azimuth_sigma * next(z)
+        el += 0.0 + cfg.azimuth_sigma * next(z)
+    return _from_polar(max(r_true, 1e-6), az, el)
 
 
 def _from_polar(r: float, az: float, el: float) -> tuple[float, float, float]:

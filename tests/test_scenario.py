@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusionsim.bus import canonical_dumps
 from fusionsim.scenario import ValidationError, apply_overrides, load_scenario
-from fusionsim.scenario.model import ScenarioError
+from fusionsim.scenario.model import MAX_WORK, ScenarioError
 
 VALID_MODES = {"urban.json": ("cr", "cr-covi", "cr-dist"),
                "occlusion.json": ("cr", "cr-covi")}
@@ -117,6 +117,15 @@ INVALID_VALUES = {
     "radius-nan": (("metrics", "radius"), math.nan),
     "rate-huge-int": (("metrics", "rate"), 10**400),
     "waypoint-time-string": (("objects", 2, "motion", "points", 1, 0), "15"),
+    # more work over the duration than MAX_WORK items (loaded, never run)
+    "camera-rate-huge": (("agents", 0, "sensors", 0, "rate"), 1e12),
+    "clutter-rate-huge": (("agents", 0, "sensors", 1, "noise", "clutter_rate"), 1e12),
+    "confirm-n-huge": (("tracker", "confirm_n"), 10**12),
+    "workers-huge": (("agents", 2, "workers"), 10**12),
+    "workers-past-float": (("agents", 2, "workers"), 10**400),
+    "heartbeat-interval-tiny": (("pipeline", "heartbeat_interval"), 1e-12),
+    "metrics-rate-huge": (("metrics", "rate"), 1e12),
+    "prediction-dt-tiny": (("metrics", "prediction_dt"), 1e-12),
     # a container of the wrong type
     "pipeline-number": (("pipeline",), 5),
     "tracker-list": (("tracker",), []),
@@ -131,6 +140,21 @@ def test_invalid_values_rejected(scenario_dir, where):
     path, value = INVALID_VALUES[where]
     with pytest.raises(ValidationError):
         load(_set(load_doc(scenario_dir), path, value))
+
+
+@pytest.mark.parametrize("share", [0.5, 2.0])
+def test_a_sensor_may_ask_for_up_to_max_work_items(scenario_dir, share):
+    """Loading only: a camera of share * MAX_WORK ticks over the duration
+    (no clutter, a window of one) loads at half the bound, not at twice."""
+    doc = load_doc(scenario_dir)
+    doc = _set(doc, ("agents", 0, "sensors", 0, "rate"), share * MAX_WORK / doc["duration"])
+    doc = _set(doc, ("agents", 0, "sensors", 0, "noise", "clutter_rate"), 0.0)
+    doc = _set(_set(doc, ("tracker", "confirm_m"), 1), ("tracker", "confirm_n"), 1)
+    if share < 1:
+        assert load(doc).agents[0].sensors[0].rate == share * MAX_WORK / 30.0
+    else:
+        with pytest.raises(ValidationError, match="sensors"):
+            load(doc)
 
 
 def test_radar_with_intrinsics_rejected(scenario_dir):

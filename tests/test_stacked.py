@@ -5,7 +5,10 @@ objects, points or detections of a tick in one stacked computation.  The
 references below are the per-object forms they replaced, kept here as the
 specification: every property compares floats with ``==`` (or
 ``np.array_equal``), never with a tolerance, because the run outputs are
-required to stay byte-identical.
+required to stay byte-identical.  The sensing, worker and link references
+draw one ``uniform()``, ``uniform(a, b)`` or ``normal(0.0, sigma)`` call
+per value; the program's one ``random()`` and one ``standard_normal(k)``
+per object must give the same values (``test_draws.py`` pins why).
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fusionsim.bus import LinkParams, NetworkModel, deliver
 from fusionsim.fusion import (
     PAIR_COST_GATE,
     RADAR_ONLY_COV_SCALE,
@@ -32,8 +36,12 @@ from fusionsim.geometry import (
     symmetrize,
     transform_point,
 )
-from fusionsim.offload import TaskRequest, WorkerConfig, emulate_worker
+from fusionsim.offload import STATUS_FAILED, STATUS_OK, TaskRequest, WorkerConfig, emulate_worker
 from fusionsim.sensing import (
+    CLUTTER_BOX_MAX,
+    CLUTTER_BOX_MIN,
+    CLUTTER_SCORE,
+    CLUTTER_SNR_DB,
     OCCLUSION_COVER,
     TRUE_SCORE,
     TRUE_SNR_DB,
@@ -41,7 +49,6 @@ from fusionsim.sensing import (
     Truth,
     camera_candidates,
     camera_observe,
-    perturb_polar,
     radar_observe,
     visible_object_ids,
 )
@@ -53,6 +60,10 @@ K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, heigh
 Obj = namedtuple("Obj", "id position velocity extent")
 
 seeds = st.integers(0, 2**32 - 1)
+# a seed and an object count, as the sensing, worker and link properties draw them
+scenes = {"seed": seeds, "n": st.integers(0, 40)}
+# the examples each of those properties runs under the ``slow`` mark
+SLOW_EXAMPLES = 1000
 
 
 # -- scalar references ----------------------------------------------------------
@@ -78,8 +89,29 @@ def ref_radar_cov(position, cfg):
     return symmetrize((basis * var) @ basis.T)
 
 
+def ref_from_polar(r, az, el):
+    return [r * math.cos(el) * math.cos(az), r * math.cos(el) * math.sin(az), r * math.sin(el)]
+
+
+def ref_noisy_polar(p, r_true, cfg, rng):
+    """Range, azimuth and elevation noise, one scalar normal each, in
+    that order, when its sigma is positive; elevation reuses the azimuth
+    sigma."""
+    az = math.atan2(p[1], p[0])
+    el = math.atan2(p[2], math.hypot(p[0], p[1]))
+    r = r_true + rng.normal(0.0, cfg.range_sigma) if cfg.range_sigma > 0 else r_true
+    if cfg.azimuth_sigma > 0:
+        az += rng.normal(0.0, cfg.azimuth_sigma)
+        el += rng.normal(0.0, cfg.azimuth_sigma)
+    return ref_from_polar(max(r, 1e-6), az, el)
+
+
+def ref_clutter_count(cfg, rng):
+    return int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
+
+
 def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
-    """Returns (position, radial speed) per true return; no clutter."""
+    """Radar rows: the true returns, then the clutter."""
     body_from_world = inverse(sensor_pose)
     sensor_vel = np.asarray(sensor_velocity, dtype=float)
     out = []
@@ -92,12 +124,16 @@ def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
             continue
         if rng.uniform() >= cfg.p_detect:
             continue
-        pos = perturb_polar(p, rng_true, cfg, rng)
+        pos = ref_noisy_polar(p, rng_true, cfg, rng)
         v_rel_body = body_from_world.rotation @ (obj.velocity - sensor_vel)
         radial = float(np.dot(p / rng_true, v_rel_body))
         if cfg.speed_sigma > 0:
             radial += rng.normal(0.0, cfg.speed_sigma)
-        out.append((pos, radial))
+        out.append([*pos, radial, TRUE_SNR_DB])
+    for _ in range(ref_clutter_count(cfg, rng)):
+        r = max(rng.uniform(0.0, cfg.max_range), 1e-3)
+        az = rng.uniform(-cfg.fov_azimuth / 2.0, cfg.fov_azimuth / 2.0)
+        out.append([*ref_from_polar(r, az, 0.0), 0.0, CLUTTER_SNR_DB])
     return out
 
 
@@ -112,11 +148,47 @@ def ref_emulate_worker(truth, sensor_pose, prof, rng):
             continue
         if rng.uniform() >= prof.p_detect:
             continue
-        pos_body = np.array(perturb_polar(p, r_true, prof, rng))
+        pos_body = np.array(ref_noisy_polar(p, r_true, prof, rng))
         r = sensor_pose.rotation
         cov = symmetrize(r @ ref_radar_cov(pos_body, prof) @ r.T)
         out.append((ref_transform_point(sensor_pose, pos_body), cov))
     return out
+
+
+def ref_camera_observe(candidates, cfg, rng):
+    """Camera rows from ``ref_camera_candidates``: the detected true
+    boxes, then the clutter."""
+    out = []
+    for _, bbox, depth in candidates:
+        if ref_is_occluded(bbox, depth, candidates) or rng.uniform() >= cfg.p_detect:
+            continue
+        noisy = np.array(bbox) + rng.normal(0.0, cfg.pixel_sigma, size=4) \
+            if cfg.pixel_sigma > 0 else np.array(bbox)
+        umin = min(max(noisy[0], 0.0), float(K.width))
+        vmin = min(max(noisy[1], 0.0), float(K.height))
+        umax = min(max(noisy[2], 0.0), float(K.width))
+        vmax = min(max(noisy[3], 0.0), float(K.height))
+        if umin < umax and vmin < vmax:
+            out.append([umin, vmin, umax, vmax, TRUE_SCORE])
+    for _ in range(ref_clutter_count(cfg, rng)):
+        w = rng.uniform(CLUTTER_BOX_MIN, CLUTTER_BOX_MAX)
+        h = rng.uniform(CLUTTER_BOX_MIN, CLUTTER_BOX_MAX)
+        cu = rng.uniform(0.0, float(K.width))
+        cv = rng.uniform(0.0, float(K.height))
+        umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, float(K.width))
+        vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, float(K.height))
+        if umin < umax and vmin < vmax:
+            out.append([umin, vmin, umax, vmax, CLUTTER_SCORE])
+    return out
+
+
+def ref_deliver(link, send_time, rng):
+    if rng.uniform() < link.drop_prob:
+        return None
+    delay = link.base_latency
+    if link.jitter > 0.0:
+        delay += rng.uniform(-link.jitter, link.jitter)
+    return send_time + delay
 
 
 def ref_camera_candidates(sensor_pose, objects):
@@ -216,6 +288,7 @@ def noise(rng):
                              azimuth_sigma=float(rng.choice([0.0, 0.02])),
                              speed_sigma=float(rng.choice([0.0, 0.1])),
                              p_detect=float(rng.choice([1.0, 0.8])),
+                             clutter_rate=float(rng.choice([0.0, 1.5])),
                              fov_azimuth=float(rng.uniform(0.5, 2 * math.pi)),
                              max_range=float(rng.uniform(20.0, 100.0)))
 
@@ -259,7 +332,7 @@ def test_radar_cov_squares_variances_as_python_floats():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, n=st.integers(0, 40))
+@given(**scenes)
 def test_radar_observe_equals_scalar_reference(seed, n):
     """Transforms, ranges and radial speeds, and the draw order with them."""
     rng = np.random.default_rng(seed)
@@ -272,26 +345,26 @@ def test_radar_observe_equals_scalar_reference(seed, n):
     reference = ref_radar_observe(pose, objects, cfg, np.random.default_rng(seed),
                                   sensor_velocity)
     assert points.shape == (len(reference), 5)
-    for row, (pos, radial) in zip(points, reference):
-        assert np.array_equal(row[:3], pos)
-        assert row[3] == radial
-        assert row[4] == TRUE_SNR_DB
+    assert points.tolist() == reference
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, n=st.integers(0, 40))
+@given(**scenes)
 @example(seed=0, n=0)
 def test_emulate_worker_equals_scalar_reference(seed, n):
     rng = np.random.default_rng(seed)
     pose = random_pose(rng)
     truth = crowd(rng, n, pose, ahead=150.0)
-    cfg = WorkerConfig(profile=noise(rng))
-    _, result = emulate_worker(TaskRequest(1, 2.0, (), pose), batch(truth).positions, cfg,
-                               np.random.default_rng(seed))
+    lat_min = float(rng.uniform(0.0, 0.2))
+    cfg = WorkerConfig(lat_min=lat_min, lat_max=lat_min + float(rng.uniform(0.0, 0.3)),
+                       p_fail=float(rng.choice([0.0, 0.3])), profile=noise(rng))
+    latency, result = emulate_worker(TaskRequest(1, 2.0, (), pose), batch(truth).positions, cfg,
+                                     np.random.default_rng(seed))
     draws = np.random.default_rng(seed)
-    draws.uniform(cfg.lat_min, cfg.lat_max)
-    draws.uniform()
-    reference = ref_emulate_worker(truth, pose, cfg.profile, draws)
+    assert latency == draws.uniform(cfg.lat_min, cfg.lat_max)
+    failed = draws.uniform() < cfg.p_fail
+    assert result.status == (STATUS_FAILED if failed else STATUS_OK)
+    reference = [] if failed else ref_emulate_worker(truth, pose, cfg.profile, draws)
     dets = result.detections
     assert dets.positions.shape == (len(reference), 3)
     assert dets.covs.shape == (len(reference), 3, 3)
@@ -337,7 +410,7 @@ def test_synthesize_and_world_transform_equal_scalar_reference(seed, n, m):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=seeds, n=st.integers(0, 40))
+@given(**scenes)
 def test_camera_candidates_and_occlusion_equal_scalar_reference(seed, n):
     rng = np.random.default_rng(seed)
     pose = random_pose(rng)
@@ -353,21 +426,34 @@ def test_camera_candidates_and_occlusion_equal_scalar_reference(seed, n):
 
     cfg = noise(rng)
     dets = camera_observe(K, pose, batch(objects), cfg, np.random.default_rng(seed))
-    draws = np.random.default_rng(seed)
-    expected = []
-    for _, bbox, depth in reference:
-        if ref_is_occluded(bbox, depth, reference) or draws.uniform() >= cfg.p_detect:
-            continue
-        noisy = np.array(bbox) + draws.normal(0.0, cfg.pixel_sigma, size=4) \
-            if cfg.pixel_sigma > 0 else np.array(bbox)
-        umin = min(max(noisy[0], 0.0), float(K.width))
-        vmin = min(max(noisy[1], 0.0), float(K.height))
-        umax = min(max(noisy[2], 0.0), float(K.width))
-        vmax = min(max(noisy[3], 0.0), float(K.height))
-        if umin < umax and vmin < vmax:
-            expected.append([umin, vmin, umax, vmax, TRUE_SCORE])
+    expected = ref_camera_observe(reference, cfg, np.random.default_rng(seed))
     assert dets.shape == (len(expected), 5)
     assert dets.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(**scenes)
+def test_deliver_equals_scalar_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    base = float(rng.uniform(0.001, 0.2))
+    link = LinkParams(base_latency=base, jitter=base * float(rng.uniform(0.01, 1.0)),
+                      drop_prob=float(rng.uniform(0.05, 0.5)))
+    net = NetworkModel(links={"a->b": link})
+    times = rng.uniform(0.0, 30.0, n).tolist()
+    draws, ref_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [deliver(net, "a->b", t, draws) for t in times] == \
+        [ref_deliver(link, t, ref_draws) for t in times]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("prop", [test_camera_candidates_and_occlusion_equal_scalar_reference,
+                                  test_radar_observe_equals_scalar_reference,
+                                  test_emulate_worker_equals_scalar_reference,
+                                  test_deliver_equals_scalar_reference],
+                         ids=lambda prop: prop.__name__)
+def test_draw_references_at_scale(prop):
+    settings(max_examples=SLOW_EXAMPLES, deadline=None)(
+        given(**scenes)(prop.hypothesis.inner_test))()
 
 
 def test_crowded_scenes_exercise_every_branch():
