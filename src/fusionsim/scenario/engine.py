@@ -46,7 +46,7 @@ from ..sensing import (
 )
 from ..tracker import LANE_LOCAL, Tracker, Tracks, predict_waypoints
 from .model import Scenario, World, world_at
-from .replay import ReplayError, detection_line, track_lines, truth_line
+from .replay import ReplayData, detection_line, track_lines, truth_line
 
 KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
@@ -85,13 +85,13 @@ class RunReport:
       (n, 2, 6) means and covariance diagonals)``, the ids and confirmed
       flags as tuples: held as the ``Tracks`` batch's own small arrays,
       they raised peak memory;
-    * a detection record, per live sensor tick:
+    * a detection record, per ``LiveSource`` tick (a replay run has none):
       ``(t, agent, sensor, type, rows)``, where ``rows`` is the tick's
       sensing array itself (camera or radar rows, see ``sensing``): sensing
       makes a new array on every call and nothing writes to it, so the
       record owns it;
-    * a truth record, per ground-truth time: ``(t, truth)``, where
-      ``truth`` is the ``sensing.Truth`` batch itself: ``world_at``
+    * a truth record, per ``LiveSource`` ground-truth time: ``(t, truth)``,
+      where ``truth`` is the ``sensing.Truth`` batch itself: ``world_at``
       evaluates the run's stacked ``World`` into new arrays on every call,
       extents copied too, and nothing writes to them, so the record owns
       them.
@@ -147,15 +147,55 @@ class _AgentRT:
                 self.cam_from_radar = inverse(agent_from_opt).compose(self.radar_spec.mount)
 
 
-class Engine:
-    """One run of a scenario, live or driven from a replay.
+class LiveSource:
+    """A run's live input, sensing over the scenario's objects: the twin
+    of a replay's ``ReplayData``.  It holds the run's ``World``, a stream
+    per sensor and the truth at the last time read, and keeps the run's
+    replay records (see ``RunReport``): one per tick, and one per truth
+    time later than every earlier one, which are the ticks' and metric
+    samples' times, as a task reads its tick's.  Sensing is called
+    through this module's globals, where the benchmark's hooks wrap it."""
 
-    Handlers record each output line when it happens, as a compact record
-    (see ``RunReport``) that copies its numbers out of the tracker, or
-    keeps the sensing array or ground-truth batch it was handed; nothing
-    is serialised until ``RunReport`` is asked for bytes.  A replay run
-    records no replay lines.  A replay run refuses, when it is built, a
-    replay that gives a scenario sensor another type.
+    def __init__(self, scenario: Scenario):
+        self.world = World(scenario.objects)
+        self.positions = self.world.positions
+        self.duration = scenario.duration
+        self.sensors = {(a.id, i): (a, spec, stream_rng(scenario.seed, f"agent:{a.id}/sensor:{i}"))
+                        for a in scenario.agents for i, spec in enumerate(a.sensors)}
+        self.truth_cache: dict[float, Truth] = {}   # truth is a pure function of time
+        self.records: list[tuple] = []
+        self._last_truth_line = -np.inf
+
+    def ticks(self, sensors: dict) -> dict:
+        """Each of ``sensors``' tick times, on its rate's grid."""
+        return {key: sensor.tick_times(self.duration) for key, sensor in sensors.items()}
+
+    def detections_at(self, t: float, agent: str, sidx: int, sensor_pose: Pose) -> np.ndarray:
+        owner, spec, rng = self.sensors[(agent, sidx)]
+        if spec.type == "camera":
+            rows = camera_observe(spec.intrinsics, sensor_pose, self.truth_at(t), spec.noise, rng)
+        else:
+            rows = radar_observe(sensor_pose, self.truth_at(t), spec.noise, rng,
+                                 sensor_velocity=owner.trajectory.velocity(t))
+        self.records.append((t, agent, sidx, spec.type, rows))
+        return rows
+
+    def truth_at(self, t: float) -> Truth:
+        if t not in self.truth_cache:
+            self.truth_cache = {t: world_at(self.world, t, self.duration)}
+            if t > self._last_truth_line:
+                self._last_truth_line = t
+                self.records.append((t, self.truth_cache[t]))
+        return self.truth_cache[t]
+
+
+class Engine:
+    """One run of a scenario on one input source: a ``LiveSource``, or a
+    replay's ``ReplayData``, whose ``ticks`` refuses a replay that gives a
+    scenario sensor another type when the engine is built.  Flushes record
+    each track line as a compact record (see ``RunReport``) that copies
+    its numbers out of the tracker, and a live source the replay lines;
+    nothing is serialised until ``RunReport`` is asked for bytes.
 
     Agents talk over the bus (see ``bus`` for each type's payload): in
     ``cr-covi`` sensor agents broadcast TRACKS; in ``cr-dist`` the ego
@@ -165,34 +205,22 @@ class Engine:
 
     def __init__(self, scenario: Scenario, replay=None):
         self.sc = scenario
-        self.replay = replay
+        self.source = LiveSource(scenario) if replay is None else replay
         self.net = scenario.network
         self.mode = scenario.pipeline.mode
         self.seq = itertools.count()
         self.heap: list = []
-        # Both caches hold the last time asked for only: ground truth and
-        # poses are pure functions of time, so an older time is recomputed.
-        self.truth_cache: dict[float, Truth] = {}
+        # the last time asked for only: poses are pure functions of time
         self._pose_cache: dict[float, dict[str, Pose]] = {}
         self.link_rngs: dict[str, np.random.Generator] = {}
         self.frames_log: list[dict] = []
         self.bus_counts = {"sent": 0, "delivered": 0, "dropped": 0,
                            "by_type": {name: 0 for name in bus.MSG_TYPES.values()}}
         self._track_records: list[tuple] = []
-        self._replay_records: list[tuple] = []
-        # handler times never decrease, so the last one recorded is enough
-        self._last_truth_line: float | None = None
         self.events_processed = 0
-        self.world = World(scenario.objects)
-        # the true positions that predictions are scored against
-        self.truth_source = self.world if replay is None else replay
 
         order = sorted(scenario.agents, key=lambda a: a.id)
         self.agents = {a.id: _AgentRT(a, scenario.tracker) for a in order if a.sensors}
-        self.sensor_rngs = {
-            (a.id, i): stream_rng(scenario.seed, f"agent:{a.id}/sensor:{i}")
-            for a in order for i in range(len(a.sensors))
-        }
         self.ego_id = scenario.ego.id
         self.agg = MetricsAggregator(radius=scenario.metrics.radius,
                                      ospa_cutoff=scenario.metrics.ospa_cutoff)
@@ -223,26 +251,13 @@ class Engine:
     def _schedule_fixed_events(self, order) -> None:
         sc = self.sc
         ticks: dict[float, list] = {}
-        if self.replay is not None:
-            # replay drives ticks at the recorded instants, whatever grid
-            # the original sensors used.  Rows do not carry their sensor's
-            # type, so a replayed sensor must have the scenario's type.
-            known = {(a.id, i): sensor.type for a in order for i, sensor in enumerate(a.sensors)}
-            for (aid, sidx), stype in sorted(self.replay.sensor_types.items()):
-                if known.get((aid, sidx), stype) != stype:
-                    raise ReplayError(f"replay sensor ({aid}, {sidx}) is a {stype}, "
-                                      f"the scenario's a {known[aid, sidx]}")
-            for (t, aid, sidx) in self.replay.detections:
-                if (aid, sidx) in known and t <= sc.duration + 1e-9:
-                    ticks.setdefault(t, []).append((aid, sidx))
-        else:
-            for a in order:
-                for i, sensor in enumerate(a.sensors):
-                    for t in sensor.tick_times(sc.duration):
-                        ticks.setdefault(t, []).append((a.id, i))
+        sensors = {(a.id, i): sensor for a in order for i, sensor in enumerate(a.sensors)}
+        for key, times in self.source.ticks(sensors).items():
+            for t in times:
+                ticks.setdefault(t, []).append(key)
         metric_n = int(np.floor(sc.duration * sc.metrics.rate + 1e-9))
         metric_times = {k / sc.metrics.rate for k in range(metric_n + 1)}
-        for t in sorted(set(ticks) | metric_times):
+        for t in sorted(t for t in ticks.keys() | metric_times if t <= sc.duration + 1e-9):
             entries = sorted(ticks.get(t, []))
             last_per_agent = {aid: i for aid, i in entries}
             for aid, i in entries:
@@ -259,14 +274,6 @@ class Engine:
                                f"hb/{wid}")
 
     # -- shared plumbing -----------------------------------------------------
-
-    def _truth(self, t: float):
-        if t not in self.truth_cache:
-            if self.replay is not None:
-                self.truth_cache = {t: self.replay.truth_at(t)}
-            else:
-                self.truth_cache = {t: world_at(self.world, t, self.sc.duration)}
-        return self.truth_cache[t]
 
     def _link_rng(self, link: str) -> np.random.Generator:
         if link not in self.link_rngs:
@@ -301,32 +308,12 @@ class Engine:
             return
         self._push(at, KIND_DELIVER, (dst, data))
 
-    def _record_truth_line(self, t: float) -> None:
-        if t == self._last_truth_line:
-            return
-        self._last_truth_line = t
-        self._replay_records.append((t, self._truth(t)))
-
     # -- event handlers ------------------------------------------------------
 
     def on_tick(self, t: float, aid: str, sidx: int, flush: bool) -> None:
         rt = self.agents[aid]
-        spec = rt.spec.sensors[sidx]
-        agent_pose = self._agent_pose(rt, t)
-        sensor_pose = agent_pose.compose(spec.mount)
-        if self.replay is not None:
-            rows = self.replay.detections_at(t, aid, sidx)
-        elif spec.type == "camera":
-            rows = camera_observe(spec.intrinsics, sensor_pose, self._truth(t),
-                                  spec.noise, self.sensor_rngs[(aid, sidx)])
-        else:
-            rows = radar_observe(sensor_pose, self._truth(t), spec.noise,
-                                 self.sensor_rngs[(aid, sidx)],
-                                 sensor_velocity=rt.spec.trajectory.velocity(t))
-        rt.staging[sidx] = rows
-        if self.replay is None:
-            self._record_truth_line(t)
-            self._replay_records.append((t, aid, sidx, spec.type, rows))
+        sensor_pose = self._agent_pose(rt, t).compose(rt.spec.sensors[sidx].mount)
+        rt.staging[sidx] = self.source.detections_at(t, aid, sidx, sensor_pose)
         if flush:
             self._flush(rt, t)
 
@@ -380,7 +367,7 @@ class Engine:
     def _submit_task(self, rt: _AgentRT, t: float, agent_pose: Pose) -> None:
         cam = rt.cam_spec
         rig_pose = agent_pose.compose(cam.mount)
-        visible = sorted(visible_object_ids(cam.intrinsics, rig_pose, self._truth(t)))
+        visible = sorted(visible_object_ids(cam.intrinsics, rig_pose, self.source.truth_at(t)))
         req = TaskRequest(next(self.task_counter), t, tuple(visible), rig_pose)
         wid = self.broker.submit(req, t)
         if wid is not None:
@@ -440,7 +427,7 @@ class Engine:
         return self._worker(frame.topic, "tasks/"), req
 
     def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest) -> None:
-        truth = self._truth(req.frame_time)
+        truth = self.source.truth_at(req.frame_time)
         rows = [i for i, oid in enumerate(truth.ids) if oid in req.visible_ids]
         latency, result = emulate_worker(req, truth.positions[rows], self.sc.pipeline.worker,
                                          self.worker_rngs[wid])
@@ -473,12 +460,10 @@ class Engine:
                    f"results/{self.ego_id}/{wid}", canonical_dumps(result.to_payload()))
 
     def on_metric(self, t: float) -> None:
-        if self.replay is None:
-            self._record_truth_line(t)
+        truth = self.source.truth_at(t)  # read even unscored: a live source records it
         if self.ego_id not in self.agents:  # sensor-less ego: nothing to score
             return
         ego = self.agents[self.ego_id]
-        truth = self._truth(t)
         confirmed = ego.tracker.confirmed()
         ids, means, stamps = confirmed.ids.tolist(), confirmed.means, confirmed.stamps
         positions = means[:, :3] + means[:, 3:] * (t - stamps)[:, None]
@@ -490,7 +475,7 @@ class Engine:
             rows = [row[eid] for eid in eids]
             times, waypoints = predict_waypoints(means[rows], stamps[rows],
                                                  mc.prediction_horizon, mc.prediction_dt)
-            truth, found = self.truth_source.positions(gids, times)
+            truth, found = self.source.positions(gids, times)
             ade, fde, scored = prediction_error(waypoints, times, truth, self.sc.duration)
             for a, f, ok in zip(ade.tolist(), fde.tolist(), (scored & found).tolist()):
                 if ok:
@@ -544,7 +529,7 @@ class Engine:
             "scenario": self.sc.to_dict(),
             "mode": self.mode,
             "seed": self.sc.seed,
-            "replay": self.replay is not None,
+            "replay": isinstance(self.source, ReplayData),
             "metrics": self.agg.report(),
             "ospa_series": [[t, v] for t, v in self.agg.ospa_series],
             "counters": counters,
@@ -555,7 +540,7 @@ class Engine:
             },
             "frames": self.frames_log,
         }
-        return RunReport(report, self._track_records, self._replay_records)
+        return RunReport(report, self._track_records, self.source.records)
 
 
 # The (parser, handler) pair of each message type an engine acts on.

@@ -13,8 +13,9 @@ Ground-truth lines:
                           "extent": [...]}, ...]}
 
 Every live run records its own sensor stream in this format, so a run can
-be replayed bit-for-bit; dataset converters (out of scope here) only need
-to emit these lines to drive the same pipelines.
+be replayed bit-for-bit: a loaded file is a ``ReplayData``, the engine's
+input source beside ``engine.LiveSource``.  Dataset converters (out of
+scope here) only need to emit these lines to drive the same pipelines.
 
 A detection line holds one sensor tick's sensing array (see ``sensing``
 for the camera and radar row layouts), one entry per row, and a truth
@@ -86,9 +87,22 @@ class ReplayData:
     sensor_types: dict[tuple[str, int], str]
     truth_times: list[float]
     truth: dict[float, Truth]
+    records = ()  # a replay run records no replay lines
 
-    def detections_at(self, t: float, agent: str, sidx: int) -> np.ndarray:
-        """The rows of a recorded tick."""
+    def ticks(self, sensors: dict) -> dict:
+        """Each of ``sensors``' recorded tick times, also past a run's end;
+        ReplayError if one's rows were recorded as another type's."""
+        for key, stype in sorted(self.sensor_types.items()):
+            if key in sensors and sensors[key].type != stype:
+                raise ReplayError(f"replay sensor ({key[0]}, {key[1]}) is a {stype}, "
+                                  f"the scenario's a {sensors[key].type}")
+        times = {key: [] for key in sensors}
+        for t, aid, sidx in self.detections:  # a sensor the run lacks ticks nowhere
+            times.get((aid, sidx), []).append(t)
+        return times
+
+    def detections_at(self, t: float, agent: str, sidx: int, sensor_pose=None) -> np.ndarray:
+        """The rows of a recorded tick, wherever the sensor is."""
         return self.detections[(t, agent, sidx)]
 
     def truth_at(self, t: float) -> Truth:

@@ -112,13 +112,14 @@ class SensorNoiseConfig:
     max_range: float = 200.0       # m, radar only
 
     def __post_init__(self):
-        for name in ("pixel_sigma", "range_sigma", "azimuth_sigma", "speed_sigma"):
+        for name in ("pixel_sigma", "range_sigma", "azimuth_sigma", "speed_sigma", "clutter_rate"):
             if getattr(self, name) < 0:
                 raise SensingError(f"{name} must be >= 0")
+        for name in ("fov_azimuth", "max_range"):
+            if not getattr(self, name) > 0:
+                raise SensingError(f"{name} must be > 0")
         if not 0.0 <= self.p_detect <= 1.0:
             raise SensingError("p_detect must be in [0, 1]")
-        if self.clutter_rate < 0:
-            raise SensingError("clutter_rate must be >= 0")
 
 
 # Device-named presets.  Rates and noise figures are plausible defaults for

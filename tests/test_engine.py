@@ -2,8 +2,9 @@
 
 * determinism: two runs of one input give byte-identical outputs;
 * replay: driving a scenario from its own ``replay.jsonl`` gives the same
-  tracks, and a replay whose sensor types differ from the scenario's is
-  refused when the engine is built;
+  tracks without calling sensing or ``world_at``, and a replay whose
+  sensor types differ from the scenario's is refused when the engine is
+  built;
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
 * offload: the broker conserves tasks, also when a result names a task
@@ -14,8 +15,8 @@
   collaboration gates count each pair with a singular summed covariance
   and skip its measurement, and the run goes on; noiseless urban
   ``cr-dist`` is a full case, so it meets every contract here;
-* bounded caches: the engine keeps ground truth and poses for one event
-  time only;
+* bounded caches: the live source keeps ground truth, and the engine
+  poses, for one event time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
   collab functions the benchmark hooks by name;
 * malformed frames: a delivery that is not exactly one frame, a frame
@@ -55,6 +56,7 @@ from fusionsim import bus, collab
 from fusionsim.geometry import Pose
 from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
+from fusionsim.scenario import engine as engine_module
 from fusionsim.scenario.engine import _DELIVERY, KIND_DELIVER, Engine
 from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
@@ -172,9 +174,15 @@ def test_outputs_match_golden_digests(case, request, golden_dir):
     assert digests == golden[case_id(*request.node.callspec.params["case"])]
 
 
-def test_replay_reproduces_tracks(case):
+def test_replay_reproduces_tracks(case, monkeypatch):
     sc, _, report = case
     replay = load_replay(report.replay_jsonl().decode())
+
+    def live_only(*args, **kwargs):
+        raise AssertionError("a replay run reads live input")
+
+    for name in ("camera_observe", "radar_observe", "world_at"):
+        monkeypatch.setattr(engine_module, name, live_only)
     replayed = Engine(sc, replay=replay).run()
     assert replayed.track_jsonl() == report.track_jsonl()
 
@@ -258,7 +266,7 @@ def test_frames_and_tasks_accounted_for(case):
 
 def test_caches_hold_one_event_time(case):
     _, engine, _ = case
-    assert len(engine.truth_cache) <= 1
+    assert len(engine.source.truth_cache) <= 1
     assert len(engine._pose_cache) <= 1
 
 

@@ -8,7 +8,8 @@ that none is absent and undoes them; it runs no engine.  A wrapper also
 reads program values (``len(tracker.tracks)``, ``newest_key``,
 ``len(msg.tracks)``), so a change of their meaning would only show as a
 wrong counter.  A short ``cr-dist`` run checks that the offload spans
-see the broker at work.
+see the broker at work, and a short ``cr`` run and its replay that the
+sensing spans see every live tick and no replayed one.
 """
 
 import importlib.util
@@ -107,3 +108,33 @@ def test_the_offload_spans_see_the_broker(scenario_dir):
         spans.undo()
     assert tracer.calls["offload.emulate_worker"] > 0
     assert tracer.calls["offload.on_result"] >= run.broker.counters["ok_integrated"] > 0
+
+
+def test_the_sensing_spans_see_every_live_tick_and_no_replayed_one(scenario_dir):
+    # sensing is timed by wrapping ``camera_observe`` and ``radar_observe``
+    # in the engine's globals: a live source that sensed by another path
+    # would leave the sensing spans short of the run's detection records,
+    # and a replay source that sensed at all would show here
+    from fusionsim.scenario import engine, load_replay, load_scenario
+
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = load_scenario(json.dumps(doc))
+    assert sc.pipeline.mode == "cr"
+    hooks = load_hooks()
+    live, replayed = hooks.Tracer(), hooks.Tracer()
+    spans = hooks.install_spans(live)
+    try:
+        report = engine.Engine(sc).run()
+    finally:
+        spans.undo()
+    ticks = sum(1 for record in report.replay_records if len(record) == 5)
+    assert live.calls["sensing.camera_observe"] + live.calls["sensing.radar_observe"] == ticks > 0
+    run = engine.Engine(sc, replay=load_replay(report.replay_jsonl().decode()))
+    spans = hooks.install_spans(replayed)
+    try:
+        run.run()
+    finally:
+        spans.undo()
+    assert replayed.calls["sensing.camera_observe"] + replayed.calls["sensing.radar_observe"] == 0
+    assert replayed.calls["replay.truth_at"] > 0

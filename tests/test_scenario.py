@@ -114,6 +114,10 @@ INVALID_VALUES = {
     "rate-nan": (("metrics", "rate"), math.nan),
     "q-nan": (("tracker", "q"), math.nan),
     "fov-azimuth-nan": (("agents", 0, "sensors", 1, "noise", "fov_azimuth"), math.nan),
+    # a range or field of view that is not positive: the sensor sees nothing
+    "max-range-negative": (("agents", 0, "sensors", 1, "noise", "max_range"), -5.0),
+    "fov-azimuth-negative": (("agents", 0, "sensors", 1, "noise", "fov_azimuth"), -1.0),
+    "worker-max-range-negative": (("pipeline", "worker", "profile", "max_range"), -3.0),
     "radius-nan": (("metrics", "radius"), math.nan),
     "rate-huge-int": (("metrics", "rate"), 10**400),
     "waypoint-time-string": (("objects", 2, "motion", "points", 1, 0), "15"),
