@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bus import payload_array, payload_field, payload_ints
+from .bus import payload_field, payload_ints, payload_keys
 from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     Tracker,
@@ -84,10 +84,11 @@ class RemoteTrackMsg:
 
     @staticmethod
     def from_payload(d: dict) -> "RemoteTrackMsg":
+        payload_keys(d, {"sender_pose", "timestamp", "ids", "means", "covs"})
         ids = payload_ints(d, "ids")
-        tracks = RemoteTracks(tuple(ids), payload_array(d["means"], (len(ids), 6)),
-                              payload_array(d["covs"], (len(ids), 6, 6)))
-        return RemoteTrackMsg(Pose.from_payload(d["sender_pose"]),
+        tracks = RemoteTracks(tuple(ids), payload_field(d, "means", (len(ids), 6)),
+                              payload_field(d, "covs", (len(ids), 6, 6)))
+        return RemoteTrackMsg(Pose.from_payload(payload_field(d, "sender_pose", dict)),
                               payload_field(d, "timestamp", float), tracks)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import payload_array
+from .bus import payload_field, payload_keys
 
 # Symmetry tolerance for covariance inputs.  Long simulations accumulate
 # float drift; this must not abort them.
@@ -97,10 +97,9 @@ class Pose:
 
     @staticmethod
     def from_payload(d: dict) -> "Pose":
-        """The pose of a ``to_payload`` dict: a (3, 3) rotation and a (3,)
-        translation of numbers, exactly (see ``bus.payload_array``)."""
-        return Pose(payload_array(d["rotation"], (3, 3)),
-                    payload_array(d["translation"], (3,)))
+        """The pose of a ``to_payload`` dict, read by the bus's rule."""
+        payload_keys(d, {"rotation", "translation"}, "pose")
+        return Pose(payload_field(d, "rotation", (3, 3)), payload_field(d, "translation", (3,)))
 
 
 _IDENTITY = Pose._trusted(np.eye(3), np.zeros(3))

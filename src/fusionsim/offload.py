@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import payload_array, payload_field, payload_ints
+from .bus import payload_field, payload_ints, payload_keys
 from .fusion import Detections, radar_measurement_cov
 from .geometry import Pose, inverse
 from .sensing import SensorNoiseConfig, in_range, noisy_polar, polar_draws
@@ -58,9 +58,10 @@ class TaskRequest:
 
     @staticmethod
     def from_payload(d: dict) -> "TaskRequest":
+        payload_keys(d, {"task_id", "frame_time", "visible_ids", "rig_pose"})
         return TaskRequest(payload_field(d, "task_id", int), payload_field(d, "frame_time", float),
                            tuple(payload_ints(d, "visible_ids")),
-                           Pose.from_payload(d["rig_pose"]))
+                           Pose.from_payload(payload_field(d, "rig_pose", dict)))
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,10 @@ class TaskResult:
 
     @staticmethod
     def from_payload(d: dict) -> "TaskResult":
+        payload_keys(d, {"task_id", "status", "frame_time", "positions", "covs"})
         n = len(payload_field(d, "positions", list))
-        positions = payload_array(d["positions"], (n, 3))
-        covs = payload_array(d["covs"], (n, 3, 3))
+        positions = payload_field(d, "positions", (n, 3))
+        covs = payload_field(d, "covs", (n, 3, 3))
         if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
             raise ValueError("edge detections must be finite")
         status = payload_field(d, "status", str)

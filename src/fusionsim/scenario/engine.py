@@ -380,11 +380,10 @@ class Engine:
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
         """Handle one frame off the bus: parse its payload, then act on it.
         A malformed frame (not exactly one frame, a payload its parser
-        rejects, a topic naming no worker this engine runs, or TRACKS that
-        no flush reads: outside ``cr-covi`` or to an agent without
-        sensors) is counted
-        under ``malformed`` and skipped; the key is reported only once it
-        is non-zero."""
+        refuses by the bus's rule, a topic naming no worker this engine
+        runs, or TRACKS that no flush reads: outside ``cr-covi`` or to an
+        agent without sensors) is counted under ``malformed`` and
+        skipped; the key is reported only once it is non-zero."""
         self.bus_counts["delivered"] += 1
         try:
             frame = bus.decode(data)
@@ -412,10 +411,10 @@ class Engine:
 
     def _worker(self, topic: str, prefix: str) -> str:
         """The worker ``topic`` names after ``prefix``, if this engine runs
-        it; LookupError if not (only a ``cr-dist`` engine runs any)."""
+        it; ValueError if not (only a ``cr-dist`` engine runs any)."""
         wid = topic[len(prefix):]
         if not topic.startswith(prefix) or wid not in self.workers:
-            raise LookupError(f"topic {topic!r} names no worker")
+            raise ValueError(f"topic {topic!r} names no worker")
         return wid
 
     def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest]:
@@ -550,8 +549,8 @@ _DELIVERY = {
     bus.MSG_TASK_RESP: (Engine._parse_task_resp, Engine._on_task_resp),
     bus.MSG_HEARTBEAT: (Engine._parse_heartbeat, Engine._on_heartbeat),
 }
-# What a parser or the frame decoder raises on malformed input.
-_MALFORMED = (bus.BusError, GeometryError, ValueError, LookupError, TypeError)
+# What the frame decoder or a parser (see ``bus``) raises on malformed input.
+_MALFORMED = (bus.BusError, GeometryError, ValueError)
 
 
 def run(scenario: Scenario, replay=None) -> RunReport:

@@ -1,13 +1,10 @@
 """Declarative scenario format: agents, sensors, objects, network, pipeline.
 
-Scenario files are strict JSON (version 1): unknown fields are rejected so
+Scenario files are strict JSON (version 1), read by the bus's rule (see
+``bus``; a vector is 3 finite numbers): unknown fields are rejected so
 experiment-config typos fail loudly instead of silently using defaults.
 The loader resolves presets to explicit configs; the normalized result of
 ``Scenario.to_dict()`` is embedded in every report for provenance.
-
-Numbers are typed as on the bus and never cast (``bus.payload_field``,
-``payload_array``: 2.0 is no int, NaN no number, a vector is 3 finite
-numbers); a malformed document raises only ScenarioError, naming its path.
 """
 
 from __future__ import annotations
@@ -18,8 +15,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from ..bus import BusError, LinkParams, NetworkModel, payload_array, payload_field
+from ..bus import (BusError, LinkParams, NetworkModel, canonical_loads, payload_field,
+                   payload_keys)
+from ..collab import DEFAULT_STALENESS
 from ..geometry import CameraIntrinsics, GeometryError, Pose, rotation_from_rpy_deg
+from ..metrics import DEFAULT_MATCH_RADIUS, DEFAULT_OSPA_CUTOFF
 from ..offload import (
     DEFAULT_HEARTBEAT,
     DEFAULT_QUEUE_BOUND,
@@ -71,35 +71,21 @@ class OutOfRange(ScenarioError):
     pass
 
 
-def _check_keys(d: dict, allowed: tuple, path: str) -> None:
-    if type(d) is not dict:
-        raise ValidationError(f"{path} must be an object")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown fields {unknown} at {path}")
-
-
 def _get(d: dict, key: str, kind, path: str, default=_REQUIRED):
-    """Field ``key`` of the object ``d`` at ``path``, of ``kind``: for
-    ``float`` a finite number as a float, for ``_VEC3`` exactly 3 finite
-    numbers as a float array, and for any other kind a value of exactly
-    that type.  A missing key gives ``default``; a missing required key or
-    a value of another kind raises ValidationError."""
-    if key not in d:
-        if default is _REQUIRED:
-            raise ValidationError(f"{path}.{key} is required")
+    """Field ``key`` of the object ``d`` at ``path``, of ``kind``, read by
+    ``bus.payload_field`` (a ``_VEC3`` also finite), or ``default`` if
+    missing; anything else raises ValidationError."""
+    if key not in d and default is not _REQUIRED:
         return default
     try:
-        if kind is not _VEC3:
-            return payload_field(d, key, kind)
-        vec = payload_array(d[key], _VEC3)
+        value = payload_field(d, key, kind)
     except ValueError as e:
         raise ValidationError(f"{path}.{key}: {e}") from None
     # the document's three numbers, not the array: 0.4 µs against 1.9 µs
     # for np.isfinite(vec).all() (numpy 2.4, x86-64); a crowd load checks hundreds
-    if not all(map(math.isfinite, d[key])):
+    if kind is _VEC3 and not all(map(math.isfinite, d[key])):
         raise ValidationError(f"{path}.{key} must be finite")
-    return vec
+    return value
 
 
 def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None):
@@ -111,7 +97,7 @@ def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None)
     errors are raised as ValidationError.
     """
     types = {f.name: f.type for f in fields(base)}
-    _check_keys(d, keys or tuple(types), path)
+    payload_keys(d, set(keys or types), path)
     values = {k: _get(d, k, _KINDS[types[k]], path) if types[k] in _KINDS else
               _parse_config(getattr(base, k), d[k], f"{path}.{k}",
                             WORKER_PROFILE_KEYS if k == "profile" else None)
@@ -196,15 +182,15 @@ def _parse_motion(d: dict, path: str, allow_static: bool, duration: float) -> Mo
     if kind == "static":
         if not allow_static:
             raise ValidationError(f"{path}: objects cannot be static-pose; use cv with v=0")
-        _check_keys(d, ("kind", "position", "rpy_deg"), path)
+        payload_keys(d, {"kind", "position", "rpy_deg"}, path)
         return Motion("static", p0=_get(d, "position", _VEC3, path, np.zeros(3)),
                       rpy_deg=rpy or (0.0, 0.0, 0.0))
     if kind == "cv":
-        _check_keys(d, ("kind", "p0", "v", "rpy_deg"), path)
+        payload_keys(d, {"kind", "p0", "v", "rpy_deg"}, path)
         return Motion("cv", p0=_get(d, "p0", _VEC3, path, np.zeros(3)),
                       v=_get(d, "v", _VEC3, path, np.zeros(3)), rpy_deg=rpy)
     if kind == "waypoints":
-        _check_keys(d, ("kind", "points"), path)
+        payload_keys(d, {"kind", "points"}, path)
         raw = _get(d, "points", list, path, [])
         if len(raw) < 2:
             raise ValidationError(f"{path}.points needs at least 2 waypoints")
@@ -290,7 +276,7 @@ class ObjectSpec:
 class PipelineConfig:
     mode: str = "cr"
     broadcast_hz: float = 5.0
-    staleness: float = 1.0
+    staleness: float = DEFAULT_STALENESS
     timeout: float = DEFAULT_TIMEOUT
     queue_bound: int = DEFAULT_QUEUE_BOUND
     heartbeat_interval: float = DEFAULT_HEARTBEAT
@@ -317,8 +303,8 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class MetricsConfig:
     rate: float = 10.0
-    radius: float = 2.0
-    ospa_cutoff: float = 5.0
+    radius: float = DEFAULT_MATCH_RADIUS
+    ospa_cutoff: float = DEFAULT_OSPA_CUTOFF
     prediction_horizon: float = 2.0
     prediction_dt: float = 0.5
 
@@ -355,55 +341,49 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # loading
 
-_TOP_KEYS = ("version", "duration", "seed", "pipeline", "tracker", "metrics",
-             "network", "agents", "objects")
-
-
 def load_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document.
-
-    Numbers are typed as on the bus, never cast.  A malformed document
+    """Parse and fully validate a scenario document.  A malformed one
     raises ScenarioError: ParseError (malformed JSON, with line info) or
     ValidationError (naming the JSON path or the violated invariant).
     """
     try:
-        doc = json.loads(text)
+        doc = canonical_loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    _check_keys(doc, _TOP_KEYS, "$")
-    if _get(doc, "version", int, "$") != 1:
-        raise ValidationError('scenario requires "version": 1')
+    try:
+        payload_keys(doc, {"version", "duration", "seed", "pipeline", "tracker", "metrics",
+                           "network", "agents", "objects"}, "$")
+        if _get(doc, "version", int, "$") != 1:
+            raise ValidationError('scenario requires "version": 1')
 
-    duration = _get(doc, "duration", float, "$", 0.0)
-    if not duration > 0:
-        raise ValidationError("duration > 0")
-    seed = _get(doc, "seed", int, "$", 0)
+        duration = _get(doc, "duration", float, "$", 0.0)
+        if not duration > 0:
+            raise ValidationError("duration > 0")
+        seed = _get(doc, "seed", int, "$", 0)
 
-    pipeline = _parse_pipeline(_get(doc, "pipeline", dict, "$", {}))
-    tracker = _parse_config(TrackerConfig(), _get(doc, "tracker", dict, "$", {}), "$.tracker")
-    metrics = _parse_metrics(_get(doc, "metrics", dict, "$", {}))
-    network = _parse_network(_get(doc, "network", dict, "$", {}))
+        pipeline = _parse_pipeline(_get(doc, "pipeline", dict, "$", {}))
+        tracker = _parse_config(TrackerConfig(), _get(doc, "tracker", dict, "$", {}), "$.tracker")
+        metrics = _parse_metrics(_get(doc, "metrics", dict, "$", {}))
+        network = _parse_network(_get(doc, "network", dict, "$", {}))
 
-    agents_raw = _get(doc, "agents", list, "$", [])
-    if not agents_raw:
-        raise ValidationError("at least one agent of kind ego")
-    agents = tuple(_parse_agent(a, f"$.agents[{i}]", duration)
-                   for i, a in enumerate(agents_raw))
-    ids = [a.id for a in agents]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("agent ids unique")
-    if sum(a.kind == "ego" for a in agents) != 1:
-        raise ValidationError("at least one agent of kind ego (exactly one)")
+        agents = tuple(_parse_agent(a, f"$.agents[{i}]", duration)
+                       for i, a in enumerate(_get(doc, "agents", list, "$", [])))
+        ids = [a.id for a in agents]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("agent ids unique")
+        if sum(a.kind == "ego" for a in agents) != 1:
+            raise ValidationError("at least one agent of kind ego (exactly one)")
 
-    objects_raw = _get(doc, "objects", list, "$", [])
-    objects = tuple(_parse_object(o, f"$.objects[{i}]", duration)
-                    for i, o in enumerate(objects_raw))
-    oids = [o.id for o in objects]
-    if len(set(oids)) != len(oids):
-        raise ValidationError("object ids unique")
-
-    scenario = Scenario(duration, seed, pipeline, tracker, metrics, network,
-                        agents, objects)
+        objects_raw = _get(doc, "objects", list, "$", [])
+        objects = tuple(_parse_object(o, f"$.objects[{i}]", duration)
+                        for i, o in enumerate(objects_raw))
+        oids = [o.id for o in objects]
+        if len(set(oids)) != len(oids):
+            raise ValidationError("object ids unique")
+        scenario = Scenario(duration, seed, pipeline, tracker, metrics, network,
+                            agents, objects)
+    except ValueError as e:  # the bus's rule refused an object or its keys
+        raise ValidationError(str(e)) from None
     _check_work(scenario)
     _validate_mode(scenario)
     return scenario
@@ -473,7 +453,7 @@ def _parse_metrics(d: dict) -> MetricsConfig:
 
 
 def _parse_network(d: dict) -> NetworkModel:
-    _check_keys(d, ("default", "links"), "$.network")
+    payload_keys(d, {"default", "links"}, "$.network")
     default = _parse_config(LinkParams(), _get(d, "default", dict, "$.network", {}),
                             "$.network.default")
     links = {name: _parse_config(LinkParams(), entry, f"$.network.links[{name!r}]")
@@ -482,7 +462,7 @@ def _parse_network(d: dict) -> NetworkModel:
 
 
 def _parse_mount(d: dict, path: str) -> tuple[Pose, dict]:
-    _check_keys(d, ("translation", "rpy_deg"), path)
+    payload_keys(d, {"translation", "rpy_deg"}, path)
     translation = _get(d, "translation", _VEC3, path, np.zeros(3))
     rpy = _get(d, "rpy_deg", _VEC3, path, np.zeros(3)).tolist()
     pose = Pose.from_rpy_deg(translation, *rpy)
@@ -491,7 +471,7 @@ def _parse_mount(d: dict, path: str) -> tuple[Pose, dict]:
 
 
 def _parse_sensor(d: dict, path: str) -> SensorSpec:
-    _check_keys(d, ("type", "preset", "rate", "mount", "noise", "intrinsics"), path)
+    payload_keys(d, {"type", "preset", "rate", "mount", "noise", "intrinsics"}, path)
     stype = _get(d, "type", str, path)
     if stype not in SENSOR_TYPES:
         raise ValidationError(f"{path}.type must be camera or radar")
@@ -517,7 +497,7 @@ def _parse_sensor(d: dict, path: str) -> SensorSpec:
 
 
 def _parse_agent(d: dict, path: str, duration: float) -> AgentSpec:
-    _check_keys(d, ("id", "kind", "trajectory", "sensors", "workers"), path)
+    payload_keys(d, {"id", "kind", "trajectory", "sensors", "workers"}, path)
     agent_id = _get(d, "id", str, path)
     kind = _get(d, "kind", str, path, "vehicle")
     if kind not in AGENT_KINDS:
@@ -541,7 +521,7 @@ def _parse_agent(d: dict, path: str, duration: float) -> AgentSpec:
 
 
 def _parse_object(d: dict, path: str, duration: float) -> ObjectSpec:
-    _check_keys(d, ("id", "extent", "motion"), path)
+    payload_keys(d, {"id", "extent", "motion"}, path)
     obj_id = _get(d, "id", int, path)
     extent = _get(d, "extent", _VEC3, path, np.array([4.5, 1.9, 1.6]))
     if not (extent > 0).all():

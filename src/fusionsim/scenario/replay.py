@@ -37,11 +37,18 @@ float, also for a numpy ``float64``), an int as its decimal text, and
 number with ``ValueError``: one ``np.isfinite`` test per array of the
 record and one of ``t``.
 
-The loader holds every line to what a live run guarantees, and a bad
-line raises ``ReplayError`` with its line number:
+The loader reads every line by the bus's rule (see ``bus``) and holds
+it to what a live run guarantees; a bad line raises ``ReplayError``
+with its line number, and nothing else:
 
+* exactly its keys: a detection line ``{t, agent, sensor, type,
+  detections}`` and a truth line ``{t, truth}``; a camera entry
+  ``{bbox, score}``, a radar entry ``{position, radial_speed}`` and an
+  optional ``snr``, which reads as 0.0 when absent, and a truth entry
+  ``{id, position, velocity, extent}``;
 * every line: a finite number ``t``; a detection line an integer
-  ``sensor``;
+  ``sensor``, strings ``agent`` and ``type`` (``camera`` or ``radar``)
+  and a list ``detections``, and a truth line a list ``truth``;
 * a detection row: a finite camera box with ``umin < umax`` and
   ``vmin < vmax`` and a score in [0, 1], or a finite radar position with
   range > 0 and a finite radial speed and SNR; a bbox of exactly 4
@@ -50,12 +57,9 @@ line raises ``ReplayError`` with its line number:
   position, velocity and extent of exactly 3 finite numbers each, and
   extent components > 0.
 
-Numbers are typed as on the bus, never converted: ``t``, ``sensor`` and
-a truth id pass ``bus.payload_field``'s rule (a bool, a numeric string
-or a fractional id is refused), and a line's rows or vectors, stacked,
-``bus.payload_array``'s, which types each number once (a bool, a
-string or a null is refused).  A row or vector of the wrong length is
-refused, never reshaped.
+Numbers are typed as on the bus, never converted (a bool, a numeric
+string, a null or a fractional id is refused), and a row or vector of
+the wrong length is refused, never reshaped.
 """
 
 from __future__ import annotations
@@ -67,12 +71,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bus import payload_array, payload_field
+from ..bus import canonical_loads, payload_array, payload_field, payload_keys
 from ..sensing import Truth
 from ..tracker import CONFIRMED, TENTATIVE
-
-# What reading a line's field as a number can raise.
-_FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class ReplayError(Exception):
@@ -188,35 +189,32 @@ def truth_line(t: float, truth: Truth) -> bytes:
     return f'{{"t":{_time(t)},"truth":[{objects}]}}\n'.encode()
 
 
-def _truth(entries, lineno: int) -> Truth:
+def _truth(entries: list) -> Truth:
     """A truth line's entries as one checked batch."""
-    if not isinstance(entries, list):
-        raise ReplayError("'truth' must be a list", lineno)
-    try:
-        ids = tuple([payload_field(entry, "id", int) for entry in entries])
-        vectors = [[entry["position"], entry["velocity"], entry["extent"]] for entry in entries]
-    except _FIELD_ERRORS as e:
-        raise ReplayError(f"bad truth entry: {e}", lineno)
-    try:
-        stacked = payload_array(vectors, (len(ids), 3, 3))
-    except ValueError:
-        raise ReplayError("every truth object needs a position, a velocity and an "
-                          "extent of 3 numbers each", lineno)
+    # an object of 4 keys that holds another key lacks one read here:
+    # ``get`` reads it as None, which no check passes
+    ids = tuple([e.get("id") for e in entries if type(e) is dict and len(e) == 4])
+    if len(ids) != len(entries) or not all([type(i) is int for i in ids]):
+        raise ValueError("every truth entry is exactly an integer id, a position, a "
+                         "velocity and an extent")
+    stacked = payload_array([[e.get("position"), e.get("velocity"), e.get("extent")]
+                             for e in entries], (len(ids), 3, 3))
     if not np.isfinite(stacked).all():
-        raise ReplayError("truth positions, velocities and extents must be finite", lineno)
+        raise ValueError("truth positions, velocities and extents must be finite")
     # one C-contiguous (n, 3) array per field
     positions, velocities, extents = stacked.transpose(1, 0, 2).copy()
     if not (extents > 0.0).all():
-        raise ReplayError("truth extent components must be > 0", lineno)
+        raise ValueError("truth extent components must be > 0")
     if len(set(ids)) != len(ids):
-        raise ReplayError("truth ids must be unique within a line", lineno)
+        raise ValueError("truth ids must be unique within a line")
     return Truth(ids, positions, velocities, extents)
 
 
-# The sensor types a detection line may name, and what each of its entries
-# holds, in row order.
-_ROW_FIELDS = {"camera": "a bbox of 4 numbers and a score",
-               "radar": "a position of 3 numbers, a radial speed and an SNR"}
+# Each sensor type's entry, in row order, and each kind of line's keys.
+_ROW_FIELDS = {"camera": "exactly a bbox of 4 numbers and a score",
+               "radar": "exactly a position of 3 numbers, a radial speed and an optional SNR"}
+_TRUTH_KEYS = frozenset({"t", "truth"})
+_DETECTION_KEYS = frozenset({"t", "agent", "sensor", "type", "detections"})
 
 
 def detection_line(t: float, agent: str, sidx: int, stype: str, rows: np.ndarray) -> bytes:
@@ -248,36 +246,36 @@ def track_lines(t: float, agent: str, ids: tuple[int, ...], confirmed: tuple[boo
         for tid, conf, (mean, cov_diag) in zip(ids, confirmed, nums.tolist())]).encode()
 
 
-def _detection_rows(stype: str, dets, lineno: int) -> np.ndarray:
+def _detection_rows(stype: str, dets: list) -> np.ndarray:
     """A detection line's entries as one checked ``(n, 5)`` array."""
-    try:
-        if stype == "camera":
-            rows = [[*d["bbox"], d["score"]] for d in dets]
-        else:
-            rows = [[*d["position"], d["radial_speed"], d.get("snr", 0.0)] for d in dets]
-    except _FIELD_ERRORS as e:
-        raise ReplayError(f"bad detection entry: {e}", lineno)
-    try:
-        array = payload_array(rows, (len(rows), 5))
-    except ValueError:
-        raise ReplayError(f"every {stype} detection needs {_ROW_FIELDS[stype]}", lineno)
+    # an entry with another key reads a None, as in ``_truth``
+    if stype == "camera":
+        rows = [[*d["bbox"], d.get("score")] for d in dets
+                if type(d) is dict and len(d) == 2 and type(d.get("bbox")) is list]
+    else:
+        rows = [[*d["position"], d.get("radial_speed"), d.get("snr", 0.0)] for d in dets
+                if type(d) is dict and len(d) == 2 + ("snr" in d)
+                and type(d.get("position")) is list]
+    if len(rows) != len(dets):
+        raise ValueError(f"every {stype} detection is {_ROW_FIELDS[stype]}")
+    array = payload_array(rows, (len(rows), 5))
     # A line holds a few rows, and comparing Python floats costs less than
     # array operations.
     if stype == "camera":
         for umin, vmin, umax, vmax, score in array.tolist():
             if not (-math.inf < umin < umax < math.inf and -math.inf < vmin < vmax < math.inf):
-                raise ReplayError(f"degenerate or infinite bbox {[umin, vmin, umax, vmax]}", lineno)
+                raise ValueError(f"degenerate or infinite bbox {[umin, vmin, umax, vmax]}")
             if not 0.0 <= score <= 1.0:
-                raise ReplayError(f"score {score} outside [0, 1]", lineno)
+                raise ValueError(f"score {score} outside [0, 1]")
     else:
         for x, y, z, speed, snr in array.tolist():
             # a sum of squares, in any order, is 0 exactly when every square
             # is 0 or underflows: the range > 0 test of ``geometry.norms``
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
                     and x * x + y * y + z * z > 0.0):
-                raise ReplayError("radar point needs a finite position with range > 0", lineno)
+                raise ValueError("radar point needs a finite position with range > 0")
             if not (math.isfinite(speed) and math.isfinite(snr)):
-                raise ReplayError("radar radial speed and SNR must be finite", lineno)
+                raise ValueError("radar radial speed and SNR must be finite")
     return array
 
 
@@ -289,36 +287,26 @@ def load_replay(text: str) -> ReplayData:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ReplayError(f"malformed JSON: {e.msg}", lineno)
-        if not isinstance(obj, dict) or "t" not in obj:
-            raise ReplayError("every line needs a 't' field", lineno)
-        try:
-            t = payload_field(obj, "t", float)
-        except _FIELD_ERRORS as e:
-            raise ReplayError(f"bad 't': {e}", lineno)
-        if "truth" in obj:
-            if t in truth:
-                raise ReplayError(f"duplicate truth line for t={t}", lineno)
-            truth[t] = _truth(obj["truth"], lineno)
-            continue
-        for key in ("agent", "sensor", "type", "detections"):
-            if key not in obj:
-                raise ReplayError(f"detection line missing {key!r}", lineno)
-        try:
-            sidx = payload_field(obj, "sensor", int)
-        except _FIELD_ERRORS as e:
-            raise ReplayError(f"bad 'sensor': {e}", lineno)
-        aid, stype = str(obj["agent"]), obj["type"]
-        if stype not in _ROW_FIELDS:
-            raise ReplayError(f"unknown sensor type {stype!r}", lineno)
-        prev = sensor_types.setdefault((aid, sidx), stype)
-        if prev != stype:
-            raise ReplayError(f"sensor ({aid}, {sidx}) changes type", lineno)
-        key = (t, aid, sidx)
-        if key in detections:
-            raise ReplayError(f"duplicate detection line for {key}", lineno)
-        detections[key] = _detection_rows(stype, obj["detections"], lineno)
+        try:  # a line's reader raises only ValueError (malformed JSON too)
+            line = canonical_loads(raw)
+            is_truth = type(line) is dict and "truth" in line
+            payload_keys(line, _TRUTH_KEYS if is_truth else _DETECTION_KEYS, "the line")
+            t = payload_field(line, "t", float)
+            if is_truth:
+                if t in truth:
+                    raise ValueError(f"duplicate truth line for t={t}")
+                truth[t] = _truth(payload_field(line, "truth", list))
+                continue
+            sidx = payload_field(line, "sensor", int)
+            aid, stype = payload_field(line, "agent", str), payload_field(line, "type", str)
+            if stype not in _ROW_FIELDS:
+                raise ValueError(f"unknown sensor type {stype!r}")
+            if sensor_types.setdefault((aid, sidx), stype) != stype:
+                raise ValueError(f"sensor ({aid}, {sidx}) changes type")
+            key = (t, aid, sidx)
+            if key in detections:
+                raise ValueError(f"duplicate detection line for {key}")
+            detections[key] = _detection_rows(stype, payload_field(line, "detections", list))
+        except ValueError as e:
+            raise ReplayError(str(e), lineno) from None
     return ReplayData(detections, sensor_types, sorted(truth), truth)

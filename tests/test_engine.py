@@ -389,7 +389,9 @@ def _malformed_frames(now_ns):
     """Malformed frames of each message type a handler takes: truncated,
     garbage JSON, JSON that lacks every field (for a heartbeat, both are a
     payload where none belongs), and an accepted frame with bytes after
-    it; then well-formed frames whose topic names no worker of the run (a
+    it, and of each type with a payload, its accepted payload with one key
+    more and inside a JSON list; a payload nested past the interpreter's
+    recursion limit; then well-formed frames whose topic names no worker of the run (a
     task request, two heartbeats and a task result); then one frame per
     refused field: a task request whose ``frame_time`` is a string or
     lies outside the 2 s scenario (1e6, -3.0 and 2.5 s; the worker reads
@@ -399,7 +401,8 @@ def _malformed_frames(now_ns):
     differ in row count, a
     task result whose status is neither ``ok`` nor ``failed``, and a
     remote track message and a task request whose pose has a flat
-    rotation or a translation of strings."""
+    rotation or a translation of strings, and a remote track message
+    whose pose holds one key more."""
     frames = []
     for good in _accepted_frames(now_ns):
         frame = bus.decode(good)
@@ -407,6 +410,13 @@ def _malformed_frames(now_ns):
         frames.append(_frame(now_ns, frame.msg_type, frame.topic, b'{"ids": [1,'))
         frames.append(_frame(now_ns, frame.msg_type, frame.topic, b"{}"))
         frames.append(good + good[:3])
+        if frame.payload:
+            frames.append(_frame(now_ns, frame.msg_type, frame.topic,
+                                 {**json.loads(frame.payload), "bogus": 1}))
+            frames.append(_frame(now_ns, frame.msg_type, frame.topic,
+                                 b"[" + frame.payload + b"]"))
+    frames.append(_frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1",
+                         b"[" * 100_000 + b"]" * 100_000))
     frames.append(_task_req(now_ns, "tasks/edge1/w9"))
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "hb/edge1/w9"))
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "heartbeat/edge1/w0"))
@@ -424,6 +434,7 @@ def _malformed_frames(now_ns):
     for pose in (FLAT_ROTATION, STRING_TRANSLATION):
         frames.append(_tracks(now_ns, sender_pose=pose))
         frames.append(_task_req(now_ns, "tasks/edge1/w0", rig_pose=pose))
+    frames.append(_tracks(now_ns, sender_pose={**Pose.identity().to_payload(), "bogus": 1}))
     return frames
 
 
@@ -449,7 +460,7 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     frames = _malformed_frames(500_000_000)
     dst = sorted(engine.agents)[0]
     for k, data in enumerate(frames):  # all inside the 2 s run
-        engine._push(0.5 + 0.04 * k, KIND_DELIVER, (dst, data))
+        engine._push(0.5 + 0.03 * k, KIND_DELIVER, (dst, data))
     counts = engine.run().report["counters"]["bus"]
     assert counts["malformed"] == len(frames)
     assert counts["delivered"] == healthy["delivered"] + len(frames)

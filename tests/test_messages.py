@@ -2,7 +2,9 @@
 for bit: ``from_payload(canonical_loads(canonical_dumps(to_payload())))``
 gives back each field with its type, and each float and array with its
 bits (-0.0, subnormals and integral floats included).  A heartbeat has no
-payload; its worker travels in its topic."""
+payload; its worker travels in its topic.  A payload that is not exactly
+one a sender writes is refused with what the engine counts as malformed,
+and nothing else."""
 
 import json
 import struct
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import MUTATIONS, mutate
+
 from fusionsim import bus
 from fusionsim.bus import canonical_dumps, canonical_loads
 from fusionsim.collab import RemoteTrackMsg, RemoteTracks
@@ -20,7 +24,7 @@ from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose, rotation_from_rpy_deg
 from fusionsim.offload import STATUS_FAILED, STATUS_OK, TaskRequest, TaskResult
 from fusionsim.scenario import apply_overrides, load_scenario
-from fusionsim.scenario.engine import _DELIVERY, Engine
+from fusionsim.scenario.engine import _DELIVERY, _MALFORMED, Engine
 
 numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0]) | st.floats(
     allow_nan=False, allow_infinity=False)
@@ -94,3 +98,25 @@ def test_a_heartbeat_names_its_worker_in_its_topic(scenario_dir):
     for wid in engine.workers:
         frame = bus.decode(bus.encode(bus.BusFrame(bus.MSG_HEARTBEAT, 0, f"hb/{wid}")))
         assert frame.payload == b"" and parse(engine, frame) == (wid,)
+
+
+# One message of each type, as a sender writes it.
+MESSAGES = [RemoteTrackMsg(Pose.identity(), 0.4, RemoteTracks(
+                (1, 2), np.full((2, 6), 3.0), np.stack([np.eye(6)] * 2))),
+            TaskRequest(500, 0.5, (1, 7), Pose.identity()),
+            TaskResult(1, STATUS_OK, 0.5, Detections(np.full((2, 3), 10.0),
+                                                     np.stack([np.eye(3)] * 2)))]
+
+
+@pytest.mark.parametrize("message", MESSAGES, ids=["TRACKS", "TASK_REQ", "TASK_RESP"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=MUTATIONS)
+def test_a_mutated_payload_is_refused_or_read_as_written(message, spec):
+    # a parser raises what the engine counts as malformed, or reads a
+    # message whose payload is the mutated one (an int number read as its float)
+    payload = mutate(json.loads(canonical_dumps(message.to_payload())), **spec)
+    try:
+        back = type(message).from_payload(payload)
+    except _MALFORMED:
+        return
+    assert json.loads(canonical_dumps(back.to_payload())) == payload

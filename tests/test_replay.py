@@ -14,12 +14,15 @@ are the same arrays, and a live run's file loaded and written is the
 same lines.
 """
 
+import functools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import MUTATIONS, mutate
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario.engine import Engine, RunReport
 from fusionsim.scenario.replay import ReplayError, detection_line, truth_line
@@ -82,8 +85,14 @@ def test_detection_lines_round_trip_bit_for_bit():
     assert np.array_equal(replay.detections_at(0.1, "ego", 1), rad)
 
 
+# JSON nested past the interpreter's recursion limit, which ``json``
+# refuses with RecursionError
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def test_malformed_json():
     assert refused_at(text(TRUTH, '{"t": 0.1, "agent":')) == 2
+    assert refused_at(text(TRUTH, DEEP)) == 2
 
 
 def test_a_line_without_t():
@@ -394,15 +403,128 @@ def test_truth_lines_round_trip_bit_for_bit():
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_the_writers_write_a_live_file_back_line_for_line(scenario_dir):
-    # bytes -> arrays -> bytes: every line of a 2 s urban cr-dist run's
-    # replay, loaded and written again by its line's writer, is itself
+# -- what the bus's rule refuses: exact keys and exact types ---------------------
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(dict(camera([BOX]), type=[]), id="type-list"),
+    pytest.param(dict(camera([BOX]), type={}), id="type-object"),
+    pytest.param(camera([BOX], agent=5), id="agent-int"),
+    pytest.param(camera([BOX], agent=[1]), id="agent-list"),
+    pytest.param(dict(camera([BOX]), detections={}), id="detections-object"),
+    pytest.param(dict(camera([BOX]), bogus=1), id="detection-line-extra-key"),
+    pytest.param({"t": 0.2, "truth": [], "bogus": 1}, id="truth-line-extra-key"),
+    pytest.param(camera([BOX, dict(BOX, bogus=1)]), id="camera-entry-extra-key"),
+    pytest.param(radar([dict(POINT, bogus=1)]), id="radar-entry-extra-key"),
+    pytest.param(radar([{"position": POINT["position"], "radial_speed": -2.0, "bogus": 1}]),
+                 id="radar-entry-extra-key-without-snr"),
+    pytest.param({"t": 0.2, "truth": [truth_entry(bogus=1)]}, id="truth-entry-extra-key"),
+    pytest.param(dict(camera([BOX]), truth=[]), id="truth-and-detection-keys"),
+    pytest.param(camera([BOX, ["bbox", "score"]]), id="camera-entry-a-list"),
+    pytest.param(radar([{"position": POINT["position"], "snr": 1.0}]),
+                 id="radar-entry-without-radial-speed"),
+])
+def test_a_key_or_container_outside_the_format_is_refused(line):
+    # a loader that casts agent, ignores unknown keys and takes any line
+    # with "truth" for a truth line loads most of these, and raises
+    # TypeError on "type" a list or an object
+    assert refused_at(text(TRUTH, line)) == 2
+
+
+# -- the writers and the loader agree on a live run's file -----------------------
+
+
+@functools.cache
+def live_lines(scenario_dir) -> tuple[str, ...]:
+    """The lines of a 2 s urban ``cr-dist`` run's replay, run once."""
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 2.0
     sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist")
-    document = Engine(sc).run().replay_jsonl()
-    replay = load_replay(document.decode())
-    written = [detection_line(t, agent, sidx, replay.sensor_types[agent, sidx], rows)
-               for (t, agent, sidx), rows in replay.detections.items()]
-    written += [truth_line(t, truth) for t, truth in replay.truth.items()]
-    assert Counter(written) == Counter(document.splitlines(keepends=True))
+    return tuple(Engine(sc).run().replay_jsonl().decode().splitlines(keepends=True))
+
+
+def written(replay) -> list[bytes]:
+    """A loaded replay's lines, each written again by its line's writer."""
+    lines = [detection_line(t, agent, sidx, replay.sensor_types[agent, sidx], rows)
+             for (t, agent, sidx), rows in replay.detections.items()]
+    return lines + [truth_line(t, truth) for t, truth in replay.truth.items()]
+
+
+def arrays(replay) -> tuple:
+    """A loaded replay's sensor types, and its detection rows and truth
+    batches bit for bit, comparable with ==."""
+    def bits(a):
+        return a.dtype.str, a.shape, a.tobytes()
+    return (replay.sensor_types, replay.truth_times,
+            {key: bits(rows) for key, rows in replay.detections.items()},
+            {t: (b.ids, *map(bits, b[1:])) for t, b in replay.truth.items()})
+
+
+def test_the_writers_write_a_live_file_back_line_for_line(scenario_dir):
+    # bytes -> arrays -> bytes: every line of a 2 s urban cr-dist run's
+    # replay, loaded and written again by its line's writer, is itself
+    lines = live_lines(scenario_dir)
+    replay = load_replay("".join(lines))
+    assert Counter(line.decode() for line in written(replay)) == Counter(lines)
+
+
+# Every key of the format, for a mutation to add to an object.
+FORMAT_KEYS = ("t", "agent", "sensor", "type", "detections", "truth", "bbox", "score",
+               "position", "radial_speed", "snr", "id", "velocity", "extent")
+
+
+def check_mutated_line(scenario_dir, k, spec):
+    """Load the live file with its ``k``-th line (modulo their count)
+    mutated by ``spec``: the loader refuses the line, or the line is one
+    the writers write, and the arrays loaded are those the writers' lines
+    load to."""
+    lines = list(live_lines(scenario_dir))
+    k %= len(lines)
+    lines[k] = json.dumps(mutate(json.loads(lines[k]), keys=FORMAT_KEYS, **spec)) + "\n"
+    try:
+        replay = load_replay("".join(lines))
+    except ReplayError as err:
+        # a refusal names the mutated line, or a later line that clashes
+        # with it (a second line of one sensor and time, or of one sensor
+        # as another type), as the two lines alone show
+        if err.line != k + 1:
+            assert err.line > k + 1 and refused_at(lines[k] + lines[err.line - 1]) == 2
+        return
+    [again] = written(load_replay(lines[k]))
+    value = json.loads(lines[k])
+    if value.get("type") == "radar":  # an absent SNR reads as 0.0
+        for entry in value["detections"]:
+            entry.setdefault("snr", 0.0)
+    assert json.loads(again) == value
+    assert arrays(load_replay(b"".join(written(replay)).decode())) == arrays(replay)
+
+
+def mutation(how, at, pick, value):
+    return {"how": how, "at": at, "pick": pick, "value": value}
+
+
+# Each example is a line that a loader without exact keys and types loads
+# as a line the writers do not write, or fails on with TypeError.  They
+# index the live file as it is written now: a change to its bytes moves them.
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(k=st.integers(0, 2**16), spec=MUTATIONS)
+@example(k=30, spec=mutation("swap", 14560, 94, 0))  # agent 0, loaded as "0"
+@example(k=143, spec=mutation("swap", 60944, 0, [1.0, 2.0, 3.0]))  # agent a list
+@example(k=107, spec=mutation("swap", 63491, 199, []))  # type a list: TypeError
+@example(k=52, spec=mutation("add", 63616, 43, {"kind": "cv"}))  # type an object: TypeError
+@example(k=60, spec=mutation("swap", 14795, 51, {}))  # detections {}, loaded as none
+@example(k=25, spec=mutation("add", 22676, 187, float("inf")))  # camera entry, extra key
+@example(k=130, spec=mutation("add", 62098, 58, 0))  # radar entry, extra key
+@example(k=88, spec=mutation("add", 16940, 105, [1.0, 2.0, 3.0]))  # truth entry, extra key
+@example(k=137, spec=mutation("add", 20208, 51, float("nan")))  # detection line, extra key
+@example(k=104, spec=mutation("add", 38538, 129, {"kind": "cv"}))  # truth line, extra key
+def test_a_mutated_replay_line_is_refused_or_written_back(scenario_dir, k, spec):
+    # each document raises ReplayError, and nothing else, or loads to the
+    # arrays its lines, written again, load to
+    check_mutated_line(scenario_dir, k, spec)
+
+
+@pytest.mark.slow
+def test_mutated_replay_lines_at_scale(scenario_dir):
+    settings(derandomize=True, max_examples=600, deadline=None)(
+        given(k=st.integers(0, 2**16), spec=MUTATIONS)(check_mutated_line))(scenario_dir)

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MUTATIONS, mutate
 from fusionsim.bus import canonical_dumps
-from fusionsim.scenario import ValidationError, apply_overrides, load_scenario
+from fusionsim.scenario import ParseError, ValidationError, apply_overrides, load_scenario
 from fusionsim.scenario.model import MAX_WORK, ScenarioError
 
 VALID_MODES = {"urban.json": ("cr", "cr-covi", "cr-dist"),
@@ -161,70 +162,25 @@ def test_a_sensor_may_ask_for_up_to_max_work_items(scenario_dir, share):
             load(doc)
 
 
+@pytest.mark.parametrize("text", ['{"version": 1,', "[" * 100_000 + "]" * 100_000],
+                         ids=["truncated", "nested-past-the-recursion-limit"])
+def test_malformed_json_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        load_scenario(text)
+
+
 def test_radar_with_intrinsics_rejected(scenario_dir):
     doc = _set(load_doc(scenario_dir), ("agents", 0, "sensors", 1, "intrinsics"), {})
     with pytest.raises(ValidationError):
         load(doc)
 
 
-def _paths(node, path=()):
-    """The path of every value inside a JSON document, containers included."""
-    items = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        yield path + (key,)
-        yield from _paths(value, path + (key,))
-
-
-def _node(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-# A field's value swapped for another JSON type: int, float, numeric
-# string, bool, null, list and object, an int past the float range among them.
-SWAPS = (0, 3, -1, 10**400, 2.0, 0.5, -7.5, "2", "0.5", True, False, None,
-         [], [1.0, 2.0, 3.0], {}, {"kind": "cv"})
-NONFINITE = (math.nan, math.inf, -math.inf)
-
-
-@st.composite
-def mutated_urban(draw, doc):
-    """urban.json with one field swapped to another type or to a
-    non-finite number, one key or entry dropped, or one 3-vector given the
-    wrong length or a bool."""
-    doc = copy.deepcopy(doc)
-    paths = list(_paths(doc))
-    vectors = [p for p in paths if isinstance(_node(doc, p), list) and len(_node(doc, p)) == 3
-               and all(type(x) in (int, float) for x in _node(doc, p))]
-    how = draw(st.sampled_from(("swap", "nonfinite", "drop", "vector")))
-    path = draw(st.sampled_from(vectors if how == "vector" else paths))
-    parent, key = _node(doc, path[:-1]), path[-1]
-    if how == "swap":
-        parent[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
-    elif how == "nonfinite":
-        parent[key] = draw(st.sampled_from(NONFINITE))
-    elif how == "drop":
-        del parent[key]
-    else:
-        vec = parent[key]
-        edit = draw(st.sampled_from(("short", "long", "bool")))
-        if edit == "short":
-            vec.pop()
-        elif edit == "long":
-            vec.append(1.0)
-        else:
-            vec[draw(st.integers(0, 2))] = draw(st.booleans())
-    return doc
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data())
-def test_a_mutated_document_is_refused_or_round_trips(scenario_dir, data):
+@given(spec=MUTATIONS)
+def test_a_mutated_document_is_refused_or_round_trips(scenario_dir, spec):
     # each result raises ScenarioError, or loads to a scenario whose
     # to_dict reloads to identical canonical bytes
-    doc = data.draw(mutated_urban(load_doc(scenario_dir)))
+    doc = mutate(load_doc(scenario_dir), **spec)
     try:
         sc = load(doc)
     except ScenarioError:
