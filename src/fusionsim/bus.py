@@ -31,10 +31,16 @@ hashes and diffs.
 JSON from outside the program (payloads, replay lines, scenario
 documents) is read by one rule: decoded by ``canonical_loads``, an object
 holds no unknown key (``payload_keys``), and a field is present and of
-its kind, numbers typed and never cast (``payload_field``).  A reader
-raises only ValueError: the engine counts the frame malformed,
-``load_replay`` raises ReplayError with the line, ``load_scenario``
-ValidationError (ParseError if it does not decode).
+its kind, numbers typed and never cast (``payload_field``).
+
+Every check that refuses a value raises plain ValueError: these readers,
+the frame codec, the configs', poses' and intrinsics' own checks,
+``check_symmetric`` and ``align``.  Each boundary converts it once:
+``load_scenario`` and ``apply_overrides`` raise ValidationError naming
+the JSON path (ParseError if the document does not decode),
+``load_replay`` raises ReplayError with the line, ``Engine.on_deliver``
+counts the frame malformed, and ``covi_step`` counts the message
+rejected.
 """
 
 from __future__ import annotations
@@ -71,10 +77,6 @@ _HEADER = struct.Struct("<4sBBQ")  # magic, version, msg_type, timestamp_ns
 _decode = json.JSONDecoder().decode
 
 
-class BusError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class BusFrame:
     msg_type: int
@@ -84,9 +86,9 @@ class BusFrame:
 
     def __post_init__(self):
         if self.msg_type not in MSG_TYPES:
-            raise BusError(f"msg_type {self.msg_type} not in {sorted(MSG_TYPES)}")
+            raise ValueError(f"msg_type {self.msg_type} not in {sorted(MSG_TYPES)}")
         if not 0 <= self.timestamp_ns < 2**64:
-            raise BusError("timestamp_ns must fit in u64")
+            raise ValueError("timestamp_ns must fit in u64")
 
 
 def canonical_dumps(obj) -> bytes:
@@ -165,9 +167,9 @@ def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
 def encode(frame: BusFrame) -> bytes:
     topic = frame.topic.encode("utf-8")
     if len(topic) > MAX_TOPIC:
-        raise BusError(f"topic is {len(topic)} bytes, limit {MAX_TOPIC}")
+        raise ValueError(f"topic is {len(topic)} bytes, limit {MAX_TOPIC}")
     if len(frame.payload) > MAX_PAYLOAD:
-        raise BusError(f"payload is {len(frame.payload)} bytes, limit {MAX_PAYLOAD}")
+        raise ValueError(f"payload is {len(frame.payload)} bytes, limit {MAX_PAYLOAD}")
     parts = [
         _HEADER.pack(MAGIC, VERSION, frame.msg_type, frame.timestamp_ns),
         struct.pack("<H", len(topic)),
@@ -181,35 +183,35 @@ def encode(frame: BusFrame) -> bytes:
 def decode(data: bytes) -> BusFrame:
     """Decode ``data``, which must be exactly one frame."""
     if len(data) < 4:
-        raise BusError("magic: fewer than 4 bytes available")
+        raise ValueError("magic: fewer than 4 bytes available")
     if data[:4] != MAGIC:
-        raise BusError(f"magic bytes {data[:4]!r} != {MAGIC!r}")
+        raise ValueError(f"magic bytes {data[:4]!r} != {MAGIC!r}")
     if len(data) < _HEADER.size:
-        raise BusError("header: buffer ends before timestamp_ns")
+        raise ValueError("header: buffer ends before timestamp_ns")
     _, version, msg_type, timestamp_ns = _HEADER.unpack_from(data)
     if version != VERSION:
-        raise BusError(f"version {version} unsupported (expect {VERSION})")
+        raise ValueError(f"version {version} unsupported (expect {VERSION})")
     off = _HEADER.size
     if len(data) < off + 2:
-        raise BusError("topic_len: buffer ends inside field")
+        raise ValueError("topic_len: buffer ends inside field")
     (topic_len,) = struct.unpack_from("<H", data, off)
     off += 2
     if len(data) < off + topic_len:
-        raise BusError("topic: buffer ends inside topic bytes")
+        raise ValueError("topic: buffer ends inside topic bytes")
     try:
         topic = data[off:off + topic_len].decode("utf-8")
     except UnicodeDecodeError as e:
-        raise BusError(f"topic is not valid UTF-8: {e}") from e
+        raise ValueError(f"topic is not valid UTF-8: {e}") from e
     off += topic_len
     if len(data) < off + 4:
-        raise BusError("payload_len: buffer ends inside field")
+        raise ValueError("payload_len: buffer ends inside field")
     (payload_len,) = struct.unpack_from("<I", data, off)
     off += 4
     end = off + payload_len
     if len(data) < end:
-        raise BusError("payload: buffer ends inside payload bytes")
+        raise ValueError("payload: buffer ends inside payload bytes")
     if len(data) > end:
-        raise BusError(f"{len(data) - end} bytes after the frame")
+        raise ValueError(f"{len(data) - end} bytes after the frame")
     return BusFrame(msg_type, timestamp_ns, topic, bytes(data[off:end]))
 
 
@@ -221,9 +223,9 @@ class LinkParams:
 
     def __post_init__(self):
         if not (self.base_latency >= self.jitter >= 0.0):
-            raise BusError("require base_latency >= jitter >= 0")
+            raise ValueError("require base_latency >= jitter >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
-            raise BusError("drop_prob must be in [0, 1]")
+            raise ValueError("drop_prob must be in [0, 1]")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bus import payload_field, payload_ints, payload_keys
-from .geometry import NonPSD, Pose, check_symmetric, symmetrize, transform_gaussian
+from .geometry import Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     Tracker,
     Tracks,
@@ -48,14 +48,6 @@ from .fusion import assign
 DEFAULT_STALENESS = 1.0  # seconds
 ROOT_STEPS = 100   # safeguarded Newton iterations for the CI weight
 ROOT_TOL = 1e-12
-
-
-class CollabError(Exception):
-    pass
-
-
-class StaleMessage(CollabError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,7 @@ class CollabState:
         return {k: v for k, v in asdict(self).items() if v or k != "singular"}
 
 
-def align(msg: RemoteTrackMsg, t_now: float, q: float,
-          staleness: float = DEFAULT_STALENESS) -> tuple[np.ndarray, np.ndarray]:
+def align(msg: RemoteTrackMsg, t_now: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 6) means and (k, 6, 6) covariances of the message's tracks,
     predicted to ``t_now`` and mapped into the world frame the receiver
     tracks in.
@@ -124,20 +115,17 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float,
     The tracks are CV-predicted in the sender frame with the same process
     noise the trackers use, in one stacked ``kalman_predict``, then mapped
     by the world-from-sender pose in one stacked ``transform_gaussian``.
-    Raises StaleMessage when the message is older than ``staleness``,
-    NonPSD for an asymmetric covariance, before or after the prediction,
-    and CollabError for a message from the future or a non-finite track.
+    A message from the future, a non-finite track and a covariance
+    asymmetric before or after the prediction are refused.
     """
     age = t_now - msg.timestamp
     if age < -1e-9:
-        raise CollabError(f"message from the future: {age:+.3f} s")
-    if age > staleness:
-        raise StaleMessage(f"message age {age:.3f} s exceeds bound {staleness:.3f} s")
+        raise ValueError(f"message from the future: {age:+.3f} s")
     tracks = msg.tracks
     # NaN passes the symmetry check and would reach the CI checks
     finite = np.isfinite(tracks.means).all(axis=1) & np.isfinite(tracks.covs).all(axis=(1, 2))
     if not finite.all():
-        raise CollabError(f"remote track {tracks.ids[int(np.argmin(finite))]} is not finite")
+        raise ValueError(f"remote track {tracks.ids[int(np.argmin(finite))]} is not finite")
     check_symmetric(tracks.covs)
     means, covs = kalman_predict(tracks.means, tracks.covs, max(age, 0.0), q)
     return transform_gaussian(msg.sender_pose, means, covs)
@@ -351,10 +339,10 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     tracker's ``gate_prob``; prediction uses its ``q``.  A remote track in
     a pair with a singular summed covariance is neither fused nor spawned,
     and the pair is counted (``tracker.gate_cost``).  Per-message
-    failures are counted and never abort the step: a message too old to
-    use counts as stale, and a malformed one (a non-finite or asymmetric
-    track, a timestamp from the future) as rejected.  A matched pair that
-    CI cannot fuse is neither fused nor spawned.
+    failures are counted and never abort the step: a message older than
+    ``staleness`` counts as stale, and one ``align`` refuses as
+    rejected.  A matched pair that CI cannot fuse is neither fused nor
+    spawned.
 
     Each message is one stack: it is aligned in one call, its matched
     pairs go through one ``ci_omega`` and one ``ci_fuse``, each pair
@@ -368,12 +356,14 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     gamma = chi2_quantile(cfg.gate_prob, 3)
     for msg in msgs:
         state.received += 1
-        try:
-            means_r, covs_r = align(msg, t_now, cfg.q, staleness)
-        except StaleMessage:
+        # staleness >= 0 (see PipelineConfig): no stale message is also
+        # one from the future, which align refuses
+        if t_now - msg.timestamp > staleness:
             state.stale += 1
             continue
-        except (CollabError, NonPSD):
+        try:
+            means_r, covs_r = align(msg, t_now, cfg.q)
+        except ValueError:
             state.rejected += 1
             continue
         tracks = tracker.tracks

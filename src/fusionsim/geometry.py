@@ -32,14 +32,6 @@ OPTICAL_FROM_BODY = np.array(
 )
 
 
-class GeometryError(Exception):
-    pass
-
-
-class NonPSD(GeometryError):
-    """Covariance input violates symmetry or positive-semidefiniteness."""
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: rotation (world-from-local) plus translation in meters.
@@ -59,12 +51,12 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
         if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
-            raise GeometryError("pose components must be finite")
+            raise ValueError("pose components must be finite")
         err = np.abs(r.T @ r - np.eye(3)).max()
         if err > _ORTHONORMAL_TOL:
-            raise GeometryError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
+            raise ValueError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
         if abs(np.linalg.det(r) - 1.0) > _ORTHONORMAL_TOL:
-            raise GeometryError("rotation must be proper (det = +1)")
+            raise ValueError("rotation must be proper (det = +1)")
 
     @classmethod
     def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
@@ -118,9 +110,9 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise GeometryError("focal lengths must be positive")
+            raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise GeometryError("principal point must lie inside the image")
+            raise ValueError("principal point must lie inside the image")
 
 
 def rotation_from_rpy_deg(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -168,12 +160,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(cov: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    """Raise NonPSD when a matrix, or any matrix in a stack, is asymmetric
-    by more than ``tol``."""
+    """Refuse a matrix, or a stack holding a matrix, asymmetric by more
+    than ``tol``."""
     cov = np.asarray(cov)
     err = np.abs(cov - cov.swapaxes(-1, -2)).max() if cov.size else 0.0
     if err > tol:
-        raise NonPSD(f"covariance asymmetry {err:.3e} exceeds tolerance {tol:.1e}")
+        raise ValueError(f"covariance asymmetry {err:.3e} exceeds tolerance {tol:.1e}")
 
 
 def transform_gaussian(pose: Pose, mean, cov) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +174,8 @@ def transform_gaussian(pose: Pose, mean, cov) -> tuple[np.ndarray, np.ndarray]:
 
     Position is mapped by the full pose, velocity is rotated only.  The
     covariance is congruence-transformed by blockdiag(R, R) and
-    re-symmetrized.  Raises NonPSD when any input covariance is
-    asymmetric.  Stacked, each Gaussian maps bit for bit as it would
+    re-symmetrized, and every input covariance must pass
+    ``check_symmetric``.  Stacked, each Gaussian maps bit for bit as it would
     alone: means go through ``R @ m[..., None]`` and covariances through
     ``T @ P @ T'``, which run the same products per slice, where ``M @
     R.T`` or ``einsum`` sum in another order.

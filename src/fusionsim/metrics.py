@@ -40,10 +40,6 @@ DEFAULT_MATCH_RADIUS = 2.0  # meters
 DEFAULT_OSPA_CUTOFF = 5.0
 
 
-class MetricsError(Exception):
-    pass
-
-
 def match_frame(gt_ids, est_ids, dist: np.ndarray, radius: float = DEFAULT_MATCH_RADIUS,
                 prev: dict[int, int] | None = None) -> list[tuple[int, int, float]]:
     """Match ground truth to estimates by center distance within ``radius``:
@@ -56,13 +52,13 @@ def match_frame(gt_ids, est_ids, dist: np.ndarray, radius: float = DEFAULT_MATCH
     estimate id.
     """
     if radius <= 0:
-        raise MetricsError("radius must be > 0")
+        raise ValueError("radius must be > 0")
     prev = prev or {}
     est_col = {eid: j for j, eid in enumerate(est_ids)}
     if len(est_col) != len(est_ids):
-        raise MetricsError("estimate ids must be unique within a frame")
+        raise ValueError("estimate ids must be unique within a frame")
     if len(set(gt_ids)) != len(gt_ids):
-        raise MetricsError("gt ids must be unique within a frame")
+        raise ValueError("gt ids must be unique within a frame")
 
     matches: list[tuple[int, int, float]] = []
     used_est: set[int] = set()
@@ -111,7 +107,7 @@ def ospa(dist: np.ndarray, c: float = DEFAULT_OSPA_CUTOFF) -> float:
     truncated problem.
     """
     if c <= 0:
-        raise MetricsError("need cutoff c > 0")
+        raise ValueError("need cutoff c > 0")
     if dist.shape[0] > dist.shape[1]:
         dist = dist.T
     m, n = dist.shape
@@ -137,7 +133,7 @@ def prediction_error(waypoints: np.ndarray, times: np.ndarray, truth: np.ndarray
     """
     m, k = times.shape
     if k == 0:
-        raise MetricsError("no waypoints to score")
+        raise ValueError("no waypoints to score")
     errors = norms((waypoints - truth).reshape(-1, 3)).reshape(m, k)
     outside = (times > duration + 1e-9) | (times < -1e-9)
     return errors.mean(axis=1), errors[:, -1], ~outside.any(axis=1)

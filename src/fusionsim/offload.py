@@ -38,10 +38,6 @@ DEFAULT_HEARTBEAT = 0.5
 HEARTBEAT_MISSES = 3
 
 
-class OffloadError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TaskRequest:
     """A perception task: the ground-truth ids in view of the ego camera
@@ -103,9 +99,9 @@ class WorkerConfig:
 
     def __post_init__(self):
         if not 0 <= self.lat_min <= self.lat_max:
-            raise OffloadError("need 0 <= lat_min <= lat_max")
+            raise ValueError("need 0 <= lat_min <= lat_max")
         if not 0.0 <= self.p_fail <= 1.0:
-            raise OffloadError("p_fail must be in [0, 1]")
+            raise ValueError("p_fail must be in [0, 1]")
 
 
 def emulate_worker(req: TaskRequest, positions: np.ndarray, cfg: WorkerConfig,

@@ -28,7 +28,6 @@ from ..collab import CollabState, RemoteTrackMsg, RemoteTracks, covi_step
 from ..fusion import Association, frustum_associate, synthesize
 from ..geometry import (
     OPTICAL_FROM_BODY,
-    GeometryError,
     Pose,
     inverse,
     symmetrize,
@@ -389,7 +388,7 @@ class Engine:
             frame = bus.decode(data)
             parse, act = _DELIVERY[frame.msg_type]
             args = parse(self, frame)
-        except _MALFORMED:
+        except ValueError:
             self._count_malformed()
             return
         act(self, t, dst, *args)
@@ -549,8 +548,6 @@ _DELIVERY = {
     bus.MSG_TASK_RESP: (Engine._parse_task_resp, Engine._on_task_resp),
     bus.MSG_HEARTBEAT: (Engine._parse_heartbeat, Engine._on_heartbeat),
 }
-# What the frame decoder or a parser (see ``bus``) raises on malformed input.
-_MALFORMED = (bus.BusError, GeometryError, ValueError)
 
 
 def run(scenario: Scenario, replay=None) -> RunReport:

@@ -15,26 +15,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from ..bus import (BusError, LinkParams, NetworkModel, canonical_loads, payload_field,
+from ..bus import (LinkParams, NetworkModel, canonical_loads, link_key, payload_field,
                    payload_keys)
 from ..collab import DEFAULT_STALENESS
-from ..geometry import CameraIntrinsics, GeometryError, Pose, rotation_from_rpy_deg
+from ..geometry import CameraIntrinsics, Pose, rotation_from_rpy_deg
 from ..metrics import DEFAULT_MATCH_RADIUS, DEFAULT_OSPA_CUTOFF
-from ..offload import (
-    DEFAULT_HEARTBEAT,
-    DEFAULT_QUEUE_BOUND,
-    DEFAULT_TIMEOUT,
-    OffloadError,
-    WorkerConfig,
-)
-from ..sensing import (
-    CAMERA_PRESETS,
-    RADAR_PRESETS,
-    SensingError,
-    SensorNoiseConfig,
-    Truth,
-)
-from ..tracker import TrackerConfig, TrackerError
+from ..offload import DEFAULT_HEARTBEAT, DEFAULT_QUEUE_BOUND, DEFAULT_TIMEOUT, WorkerConfig
+from ..sensing import CAMERA_PRESETS, RADAR_PRESETS, SensorNoiseConfig, Truth
+from ..tracker import TrackerConfig
 
 MODES = ("cr", "cr-covi", "cr-dist")
 AGENT_KINDS = ("ego", "vehicle", "infrastructure", "edge-server")
@@ -44,8 +32,6 @@ WORKER_PROFILE_KEYS = ("range_sigma", "azimuth_sigma", "p_detect", "max_range")
 # The kind a field of each declared type is read as.  The config modules
 # postpone annotations, so a dataclass field's type is the annotation's text.
 _KINDS = {"int": int, "float": float, "str": str}
-# What building a config can raise.
-_CONFIG_ERRORS = (BusError, GeometryError, OffloadError, SensingError, TrackerError)
 # _get's kind of a 3-vector field (its shape), and its default of a required field
 _VEC3 = (3,)
 _REQUIRED = object()
@@ -64,10 +50,6 @@ class ParseError(ScenarioError):
 
 
 class ValidationError(ScenarioError):
-    pass
-
-
-class OutOfRange(ScenarioError):
     pass
 
 
@@ -93,8 +75,8 @@ def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None)
     type's kind, and a field that is a config itself read as one.
 
     Keys must name fields of ``base`` (only ``keys``, when given; the
-    worker's ``profile`` takes only WORKER_PROFILE_KEYS).  Constructor
-    errors are raised as ValidationError.
+    worker's ``profile`` takes only WORKER_PROFILE_KEYS).  The config's
+    own check refusing a value is raised as ValidationError at ``path``.
     """
     types = {f.name: f.type for f in fields(base)}
     payload_keys(d, set(keys or types), path)
@@ -104,8 +86,8 @@ def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None)
               for k in d}
     try:
         return replace(base, **values)
-    except _CONFIG_ERRORS as e:
-        raise ValidationError(f"{path}: {e}") from e
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +264,15 @@ class PipelineConfig:
     heartbeat_interval: float = DEFAULT_HEARTBEAT
     worker: WorkerConfig = field(default_factory=WorkerConfig)
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # a negative staleness counts every message stale
+        if min(self.broadcast_hz, self.heartbeat_interval) <= 0 or \
+                min(self.timeout, self.queue_bound, self.staleness) < 0:
+            raise ValueError("broadcast_hz, heartbeat_interval > 0; "
+                             "timeout, queue_bound, staleness >= 0")
+
     def to_dict(self) -> dict:
         """The mode and the fields that mode reads."""
         out: dict = {"mode": self.mode}
@@ -307,6 +298,13 @@ class MetricsConfig:
     ospa_cutoff: float = DEFAULT_OSPA_CUTOFF
     prediction_horizon: float = 2.0
     prediction_dt: float = 0.5
+
+    def __post_init__(self):
+        if self.rate <= 0 or self.radius <= 0 or self.ospa_cutoff <= 0:
+            raise ValueError("rate, radius and ospa_cutoff must be > 0")
+        # a prediction has at least one waypoint
+        if not 0 < self.prediction_dt <= self.prediction_horizon:
+            raise ValueError("need 0 < prediction_dt <= prediction_horizon")
 
 
 @dataclass(frozen=True)
@@ -361,9 +359,10 @@ def load_scenario(text: str) -> Scenario:
             raise ValidationError("duration > 0")
         seed = _get(doc, "seed", int, "$", 0)
 
-        pipeline = _parse_pipeline(_get(doc, "pipeline", dict, "$", {}))
+        pipeline = _parse_config(PipelineConfig(), _get(doc, "pipeline", dict, "$", {}),
+                                 "$.pipeline")
         tracker = _parse_config(TrackerConfig(), _get(doc, "tracker", dict, "$", {}), "$.tracker")
-        metrics = _parse_metrics(_get(doc, "metrics", dict, "$", {}))
+        metrics = _parse_config(MetricsConfig(), _get(doc, "metrics", dict, "$", {}), "$.metrics")
         network = _parse_network(_get(doc, "network", dict, "$", {}))
 
         agents = tuple(_parse_agent(a, f"$.agents[{i}]", duration)
@@ -385,6 +384,7 @@ def load_scenario(text: str) -> Scenario:
     except ValueError as e:  # the bus's rule refused an object or its keys
         raise ValidationError(str(e)) from None
     _check_work(scenario)
+    _check_links(scenario)
     _validate_mode(scenario)
     return scenario
 
@@ -413,14 +413,21 @@ def apply_overrides(scenario: Scenario, mode: str | None = None,
         return scenario
     changes: dict = {}
     if mode is not None:
-        if mode not in MODES:
-            raise ValidationError(f"pipeline mode must be one of {MODES}")
-        changes["pipeline"] = replace(scenario.pipeline, mode=mode)
+        changes["pipeline"] = _parse_config(scenario.pipeline, {"mode": mode}, "$.pipeline")
     if seed is not None:
         changes["seed"] = int(seed)
     out = replace(scenario, **changes)
     _validate_mode(out)
     return out
+
+
+def _check_links(s: Scenario) -> None:
+    """Refuse a link key that is not ``link_key`` of two distinct agents:
+    its impairments would apply to no link."""
+    keys = {link_key(a.id, b.id) for a in s.agents for b in s.agents if a.id != b.id}
+    for name in s.network.links:
+        if name not in keys:
+            raise ValidationError(f"$.network.links[{name!r}] names no two agents")
 
 
 def _validate_mode(s: Scenario) -> None:
@@ -431,25 +438,6 @@ def _validate_mode(s: Scenario) -> None:
     if s.pipeline.mode == "cr-dist":
         if not any(a.kind == "edge-server" and a.workers > 0 for a in s.agents):
             raise ValidationError("cr-dist requires an edge-server agent with workers")
-
-
-def _parse_pipeline(d: dict) -> PipelineConfig:
-    p = _parse_config(PipelineConfig(), d, "$.pipeline")
-    if p.mode not in MODES:
-        raise ValidationError(f"pipeline mode must be one of {MODES}, got {p.mode!r}")
-    if min(p.broadcast_hz, p.heartbeat_interval) <= 0 or min(p.timeout, p.queue_bound) < 0:
-        raise ValidationError("broadcast_hz, heartbeat_interval > 0; timeout, queue_bound >= 0")
-    return p
-
-
-def _parse_metrics(d: dict) -> MetricsConfig:
-    m = _parse_config(MetricsConfig(), d, "$.metrics")
-    if m.rate <= 0 or m.radius <= 0 or m.ospa_cutoff <= 0:
-        raise ValidationError("metrics rate, radius and ospa_cutoff must be > 0")
-    # a prediction has at least one waypoint
-    if not 0 < m.prediction_dt <= m.prediction_horizon:
-        raise ValidationError("metrics need 0 < prediction_dt <= prediction_horizon")
-    return m
 
 
 def _parse_network(d: dict) -> NetworkModel:
@@ -575,7 +563,7 @@ def world_at(world: World, t: float, duration: float) -> Truth:
     """Ground truth at time t, in object order, as new arrays; t must lie
     inside the scenario."""
     if t < -1e-9 or t > duration + 1e-9:
-        raise OutOfRange(f"t={t} outside [0, {duration}]")
+        raise ValueError(f"t={t} outside [0, {duration}]")
     positions = world.p0 + world.v * t
     velocities = world.v.copy()
     for i, motion in world.others.items():

@@ -290,7 +290,11 @@ def load_replay(text: str) -> ReplayData:
         try:  # a line's reader raises only ValueError (malformed JSON too)
             line = canonical_loads(raw)
             is_truth = type(line) is dict and "truth" in line
-            payload_keys(line, _TRUTH_KEYS if is_truth else _DETECTION_KEYS, "the line")
+            keys = _TRUTH_KEYS if is_truth else _DETECTION_KEYS
+            # every key of a line is read below, so a line of as many keys
+            # holds no other: the set test runs only for another length
+            if type(line) is not dict or len(line) != len(keys):
+                payload_keys(line, keys, "the line")
             t = payload_field(line, "t", float)
             if is_truth:
                 if t in truth:

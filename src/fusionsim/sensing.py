@@ -87,10 +87,6 @@ TRUE_SNR_DB = 20.0
 CLUTTER_SNR_DB = 5.0
 
 
-class SensingError(Exception):
-    pass
-
-
 class Truth(NamedTuple):
     """Ground truth at one time: row i of each array belongs to ``ids[i]``."""
 
@@ -114,12 +110,12 @@ class SensorNoiseConfig:
     def __post_init__(self):
         for name in ("pixel_sigma", "range_sigma", "azimuth_sigma", "speed_sigma", "clutter_rate"):
             if getattr(self, name) < 0:
-                raise SensingError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0")
         for name in ("fov_azimuth", "max_range"):
             if not getattr(self, name) > 0:
-                raise SensingError(f"{name} must be > 0")
+                raise ValueError(f"{name} must be > 0")
         if not 0.0 <= self.p_detect <= 1.0:
-            raise SensingError("p_detect must be in [0, 1]")
+            raise ValueError("p_detect must be in [0, 1]")
 
 
 # Device-named presets.  Rates and noise figures are plausible defaults for

@@ -69,15 +69,11 @@ LANE_EDGE = 1
 BatchKey = tuple[float, int, int]
 
 
-class TrackerError(Exception):
-    pass
-
-
 def chi2_quantile(prob: float, dof: int) -> float:
     try:
         return CHI2_QUANTILES[prob][dof]
     except KeyError:
-        raise TrackerError(f"no embedded chi-square quantile for prob={prob}, dof={dof}")
+        raise ValueError(f"no embedded chi-square quantile for prob={prob}, dof={dof}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,14 @@ class TrackerConfig:
 
     def __post_init__(self):
         if self.q <= 0:
-            raise TrackerError("q must be > 0")
+            raise ValueError("q must be > 0")
         if not 1 <= self.confirm_m <= self.confirm_n:
-            raise TrackerError("need 1 <= confirm_m <= confirm_n")
+            raise ValueError("need 1 <= confirm_m <= confirm_n")
         if self.max_misses < 1:
-            raise TrackerError("max_misses must be >= 1")
+            raise ValueError("max_misses must be >= 1")
+        # a negative horizon prunes what every late batch replays from
+        if not self.snapshot_horizon >= 0:
+            raise ValueError("snapshot_horizon must be >= 0")
         chi2_quantile(self.gate_prob, 3)  # the gate's; raises if none is embedded
 
 
@@ -399,7 +398,7 @@ def predict(tracks: Tracks, dt: float, q: float) -> Tracks:
     """The tracks CV-predicted dt seconds ahead, in one stacked
     ``kalman_predict``."""
     if dt < 0:
-        raise TrackerError("predict needs dt >= 0")
+        raise ValueError("predict needs dt >= 0")
     means, covs = kalman_predict(tracks.means, tracks.covs, dt, q)
     return Tracks(tracks.ids, means, covs, tracks.confirmed, tracks.misses, tracks.window,
                   tracks.stamps + dt)
@@ -435,7 +434,7 @@ def predict_waypoints(means: np.ndarray, stamps: np.ndarray, horizon: float,
     each with the bits the same arithmetic gives one track and one k.
     """
     if horizon <= 0 or dt <= 0:
-        raise TrackerError("horizon and dt must be > 0")
+        raise ValueError("horizon and dt must be > 0")
     steps = int(math.floor(horizon / dt + 1e-9))
     ahead = np.arange(1, steps + 1) * dt
     return (stamps[:, None] + ahead,
@@ -490,7 +489,7 @@ class Tracker:
         if self.last_time is not None:
             dt = t - self.last_time
             if dt < -1e-12:
-                raise TrackerError(f"step time went backwards: {self.last_time} -> {t}")
+                raise ValueError(f"step time went backwards: {self.last_time} -> {t}")
             dt = max(dt, 0.0)
         else:
             dt = 0.0
@@ -533,7 +532,7 @@ class Tracker:
         pos = bisect_left(history, key, key=itemgetter(0))
         later = history[pos:]
         if later and later[0][0] == key:
-            raise TrackerError(f"duplicate batch key {key}")
+            raise ValueError(f"duplicate batch key {key}")
         held = self._capture()
         if later:
             start = history[pos - 1][3] if pos else self._genesis

@@ -10,7 +10,6 @@ from fusionsim.collab import (
     CollabState,
     RemoteTrackMsg,
     RemoteTracks,
-    StaleMessage,
     align,
     ci_fuse,
     ci_omega,
@@ -149,12 +148,14 @@ class TestAlign:
 
     def test_cv_extrapolation(self):
         mean = np.array([0.0, 0, 0, 1, 0, 0])
-        means, _ = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 2.0, q=1.0, staleness=5.0)
+        means, _ = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 2.0, q=1.0)
         assert np.allclose(means[0][:3], [2, 0, 0], atol=1e-12)
 
-    def test_stale_message(self):
-        with pytest.raises(StaleMessage):
-            align(msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0), 5.0, q=1.0)
+    def test_an_old_message_is_predicted_not_refused(self):
+        # the age bound is covi_step's; align predicts any age >= 0
+        mean = np.array([0.0, 0, 0, 1, 0, 0])
+        means, _ = align(msg([(1, mean, np.eye(6))], timestamp=0.0), 5.0, q=1.0)
+        assert np.allclose(means[0][:3], [5, 0, 0], atol=1e-12)
 
     def test_frame_mapping(self):
         # sender 10 m east of the world origin the receiver tracks in
@@ -333,6 +334,16 @@ class TestCoviStep:
         old = msg([(1, np.zeros(6), np.eye(6))], timestamp=0.0)
         covi_step(tk, [old], 5.0, state)
         assert state.stale == 1 and state.received == 1
+
+    def test_a_stale_message_counts_stale_before_align_checks_it(self):
+        tk = self.make_tracker([[5.0, 0, 0]])
+        before = tracker_state(tk)
+        state = CollabState()
+        cov = np.eye(6)
+        cov[0, 0] = np.nan
+        covi_step(tk, [msg([(1, np.zeros(6), cov)], timestamp=0.0)], 5.0, state)
+        assert (state.received, state.stale, state.rejected) == (1, 1, 0)
+        assert tracker_state(tk) == before
 
     def test_asymmetric_remote_covariance_rejected_not_fatal(self):
         tk = self.make_tracker([[5.0, 0, 0]])

@@ -3,8 +3,6 @@ import pytest
 
 from fusionsim.geometry import (
     CameraIntrinsics,
-    GeometryError,
-    NonPSD,
     Pose,
     check_symmetric,
     inverse,
@@ -102,7 +100,7 @@ class TestTransformGaussian:
     def test_asymmetric_cov_rejected(self):
         cov = np.eye(6)
         cov[0, 1] = 1e-3
-        with pytest.raises(NonPSD):
+        with pytest.raises(ValueError, match="covariance asymmetry"):
             transform_gaussian(Pose.identity(), np.zeros(6), cov)
 
     def test_velocity_not_translated(self):
@@ -126,7 +124,7 @@ class TestCheckSymmetric:
         for bad in range(k):
             stack = np.tile(np.eye(6), (k, 1, 1))
             stack[bad, 0, 1] = 1e-3
-            with pytest.raises(NonPSD):
+            with pytest.raises(ValueError, match="covariance asymmetry"):
                 check_symmetric(stack)
 
 
@@ -134,12 +132,12 @@ class TestPoseValidation:
     def test_rejects_non_orthonormal(self):
         r = np.eye(3)
         r[0, 0] = 1.001
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="rotation not orthonormal"):
             Pose(r, np.zeros(3))
 
     def test_rejects_reflection(self):
         r = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match=r"rotation must be proper \(det = \+1\)"):
             Pose(r, np.zeros(3))
 
     def test_payload_round_trips(self):
@@ -161,9 +159,9 @@ class TestPoseValidation:
             Pose.from_payload(d)
 
     def test_intrinsics_validation(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="focal lengths must be positive"):
             CameraIntrinsics(fx=-1, fy=1, cx=10, cy=10, width=100, height=100)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError, match="principal point must lie inside the image"):
             CameraIntrinsics(fx=1, fy=1, cx=200, cy=10, width=100, height=100)
 
 

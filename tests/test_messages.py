@@ -24,7 +24,7 @@ from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose, rotation_from_rpy_deg
 from fusionsim.offload import STATUS_FAILED, STATUS_OK, TaskRequest, TaskResult
 from fusionsim.scenario import apply_overrides, load_scenario
-from fusionsim.scenario.engine import _DELIVERY, _MALFORMED, Engine
+from fusionsim.scenario.engine import _DELIVERY, Engine
 
 numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0]) | st.floats(
     allow_nan=False, allow_infinity=False)
@@ -117,6 +117,6 @@ def test_a_mutated_payload_is_refused_or_read_as_written(message, spec):
     payload = mutate(json.loads(canonical_dumps(message.to_payload())), **spec)
     try:
         back = type(message).from_payload(payload)
-    except _MALFORMED:
+    except ValueError:
         return
     assert json.loads(canonical_dumps(back.to_payload())) == payload

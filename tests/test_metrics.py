@@ -6,7 +6,6 @@ import pytest
 from fusionsim.metrics import (
     DEFAULT_MATCH_RADIUS,
     MetricsAggregator,
-    MetricsError,
     distances,
     match_frame,
     ospa,
@@ -44,9 +43,9 @@ class TestMatchFrame:
         assert matches == [(1, 10, 1.0)]
 
     def test_ids_must_be_unique(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="gt ids must be unique within a frame"):
             match_frame([1, 1], [10], np.zeros((2, 1)))
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="estimate ids must be unique within a frame"):
             match_frame([1], [10, 10], np.zeros((1, 2)))
 
     def test_assignment_matches_bruteforce(self):
@@ -228,7 +227,7 @@ class TestOspa:
         assert ospa_of(a, b2) > 1e-5
 
     def test_invalid_cutoff(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="need cutoff c > 0"):
             ospa(np.zeros((0, 0)), c=0.0)
 
 
@@ -272,7 +271,7 @@ class TestPredictionError:
         assert not score([(1.0, np.zeros(3)), (-0.5, np.zeros(3))], truth, duration=10.0)[2]
 
     def test_no_waypoints(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="no waypoints to score"):
             prediction_error(np.zeros((2, 0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 3)), 10.0)
 
 

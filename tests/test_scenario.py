@@ -1,14 +1,20 @@
 import copy
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MUTATIONS, mutate
-from fusionsim.bus import canonical_dumps
-from fusionsim.scenario import ParseError, ValidationError, apply_overrides, load_scenario
+from fusionsim.bus import LinkParams, canonical_dumps
+from fusionsim.offload import WorkerConfig
+from fusionsim.scenario import (MetricsConfig, ParseError, PipelineConfig, ValidationError,
+                                apply_overrides, load_scenario)
 from fusionsim.scenario.model import MAX_WORK, ScenarioError
+from fusionsim.sensing import CAMERA_PRESETS, SensorNoiseConfig
+from fusionsim.tracker import TrackerConfig
 
 VALID_MODES = {"urban.json": ("cr", "cr-covi", "cr-dist"),
                "occlusion.json": ("cr", "cr-covi")}
@@ -119,6 +125,14 @@ INVALID_VALUES = {
     "max-range-negative": (("agents", 0, "sensors", 1, "noise", "max_range"), -5.0),
     "fov-azimuth-negative": (("agents", 0, "sensors", 1, "noise", "fov_azimuth"), -1.0),
     "worker-max-range-negative": (("pipeline", "worker", "profile", "max_range"), -3.0),
+    # a negative bound turns its mode's feature off: every message stale,
+    # every edge result dropped
+    "staleness-negative": (("pipeline", "staleness"), -1.0),
+    "snapshot-horizon-negative": (("tracker", "snapshot_horizon"), -1.0),
+    # a link key names two distinct agents, or its impairments apply to no link
+    "link-to-no-agent": (("network", "links", "ego->rsu_typo"), {}),
+    "link-not-a-pair": (("network", "links", "nonsense"), {}),
+    "link-to-itself": (("network", "links", "ego->ego"), {}),
     "radius-nan": (("metrics", "radius"), math.nan),
     "rate-huge-int": (("metrics", "rate"), 10**400),
     "waypoint-time-string": (("objects", 2, "motion", "points", 1, 0), "15"),
@@ -145,6 +159,36 @@ def test_invalid_values_rejected(scenario_dir, where):
     path, value = INVALID_VALUES[where]
     with pytest.raises(ValidationError):
         load(_set(load_doc(scenario_dir), path, value))
+
+
+# One refused value per config the loader builds: (a config of that type,
+# the document path of the config, its field, the value).
+CONFIG_CHECKS = {
+    "pipeline": (PipelineConfig(), ("pipeline",), "mode", "x"),
+    "tracker": (TrackerConfig(), ("tracker",), "q", -1.0),
+    "metrics": (MetricsConfig(), ("metrics",), "rate", 0),
+    "link": (LinkParams(), ("network", "default"), "drop_prob", 1.5),
+    "noise": (SensorNoiseConfig(), ("agents", 0, "sensors", 1, "noise"), "p_detect", 1.5),
+    "intrinsics": (CAMERA_PRESETS["blackfly-s"]["intrinsics"],
+                   ("agents", 0, "sensors", 0, "intrinsics"), "fx", -1.0),
+    "worker": (WorkerConfig(), ("pipeline", "worker"), "p_fail", 2.0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(CONFIG_CHECKS))
+def test_a_config_refuses_a_value_and_the_loader_names_its_path(scenario_dir, where):
+    config, path, name, value = CONFIG_CHECKS[where]
+    with pytest.raises(ValueError) as refused:
+        replace(config, **{name: value})
+    json_path = "$" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{json_path}: {refused.value}')}$"):
+        load(_set(load_doc(scenario_dir), (*path, name), value))
+
+
+def test_an_override_mode_is_checked_by_the_config(scenario_dir):
+    sc = load(load_doc(scenario_dir))
+    with pytest.raises(ValidationError, match=r"^\$\.pipeline: mode must be one of"):
+        apply_overrides(sc, mode="x")
 
 
 @pytest.mark.parametrize("share", [0.5, 2.0])

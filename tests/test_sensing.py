@@ -10,7 +10,6 @@ from fusionsim.sensing import (
     CLUTTER_SNR_DB,
     TRUE_SCORE,
     TRUE_SNR_DB,
-    SensingError,
     SensorNoiseConfig,
     Truth,
     camera_observe,
@@ -205,7 +204,7 @@ class TestRadarObserve:
 
 class TestPresetsAndValidation:
     def test_invalid_configs(self):
-        with pytest.raises(SensingError):
+        with pytest.raises(ValueError, match="pixel_sigma must be >= 0"):
             SensorNoiseConfig(pixel_sigma=-1)
-        with pytest.raises(SensingError):
+        with pytest.raises(ValueError, match=r"p_detect must be in \[0, 1\]"):
             SensorNoiseConfig(p_detect=1.5)

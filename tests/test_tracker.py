@@ -15,7 +15,6 @@ from fusionsim.tracker import (
     LANE_LOCAL,
     Tracker,
     TrackerConfig,
-    TrackerError,
     Tracks,
     _regularity,
     chi2_quantile,
@@ -230,9 +229,9 @@ class TestStacked:
         before = tracker_state(tk)
         # step assigns nothing before predict, gate and update returned
         def failing_update(*args):
-            raise TrackerError("forced")
+            raise ValueError("forced")
         monkeypatch.setattr(tracker_module, "update", failing_update)
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="^forced$"):
             tk.step(batch(det([0.3, 0, 0]), det([20, 0, 0], var=0.0)), 0.1)
         assert tracker_state(tk) == before
 
@@ -408,7 +407,7 @@ class TestGate:
 
     def test_quantile_lookup(self):
         assert chi2_quantile(0.99, 3) == 11.345
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="no embedded chi-square quantile"):
             chi2_quantile(0.99, 10)
 
 
@@ -457,7 +456,7 @@ class TestStepLifecycle:
     def test_time_going_backwards_rejected(self):
         tk = Tracker()
         tk.step(batch(), 1.0)
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="step time went backwards"):
             tk.step(batch(), 0.5)
 
     def test_step_determinism(self):
@@ -515,7 +514,7 @@ class TestPredictWaypoints:
 
     @pytest.mark.parametrize("horizon,dt", [(0.0, 0.5), (1.0, 0.0), (-1.0, 0.5)])
     def test_a_horizon_or_step_that_is_not_positive_rejected(self, horizon, dt):
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="horizon and dt must be > 0"):
             predict_waypoints(np.zeros((1, 6)), np.array([5.0]), horizon, dt)
 
     @settings(max_examples=100, deadline=None)
@@ -663,12 +662,12 @@ class TestBatchRollback:
         # raises, with later batches still to come
         def update(tracks, rows, detections, confirm_m):
             if np.any(detections.positions[:, 0] == 20.0):
-                raise TrackerError("forced")
+                raise ValueError("forced")
             return plain_update(tracks, rows, detections, confirm_m)
         plain_update = tracker_module.update
         with monkeypatch.context() as patch:
             patch.setattr(tracker_module, "update", update)
-            with pytest.raises(TrackerError):
+            with pytest.raises(ValueError, match="^forced$"):
                 tk.process_batch(*first)
         assert (tracker_state(tk), tk.newest_key,
                 [(k, state_bytes(state)) for k, _, _, state in tk._history]) == before
@@ -721,7 +720,7 @@ class TestBatchRollback:
         tk = Tracker()
         key = (0.0, LANE_LOCAL, 0)
         tk.process_batch(key, det([1, 0, 0]), 0.0)
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="duplicate batch key"):
             tk.process_batch(key, det([1, 0, 0]), 0.0)
 
     @staticmethod
@@ -773,7 +772,7 @@ class TestBatchRollback:
         for key, _, _, state in tk._history:
             assert state_bytes(state) == after[key]
         # a key already held is a duplicate wherever it sits
-        with pytest.raises(TrackerError):
+        with pytest.raises(ValueError, match="duplicate batch key"):
             tk.process_batch(retained[0], batch(), retained[0][0])
         assert tracker_state(tk) == tracker_state(oracle)
         return seen
