@@ -36,7 +36,6 @@ from .geometry import Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     Tracker,
     Tracks,
-    chi2_quantile,
     eig_regular,
     gate_cost,
     kalman_predict,
@@ -131,19 +130,17 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float) -> tuple[np.ndarray, np.n
     return transform_gaussian(msg.sender_pose, means, covs)
 
 
-def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray,
-                  gate_prob: float = 0.99,
+def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
                   state: CollabState | None = None) -> tuple[list[tuple[int, int]], list[int]]:
     """One-to-one pairing of local tracks with the remote tracks of stacked
     ``means`` and ``covs``, on position-block Mahalanobis distance.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
-    the chi-square quantile for 3 dof by ``tracker.gate_cost``.  Returns
-    the (local, remote) pairs and the remote tracks skipped for a pair
-    with a singular summed covariance, which ``state`` counts.
+    ``gamma``, the tracker's ``TrackerConfig.gamma``, by ``tracker.gate_cost``.
+    Returns the (local, remote) pairs and the remote tracks skipped for a
+    pair with a singular summed covariance, which ``state`` counts.
     """
-    cost, skipped, singular = gate_cost(local.means, local.covs, means, covs,
-                                        chi2_quantile(gate_prob, 3))
+    cost, skipped, singular = gate_cost(local.means, local.covs, means, covs, gamma)
     if state is not None:
         state.singular += singular
     return assign(cost), skipped
@@ -336,13 +333,12 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     phantom tracks.  Fusion and spawning follow the tracker's own hit and
     spawn rules, so both count as a sighting for M-of-N confirmation.
     Association, the spawn check and the duplicate merge all gate at the
-    tracker's ``gate_prob``; prediction uses its ``q``.  A remote track in
-    a pair with a singular summed covariance is neither fused nor spawned,
-    and the pair is counted (``tracker.gate_cost``).  Per-message
+    tracker's ``TrackerConfig.gamma``; prediction uses its ``q``.  A remote
+    track in a pair with a singular summed covariance is neither fused nor
+    spawned, and the pair is counted (``tracker.gate_cost``).  Per-message
     failures are counted and never abort the step: a message older than
-    ``staleness`` counts as stale, and one ``align`` refuses as
-    rejected.  A matched pair that CI cannot fuse is neither fused nor
-    spawned.
+    ``staleness`` counts as stale, and one ``align`` refuses as rejected.
+    A matched pair that CI cannot fuse is neither fused nor spawned.
 
     Each message is one stack: it is aligned in one call, its matched
     pairs go through one ``ci_omega`` and one ``ci_fuse``, each pair
@@ -353,7 +349,6 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     once.
     """
     cfg = tracker.config
-    gamma = chi2_quantile(cfg.gate_prob, 3)
     for msg in msgs:
         state.received += 1
         # staleness >= 0 (see PipelineConfig): no stale message is also
@@ -367,7 +362,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             state.rejected += 1
             continue
         tracks = tracker.tracks
-        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gate_prob, state)
+        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state)
         done = set(skipped)  # fused, or skipped for a singular pair
         if pairs:
             rows, cols = (list(line) for line in zip(*pairs))
@@ -378,7 +373,8 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             done.update(cols[n] for n in fused)
             state.fused += len(fused)
         fresh = [j for j in range(len(msg.tracks)) if j not in done]
-        born = [fresh[n] for n in _spawning(tracks, means_r[fresh], covs_r[fresh], gamma, state)]
+        spawning = _spawning(tracks, means_r[fresh], covs_r[fresh], cfg.gamma, state)
+        born = [fresh[n] for n in spawning]
         if born:
             tracks = tracks.then(spawn(tracker.next_id, means_r[born], symmetrize(covs_r[born]),
                                        t_now, cfg))
@@ -433,7 +429,7 @@ def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
     Each merge is a CI of a stack of one pair, since it moves the elder
     that the next pair reads.
     """
-    gamma = chi2_quantile(tracker.config.gate_prob, 3)
+    gamma = tracker.config.gamma
     tracks = tracker.tracks  # in id order: an elder comes before its juniors
     means, covs = tracks.means.copy(), tracks.covs.copy()
     misses, confirmed = tracks.misses.copy(), tracks.confirmed.copy()

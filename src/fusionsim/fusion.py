@@ -273,13 +273,11 @@ def synthesize(assoc: Association, points: np.ndarray, agent_from_radar: Pose,
     in pair order, then the unmatched ones, which become radar-only
     detections with 4x the measurement covariance.  Unmatched boxes yield
     nothing (no depth available).  ``cfg`` is the radar's noise config,
-    which shapes the covariance.  Positions and covariances are built in
-    one stacked transform.
+    which shapes the covariance.  The batch is built in the radar frame
+    and mapped into the agent frame by ``Detections.to_parent``.
     """
     rows = [j for _, j in assoc.pairs] + assoc.unmatched_radar
     radar = points[rows, :3]
-    r_ar = agent_from_radar.rotation
     scale = np.array([1.0] * len(assoc.pairs)
                      + [RADAR_ONLY_COV_SCALE] * len(assoc.unmatched_radar))[:, None, None]
-    covs = symmetrize(scale * (r_ar @ radar_measurement_cov(radar, cfg) @ r_ar.T))
-    return Detections(transform_point(agent_from_radar, radar), covs)
+    return Detections(radar, scale * radar_measurement_cov(radar, cfg)).to_parent(agent_from_radar)

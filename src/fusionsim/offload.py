@@ -7,7 +7,9 @@ result (``TaskResult``) is one stack of detections in the tracking frame;
 the bus carries both as exactly these fields (see ``bus``).  Results are
 folded into the tracker by rollback and replay against the tracker's
 keyed batch history, which reproduces in-order processing exactly for
-any delay inside the snapshot horizon.
+any delay inside the snapshot horizon.  A result is its task's only if
+it echoes the ``frame_time`` of the pending request; the batch it makes
+is keyed, and so stepped, at that time.
 The ego's ``Broker`` holds the workers, the pending tasks and the
 terminal counters.  Its whole surface is ``submit``, ``on_result``,
 ``heartbeat``, ``reap`` and ``conserved``.
@@ -157,12 +159,13 @@ class Broker:
     Every task terminates in exactly one counter; their sum always equals
     the number of submissions (the conservation invariant the tests pin).
     A worker's busy state is not stored: it is busy while a pending task
-    names it, so settling a task frees its worker, and a result for a task
-    that is not pending changes nothing.  No registered worker is idle
-    while a task waits: each call that frees or registers a worker ends by
-    draining the queue, oldest task first.  Nor is the queue stored: it is
-    the pending tasks without a worker in ``pending``'s order, which is
-    their queue order, since a retry is taken out and put back at the end.
+    names it, so settling a task frees its worker, and a result that is
+    not a pending task's (see ``on_result``) changes nothing.  No
+    registered worker is idle while a task waits: each call that frees or
+    registers a worker ends by draining the queue, oldest task first.  Nor
+    is the queue stored: it is the pending tasks without a worker in
+    ``pending``'s order, which is their queue order, since a retry is
+    taken out and put back at the end.
     """
 
     workers: dict[str, float] = field(default_factory=dict)
@@ -236,9 +239,13 @@ class Broker:
                   t_now: float) -> tuple[bool, list[tuple[TaskRequest, str]]]:
         """Handle a TASK_RESP; returns (integrated, resends).  Settling the
         task frees its worker for the queue.  A result for a task that is
-        not pending (settled already, or never submitted) is ignored."""
+        not pending (settled already, or never submitted) is ignored, and
+        so is one whose ``frame_time`` is not its pending request's: it is
+        not that task's result, and integrating it would step the tracker
+        at a time no frame was taken."""
         task_id = result.task_id
-        if task_id not in self.pending:
+        pend = self.pending.get(task_id)
+        if pend is None or result.frame_time != pend.req.frame_time:
             return False, []
         applied = False
         if result.status != STATUS_OK:
@@ -299,4 +306,4 @@ def integrate(tracker: Tracker, result: TaskResult) -> bool:
     older than the snapshot horizon cannot be restored and report False.
     """
     key = (result.frame_time, LANE_EDGE, result.task_id)
-    return tracker.process_batch(key, result.detections, result.frame_time)
+    return tracker.process_batch(key, result.detections)

@@ -13,5 +13,5 @@ from .model import (  # noqa: F401
     load_scenario,
     world_at,
 )
-from .engine import RunReport, run  # noqa: F401
+from .engine import RunReport  # noqa: F401
 from .replay import ReplayData, load_replay  # noqa: F401

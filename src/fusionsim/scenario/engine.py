@@ -332,7 +332,7 @@ class Engine:
         radar_noise, radar_mount = (rt.radar_spec.noise, rt.radar_spec.mount) \
             if rt.radar_spec is not None else (SensorNoiseConfig(), Pose.identity())
         detections = synthesize(assoc, points, radar_mount, radar_noise).to_parent(agent_pose)
-        rt.tracker.process_batch((t, LANE_LOCAL, 0), detections, t)
+        rt.tracker.process_batch((t, LANE_LOCAL, 0), detections)
 
         if self.mode == "cr-covi":
             msgs, rt.msg_queue = rt.msg_queue, []
@@ -548,8 +548,3 @@ _DELIVERY = {
     bus.MSG_TASK_RESP: (Engine._parse_task_resp, Engine._on_task_resp),
     bus.MSG_HEARTBEAT: (Engine._parse_heartbeat, Engine._on_heartbeat),
 }
-
-
-def run(scenario: Scenario, replay=None) -> RunReport:
-    """Execute a scenario (or a replay against its pipeline) to completion."""
-    return Engine(scenario, replay=replay).run()

@@ -1,7 +1,7 @@
 """Multi-object tracking over batches of fused 3D detections.
 
 Global-nearest-neighbor Kalman tracking: constant-velocity prediction,
-Mahalanobis gating against a chi-square quantile, one-to-one assignment on
+Mahalanobis gating at ``TrackerConfig.gamma``, one-to-one assignment on
 gated squared distances, M-of-N confirmation, and miss-based deletion.
 State layout is [px, py, pz, vx, vy, vz].
 
@@ -29,11 +29,12 @@ in one call each, with the same arithmetic per track as a single-track
 call, and scores every track's hit or miss as one array transition.
 
 The tracker also keeps one key-ordered history of the batches inside its
-horizon, each with the state after it, so a delayed (out-of-sequence)
-detection batch is integrated exactly: restore the state before its key,
-then replay it and every later batch (Bar-Shalom, IEEE TAES 38(3), 2002).
-An in-order batch has nothing to replay; see ``Tracker`` and
-``offload.integrate``.
+horizon, each as (key, detections, state after it).  A batch steps at
+its key's time and at no other, so key order is time order, and a
+delayed (out-of-sequence) detection batch is integrated exactly:
+restore the state before its key, then replay it and every later batch
+(Bar-Shalom, IEEE TAES 38(3), 2002).  An in-order batch has nothing to
+replay; see ``Tracker`` and ``offload.integrate``.
 """
 
 from __future__ import annotations
@@ -47,14 +48,9 @@ import numpy as np
 
 from .fusion import Detections, assign
 
-# Chi-square quantiles for dof 1..9, embedded so gating needs no stats
-# dependency; tests cross-check them against an independent implementation.
-CHI2_QUANTILES = {
-    0.95: {1: 3.841, 2: 5.991, 3: 7.815, 4: 9.488, 5: 11.070,
-           6: 12.592, 7: 14.067, 8: 15.507, 9: 16.919},
-    0.99: {1: 6.635, 2: 9.210, 3: 11.345, 4: 13.277, 5: 15.086,
-           6: 16.812, 7: 18.475, 8: 20.090, 9: 21.666},
-}
+# The gate's 3-dof chi-square quantiles by gate_prob, embedded so gating
+# needs no stats dependency; tests cross-check them against scipy.
+GATE_QUANTILES = {0.95: 7.815, 0.99: 11.345}
 
 # A track's status as its output line names it.
 TENTATIVE = "tentative"
@@ -67,13 +63,6 @@ LANE_LOCAL = 0
 LANE_EDGE = 1
 
 BatchKey = tuple[float, int, int]
-
-
-def chi2_quantile(prob: float, dof: int) -> float:
-    try:
-        return CHI2_QUANTILES[prob][dof]
-    except KeyError:
-        raise ValueError(f"no embedded chi-square quantile for prob={prob}, dof={dof}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,13 @@ class TrackerConfig:
         # a negative horizon prunes what every late batch replays from
         if not self.snapshot_horizon >= 0:
             raise ValueError("snapshot_horizon must be >= 0")
-        chi2_quantile(self.gate_prob, 3)  # the gate's; raises if none is embedded
+        if self.gate_prob not in GATE_QUANTILES:
+            raise ValueError(f"no embedded chi-square quantile for gate_prob={self.gate_prob}")
+
+    @property
+    def gamma(self) -> float:
+        """The gate threshold: the 3-dof chi-square quantile of ``gate_prob``."""
+        return GATE_QUANTILES[self.gate_prob]
 
 
 @dataclass(frozen=True)
@@ -415,13 +410,12 @@ def update(tracks: Tracks, rows: list[int], detections: Detections,
 
 
 def gate(tracks: Tracks, detections: Detections,
-         gate_prob: float = 0.99) -> tuple[np.ndarray, list[int], int]:
+         gamma: float) -> tuple[np.ndarray, list[int], int]:
     """``gate_cost`` of predicted tracks (rows) against a detection batch
-    (columns) at the chi-square quantile of ``gate_prob``: the gated cost
-    matrix, the detections skipped for a singular pair, and the number of
-    singular pairs."""
-    return gate_cost(tracks.means, tracks.covs, detections.positions, detections.covs,
-                     chi2_quantile(gate_prob, 3))
+    (columns) at ``gamma``, the tracker's ``TrackerConfig.gamma``: the
+    gated cost matrix, the detections skipped for a singular pair, and the
+    number of singular pairs."""
+    return gate_cost(tracks.means, tracks.covs, detections.positions, detections.covs, gamma)
 
 
 def predict_waypoints(means: np.ndarray, stamps: np.ndarray, horizon: float,
@@ -445,10 +439,11 @@ class Tracker:
     """Owns the live track set and the keyed batch history.
 
     ``step`` is the plain in-order update of one ``Detections`` batch.
-    ``process_batch`` applies a batch at its global key; it is the one way a batch reaches
-    the tracker and the only writer of ``_history``, the key-ordered list
-    of (key, detections, t, state after the batch) for every batch inside
-    the horizon.  A batch after every entry steps from the live state and
+    ``process_batch`` applies a batch at its global key, stepping at the
+    key's time ``key[0]``; it is the one way a batch reaches the tracker
+    and the only writer of ``_history``, the key-ordered list of (key,
+    detections, state after the batch) for every batch inside the
+    horizon.  A batch after every entry steps from the live state and
     has nothing to replay.  An earlier one restores the state stored just
     before its position and replays itself and every later batch in key
     order, all or nothing.  A batch before every entry replays from the
@@ -479,7 +474,7 @@ class Tracker:
         self.next_id = 1
         self.last_time: float | None = None
         self.singular = 0
-        self._history: list[tuple[BatchKey, Detections, float, tuple]] = []
+        self._history: list[tuple[BatchKey, Detections, tuple]] = []
         self._genesis: tuple | None = self._capture()  # None once history was pruned
 
     # -- core in-order step -------------------------------------------------
@@ -494,7 +489,7 @@ class Tracker:
         else:
             dt = 0.0
         predicted = predict(self.tracks, dt, cfg.q)
-        cost, skipped, singular = gate(predicted, detections, cfg.gate_prob)
+        cost, skipped, singular = gate(predicted, detections, cfg.gamma)
         pairs = assign(cost)
         rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
         matched = Detections(detections.positions[cols], detections.covs[cols])
@@ -522,12 +517,11 @@ class Tracker:
     def newest_key(self) -> BatchKey | None:
         return self._history[-1][0] if self._history else None
 
-    def process_batch(self, key: BatchKey, detections: Detections,
-                      t: float) -> bool:
-        """Apply a detection batch at its global key; returns False when the
-        batch predates every retained entry and the history was pruned.
-        All or nothing: a step that raises leaves the tracker as it was
-        before the call."""
+    def process_batch(self, key: BatchKey, detections: Detections) -> bool:
+        """Apply a detection batch at its global key, stepping at the key's
+        time; returns False when the batch predates every retained entry
+        and the history was pruned.  All or nothing: a step that raises
+        leaves the tracker as it was before the call."""
         history = self._history
         pos = bisect_left(history, key, key=itemgetter(0))
         later = history[pos:]
@@ -535,16 +529,16 @@ class Tracker:
             raise ValueError(f"duplicate batch key {key}")
         held = self._capture()
         if later:
-            start = history[pos - 1][3] if pos else self._genesis
+            start = history[pos - 1][2] if pos else self._genesis
             if start is None:
                 return False
             self._restore(start)
         # the list is replaced, not edited, until every step succeeded
         self._history = history[:pos]
         try:
-            for k, dets, tt in [(key, detections, t)] + [entry[:3] for entry in later]:
-                self.step(dets, tt)
-                self._history.append((k, dets, tt, self._capture()))
+            for k, dets in [(key, detections)] + [entry[:2] for entry in later]:
+                self.step(dets, k[0])
+                self._history.append((k, dets, self._capture()))
         except BaseException:
             self._history = history
             self._restore(held)

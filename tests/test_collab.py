@@ -19,7 +19,9 @@ from fusionsim.collab import (
 )
 from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
-from fusionsim.tracker import LANE_EDGE, LANE_LOCAL, Tracker, TrackerConfig, spawn
+from fusionsim.tracker import GATE_QUANTILES, LANE_EDGE, LANE_LOCAL, Tracker, TrackerConfig, spawn
+
+GAMMA_99 = GATE_QUANTILES[0.99]
 
 
 def random_psd(rng, dim, scale=1.0):
@@ -168,19 +170,19 @@ class TestT2TAssociate:
     def test_identical_means_associate(self):
         local = local_tracks([[5.0, 0, 0]])
         remote = [(np.array([5.0, 0, 0, 0, 0, 0]), np.eye(6))]
-        assert t2t_associate(local, *stacked(remote)) == ([(0, 0)], [])
+        assert t2t_associate(local, *stacked(remote), GAMMA_99) == ([(0, 0)], [])
 
     def test_far_apart_rejected(self):
         local = local_tracks([[0.0, 0, 0]])
         remote = [(np.concatenate([[100.0, 0, 0], np.zeros(3)]), np.eye(6))]
         # d2 = 100^2 / 2 = 5000 >> 11.345
-        assert t2t_associate(local, *stacked(remote)) == ([], [])
+        assert t2t_associate(local, *stacked(remote), GAMMA_99) == ([], [])
 
     def test_crossing_costs_optimal(self):
         local = local_tracks([[0.0, 0, 0], [4.0, 0, 0]])
         remote = [(np.array([3.5, 0, 0, 0, 0, 0]), np.eye(6)),
                   (np.array([0.5, 0, 0, 0, 0, 0]), np.eye(6))]
-        pairs, skipped = t2t_associate(local, *stacked(remote))
+        pairs, skipped = t2t_associate(local, *stacked(remote), GAMMA_99)
         assert sorted(pairs) == [(0, 1), (1, 0)]
         assert skipped == []
 
@@ -497,12 +499,11 @@ def test_published_tracks_and_snapshots_never_change(ops):
         noisy = OBJECTS + rng.normal(scale=0.3, size=OBJECTS.shape)
         if op == "step" or (op == "late" and t == 0.0):
             t += 0.1
-            tk.process_batch((t, LANE_LOCAL, 0), detections(noisy), t)
+            tk.process_batch((t, LANE_LOCAL, 0), detections(noisy))
         elif op == "late":
             edge_seq += 1
             t_late = round(float(rng.uniform(max(0.0, t - 0.5), t)), 3)
-            tk.process_batch((t_late, LANE_EDGE, edge_seq),
-                             detections(noisy[:2]), t_late)
+            tk.process_batch((t_late, LANE_EDGE, edge_seq), detections(noisy[:2]))
         elif op == "covi":
             remote = [(k, np.concatenate([p, np.zeros(3)]), 0.5 * np.eye(6))
                       for k, p in enumerate(noisy)]

@@ -26,8 +26,8 @@ from fusionsim.collab import (
 )
 from fusionsim.geometry import Pose, symmetrize
 from fusionsim.tracker import (
+    GATE_QUANTILES,
     TrackerConfig,
-    chi2_quantile,
     eig_regular,
     gate_cost,
     kalman_predict,
@@ -222,7 +222,7 @@ def test_spawn_check_matches_per_remote_reference(seed, n, m, spread):
     # remote tracks close to each other and to the tracks, some with zero
     # covariance, so earlier spawns gate or are singular with later ones
     rng = np.random.default_rng(seed)
-    gamma = chi2_quantile(0.99, 3)
+    gamma = GATE_QUANTILES[0.99]
 
     def cov():
         return np.zeros((6, 6)) if rng.uniform() < 0.2 else random_psd(rng, 6, 0.3)

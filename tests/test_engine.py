@@ -8,7 +8,8 @@
 * bus accounting: every frame sent is delivered, dropped, or due after
   the end of the run;
 * offload: the broker conserves tasks, also when a result names a task
-  that was never submitted; with one flaky, slow edge worker, urban
+  that was never submitted, and a result that names a pending task but
+  not its frame time changes nothing; with one flaky, slow edge worker, urban
   ``cr-dist`` fills its queue, retries, fails and times out tasks, and
   is a full case, so it meets every contract here;
 * singular pairs: with noiseless radar and edge workers, the tracker and
@@ -499,6 +500,24 @@ def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):
     assert "malformed" not in report["counters"]["bus"]
     assert report["counters"]["offload"]["ok_integrated"] == expected["ok_integrated"]
     assert report["counters"]["offload"]["submitted"] == expected["submitted"]
+    assert engine.broker.conserved()
+
+
+def test_result_with_another_frame_time_is_not_its_tasks(scenario_dir):
+    # task 1 is pending at 0.025 s; a result naming it with frame time 1.5
+    # would step the ego tracker to 1.5 s and make every later batch stale
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist", seed=42)
+    healthy = Engine(sc).run()
+
+    engine = Engine(sc)
+    frame = _task_resp(25_000_000, "results/ego/edge1/w0", task_id=1, frame_time=1.5)
+    engine._push(0.025, KIND_DELIVER, (engine.ego_id, frame))
+    report = engine.run()
+    assert "malformed" not in report.report["counters"]["bus"]
+    assert report.track_jsonl() == healthy.track_jsonl()
+    assert report.report["counters"]["offload"] == healthy.report["counters"]["offload"]
     assert engine.broker.conserved()
 
 

@@ -72,13 +72,13 @@ def test_the_values_the_wrappers_read_keep_their_meaning(scenario_dir, monkeypat
                               np.tile(np.eye(3), (len(xs), 1, 1)))
 
         tk = Tracker()
-        tk.process_batch((0.0, LANE_LOCAL, 0), detections(0.0, 20.0, 40.0), 0.0)
+        tk.process_batch((0.0, LANE_LOCAL, 0), detections(0.0, 20.0, 40.0))
         assert len(tk.tracks) == len(tk.tracks.ids) == 3
-        tk.process_batch((0.1, LANE_LOCAL, 0), detections(0.0, 20.0), 0.1)
+        tk.process_batch((0.1, LANE_LOCAL, 0), detections(0.0, 20.0))
         assert tracer.counts["tracker.pairs"] == 0 * 3 + 3 * 2
         assert tk.newest_key == (0.1, LANE_LOCAL, 0)
         # a late batch replays the later one: two steps under one rollback
-        tk.process_batch((0.05, LANE_EDGE, 1), detections(40.0), 0.05)
+        tk.process_batch((0.05, LANE_EDGE, 1), detections(40.0))
         assert tracer.calls["tracker.rollback"] == 1
         assert tracer.counts["tracker.rollback_steps"] == 2
         assert len(tk.tracks) == len(tk.tracks.ids) == 3

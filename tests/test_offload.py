@@ -134,7 +134,7 @@ def local_batches(n=20, dt=0.05):
     out = []
     for k in range(n):
         t = k * dt
-        out.append(((t, LANE_LOCAL, 0), det([5.0 + t, 0, 0]), t))
+        out.append(((t, LANE_LOCAL, 0), det([5.0 + t, 0, 0])))
     return out
 
 
@@ -151,17 +151,16 @@ class TestIntegrate:
 
         viaintegrate = Tracker()
         stream_a = []
-        for (key, dets, t), res in zip(batches, results):
-            viaintegrate.process_batch(key, dets, t)
+        for (key, dets), res in zip(batches, results):
+            viaintegrate.process_batch(key, dets)
             assert integrate(viaintegrate, res)
             stream_a.append(tracker_state(viaintegrate))
 
         direct = Tracker()
         stream_b = []
-        for (key, dets, t), res in zip(batches, results):
-            direct.process_batch(key, dets, t)
-            direct.process_batch((res.frame_time, 1, res.task_id),
-                                 res.detections, res.frame_time)
+        for (key, dets), res in zip(batches, results):
+            direct.process_batch(key, dets)
+            direct.process_batch((res.frame_time, 1, res.task_id), res.detections)
             stream_b.append(tracker_state(direct))
         assert stream_a == stream_b
 
@@ -170,23 +169,22 @@ class TestIntegrate:
         res = edge_result(500, 0.30, [5.32, 0.05, 0])
 
         actual = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for key, dets, t in batches:
-            actual.process_batch(key, dets, t)
-            if abs(t - 0.50) < 1e-9:  # result arrives 0.2 s after its frame
+        for key, dets in batches:
+            actual.process_batch(key, dets)
+            if abs(key[0] - 0.50) < 1e-9:  # result arrives 0.2 s after its frame
                 assert integrate(actual, res)
 
         oracle = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        merged = batches + [((res.frame_time, 1, res.task_id), res.detections,
-                             res.frame_time)]
-        for key, dets, t in sorted(merged, key=lambda b: b[0]):
-            oracle.process_batch(key, dets, t)
+        merged = batches + [((res.frame_time, 1, res.task_id), res.detections)]
+        for key, dets in sorted(merged, key=lambda b: b[0]):
+            oracle.process_batch(key, dets)
         assert tracker_state(actual) == tracker_state(oracle)
 
     def test_result_older_than_horizon_dropped(self):
         batches = local_batches(n=50, dt=0.05)  # 2.45 s span
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for key, dets, t in batches:
-            tk.process_batch(key, dets, t)
+        for key, dets in batches:
+            tk.process_batch(key, dets)
         before = tracker_state(tk)
         assert not integrate(tk, edge_result(1, 0.1, [5, 0, 0]))
         assert tracker_state(tk) == before
@@ -265,7 +263,7 @@ class TestBrokerConservation:
             broker.submit(req(k, t=now), now)
         assert broker.counters["queue_dropped"] == 2
         # worker 0 returns ok; queue drains one task onto it
-        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
+        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
         applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]), tk, 0.0)
         assert applied and len(sends) == 1
         # worker 1 fails its task
@@ -321,7 +319,7 @@ class TestBrokerConservation:
         assert broker.pending[2].worker_id is None
         assert broker.submit(req(3, t=0.1), 0.1) is None
         # task 1's own result frees w0, and the queue drains onto it
-        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
+        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
         applied, sends = broker.on_result(edge_result(1, 0.0, [5.1, 0, 0]), tk, 0.2)
         assert applied and sends == [(req(2, t=0.0), "edge/w0")]
         assert broker.conserved()
@@ -350,7 +348,7 @@ class TestBrokerConservation:
         # failed, and its detections never reach the tracker
         broker = broker_of(1, timeout=10.0)
         tk = Tracker()
-        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]), 0.0)
+        tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
         broker.submit(req(1, t=0.0), 0.0)
         before = tracker_state(tk)
         failed = TaskResult(1, STATUS_FAILED, 0.0, det([5.1, 0, 0]))
@@ -361,8 +359,8 @@ class TestBrokerConservation:
     def test_stale_result_counted(self):
         broker = broker_of(1, timeout=10.0)
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for key, dets, t in local_batches(n=50, dt=0.05):
-            tk.process_batch(key, dets, t)
+        for key, dets in local_batches(n=50, dt=0.05):
+            tk.process_batch(key, dets)
         broker.submit(req(7, t=0.1), 0.1)
         applied, _ = broker.on_result(edge_result(7, 0.1, [5, 0, 0]), tk, 2.45)
         assert not applied

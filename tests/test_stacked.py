@@ -52,7 +52,7 @@ from fusionsim.sensing import (
     radar_observe,
     visible_object_ids,
 )
-from fusionsim.tracker import _FEW_PAIRS, chi2_quantile, position_d2
+from fusionsim.tracker import _FEW_PAIRS, GATE_QUANTILES, position_d2
 
 K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0, width=1920, height=1080)
 
@@ -499,7 +499,7 @@ def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
     the per-pair solve bit for bit, and gating at γ cannot tell the two
     apart."""
     rng = np.random.default_rng(seed)
-    gamma = chi2_quantile(gate_prob, 3)
+    gamma = GATE_QUANTILES[gate_prob]
     covs_a = [a @ a.T + 0.01 * np.eye(6) for a in rng.normal(size=(n, 6, 6))]
     covs_b = [b @ b.T + 0.01 * np.eye(3) for b in rng.normal(size=(m, 3, 3))]
     means_b = rng.normal(0.0, 5.0, (m, 3))
@@ -535,7 +535,7 @@ def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
 def test_singular_pairs_are_flagged_and_never_solved():
     zero = np.zeros((6, 6))
     d2, singular = position_d2([np.zeros(6), np.ones(6)], [zero, np.eye(6)],
-                               [np.zeros(3)], [np.zeros((3, 3))], chi2_quantile(0.99, 3))
+                               [np.zeros(3)], [np.zeros((3, 3))], GATE_QUANTILES[0.99])
     assert singular.tolist() == [[True], [False]]
     assert d2[0, 0] == np.inf
     assert d2[1, 0] == pytest.approx(3.0)

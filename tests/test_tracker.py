@@ -10,14 +10,13 @@ from scipy.stats import chi2 as scipy_chi2
 import fusionsim.tracker as tracker_module
 from fusionsim.fusion import Detections
 from fusionsim.tracker import (
-    CHI2_QUANTILES,
+    GATE_QUANTILES,
     LANE_EDGE,
     LANE_LOCAL,
     Tracker,
     TrackerConfig,
     Tracks,
     _regularity,
-    chi2_quantile,
     cv_transition,
     eig_regular,
     gate,
@@ -44,6 +43,9 @@ def batch(*dets):
                       np.array([c for d in dets for c in d.covs]).reshape(-1, 3, 3))
 
 
+GAMMA_99 = GATE_QUANTILES[0.99]
+
+
 def fresh_tracks(means, covs=None, stamp=0.0):
     """A batch of new tentative tracks, ids from 1, at ``means`` with
     covariances ``covs`` (identities by default)."""
@@ -59,10 +61,10 @@ def fresh_track(mean=None, cov=None, stamp=0.0):
                         None if cov is None else [cov], stamp)
 
 
-def test_chi2_table_matches_independent_implementation():
-    for prob, row in CHI2_QUANTILES.items():
-        for dof, value in row.items():
-            assert value == pytest.approx(scipy_chi2.ppf(prob, dof), abs=5e-4)
+def test_gate_quantiles_match_independent_implementation():
+    assert set(GATE_QUANTILES) == {0.95, 0.99}
+    for prob, value in GATE_QUANTILES.items():
+        assert value == pytest.approx(scipy_chi2.ppf(prob, 3), abs=5e-4)
 
 
 class TestPredict:
@@ -300,7 +302,7 @@ class TestPerSideRegularity:
             map(list, zip(*(side(*s) for s in side_list))) for side_list in sides)
         if nan_at is not None and nan_at < len(blocks_a):
             blocks_a[nan_at][nan_at % 3, nan_at % 3] = np.nan
-        gamma = chi2_quantile(0.99, 3)
+        gamma = GAMMA_99
         try:
             regular = np.array([[_regularity(a + b)[1] for b in blocks_b] for a in blocks_a])
         except np.linalg.LinAlgError:
@@ -319,22 +321,21 @@ class TestPerSideRegularity:
 
 class TestGate:
     def test_at_predicted_position(self):
-        cost, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0))
+        cost, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0), GAMMA_99)
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate(tr, det([3, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate(tr, det([3, 0, 0], var=1.0), GAMMA_99)
         assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate(tr, det([4, 0, 0], var=1.0), gate_prob=0.99)
+        cost, _, _ = gate(tr, det([4, 0, 0], var=1.0), GAMMA_99)
         assert cost[0, 0] == np.inf
-        d2, singular = position_d2(tr.means, tr.covs, [[4.0, 0, 0]], [np.eye(3)],
-                                   chi2_quantile(0.99, 3))
+        d2, singular = position_d2(tr.means, tr.covs, [[4.0, 0, 0]], [np.eye(3)], GAMMA_99)
         assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
         assert not singular[0, 0]
 
@@ -342,14 +343,14 @@ class TestGate:
         tracks = fresh_tracks([[x, 0, 0, 0, 0, 0] for x in range(4)],
                               [np.eye(6)] * 3 + [np.zeros((6, 6))])
         dets = batch(det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0))
-        cost, skipped, singular = gate(tracks, dets)
+        cost, skipped, singular = gate(tracks, dets, GAMMA_99)
         assert (skipped, singular) == ([2], 1)
         # the skipped column is inf for every track, the others unchanged
         assert np.all(cost[:, 2] == np.inf)
-        regular, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]))
+        regular, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]), GAMMA_99)
         assert np.array_equal(cost[:, :2], regular)
         # every other pair is regular
-        assert gate(tracks.take([0, 1, 2]), dets)[1:] == ([], 0)
+        assert gate(tracks.take([0, 1, 2]), dets, GAMMA_99)[1:] == ([], 0)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
@@ -383,7 +384,7 @@ class TestGate:
         covs_t = [cov(6) for _ in range(n)]
         means_m = [rng.normal(scale=spread, size=3) for _ in range(m)]
         covs_m = [cov(3) for _ in range(m)]
-        gamma = chi2_quantile(gate_prob, 3)
+        gamma = TrackerConfig(gate_prob=gate_prob).gamma
         reference = np.full((n, m), np.inf)
         bad = np.zeros((n, m), dtype=bool)
         for i in range(n):
@@ -405,10 +406,11 @@ class TestGate:
         assert skipped_cols == np.flatnonzero(skipped).tolist()
         assert singular == int(bad.sum())
 
-    def test_quantile_lookup(self):
-        assert chi2_quantile(0.99, 3) == 11.345
+    def test_the_config_gates_at_its_quantile(self):
+        assert TrackerConfig().gamma == GAMMA_99 == 11.345
+        assert TrackerConfig(gate_prob=0.95).gamma == 7.815
         with pytest.raises(ValueError, match="no embedded chi-square quantile"):
-            chi2_quantile(0.99, 10)
+            TrackerConfig(gate_prob=0.9)
 
 
 class TestStepLifecycle:
@@ -476,20 +478,28 @@ def test_joseph_form_psd_many_random_steps():
     mean = np.zeros(6)
     a = rng.normal(size=(6, 6))
     cov = a @ a.T + 1e-3 * np.eye(6)
-    worst = 0.0
-    for _ in range(100_000):
+    covs = np.empty((100_000, 6, 6))
+    for k in range(len(covs)):
         dt = rng.uniform(0.01, 0.5)
         mean, cov = kalman_predict(mean, cov, dt, q=rng.uniform(0.1, 5.0))
         z = mean[:3] + rng.normal(scale=2.0, size=3)
         b = rng.normal(size=(3, 3))
         r = b @ b.T + 1e-6 * np.eye(3)
         mean, cov = kalman_update(mean, cov, z, r)
-        assert np.allclose(cov, cov.T)
-        # cheap PSD check: cholesky of cov shifted by the tolerance floor
-        try:
-            np.linalg.cholesky(cov + 1e-9 * np.eye(6))
-        except np.linalg.LinAlgError:
-            worst = min(worst, float(np.linalg.eigvalsh(cov).min()))
+        covs[k] = cov
+    # every step's covariance checked at the end, all at once
+    assert np.allclose(covs, covs.swapaxes(1, 2))
+    # cheap PSD check: cholesky of each cov shifted by the tolerance floor;
+    # only if one fails, the eigenvalues of each that fails
+    worst = 0.0
+    try:
+        np.linalg.cholesky(covs + 1e-9 * np.eye(6))
+    except np.linalg.LinAlgError:
+        for cov in covs:
+            try:
+                np.linalg.cholesky(cov + 1e-9 * np.eye(6))
+            except np.linalg.LinAlgError:
+                worst = min(worst, float(np.linalg.eigvalsh(cov).min()))
     assert worst > -1e-9
 
 
@@ -542,39 +552,47 @@ class TestBatchRollback:
         for k in range(n):
             t = k * dt
             dets = det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04)
-            batches.append(((t, LANE_LOCAL, 0), dets, t))
+            batches.append(((t, LANE_LOCAL, 0), dets))
         return batches
 
     def test_in_order_equals_plain_steps(self):
         batches = self.make_batches()
         a, b = Tracker(), Tracker()
-        for key, dets, t in batches:
-            a.process_batch(key, dets, t)
-            b.step(dets, t)
+        for key, dets in batches:
+            a.process_batch(key, dets)
+            b.step(dets, key[0])
         assert tracker_state(a) == tracker_state(b)
+
+    def test_a_batch_steps_at_its_key_time(self):
+        tk = Tracker()
+        assert tk.process_batch((0.5, LANE_LOCAL, 0), det([5, 0, 0]))
+        assert tk.last_time == 0.5
+        # an edge batch keyed earlier rolls back, and each batch steps at its key's time
+        assert tk.process_batch((0.3, LANE_EDGE, 1), det([5, 0, 0]))
+        assert [(key, state[2]) for key, _, state in tk._history] == [
+            ((0.3, LANE_EDGE, 1), 0.3), ((0.5, LANE_LOCAL, 0), 0.5)]
 
     def test_delayed_batch_matches_in_order_oracle(self):
         batches = self.make_batches()
-        late = ((0.33, LANE_EDGE, 7), det([5.4, 0.2, 0], var=0.01), 0.33)
+        late = ((0.33, LANE_EDGE, 7), det([5.4, 0.2, 0], var=0.01))
         # actual: late batch arrives after everything else
         actual = Tracker()
-        for key, dets, t in batches:
-            actual.process_batch(key, dets, t)
+        for key, dets in batches:
+            actual.process_batch(key, dets)
         assert actual.process_batch(*late)
         # oracle: strict key order
         oracle = Tracker()
-        for key, dets, t in sorted(batches + [late], key=lambda b: b[0]):
-            oracle.process_batch(key, dets, t)
+        for key, dets in sorted(batches + [late], key=lambda b: b[0]):
+            oracle.process_batch(key, dets)
         assert tracker_state(actual) == tracker_state(oracle)
 
     def test_interleaved_delays_match_oracle(self):
         batches = self.make_batches(n=30)
         rng = np.random.default_rng(5)
         lates = []
-        for i, (key, dets, t) in enumerate(batches):
+        for i, ((t, _, _), _) in enumerate(batches):
             if i % 5 == 2:
-                lates.append(((t, LANE_EDGE, i),
-                              det([5.0 + t, 0.1, 0], var=0.02), t))
+                lates.append(((t, LANE_EDGE, i), det([5.0 + t, 0.1, 0], var=0.02)))
         actual = Tracker()
         arrival = []
         for i, b in enumerate(batches):
@@ -585,11 +603,11 @@ class TestBatchRollback:
         for lb in lates:  # stragglers arriving after the stream ends
             if lb not in arrival:
                 arrival.append(lb)
-        for key, dets, t in arrival:
-            actual.process_batch(key, dets, t)
+        for key, dets in arrival:
+            actual.process_batch(key, dets)
         oracle = Tracker()
-        for key, dets, t in sorted(batches + lates, key=lambda b: b[0]):
-            oracle.process_batch(key, dets, t)
+        for key, dets in sorted(batches + lates, key=lambda b: b[0]):
+            oracle.process_batch(key, dets)
         assert tracker_state(actual) == tracker_state(oracle)
 
     @staticmethod
@@ -604,19 +622,18 @@ class TestBatchRollback:
             t = k * dt
             dets = batch(det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04),
                          det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04))
-            local.append(((t, LANE_LOCAL, 0), dets, t))
-        edge = [((k * dt, LANE_EDGE, i), edge_dets(k * dt), k * dt)
-                for i, (k, _, _) in enumerate(edges)]
+            local.append(((t, LANE_LOCAL, 0), dets))
+        edge = [((k * dt, LANE_EDGE, i), edge_dets(k * dt)) for i, (k, _, _) in enumerate(edges)]
         arrival = sorted(
             [(k + 0.5, b) for k, b in enumerate(local)]
             + [(k + d + p, b) for (k, d, p), b in zip(edges, edge)],
             key=lambda e: e[0])
         actual = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for _, (key, dets, t) in arrival:
-            assert actual.process_batch(key, dets, t)
+        for _, (key, dets) in arrival:
+            assert actual.process_batch(key, dets)
         oracle = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for key, dets, t in sorted(local + edge, key=lambda b: b[0]):
-            oracle.process_batch(key, dets, t)
+        for key, dets in sorted(local + edge, key=lambda b: b[0]):
+            oracle.process_batch(key, dets)
         assert tracker_state(actual) == tracker_state(oracle)
         assert actual.singular == oracle.singular
         return oracle.singular
@@ -649,14 +666,14 @@ class TestBatchRollback:
     def test_late_batch_that_raises_mid_replay_changes_nothing(self, monkeypatch):
         batches = self.make_batches()
         twin = det([20.0, 0, 0], var=0.04)
-        second = ((0.3, LANE_EDGE, 8), twin, 0.3)
-        first = ((0.3, LANE_EDGE, 7), twin, 0.3)
+        second = ((0.3, LANE_EDGE, 8), twin)
+        first = ((0.3, LANE_EDGE, 7), twin)
         tk, oracle = Tracker(), Tracker()
-        for key, dets, t in batches + [second]:
-            tk.process_batch(key, dets, t)
-            oracle.process_batch(key, dets, t)
+        for key, dets in batches + [second]:
+            tk.process_batch(key, dets)
+            oracle.process_batch(key, dets)
         before = (tracker_state(tk), tk.newest_key,
-                  [(k, state_bytes(state)) for k, _, _, state in tk._history])
+                  [(k, state_bytes(state)) for k, _, state in tk._history])
         # replay restores the state stored at (0.3, local): ``first`` spawns
         # a track at x = 20, then ``second`` updates it, and that update
         # raises, with later batches still to come
@@ -670,21 +687,21 @@ class TestBatchRollback:
             with pytest.raises(ValueError, match="^forced$"):
                 tk.process_batch(*first)
         assert (tracker_state(tk), tk.newest_key,
-                [(k, state_bytes(state)) for k, _, _, state in tk._history]) == before
+                [(k, state_bytes(state)) for k, _, state in tk._history]) == before
         # and the tracker goes on exactly like one that never saw the batch
         for tracker in (tk, oracle):
-            tracker.process_batch((0.42, LANE_EDGE, 9), det([5.4, 0, 0]), 0.42)
-            tracker.process_batch((1.0, LANE_LOCAL, 0), det([6.0, 0, 0]), 1.0)
+            tracker.process_batch((0.42, LANE_EDGE, 9), det([5.4, 0, 0]))
+            tracker.process_batch((1.0, LANE_LOCAL, 0), det([6.0, 0, 0]))
         assert tracker_state(tk) == tracker_state(oracle)
 
     def test_empty_batch_scores_misses_in_order(self):
         batches = self.make_batches(n=4)
         tk, oracle = Tracker(), Tracker()
-        for key, dets, t in batches:
-            tk.process_batch(key, dets, t)
-            oracle.step(dets, t)
+        for key, dets in batches:
+            tk.process_batch(key, dets)
+            oracle.step(dets, key[0])
         misses = tk.tracks.misses.tolist()
-        assert tk.process_batch((0.2, LANE_EDGE, 1), batch(), 0.2)
+        assert tk.process_batch((0.2, LANE_EDGE, 1), batch())
         oracle.step(batch(), 0.2)
         assert tk.tracks.misses.tolist() == [m + 1 for m in misses]
         assert not tk.tracks.window[:, -1].any()
@@ -692,36 +709,36 @@ class TestBatchRollback:
 
     def test_empty_batch_scores_misses_in_a_rollback(self):
         batches = self.make_batches(n=10)
-        late = ((0.22, LANE_EDGE, 3), batch(), 0.22)
+        late = ((0.22, LANE_EDGE, 3), batch())
         actual = Tracker()
-        for key, dets, t in batches:
-            actual.process_batch(key, dets, t)
+        for key, dets in batches:
+            actual.process_batch(key, dets)
         plain = tracker_state(actual)
         assert actual.process_batch(*late)
         oracle = Tracker()
-        for key, dets, t in sorted(batches + [late], key=lambda b: b[0]):
-            oracle.process_batch(key, dets, t)
+        for key, dets in sorted(batches + [late], key=lambda b: b[0]):
+            oracle.process_batch(key, dets)
         assert tracker_state(actual) == tracker_state(oracle)
         assert tracker_state(actual) != plain  # the replayed miss shows
 
     def test_too_old_batch_rejected(self):
         batches = self.make_batches(n=40, dt=0.05)  # spans 2 s > horizon 1 s
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
-        for key, dets, t in batches:
-            tk.process_batch(key, dets, t)
-        stale = ((0.1, LANE_EDGE, 99), det([5, 0, 0]), 0.1)
+        for key, dets in batches:
+            tk.process_batch(key, dets)
+        stale = ((0.1, LANE_EDGE, 99), det([5, 0, 0]))
         assert not tk.process_batch(*stale)
         # and the state is untouched by the refused batch
         before = tracker_state(tk)
-        assert not tk.process_batch((0.11, LANE_EDGE, 100), det([5, 0, 0]), 0.11)
+        assert not tk.process_batch((0.11, LANE_EDGE, 100), det([5, 0, 0]))
         assert tracker_state(tk) == before
 
     def test_duplicate_key_rejected(self):
         tk = Tracker()
         key = (0.0, LANE_LOCAL, 0)
-        tk.process_batch(key, det([1, 0, 0]), 0.0)
+        tk.process_batch(key, det([1, 0, 0]))
         with pytest.raises(ValueError, match="duplicate batch key"):
-            tk.process_batch(key, det([1, 0, 0]), 0.0)
+            tk.process_batch(key, det([1, 0, 0]))
 
     @staticmethod
     def run_history(local_delays, edges, horizon=0.25, dt=0.125):
@@ -739,25 +756,24 @@ class TestBatchRollback:
             t = k * dt
             dets = batch(det([5.0 + t + rng.normal(scale=0.05), 0, 0], var=0.04),
                          det([9.0 - t, 2.0 + rng.normal(scale=0.05), 0], var=0.04))
-            arrivals.append((k + d, (t, LANE_LOCAL, 0), dets, t))
+            arrivals.append((k + d, (t, LANE_LOCAL, 0), dets))
         for i, (k, d) in enumerate(edges):
             t = k * dt
-            arrivals.append((k + d, (t, LANE_EDGE, i),
-                             det([5.0 + t, 0.1, 0], var=0.02), t))
+            arrivals.append((k + d, (t, LANE_EDGE, i), det([5.0 + t, 0.1, 0], var=0.02)))
         arrivals.sort(key=lambda a: (a[0], a[1]))
 
         tk = Tracker(TrackerConfig(snapshot_horizon=horizon))
         retained, last_pruned, accepted, seen = [], None, [], set()
-        for _, key, dets, t in arrivals:
+        for _, key, dets in arrivals:
             expected = last_pruned is None or retained[0] < key
-            assert tk.process_batch(key, dets, t) == expected
+            assert tk.process_batch(key, dets) == expected
             if not expected:
                 seen.add("refused_between" if key > last_pruned else "refused")
                 continue
             if retained and key < retained[0]:
                 seen.add("genesis")
             insort(retained, key)
-            accepted.append((key, dets, t))
+            accepted.append((key, dets))
             cutoff = retained[-1][0] - horizon
             while len(retained) > 1 and retained[0][0] < cutoff:
                 last_pruned = retained.pop(0)
@@ -765,15 +781,15 @@ class TestBatchRollback:
 
         oracle = Tracker(TrackerConfig(snapshot_horizon=horizon))
         after = {}
-        for key, dets, t in sorted(accepted, key=lambda b: b[0]):
-            oracle.step(dets, t)
+        for key, dets in sorted(accepted, key=lambda b: b[0]):
+            oracle.step(dets, key[0])
             after[key] = tracker_state(oracle)
         assert tracker_state(tk) == tracker_state(oracle)
-        for key, _, _, state in tk._history:
+        for key, _, state in tk._history:
             assert state_bytes(state) == after[key]
         # a key already held is a duplicate wherever it sits
         with pytest.raises(ValueError, match="duplicate batch key"):
-            tk.process_batch(retained[0], batch(), retained[0][0])
+            tk.process_batch(retained[0], batch())
         assert tracker_state(tk) == tracker_state(oracle)
         return seen
 
