@@ -3,10 +3,15 @@
 Every source of randomness draws from its own stream, seeded by hashing
 the master seed with a stable string key ("agent:ego/sensor:0",
 "link:ego->rsu1", ...), so adding an agent never shifts another agent's
-noise.  Events are totally ordered by (time, seq): sensor ticks are
-pre-scheduled sorted by time, then agent id, then sensor index, with each
-agent's last co-temporal tick carrying the pipeline step; bus deliveries
-and task completions are sequenced as they are created.
+noise.  Events are totally ordered by (time, lane, n).  Periodic events,
+in lane 0, come from one source per (agent id, sensor index) and one
+metric sampler after them, ranked in that order as ``n``: each source
+holds only its next event in the heap and pushes the one after when it
+pops, so a run starts with one pending event per source, however long it
+is.  An agent's last tick at one time, found when it pops, carries the
+pipeline step.  Bus deliveries and task completions, in lane 1, are
+numbered as they are created, so at one time they follow every periodic
+event.
 
 All pipeline code consumes event timestamps, never wall clocks, so a live
 driver could replace the loop without touching the pipelines.
@@ -44,7 +49,7 @@ from ..sensing import (
     visible_object_ids,
 )
 from ..tracker import LANE_LOCAL, Tracker, Tracks, predict_waypoints
-from .model import Scenario, World, world_at
+from .model import Scenario, World, rate_grid, world_at
 from .replay import ReplayData, detection_line, track_lines, truth_line
 
 KIND_TICK = "SensorTick"
@@ -166,8 +171,9 @@ class LiveSource:
         self._last_truth_line = -np.inf
 
     def ticks(self, sensors: dict) -> dict:
-        """Each of ``sensors``' tick times, on its rate's grid."""
-        return {key: sensor.tick_times(self.duration) for key, sensor in sensors.items()}
+        """Each of ``sensors``' tick times, on its rate's grid, generated
+        one by one as the run reaches them."""
+        return {key: rate_grid(sensor.rate, self.duration) for key, sensor in sensors.items()}
 
     def detections_at(self, t: float, agent: str, sidx: int, sensor_pose: Pose) -> np.ndarray:
         owner, spec, rng = self.sensors[(agent, sidx)]
@@ -191,7 +197,10 @@ class LiveSource:
 class Engine:
     """One run of a scenario on one input source: a ``LiveSource``, or a
     replay's ``ReplayData``, whose ``ticks`` refuses a replay that gives a
-    scenario sensor another type when the engine is built.  Flushes record
+    scenario sensor another type when the engine is built.  The heap holds
+    one pending event per periodic source (see the module docstring) and
+    the bus deliveries and task completions in flight, which in
+    ``cr-dist`` start with every heartbeat of the run.  Flushes record
     each track line as a compact record (see ``RunReport``) that copies
     its numbers out of the tracker, and a live source the replay lines;
     nothing is serialised until ``RunReport`` is asked for bytes.
@@ -239,38 +248,52 @@ class Engine:
                         self.broker.workers[wid] = 0.0
                         self.workers[wid] = a.id
                         self.worker_rngs[wid] = stream_rng(scenario.seed, f"worker:{wid}")
+            # every heartbeat of the run is sent now: their link draws come
+            # before any other frame's, and their frames lead the log
+            n = int(np.floor(scenario.duration / p.heartbeat_interval + 1e-9))
+            for wid in sorted(self.workers):
+                for k in range(n + 1):
+                    self._send(self.workers[wid], self.ego_id, k * p.heartbeat_interval,
+                               bus.MSG_HEARTBEAT, f"hb/{wid}")
 
-        self._schedule_fixed_events(order)
+        self._start_periodic(order)
 
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, time: float, kind: str, data) -> None:
-        heapq.heappush(self.heap, (time, next(self.seq), kind, data))
+        heapq.heappush(self.heap, (time, 1, next(self.seq), kind, data))
 
-    def _schedule_fixed_events(self, order) -> None:
+    def _start_periodic(self, order) -> None:
+        """Rank the periodic sources, each sensor's in (agent id, sensor
+        index) order and the metric sampler last, and push each one's first
+        event.  A source's times are its input's (``ticks``) or the metric
+        rate's grid, and it ends at its first time past the run's end."""
         sc = self.sc
-        ticks: dict[float, list] = {}
         sensors = {(a.id, i): sensor for a in order for i, sensor in enumerate(a.sensors)}
-        for key, times in self.source.ticks(sensors).items():
-            for t in times:
-                ticks.setdefault(t, []).append(key)
-        metric_n = int(np.floor(sc.duration * sc.metrics.rate + 1e-9))
-        metric_times = {k / sc.metrics.rate for k in range(metric_n + 1)}
-        for t in sorted(t for t in ticks.keys() | metric_times if t <= sc.duration + 1e-9):
-            entries = sorted(ticks.get(t, []))
-            last_per_agent = {aid: i for aid, i in entries}
-            for aid, i in entries:
-                flush = last_per_agent[aid] == i
-                self._push(t, KIND_TICK, (aid, i, flush))
-            if t in metric_times:
-                self._push(t, KIND_METRIC, None)
-        if self.mode == "cr-dist":
-            hb = sc.pipeline.heartbeat_interval
-            n = int(np.floor(sc.duration / hb + 1e-9))
-            for wid in sorted(self.workers):
-                for k in range(n + 1):
-                    self._send(self.workers[wid], self.ego_id, k * hb, bus.MSG_HEARTBEAT,
-                               f"hb/{wid}")
+        ticks = self.source.ticks(sensors)
+        keys = list(sensors)
+        # a tick's data is its agent, its sensor index and the ranks of the
+        # agent's later sensors, whose pending times decide its flush
+        self._sources = [(iter(ticks[(aid, i)]), KIND_TICK,
+                          (aid, i, tuple(r for r, (a, j) in enumerate(keys)
+                                         if a == aid and j > i)))
+                         for aid, i in keys]
+        self._sources.append((rate_grid(sc.metrics.rate, sc.duration), KIND_METRIC, None))
+        self._end = sc.duration + 1e-9
+        self._pending: list[float | None] = [None] * len(self._sources)
+        for rank in range(len(self._sources)):
+            self._schedule(rank)
+
+    def _schedule(self, rank: int) -> None:
+        """Push periodic source ``rank``'s next event, if it has one, and
+        keep its time as the source's pending one (None once it ends)."""
+        times, kind, data = self._sources[rank]
+        t = next(times, None)
+        if t is not None and t <= self._end:
+            heapq.heappush(self.heap, (t, 0, rank, kind, data))
+        else:
+            t = None
+        self._pending[rank] = t
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -490,22 +513,35 @@ class Engine:
         # that) for the rest of the process, unless MALLOC_MMAP_THRESHOLD_ or
         # MALLOC_TRIM_THRESHOLD_ fixes them.  Other allocators ignore it.
         np.empty(1 << 20, dtype=np.uint8)
-        handlers = {
-            KIND_TICK: lambda t, d: self.on_tick(t, *d),
-            KIND_DELIVER: lambda t, d: self.on_deliver(t, *d),
-            KIND_TASK: lambda t, d: self.on_task_complete(t, *d),
-            KIND_METRIC: lambda t, d: self.on_metric(t),
-        }
-        last = (-np.inf, -1)
+        pending = self._pending
+        last = (-np.inf, -1, -1)
         while self.heap:
-            time, seq, kind, data = heapq.heappop(self.heap)
-            if (time, seq) <= last:
+            time, lane, n, kind, data = heapq.heappop(self.heap)
+            if (time, lane, n) <= last:
                 raise RuntimeError("event order violated")  # pragma: no cover
-            last = (time, seq)
-            if time > self.sc.duration + 1e-9:
+            last = (time, lane, n)
+            if time > self._end:
                 continue
             self.events_processed += 1
-            handlers[kind](time, data)
+            if lane == 0:  # a periodic source's event: its next one goes in
+                self._schedule(n)
+            if kind == KIND_TICK:
+                aid, sidx, later = data
+                # a tick flushes unless a later sensor of its agent is
+                # pending at this time too
+                for r in later:
+                    if pending[r] == time:
+                        flush = False
+                        break
+                else:
+                    flush = True
+                self.on_tick(time, aid, sidx, flush)
+            elif kind == KIND_METRIC:
+                self.on_metric(time)
+            elif kind == KIND_DELIVER:
+                self.on_deliver(time, *data)
+            else:
+                self.on_task_complete(time, *data)
         return self._build_report()
 
     def _build_report(self) -> RunReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -195,6 +196,13 @@ def _parse_motion(d: dict, path: str, allow_static: bool, duration: float) -> Mo
 # ---------------------------------------------------------------------------
 # sensors and agents
 
+def rate_grid(rate: float, duration: float) -> Iterator[float]:
+    """A sensor's tick times, or the metric samples', over ``duration``:
+    ``k / rate`` for k from 0 while ``k <= duration * rate + 1e-9``,
+    generated one by one without building a list."""
+    return (k / rate for k in range(int(math.floor(duration * rate + 1e-9)) + 1))
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     type: str
@@ -204,10 +212,6 @@ class SensorSpec:
     noise: SensorNoiseConfig
     intrinsics: CameraIntrinsics | None = None
     preset: str | None = None
-
-    def tick_times(self, duration: float) -> list[float]:
-        n = int(math.floor(duration * self.rate + 1e-9))
-        return [k / self.rate for k in range(n + 1)]
 
     def to_dict(self) -> dict:
         out = {

@@ -91,8 +91,9 @@ class ReplayData:
     records = ()  # a replay run records no replay lines
 
     def ticks(self, sensors: dict) -> dict:
-        """Each of ``sensors``' recorded tick times, also past a run's end;
-        ReplayError if one's rows were recorded as another type's."""
+        """Each of ``sensors``' recorded tick times, sorted, also past a
+        run's end; ReplayError if one's rows were recorded as another
+        type's."""
         for key, stype in sorted(self.sensor_types.items()):
             if key in sensors and sensors[key].type != stype:
                 raise ReplayError(f"replay sensor ({key[0]}, {key[1]}) is a {stype}, "
@@ -100,6 +101,8 @@ class ReplayData:
         times = {key: [] for key in sensors}
         for t, aid, sidx in self.detections:  # a sensor the run lacks ticks nowhere
             times.get((aid, sidx), []).append(t)
+        for sensor_times in times.values():
+            sensor_times.sort()
         return times
 
     def detections_at(self, t: float, agent: str, sidx: int, sensor_pose=None) -> np.ndarray:

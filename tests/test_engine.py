@@ -44,21 +44,35 @@
   - R5, stream independence: in every mode, a sensor agent added 7 km
     away, its id sorting first or last, leaves the ego's track lines and
     every other replay line byte-identical.
+* periodic events: each sensor and the metric sampler keep one event in
+  the heap, yet a run handles the events, in the order, of a reference
+  schedule that pushes every periodic event up front, and gives its
+  bytes, on drawn scenes of 0-3 sensor agents at coinciding and
+  non-coinciding rates, live or from an edited replay; a delivery at a
+  tick time, injected or over a link without latency, runs after every
+  tick and metric sample at that time; and building an hour-long run
+  holds one event per source (with ``cr-dist``'s heartbeats) and
+  allocates no more than building 30 s, but for the heartbeats.
 """
 
 import functools
+import gc
 import hashlib
+import heapq
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fusionsim import bus, collab
 from fusionsim.geometry import Pose
 from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario import engine as engine_module
-from fusionsim.scenario.engine import _DELIVERY, KIND_DELIVER, Engine
+from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_METRIC, KIND_TASK,
+                                       KIND_TICK, Engine)
 from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
 
@@ -644,3 +658,224 @@ def test_r5_a_far_sensor_agent_leaves_every_other_stream_alone(scenario_dir, see
         assert lines_of(run.replay_jsonl(), lambda agent: agent != far) == \
             base.replay_jsonl().splitlines()
         assert lines_of(run.replay_jsonl(), lambda agent: agent == far)
+
+
+# -- periodic events: generated as the run reaches them -----------------------
+
+HANDLERS = {KIND_TICK: "on_tick", KIND_DELIVER: "on_deliver", KIND_TASK: "on_task_complete",
+            KIND_METRIC: "on_metric"}
+
+
+def eager_events(engine) -> list[tuple]:
+    """The reference schedule: every periodic event of ``engine``'s run
+    as (t, kind, data), built up front.  Sensor ticks and metric samples
+    are sorted by time, then agent id, then sensor index, with the metric
+    sample last; each agent's last tick at a time flushes, and nothing
+    past the end runs."""
+    sc = engine.sc
+    ticks: dict[float, list] = {}
+    sensors = {(a.id, i): sensor for a in sorted(sc.agents, key=lambda a: a.id)
+               for i, sensor in enumerate(a.sensors)}
+    for key, times in engine.source.ticks(sensors).items():
+        for t in times:
+            ticks.setdefault(t, []).append(key)
+    metric_n = int(np.floor(sc.duration * sc.metrics.rate + 1e-9))
+    metric_times = {k / sc.metrics.rate for k in range(metric_n + 1)}
+    events = []
+    for t in sorted(t for t in ticks.keys() | metric_times if t <= sc.duration + 1e-9):
+        entries = sorted(ticks.get(t, []))
+        last_per_agent = {aid: i for aid, i in entries}
+        events += [(t, KIND_TICK, (aid, i, last_per_agent[aid] == i)) for aid, i in entries]
+        if t in metric_times:
+            events.append((t, KIND_METRIC, ()))
+    return events
+
+
+def recording(engine) -> list[tuple]:
+    """Make ``engine`` record each event it handles as (t, kind, data)
+    before handling it, a task's result as its payload's bytes; the list
+    it records into."""
+    handled = []
+    for kind, name in HANDLERS.items():
+        def record(t, *data, kind=kind, handle=getattr(engine, name)):
+            if kind == KIND_TASK:
+                wid, result = data
+                handled.append((t, kind, (wid, bus.canonical_dumps(result.to_payload()))))
+            else:
+                handled.append((t, kind, data))
+            handle(t, *data)
+        setattr(engine, name, record)
+    return handled
+
+
+def run_eagerly(engine):
+    """Run a fresh ``engine`` on the reference schedule: every periodic
+    event is in the heap before the first one runs, ahead of every
+    delivery and task completion at its time, as the heartbeats sent at
+    set-up and every event pushed later are."""
+    periodic = [(t, -1, n, kind, data) for n, (t, kind, data) in enumerate(eager_events(engine))]
+    engine.heap = periodic + [entry for entry in engine.heap if entry[1] == 1]
+    heapq.heapify(engine.heap)
+    while engine.heap:
+        t, _, _, kind, data = heapq.heappop(engine.heap)
+        if t <= engine.sc.duration + 1e-9:
+            engine.events_processed += 1
+            getattr(engine, HANDLERS[kind])(t, *data)
+    return engine._build_report()
+
+
+# Each agent's sensors, and the rates they draw: some that coincide with
+# each other and the metric samples (10, 20 and 30 Hz), and two that
+# rarely do (7 and 13 Hz).
+SENSOR_LISTS = ((), ("camera",), ("radar",), ("camera", "radar"), ("radar", "camera"))
+RATES = (10.0, 20.0, 30.0, 7.0, 13.0)
+PRESETS = {"camera": "blackfly-s", "radar": "iwr1443"}
+# urban's edge server, and the sensor agents the property equips
+EDGE = {"id": "edge1", "kind": "edge-server", "workers": 2,
+        "trajectory": {"kind": "static", "position": [50.0, 20.0, 8.0]}}
+SENSOR_AGENTS = (
+    {"id": "ego", "kind": "ego",
+     "trajectory": {"kind": "cv", "p0": [0.0, 0.0, 0.0], "v": [1.5, 0.0, 0.0]}},
+    {"id": "rsu1", "kind": "infrastructure",
+     "trajectory": {"kind": "static", "position": [60.0, 12.0, 4.0],
+                    "rpy_deg": [0.0, 0.0, -110.0]}},
+    {"id": "car2", "kind": "vehicle",
+     "trajectory": {"kind": "cv", "p0": [70.0, -4.0, 0.0], "v": [-2.0, 0.0, 0.0],
+                    "rpy_deg": [0.0, 0.0, 180.0]}},
+)
+
+
+def edited_replay(text: str, duration: float, rnd) -> str:
+    """A live run's replay text in ``rnd``'s order, with copies of a
+    detection line just inside the end (5e-10 past it), past it, and for
+    two sensors no scenario has."""
+    lines = [json.loads(line) for line in text.splitlines()]
+    detection = next((line for line in lines if "truth" not in line), None)
+    if detection is not None:
+        lines += [dict(detection, t=duration + dt) for dt in (5e-10, 2e-9, 1.0)]
+        lines += [dict(detection, agent="ghost"), dict(detection, agent="ego", sensor=5)]
+    rnd.shuffle(lines)
+    return "\n".join(json.dumps(line) for line in lines)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(sensor_lists=st.lists(st.sampled_from(SENSOR_LISTS), min_size=3, max_size=3),
+       rates=st.lists(st.sampled_from(RATES), min_size=6, max_size=6),
+       metric_rate=st.sampled_from((10.0, 7.0)),
+       duration=st.one_of(st.integers(1, 30).map(lambda k: k / 10), st.floats(0.1, 3.0)),
+       mode=st.sampled_from(MODES), replay=st.booleans(), rnd=st.randoms())
+def test_periodic_events_run_in_the_reference_schedules_order(
+        scenario_dir, sensor_lists, rates, metric_rate, duration, mode, replay, rnd):
+    # each periodic source keeps one pending event in the heap; the run
+    # handles the very events, in the very order, of a schedule that
+    # pushed them all up front, and gives the same bytes
+    assume(mode != "cr-covi" or any(sensor_lists[1:]))
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    rate = iter(rates)
+    doc["agents"] = [dict(agent, sensors=[{"type": s, "preset": PRESETS[s], "rate": next(rate)}
+                                          for s in sensors])
+                     for agent, sensors in zip(SENSOR_AGENTS, sensor_lists)] + [EDGE]
+    doc.update(duration=duration, metrics={"rate": metric_rate})
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode=mode)
+    text = edited_replay(Engine(sc).run().replay_jsonl().decode(), duration, rnd) \
+        if replay else None
+
+    def engine():
+        return Engine(sc, replay=None if text is None else load_replay(text))
+
+    lazy, eager = engine(), engine()
+    handled, expected = recording(lazy), recording(eager)
+    # one event per sensor and the metric sampler, and cr-dist's heartbeats
+    assert len(lazy.heap) <= sum(map(len, sensor_lists)) + 1 + lazy.bus_counts["sent"]
+    report, reference = lazy.run(), run_eagerly(eager)
+    assert handled == expected
+    assert outputs(report) == outputs(reference)
+
+
+def handled_run(sc, pushes=()):
+    """The events a run of ``sc`` handles, (t, kind, data) in order,
+    after ``pushes`` of (t, kind, data) are injected with ``_push``."""
+    engine = Engine(sc)
+    handled = recording(engine)
+    for push in pushes:
+        engine._push(*push)
+    engine.run()
+    return handled
+
+
+def test_an_injected_delivery_at_a_tick_time_follows_every_periodic_event(scenario_dir):
+    # urban's cameras tick at 10 Hz, its radars at 20 Hz and the metric
+    # samples at 10 Hz: at 0.5 s all of them run, in agent and sensor
+    # order with the metric sample last, and then the delivery
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi")
+    delivery = (KIND_DELIVER, ("ego", _tracks(500_000_000)))
+    at_half = [e for e in handled_run(sc, [(0.5, *delivery)]) if e[0] == 0.5]
+    assert at_half == [
+        (0.5, KIND_TICK, ("ego", 0, False)), (0.5, KIND_TICK, ("ego", 1, True)),
+        (0.5, KIND_TICK, ("rsu1", 0, False)), (0.5, KIND_TICK, ("rsu1", 1, True)),
+        (0.5, KIND_METRIC, ()), (0.5, *delivery)]
+
+
+@pytest.mark.parametrize("mode", ["cr-covi", "cr-dist"])
+def test_a_delivery_over_a_link_without_latency_follows_every_periodic_event(
+        scenario_dir, mode):
+    # with no latency or jitter a frame arrives when it is sent, at a tick
+    # time: cr-covi's track broadcasts, and cr-dist's task requests and
+    # heartbeats (sent at set-up, every 0.5 s); each runs after every
+    # tick and metric sample at its time
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    doc["network"] = {"default": {"base_latency": 0.0, "jitter": 0.0}}
+    handled = handled_run(apply_overrides(load_scenario(json.dumps(doc)), mode=mode))
+    periodic = {KIND_TICK, KIND_METRIC}
+    last_periodic = {t: n for n, (t, kind, _) in enumerate(handled) if kind in periodic}
+    late = [(n, t) for n, (t, kind, _) in enumerate(handled) if kind == KIND_DELIVER]
+    assert sum(t in last_periodic for _, t in late) >= 10
+    assert all(n > last_periodic.get(t, -1) for n, t in late)
+
+
+# the slack on Engine()'s peak allocation, and the most a heartbeat sent
+# at set-up may add to it: its heap entry, frame and frame-log entry
+SET_UP_SLACK = 64 * 1024
+HEARTBEAT_BYTES = 1024
+
+
+def set_up_peak(sc) -> tuple:
+    """An engine for ``sc`` and the peak of what building it allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return Engine(sc), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_engine_set_up_does_not_grow_with_the_run(scenario_dir, mode):
+    # an hour of urban with a generated crowd: set-up holds one event per
+    # periodic source (4 sensors and the metric sampler), not the
+    # 252,005 of the whole run, and allocates no more than for 30 s.
+    # cr-dist still sends every heartbeat at set-up (2 workers every
+    # 0.5 s), which the heap and the allocation bound count.
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["objects"] = crowd_grid(12)
+
+    def scene(duration):
+        return apply_overrides(load_scenario(json.dumps(dict(doc, duration=duration))),
+                               mode=mode)
+
+    def heartbeats(sc):
+        if mode != "cr-dist":
+            return 0
+        return 2 * (int(sc.duration / sc.pipeline.heartbeat_interval) + 1)
+
+    short, long = scene(30.0), scene(3600.0)
+    set_up_peak(short)  # warm-up: first-use caches are not the run's
+    _, short_peak = set_up_peak(short)
+    engine, long_peak = set_up_peak(long)
+    assert engine.bus_counts["sent"] == heartbeats(long)
+    assert len(engine.heap) <= 5 + heartbeats(long)
+    assert long_peak <= short_peak + SET_UP_SLACK + \
+        HEARTBEAT_BYTES * (heartbeats(long) - heartbeats(short))
