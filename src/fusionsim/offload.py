@@ -10,9 +10,12 @@ keyed batch history, which reproduces in-order processing exactly for
 any delay inside the snapshot horizon.  A result is its task's only if
 it echoes the ``frame_time`` of the pending request; the batch it makes
 is keyed, and so stepped, at that time.
-The ego's ``Broker`` holds the workers, the pending tasks and the
-terminal counters.  Its whole surface is ``submit``, ``on_result``,
-``heartbeat``, ``reap`` and ``conserved``.
+The ego's ``Broker`` holds the ego's tracker, the workers, the pending
+tasks and the terminal counters.  Its whole surface is ``submit``,
+``on_result``, ``heartbeat``, ``reap`` and ``conserved``.  A queued task
+whose frame is before the tracker's cutoff when the queue drains to it
+is settled stale without being sent: once the tracker has pruned its
+history, it refuses a result that old.
 The worker itself is an emulation: a configurable latency plus a
 high-accuracy sensor profile over ground truth standing in for stereo
 depth inference.
@@ -152,9 +155,11 @@ class Broker:
     ``on_result``, note a worker's ``heartbeat``, ``reap`` overdue tasks
     and dead workers, and check that tasks are ``conserved``.  The calls
     that may free or register a worker return the (request, worker id)
-    pairs to transmit.  ``workers`` maps each registered worker to its
-    last heartbeat, in registration order, and ``rr_cursor`` is the
-    position in that order where the next round-robin scan starts.
+    pairs to transmit.  ``tracker`` is the ego's, which ok results are
+    folded into and whose cutoff decides when a queued task is stale.
+    ``workers`` maps each registered worker to its last heartbeat, in
+    registration order, and ``rr_cursor`` is the position in that order
+    where the next round-robin scan starts.
 
     Every task terminates in exactly one counter; their sum always equals
     the number of submissions (the conservation invariant the tests pin).
@@ -162,12 +167,16 @@ class Broker:
     names it, so settling a task frees its worker, and a result that is
     not a pending task's (see ``on_result``) changes nothing.  No
     registered worker is idle while a task waits: each call that frees or
-    registers a worker ends by draining the queue, oldest task first.  Nor
-    is the queue stored: it is the pending tasks without a worker in
+    registers a worker ends by draining the queue, oldest task first, and
+    the drain settles as ``stale_dropped``, unsent, each task it reaches
+    whose frame is before the tracker's cutoff: sent, it would only hold a
+    worker and come back stale, since the cutoff never falls.  Nor is
+    the queue stored: it is the pending tasks without a worker in
     ``pending``'s order, which is their queue order, since a retry is
     taken out and put back at the end.
     """
 
+    tracker: Tracker
     workers: dict[str, float] = field(default_factory=dict)
     timeout: float = DEFAULT_TIMEOUT
     queue_bound: int = DEFAULT_QUEUE_BOUND
@@ -222,11 +231,16 @@ class Broker:
         del self.pending[task_id]
 
     def _drain(self, now: float) -> list[tuple[TaskRequest, str]]:
-        """Send queued tasks, in order, to idle workers; returns the
-        (request, worker id) pairs to transmit.  A task's timeout runs
-        from ``now``, when it is sent."""
+        """Send queued tasks, in order, to idle workers until none is idle,
+        settling on the way each one whose frame is before the tracker's
+        cutoff, unsent; returns the (request, worker id) pairs to
+        transmit.  A task's timeout runs from ``now``, when it is sent."""
+        cutoff = self.tracker.cutoff
         sends = []
         for req in self.queue:
+            if req.frame_time < cutoff:
+                self._terminate(req.task_id, "stale_dropped")
+                continue
             target = self._idle()
             if target is None:
                 break
@@ -235,7 +249,7 @@ class Broker:
             sends.append((req, target))
         return sends
 
-    def on_result(self, result: TaskResult, tracker: Tracker,
+    def on_result(self, result: TaskResult,
                   t_now: float) -> tuple[bool, list[tuple[TaskRequest, str]]]:
         """Handle a TASK_RESP; returns (integrated, resends).  Settling the
         task frees its worker for the queue.  A result for a task that is
@@ -251,7 +265,7 @@ class Broker:
         if result.status != STATUS_OK:
             counter = "failed"
         else:
-            applied = integrate(tracker, result)
+            applied = integrate(self.tracker, result)
             counter = "ok_integrated" if applied else "stale_dropped"
         self._terminate(task_id, counter)
         return applied, self._drain(t_now)

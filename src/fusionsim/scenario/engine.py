@@ -4,14 +4,15 @@ Every source of randomness draws from its own stream, seeded by hashing
 the master seed with a stable string key ("agent:ego/sensor:0",
 "link:ego->rsu1", ...), so adding an agent never shifts another agent's
 noise.  Events are totally ordered by (time, lane, n).  Periodic events,
-in lane 0, come from one source per (agent id, sensor index) and one
-metric sampler after them, ranked in that order as ``n``: each source
-holds only its next event in the heap and pushes the one after when it
-pops, so a run starts with one pending event per source, however long it
-is.  An agent's last tick at one time, found when it pops, carries the
-pipeline step.  Bus deliveries and task completions, in lane 1, are
-numbered as they are created, so at one time they follow every periodic
-event.
+in lane 0, come from one source per (agent id, sensor index), then one
+metric sampler, then in ``cr-dist`` one heartbeat source per edge worker,
+ranked in that order as ``n``: each source holds only its next event in
+the heap and pushes the one after when it pops, so a run starts with one
+pending event per source, however long it is.  An agent's last tick at
+one time, found when it pops, carries the pipeline step; a heartbeat
+event sends its worker's HEARTBEAT frame.  Bus deliveries and task
+completions, in lane 1, are numbered as they are created, so at one time
+they follow every periodic event.
 
 All pipeline code consumes event timestamps, never wall clocks, so a live
 driver could replace the loop without touching the pipelines.
@@ -56,6 +57,7 @@ KIND_TICK = "SensorTick"
 KIND_DELIVER = "BusDeliver"
 KIND_TASK = "TaskComplete"
 KIND_METRIC = "MetricSample"
+KIND_HEARTBEAT = "Heartbeat"
 
 # The rows a flush reads for a sensor that did not tick, or that the agent
 # does not have.
@@ -199,8 +201,7 @@ class Engine:
     replay's ``ReplayData``, whose ``ticks`` refuses a replay that gives a
     scenario sensor another type when the engine is built.  The heap holds
     one pending event per periodic source (see the module docstring) and
-    the bus deliveries and task completions in flight, which in
-    ``cr-dist`` start with every heartbeat of the run.  Flushes record
+    the bus deliveries and task completions in flight.  Flushes record
     each track line as a compact record (see ``RunReport``) that copies
     its numbers out of the tracker, and a live source the replay lines;
     nothing is serialised until ``RunReport`` is asked for bytes.
@@ -239,7 +240,11 @@ class Engine:
         self.task_counter = itertools.count(1)
         if self.mode == "cr-dist":
             p = scenario.pipeline
-            self.broker = Broker(timeout=p.timeout, queue_bound=p.queue_bound,
+            # a sensor-less ego has no agent state, but the broker still
+            # reads a tracker's cutoff
+            ego = self.agents.get(self.ego_id)
+            self.broker = Broker(tracker=ego.tracker if ego else Tracker(scenario.tracker),
+                                 timeout=p.timeout, queue_bound=p.queue_bound,
                                  heartbeat_interval=p.heartbeat_interval)
             for a in order:
                 if a.kind == "edge-server":
@@ -248,13 +253,6 @@ class Engine:
                         self.broker.workers[wid] = 0.0
                         self.workers[wid] = a.id
                         self.worker_rngs[wid] = stream_rng(scenario.seed, f"worker:{wid}")
-            # every heartbeat of the run is sent now: their link draws come
-            # before any other frame's, and their frames lead the log
-            n = int(np.floor(scenario.duration / p.heartbeat_interval + 1e-9))
-            for wid in sorted(self.workers):
-                for k in range(n + 1):
-                    self._send(self.workers[wid], self.ego_id, k * p.heartbeat_interval,
-                               bus.MSG_HEARTBEAT, f"hb/{wid}")
 
         self._start_periodic(order)
 
@@ -265,9 +263,11 @@ class Engine:
 
     def _start_periodic(self, order) -> None:
         """Rank the periodic sources, each sensor's in (agent id, sensor
-        index) order and the metric sampler last, and push each one's first
-        event.  A source's times are its input's (``ticks``) or the metric
-        rate's grid, and it ends at its first time past the run's end."""
+        index) order, then the metric sampler, then each edge worker's
+        heartbeat in worker id order, and push each one's first event.  A
+        source's times are its input's (``ticks``), or the grid of the
+        metric rate or of one heartbeat per ``heartbeat_interval``, and it
+        ends at its first time past the run's end."""
         sc = self.sc
         sensors = {(a.id, i): sensor for a in order for i, sensor in enumerate(a.sensors)}
         ticks = self.source.ticks(sensors)
@@ -279,6 +279,8 @@ class Engine:
                                          if a == aid and j > i)))
                          for aid, i in keys]
         self._sources.append((rate_grid(sc.metrics.rate, sc.duration), KIND_METRIC, None))
+        self._sources += [(rate_grid(1.0 / sc.pipeline.heartbeat_interval, sc.duration),
+                           KIND_HEARTBEAT, wid) for wid in sorted(self.workers)]
         self._end = sc.duration + 1e-9
         self._pending: list[float | None] = [None] * len(self._sources)
         for rank in range(len(self._sources)):
@@ -460,8 +462,7 @@ class Engine:
         return (TaskResult.from_payload(canonical_loads(frame.payload)),)
 
     def _on_task_resp(self, t: float, dst: str, result: TaskResult) -> None:
-        ego = self.agents[self.ego_id]
-        _, sends = self.broker.on_result(result, ego.tracker, t)
+        _, sends = self.broker.on_result(result, t)
         for req, target in sends:
             self._send_task_req(req, target, t)
 
@@ -475,6 +476,9 @@ class Engine:
         # which has a broker
         for req, target in self.broker.heartbeat(wid, t):
             self._send_task_req(req, target, t)
+
+    def _send_heartbeat(self, t: float, wid: str) -> None:
+        self._send(self.workers[wid], self.ego_id, t, bus.MSG_HEARTBEAT, f"hb/{wid}")
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         self._send(self.workers[wid], self.ego_id, t, bus.MSG_TASK_RESP,
@@ -540,6 +544,8 @@ class Engine:
                 self.on_metric(time)
             elif kind == KIND_DELIVER:
                 self.on_deliver(time, *data)
+            elif kind == KIND_HEARTBEAT:
+                self._send_heartbeat(time, data)
             else:
                 self.on_task_complete(time, *data)
         return self._build_report()

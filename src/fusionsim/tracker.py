@@ -517,6 +517,15 @@ class Tracker:
     def newest_key(self) -> BatchKey | None:
         return self._history[-1][0] if self._history else None
 
+    @property
+    def cutoff(self) -> float:
+        """The time before which no batch is kept: ``snapshot_horizon``
+        before the last step, -inf before the first.  Once a batch was
+        pruned, every batch before the cutoff is refused."""
+        if self.last_time is None:
+            return -math.inf
+        return self.last_time - self.config.snapshot_horizon
+
     def process_batch(self, key: BatchKey, detections: Detections) -> bool:
         """Apply a detection batch at its global key, stepping at the key's
         time; returns False when the batch predates every retained entry
@@ -543,7 +552,7 @@ class Tracker:
             self._history = history
             self._restore(held)
             raise
-        cutoff = self.last_time - self.config.snapshot_horizon
+        cutoff = self.cutoff
         stale = 0
         while stale < len(self._history) - 1 and self._history[stale][0][0] < cutoff:
             stale += 1

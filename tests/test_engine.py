@@ -44,15 +44,18 @@
   - R5, stream independence: in every mode, a sensor agent added 7 km
     away, its id sorting first or last, leaves the ego's track lines and
     every other replay line byte-identical.
-* periodic events: each sensor and the metric sampler keep one event in
-  the heap, yet a run handles the events, in the order, of a reference
-  schedule that pushes every periodic event up front, and gives its
-  bytes, on drawn scenes of 0-3 sensor agents at coinciding and
-  non-coinciding rates, live or from an edited replay; a delivery at a
-  tick time, injected or over a link without latency, runs after every
-  tick and metric sample at that time; and building an hour-long run
-  holds one event per source (with ``cr-dist``'s heartbeats) and
-  allocates no more than building 30 s, but for the heartbeats.
+* a sensor-less ego: every mode runs, and ``cr-dist`` submits no task;
+* periodic events: each sensor, the metric sampler and each ``cr-dist``
+  worker's heartbeat keep one event in the heap, yet a run handles the
+  events, in the order, of a reference schedule that pushes every
+  periodic event up front, and gives its bytes, on drawn scenes of 0-3
+  sensor agents at coinciding and non-coinciding rates, live or from an
+  edited replay; a delivery at a tick time, injected or over a link
+  without latency, runs after every tick, metric sample and heartbeat
+  send at that time; a worker sends a heartbeat every
+  ``heartbeat_interval`` from 0; every run logs its frames in send order;
+  and building an hour-long run sends no frame, holds one event per
+  source and allocates no more than building 30 s.
 """
 
 import functools
@@ -71,8 +74,8 @@ from fusionsim.geometry import Pose
 from fusionsim.offload import STATUS_OK
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario import engine as engine_module
-from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_METRIC, KIND_TASK,
-                                       KIND_TICK, Engine)
+from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_HEARTBEAT, KIND_METRIC,
+                                       KIND_TASK, KIND_TICK, Engine)
 from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
 
@@ -346,6 +349,21 @@ def test_singular_edge_results_are_counted_and_skipped(scenario_dir):
 def test_tracker_singular_reported_only_when_non_zero(case):
     _, _, report = case
     assert "tracker" not in report.report["counters"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_sensor_less_ego_runs_in_every_mode(scenario_dir, mode):
+    # the ego then has no agent state: it scores and submits nothing, yet
+    # a cr-dist broker holds a tracker and the workers' heartbeats flow
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    doc["agents"][0]["sensors"] = []
+    engine = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode=mode))
+    report = engine.run().report
+    assert "ego" not in engine.agents and report["confirmed_tracks_final"]["rsu1"]
+    if mode == "cr-dist":
+        assert engine.broker.counters["submitted"] == 0 and engine.broker.conserved()
+        assert report["counters"]["bus"]["by_type"]["HEARTBEAT"] == 2 * 5
 
 
 def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
@@ -663,15 +681,16 @@ def test_r5_a_far_sensor_agent_leaves_every_other_stream_alone(scenario_dir, see
 # -- periodic events: generated as the run reaches them -----------------------
 
 HANDLERS = {KIND_TICK: "on_tick", KIND_DELIVER: "on_deliver", KIND_TASK: "on_task_complete",
-            KIND_METRIC: "on_metric"}
+            KIND_METRIC: "on_metric", KIND_HEARTBEAT: "_send_heartbeat"}
 
 
 def eager_events(engine) -> list[tuple]:
     """The reference schedule: every periodic event of ``engine``'s run
-    as (t, kind, data), built up front.  Sensor ticks and metric samples
-    are sorted by time, then agent id, then sensor index, with the metric
-    sample last; each agent's last tick at a time flushes, and nothing
-    past the end runs."""
+    as (t, kind, data), built up front.  Sensor ticks, metric samples and
+    heartbeat sends are sorted by time, then agent id, then sensor index,
+    with the metric sample after the ticks and each edge worker's
+    heartbeat send after it, in worker id order; each agent's last tick
+    at a time flushes, and nothing past the end runs."""
     sc = engine.sc
     ticks: dict[float, list] = {}
     sensors = {(a.id, i): sensor for a in sorted(sc.agents, key=lambda a: a.id)
@@ -681,13 +700,20 @@ def eager_events(engine) -> list[tuple]:
             ticks.setdefault(t, []).append(key)
     metric_n = int(np.floor(sc.duration * sc.metrics.rate + 1e-9))
     metric_times = {k / sc.metrics.rate for k in range(metric_n + 1)}
+    workers = sorted(engine.workers)
+    beat_rate = 1.0 / sc.pipeline.heartbeat_interval
+    beat_n = int(np.floor(sc.duration * beat_rate + 1e-9)) if workers else -1
+    beat_times = {k / beat_rate for k in range(beat_n + 1)}
     events = []
-    for t in sorted(t for t in ticks.keys() | metric_times if t <= sc.duration + 1e-9):
+    for t in sorted(t for t in ticks.keys() | metric_times | beat_times
+                    if t <= sc.duration + 1e-9):
         entries = sorted(ticks.get(t, []))
         last_per_agent = {aid: i for aid, i in entries}
         events += [(t, KIND_TICK, (aid, i, last_per_agent[aid] == i)) for aid, i in entries]
         if t in metric_times:
             events.append((t, KIND_METRIC, ()))
+        if t in beat_times:
+            events += [(t, KIND_HEARTBEAT, (wid,)) for wid in workers]
     return events
 
 
@@ -711,10 +737,10 @@ def recording(engine) -> list[tuple]:
 def run_eagerly(engine):
     """Run a fresh ``engine`` on the reference schedule: every periodic
     event is in the heap before the first one runs, ahead of every
-    delivery and task completion at its time, as the heartbeats sent at
-    set-up and every event pushed later are."""
-    periodic = [(t, -1, n, kind, data) for n, (t, kind, data) in enumerate(eager_events(engine))]
-    engine.heap = periodic + [entry for entry in engine.heap if entry[1] == 1]
+    delivery and task completion at its time, which are all pushed
+    later."""
+    engine.heap = [(t, 0, n, kind, data)
+                   for n, (t, kind, data) in enumerate(eager_events(engine))]
     heapq.heapify(engine.heap)
     while engine.heap:
         t, _, _, kind, data = heapq.heappop(engine.heap)
@@ -785,8 +811,8 @@ def test_periodic_events_run_in_the_reference_schedules_order(
 
     lazy, eager = engine(), engine()
     handled, expected = recording(lazy), recording(eager)
-    # one event per sensor and the metric sampler, and cr-dist's heartbeats
-    assert len(lazy.heap) <= sum(map(len, sensor_lists)) + 1 + lazy.bus_counts["sent"]
+    # one event per sensor, the metric sampler and each cr-dist worker
+    assert len(lazy.heap) <= sum(map(len, sensor_lists)) + 1 + len(lazy.workers)
     report, reference = lazy.run(), run_eagerly(eager)
     assert handled == expected
     assert outputs(report) == outputs(reference)
@@ -818,28 +844,42 @@ def test_an_injected_delivery_at_a_tick_time_follows_every_periodic_event(scenar
         (0.5, KIND_METRIC, ()), (0.5, *delivery)]
 
 
+def test_heartbeat_sends_follow_the_metric_sample_in_worker_order(scenario_dir):
+    # in cr-dist, each edge worker's heartbeat is a periodic source ranked
+    # after the metric sampler: at 0.5 s the ticks, the metric sample, the
+    # w0 and w1 heartbeat sends, then a delivery injected at that time
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist")
+    delivery = (KIND_DELIVER, ("ego", _frame(500_000_000, bus.MSG_HEARTBEAT, "hb/edge1/w0")))
+    at_half = [e for e in handled_run(sc, [(0.5, *delivery)]) if e[0] == 0.5]
+    assert at_half == [
+        (0.5, KIND_TICK, ("ego", 0, False)), (0.5, KIND_TICK, ("ego", 1, True)),
+        (0.5, KIND_TICK, ("rsu1", 0, False)), (0.5, KIND_TICK, ("rsu1", 1, True)),
+        (0.5, KIND_METRIC, ()), (0.5, KIND_HEARTBEAT, ("edge1/w0",)),
+        (0.5, KIND_HEARTBEAT, ("edge1/w1",)), (0.5, *delivery)]
+
+
 @pytest.mark.parametrize("mode", ["cr-covi", "cr-dist"])
 def test_a_delivery_over_a_link_without_latency_follows_every_periodic_event(
         scenario_dir, mode):
     # with no latency or jitter a frame arrives when it is sent, at a tick
     # time: cr-covi's track broadcasts, and cr-dist's task requests and
-    # heartbeats (sent at set-up, every 0.5 s); each runs after every
-    # tick and metric sample at its time
+    # heartbeats (sent every 0.5 s); each runs after every tick, metric
+    # sample and heartbeat send at its time
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 2.0
     doc["network"] = {"default": {"base_latency": 0.0, "jitter": 0.0}}
     handled = handled_run(apply_overrides(load_scenario(json.dumps(doc)), mode=mode))
-    periodic = {KIND_TICK, KIND_METRIC}
+    periodic = {KIND_TICK, KIND_METRIC, KIND_HEARTBEAT}
     last_periodic = {t: n for n, (t, kind, _) in enumerate(handled) if kind in periodic}
     late = [(n, t) for n, (t, kind, _) in enumerate(handled) if kind == KIND_DELIVER]
     assert sum(t in last_periodic for _, t in late) >= 10
     assert all(n > last_periodic.get(t, -1) for n, t in late)
 
 
-# the slack on Engine()'s peak allocation, and the most a heartbeat sent
-# at set-up may add to it: its heap entry, frame and frame-log entry
+# the slack on Engine()'s peak allocation
 SET_UP_SLACK = 64 * 1024
-HEARTBEAT_BYTES = 1024
 
 
 def set_up_peak(sc) -> tuple:
@@ -854,11 +894,10 @@ def set_up_peak(sc) -> tuple:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_engine_set_up_does_not_grow_with_the_run(scenario_dir, mode):
-    # an hour of urban with a generated crowd: set-up holds one event per
-    # periodic source (4 sensors and the metric sampler), not the
-    # 252,005 of the whole run, and allocates no more than for 30 s.
-    # cr-dist still sends every heartbeat at set-up (2 workers every
-    # 0.5 s), which the heap and the allocation bound count.
+    # an hour of urban with a generated crowd: set-up sends no frame and
+    # holds one event per periodic source (4 sensors, the metric sampler
+    # and, in cr-dist, the heartbeats of 2 workers), not the 252,005 of
+    # the whole run, and allocates no more than for 30 s
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["objects"] = crowd_grid(12)
 
@@ -866,16 +905,31 @@ def test_engine_set_up_does_not_grow_with_the_run(scenario_dir, mode):
         return apply_overrides(load_scenario(json.dumps(dict(doc, duration=duration))),
                                mode=mode)
 
-    def heartbeats(sc):
-        if mode != "cr-dist":
-            return 0
-        return 2 * (int(sc.duration / sc.pipeline.heartbeat_interval) + 1)
-
     short, long = scene(30.0), scene(3600.0)
     set_up_peak(short)  # warm-up: first-use caches are not the run's
     _, short_peak = set_up_peak(short)
     engine, long_peak = set_up_peak(long)
-    assert engine.bus_counts["sent"] == heartbeats(long)
-    assert len(engine.heap) <= 5 + heartbeats(long)
-    assert long_peak <= short_peak + SET_UP_SLACK + \
-        HEARTBEAT_BYTES * (heartbeats(long) - heartbeats(short))
+    assert len(engine.workers) == (2 if mode == "cr-dist" else 0)
+    assert engine.bus_counts["sent"] == 0
+    assert len(engine.heap) <= 5 + len(engine.workers)
+    assert long_peak <= short_peak + SET_UP_SLACK
+
+
+def test_each_worker_sends_a_heartbeat_every_interval(scenario_dir):
+    # at 0.3 s intervals over 2 s: at 0, 0.3, ..., 1.8 s, 7 per worker
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    doc["pipeline"]["heartbeat_interval"] = 0.3
+    report = Engine(apply_overrides(load_scenario(json.dumps(doc)), mode="cr-dist")).run()
+    heartbeat = bus.MSG_TYPES[bus.MSG_HEARTBEAT]
+    for wid in ("edge1/w0", "edge1/w1"):
+        sent = [f["t_send"] for f in report.report["frames"]
+                if f["type"] == heartbeat and f["topic"] == f"hb/{wid}"]
+        assert sent == pytest.approx([0.3 * k for k in range(7)], abs=1e-12)
+
+
+def test_frames_are_logged_in_send_order(case):
+    sc, _, report = case
+    sent = [f["t_send"] for f in report.report["frames"]]
+    assert sent == sorted(sent)
+    assert bool(sent) == (sc.pipeline.mode != "cr")

@@ -40,10 +40,11 @@ def det(pos, var=0.04):
     return Detections(np.array([pos], dtype=float), var * np.eye(3)[None])
 
 
-def broker_of(n, **kwargs):
+def broker_of(n, tracker=None, **kwargs):
     """A broker with workers ``edge/w0`` .. ``edge/w{n-1}``, each last
-    heard at 0, as the engine registers them."""
-    return Broker(workers={f"edge/w{i}": 0.0 for i in range(n)}, **kwargs)
+    heard at 0, as the engine registers them, and ``tracker`` (a new
+    one by default)."""
+    return Broker(tracker or Tracker(), workers={f"edge/w{i}": 0.0 for i in range(n)}, **kwargs)
 
 
 def pending_on(*worker_ids):
@@ -71,7 +72,7 @@ class TestDispatch:
         assert broker.queue == [req(3)]
 
     def test_no_workers(self):
-        broker = Broker()
+        broker = Broker(Tracker())
         assert broker.submit(req(1), 0.0) is None
         assert broker.queue == [req(1)]
 
@@ -87,12 +88,11 @@ class TestDispatch:
     def test_fairness(self):
         broker = broker_of(4)
         counts = dict.fromkeys(broker.workers, 0)
-        tk = Tracker()
         for k in range(100):
             # instant completion: the task settles before the next one
             counts[broker.submit(req(k), 0.0)] += 1
             failed = TaskResult(k, STATUS_FAILED, 0.0, NO_DETECTIONS)
-            assert broker.on_result(failed, tk, 0.0) == (False, [])
+            assert broker.on_result(failed, 0.0) == (False, [])
         # re-saturate: with k idle workers and n >> k uniform tasks,
         # per-worker counts differ by at most one
         assert max(counts.values()) - min(counts.values()) <= 1
@@ -256,7 +256,7 @@ class TestPayload:
 class TestBrokerConservation:
     def test_every_task_terminates_once(self):
         broker = broker_of(2, timeout=1.0, queue_bound=2)
-        tk = Tracker()
+        tk = broker.tracker
         now = 0.0
         # 6 submissions: 2 dispatched, 2 queued, 2 dropped (queue full)
         for k in range(6):
@@ -264,11 +264,11 @@ class TestBrokerConservation:
         assert broker.counters["queue_dropped"] == 2
         # worker 0 returns ok; queue drains one task onto it
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
-        applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]), tk, 0.0)
+        applied, sends = broker.on_result(edge_result(0, 0.0, [5.1, 0, 0]), 0.0)
         assert applied and len(sends) == 1
         # worker 1 fails its task
         applied, _ = broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS),
-                                      tk, 0.1)
+                                      0.1)
         assert not applied
         # remaining two pending tasks expire twice on their live workers:
         # retry then drop
@@ -286,21 +286,20 @@ class TestBrokerConservation:
 
     def test_late_result_for_settled_task_ignored(self):
         broker = broker_of(1, timeout=0.5)
-        tk = Tracker()
         broker.submit(req(1, t=0.0), 0.0)
         broker.reap(1.0)   # retry once
         broker.reap(2.0)   # second expiry: dropped
         assert broker.counters["timeout_dropped"] == 1
-        applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), tk, 2.1)
+        applied, _ = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), 2.1)
         assert not applied
         assert broker.conserved()
 
     def test_result_for_unknown_task_ignored(self):
         broker = broker_of(1, timeout=10.0)
-        tk = Tracker()
+        tk = broker.tracker
         broker.submit(req(1, t=0.0), 0.0)
         before = dict(broker.counters)
-        applied, _ = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), tk, 0.1)
+        applied, _ = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), 0.1)
         assert not applied
         assert broker.counters == before
         assert len(tk.tracks) == 0
@@ -309,18 +308,18 @@ class TestBrokerConservation:
 
     def test_stray_result_leaves_its_worker_busy(self):
         broker = broker_of(1, timeout=10.0)
-        tk = Tracker()
+        tk = broker.tracker
         assert broker.submit(req(1, t=0.0), 0.0) == "edge/w0"
         assert broker.submit(req(2, t=0.0), 0.0) is None  # queued
         # w0 still holds task 1: a result for task 999 frees nothing
-        applied, sends = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), tk, 0.1)
+        applied, sends = broker.on_result(edge_result(999, 0.0, [5, 0, 0]), 0.1)
         assert (applied, sends) == (False, [])
         assert broker.queue == [req(2, t=0.0)]
         assert broker.pending[2].worker_id is None
         assert broker.submit(req(3, t=0.1), 0.1) is None
         # task 1's own result frees w0, and the queue drains onto it
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
-        applied, sends = broker.on_result(edge_result(1, 0.0, [5.1, 0, 0]), tk, 0.2)
+        applied, sends = broker.on_result(edge_result(1, 0.0, [5.1, 0, 0]), 0.2)
         assert applied and sends == [(req(2, t=0.0), "edge/w0")]
         assert broker.conserved()
 
@@ -328,18 +327,17 @@ class TestBrokerConservation:
         # w0 dies holding task 1, whose retry waits for w1, busy with task 2;
         # task 1's late result settles it and takes it out of the queue
         broker = broker_of(2, timeout=100.0, heartbeat_interval=0.5)
-        tk = Tracker()
         broker.submit(req(1), 0.0)
         broker.submit(req(2), 0.0)
         broker.workers["edge/w1"] = 10.0
         assert broker.reap(10.0) == []
         assert broker.queue == [req(1)] and broker.pending[1].worker_id is None
         failed = TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS)
-        assert broker.on_result(failed, tk, 10.1) == (False, [])
+        assert broker.on_result(failed, 10.1) == (False, [])
         assert broker.queue == [] and list(broker.pending) == [2]
         # freeing w1 finds no queued task left to send
         failed = TaskResult(2, STATUS_FAILED, 0.0, NO_DETECTIONS)
-        assert broker.on_result(failed, tk, 10.2) == (False, [])
+        assert broker.on_result(failed, 10.2) == (False, [])
         assert broker.counters["failed"] == 2 and broker.pending == {}
         assert broker.conserved()
 
@@ -347,25 +345,46 @@ class TestBrokerConservation:
         # a failed result for a pending task inside the horizon is counted
         # failed, and its detections never reach the tracker
         broker = broker_of(1, timeout=10.0)
-        tk = Tracker()
+        tk = broker.tracker
         tk.process_batch((0.0, LANE_LOCAL, 0), det([5, 0, 0]))
         broker.submit(req(1, t=0.0), 0.0)
         before = tracker_state(tk)
         failed = TaskResult(1, STATUS_FAILED, 0.0, det([5.1, 0, 0]))
-        assert broker.on_result(failed, tk, 0.1) == (False, [])
+        assert broker.on_result(failed, 0.1) == (False, [])
         assert broker.counters["failed"] == 1 and broker.pending == {}
         assert tracker_state(tk) == before
 
     def test_stale_result_counted(self):
-        broker = broker_of(1, timeout=10.0)
         tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
+        broker = broker_of(1, timeout=10.0, tracker=tk)
         for key, dets in local_batches(n=50, dt=0.05):
             tk.process_batch(key, dets)
         broker.submit(req(7, t=0.1), 0.1)
-        applied, _ = broker.on_result(edge_result(7, 0.1, [5, 0, 0]), tk, 2.45)
+        applied, _ = broker.on_result(edge_result(7, 0.1, [5, 0, 0]), 2.45)
         assert not applied
         assert broker.counters["stale_dropped"] == 1
         assert broker.conserved()
+
+    def test_a_queued_task_whose_frame_is_stale_is_settled_unsent(self):
+        # tasks 2 and 3 wait behind task 1 while the tracker steps to
+        # 2.45 s, so its cutoff is 1.45 s: a drain settles task 2 (frame
+        # 0.05 s) unsent even while no worker is idle, and task 3 (frame
+        # 2 s) waits for w0, which task 1's stale result frees
+        tk = Tracker(TrackerConfig(snapshot_horizon=1.0))
+        broker = broker_of(1, timeout=10.0, heartbeat_interval=10.0, tracker=tk)
+        assert broker.submit(req(1, t=0.0), 0.0) == "edge/w0"
+        assert broker.submit(req(2, t=0.05), 0.05) is None
+        assert broker.submit(req(3, t=2.0), 2.0) is None
+        for key, dets in local_batches(n=50, dt=0.05):
+            tk.process_batch(key, dets)
+        assert tk.cutoff == pytest.approx(1.45)
+        assert broker.reap(2.45) == [] and broker.queue == [req(3, t=2.0)]
+        assert broker.counters["stale_dropped"] == 1
+        applied, sends = broker.on_result(edge_result(1, 0.0, [5, 0, 0]), 2.45)
+        assert not applied and sends == [(req(3, t=2.0), "edge/w0")]
+        assert broker.counters["stale_dropped"] == 2 and broker.conserved()
+        # the tracker refuses task 2's frame from then on
+        assert not integrate(tk, edge_result(2, 0.05, [5, 0, 0]))
 
 
 class TestReapTimeouts:
@@ -447,7 +466,7 @@ class TestReapTimeouts:
         broker = broker_of(3, timeout=100.0, heartbeat_interval=0.5)
         assert broker.submit(req(1), 0.0) == "edge/w0"
         assert broker.on_result(TaskResult(1, STATUS_FAILED, 0.0, NO_DETECTIONS),
-                                Tracker(), 0.0) == (False, [])
+                                0.0) == (False, [])
         broker.heartbeat("edge/w1", 10.0)
         broker.heartbeat("edge/w2", 10.0)
         assert broker.reap(10.0) == [] and broker.rr_cursor == 1
@@ -470,23 +489,27 @@ WORKERS = ("edge/w0", "edge/w1")
 
 class BrokerMachine(RuleBasedStateMachine):
     """Random sequences of submissions, results (on time, late, stray and
-    failed), timeout reaps, and heartbeats lost and back on one or two
-    workers.  After every step the broker conserves tasks, names each
-    worker in at most one pending task, and leaves no registered worker
-    idle while a task waits.  A reap expires a task on a live worker only once it has
-    been on that worker for longer than the timeout since it was last
-    sent, also when it waited in the queue before, and never expires a
-    task that waits in the queue.
+    failed), timeout reaps, ego tracker steps, and heartbeats lost and
+    back on one or two workers.  After every step the broker conserves
+    tasks, names each worker in at most one pending task, and leaves no
+    registered worker idle while a task waits.  A reap expires a task on a
+    live worker only once it has been on that worker for longer than the
+    timeout since it was last sent, also when it waited in the queue
+    before, and never expires a task that waits in the queue.  No task is
+    ever sent whose frame is before the tracker's cutoff, and a queued
+    task leaves the queue unsent only as stale, its frame before it.
 
     Reaps come 0.6 s apart, so a task expires at its second reap after
     submission: short enough for a retry to meet younger queued tasks in
-    a few steps."""
+    a few steps.  The tracker's horizon is shorter than a reap interval,
+    or longer than two."""
 
-    @initialize(n_workers=st.sampled_from([1, 2]))
-    def start(self, n_workers):
+    @initialize(n_workers=st.sampled_from([1, 2]), horizon=st.sampled_from([0.5, 1.5]))
+    def start(self, n_workers, horizon):
+        self.tracker = Tracker(TrackerConfig(snapshot_horizon=horizon))
         self.broker = broker_of(n_workers, timeout=1.0, queue_bound=2,
-                             heartbeat_interval=0.5)
-        self.tracker = Tracker()
+                                heartbeat_interval=0.5, tracker=self.tracker)
+        self.steps = 0
         self.now = 0.0
         self.submitted: list[int] = []
         self.workers = WORKERS[:n_workers]
@@ -495,6 +518,7 @@ class BrokerMachine(RuleBasedStateMachine):
 
     def sent(self, sends):
         for request, _ in sends:
+            assert request.frame_time >= self.tracker.cutoff
             self.sent_at[request.task_id] = self.now
 
     @rule()
@@ -503,6 +527,12 @@ class BrokerMachine(RuleBasedStateMachine):
         self.submitted.append(task_id)
         if self.broker.submit(req(task_id, t=self.now), self.now) is not None:
             self.sent_at[task_id] = self.now
+
+    @rule()
+    def ego_step(self):
+        # the ego's local batch at the current time, as a flush makes it
+        self.steps += 1
+        self.tracker.process_batch((self.now, LANE_LOCAL, self.steps), NO_DETECTIONS)
 
     @rule()
     def reap(self):
@@ -520,7 +550,11 @@ class BrokerMachine(RuleBasedStateMachine):
             # one on a worker that died expires whatever its age
             if self.broker.pending.get(task_id) is pend:
                 continue
-            assert task_id in on_worker
+            if task_id not in on_worker:
+                # a queued task leaves unsent only settled stale
+                assert task_id not in self.broker.pending
+                assert pend.req.frame_time < self.tracker.cutoff
+                continue
             if pend.worker_id in alive:
                 assert self.now - self.sent_at[task_id] > self.broker.timeout
         self.sent(sends)
@@ -535,7 +569,7 @@ class BrokerMachine(RuleBasedStateMachine):
         frame_time = self.broker.pending[task_id].req.frame_time
         result = edge_result(task_id, frame_time, [5.0, 0.0, 0.0]) if ok else \
             TaskResult(task_id, STATUS_FAILED, frame_time, NO_DETECTIONS)
-        self.sent(self.broker.on_result(result, self.tracker, self.now)[1])
+        self.sent(self.broker.on_result(result, self.now)[1])
         assert task_id not in self.broker.pending
 
     @rule(k=st.integers(0, 7))
@@ -545,7 +579,7 @@ class BrokerMachine(RuleBasedStateMachine):
         task_id = settled[k % len(settled)] if k < len(settled) else 10_000 + k
         before = (dict(self.broker.counters), dict(self.broker.pending), list(self.broker.queue))
         result = edge_result(task_id, 0.0, [5.0, 0.0, 0.0])
-        assert self.broker.on_result(result, self.tracker, self.now) == (False, [])
+        assert self.broker.on_result(result, self.now) == (False, [])
         assert (self.broker.counters, self.broker.pending, self.broker.queue) == before
 
     @rule(k=st.integers(0, 1))
