@@ -5,7 +5,9 @@ stamped with a world-from-sender pose.  On receipt the tracks are
 CV-predicted to the local clock, mapped into the receiver's tracking
 frame, associated to local tracks by position Mahalanobis distance, and
 fused by covariance intersection (CI), which stays consistent when the
-cross-platform correlation is unknown.  Fusion builds a new track batch
+cross-platform correlation is unknown.  A remote track is associated
+first with the local track it last fused into or spawned
+(``CollabState.links``).  Fusion builds a new track batch
 (``tracker.Tracks``) and replaces the tracker's; it is outside rollback
 (see ``Tracker``).
 
@@ -20,14 +22,13 @@ reuses that work for the fused estimates.  A pair that fails a check is
 left out without touching the rest of the stack, and every other pair
 gives bit for bit what it gives in a stack of its own: numpy's linear
 algebra and ``@`` work slice by slice, and the weight search runs per
-pair on Python floats.  The duplicate merge calls the same two functions
-on stacks of one.
+pair on Python floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .tracker import (
     eig_regular,
     gate_cost,
     kalman_predict,
-    position_d2,
     spawn,
 )
 from .fusion import assign
@@ -64,6 +64,7 @@ class RemoteTracks:
 
 @dataclass(frozen=True)
 class RemoteTrackMsg:
+    sender: str                  # the sending agent, named by the frame's topic
     sender_pose: Pose            # world-from-sender
     timestamp: float
     tracks: RemoteTracks
@@ -74,36 +75,41 @@ class RemoteTrackMsg:
                 "covs": self.tracks.covs.tolist()}
 
     @staticmethod
-    def from_payload(d: dict) -> "RemoteTrackMsg":
+    def from_payload(d: dict, sender: str) -> "RemoteTrackMsg":
         payload_keys(d, {"sender_pose", "timestamp", "ids", "means", "covs"})
         ids = payload_ints(d, "ids")
         tracks = RemoteTracks(tuple(ids), payload_field(d, "means", (len(ids), 6)),
                               payload_field(d, "covs", (len(ids), 6, 6)))
-        return RemoteTrackMsg(Pose.from_payload(payload_field(d, "sender_pose", dict)),
+        return RemoteTrackMsg(sender, Pose.from_payload(payload_field(d, "sender_pose", dict)),
                               payload_field(d, "timestamp", float), tracks)
 
 
 @dataclass
 class CollabState:
-    """Receiver-side counters.
+    """Receiver-side counters, and the link table.
 
     ``singular`` counts the track pairs a gate found with a singular
     summed position covariance (rcond below 1e-12).  Such a pair is never
-    fused or merged, and its remote track is skipped (see
-    ``tracker.gate_cost``).  Its key is reported only once it is non-zero,
-    so healthy runs report the same keys.
+    fused, and its remote track is skipped (see ``tracker.gate_cost``).
+    Its key is reported only once it is non-zero, so healthy runs report
+    the same keys.
+
+    ``links`` maps (sender, remote id) to the id of the local track that
+    remote track last fused into or spawned.  A sender never reuses an
+    id.  It is not a counter, so ``counters`` leaves it out.
     """
 
     received: int = 0
     stale: int = 0
     fused: int = 0
     spawned: int = 0
-    merged: int = 0
     rejected: int = 0
     singular: int = 0
+    links: dict[tuple[str, int], int] = field(default_factory=dict)
 
     def counters(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v or k != "singular"}
+        return {k: v for k, v in vars(self).items()
+                if k != "links" and (v or k != "singular")}
 
 
 def align(msg: RemoteTrackMsg, t_now: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,19 +137,33 @@ def align(msg: RemoteTrackMsg, t_now: float, q: float) -> tuple[np.ndarray, np.n
 
 
 def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
-                  state: CollabState | None = None) -> tuple[list[tuple[int, int]], list[int]]:
+                  state: CollabState | None = None,
+                  linked: Sequence[int] = ()) -> tuple[list[tuple[int, int]], list[int]]:
     """One-to-one pairing of local tracks with the remote tracks of stacked
     ``means`` and ``covs``, on position-block Mahalanobis distance.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
     ``gamma``, the tracker's ``TrackerConfig.gamma``, by ``tracker.gate_cost``.
-    Returns the (local, remote) pairs and the remote tracks skipped for a
-    pair with a singular summed covariance, which ``state`` counts.
+    ``linked`` gives, per remote track, the local row it is linked to, or
+    -1.  A remote track pairs with its linked row first when the two gate;
+    a row takes at most one such pair, that of the first remote track in
+    order.  The other rows and remote tracks then go through one
+    ``assign``.  Returns the (local, remote) pairs, sorted by local row,
+    and the remote tracks skipped for a pair with a singular summed
+    covariance, which ``state`` counts.
     """
     cost, skipped, singular = gate_cost(local.means, local.covs, means, covs, gamma)
     if state is not None:
         state.singular += singular
-    return assign(cost), skipped
+    first: dict[int, int] = {}
+    for j, i in enumerate(linked):
+        if i >= 0 and i not in first and cost[i, j] < np.inf:
+            first[i] = j
+    if not first:
+        return assign(cost), skipped
+    cost[list(first)] = np.inf
+    cost[:, list(first.values())] = np.inf
+    return sorted([*first.items(), *assign(cost)]), skipped
 
 
 def _trace_minimum(c: list[float], d: list[float]) -> float:
@@ -332,13 +352,19 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     object and is dropped, which keeps re-broadcast loops from breeding
     phantom tracks.  Fusion and spawning follow the tracker's own hit and
     spawn rules, so both count as a sighting for M-of-N confirmation.
-    Association, the spawn check and the duplicate merge all gate at the
-    tracker's ``TrackerConfig.gamma``; prediction uses its ``q``.  A remote
-    track in a pair with a singular summed covariance is neither fused nor
+    Association and the spawn check gate at the tracker's
+    ``TrackerConfig.gamma``; prediction uses its ``q``.  A remote track in
+    a pair with a singular summed covariance is neither fused nor
     spawned, and the pair is counted (``tracker.gate_cost``).  Per-message
     failures are counted and never abort the step: a message older than
     ``staleness`` counts as stale, and one ``align`` refuses as rejected.
     A matched pair that CI cannot fuse is neither fused nor spawned.
+
+    Each fusion and spawn links its (sender, remote id) to its local track
+    in ``state.links``, which association tries first (``t2t_associate``),
+    so a remote track keeps fusing into one local track rather than
+    breeding a twin.  A step with messages first drops the links to dead
+    tracks; a step without messages changes nothing.
 
     Each message is one stack: it is aligned in one call, its matched
     pairs go through one ``ci_omega`` and one ``ci_fuse``, each pair
@@ -348,7 +374,11 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     before it.  Each message assigns ``tracker.tracks`` and ``next_id``
     once.
     """
+    if not msgs:
+        return
     cfg = tracker.config
+    alive = set(tracker.tracks.ids.tolist())
+    links = state.links = {key: lid for key, lid in state.links.items() if lid in alive}
     for msg in msgs:
         state.received += 1
         # staleness >= 0 (see PipelineConfig): no stale message is also
@@ -362,7 +392,11 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             state.rejected += 1
             continue
         tracks = tracker.tracks
-        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state)
+        ids = tracks.ids.tolist()
+        keys = [(msg.sender, rid) for rid in msg.tracks.ids]
+        row_of = {lid: i for i, lid in enumerate(ids)}
+        linked = [row_of.get(links.get(key), -1) for key in keys]
+        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state, linked)
         done = set(skipped)  # fused, or skipped for a singular pair
         if pairs:
             rows, cols = (list(line) for line in zip(*pairs))
@@ -370,6 +404,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             fused, means, covs = ci_fuse(tracks.means[rows], means_r[cols], ci)
             fused = fused.tolist()
             tracks = tracks.sighted([rows[n] for n in fused], means, covs, cfg.confirm_m)
+            links.update((keys[cols[n]], ids[rows[n]]) for n in fused)
             done.update(cols[n] for n in fused)
             state.fused += len(fused)
         fresh = [j for j in range(len(msg.tracks)) if j not in done]
@@ -378,9 +413,9 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
         if born:
             tracks = tracks.then(spawn(tracker.next_id, means_r[born], symmetrize(covs_r[born]),
                                        t_now, cfg))
+            links.update((keys[j], tracker.next_id + n) for n, j in enumerate(born))
         state.spawned += len(born)
         tracker.tracks, tracker.next_id = tracks, tracker.next_id + len(born)
-    _merge_duplicates(tracker, state)
 
 
 def _spawning(tracks: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
@@ -409,57 +444,3 @@ def _spawning(tracks: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
         if spawns:
             born.append(j)
     return born
-
-
-def _merge_duplicates(tracker: Tracker, state: CollabState) -> None:
-    """CI-merge local track pairs that mutually gate on position.
-
-    Repeated remote fusion can keep an accidental twin of a well-tracked
-    object alive indefinitely (the remote feed alternates between the
-    pair); folding such pairs into the elder track keeps one estimate per
-    object without touching genuinely distinct neighbors.  A new elder
-    takes the old one's row in the one assignment of the pass.
-
-    All pairs are gated in one call up front, and an elder's row of it
-    is read in the elder's turn.  Only elders are replaced, each in its
-    own turn, so the elder and every younger live track are then still
-    the published tracks that call gated.  After a merge the younger
-    live tracks are gated again against the moved elder.  A pair with a
-    singular summed covariance is inf, so never merged, and is counted.
-    Each merge is a CI of a stack of one pair, since it moves the elder
-    that the next pair reads.
-    """
-    gamma = tracker.config.gamma
-    tracks = tracker.tracks  # in id order: an elder comes before its juniors
-    means, covs = tracks.means.copy(), tracks.covs.copy()
-    misses, confirmed = tracks.misses.copy(), tracks.confirmed.copy()
-    d2_all, singular = position_d2(means, covs, means, covs, gamma)
-    if singular.any():
-        state.singular += int(np.triu(singular, 1).sum())
-    n = len(tracks)
-    dead = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if dead[i]:
-            continue
-        d2 = d2_all[i]
-        for k in range(i + 1, n):
-            if dead[k] or d2[k] > gamma:
-                continue
-            fused, x, p = ci_fuse(means[i:i + 1], means[k:k + 1],
-                                  ci_omega(covs[i:i + 1], covs[k:k + 1]))
-            if not len(fused):
-                continue
-            means[i], covs[i] = x[0], p[0]
-            misses[i] = min(misses[i], misses[k])
-            confirmed[i] |= confirmed[k]
-            dead[k] = True
-            state.merged += 1
-            # the elder moved: gate the younger live tracks against its new estimate
-            live = [m for m in range(k + 1, n) if not dead[m]]
-            d2_live, singular = position_d2(means[i:i + 1], covs[i:i + 1], means[live],
-                                            covs[live], gamma)
-            state.singular += int(singular.sum())
-            d2[live] = d2_live[0]
-    if dead.any():
-        tracker.tracks = Tracks(tracks.ids, means, covs, confirmed, misses, tracks.window,
-                                tracks.stamps).take(~dead)

@@ -383,7 +383,7 @@ class Engine:
         means, covs = transform_gaussian(inverse(agent_pose), confirmed.means,
                                          symmetrize(confirmed.covs))
         tracks = RemoteTracks(tuple(confirmed.ids.tolist()), means, covs)
-        payload = canonical_dumps(RemoteTrackMsg(agent_pose, t, tracks).to_payload())
+        payload = canonical_dumps(RemoteTrackMsg(rt.spec.id, agent_pose, t, tracks).to_payload())
         for other in sorted(self.agents):
             if other != rt.spec.id:
                 self._send(rt.spec.id, other, t, bus.MSG_TRACKS, f"tracks/{rt.spec.id}", payload)
@@ -405,9 +405,10 @@ class Engine:
         """Handle one frame off the bus: parse its payload, then act on it.
         A malformed frame (not exactly one frame, a payload its parser
         refuses by the bus's rule, a topic naming no worker this engine
-        runs, or TRACKS that no flush reads: outside ``cr-covi`` or to an
-        agent without sensors) is counted under ``malformed`` and
-        skipped; the key is reported only once it is non-zero."""
+        runs, TRACKS whose topic names no sensor agent of the run, or
+        TRACKS that no flush reads: outside ``cr-covi`` or to an agent
+        without sensors) is counted under ``malformed`` and skipped; the
+        key is reported only once it is non-zero."""
         self.bus_counts["delivered"] += 1
         try:
             frame = bus.decode(data)
@@ -422,7 +423,8 @@ class Engine:
         self.bus_counts["malformed"] = self.bus_counts.get("malformed", 0) + 1
 
     def _parse_tracks(self, frame: BusFrame) -> tuple[RemoteTrackMsg]:
-        return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload)),)
+        sender = _named(frame.topic, "tracks/", self.agents)
+        return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload), sender),)
 
     def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
         # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor
@@ -433,21 +435,13 @@ class Engine:
             return
         self.agents[dst].msg_queue.append(msg)
 
-    def _worker(self, topic: str, prefix: str) -> str:
-        """The worker ``topic`` names after ``prefix``, if this engine runs
-        it; ValueError if not (only a ``cr-dist`` engine runs any)."""
-        wid = topic[len(prefix):]
-        if not topic.startswith(prefix) or wid not in self.workers:
-            raise ValueError(f"topic {topic!r} names no worker")
-        return wid
-
     def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest]:
         req = TaskRequest.from_payload(canonical_loads(frame.payload))
         # the worker reads the truth at frame_time, which world_at has
         # only inside the scenario
         if not -1e-9 <= req.frame_time <= self.sc.duration + 1e-9:
             raise ValueError(f"frame_time {req.frame_time} outside the scenario")
-        return self._worker(frame.topic, "tasks/"), req
+        return _named(frame.topic, "tasks/", self.workers), req
 
     def _on_task_req(self, t: float, dst: str, wid: str, req: TaskRequest) -> None:
         truth = self.source.truth_at(req.frame_time)
@@ -458,7 +452,7 @@ class Engine:
 
     def _parse_task_resp(self, frame: BusFrame) -> tuple[TaskResult]:
         # a result from no worker of ours is malformed
-        self._worker(frame.topic, f"results/{self.ego_id}/")
+        _named(frame.topic, f"results/{self.ego_id}/", self.workers)
         return (TaskResult.from_payload(canonical_loads(frame.payload)),)
 
     def _on_task_resp(self, t: float, dst: str, result: TaskResult) -> None:
@@ -469,7 +463,7 @@ class Engine:
     def _parse_heartbeat(self, frame: BusFrame) -> tuple[str]:
         if frame.payload:
             raise ValueError("a heartbeat's payload is empty")
-        return (self._worker(frame.topic, "hb/"),)
+        return (_named(frame.topic, "hb/", self.workers),)
 
     def _on_heartbeat(self, t: float, dst: str, wid: str) -> None:
         # the parser admits only this engine's workers, so this is cr-dist,
@@ -581,6 +575,16 @@ class Engine:
             "frames": self.frames_log,
         }
         return RunReport(report, self._track_records, self.source.records)
+
+
+def _named(topic: str, prefix: str, names) -> str:
+    """The name ``topic`` gives after ``prefix``, if ``names`` holds it:
+    a sensor agent of the run, or a worker (only a ``cr-dist`` engine runs
+    any).  ValueError if not."""
+    name = topic[len(prefix):]
+    if not topic.startswith(prefix) or name not in names:
+        raise ValueError(f"topic {topic!r} names nothing this run holds")
+    return name
 
 
 # The (parser, handler) pair of each message type an engine acts on.

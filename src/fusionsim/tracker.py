@@ -459,13 +459,13 @@ class Tracker:
     batch and never writes to a published one, so a stored state holds
     the batch itself and a restore puts it back.  Its rows are in id
     order: a new track's id is above every earlier one's, and no
-    transition reorders rows.  Remote-track fusion (``collab.covi_step``
-    and its duplicate merge) replaces ``tracks`` after the batch's entry
-    was stored and is not replayed; that is why an in-order batch steps
-    from the live state rather than from the newest entry.  It is sound
-    only because a ``cr-covi`` tracker never receives a late batch, so it
-    never rolls back.  A remote batch lane would lift that limit; no
-    workload combines the two modes, and doing so would add an option.
+    transition reorders rows.  Remote-track fusion (``collab.covi_step``)
+    replaces ``tracks`` after the batch's entry was stored and is not
+    replayed; that is why an in-order batch steps from the live state
+    rather than from the newest entry.  It is sound only because a
+    ``cr-covi`` tracker never receives a late batch, so it never rolls
+    back.  A remote batch lane would lift that limit; no workload
+    combines the two modes, and doing so would add an option.
     """
 
     def __init__(self, config: TrackerConfig | None = None):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import batch_bytes, state_bytes, tracker_state
@@ -13,7 +11,6 @@ from fusionsim.collab import (
     align,
     ci_fuse,
     ci_omega,
-    _merge_duplicates,
     covi_step,
     t2t_associate,
 )
@@ -49,12 +46,12 @@ def local_tracks(positions, cov=np.eye(6)):
     return spawn(1, means, np.tile(cov, (len(means), 1, 1)), 0.0, TrackerConfig())
 
 
-def msg(tracks, timestamp=0.0, pose=None):
-    """A message of (remote id, mean, cov) tracks, stacked."""
+def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
+    """A message from ``sender`` of (remote id, mean, cov) tracks, stacked."""
     stack = RemoteTracks(tuple(rid for rid, _, _ in tracks),
                          np.array([mean for _, mean, _ in tracks], dtype=float).reshape(-1, 6),
                          np.array([cov for _, _, cov in tracks], dtype=float).reshape(-1, 6, 6))
-    return RemoteTrackMsg(pose or Pose.identity(), timestamp, stack)
+    return RemoteTrackMsg(sender, pose or Pose.identity(), timestamp, stack)
 
 
 def fused_trace(pa, pb, w):
@@ -99,15 +96,16 @@ class TestPayload:
 
     def test_round_trip(self):
         assert sorted(self.payload()) == ["covs", "ids", "means", "sender_pose", "timestamp"]
-        back = RemoteTrackMsg.from_payload(self.payload())
-        assert back.timestamp == 0.5 and back.tracks.ids == (7, 9) and len(back.tracks) == 2
+        back = RemoteTrackMsg.from_payload(self.payload(), "ego")
+        assert back.sender == "ego" and back.timestamp == 0.5
+        assert back.tracks.ids == (7, 9) and len(back.tracks) == 2
         assert np.array_equal(back.tracks.means, [np.arange(6.0), -np.arange(6.0)])
         assert np.array_equal(back.tracks.covs, [np.eye(6), 2.0 * np.eye(6)])
 
     def test_empty_message_is_a_stack_of_zero_rows(self):
         d = msg([]).to_payload()
         assert (d["ids"], d["means"], d["covs"]) == ([], [], [])
-        back = RemoteTrackMsg.from_payload(d)
+        back = RemoteTrackMsg.from_payload(d, "rsu1")
         assert back.tracks.means.shape == (0, 6) and back.tracks.covs.shape == (0, 6, 6)
 
     @pytest.mark.parametrize("field,value", [
@@ -121,7 +119,7 @@ class TestPayload:
         d = self.payload()
         d[field] = value
         with pytest.raises(ValueError):
-            RemoteTrackMsg.from_payload(d)
+            RemoteTrackMsg.from_payload(d, "rsu1")
 
     @pytest.mark.parametrize("field,value", [
         ("remote_id", "7"), ("mean", [0.0] * 5), ("mean", ["a"] * 6), ("cov", [[1.0] * 6] * 5),
@@ -132,13 +130,13 @@ class TestPayload:
         d = self.payload()
         d[{"remote_id": "ids", "mean": "means", "cov": "covs"}[field]][0] = value
         with pytest.raises(ValueError):
-            RemoteTrackMsg.from_payload(d)
+            RemoteTrackMsg.from_payload(d, "rsu1")
 
     def test_non_finite_track_is_left_to_align(self):
         # covi_step counts such a message as rejected rather than malformed
         d = self.payload()
         d["means"][0][0] = float("nan")
-        assert np.isnan(RemoteTrackMsg.from_payload(d).tracks.means[0, 0])
+        assert np.isnan(RemoteTrackMsg.from_payload(d, "rsu1").tracks.means[0, 0])
 
 
 class TestAlign:
@@ -380,12 +378,12 @@ class TestCoviStep:
 
     def test_zero_covariance_remote_track_not_fatal(self):
         # finite and symmetric, so align keeps it: it spawns a track with a
-        # singular position block, which the duplicate merge must survive
+        # singular position block
         tk = self.make_tracker([[5.0, 0, 0]])
         state = CollabState()
         remote = [(3, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6)))]
         covi_step(tk, [msg(remote)], 0.0, state)
-        assert (state.rejected, state.spawned, state.merged) == (0, 1, 0)
+        assert (state.rejected, state.spawned) == (0, 1)
         assert len(tk.tracks) == 2
 
     def test_singular_pairs_are_not_gated_and_counted(self):
@@ -397,7 +395,7 @@ class TestCoviStep:
         state = CollabState()
         assert "singular" not in state.counters()
         covi_step(tk, [msg([(7, np.zeros(6), np.zeros((6, 6)))])], 0.0, state)
-        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 0, 0, 1)
+        assert (state.fused, state.spawned, state.singular) == (0, 0, 1)
         assert state.counters()["singular"] == 1
         assert tk.tracks.ids.tolist() == [1] and tk.next_id == 2
         # in the spawn check: two zero-covariance remote tracks at one
@@ -407,7 +405,7 @@ class TestCoviStep:
         state = CollabState()
         twins = [(k, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6))) for k in (8, 9)]
         covi_step(tk, [msg(twins)], 0.0, state)
-        assert (state.fused, state.spawned, state.merged, state.singular) == (0, 1, 0, 1)
+        assert (state.fused, state.spawned, state.singular) == (0, 1, 1)
         assert tk.tracks.ids.tolist() == [1, 2]
 
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
@@ -420,7 +418,7 @@ class TestCoviStep:
             tk.tracks, tk.next_id = local, 2
             state = CollabState()
             covi_step(tk, [msg(remote)], 0.0, state)
-            assert (state.fused, state.spawned, state.merged) == (fused, 1 - fused, 0)
+            assert (state.fused, state.spawned) == (fused, 1 - fused)
             assert len(tk.tracks) == 2 - fused
             if not fused:
                 assert np.array_equal(tk.tracks.means[0], local.means[0])
@@ -436,60 +434,94 @@ class TestCoviStep:
         assert state.spawned == 1 and state.fused == 2
 
 
-class TestMergeDuplicates:
-    def tracker_with(self, positions):
+class TestLinks:
+    """The link table: which local track each (sender, remote id) last
+    fused into or spawned."""
+
+    def test_a_linked_remote_track_fuses_into_its_track_before_a_nearer_one(self):
+        # remote 7 lies 0.2 m from track 2 and 1.8 m from track 1 and gates
+        # with both: the assignment alone picks track 2, the link track 1
+        remote = [(7, np.array([1.8, 0, 0, 0, 0, 0]), np.eye(6))]
+        for links, into in (({}, 1), ({("rsu1", 7): 1}, 0)):
+            tk = Tracker()
+            tk.tracks, tk.next_id = local_tracks([[0.0, 0, 0], [2.0, 0, 0]]), 3
+            before = tk.tracks
+            state = CollabState(links=dict(links))
+            covi_step(tk, [msg(remote)], 0.0, state)
+            assert (state.fused, state.spawned) == (1, 0)
+            assert state.links == {("rsu1", 7): into + 1}
+            moved = (tk.tracks.means != before.means).any(axis=1)
+            assert moved.tolist() == [into == 0, into == 1]
+
+    def test_a_linked_pair_that_does_not_gate_goes_to_the_assignment(self):
+        tk = Tracker()
+        tk.tracks, tk.next_id = local_tracks([[0.0, 0, 0], [20.0, 0, 0]]), 3
+        state = CollabState(links={("rsu1", 7): 1})
+        covi_step(tk, [msg([(7, np.array([20.5, 0, 0, 0, 0, 0]), np.eye(6))])], 0.0, state)
+        assert state.fused == 1 and state.links == {("rsu1", 7): 2}
+
+    def test_a_local_track_takes_the_first_remote_track_linked_to_it(self):
+        # both remote tracks are linked to track 1 and gate with it and with
+        # track 2: the first pairs with track 1, the second goes to the
+        # assignment and fuses into track 2
+        tk = Tracker()
+        tk.tracks, tk.next_id = local_tracks([[0.0, 0, 0], [1.0, 0, 0]]), 3
+        state = CollabState(links={("rsu1", 7): 1, ("rsu1", 8): 1})
+        remote = [(k, np.array([x, 0, 0, 0, 0, 0]), np.eye(6)) for k, x in ((7, 0.9), (8, 0.1))]
+        covi_step(tk, [msg(remote)], 0.0, state)
+        assert state.fused == 2 and state.links == {("rsu1", 7): 1, ("rsu1", 8): 2}
+
+    def test_a_spawned_track_takes_the_next_fusion_of_its_remote_track(self):
+        tk = Tracker()
+        state = CollabState()
+        covi_step(tk, [msg([(9, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))])], 0.0, state)
+        assert state.spawned == 1 and state.links == {("rsu1", 9): 1}
+        # a local track appears 0.1 m from the next report of remote 9,
+        # which lies 1.8 m from the spawned track: the link wins
+        tk.tracks = tk.tracks.then(spawn(2, np.array([[31.9, 0, 0, 0, 0, 0]]),
+                                         np.eye(6)[None], 0.0, tk.config))
+        tk.next_id = 3
+        spawned = tk.tracks.means[0].copy()
+        covi_step(tk, [msg([(9, np.array([31.8, 0, 0, 0, 0, 0]), np.eye(6))])], 0.0, state)
+        assert (state.fused, state.spawned) == (1, 1)
+        assert not np.array_equal(tk.tracks.means[0], spawned)
+        assert np.array_equal(tk.tracks.means[1], [31.9, 0, 0, 0, 0, 0])
+        # the same id from another sender is another remote track
+        covi_step(tk, [msg([(9, np.array([31.8, 0, 0, 0, 0, 0]), np.eye(6))], sender="ego")],
+                  0.0, state)
+        assert state.links == {("rsu1", 9): 1, ("ego", 9): 2}
+        assert "links" not in state.counters()
+
+    def test_a_link_goes_once_its_local_track_dies(self):
         tk = Tracker(TrackerConfig(confirm_m=3, confirm_n=5))
-        tk.tracks = local_tracks(positions)
-        return tk
-
-    def test_gating_pair_folds_into_lower_id(self):
-        tk = self.tracker_with([[10.0, 0, 0], [10.5, 0, 0]])
-        # a tentative elder with misses takes its confirmed junior's status
-        # and fewer misses
-        tk.tracks = replace(tk.tracks, confirmed=np.array([False, True]),
-                            misses=np.array([2, 0]))
-        published, before = tk.tracks, batch_bytes(tk.tracks)
         state = CollabState()
-        _merge_duplicates(tk, state)
-        assert batch_bytes(published) == before
-        assert tk.tracks.ids.tolist() == [1]
-        assert state.merged == 1
-        # equal covariances: CI weighs both halves alike
-        assert np.allclose(tk.tracks.means[0, :3], [10.25, 0, 0])
-        assert (tk.tracks.confirmed.tolist(), tk.tracks.misses.tolist()) == ([True], [0])
-
-    def test_merge_gates_at_the_tracker_gate_prob(self):
-        # equal unit covariances: d² = |Δ|² / 2 = 9 at Δ = sqrt(18)
-        for gate_prob, merged in ((0.99, 1), (0.95, 0)):
-            tk = self.tracker_with([[10.0, 0, 0], [10.0 + np.sqrt(18.0), 0, 0]])
-            tk.config = TrackerConfig(gate_prob=gate_prob)
-            state = CollabState()
-            _merge_duplicates(tk, state)
-            assert state.merged == merged
-            assert len(tk.tracks) == 2 - merged
-
-    def test_pair_outside_gate_stays_apart(self):
-        tk = self.tracker_with([[10.0, 0, 0], [20.0, 0, 0]])
-        state = CollabState()
-        _merge_duplicates(tk, state)
-        assert tk.tracks.ids.tolist() == [1, 2]
-        assert state.merged == 0
+        covi_step(tk, [msg([(9, np.array([30.0, 0, 0, 0, 0, 0]), np.eye(6))])], 0.0, state)
+        t = 0.0
+        while len(tk.tracks):  # a tentative track dies of its misses
+            t += 0.1
+            tk.step(detections([]), t)
+        # a step without messages changes nothing, the link included
+        covi_step(tk, [], t, state)
+        assert state.links == {("rsu1", 9): 1}
+        far = msg([(4, np.array([-30.0, 0, 0, 0, 0, 0]), np.eye(6))], timestamp=t)
+        covi_step(tk, [far], t, state)
+        assert state.links == {("rsu1", 4): 2}
 
 
 # Positions of the objects the published-track property observes; the
-# last two are close enough for remote spawns to breed twins to merge.
+# last two are close enough for one remote track to gate with both.
 OBJECTS = np.array([[5.0, 0, 0], [15.0, 4.0, 0], [25.0, -3.0, 0], [26.5, -3.0, 0]])
 
 
 @settings(max_examples=15, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(["step", "late", "covi", "merge"]),
+@given(ops=st.lists(st.tuples(st.sampled_from(["step", "late", "covi"]),
                               st.integers(0, 2**32 - 1)), min_size=1, max_size=14))
 def test_published_tracks_and_snapshots_never_change(ops):
     """Every track batch ever published in ``tracks`` and every held
     history state keeps its array bytes through any later step, late
-    batch, remote fusion or duplicate merge: transitions build new arrays
-    and never write to a published one.  Each batch is in id order, which
-    the duplicate merge relies on to find a pair's elder."""
+    batch or remote fusion: transitions build new arrays and never write
+    to a published one.  Each batch is in id order, and after a remote
+    fusion every link names a live local track."""
     tk = Tracker(TrackerConfig(confirm_m=2, confirm_n=3))
     state = CollabState()
     seen, held = {}, {}
@@ -504,12 +536,11 @@ def test_published_tracks_and_snapshots_never_change(ops):
             edge_seq += 1
             t_late = round(float(rng.uniform(max(0.0, t - 0.5), t)), 3)
             tk.process_batch((t_late, LANE_EDGE, edge_seq), detections(noisy[:2]))
-        elif op == "covi":
+        else:
             remote = [(k, np.concatenate([p, np.zeros(3)]), 0.5 * np.eye(6))
                       for k, p in enumerate(noisy)]
             covi_step(tk, [msg(remote, timestamp=t)], t, state)
-        else:
-            _merge_duplicates(tk, state)
+            assert set(state.links.values()) <= set(tk.tracks.ids.tolist())
         assert (np.diff(tk.tracks.ids) > 0).all()
         seen.setdefault(id(tk.tracks), (tk.tracks, batch_bytes(tk.tracks)))
         for *_, snap in tk._history:

@@ -167,7 +167,7 @@ def test_align_matches_per_track_reference(seed, n, age):
     tracks = RemoteTracks(tuple(rng.integers(1, 1000, n).tolist()),
                           rng.normal(0.0, 30.0, (n, 6)),
                           np.array([random_psd(rng, 6) for _ in range(n)]).reshape(n, 6, 6))
-    msg = RemoteTrackMsg(random_pose(rng), 5.0, tracks)
+    msg = RemoteTrackMsg("rsu1", random_pose(rng), 5.0, tracks)
     q = float(rng.uniform(0.1, 3.0))
     means, covs = align(msg, 5.0 + age, q)
     ref = ref_align(msg, 5.0 + age, q)

@@ -12,9 +12,10 @@
   not its frame time changes nothing; with one flaky, slow edge worker, urban
   ``cr-dist`` fills its queue, retries, fails and times out tasks, and
   is a full case, so it meets every contract here;
-* singular pairs: with noiseless radar and edge workers, the tracker and
-  collaboration gates count each pair with a singular summed covariance
-  and skip its measurement, and the run goes on; noiseless urban
+* singular pairs: with noiseless radar and edge workers, the tracker
+  gate counts each pair with a singular summed covariance and skips its
+  measurement, and the run goes on; so does the collaboration gate when
+  a peer's tracks arrive with zero covariance; noiseless urban
   ``cr-dist`` is a full case, so it meets every contract here;
 * bounded caches: the live source keeps ground truth, and the engine
   poses, for one event time only;
@@ -23,7 +24,8 @@
 * malformed frames: a delivery that is not exactly one frame, a frame
   that does not parse (a task result's status is ``ok`` or ``failed``,
   and a task request's frame time lies inside the scenario),
-  one whose topic names no worker the run has, or
+  one whose topic names no worker the run has, TRACKS whose topic names
+  no sensor agent the run has, or
   TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
   sensors), is counted and skipped, and the run goes on;
 * golden outputs: each case's outputs hash to the recorded digests, and
@@ -41,6 +43,8 @@
   - R3, ``cr-dist`` reduced to ``cr``: ``cr-dist`` with workers that fail
     every task, or with every bus frame dropped, gives ``cr``'s track
     bytes;
+  - R4, ``cr-covi`` reduced to ``cr``: ``cr-covi`` with every bus frame
+    dropped gives ``cr``'s track bytes;
   - R5, stream independence: in every mode, a sensor agent added 7 km
     away, its id sorting first or last, leaves the ego's track lines and
     every other replay line byte-identical.
@@ -293,7 +297,6 @@ def test_collaboration_fuses_remote_tracks(case):
     _, _, report = case
     collab = report.report["counters"]["collab"]
     assert sum(c["fused"] for c in collab.values()) > 0
-    assert all("merged" in c for c in collab.values())
     assert all("singular" not in c for c in collab.values())  # reported only when non-zero
 
 
@@ -368,14 +371,22 @@ def test_a_sensor_less_ego_runs_in_every_mode(scenario_dir, mode):
 
 def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     # noiseless radar detections have zero covariance, so updated tracks
-    # have (near) zero position covariance and pairs of them a singular S
+    # have (near) zero position covariance; a TRACKS frame that carries
+    # the ego's own tracks with zero covariance, delivered at 0.5 s and
+    # timestamped at the ego's next flush, so it is not predicted, makes
+    # a singular S with each of them
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 1.0
-    report = Engine(apply_overrides(load_scenario(json.dumps(noiseless(doc))),
-                                    mode="cr-covi")).run()
-    collab = report.report["counters"]["collab"]
-    assert sum(c.get("singular", 0) for c in collab.values()) > 0
-    assert sum(c["fused"] for c in collab.values()) > 0
+    sc = apply_overrides(load_scenario(json.dumps(noiseless(doc))), mode="cr-covi")
+    healthy = Engine(sc).run()
+    t, _, ids, _, stack = next(r for r in healthy.track_records if r[1] == "ego" and r[0] > 0.5)
+    frame = _tracks(500_000_000, timestamp=t, ids=list(ids), means=stack[:, 0].tolist(),
+                    covs=np.zeros((len(ids), 6, 6)).tolist())
+    engine = Engine(sc)
+    engine._push(0.5, KIND_DELIVER, ("ego", frame))
+    ego = engine.run().report["counters"]["collab"]["ego"]
+    assert ego["singular"] > 0
+    assert ego["fused"] > 0
 
 
 # A pose whose rotation is a flat list, and one whose translation is
@@ -425,8 +436,9 @@ def _malformed_frames(now_ns):
     it, and of each type with a payload, its accepted payload with one key
     more and inside a JSON list; a payload nested past the interpreter's
     recursion limit; then well-formed frames whose topic names no worker of the run (a
-    task request, two heartbeats and a task result); then one frame per
-    refused field: a task request whose ``frame_time`` is a string or
+    task request, two heartbeats and a task result) or no sensor agent of
+    it (three remote track messages, one from an agent without sensors);
+    then one frame per refused field: a task request whose ``frame_time`` is a string or
     lies outside the 2 s scenario (1e6, -3.0 and 2.5 s; the worker reads
     the truth at it) or whose ``visible_ids`` holds a float, a remote
     track message whose id count differs from its row count or whose ids
@@ -454,6 +466,8 @@ def _malformed_frames(now_ns):
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "hb/edge1/w9"))
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "heartbeat/edge1/w0"))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w9"))
+    for topic in ("tracks/edge1", "tracks/nobody", "track/rsu1"):
+        frames.append(_frame(now_ns, bus.MSG_TRACKS, topic, bus.decode(_tracks(now_ns)).payload))
     frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time="0.5"))
     for frame_time in (1e6, -3.0, 2.5):
         frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time=frame_time))
@@ -639,6 +653,20 @@ def test_r3_cr_dist_without_edge_results_gives_the_tracks_of_cr(scenario_dir, se
     assert failing.report["counters"]["offload"]["failed"] > 0
     assert failing.track_jsonl() == cr
     dropped = relation_run(scenario_dir, scene, "cr-dist", seed, dropping_links)
+    bus_counts = dropped.report["counters"]["bus"]
+    assert bus_counts["sent"] == bus_counts["dropped"] > 0
+    assert dropped.track_jsonl() == cr
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("seed", RELATION_SEEDS)
+def test_r4_cr_covi_without_remote_tracks_gives_the_tracks_of_cr(scenario_dir, seed, scene):
+    # remote tracks change the tracks when they arrive; a bus that drops
+    # every frame leaves only local fusion, and a flush with no message
+    # leaves the tracks alone
+    cr = base_run(scenario_dir, scene, "cr", seed).track_jsonl()
+    assert base_run(scenario_dir, scene, "cr-covi", seed).track_jsonl() != cr
+    dropped = relation_run(scenario_dir, scene, "cr-covi", seed, dropping_links)
     bus_counts = dropped.report["counters"]["bus"]
     assert bus_counts["sent"] == bus_counts["dropped"] > 0
     assert dropped.track_jsonl() == cr
