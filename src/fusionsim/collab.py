@@ -7,7 +7,10 @@ frame, associated to local tracks by position Mahalanobis distance, and
 fused by covariance intersection (CI), which stays consistent when the
 cross-platform correlation is unknown.  A remote track is associated
 first with the local track it last fused into or spawned
-(``CollabState.links``).  Fusion builds a new track batch
+(``CollabState.links``).  That one gate decides every remote track: it
+fuses when paired, spawns when it gates no local track, and is dropped
+as a duplicate view when it gates one but lost the assignment (see
+``covi_step``).  Fusion builds a new track batch
 (``tracker.Tracks``) and replaces the tracker's; it is outside rollback
 (see ``Tracker``).
 
@@ -140,7 +143,8 @@ def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray, gamma: flo
                   state: CollabState | None = None,
                   linked: Sequence[int] = ()) -> tuple[list[tuple[int, int]], list[int]]:
     """One-to-one pairing of local tracks with the remote tracks of stacked
-    ``means`` and ``covs``, on position-block Mahalanobis distance.
+    ``means`` and ``covs``, on position-block Mahalanobis distance, and
+    which remote tracks spawn.
 
     Cost is d^2 = Δ'(P_loc + P_rem)^-1 Δ over the position blocks, gated at
     ``gamma``, the tracker's ``TrackerConfig.gamma``, by ``tracker.gate_cost``.
@@ -149,21 +153,25 @@ def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray, gamma: flo
     a row takes at most one such pair, that of the first remote track in
     order.  The other rows and remote tracks then go through one
     ``assign``.  Returns the (local, remote) pairs, sorted by local row,
-    and the remote tracks skipped for a pair with a singular summed
-    covariance, which ``state`` counts.
+    and the remote tracks that gate no local track and form no singular
+    pair, in order: these spawn.  A remote track in a singular pair is
+    skipped, and ``state`` counts the pair.
     """
     cost, skipped, singular = gate_cost(local.means, local.covs, means, covs, gamma)
     if state is not None:
         state.singular += singular
+    gated = np.isfinite(cost).any(axis=0)
+    gated[skipped] = True
+    spawns = np.flatnonzero(~gated).tolist()
     first: dict[int, int] = {}
     for j, i in enumerate(linked):
         if i >= 0 and i not in first and cost[i, j] < np.inf:
             first[i] = j
     if not first:
-        return assign(cost), skipped
+        return assign(cost), spawns
     cost[list(first)] = np.inf
     cost[:, list(first.values())] = np.inf
-    return sorted([*first.items(), *assign(cost)]), skipped
+    return sorted([*first.items(), *assign(cost)]), spawns
 
 
 def _trace_minimum(c: list[float], d: list[float]) -> float:
@@ -342,23 +350,29 @@ def ci_fuse(xa: np.ndarray, xb: np.ndarray,
 
 def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
               state: CollabState, staleness: float = DEFAULT_STALENESS) -> None:
-    """Fold a batch of remote track messages into the local tracker.
+    """Fold a batch of remote track messages into the local tracker, at
+    its clock ``t_now`` (``Tracker.last_time``).
 
-    Aligned remote tracks that associate with a local track replace it by
-    its sighting (``Tracks.sighted``) at the CI fusion; remote tracks
-    gating with no local track spawn tentative local tracks carrying the
-    remote covariance.  A remote track that gates with some local track
-    but lost the one-to-one assignment is a duplicate view of a known
-    object and is dropped, which keeps re-broadcast loops from breeding
-    phantom tracks.  Fusion and spawning follow the tracker's own hit and
-    spawn rules, so both count as a sighting for M-of-N confirmation.
-    Association and the spawn check gate at the tracker's
-    ``TrackerConfig.gamma``; prediction uses its ``q``.  A remote track in
-    a pair with a singular summed covariance is neither fused nor
-    spawned, and the pair is counted (``tracker.gate_cost``).  Per-message
-    failures are counted and never abort the step: a message older than
-    ``staleness`` counts as stale, and one ``align`` refuses as rejected.
-    A matched pair that CI cannot fuse is neither fused nor spawned.
+    One gate decides every aligned remote track: ``t2t_associate`` gates
+    the message against the local tracks once, at the tracker's
+    ``TrackerConfig.gamma``, and
+
+    * a remote track paired with a local track replaces it by its
+      sighting (``Tracks.sighted``) at the CI fusion;
+    * one in a pair with a singular summed covariance is skipped, and the
+      pair is counted (``tracker.gate_cost``);
+    * one that gates no local track spawns a tentative local track
+      carrying the remote covariance;
+    * one that gates some local track but lost the one-to-one assignment
+      is a duplicate view of a known object and is dropped, which keeps
+      re-broadcast loops from breeding phantom tracks.
+
+    A paired remote track that CI cannot fuse is neither fused nor
+    spawned.  Fusion and spawning follow the tracker's own hit and spawn
+    rules, so both count as a sighting for M-of-N confirmation;
+    prediction uses the tracker's ``q``.  Per-message failures are
+    counted and never abort the step: a message older than ``staleness``
+    counts as stale, and one ``align`` refuses as rejected.
 
     Each fusion and spawn links its (sender, remote id) to its local track
     in ``state.links``, which association tries first (``t2t_associate``),
@@ -366,13 +380,11 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
     breeding a twin.  A step with messages first drops the links to dead
     tracks; a step without messages changes nothing.
 
-    Each message is one stack: it is aligned in one call, its matched
-    pairs go through one ``ci_omega`` and one ``ci_fuse``, each pair
-    reading its local track as it was before the message, and its
-    unmatched remote tracks are gated in one call against the tracks as
-    they were before any spawn, then each against the tracks spawned
-    before it.  Each message assigns ``tracker.tracks`` and ``next_id``
-    once.
+    Each message is one stack: it is aligned in one call and gated in
+    one, and its matched pairs go through one ``ci_omega`` and one
+    ``ci_fuse``, each pair reading its local track as it was before the
+    message.  Each message assigns ``tracker.tracks`` and ``next_id``
+    once, so the next message is gated against its fusions and spawns.
     """
     if not msgs:
         return
@@ -396,8 +408,7 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
         keys = [(msg.sender, rid) for rid in msg.tracks.ids]
         row_of = {lid: i for i, lid in enumerate(ids)}
         linked = [row_of.get(links.get(key), -1) for key in keys]
-        pairs, skipped = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state, linked)
-        done = set(skipped)  # fused, or skipped for a singular pair
+        pairs, spawns = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state, linked)
         if pairs:
             rows, cols = (list(line) for line in zip(*pairs))
             ci = ci_omega(tracks.covs[rows], covs_r[cols])
@@ -405,42 +416,10 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
             fused = fused.tolist()
             tracks = tracks.sighted([rows[n] for n in fused], means, covs, cfg.confirm_m)
             links.update((keys[cols[n]], ids[rows[n]]) for n in fused)
-            done.update(cols[n] for n in fused)
             state.fused += len(fused)
-        fresh = [j for j in range(len(msg.tracks)) if j not in done]
-        spawning = _spawning(tracks, means_r[fresh], covs_r[fresh], cfg.gamma, state)
-        born = [fresh[n] for n in spawning]
-        if born:
-            tracks = tracks.then(spawn(tracker.next_id, means_r[born], symmetrize(covs_r[born]),
-                                       t_now, cfg))
-            links.update((keys[j], tracker.next_id + n) for n, j in enumerate(born))
-        state.spawned += len(born)
-        tracker.tracks, tracker.next_id = tracks, tracker.next_id + len(born)
-
-
-def _spawning(tracks: Tracks, means: np.ndarray, covs: np.ndarray, gamma: float,
-              state: CollabState) -> list[int]:
-    """Which of a message's unmatched remote tracks spawn, as positions in
-    the stacked ``means`` and ``covs``, in order.
-
-    A remote track spawns when it gates at ``gamma`` with none of
-    ``tracks`` and none of the tracks spawned before it, and forms a
-    singular pair with none of them (``tracker.gate_cost``); ``state``
-    counts the singular pairs.  All are gated against ``tracks`` in one
-    call, then each against the tracks spawned before it, which carry its
-    predecessors' means and symmetrized covariances.
-    """
-    cost, skipped, singular = gate_cost(tracks.means, tracks.covs, means, covs, gamma)
-    state.singular += singular
-    clear = ~np.isfinite(cost).any(axis=0)
-    clear[skipped] = False
-    born: list[int] = []
-    for j, spawns in enumerate(clear.tolist()):
-        if born:
-            cost, skipped, singular = gate_cost(means[born], symmetrize(covs[born]),
-                                                means[j:j + 1], covs[j:j + 1], gamma)
-            state.singular += singular
-            spawns = spawns and not skipped and not np.isfinite(cost).any()
         if spawns:
-            born.append(j)
-    return born
+            tracks = tracks.then(spawn(tracker.next_id, means_r[spawns],
+                                       symmetrize(covs_r[spawns]), cfg))
+            links.update((keys[j], tracker.next_id + n) for n, j in enumerate(spawns))
+        state.spawned += len(spawns)
+        tracker.tracks, tracker.next_id = tracks, tracker.next_id + len(spawns)

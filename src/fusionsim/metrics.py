@@ -148,7 +148,6 @@ class MetricsAggregator:
 
     radius: float = DEFAULT_MATCH_RADIUS
     ospa_cutoff: float = DEFAULT_OSPA_CUTOFF
-    frames: int = 0
     gt_total: int = 0
     fp_total: int = 0
     fn_total: int = 0
@@ -158,6 +157,11 @@ class MetricsAggregator:
     ade_samples: list[float] = field(default_factory=list)
     fde_samples: list[float] = field(default_factory=list)
     _prev: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def frames(self) -> int:
+        """The samples scored: each appends one OSPA value."""
+        return len(self.ospa_series)
 
     def sample(self, t: float, truth_ids, truth_positions: np.ndarray,
                est_ids, est_positions: np.ndarray) -> list[tuple[int, int, float]]:
@@ -171,7 +175,6 @@ class MetricsAggregator:
                 self.id_switches += 1
             self._prev[gid] = eid
             self.matched.append(d)
-        self.frames += 1
         self.gt_total += len(truth_ids)
         self.fp_total += len(est_ids) - len(matches)
         self.fn_total += len(truth_ids) - len(matches)

@@ -482,17 +482,20 @@ class Engine:
         truth = self.source.truth_at(t)  # read even unscored: a live source records it
         if self.ego_id not in self.agents:  # sensor-less ego: nothing to score
             return
-        ego = self.agents[self.ego_id]
-        confirmed = ego.tracker.confirmed()
-        ids, means, stamps = confirmed.ids.tolist(), confirmed.means, confirmed.stamps
-        positions = means[:, :3] + means[:, 3:] * (t - stamps)[:, None]
+        tracker = self.agents[self.ego_id].tracker
+        # every estimate is at the tracker's clock; an ego that has not
+        # stepped yet (a replay can start it late) has no clock and no tracks
+        stamp = t if tracker.last_time is None else tracker.last_time
+        confirmed = tracker.confirmed()
+        ids, means = confirmed.ids.tolist(), confirmed.means
+        positions = means[:, :3] + means[:, 3:] * (t - stamp)
         matches = self.agg.sample(t, truth.ids, truth.positions, ids, positions)
         mc = self.sc.metrics
         if matches and t + mc.prediction_horizon <= self.sc.duration + 1e-9:
             row = {tid: n for n, tid in enumerate(ids)}
             gids, eids, _ = zip(*matches)
             rows = [row[eid] for eid in eids]
-            times, waypoints = predict_waypoints(means[rows], stamps[rows],
+            times, waypoints = predict_waypoints(means[rows], stamp,
                                                  mc.prediction_horizon, mc.prediction_dt)
             truth, found = self.source.positions(gids, times)
             ade, fde, scored = prediction_error(waypoints, times, truth, self.sc.duration)

@@ -101,7 +101,8 @@ class Tracks:
 
     ``window`` holds each track's last ``confirm_n`` sightings, oldest
     first, with False before the track existed: M-of-N confirmation
-    counts its True entries.  ``stamps`` is the time each estimate is for.
+    counts its True entries.  Every estimate of a batch is for one time:
+    in ``Tracker.tracks`` and every stored state, ``Tracker.last_time``.
     """
 
     ids: np.ndarray        # (n,) int
@@ -110,7 +111,6 @@ class Tracks:
     confirmed: np.ndarray  # (n,) bool; tentative where False
     misses: np.ndarray     # (n,) int, consecutive
     window: np.ndarray     # (n, confirm_n) bool
-    stamps: np.ndarray     # (n,) float
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -118,7 +118,7 @@ class Tracks:
     def take(self, rows) -> "Tracks":
         """The tracks at ``rows`` (indices or a mask), in that order."""
         return Tracks(self.ids[rows], self.means[rows], self.covs[rows], self.confirmed[rows],
-                      self.misses[rows], self.window[rows], self.stamps[rows])
+                      self.misses[rows], self.window[rows])
 
     def then(self, other: "Tracks") -> "Tracks":
         """These tracks followed by ``other``'s."""
@@ -127,8 +127,7 @@ class Tracks:
                       np.concatenate((self.covs, other.covs)),
                       np.concatenate((self.confirmed, other.confirmed)),
                       np.concatenate((self.misses, other.misses)),
-                      np.concatenate((self.window, other.window)),
-                      np.concatenate((self.stamps, other.stamps)))
+                      np.concatenate((self.window, other.window)))
 
     def sighted(self, rows: list[int], means: np.ndarray, covs: np.ndarray, confirm_m: int,
                 others_miss: bool = False) -> "Tracks":
@@ -147,10 +146,10 @@ class Tracks:
             window = np.where(hit[:, None], window, self.window)
         return Tracks(self.ids, new_means, new_covs,
                       self.confirmed | (window.sum(axis=1) >= confirm_m),
-                      np.where(hit, 0, self.misses + int(others_miss)), window, self.stamps)
+                      np.where(hit, 0, self.misses + int(others_miss)), window)
 
 
-def spawn(first_id: int, means: np.ndarray, covs: np.ndarray, stamp: float,
+def spawn(first_id: int, means: np.ndarray, covs: np.ndarray,
           config: TrackerConfig) -> Tracks:
     """Tracks born from one sighting each at the stacked ``means`` and
     ``covs``, with ids from ``first_id`` up; confirmed at once when
@@ -159,8 +158,7 @@ def spawn(first_id: int, means: np.ndarray, covs: np.ndarray, stamp: float,
     window = np.zeros((n, config.confirm_n), dtype=bool)
     window[:, -1] = True
     return Tracks(np.arange(first_id, first_id + n), means, covs,
-                  np.full(n, config.confirm_m == 1), np.zeros(n, dtype=int), window,
-                  np.full(n, stamp))
+                  np.full(n, config.confirm_m == 1), np.zeros(n, dtype=int), window)
 
 
 _POS = np.arange(3)
@@ -395,8 +393,7 @@ def predict(tracks: Tracks, dt: float, q: float) -> Tracks:
     if dt < 0:
         raise ValueError("predict needs dt >= 0")
     means, covs = kalman_predict(tracks.means, tracks.covs, dt, q)
-    return Tracks(tracks.ids, means, covs, tracks.confirmed, tracks.misses, tracks.window,
-                  tracks.stamps + dt)
+    return Tracks(tracks.ids, means, covs, tracks.confirmed, tracks.misses, tracks.window)
 
 
 def update(tracks: Tracks, rows: list[int], detections: Detections,
@@ -418,10 +415,10 @@ def gate(tracks: Tracks, detections: Detections,
     return gate_cost(tracks.means, tracks.covs, detections.positions, detections.covs, gamma)
 
 
-def predict_waypoints(means: np.ndarray, stamps: np.ndarray, horizon: float,
+def predict_waypoints(means: np.ndarray, stamp: float, horizon: float,
                       dt: float) -> tuple[np.ndarray, np.ndarray]:
     """CV waypoint extrapolation of M tracks at once: their (M, 6) ``means``,
-    each the estimate at its time in the (M,) ``stamps``.
+    the estimates at the time ``stamp``.
 
     Returns the (M, K) waypoint times ``stamp + k dt`` and the (M, K, 3)
     positions ``pos + vel (k dt)``, k = 1 .. K, K = floor(horizon / dt),
@@ -431,7 +428,7 @@ def predict_waypoints(means: np.ndarray, stamps: np.ndarray, horizon: float,
         raise ValueError("horizon and dt must be > 0")
     steps = int(math.floor(horizon / dt + 1e-9))
     ahead = np.arange(1, steps + 1) * dt
-    return (stamps[:, None] + ahead,
+    return (np.tile(stamp + ahead, (len(means), 1)),
             means[:, None, :3] + means[:, None, 3:] * ahead[:, None])
 
 
@@ -470,7 +467,7 @@ class Tracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: Tracks = spawn(1, np.empty((0, 6)), np.empty((0, 6, 6)), 0.0, self.config)
+        self.tracks: Tracks = spawn(1, np.empty((0, 6)), np.empty((0, 6, 6)), self.config)
         self.next_id = 1
         self.last_time: float | None = None
         self.singular = 0
@@ -506,7 +503,7 @@ class Tracker:
             covs = np.zeros((len(fresh), 6, 6))
             covs[:, :3, :3] = detections.covs[fresh]
             covs[:, 3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
-            tracks = tracks.then(spawn(self.next_id, means, covs, t, cfg))
+            tracks = tracks.then(spawn(self.next_id, means, covs, cfg))
 
         self.tracks, self.next_id, self.last_time = tracks, self.next_id + len(fresh), t
         self.singular += singular

@@ -43,7 +43,7 @@ def local_tracks(positions, cov=np.eye(6)):
     with covariance ``cov``."""
     positions = np.array(positions, dtype=float).reshape(-1, 3)
     means = np.concatenate([positions, np.zeros_like(positions)], axis=1)
-    return spawn(1, means, np.tile(cov, (len(means), 1, 1)), 0.0, TrackerConfig())
+    return spawn(1, means, np.tile(cov, (len(means), 1, 1)), TrackerConfig())
 
 
 def msg(tracks, timestamp=0.0, pose=None, sender="rsu1"):
@@ -173,16 +173,24 @@ class TestT2TAssociate:
     def test_far_apart_rejected(self):
         local = local_tracks([[0.0, 0, 0]])
         remote = [(np.concatenate([[100.0, 0, 0], np.zeros(3)]), np.eye(6))]
-        # d2 = 100^2 / 2 = 5000 >> 11.345
-        assert t2t_associate(local, *stacked(remote), GAMMA_99) == ([], [])
+        # d2 = 100^2 / 2 = 5000 >> 11.345: not paired, and it spawns
+        assert t2t_associate(local, *stacked(remote), GAMMA_99) == ([], [0])
+
+    def test_gated_but_unassigned_neither_pairs_nor_spawns(self):
+        # the first two remote tracks gate the one local track: the nearer
+        # pairs, the other lost the assignment and is dropped; the far
+        # third one gates nothing and spawns
+        local = local_tracks([[0.0, 0, 0]])
+        remote = [(np.array([x, 0, 0, 0, 0, 0]), np.eye(6)) for x in (2.0, 0.5, 50.0)]
+        assert t2t_associate(local, *stacked(remote), GAMMA_99) == ([(0, 1)], [2])
 
     def test_crossing_costs_optimal(self):
         local = local_tracks([[0.0, 0, 0], [4.0, 0, 0]])
         remote = [(np.array([3.5, 0, 0, 0, 0, 0]), np.eye(6)),
                   (np.array([0.5, 0, 0, 0, 0, 0]), np.eye(6))]
-        pairs, skipped = t2t_associate(local, *stacked(remote), GAMMA_99)
+        pairs, spawns = t2t_associate(local, *stacked(remote), GAMMA_99)
         assert sorted(pairs) == [(0, 1), (1, 0)]
-        assert skipped == []
+        assert spawns == []
 
 
 class TestCiOmega:
@@ -398,15 +406,34 @@ class TestCoviStep:
         assert (state.fused, state.spawned, state.singular) == (0, 0, 1)
         assert state.counters()["singular"] == 1
         assert tk.tracks.ids.tolist() == [1] and tk.next_id == 2
-        # in the spawn check: two zero-covariance remote tracks at one
-        # place far from a regular local track; the first spawns, and the
-        # second is singular against it, so it is skipped
+        # two zero-covariance remote tracks at one place far from a
+        # regular local track gate no local track, so both spawn, as two
+        # such detections in one batch do in ``Tracker.step``
         tk.tracks = local_tracks([[0.0, 0, 0]])
         state = CollabState()
         twins = [(k, np.array([30.0, 0, 0, 0, 0, 0]), np.zeros((6, 6))) for k in (8, 9)]
         covi_step(tk, [msg(twins)], 0.0, state)
-        assert (state.fused, state.spawned, state.singular) == (0, 1, 1)
-        assert tk.tracks.ids.tolist() == [1, 2]
+        assert (state.fused, state.spawned, state.singular) == (0, 2, 0)
+        assert tk.tracks.ids.tolist() == [1, 2, 3]
+
+    def test_a_remote_track_that_gated_before_a_fusion_is_dropped(self):
+        # wide local track L at 0; tight remote A on L and tight remote B
+        # 5 m off: B gates L (d² = 25 / 10.01), but A wins the assignment
+        # and the fusion shrinks L until B would not gate it any more.  The
+        # one gate before the fusion decides: B lost the assignment, so it
+        # is dropped rather than spawned
+        tk = Tracker()
+        tk.tracks, tk.next_id = local_tracks([[0.0, 0, 0]], 10.0 * np.eye(6)), 2
+        state = CollabState()
+        remote = [(k, np.array([x, 0, 0, 0, 0, 0]), 0.01 * np.eye(6)) for k, x in ((7, 0.0),
+                                                                                   (8, 5.0))]
+        covi_step(tk, [msg(remote)], 0.0, state)
+        assert (state.fused, state.spawned) == (1, 0)
+        assert tk.tracks.ids.tolist() == [1] and tk.next_id == 2
+        assert state.links == {("rsu1", 7): 1}
+        # B against L after the fusion: far outside the gate
+        d2 = 25.0 / (tk.tracks.covs[0, 0, 0] + 0.01)
+        assert d2 > 10 * GAMMA_99
 
     def test_collaboration_gates_at_the_tracker_gate_prob(self):
         # S = P_loc + P_rem = I and Δ = 3 m: d² = 9, inside the 0.99 gate
@@ -479,7 +506,7 @@ class TestLinks:
         # a local track appears 0.1 m from the next report of remote 9,
         # which lies 1.8 m from the spawned track: the link wins
         tk.tracks = tk.tracks.then(spawn(2, np.array([[31.9, 0, 0, 0, 0, 0]]),
-                                         np.eye(6)[None], 0.0, tk.config))
+                                         np.eye(6)[None], tk.config))
         tk.next_id = 3
         spawned = tk.tracks.means[0].copy()
         covi_step(tk, [msg([(9, np.array([31.8, 0, 0, 0, 0, 0]), np.eye(6))])], 0.0, state)

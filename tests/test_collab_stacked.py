@@ -3,7 +3,7 @@ bit for bit.
 
 ``align`` predicts and maps all tracks of a message at once, covariance
 intersection runs once over the stack of a message's matched pairs, and
-the spawn check gates all unmatched remote tracks in one call.  The
+association decides which remote tracks spawn from one all-pairs gate.  The
 references below are the per-track and per-pair forms they replaced, kept
 here as the specification (the weight search, per pair in both, is
 shared): every property compares floats with ``==``
@@ -18,11 +18,11 @@ from fusionsim.collab import (
     CollabState,
     RemoteTrackMsg,
     RemoteTracks,
-    _spawning,
     _trace_minimum,
     align,
     ci_fuse,
     ci_omega,
+    t2t_associate,
 )
 from fusionsim.geometry import Pose, symmetrize
 from fusionsim.tracker import (
@@ -99,18 +99,18 @@ def ref_ci_fuse(xa, pa, xb, pb, omega):
 
 
 def ref_spawning(tracks, means, covs, gamma):
-    """(spawned positions, singular pairs), one remote track at a time
-    against every track, the spawned ones included."""
-    rows = list(zip(tracks.means, tracks.covs))
+    """(spawned positions, singular pairs), one pair of a track and a
+    remote track at a time: a remote track spawns when it gates no track
+    and is singular with none."""
     born, singular_pairs = [], 0
     for j, (mean, cov) in enumerate(zip(means, covs)):
-        cost, skip, singular = gate_cost([m for m, _ in rows], [c for _, c in rows],
-                                         [mean], [cov], gamma)
-        singular_pairs += singular
-        if skip or np.isfinite(cost).any():
-            continue
-        born.append(j)
-        rows.append((mean, symmetrize(cov)))
+        spawns = True
+        for track_mean, track_cov in zip(tracks.means, tracks.covs):
+            cost, skip, singular = gate_cost([track_mean], [track_cov], [mean], [cov], gamma)
+            singular_pairs += singular
+            spawns = spawns and not skip and not np.isfinite(cost).any()
+        if spawns:
+            born.append(j)
     return born, singular_pairs
 
 
@@ -219,8 +219,8 @@ def test_ci_matches_per_pair_reference(seed, dim, kinds):
 @example(seed=0, n=0, m=0, spread=1.0)
 @example(seed=4, n=12, m=8, spread=3.0)
 def test_spawn_check_matches_per_remote_reference(seed, n, m, spread):
-    # remote tracks close to each other and to the tracks, some with zero
-    # covariance, so earlier spawns gate or are singular with later ones
+    # remote tracks close to the tracks, some with zero covariance, so
+    # that some gate, some are singular and some spawn
     rng = np.random.default_rng(seed)
     gamma = GATE_QUANTILES[0.99]
 
@@ -229,10 +229,10 @@ def test_spawn_check_matches_per_remote_reference(seed, n, m, spread):
 
     local = [(np.r_[rng.uniform(-spread, spread, 3), np.zeros(3)], cov()) for _ in range(n)]
     tracks = spawn(1, np.array([m for m, _ in local]).reshape(-1, 6),
-                   np.array([c for _, c in local]).reshape(-1, 6, 6), 0.0, TrackerConfig())
+                   np.array([c for _, c in local]).reshape(-1, 6, 6), TrackerConfig())
     means = np.array([np.r_[rng.uniform(-spread, spread, 3), np.zeros(3)]
                       for _ in range(m)]).reshape(-1, 6)
     covs = np.array([cov() for _ in range(m)]).reshape(-1, 6, 6)
     state = CollabState()
-    born = _spawning(tracks, means, covs, gamma, state)
+    _, born = t2t_associate(tracks, means, covs, gamma, state)
     assert (born, state.singular) == ref_spawning(tracks, means, covs, gamma)

@@ -20,7 +20,9 @@
 * bounded caches: the live source keeps ground truth, and the engine
   poses, for one event time only;
 * collaboration: urban ``cr-covi`` fuses remote tracks, through the
-  collab functions the benchmark hooks by name;
+  collab functions the benchmark hooks by name, and in urban and
+  occlusion ``cr-covi`` every batch a tracker receives is keyed after its
+  newest key, so no tracker rolls back over a remote fusion;
 * malformed frames: a delivery that is not exactly one frame, a frame
   that does not parse (a task result's status is ``ok`` or ``failed``,
   and a task request's frame time lies inside the scenario),
@@ -82,6 +84,7 @@ from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_HEARTBEAT, 
                                        KIND_TASK, KIND_TICK, Engine)
 from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
+from fusionsim.tracker import Tracker
 
 # (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
 # 8 s: by then an edge task has been sent while an object was out of the
@@ -317,6 +320,28 @@ def test_collaboration_runs_through_its_hooked_names(scenario_dir, monkeypatch):
     report = Engine(scenario(scenario_dir, "urban.json", "cr-covi", 1.0, 0, "")).run()
     assert sum(c["fused"] for c in report.report["counters"]["collab"].values()) > 0
     assert all(calls.get(name, 0) > 0 for name in names), calls
+
+
+@pytest.mark.parametrize("spec", [CASES[1], CASES[3]],
+                         ids=["urban-cr-covi", "occlusion-cr-covi"])
+def test_cr_covi_trackers_never_roll_back(scenario_dir, monkeypatch, spec):
+    # remote fusion replaces a tracker's tracks outside its batch history
+    # (see Tracker), which is sound only while no batch is keyed at or
+    # before the newest key of the tracker it goes to
+    keys = {}
+    process_batch = Tracker.process_batch
+
+    def checked(self, key, detections):
+        keys.setdefault(id(self), []).append((key, self.newest_key))
+        return process_batch(self, key, detections)
+
+    monkeypatch.setattr(Tracker, "process_batch", checked)
+    engine = Engine(scenario(scenario_dir, *spec))
+    engine.run()
+    assert set(keys) == {id(rt.tracker) for rt in engine.agents.values()}
+    for calls in keys.values():
+        assert calls[0][1] is None
+        assert all(key > newest for key, newest in calls[1:])
 
 
 @pytest.mark.parametrize("case", [CASES[7]], ids=["urban-cr-dist-flaky"], indirect=True)

@@ -67,13 +67,12 @@ def tracks(draw):
     """A track batch of up to four tracks, zero included."""
     n = draw(st.integers(0, 4))
     batch = spawn(0, draw(vector(6 * n)).reshape(n, 6), draw(vector(36 * n)).reshape(n, 6, 6),
-                  0.0, TrackerConfig())
+                  TrackerConfig())
     # an id beyond int64 needs an object array, whose tolist gives it back
     ids = draw(st.lists(IDS, min_size=n, max_size=n))
     ids = np.array(ids, dtype=int if all(i < 2**63 for i in ids) else object)
     confirmed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    return Tracks(ids, batch.means, batch.covs, confirmed, batch.misses, batch.window,
-                  batch.stamps)
+    return Tracks(ids, batch.means, batch.covs, confirmed, batch.misses, batch.window)
 
 
 @st.composite
@@ -174,7 +173,7 @@ def test_records_write_the_bytes_of_the_lines(flushed, events):
 
 
 def test_track_records_copy_their_numbers():
-    track = spawn(7, np.arange(6.0)[None], np.diag(np.arange(1.0, 7.0))[None], 0.0,
+    track = spawn(7, np.arange(6.0)[None], np.diag(np.arange(1.0, 7.0))[None],
                   TrackerConfig())
     report = records([(0.1, "ego", track)], [])
     before = report.track_jsonl()
@@ -240,7 +239,7 @@ def run_urban_covi(scenario_dir):
 def test_non_finite_track_mean_raises(bad):
     mean = np.zeros(6)
     mean[2] = bad
-    track = spawn(1, mean[None], np.eye(6)[None], 0.0, TrackerConfig())
+    track = spawn(1, mean[None], np.eye(6)[None], TrackerConfig())
     with pytest.raises(ValueError):
         RunReport({}, [_track_record(0.5, "ego", track)], []).track_jsonl()
 
@@ -248,7 +247,7 @@ def test_non_finite_track_mean_raises(bad):
 def track_with(t=0.5, mean=0.0, cov_diag=1.0):
     """A flush of one track whose mean and covariance diagonal hold the
     numbers given."""
-    track = spawn(1, np.full((1, 6), mean), np.diag(np.full(6, cov_diag))[None], 0.0,
+    track = spawn(1, np.full((1, 6), mean), np.diag(np.full(6, cov_diag))[None],
                   TrackerConfig())
     return [(t, "ego", track)], []
 

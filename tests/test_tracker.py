@@ -46,19 +46,19 @@ def batch(*dets):
 GAMMA_99 = GATE_QUANTILES[0.99]
 
 
-def fresh_tracks(means, covs=None, stamp=0.0):
+def fresh_tracks(means, covs=None):
     """A batch of new tentative tracks, ids from 1, at ``means`` with
     covariances ``covs`` (identities by default)."""
     means = np.asarray(means, dtype=float).reshape(-1, 6)
     covs = np.tile(np.eye(6), (len(means), 1, 1)) if covs is None else \
         np.asarray(covs, dtype=float).reshape(-1, 6, 6)
-    return spawn(1, means, covs, stamp, TrackerConfig())
+    return spawn(1, means, covs, TrackerConfig())
 
 
-def fresh_track(mean=None, cov=None, stamp=0.0):
+def fresh_track(mean=None, cov=None):
     """A batch of one new tentative track."""
     return fresh_tracks(np.zeros(6) if mean is None else mean,
-                        None if cov is None else [cov], stamp)
+                        None if cov is None else [cov])
 
 
 def test_gate_quantiles_match_independent_implementation():
@@ -80,7 +80,6 @@ class TestPredict:
         assert np.allclose(out.means[0, :3], [2, 0, 0], atol=1e-9)
         f = cv_transition(2.0)
         assert np.allclose(out.covs[0], f @ tr.covs[0] @ f.T, atol=1e-9)
-        assert out.stamps[0] == 2.0
 
     def test_process_noise_grows_trace(self):
         tr = fresh_track()
@@ -138,7 +137,7 @@ def random_tracks(rng, n):
     a = rng.normal(size=(n, 6, 6))
     return Tracks(np.arange(1, n + 1), rng.normal(scale=5.0, size=(n, 6)),
                   a @ a.swapaxes(1, 2) + 0.01 * np.eye(6), rng.random(n) < 0.5,
-                  rng.integers(0, 3, n), rng.random((n, 5)) < 0.5, rng.uniform(0.0, 10.0, n))
+                  rng.integers(0, 3, n), rng.random((n, 5)) < 0.5)
 
 
 def random_detection(rng):
@@ -149,8 +148,7 @@ def random_detection(rng):
 
 def lifecycle(tracks, i):
     """Track i's id and lifecycle state."""
-    return (tracks.ids[i], tracks.confirmed[i], tracks.misses[i], tracks.window[i].tolist(),
-            tracks.stamps[i])
+    return tracks.ids[i], tracks.confirmed[i], tracks.misses[i], tracks.window[i].tolist()
 
 
 class TestStacked:
@@ -505,7 +503,7 @@ def test_joseph_form_psd_many_random_steps():
 
 class TestPredictWaypoints:
     def test_unit_velocity_waypoints(self):
-        times, wps = predict_waypoints(np.array([[0.0, 0, 0, 1, 0, 0]]), np.array([5.0]),
+        times, wps = predict_waypoints(np.array([[0.0, 0, 0, 1, 0, 0]]), 5.0,
                                        horizon=2.0, dt=1.0)
         assert times.shape == (1, 2) and wps.shape == (1, 2, 3)
         assert times[0, 0] == pytest.approx(6.0)
@@ -513,32 +511,32 @@ class TestPredictWaypoints:
         assert np.allclose(wps[0, 1], [2, 0, 0])
 
     def test_zero_velocity_constant(self):
-        _, wps = predict_waypoints(np.array([[3.0, 4, 5, 0, 0, 0]]), np.array([5.0]),
+        _, wps = predict_waypoints(np.array([[3.0, 4, 5, 0, 0, 0]]), 5.0,
                                    horizon=1.0, dt=0.25)
         assert all(np.allclose(p, [3, 4, 5]) for p in wps[0])
 
     def test_waypoint_count(self):
-        means, stamps = np.array([[0.0, 0, 0, 1, 1, 1]]), np.array([5.0])
-        assert predict_waypoints(means, stamps, 3.0, 0.5)[1].shape == (1, 6, 3)
-        assert predict_waypoints(means, stamps, 0.3, 0.1)[1].shape == (1, 3, 3)
+        means = np.array([[0.0, 0, 0, 1, 1, 1]])
+        assert predict_waypoints(means, 5.0, 3.0, 0.5)[1].shape == (1, 6, 3)
+        assert predict_waypoints(means, 5.0, 0.3, 0.1)[1].shape == (1, 3, 3)
 
     @pytest.mark.parametrize("horizon,dt", [(0.0, 0.5), (1.0, 0.0), (-1.0, 0.5)])
     def test_a_horizon_or_step_that_is_not_positive_rejected(self, horizon, dt):
         with pytest.raises(ValueError, match="horizon and dt must be > 0"):
-            predict_waypoints(np.zeros((1, 6)), np.array([5.0]), horizon, dt)
+            predict_waypoints(np.zeros((1, 6)), 5.0, horizon, dt)
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6),
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6), stamp=st.floats(0.0, 10.0),
            horizon=st.floats(0.1, 4.0), dt=st.floats(0.05, 1.0))
-    def test_each_row_is_the_one_track_extrapolation(self, seed, m, horizon, dt):
+    def test_each_row_is_the_one_track_extrapolation(self, seed, m, stamp, horizon, dt):
         # row m, waypoint k holds the bits of (stamp + k dt, pos + vel (k dt))
         # computed for that one track
         rng = np.random.default_rng(seed)
-        means, stamps = rng.normal(scale=20.0, size=(m, 6)), rng.uniform(0.0, 10.0, m)
-        times, wps = predict_waypoints(means, stamps, horizon, dt)
+        means = rng.normal(scale=20.0, size=(m, 6))
+        times, wps = predict_waypoints(means, stamp, horizon, dt)
         steps = int(math.floor(horizon / dt + 1e-9))
         assert times.shape == (m, steps) and wps.shape == (m, steps, 3)
-        for mean, stamp, row_times, row_wps in zip(means, stamps.tolist(), times, wps):
+        for mean, row_times, row_wps in zip(means, times, wps):
             for k in range(1, steps + 1):
                 assert row_times[k - 1] == stamp + k * dt
                 expected = mean[:3] + mean[3:] * (k * dt)

@@ -8,7 +8,9 @@
 * ``predict_waypoints``, ``World.positions`` and one ``prediction_error``
   call score every match as the per-match loop they replaced did, kept
   here as the oracle: the same ADE and FDE bits, and the same rows left
-  unscored for a waypoint outside [0, duration].
+  unscored for a waypoint outside [0, duration].  Each row's waypoints
+  come from their own ``predict_waypoints`` call, so that rows at
+  different times meet in one ``prediction_error`` call.
 """
 
 import math
@@ -122,7 +124,9 @@ def test_stacked_scorer_equals_the_per_match_loop(motions, seed, m, horizon, ste
     stamps = rng.uniform(-0.5, duration, m)
     rows = data.draw(st.lists(st.integers(0, len(motions) - 1), min_size=m, max_size=m))
     dt = horizon / steps
-    times, waypoints = predict_waypoints(means, stamps, horizon, dt)
+    predicted = [predict_waypoints(means[i:i + 1], stamp, horizon, dt)
+                 for i, stamp in enumerate(stamps.tolist())]
+    times, waypoints = (np.concatenate(part) for part in zip(*predicted))
     world = world_of(motions)
     truth, _ = world.positions([world.ids[i] for i in rows], times)
     ade, fde, scored = prediction_error(waypoints, times, truth, duration)
