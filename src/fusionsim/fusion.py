@@ -223,8 +223,10 @@ def frustum_associate(boxes: np.ndarray, points: np.ndarray,
         v = K.fy * y / z + K.cy
         umin, vmin, umax, vmax = boxes[:, :4].T[:, :, None]
         inside = front & (umin < u) & (u < umax) & (vmin < v) & (v < vmax)
-        diag = np.hypot(umax - umin, vmax - vmin)
-        dist = np.hypot(u - (umin + umax) / 2.0, v - (vmin + vmax) / 2.0) / diag
+        # square roots of sums of squares, whose bits IEEE arithmetic fixes
+        # on every CPU, as those of np.hypot's SIMD kernels are not
+        du, dv, wu, wv = u - (umin + umax) / 2.0, v - (vmin + vmax) / 2.0, umax - umin, vmax - vmin
+        dist = np.sqrt(du * du + dv * dv) / np.sqrt(wu * wu + wv * wv)
         cost = np.where(inside, dist, np.inf)
 
     pairs = [(i, j) for i, j in assign(cost) if cost[i, j] <= PAIR_COST_GATE]

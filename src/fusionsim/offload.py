@@ -31,7 +31,8 @@ import numpy as np
 from .bus import payload_field, payload_ints, payload_keys
 from .fusion import Detections, radar_measurement_cov
 from .geometry import Pose, inverse
-from .sensing import SensorNoiseConfig, in_range, noisy_polar, polar_draws
+from .sensing import (SensorNoiseConfig, detected, from_polar, in_range, polar_angles,
+                      polar_sigmas)
 from .tracker import LANE_EDGE, Tracker
 
 STATUS_OK = "ok"
@@ -116,24 +117,21 @@ def emulate_worker(req: TaskRequest, positions: np.ndarray, cfg: WorkerConfig,
     ``positions``.
 
     Draws, as in ``sensing``: ``rng.random()`` for the latency, then for
-    failure, then per object in range to detect it and, if detected, one
-    ``rng.standard_normal(k)`` for ``noisy_polar``.  Detections come back
-    in the parent frame of the request's ``rig_pose``, the tracking frame.
-    Body-frame positions and ranges, and the output positions and
-    covariances, are each one stacked computation.
+    failure, then ``sensing.detected``'s, the objects in range being the
+    candidates and their range, azimuth and elevation the noisy values.
+    Detections come back in the parent frame of the request's
+    ``rig_pose``, the tracking frame.
+    Body-frame positions and ranges, the noisy points, and the output
+    positions and covariances are each one stacked computation.
     """
     latency = cfg.lat_min + (cfg.lat_max - cfg.lat_min) * rng.random()
     if rng.random() < cfg.p_fail:
         return latency, TaskResult(req.task_id, STATUS_FAILED, req.frame_time,
                                    Detections(np.empty((0, 3)), np.empty((0, 3, 3))))
     prof = cfg.profile
-    k = polar_draws(prof)
     _, p_body, ranges = in_range(inverse(req.rig_pose), positions, prof.max_range)
-    measured = [noisy_polar(p, r_true, math.atan2(p[1], p[0]),
-                            iter(rng.standard_normal(k).tolist()), prof)
-                for p, r_true in zip(p_body.tolist(), ranges.tolist())
-                if rng.random() < prof.p_detect]
-    pos_body = np.array(measured).reshape(-1, 3)
+    polar = np.array([ranges, *polar_angles(p_body)]).T
+    pos_body = from_polar(detected(polar, prof.p_detect, polar_sigmas(prof), rng))
     detections = Detections(pos_body, radar_measurement_cov(pos_body, prof))
     return latency, TaskResult(req.task_id, STATUS_OK, req.frame_time,
                                detections.to_parent(req.rig_pose))

@@ -45,7 +45,6 @@ from ..sensing import (
     SensorNoiseConfig,
     Truth,
     camera_observe,
-    measurement_rows,
     radar_observe,
     visible_object_ids,
 )
@@ -61,7 +60,7 @@ KIND_HEARTBEAT = "Heartbeat"
 
 # The rows a flush reads for a sensor that did not tick, or that the agent
 # does not have.
-_NO_ROWS = measurement_rows([])
+_NO_ROWS = np.empty((0, 5))
 _NO_ROWS.setflags(write=False)
 
 

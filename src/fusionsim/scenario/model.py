@@ -135,7 +135,7 @@ class Motion:
             rot = rotation_from_rpy_deg(*self.rpy_deg)
         else:
             v = self.velocity(t)
-            if float(np.hypot(v[0], v[1])) > 1e-9:
+            if math.hypot(v[0], v[1]) > 1e-9:
                 rot = rotation_from_rpy_deg(0.0, 0.0, math.degrees(math.atan2(v[1], v[0])))
             else:
                 rot = np.eye(3)

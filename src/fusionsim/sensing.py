@@ -35,18 +35,21 @@ Occlusion: an object is dropped for the camera when a nearer object's
 (noise-free, clipped) box covers at least 85% of its box; radar sees
 through everything.
 
-Each tick handles all objects in a few stacked array operations: the
-camera computes every center, box corner and clipped box at once and
-occlusion as one (n, n) cover-and-depth mask; the radar computes every
-body-frame position, range and radial speed at once.  Only the draws
-stay in a loop over the objects that pass, in row order: per object one
-``rng.random()`` to detect it, then, if detected, one
-``rng.standard_normal(k)``, k its positive noise sigmas, a component
-being ``0.0 + sigma * z``.  Clutter follows: one ``rng.poisson`` if
-``clutter_rate`` > 0, then one ``rng.random((n, k))``, a value in [a, b)
-being ``a + (b - a) * u``.  These equal the older ``uniform()``,
-``uniform(a, b)`` and ``normal(0.0, sigma)`` draws bit for bit, as numpy
-computes those so and a size-k draw reads the stream as k scalar calls
+Each tick handles all objects in a few stacked array operations, its
+draws included: the camera computes every center, box corner and clipped
+box at once and occlusion as one (n, n) cover-and-depth mask; the radar
+computes every body-frame position, range and radial speed at once.
+``detected`` makes a tick's draws, for the camera, the radar and the edge
+worker alike: the n candidates (visible, unoccluded boxes, or returns in
+range and in the field of view, in row order) take one ``rng.random(n)``,
+a candidate being detected when its value is below ``p_detect``; the m
+detected ones take one ``rng.standard_normal((m, k))``, k their positive
+noise sigmas, row by row, a component being ``0.0 + sigma * z``.  Clutter
+follows: one ``rng.poisson`` if ``clutter_rate`` > 0, then one
+``rng.random((c, k))``, a value in [a, b) being ``a + (b - a) * u``.
+These equal per-object ``uniform()``, ``uniform(a, b)`` and ``normal(0.0,
+sigma)`` calls bit for bit, as numpy computes those so and a stacked draw
+reads the stream as scalar calls in row-major order
 (``tests/test_draws.py``).
 
 The stacked forms give every row the bits the per-object computation
@@ -55,7 +58,11 @@ product per row as ``R @ p``, and ``geometry.norms`` the same dot
 product per row as ``np.linalg.norm``; ``P @ R.T``, ``einsum`` and
 ``norm(P, axis=1)`` sum in another order and differ in the last bit on
 a tenth to a third of random inputs.  Elementwise arithmetic is exact
-in either form.
+in either form.  Angles stay on libm: each azimuth and elevation is a
+``math.atan2`` (over ``math.hypot``) per object, since numpy's SIMD
+``arctan2`` and ``hypot`` differ from libm in the last bit on some inputs
+of some CPUs; the stacked ``np.sin`` and ``np.cos`` are libm's, which
+``tests/test_draws.py`` pins.
 """
 
 from __future__ import annotations
@@ -195,48 +202,34 @@ def visible_object_ids(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth) -> 
     return [truth.ids[i] for i in idx[~_occluded(boxes, depths)].tolist()]
 
 
-def measurement_rows(rows) -> np.ndarray:
-    """One tick's measurement rows as a new float64 array; ``(0, 5)`` when
-    there are none."""
-    return np.array(rows, dtype=float) if rows else np.empty((0, 5))
-
-
 def camera_observe(K: CameraIntrinsics, sensor_pose: Pose, truth: Truth,
                    cfg: SensorNoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """Noisy 2D boxes for the objects visible from ``sensor_pose``, as
     camera rows ``[umin, vmin, umax, vmax, score]``.
 
     ``sensor_pose`` is world-from-body for the camera body frame (x
-    forward); the optical-axis remap happens internally.  Draws: per
-    visible, unoccluded object, the detect draw, then 4 edge noises if
-    ``pixel_sigma`` > 0; per clutter box, width, height, center u and v.
+    forward); the optical-axis remap happens internally.  Draws:
+    ``detected``'s, the visible, unoccluded boxes being the candidates and
+    ``pixel_sigma`` each edge's sigma; per clutter box, width, height,
+    center u and v.  A box that noise collapses counts as a miss.
     """
     _, boxes, depths = camera_candidates(K, sensor_pose, truth)
-    width, height, sigma = float(K.width), float(K.height), cfg.pixel_sigma
-
-    rows = []
-    for bbox, hidden in zip(boxes.tolist(), _occluded(boxes, depths).tolist()):
-        if hidden or rng.random() >= cfg.p_detect:
-            continue
-        if sigma > 0:
-            bbox = [b + (0.0 + sigma * z) for b, z in zip(bbox, rng.standard_normal(4).tolist())]
-        umin, vmin, umax, vmax = bbox
-        umin, umax = min(max(umin, 0.0), width), min(max(umax, 0.0), width)
-        vmin, vmax = min(max(vmin, 0.0), height), min(max(vmax, 0.0), height)
-        if umin >= umax or vmin >= vmax:
-            continue  # noise collapsed the box; counts as a miss
-        rows.append((umin, vmin, umax, vmax, TRUE_SCORE))
+    width, height = float(K.width), float(K.height)
+    boxes = detected(boxes[~_occluded(boxes, depths)], cfg.p_detect, (cfg.pixel_sigma,) * 4, rng)
+    n_true = len(boxes)
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
-    span = CLUTTER_BOX_MAX - CLUTTER_BOX_MIN
-    for uw, uh, uu, uv in rng.random((n_clutter, 4)).tolist():
-        w, h = CLUTTER_BOX_MIN + span * uw, CLUTTER_BOX_MIN + span * uh
-        cu, cv = width * uu, height * uv  # a + (b - a) * u for a = 0
-        umin, umax = max(cu - w / 2, 0.0), min(cu + w / 2, width)
-        vmin, vmax = max(cv - h / 2, 0.0), min(cv + h / 2, height)
-        if umin < umax and vmin < vmax:
-            rows.append((umin, vmin, umax, vmax, CLUTTER_SCORE))
-    return measurement_rows(rows)
+    if n_clutter:
+        span = CLUTTER_BOX_MAX - CLUTTER_BOX_MIN
+        # per clutter box (w, h, center u, center v), each a + (b - a) * u
+        whc = np.array([CLUTTER_BOX_MIN, CLUTTER_BOX_MIN, 0.0, 0.0]) \
+            + np.array([span, span, width, height]) * rng.random((n_clutter, 4))
+        half, center = whc[:, :2] / 2, whc[:, 2:]
+        boxes = np.concatenate([boxes, np.hstack([center - half, center + half])])
+    rows = np.empty((len(boxes), 5))
+    rows[:, :4] = np.minimum(np.maximum(boxes, 0.0), (width, height, width, height))
+    rows[:n_true, 4], rows[n_true:, 4] = TRUE_SCORE, CLUTTER_SCORE
+    return rows[(rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])]
 
 
 def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
@@ -248,36 +241,32 @@ def radar_observe(sensor_pose: Pose, truth: Truth, cfg: SensorNoiseConfig,
     ``cfg.fov_azimuth``) or beyond ``cfg.max_range`` are excluded.  Range
     and azimuth get their own sigmas; elevation reuses the azimuth sigma
     (coarse-elevation radar).  Radial speed is the line-of-sight component
-    of object velocity relative to the sensor.  Draws: per object in
-    view, the detect draw, then ``noisy_polar``'s noise and the speed
-    noise, each if its sigma is positive; per clutter return, range and
-    azimuth.
+    of object velocity relative to the sensor.  Draws: ``detected``'s, the
+    objects in view being the candidates and each one's range, azimuth,
+    elevation and radial speed its noisy values; per clutter return, range
+    and azimuth.
     """
     body_from_world = inverse(sensor_pose)
     sensor_vel = np.asarray(sensor_velocity, dtype=float).reshape(3)
     idx, p_body, ranges = in_range(body_from_world, truth.positions, cfg.max_range)
     v_rel = truth.velocities[idx] - sensor_vel
     v_rel_body = (body_from_world.rotation @ v_rel[:, :, None])[:, :, 0]
-    radial_speeds = ((p_body / ranges[:, None])[:, None, :] @ v_rel_body[:, :, None])[:, 0, 0]
-
-    half_fov, speed_sigma = cfg.fov_azimuth / 2.0, cfg.speed_sigma
-    k = polar_draws(cfg) + (speed_sigma > 0)
-    rows = []
-    for p, rng_true, radial in zip(p_body.tolist(), ranges.tolist(), radial_speeds.tolist()):
-        az = math.atan2(p[1], p[0])
-        if abs(az) > half_fov or rng.random() >= cfg.p_detect:
-            continue
-        z = iter(rng.standard_normal(k).tolist())
-        pos = noisy_polar(p, rng_true, az, z, cfg)
-        if speed_sigma > 0:
-            radial += 0.0 + speed_sigma * next(z)
-        rows.append((*pos, radial, TRUE_SNR_DB))
+    radial = ((p_body / ranges[:, None])[:, None, :] @ v_rel_body[:, :, None])[:, 0, 0]
+    half_fov = cfg.fov_azimuth / 2.0
+    # rows of [range, azimuth, elevation, radial speed, snr]
+    polar = np.array([ranges, *polar_angles(p_body), radial, [TRUE_SNR_DB] * len(ranges)]).T
+    polar = detected(polar[np.abs(polar[:, 1]) <= half_fov], cfg.p_detect,
+                     (*polar_sigmas(cfg), cfg.speed_sigma), rng)
 
     n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
-    for ur, ua in rng.random((n_clutter, 2)).tolist():
-        az = -half_fov + (half_fov + half_fov) * ua
-        rows.append((*_from_polar(max(cfg.max_range * ur, 1e-3), az, 0.0), 0.0, CLUTTER_SNR_DB))
-    return measurement_rows(rows)
+    if n_clutter:
+        ur, ua = rng.random((n_clutter, 2)).T
+        zeros = [0.0] * n_clutter
+        clutter = np.array([np.maximum(cfg.max_range * ur, 1e-3),
+                            -half_fov + (half_fov + half_fov) * ua, zeros, zeros,
+                            [CLUTTER_SNR_DB] * n_clutter]).T
+        polar = np.concatenate([polar, clutter])
+    return from_polar(polar)
 
 
 def in_range(body_from_world: Pose, positions: np.ndarray,
@@ -291,27 +280,42 @@ def in_range(body_from_world: Pose, positions: np.ndarray,
     return idx, p_body[idx], ranges[idx]
 
 
-def polar_draws(cfg: SensorNoiseConfig) -> int:
-    """How many standard normals ``noisy_polar`` takes."""
-    return (cfg.range_sigma > 0) + 2 * (cfg.azimuth_sigma > 0)
+def detected(candidates: np.ndarray, p_detect: float, sigmas: tuple[float, ...],
+             rng: np.random.Generator) -> np.ndarray:
+    """The rows of ``candidates`` that are detected, as a new array, with
+    noise on each column whose sigma in ``sigmas`` is positive.
+
+    The draws of a tick: one ``rng.random(n)`` for the n candidates, row
+    i detected when its value is below ``p_detect``; then one
+    ``rng.standard_normal((m, k))`` for the m detected rows and their k
+    noisy columns, each value becoming ``value + (0.0 + sigma * z)``.
+    """
+    rows = candidates[rng.random(len(candidates)) < p_detect]
+    noisy = [j for j, sigma in enumerate(sigmas) if sigma > 0]
+    z = rng.standard_normal((len(rows), len(noisy)))
+    rows[:, noisy] += 0.0 + [sigmas[j] for j in noisy] * z
+    return rows
 
 
-def noisy_polar(p, r_true: float, az: float, z, cfg: SensorNoiseConfig
-                ) -> tuple[float, float, float]:
-    """Body-frame point ``p`` (range ``r_true``, azimuth ``az``) with
-    polar noise ``0.0 + sigma * next(z)``, ``z`` the object's standard
-    normals: range, azimuth, then elevation (on the azimuth sigma), each
-    if its sigma is positive.  Noisy ranges are floored at 1 um."""
-    el = math.atan2(p[2], math.hypot(p[0], p[1]))
-    if cfg.range_sigma > 0:
-        r_true += 0.0 + cfg.range_sigma * next(z)
-    if cfg.azimuth_sigma > 0:
-        az += 0.0 + cfg.azimuth_sigma * next(z)
-        el += 0.0 + cfg.azimuth_sigma * next(z)
-    return _from_polar(max(r_true, 1e-6), az, el)
+def polar_sigmas(cfg: SensorNoiseConfig) -> tuple[float, float, float]:
+    """The sigmas of range, azimuth and elevation; elevation reuses the
+    azimuth sigma (coarse-elevation radar)."""
+    return cfg.range_sigma, cfg.azimuth_sigma, cfg.azimuth_sigma
 
 
-def _from_polar(r: float, az: float, el: float) -> tuple[float, float, float]:
-    return (r * math.cos(el) * math.cos(az), r * math.cos(el) * math.sin(az),
-            r * math.sin(el))
+def polar_angles(p: np.ndarray) -> tuple[list[float], list[float]]:
+    """Azimuths and elevations of the ``(m, 3)`` body-frame points ``p``,
+    from libm per point."""
+    x, y, z = p.T.tolist()
+    return list(map(math.atan2, y, x)), list(map(math.atan2, z, map(math.hypot, x, y)))
 
+
+def from_polar(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with its first three columns, range (floored at 1 um),
+    azimuth and elevation, turned in place into body-frame x, y and z."""
+    r = np.maximum(rows[:, 0], 1e-6)
+    cos, sin = np.cos(rows[:, 1:3]), np.sin(rows[:, 1:3])
+    horizontal = r * cos[:, 1]
+    rows[:, 0], rows[:, 1] = horizontal * cos[:, 0], horizontal * sin[:, 0]
+    rows[:, 2] = r * sin[:, 1]
+    return rows

@@ -215,12 +215,12 @@ def test_replay_reproduces_tracks(case, monkeypatch):
 def test_crowd_prediction_scores_are_pinned(scenario_dir):
     # the golden crowd case ends before the first prediction horizon does,
     # so no digest covers prediction scoring at crowd size: a 3 s run scores
-    # the matches of its first 11 metric samples, 380 in all
+    # the matches of its first 11 metric samples, 379 in all
     sc = apply_overrides(scenario(scenario_dir, "urban.json", "cr", 3.0, 40, ""), seed=42)
     engine = Engine(sc)
     metrics = engine.run().report["metrics"]
-    assert len(engine.agg.ade_samples) == 380
-    assert (metrics["ade"], metrics["fde"]) == (4.003822328448829, 6.176053553276757)
+    assert len(engine.agg.ade_samples) == 379
+    assert (metrics["ade"], metrics["fde"]) == (3.737685739563377, 5.741376257820088)
 
 
 def test_a_replay_with_another_sensor_type_is_refused_at_set_up(scenario_dir):

@@ -34,7 +34,7 @@ from fusionsim.bus import canonical_dumps
 from fusionsim.scenario import engine as engine_module
 from fusionsim.scenario import apply_overrides, load_scenario
 from fusionsim.scenario.engine import Engine, RunReport, _track_record
-from fusionsim.sensing import Truth, measurement_rows
+from fusionsim.sensing import Truth
 from fusionsim.tracker import CONFIRMED, TENTATIVE, TrackerConfig, Tracks, spawn
 
 REPO = Path(__file__).resolve().parent.parent
@@ -156,7 +156,8 @@ def records(flushed, events):
             replay_records.append((t, rest[0]))
         else:
             agent, sidx, dets = rest
-            replay_records.append((t, agent, sidx, kind, measurement_rows(dets)))
+            rows = np.array(dets, dtype=float).reshape(-1, 5)
+            replay_records.append((t, agent, sidx, kind, rows))
     return RunReport({}, track_records, replay_records)
 
 

@@ -7,8 +7,11 @@ specification: every property compares floats with ``==`` (or
 ``np.array_equal``), never with a tolerance, because the run outputs are
 required to stay byte-identical.  The sensing, worker and link references
 draw one ``uniform()``, ``uniform(a, b)`` or ``normal(0.0, sigma)`` call
-per value; the program's one ``random()`` and one ``standard_normal(k)``
-per object must give the same values (``test_draws.py`` pins why).
+per value: a tick's detect draws first, one per candidate, then the noise
+of each detected object in turn.  The program's one ``random(n)`` and one
+``standard_normal((m, k))`` per tick must give the same values, and its
+stacked ``np.sin`` and ``np.cos`` those of ``math`` (``test_draws.py``
+pins why).
 """
 
 import math
@@ -114,7 +117,7 @@ def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
     """Radar rows: the true returns, then the clutter."""
     body_from_world = inverse(sensor_pose)
     sensor_vel = np.asarray(sensor_velocity, dtype=float)
-    out = []
+    candidates = []
     for obj in objects:
         p = ref_transform_point(body_from_world, obj.position)
         rng_true = float(np.linalg.norm(p))
@@ -122,8 +125,9 @@ def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
             continue
         if abs(math.atan2(p[1], p[0])) > cfg.fov_azimuth / 2.0:
             continue
-        if rng.uniform() >= cfg.p_detect:
-            continue
+        candidates.append((obj, p, rng_true))
+    out = []
+    for obj, p, rng_true in [c for c in candidates if rng.uniform() < cfg.p_detect]:
         pos = ref_noisy_polar(p, rng_true, cfg, rng)
         v_rel_body = body_from_world.rotation @ (obj.velocity - sensor_vel)
         radial = float(np.dot(p / rng_true, v_rel_body))
@@ -140,14 +144,15 @@ def ref_radar_observe(sensor_pose, objects, cfg, rng, sensor_velocity):
 def ref_emulate_worker(truth, sensor_pose, prof, rng):
     """Detections of an ok task whose latency and failure draws are done."""
     body_from_parent = inverse(sensor_pose)
-    out = []
+    candidates = []
     for obj in truth:
         p = ref_transform_point(body_from_parent, obj.position)
         r_true = float(np.linalg.norm(p))
         if r_true <= 1e-9 or r_true > prof.max_range:
             continue
-        if rng.uniform() >= prof.p_detect:
-            continue
+        candidates.append((p, r_true))
+    out = []
+    for p, r_true in [c for c in candidates if rng.uniform() < prof.p_detect]:
         pos_body = np.array(ref_noisy_polar(p, r_true, prof, rng))
         r = sensor_pose.rotation
         cov = symmetrize(r @ ref_radar_cov(pos_body, prof) @ r.T)
@@ -158,10 +163,10 @@ def ref_emulate_worker(truth, sensor_pose, prof, rng):
 def ref_camera_observe(candidates, cfg, rng):
     """Camera rows from ``ref_camera_candidates``: the detected true
     boxes, then the clutter."""
+    unoccluded = [bbox for _, bbox, depth in candidates
+                  if not ref_is_occluded(bbox, depth, candidates)]
     out = []
-    for _, bbox, depth in candidates:
-        if ref_is_occluded(bbox, depth, candidates) or rng.uniform() >= cfg.p_detect:
-            continue
+    for bbox in [b for b in unoccluded if rng.uniform() < cfg.p_detect]:
         noisy = np.array(bbox) + rng.normal(0.0, cfg.pixel_sigma, size=4) \
             if cfg.pixel_sigma > 0 else np.array(bbox)
         umin = min(max(noisy[0], 0.0), float(K.width))
@@ -239,10 +244,11 @@ def ref_frustum_cost(bboxes, points, cam_from_radar):
     for i, det in enumerate(bboxes):
         umin, vmin, umax, vmax = det[:4]
         cu, cv = (umin + umax) / 2.0, (vmin + vmax) / 2.0
-        diag = float(np.hypot(umax - umin, vmax - vmin))
+        diag = math.sqrt((umax - umin) * (umax - umin) + (vmax - vmin) * (vmax - vmin))
         for j, pix in enumerate(pixels):
             if pix is not None and umin < pix[0] < umax and vmin < pix[1] < vmax:
-                cost[i, j] = np.hypot(pix[0] - cu, pix[1] - cv) / diag
+                du, dv = pix[0] - cu, pix[1] - cv
+                cost[i, j] = math.sqrt(du * du + dv * dv) / diag
     return cost
 
 
@@ -371,6 +377,33 @@ def test_emulate_worker_equals_scalar_reference(seed, n):
     for pos, cov, (ref_pos, ref_cov) in zip(dets.positions, dets.covs, reference):
         assert np.array_equal(pos, ref_pos)
         assert np.array_equal(cov, ref_cov)
+
+
+def sensed(pose, truth, cfg, rng):
+    """The arrays of one camera tick, one radar tick and one edge result."""
+    result = emulate_worker(TaskRequest(1, 2.0, (), pose), truth.positions,
+                            WorkerConfig(profile=cfg), rng)[1]
+    return [camera_observe(K, pose, truth, cfg, rng), radar_observe(pose, truth, cfg, rng),
+            result.detections.positions, result.detections.covs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(**scenes)
+def test_sensing_arrays_own_their_memory(seed, n):
+    """A run keeps each tick's rows as its detection record (``RunReport``),
+    so no returned array may be a view of the truth batch, nor share a
+    buffer with the arrays the previous call returned."""
+    rng = np.random.default_rng(seed)
+    pose = random_pose(rng)
+    truth = batch(crowd(rng, n, pose, ahead=150.0))
+    cfg = noise(rng)
+    draws = np.random.default_rng(seed)
+    first = sensed(pose, truth, cfg, draws)
+    second = sensed(pose, truth, cfg, draws)
+    for array in first:
+        assert not any(np.shares_memory(array, held) for held in truth[1:])
+    for array in second:
+        assert not any(np.shares_memory(array, held) for held in (*truth[1:], *first))
 
 
 @settings(max_examples=40, deadline=None)
