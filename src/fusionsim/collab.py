@@ -157,7 +157,7 @@ def t2t_associate(local: Tracks, means: np.ndarray, covs: np.ndarray, gamma: flo
     pair, in order: these spawn.  A remote track in a singular pair is
     skipped, and ``state`` counts the pair.
     """
-    cost, skipped, singular = gate_cost(local.means, local.covs, means, covs, gamma)
+    cost, skipped, singular, _ = gate_cost(local.means, local.covs, means, covs, gamma)
     if state is not None:
         state.singular += singular
     gated = np.isfinite(cost).any(axis=0)
@@ -410,12 +410,13 @@ def covi_step(tracker: Tracker, msgs: list[RemoteTrackMsg], t_now: float,
         linked = [row_of.get(links.get(key), -1) for key in keys]
         pairs, spawns = t2t_associate(tracks, means_r, covs_r, cfg.gamma, state, linked)
         if pairs:
-            rows, cols = (list(line) for line in zip(*pairs))
-            ci = ci_omega(tracks.covs[rows], covs_r[cols])
-            fused, means, covs = ci_fuse(tracks.means[rows], means_r[cols], ci)
-            fused = fused.tolist()
-            tracks = tracks.sighted([rows[n] for n in fused], means, covs, cfg.confirm_m)
-            links.update((keys[cols[n]], ids[rows[n]]) for n in fused)
+            rows, cols = np.array(pairs, dtype=np.intp).T
+            ci = ci_omega(tracks.covs.take(rows, axis=0), covs_r.take(cols, axis=0))
+            fused, means, covs = ci_fuse(tracks.means.take(rows, axis=0),
+                                         means_r.take(cols, axis=0), ci)
+            rows, cols = rows[fused], cols[fused]
+            tracks = tracks.sighted(rows, means, covs, cfg.confirm_m)
+            links.update((keys[j], ids[i]) for i, j in zip(rows.tolist(), cols.tolist()))
             state.fused += len(fused)
         if spawns:
             tracks = tracks.then(spawn(tracker.next_id, means_r[spawns],

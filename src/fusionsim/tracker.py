@@ -17,16 +17,20 @@ side has its own S tested.  In calls of more than ``_FEW_PAIRS`` pairs
 an exact pre-gate then leaves out a positive definite pair with
 Δ_k² > 2 γ S_kk on some axis k, at the caller's chi-square quantile γ:
 d2 >= Δ_k² / S_kk > 2γ by Cauchy–Schwarz, and the factor 2 covers the
-solve's relative error, about cond·eps <= 1e-4 for any S with rcond >=
-1e-12, so the pair fails the gate whether solved or not.  S is built
-and solved only for the pairs left.  ``gate_cost`` holds the one rule
-for a pair whose S fails the rcond test: it is never matched, and its
-measurement is skipped and counted.  Collaboration (``collab``) gates
-through it too.  Predict and update are stacked as well:
-``kalman_predict`` and ``kalman_update`` take leading batch axes, so
-``predict`` moves every track and ``update`` corrects every matched pair
-in one call each, with the same arithmetic per track as a single-track
-call, and scores every track's hit or miss as one array transition.
+computed d2's relative error, about cond·eps <= 1e-4 for any S with
+rcond >= 1e-12, so the pair fails the gate whether inverted or not.  S
+is built and inverted only for the pairs left, and d2 is Δ'(S^-1 Δ).
+``gate_cost`` holds the one rule for a pair whose S fails the rcond
+test: it is never matched, and its measurement is skipped and counted.
+Collaboration (``collab``) gates through it too.  Predict and update
+are stacked as well: ``kalman_predict`` and ``kalman_update`` take
+leading batch axes, so ``predict`` moves every track and ``update``
+corrects every matched pair in one call each, with the same arithmetic
+per track as a single-track call, and scores every track's hit or miss
+as one array transition.  Each matrix a step needs is built once: the
+motion model is cached by (dt, q) (``motion_model``), and the update
+reads each matched pair's S^-1 from the gate instead of inverting S
+again.
 
 The tracker also keeps one key-ordered history of the batches inside its
 horizon, each as (key, detections, state after it).  A batch steps at
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -57,6 +62,8 @@ TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 
 NEW_TRACK_VEL_STD = 20.0  # m/s; bootstrap velocity uncertainty
+_NEW_TRACK_VEL_COV = NEW_TRACK_VEL_STD**2 * np.eye(3)
+_NEW_TRACK_VEL_COV.flags.writeable = False
 
 # Batch keys order detection batches globally: (time, lane, tiebreak).
 LANE_LOCAL = 0
@@ -116,9 +123,11 @@ class Tracks:
         return len(self.ids)
 
     def take(self, rows) -> "Tracks":
-        """The tracks at ``rows`` (indices or a mask), in that order."""
-        return Tracks(self.ids[rows], self.means[rows], self.covs[rows], self.confirmed[rows],
-                      self.misses[rows], self.window[rows])
+        """The tracks at the indices ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Tracks(self.ids.take(rows), self.means.take(rows, axis=0),
+                      self.covs.take(rows, axis=0), self.confirmed.take(rows),
+                      self.misses.take(rows), self.window.take(rows, axis=0))
 
     def then(self, other: "Tracks") -> "Tracks":
         """These tracks followed by ``other``'s."""
@@ -129,24 +138,26 @@ class Tracks:
                       np.concatenate((self.misses, other.misses)),
                       np.concatenate((self.window, other.window)))
 
-    def sighted(self, rows: list[int], means: np.ndarray, covs: np.ndarray, confirm_m: int,
+    def sighted(self, rows, means: np.ndarray, covs: np.ndarray, confirm_m: int,
                 others_miss: bool = False) -> "Tracks":
-        """The hit transition of the tracks at ``rows``: they take the
-        estimates ``means`` and ``covs``, no misses and a sighting in their
-        window.  With ``others_miss`` (a step's scoring) every other track
-        takes a miss and a gap in its window; without, it is unchanged.
-        Then M-of-N confirmation: a tentative track is confirmed once its
-        window holds ``confirm_m`` sightings."""
+        """The hit transition of the tracks at the indices ``rows``: they
+        take the estimates ``means`` and ``covs``, no misses and a sighting
+        in their window.  With ``others_miss`` (a step's scoring) every
+        other track takes a miss and a gap in its window; without, it is
+        unchanged.  Then M-of-N confirmation: a tentative track is
+        confirmed once its window holds ``confirm_m`` sightings."""
+        rows = np.asarray(rows, dtype=np.intp)
         hit = np.zeros(len(self), dtype=bool)
         hit[rows] = True
         new_means, new_covs = self.means.copy(), self.covs.copy()
         new_means[rows], new_covs[rows] = means, covs
+        misses = self.misses + 1 if others_miss else self.misses.copy()
+        misses[rows] = 0
         window = np.concatenate((self.window[:, 1:], hit[:, None]), axis=1)
         if not others_miss:
             window = np.where(hit[:, None], window, self.window)
         return Tracks(self.ids, new_means, new_covs,
-                      self.confirmed | (window.sum(axis=1) >= confirm_m),
-                      np.where(hit, 0, self.misses + int(others_miss)), window)
+                      self.confirmed | (window.sum(axis=1) >= confirm_m), misses, window)
 
 
 def spawn(first_id: int, means: np.ndarray, covs: np.ndarray,
@@ -180,18 +191,37 @@ def process_noise(dt: float, q: float) -> np.ndarray:
     return noise
 
 
+# Motion models ``motion_model`` keeps: a run steps with a few distinct
+# (dt, q), its sensor periods and the gaps between sensors, and an edge
+# result's rollback or a remote track's age adds a few more per step.
+_MOTION_MODELS = 64
+
+
+@lru_cache(maxsize=_MOTION_MODELS)
+def motion_model(dt: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F, F' and Q of a CV step of ``dt`` seconds at noise ``q``, as
+    ``cv_transition`` and ``process_noise`` build them, read-only and
+    cached by (dt, q): the least recently used beyond ``_MOTION_MODELS``
+    is dropped.  -0.0 and 0.0 are one key, so ``kalman_predict`` looks a
+    step up by ``dt + 0.0`` and ``q + 0.0``, which turns -0.0 into 0.0."""
+    f, noise = cv_transition(dt), process_noise(dt, q)
+    f.flags.writeable = noise.flags.writeable = False
+    return f, f.T, noise
+
+
 def kalman_predict(mean: np.ndarray, cov: np.ndarray, dt: float,
                    q: float) -> tuple[np.ndarray, np.ndarray]:
     """CV prediction of one (6,) mean and (6, 6) covariance, or of stacks
     of them with the same leading axes."""
-    f = cv_transition(dt)
-    return (f @ mean[..., None])[..., 0], f @ cov @ f.T + process_noise(dt, q)
+    f, f_t, noise = motion_model(dt + 0.0, q + 0.0)
+    return (f @ mean[..., None])[..., 0], f @ cov @ f_t + noise
 
 
 # Up to this many matrices the sure-pass bound runs on Python floats, one
-# matrix at a time, beyond it on arrays: the two cost the same near 30
-# matrices (timeit, CPython 3.11, numpy 2.4, x86-64).  ``position_d2``
-# runs it on a call's N + M position blocks.
+# matrix at a time, beyond it on arrays: on the gate calls of the four
+# benchmark workloads the two cost the same near 28 to 31 matrices, about
+# 0.7 us a matrix against 21 us a call (CPython 3.11, numpy 2.4, x86-64).
+# ``position_d2`` runs it on a call's N + M position blocks.
 _FEW_MATRICES = 32
 
 
@@ -258,25 +288,26 @@ def _surely_regular(a, _01, _02, x, b, _12, z, y, c):
             & (det > margin * tr))
 
 
-# Up to this many pairs, solving every regular pair costs less than the
-# pre-gate's masks and its gather and scatter of the pairs it keeps: on
-# the gate calls of an urban-covi run, where most pairs are near enough
-# to be solved either way, the two cost the same near 64 to 96 pairs
-# (timeit, CPython 3.11, numpy 2.4, x86-64).
-_FEW_PAIRS = 64
+# Up to this many pairs, inverting every regular pair's S costs less than
+# the pre-gate's masks and its gather and scatter of the pairs it keeps:
+# on the gate calls of the four benchmark workloads the two cost the same
+# near 40 to 44 pairs (CPython 3.11, numpy 2.4, x86-64).
+_FEW_PAIRS = 40
 
 
 def position_d2(means_a, covs_a, means_b, covs_b,
-                gamma: float) -> tuple[np.ndarray, np.ndarray]:
+                gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All-pairs squared Mahalanobis distances over the position blocks,
     exact wherever a gate at ``gamma`` could pass them.
 
     Takes N stacked means and covariances for side a and M for side b
     (state or position dimension, at least 3) and returns ``(d2,
-    singular)``: d2 is the (N, M) matrix of Δ'S^-1 Δ with Δ = x_a - x_b
-    and S = P_a + P_b, and ``singular`` the (N, M) mask of pairs whose S
-    has rcond below 1e-12.  Every pair is tested; a singular pair is inf
-    in d2 and never solved, and each caller decides what it means.
+    singular, inverses)``: d2 is the (N, M) matrix of Δ'S^-1 Δ with Δ =
+    x_a - x_b and S = P_a + P_b, ``singular`` the (N, M) mask of pairs
+    whose S has rcond below 1e-12, and ``inverses`` the (N, M, 3, 3)
+    stack of S^-1, set for each pair that was solved and so for every
+    finite d2.  Every pair is tested; a singular pair is inf in d2 and
+    never solved, and each caller decides what it means.
 
     Regularity is proved per side: the sure-pass bound of ``_regularity``
     runs once over the N + M position blocks.  A block A that passes it
@@ -291,33 +322,39 @@ def position_d2(means_a, covs_a, means_b, covs_b,
 
     Pre-gate: for a positive definite S, Cauchy–Schwarz gives d2 >=
     Δ_k² / S_kk on each axis k.  A pair proven positive definite with
-    Δ_k² > 2 γ S_kk on some axis, S_kk = A_kk + B_kk, is inf without a
-    solve: its exact d2 exceeds 2γ, and a solve of an S with rcond >=
-    1e-12 errs by about cond·eps <= 1e-4 relative, so the factor 2
-    leaves its computed d2 far above γ, and it would fail any gate at γ
-    anyway.  Its trace form, |Δ|² > 2 γ tr(S), implies the per-axis one.
-    It runs above ``_FEW_PAIRS`` pairs; below, solving every regular
-    pair costs less.  S is built only for the pairs solved, each as
-    P_a + P_b, and they are solved together: each entry equals the
-    per-pair ``delta @ solve(s, delta)`` bit for bit.
+    Δ_k² > 2 γ S_kk on some axis, S_kk = A_kk + B_kk, is inf without an
+    inverse: its exact d2 exceeds 2γ, and the d2 computed through the
+    inverse of an S with rcond >= 1e-12 errs by about cond·eps <= 1e-4
+    relative, so the factor 2 leaves it far above γ, and it would fail
+    any gate at γ anyway.  Its trace form, |Δ|² > 2 γ tr(S), implies the
+    per-axis one.  It runs above ``_FEW_PAIRS`` pairs; below, inverting
+    every regular pair costs less.  S is built only for the pairs solved,
+    each as P_a + P_b, and they are inverted together: each entry equals
+    the per-pair ``delta @ (inv(s) @ delta)`` bit for bit, and each
+    inverse the per-pair ``inv(s)``.
     """
     n, m = len(means_a), len(means_b)
     if n == 0 or m == 0:
-        return np.zeros((n, m)), np.zeros((n, m), dtype=bool)
+        return np.zeros((n, m)), np.zeros((n, m), dtype=bool), np.empty((n, m, 3, 3))
     pos_a = np.asarray(means_a, dtype=float)[:, :3]
     pos_b = np.asarray(means_b, dtype=float)[:, :3]
     pa = np.asarray(covs_a, dtype=float)[:, :3, :3]
     pb = np.asarray(covs_b, dtype=float)[:, :3, :3]
     blocks = np.concatenate((pa, pb))
     sure = _sure(blocks)
-    proven = sure[:n, None] & sure[None, n:]  # positive definite
-    regular = proven
-    if not proven.all():
+    singular = np.zeros((n, m), dtype=bool)
+    proven = None  # every S is positive definite: both its sides are sure
+    if not sure.all():
+        proven = sure[:n, None] & sure[None, n:]
         rows, cols = np.nonzero(~proven)
-        regular = proven.copy()
-        proven[rows, cols], regular[rows, cols] = _regularity(pa[rows] + pb[cols])
-    solve = regular
-    if n * m > _FEW_PAIRS:
+        proven[rows, cols], regular = _regularity(pa[rows] + pb[cols])
+        singular[rows, cols] = ~regular
+    if n * m <= _FEW_PAIRS:
+        if proven is None or not singular.any():
+            d2, inverses = _quadratic(pa[:, None] + pb[None, :], pos_a[:, None] - pos_b[None, :])
+            return d2, singular, inverses
+        solve = ~singular
+    else:
         # (3, N, M) stacks of Δ_k² and of 2γ S_kk, from axis-major copies
         # of the sides: numpy broadcasts over a 3-long inner axis slowly
         pos = np.concatenate((pos_a, pos_b)).T.copy()
@@ -326,63 +363,73 @@ def position_d2(means_a, covs_a, means_b, covs_b,
         delta2 *= delta2
         bound = diag[:, :n, None] + diag[:, None, n:]
         bound *= 2.0 * gamma
-        solve = regular & ~(proven & (delta2 > bound).any(axis=0))
-    elif solve.all():
-        return _quadratic(pa[:, None] + pb[None, :], pos_a[:, None] - pos_b[None, :]), ~regular
+        far = (delta2 > bound).any(axis=0)
+        solve = ~far if proven is None else ~(singular | (proven & far))
     d2 = np.full((n, m), np.inf)
+    inverses = np.empty((n, m, 3, 3))
     rows, cols = np.nonzero(solve)
     if len(rows):
-        d2[rows, cols] = _quadratic(pa[rows] + pb[cols], pos_a[rows] - pos_b[cols])
-    return d2, ~regular
+        d2[rows, cols], inverses[rows, cols] = _quadratic(pa[rows] + pb[cols],
+                                                          pos_a[rows] - pos_b[cols])
+    return d2, singular, inverses
 
 
 def gate_cost(means_t, covs_t, means_m, covs_m,
-              gamma: float) -> tuple[np.ndarray, list[int], int]:
+              gamma: float) -> tuple[np.ndarray, list[int], int, np.ndarray]:
     """The one gate rule, for tracks (rows) against measurements (columns):
     the tracker's detections, and remote tracks in collaboration.
 
-    Returns ``(cost, skipped, singular)``: ``cost`` is the ``position_d2``
-    matrix where an entry is at most ``gamma`` and inf elsewhere.  A pair
+    Returns ``(cost, skipped, singular, inverses)``: ``cost`` is the
+    ``position_d2`` matrix where an entry is at most ``gamma`` and inf
+    elsewhere, and ``inverses`` its S^-1 stack, set wherever ``cost`` is
+    finite; a matched pair's update reads its S^-1 there.  A pair
     whose S has rcond below 1e-12 is never matched, and its measurement is
     skipped: the whole column is inf and its index is in ``skipped``, so
     the caller neither matches nor spawns it.  A spawn would put a
     zero-covariance twin next to the track it is singular with.
     ``singular`` counts the singular pairs.
     """
-    d2, singular = position_d2(means_t, covs_t, means_m, covs_m, gamma)
+    d2, singular, inverses = position_d2(means_t, covs_t, means_m, covs_m, gamma)
     cost = np.where(d2 <= gamma, d2, np.inf)
     if not singular.any():
-        return cost, [], 0
+        return cost, [], 0, inverses
     skipped = singular.any(axis=0)
     cost[:, skipped] = np.inf
-    return cost, np.flatnonzero(skipped).tolist(), int(singular.sum())
+    return cost, np.flatnonzero(skipped).tolist(), int(singular.sum()), inverses
 
 
-def _quadratic(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """delta' S^-1 delta of each S and delta in stacks of them."""
-    x = np.linalg.solve(s, delta[..., None])
+def _quadratic(s: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta' S^-1 delta of each S and delta in stacks of them, and the
+    S^-1 stack it was computed with."""
+    inverses = np.linalg.inv(s)
     # matmul, not einsum: it sums the three products in the per-pair order
-    return (delta[..., None, :] @ x)[..., 0, 0]
+    return (delta[..., None, :] @ (inverses @ delta[..., None]))[..., 0, 0], inverses
 
 
-def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
-                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
+
+
+def kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, r: np.ndarray,
+                  s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joseph-form position update of a 6-state CV track, or of stacks of
-    (6,) means, (6, 6) covariances, (3,) measurements and (3, 3) noises
-    with the same leading axes.
+    (6,) means, (6, 6) covariances, (3,) measurements, (3, 3) noises and
+    (3, 3) innovation inverses with the same leading axes.
 
-    H = [I 0] selects the position block, so HPH', PH', Hx and I - KH are
-    written as slices: the products with H's exact 0/1 entries they
-    replace added only exact zeros.  S is not tested here: a matched
-    pair's S is bit for bit the S its gate passed (``gate_cost``), the same
-    operands added in the same order.
+    ``s_inv`` is the inverse of S = P_pp + R, the position block of
+    ``cov`` plus ``r``, as ``np.linalg.inv`` gives it.  The gate computed
+    it for every pair it solved (``gate_cost``), the same operands added
+    in the same order, so S is neither rebuilt nor tested here: a matched
+    pair's S passed the gate's regularity test.  H = [I 0] selects the
+    position block, so HPH', PH', Hx and KH are written as slices: the
+    products with H's exact 0/1 entries they replace added only exact
+    zeros.
     """
-    s = cov[..., :3, :3] + r
-    k = cov[..., :, :3] @ np.linalg.inv(s)
+    k = cov[..., :, :3] @ s_inv
     mean_new = mean + (k @ (z - mean[..., :3])[..., None])[..., 0]
-    ikh = np.zeros(cov.shape)
-    ikh[..., :, :3] = -k
-    ikh += np.eye(6)
+    kh = np.zeros(cov.shape)
+    kh[..., :, :3] = k
+    ikh = _EYE6 - kh
     cov_new = ikh @ cov @ ikh.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2)
     return mean_new, (cov_new + cov_new.swapaxes(-1, -2)) / 2.0
 
@@ -396,22 +443,24 @@ def predict(tracks: Tracks, dt: float, q: float) -> Tracks:
     return Tracks(tracks.ids, means, covs, tracks.confirmed, tracks.misses, tracks.window)
 
 
-def update(tracks: Tracks, rows: list[int], detections: Detections,
+def update(tracks: Tracks, rows, detections: Detections, inverses: np.ndarray,
            confirm_m: int) -> Tracks:
     """The scoring of a step (``Tracks.sighted``): track ``rows[i]`` is
-    measurement-updated by row i of ``detections``, in one stacked
-    ``kalman_update``, and sighted; every other track misses."""
-    means, covs = kalman_update(tracks.means[rows], tracks.covs[rows],
-                                detections.positions, detections.covs)
+    measurement-updated by row i of ``detections``, with the innovation
+    inverse ``inverses[i]`` the gate computed for the pair, in one
+    stacked ``kalman_update``, and sighted; every other track misses."""
+    rows = np.asarray(rows, dtype=np.intp)
+    means, covs = kalman_update(tracks.means.take(rows, axis=0), tracks.covs.take(rows, axis=0),
+                                detections.positions, detections.covs, inverses)
     return tracks.sighted(rows, means, covs, confirm_m, others_miss=True)
 
 
 def gate(tracks: Tracks, detections: Detections,
-         gamma: float) -> tuple[np.ndarray, list[int], int]:
+         gamma: float) -> tuple[np.ndarray, list[int], int, np.ndarray]:
     """``gate_cost`` of predicted tracks (rows) against a detection batch
     (columns) at ``gamma``, the tracker's ``TrackerConfig.gamma``: the
-    gated cost matrix, the detections skipped for a singular pair, and the
-    number of singular pairs."""
+    gated cost matrix, the detections skipped for a singular pair, the
+    number of singular pairs, and each gated pair's innovation inverse."""
     return gate_cost(tracks.means, tracks.covs, detections.positions, detections.covs, gamma)
 
 
@@ -486,23 +535,23 @@ class Tracker:
         else:
             dt = 0.0
         predicted = predict(self.tracks, dt, cfg.q)
-        cost, skipped, singular = gate(predicted, detections, cfg.gamma)
-        pairs = assign(cost)
-        rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
-        matched = Detections(detections.positions[cols], detections.covs[cols])
-        tracks = update(predicted, rows, matched, cfg.confirm_m)
+        cost, skipped, singular, inverses = gate(predicted, detections, cfg.gamma)
+        rows, cols = np.array(assign(cost), dtype=np.intp).reshape(-1, 2).T
+        matched = Detections(detections.positions.take(cols, axis=0),
+                             detections.covs.take(cols, axis=0))
+        tracks = update(predicted, rows, matched, inverses[rows, cols], cfg.confirm_m)
         alive = tracks.misses <= cfg.max_misses
         if not alive.all():
-            tracks = tracks.take(alive)
+            tracks = tracks.take(alive.nonzero()[0])
 
-        taken = set(cols).union(skipped)
-        fresh = [j for j in range(len(detections)) if j not in taken]
-        if fresh:
+        taken = set(cols.tolist()).union(skipped)
+        fresh = np.array([j for j in range(len(detections)) if j not in taken], dtype=np.intp)
+        if len(fresh):
             means = np.zeros((len(fresh), 6))
-            means[:, :3] = detections.positions[fresh]
+            means[:, :3] = detections.positions.take(fresh, axis=0)
             covs = np.zeros((len(fresh), 6, 6))
-            covs[:, :3, :3] = detections.covs[fresh]
-            covs[:, 3:, 3:] = NEW_TRACK_VEL_STD**2 * np.eye(3)
+            covs[:, :3, :3] = detections.covs.take(fresh, axis=0)
+            covs[:, 3:, 3:] = _NEW_TRACK_VEL_COV
             tracks = tracks.then(spawn(self.next_id, means, covs, cfg))
 
         self.tracks, self.next_id, self.last_time = tracks, self.next_id + len(fresh), t
@@ -567,4 +616,4 @@ class Tracker:
     # -- views ---------------------------------------------------------------
 
     def confirmed(self) -> Tracks:
-        return self.tracks.take(self.tracks.confirmed)
+        return self.tracks.take(self.tracks.confirmed.nonzero()[0])

@@ -106,7 +106,7 @@ def ref_spawning(tracks, means, covs, gamma):
     for j, (mean, cov) in enumerate(zip(means, covs)):
         spawns = True
         for track_mean, track_cov in zip(tracks.means, tracks.covs):
-            cost, skip, singular = gate_cost([track_mean], [track_cov], [mean], [cov], gamma)
+            cost, skip, singular, _ = gate_cost([track_mean], [track_cov], [mean], [cov], gamma)
             singular_pairs += singular
             spawns = spawns and not skip and not np.isfinite(cost).any()
         if spawns:

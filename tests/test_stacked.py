@@ -529,8 +529,8 @@ def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
     """Pairs sit just either side of Δ_k² = 2 γ S_kk on one axis k, inside
     the bound on the others: in a call of more than ``_FEW_PAIRS`` pairs
     exactly those beyond it on some axis are inf, every other pair equals
-    the per-pair solve bit for bit, and gating at γ cannot tell the two
-    apart."""
+    the per-pair delta' (inv(S) delta) bit for bit, with the per-pair
+    inv(S) as its inverse, and gating at γ cannot tell the two apart."""
     rng = np.random.default_rng(seed)
     gamma = GATE_QUANTILES[gate_prob]
     covs_a = [a @ a.T + 0.01 * np.eye(6) for a in rng.normal(size=(n, 6, 6))]
@@ -550,24 +550,27 @@ def test_pregated_d2_equals_unpruned_reference(seed, n, m, gate_prob, margin):
             mean[:3] = means_b[j] + np.sign(side) * np.sqrt(np.abs(side) * bound)
         means_a.append(mean)
 
-    d2, singular = position_d2(means_a, covs_a, means_b, covs_b, gamma)
+    d2, singular, inverses = position_d2(means_a, covs_a, means_b, covs_b, gamma)
     assert d2.shape == singular.shape == (n, m)
+    assert inverses.shape == (n, m, 3, 3)
     assert not singular.any()
     for i in range(n):
         for j in range(m):
             delta = means_a[i][:3] - means_b[j]
             s = covs_a[i][:3, :3] + covs_b[j]
-            reference = float(delta @ np.linalg.solve(s, delta))
+            s_inv = np.linalg.inv(s)
+            reference = float(delta @ (s_inv @ delta))
             if n * m > _FEW_PAIRS and any(delta * delta > 2.0 * gamma * s.diagonal()):
                 assert d2[i, j] == np.inf
                 assert reference > gamma
             else:
                 assert d2[i, j] == reference
+                assert np.array_equal(inverses[i, j], s_inv)
 
 
 def test_singular_pairs_are_flagged_and_never_solved():
     zero = np.zeros((6, 6))
-    d2, singular = position_d2([np.zeros(6), np.ones(6)], [zero, np.eye(6)],
+    d2, singular, _ = position_d2([np.zeros(6), np.ones(6)], [zero, np.eye(6)],
                                [np.zeros(3)], [np.zeros((3, 3))], GATE_QUANTILES[0.99])
     assert singular.tolist() == [[True], [False]]
     assert d2[0, 0] == np.inf

@@ -23,6 +23,7 @@ from fusionsim.tracker import (
     gate_cost,
     kalman_predict,
     kalman_update,
+    motion_model,
     position_d2,
     predict,
     predict_waypoints,
@@ -61,6 +62,13 @@ def fresh_track(mean=None, cov=None):
                         None if cov is None else [cov])
 
 
+def gated_update(tracks, rows, detections, confirm_m):
+    """``update`` with each pair's innovation inverse, inv(P_pp + R), as
+    the gate computes it."""
+    s = tracks.covs[rows][:, :3, :3] + detections.covs
+    return update(tracks, rows, detections, np.linalg.inv(s), confirm_m)
+
+
 def test_gate_quantiles_match_independent_implementation():
     assert set(GATE_QUANTILES) == {0.95, 0.99}
     for prob, value in GATE_QUANTILES.items():
@@ -96,24 +104,51 @@ class TestPredict:
         assert q[3, 3] == pytest.approx(3.0 * dt**2)
         assert q[0, 1] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(0.0, 2.0), q=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_cached_motion_models_are_the_built_ones_and_read_only(self, dt, q, seed):
+        """The cached F, F' and Q equal ``cv_transition`` and
+        ``process_noise`` bit for bit, none can be written to, and a
+        prediction through them equals one through freshly built ones."""
+        f, f_t, noise = motion_model(dt, q)
+        assert motion_model(dt, q)[0] is f
+        built_f, built_noise = cv_transition(dt), process_noise(dt, q)
+        assert batch_bytes_of(f, f_t, noise) == batch_bytes_of(built_f, built_f.T, built_noise)
+        for a in (f, f_t, noise):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        tracks = random_tracks(np.random.default_rng(seed), 3)
+        mean, cov = kalman_predict(tracks.means, tracks.covs, dt, q)
+        assert batch_bytes_of(mean, cov) == batch_bytes_of(
+            (built_f @ tracks.means[..., None])[..., 0],
+            built_f @ tracks.covs @ built_f.T + built_noise)
+
+    def test_the_motion_model_cache_stays_within_its_bound(self):
+        for dt in np.linspace(0.0, 2.0, 10_000).tolist():
+            kalman_predict(np.zeros(6), np.eye(6), dt, 1.0)
+        info = motion_model.cache_info()
+        assert info.maxsize == tracker_module._MOTION_MODELS
+        assert info.currsize <= info.maxsize
+
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean_shrinks_cov(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update(tr, [0], det([1, 2, 3]), 3)
+        out = gated_update(tr, [0], det([1, 2, 3]), 3)
         assert np.allclose(out.means, tr.means, atol=1e-12)
         assert np.trace(out.covs[0]) < np.trace(tr.covs[0])
 
     def test_scalar_kalman_algebra(self):
         # prior var 1, measurement var 1, offset 1: posterior offset 0.5, var 0.5
         tr = fresh_track()
-        out = update(tr, [0], det([1, 0, 0]), 3)
+        out = gated_update(tr, [0], det([1, 0, 0]), 3)
         assert out.means[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert out.covs[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_uninformative_measurement(self):
         tr = fresh_track(mean=[1, 2, 3, 0, 0, 0])
-        out = update(tr, [0], det([100, 100, 100], var=1e12), 3)
+        out = gated_update(tr, [0], det([100, 100, 100], var=1e12), 3)
         assert np.abs(out.means - tr.means).max() < 1e-6
 
     def test_singular_innovation(self):
@@ -127,9 +162,15 @@ class TestUpdate:
 
     def test_counters_and_history(self):
         tr = fresh_tracks([np.zeros(6)] * 2)
-        out = update(tr, [1], det([0.1, 0, 0]), 3)
+        out = gated_update(tr, [1], det([0.1, 0, 0]), 3)
         assert out.misses.tolist() == [1, 0]
         assert out.window[:, -2:].tolist() == [[True, False], [True, True]]
+
+
+def batch_bytes_of(*arrays):
+    """Each array's dtype, shape and bytes: equal exactly when the arrays
+    are equal bit for bit."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
 def random_tracks(rng, n):
@@ -158,14 +199,20 @@ class TestStacked:
     def test_equal_per_track_kernels_bit_for_bit(self, n, seed, dt, q, confirm_m):
         """A predict and update of a whole batch, where a random subset of
         the tracks is hit in a random order, equal the single-row calls on
-        each track, and leave the input batch as it was."""
+        each track, and leave the input batch as it was.  The batch update
+        reads each pair's innovation inverse from the gate, at an infinite
+        threshold so that every pair is solved; the single-row references
+        get each pair's own inv(P_pp + R)."""
         rng = np.random.default_rng(seed)
         tracks = random_tracks(rng, n)
         rows = rng.permutation(n)[:rng.integers(0, n + 1)].tolist()
         dets = {i: random_detection(rng) for i in rows}
         before = batch_bytes(tracks)
         predicted = predict(tracks, dt, q)
-        scored = update(predicted, rows, batch(*[dets[i] for i in rows]), confirm_m)
+        matched = batch(*[dets[i] for i in rows])
+        inverses = gate(predicted.take(rows), matched, np.inf)[3]
+        pairs = np.arange(len(rows))
+        scored = update(predicted, rows, matched, inverses[pairs, pairs], confirm_m)
         assert len(predicted) == len(scored) == n
         assert batch_bytes(tracks) == before
         for i in range(n):
@@ -175,10 +222,11 @@ class TestStacked:
             one = predict(tracks.take([i]), dt, q)
             assert lifecycle(predicted, i) == lifecycle(one, 0)
             if i in dets:
-                mean, cov = kalman_update(mean, cov, dets[i].positions[0], dets[i].covs[0])
-                one = update(one, [0], dets[i], confirm_m)
+                s_inv = np.linalg.inv(cov[:3, :3] + dets[i].covs[0])
+                mean, cov = kalman_update(mean, cov, dets[i].positions[0], dets[i].covs[0], s_inv)
+                one = update(one, [0], dets[i], s_inv[None], confirm_m)
             else:
-                one = update(one, [], batch(), confirm_m)
+                one = update(one, [], batch(), np.empty((0, 3, 3)), confirm_m)
             assert np.array_equal(scored.means[i], mean)
             assert np.array_equal(scored.covs[i], cov)
             assert batch_bytes(scored.take([i])) == batch_bytes(one)
@@ -278,7 +326,7 @@ class TestPerSideRegularity:
         s = a + b
         assert tracker_module._surely_regular(*s.ravel())
         assert eig_regular(s)
-        _, singular = position_d2(np.zeros((1, 3)), [a], np.zeros((1, 3)), [b], 11.345)
+        _, singular, _ = position_d2(np.zeros((1, 3)), [a], np.zeros((1, 3)), [b], 11.345)
         assert not singular.any()
 
     @settings(max_examples=100, deadline=None)
@@ -293,7 +341,7 @@ class TestPerSideRegularity:
         """Every pair's ``singular`` flag is ``_regularity``'s verdict on
         its own S, whatever mix of sure and doubtful (zero, rank-one or
         negative definite) sides it has, and a regular pair that gates is
-        its per-pair solve.  A NaN on the diagonal of side a's block
+        its per-pair inverse and product.  A NaN on the diagonal of side a's block
         ``nan_at`` makes that verdict raise, as ``eigvalsh`` does, and
         ``position_d2`` raises too."""
         (means_a, blocks_a), (means_b, blocks_b) = (
@@ -307,33 +355,35 @@ class TestPerSideRegularity:
             with pytest.raises(np.linalg.LinAlgError):
                 position_d2(means_a, blocks_a, means_b, blocks_b, gamma)
             return
-        d2, singular = position_d2(means_a, blocks_a, means_b, blocks_b, gamma)
+        d2, singular, inverses = position_d2(means_a, blocks_a, means_b, blocks_b, gamma)
         assert np.array_equal(singular, ~regular)
         for i, j in np.argwhere(regular):
             delta = means_a[i] - means_b[j]
-            reference = float(delta @ np.linalg.solve(blocks_a[i] + blocks_b[j], delta))
+            s_inv = np.linalg.inv(blocks_a[i] + blocks_b[j])
+            reference = float(delta @ (s_inv @ delta))
             if d2[i, j] <= gamma or reference <= gamma:
                 assert d2[i, j] == reference
+                assert np.array_equal(inverses[i, j], s_inv)
         assert np.all(d2[singular] == np.inf)
 
 
 class TestGate:
     def test_at_predicted_position(self):
-        cost, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0), GAMMA_99)
+        cost, _, _, _ = gate(fresh_track(), det([0, 0, 0], var=1.0), GAMMA_99)
         assert cost.shape == (1, 1)
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_nine_accepted_at_99(self):
         # nu = (3,0,0), S = I  (prior cov 0, meas var 1): d2 = 9 < 11.345
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate(tr, det([3, 0, 0], var=1.0), GAMMA_99)
+        cost, _, _, _ = gate(tr, det([3, 0, 0], var=1.0), GAMMA_99)
         assert cost[0, 0] == pytest.approx(9.0, abs=1e-6)
 
     def test_sixteen_rejected_at_99(self):
         tr = fresh_track(cov=np.zeros((6, 6)) + 1e-15 * np.eye(6))
-        cost, _, _ = gate(tr, det([4, 0, 0], var=1.0), GAMMA_99)
+        cost, _, _, _ = gate(tr, det([4, 0, 0], var=1.0), GAMMA_99)
         assert cost[0, 0] == np.inf
-        d2, singular = position_d2(tr.means, tr.covs, [[4.0, 0, 0]], [np.eye(3)], GAMMA_99)
+        d2, singular, _ = position_d2(tr.means, tr.covs, [[4.0, 0, 0]], [np.eye(3)], GAMMA_99)
         assert d2[0, 0] == pytest.approx(16.0, abs=1e-6)
         assert not singular[0, 0]
 
@@ -341,14 +391,14 @@ class TestGate:
         tracks = fresh_tracks([[x, 0, 0, 0, 0, 0] for x in range(4)],
                               [np.eye(6)] * 3 + [np.zeros((6, 6))])
         dets = batch(det([0, 0, 0]), det([1, 0, 0]), det([5, 0, 0], var=0.0))
-        cost, skipped, singular = gate(tracks, dets, GAMMA_99)
+        cost, skipped, singular, _ = gate(tracks, dets, GAMMA_99)
         assert (skipped, singular) == ([2], 1)
         # the skipped column is inf for every track, the others unchanged
         assert np.all(cost[:, 2] == np.inf)
-        regular, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]), GAMMA_99)
+        regular, _, _, _ = gate(tracks, Detections(dets.positions[:2], dets.covs[:2]), GAMMA_99)
         assert np.array_equal(cost[:, :2], regular)
         # every other pair is regular
-        assert gate(tracks.take([0, 1, 2]), dets, GAMMA_99)[1:] == ([], 0)
+        assert gate(tracks.take([0, 1, 2]), dets, GAMMA_99)[1:3] == ([], 0)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 12), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
@@ -359,10 +409,11 @@ class TestGate:
     @example(n=60, m=65, seed=43, gate_prob=0.99, zero_share=0.2, spread=30.0)
     @example(n=60, m=65, seed=44, gate_prob=0.95, zero_share=0.2, spread=3.0)
     def test_matches_per_pair_reference(self, n, m, seed, gate_prob, zero_share, spread):
-        """``gate_cost`` against a per-pair solve.  Tracks and measurements
+        """``gate_cost`` against a per-pair inverse.  Tracks and measurements
         with a zero or rank-one position block give singular pairs: those
         are inf and skip their measurement, and the count is exact; every
-        other pair is the per-pair solve gated at gamma.  Up to 144 pairs
+        other pair is the per-pair delta' (inv(S) delta) gated at gamma,
+        and each gated pair's inverse is the per-pair inv(S).  Up to 144 pairs
         reach past ``_FEW_PAIRS`` (pre-gate) and ``_FEW_MATRICES`` (array
         sure-pass path); the 60 x 65 examples are a crowd-sized call,
         where a ``spread`` of 30 m leaves the pre-gate most pairs."""
@@ -384,6 +435,7 @@ class TestGate:
         covs_m = [cov(3) for _ in range(m)]
         gamma = TrackerConfig(gate_prob=gate_prob).gamma
         reference = np.full((n, m), np.inf)
+        reference_inverses = {}
         bad = np.zeros((n, m), dtype=bool)
         for i in range(n):
             for j in range(m):
@@ -393,14 +445,19 @@ class TestGate:
                     bad[i, j] = True
                     continue
                 delta = means_t[i][:3] - means_m[j]
-                d2 = float(delta @ np.linalg.solve(s, delta))
+                s_inv = np.linalg.inv(s)
+                d2 = float(delta @ (s_inv @ delta))
                 if d2 <= gamma:
                     reference[i, j] = d2
+                    reference_inverses[i, j] = s_inv
         skipped = bad.any(axis=0)
         reference[:, skipped] = np.inf
-        cost, skipped_cols, singular = gate_cost(means_t, covs_t, means_m, covs_m, gamma)
+        cost, skipped_cols, singular, inverses = gate_cost(means_t, covs_t, means_m, covs_m, gamma)
         assert cost.shape == (n, m)
+        assert inverses.shape == (n, m, 3, 3)
         assert np.array_equal(cost, reference)
+        for i, j in np.argwhere(np.isfinite(cost)):
+            assert np.array_equal(inverses[i, j], reference_inverses[i, j])
         assert skipped_cols == np.flatnonzero(skipped).tolist()
         assert singular == int(bad.sum())
 
@@ -483,7 +540,7 @@ def test_joseph_form_psd_many_random_steps():
         z = mean[:3] + rng.normal(scale=2.0, size=3)
         b = rng.normal(size=(3, 3))
         r = b @ b.T + 1e-6 * np.eye(3)
-        mean, cov = kalman_update(mean, cov, z, r)
+        mean, cov = kalman_update(mean, cov, z, r, np.linalg.inv(cov[:3, :3] + r))
         covs[k] = cov
     # every step's covariance checked at the end, all at once
     assert np.allclose(covs, covs.swapaxes(1, 2))
@@ -675,10 +732,10 @@ class TestBatchRollback:
         # replay restores the state stored at (0.3, local): ``first`` spawns
         # a track at x = 20, then ``second`` updates it, and that update
         # raises, with later batches still to come
-        def update(tracks, rows, detections, confirm_m):
+        def update(tracks, rows, detections, inverses, confirm_m):
             if np.any(detections.positions[:, 0] == 20.0):
                 raise ValueError("forced")
-            return plain_update(tracks, rows, detections, confirm_m)
+            return plain_update(tracks, rows, detections, inverses, confirm_m)
         plain_update = tracker_module.update
         with monkeypatch.context() as patch:
             patch.setattr(tracker_module, "update", update)
