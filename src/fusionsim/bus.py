@@ -1,4 +1,4 @@
-"""Framed pub/sub transport: wire format, payload fields, link impairments.
+"""Framed pub/sub transport: wire format, payload layouts, JSON fields, link impairments.
 
 Wire layout (normative, little-endian):
 
@@ -11,31 +11,56 @@ Wire layout (normative, little-endian):
 
 A delivery is exactly one frame: bytes after it are an error.
 
-Message types (normative).  A payload holds exactly the keys its parser
-reads, and a field of k rows is one stack (``[]`` when k is 0):
+Message types (normative).  A heartbeat's payload is empty.  Every other
+payload is one fixed little-endian layout without padding: a head of
+``struct`` fields whose last, n, counts the message's rows, then the
+message's arrays, each in C order.  f64 is an IEEE 754 binary64, i64 a
+two's-complement integer, u32 and u8 unsigned integers:
 
-    TRACKS     tracks/{sender}         sender_pose, timestamp, ids (k ints),
-                                       means (k, 6), covs (k, 6, 6)
-    TASK_REQ   tasks/{worker}          task_id, frame_time, visible_ids
-                                       (ints), rig_pose
-    TASK_RESP  results/{ego}/{worker}  task_id, status ("ok" or
-                                       "failed"), frame_time,
-                                       positions (k, 3), covs (k, 3, 3)
+    TRACKS     tracks/{sender}         head  timestamp f64, n u32
+                                       then  sender pose, ids (n,) i64,
+                                             means (n, 6) f64,
+                                             covs (n, 6, 6) f64
+    TASK_REQ   tasks/{worker}          head  task_id i64, frame_time f64,
+                                             n u32
+                                       then  rig pose, visible ids (n,) i64
+    TASK_RESP  results/{ego}/{worker}  head  task_id i64, frame_time f64,
+                                             status u8 (1 ok, 0 failed),
+                                             n u32
+                                       then  positions (n, 3) f64,
+                                             covs (n, 3, 3) f64
     HEARTBEAT  hb/{worker}             nothing: the payload is empty
 
-A pose is {rotation (3, 3), translation (3,)}.  Payloads are canonical
-JSON: UTF-8, keys sorted, no insignificant whitespace, floats in shortest
-round-trip form.  Canonical bytes are what the determinism contract
-hashes and diffs.
+A pose is its rotation (3, 3) f64 then its translation (3,) f64.  A
+TRACKS payload of n tracks is 108 + 344 n bytes, a TASK_REQ one 116 + 8 n
+and a TASK_RESP one 21 + 96 n.
 
-JSON from outside the program (payloads, replay lines, scenario
-documents) is read by one rule: decoded by ``canonical_loads``, an object
-holds no unknown key (``payload_keys``), and a field is present and of
-its kind, numbers typed and never cast (``payload_field``).
+Each type's parser reads its payload through its ``Layout``, which
+refuses, with ValueError, a payload shorter or longer than its head and
+count say, and a non-finite f64 of the head (``timestamp``,
+``frame_time``).  The parser then refuses a pose that ``Pose`` refuses
+(not finite, not orthonormal or not proper), a status other than 0 or
+1, and edge detections that are not finite.  Every other value is read
+as written, a remote track's non-finite number included, which ``align``
+refuses.  So a payload a parser accepts is exactly the bytes its
+message's ``to_payload`` writes, and every number round-trips bit for
+bit.  The sha256 of the payload bytes is what a run reports per frame.
+
+JSON from outside the program (replay lines, scenario documents) is read
+by one rule: decoded by ``canonical_loads``, an object holds no unknown
+key (``payload_keys``), and a field is present and of its kind, numbers
+typed and never cast (``payload_field``).  Canonical JSON (UTF-8, keys
+sorted, no insignificant whitespace, floats in shortest round-trip form,
+``canonical_dumps``) is the format of scenarios, replay lines and the
+report.
+
+An id travels as an i64, so ``load_scenario`` refuses an object id and
+``load_replay`` a truth id outside [-2^63, 2^63) (``is_i64``); the
+program numbers tracks and tasks from 0 and 1.
 
 Every check that refuses a value raises plain ValueError: these readers,
-the frame codec, the configs', poses' and intrinsics' own checks,
-``check_symmetric`` and ``align``.  Each boundary converts it once:
+the frame codec, the payload layouts, the configs', poses' and
+intrinsics' own checks, ``check_symmetric`` and ``align``.  Each boundary converts it once:
 ``load_scenario`` and ``apply_overrides`` raise ValidationError naming
 the JSON path (ParseError if the document does not decode),
 ``load_replay`` raises ReplayError with the line, ``Engine.on_deliver``
@@ -136,14 +161,6 @@ def payload_field(d: dict, key: str, kind):
     return float(x) if kind is float else x
 
 
-def payload_ints(d: dict, key: str) -> list[int]:
-    """Field ``key``, a list of exact ints (not a bool or 2.5), or ValueError."""
-    ints = payload_field(d, key, list)
-    if not all(type(i) is int for i in ints):
-        raise ValueError(f"payload field {key!r}: {ints!r} is not a list of ints")
-    return ints
-
-
 def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
     """A decoded payload's nested lists of numbers as a float array of
     exactly ``shape``; anything else raises ValueError.  A number is an
@@ -162,6 +179,69 @@ def payload_array(x, shape: tuple[int, ...]) -> np.ndarray:
     if bool in map(type, numbers):
         raise ValueError(f"payload array of shape {shape} holds a bool")
     return a.astype(float, copy=False)
+
+
+def is_i64(n: int) -> bool:
+    """Whether the int ``n`` fits an i64 of the wire."""
+    return -2**63 <= n < 2**63
+
+
+_F64 = np.dtype("<f8")
+_I64 = np.dtype("<i8")
+
+
+class Layout:
+    """One message type's payload layout (see the module docstring): a
+    ``struct`` head whose last field is the row count n, then ``fixed``
+    arrays, then ``rows`` arrays of n rows each, every array given as its
+    wire dtype and its shape (a row's, for ``rows``)."""
+
+    def __init__(self, head: str, fixed: tuple, rows: tuple):
+        self.head = struct.Struct(head)
+        self.fixed, self.rows = fixed, rows
+        # the head's f64 fields, which must be finite
+        self._floats = [i for i, code in enumerate(head.lstrip("<")) if code == "d"]
+        self._size = self.head.size + sum(dtype.itemsize * math.prod(shape)
+                                          for dtype, shape in fixed)
+        self._row_size = sum(dtype.itemsize * math.prod(shape) for dtype, shape in rows)
+
+    def write(self, head: tuple, arrays) -> bytes:
+        """The payload of the ``head`` fields and ``arrays``, in the
+        layout's order; the writer trusts its caller's shapes."""
+        blocks = self.fixed + self.rows
+        return b"".join([self.head.pack(*head),
+                         *[np.asarray(a, dtype).tobytes() for (dtype, _), a in zip(blocks, arrays)]])
+
+    def read(self, data: bytes) -> tuple[tuple, list[np.ndarray]]:
+        """The head fields of ``data`` and its arrays, each a new, writable
+        array of its shape in native byte order.  A payload of another
+        length than its head and count say, or a non-finite f64 in the
+        head, raises ValueError."""
+        if len(data) < self.head.size:
+            raise ValueError(f"payload of {len(data)} bytes ends inside its "
+                             f"{self.head.size}-byte head")
+        head = self.head.unpack_from(data)
+        n = head[-1]
+        size = self._size + n * self._row_size
+        if len(data) != size:
+            raise ValueError(f"payload is {len(data)} bytes, its head of {n} rows says {size}")
+        for i in self._floats:
+            if not math.isfinite(head[i]):
+                raise ValueError(f"payload head holds {head[i]}, a time that is not finite")
+        arrays, offset = [], self.head.size
+        for dtype, shape in (*self.fixed, *[(dtype, (n, *row)) for dtype, row in self.rows]):
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(data, dtype, count, offset).reshape(shape)
+                          .astype(dtype.type))
+            offset += count * dtype.itemsize
+        return head, arrays
+
+
+# A pose is its rotation, then its translation.
+_POSE = ((_F64, (3, 3)), (_F64, (3,)))
+TRACKS_PAYLOAD = Layout("<dI", _POSE, ((_I64, ()), (_F64, (6,)), (_F64, (6, 6))))
+TASK_REQ_PAYLOAD = Layout("<qdI", _POSE, ((_I64, ()),))
+TASK_RESP_PAYLOAD = Layout("<qdBI", (), ((_F64, (3,)), (_F64, (3, 3))))
 
 
 def encode(frame: BusFrame) -> bytes:

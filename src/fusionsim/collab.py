@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bus import payload_field, payload_ints, payload_keys
+from .bus import TRACKS_PAYLOAD
 from .geometry import Pose, check_symmetric, symmetrize, transform_gaussian
 from .tracker import (
     Tracker,
@@ -72,19 +72,17 @@ class RemoteTrackMsg:
     timestamp: float
     tracks: RemoteTracks
 
-    def to_payload(self) -> dict:
-        return {"sender_pose": self.sender_pose.to_payload(), "timestamp": self.timestamp,
-                "ids": list(self.tracks.ids), "means": self.tracks.means.tolist(),
-                "covs": self.tracks.covs.tolist()}
+    def to_payload(self) -> bytes:
+        pose, tracks = self.sender_pose, self.tracks
+        return TRACKS_PAYLOAD.write((self.timestamp, len(tracks)),
+                                    (pose.rotation, pose.translation, tracks.ids, tracks.means,
+                                     tracks.covs))
 
     @staticmethod
-    def from_payload(d: dict, sender: str) -> "RemoteTrackMsg":
-        payload_keys(d, {"sender_pose", "timestamp", "ids", "means", "covs"})
-        ids = payload_ints(d, "ids")
-        tracks = RemoteTracks(tuple(ids), payload_field(d, "means", (len(ids), 6)),
-                              payload_field(d, "covs", (len(ids), 6, 6)))
-        return RemoteTrackMsg(sender, Pose.from_payload(payload_field(d, "sender_pose", dict)),
-                              payload_field(d, "timestamp", float), tracks)
+    def from_payload(data: bytes, sender: str) -> "RemoteTrackMsg":
+        (timestamp, _), (rotation, translation, ids, means, covs) = TRACKS_PAYLOAD.read(data)
+        return RemoteTrackMsg(sender, Pose(rotation, translation), timestamp,
+                              RemoteTracks(tuple(ids.tolist()), means, covs))
 
 
 @dataclass

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import payload_field, payload_keys
-
 # Symmetry tolerance for covariance inputs.  Long simulations accumulate
 # float drift; this must not abort them.
 SYMMETRY_TOL = 1e-6
@@ -36,8 +34,8 @@ OPTICAL_FROM_BODY = np.array(
 class Pose:
     """Rigid transform: rotation (world-from-local) plus translation in meters.
 
-    A pose built from outside input (``Pose(...)``, ``from_rpy_deg``,
-    ``from_payload``) is validated once.  Poses derived from valid ones
+    A pose built from outside input (``Pose(...)``, ``from_rpy_deg``, a
+    bus payload's) is validated once.  Poses derived from valid ones
     (``compose``, ``inverse``, ``identity``, a trajectory's pose at a
     time) are built by ``_trusted``, which skips the check.
     """
@@ -50,8 +48,13 @@ class Pose:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if not np.all(np.isfinite(r)) or not np.all(np.isfinite(t)):
+        if not np.all(np.isfinite(t)):
             raise ValueError("pose components must be finite")
+        # an orthonormal matrix's entries lie in [-1, 1]: this refuses a
+        # non-finite entry too, and keeps R'R below from overflowing
+        if not np.abs(r).max() <= 1.0 + _ORTHONORMAL_TOL:
+            raise ValueError("rotation not orthonormal (an entry is not finite or "
+                             "outside [-1, 1])")
         err = np.abs(r.T @ r - np.eye(3)).max()
         if err > _ORTHONORMAL_TOL:
             raise ValueError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
@@ -81,17 +84,6 @@ class Pose:
         """self ∘ other: apply ``other`` first, then ``self``."""
         return Pose._trusted(self.rotation @ other.rotation,
                              self.rotation @ other.translation + self.translation)
-
-    def to_payload(self) -> dict:
-        """JSON-ready form carried in bus messages."""
-        return {"rotation": self.rotation.tolist(),
-                "translation": self.translation.tolist()}
-
-    @staticmethod
-    def from_payload(d: dict) -> "Pose":
-        """The pose of a ``to_payload`` dict, read by the bus's rule."""
-        payload_keys(d, {"rotation", "translation"}, "pose")
-        return Pose(payload_field(d, "rotation", (3, 3)), payload_field(d, "translation", (3,)))
 
 
 _IDENTITY = Pose._trusted(np.eye(3), np.zeros(3))

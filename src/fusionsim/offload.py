@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import payload_field, payload_ints, payload_keys
+from .bus import TASK_REQ_PAYLOAD, TASK_RESP_PAYLOAD
 from .fusion import Detections, radar_measurement_cov
 from .geometry import Pose, inverse
 from .sensing import (SensorNoiseConfig, detected, from_polar, in_range, polar_angles,
@@ -37,6 +37,8 @@ from .tracker import LANE_EDGE, Tracker
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
+# a status as its wire byte indexes it
+_STATUSES = (STATUS_FAILED, STATUS_OK)
 
 DEFAULT_TIMEOUT = 1.0
 DEFAULT_QUEUE_BOUND = 16
@@ -54,16 +56,15 @@ class TaskRequest:
     visible_ids: tuple[int, ...]
     rig_pose: Pose
 
-    def to_payload(self) -> dict:
-        return {"task_id": self.task_id, "frame_time": self.frame_time,
-                "visible_ids": list(self.visible_ids), "rig_pose": self.rig_pose.to_payload()}
+    def to_payload(self) -> bytes:
+        pose = self.rig_pose
+        return TASK_REQ_PAYLOAD.write((self.task_id, self.frame_time, len(self.visible_ids)),
+                                      (pose.rotation, pose.translation, self.visible_ids))
 
     @staticmethod
-    def from_payload(d: dict) -> "TaskRequest":
-        payload_keys(d, {"task_id", "frame_time", "visible_ids", "rig_pose"})
-        return TaskRequest(payload_field(d, "task_id", int), payload_field(d, "frame_time", float),
-                           tuple(payload_ints(d, "visible_ids")),
-                           Pose.from_payload(payload_field(d, "rig_pose", dict)))
+    def from_payload(data: bytes) -> "TaskRequest":
+        (task_id, frame_time, _), (rotation, translation, ids) = TASK_REQ_PAYLOAD.read(data)
+        return TaskRequest(task_id, frame_time, tuple(ids.tolist()), Pose(rotation, translation))
 
 
 @dataclass(frozen=True)
@@ -73,25 +74,20 @@ class TaskResult:
     frame_time: float
     detections: Detections      # in the tracking frame
 
-    def to_payload(self) -> dict:
-        return {"task_id": self.task_id, "status": self.status,
-                "frame_time": self.frame_time,
-                "positions": self.detections.positions.tolist(),
-                "covs": self.detections.covs.tolist()}
+    def to_payload(self) -> bytes:
+        dets = self.detections
+        return TASK_RESP_PAYLOAD.write((self.task_id, self.frame_time,
+                                        _STATUSES.index(self.status), len(dets)),
+                                       (dets.positions, dets.covs))
 
     @staticmethod
-    def from_payload(d: dict) -> "TaskResult":
-        payload_keys(d, {"task_id", "status", "frame_time", "positions", "covs"})
-        n = len(payload_field(d, "positions", list))
-        positions = payload_field(d, "positions", (n, 3))
-        covs = payload_field(d, "covs", (n, 3, 3))
+    def from_payload(data: bytes) -> "TaskResult":
+        (task_id, frame_time, status, _), (positions, covs) = TASK_RESP_PAYLOAD.read(data)
         if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
             raise ValueError("edge detections must be finite")
-        status = payload_field(d, "status", str)
-        if status not in (STATUS_OK, STATUS_FAILED):
-            raise ValueError(f"task status {status!r} is neither ok nor failed")
-        return TaskResult(payload_field(d, "task_id", int), status,
-                          payload_field(d, "frame_time", float), Detections(positions, covs))
+        if status >= len(_STATUSES):
+            raise ValueError(f"task status byte {status} is neither 1 (ok) nor 0 (failed)")
+        return TaskResult(task_id, _STATUSES[status], frame_time, Detections(positions, covs))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__, bus
-from ..bus import BusFrame, canonical_dumps, canonical_loads, link_key
+from ..bus import BusFrame, canonical_dumps, link_key
 from ..collab import CollabState, RemoteTrackMsg, RemoteTracks, covi_step
 from ..fusion import Association, frustum_associate, synthesize
 from ..geometry import (
@@ -382,7 +382,7 @@ class Engine:
         means, covs = transform_gaussian(inverse(agent_pose), confirmed.means,
                                          symmetrize(confirmed.covs))
         tracks = RemoteTracks(tuple(confirmed.ids.tolist()), means, covs)
-        payload = canonical_dumps(RemoteTrackMsg(rt.spec.id, agent_pose, t, tracks).to_payload())
+        payload = RemoteTrackMsg(rt.spec.id, agent_pose, t, tracks).to_payload()
         for other in sorted(self.agents):
             if other != rt.spec.id:
                 self._send(rt.spec.id, other, t, bus.MSG_TRACKS, f"tracks/{rt.spec.id}", payload)
@@ -398,12 +398,12 @@ class Engine:
 
     def _send_task_req(self, req: TaskRequest, wid: str, t: float) -> None:
         self._send(self.ego_id, self.workers[wid], t, bus.MSG_TASK_REQ, f"tasks/{wid}",
-                   canonical_dumps(req.to_payload()))
+                   req.to_payload())
 
     def on_deliver(self, t: float, dst: str, data: bytes) -> None:
         """Handle one frame off the bus: parse its payload, then act on it.
         A malformed frame (not exactly one frame, a payload its parser
-        refuses by the bus's rule, a topic naming no worker this engine
+        refuses (see ``bus``), a topic naming no worker this engine
         runs, TRACKS whose topic names no sensor agent of the run, or
         TRACKS that no flush reads: outside ``cr-covi`` or to an agent
         without sensors) is counted under ``malformed`` and skipped; the
@@ -423,7 +423,7 @@ class Engine:
 
     def _parse_tracks(self, frame: BusFrame) -> tuple[RemoteTrackMsg]:
         sender = _named(frame.topic, "tracks/", self.agents)
-        return (RemoteTrackMsg.from_payload(canonical_loads(frame.payload), sender),)
+        return (RemoteTrackMsg.from_payload(frame.payload, sender),)
 
     def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
         # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor
@@ -435,7 +435,7 @@ class Engine:
         self.agents[dst].msg_queue.append(msg)
 
     def _parse_task_req(self, frame: BusFrame) -> tuple[str, TaskRequest]:
-        req = TaskRequest.from_payload(canonical_loads(frame.payload))
+        req = TaskRequest.from_payload(frame.payload)
         # the worker reads the truth at frame_time, which world_at has
         # only inside the scenario
         if not -1e-9 <= req.frame_time <= self.sc.duration + 1e-9:
@@ -452,7 +452,7 @@ class Engine:
     def _parse_task_resp(self, frame: BusFrame) -> tuple[TaskResult]:
         # a result from no worker of ours is malformed
         _named(frame.topic, f"results/{self.ego_id}/", self.workers)
-        return (TaskResult.from_payload(canonical_loads(frame.payload)),)
+        return (TaskResult.from_payload(frame.payload),)
 
     def _on_task_resp(self, t: float, dst: str, result: TaskResult) -> None:
         _, sends = self.broker.on_result(result, t)
@@ -475,7 +475,7 @@ class Engine:
 
     def on_task_complete(self, t: float, wid: str, result: TaskResult) -> None:
         self._send(self.workers[wid], self.ego_id, t, bus.MSG_TASK_RESP,
-                   f"results/{self.ego_id}/{wid}", canonical_dumps(result.to_payload()))
+                   f"results/{self.ego_id}/{wid}", result.to_payload())
 
     def on_metric(self, t: float) -> None:
         truth = self.source.truth_at(t)  # read even unscored: a live source records it

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from ..bus import (LinkParams, NetworkModel, canonical_loads, link_key, payload_field,
+from ..bus import (LinkParams, NetworkModel, canonical_loads, is_i64, link_key, payload_field,
                    payload_keys)
 from ..collab import DEFAULT_STALENESS
 from ..geometry import CameraIntrinsics, Pose, rotation_from_rpy_deg
@@ -96,13 +96,23 @@ def _parse_config(base, d: dict, path: str, keys: tuple[str, ...] | None = None)
 
 @dataclass(frozen=True)
 class Motion:
-    """Static pose, constant velocity, or piecewise-linear waypoints."""
+    """Static pose, constant velocity, or piecewise-linear waypoints.
+
+    A motion with ``rpy_deg`` keeps one orientation: its ``rotation`` is
+    built once, read-only, and every pose shares it."""
 
     kind: str                                   # static | cv | waypoints
     p0: np.ndarray | None = None
     v: np.ndarray | None = None
     rpy_deg: tuple[float, float, float] | None = None
     points: tuple[tuple[float, np.ndarray], ...] | None = None
+    rotation: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.rpy_deg is not None:
+            rotation = rotation_from_rpy_deg(*self.rpy_deg)
+            rotation.flags.writeable = False
+            object.__setattr__(self, "rotation", rotation)
 
     def position(self, t: float) -> np.ndarray:
         if self.kind == "static":
@@ -131,8 +141,8 @@ class Motion:
 
     def pose(self, t: float) -> Pose:
         """World-from-body pose; moving bodies derive yaw from velocity."""
-        if self.rpy_deg is not None:
-            rot = rotation_from_rpy_deg(*self.rpy_deg)
+        if self.rotation is not None:
+            rot = self.rotation
         else:
             v = self.velocity(t)
             if math.hypot(v[0], v[1]) > 1e-9:
@@ -515,6 +525,8 @@ def _parse_agent(d: dict, path: str, duration: float) -> AgentSpec:
 def _parse_object(d: dict, path: str, duration: float) -> ObjectSpec:
     payload_keys(d, {"id", "extent", "motion"}, path)
     obj_id = _get(d, "id", int, path)
+    if not is_i64(obj_id):
+        raise ValidationError(f"{path}.id: {obj_id} does not fit in 64 bits")
     extent = _get(d, "extent", _VEC3, path, np.array([4.5, 1.9, 1.6]))
     if not (extent > 0).all():
         raise ValidationError(f"{path}.extent components must be > 0")

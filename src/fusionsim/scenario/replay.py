@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bus import canonical_loads, payload_array, payload_field, payload_keys
+from ..bus import canonical_loads, is_i64, payload_array, payload_field, payload_keys
 from ..sensing import Truth
 from ..tracker import CONFIRMED, TENTATIVE
 
@@ -200,6 +200,8 @@ def _truth(entries: list) -> Truth:
     if len(ids) != len(entries) or not all([type(i) is int for i in ids]):
         raise ValueError("every truth entry is exactly an integer id, a position, a "
                          "velocity and an extent")
+    if not all(map(is_i64, ids)):
+        raise ValueError("truth ids must fit in 64 bits")
     stacked = payload_array([[e.get("position"), e.get("velocity"), e.get("extent")]
                              for e in entries], (len(ids), 3, 3))
     if not np.isfinite(stacked).all():

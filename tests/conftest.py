@@ -3,8 +3,11 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
+
+from fusionsim.geometry import Pose
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +20,14 @@ def golden_dir() -> Path:
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return REPO_ROOT / "scenarios"
+
+
+# Poses ``Pose`` refuses, built without its check, as a payload may carry
+# them: a rotation that is not orthonormal, a reflection, and a
+# translation that is not finite.
+BAD_POSES = [Pose._trusted(np.diag([1.0, 1.0, 1.001]), np.zeros(3)),
+             Pose._trusted(np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+             Pose._trusted(np.eye(3), np.array([1.0, np.nan, 3.0]))]
 
 
 def batch_bytes(tracks) -> tuple:

@@ -212,10 +212,3 @@ class TestPayloadFields:
         for bad in (True, "1.5", None, [1.0], float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="is not a finite number"):
                 bus.payload_field({"t": bad}, "t", float)
-
-    def test_ints_are_exactly_ints(self):
-        assert bus.payload_ints({"ids": [3, -1, 0]}, "ids") == [3, -1, 0]
-        assert bus.payload_ints({"ids": []}, "ids") == []
-        for bad in ([1, True], [2.5], [2.0], ["2"], [None], {}, 3):
-            with pytest.raises(ValueError):
-                bus.payload_ints({"ids": bad}, "ids")

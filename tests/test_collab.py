@@ -1,6 +1,9 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
-from conftest import batch_bytes, state_bytes, tracker_state
+from conftest import BAD_POSES, batch_bytes, state_bytes, tracker_state
 from hypothesis import given, settings, strategies as st
 
 from fusionsim.collab import (
@@ -90,53 +93,59 @@ def grid_scan_omega(pa, pb, step=1e-3):
 
 
 class TestPayload:
-    def payload(self):
+    def message(self, **fields):
         mean, cov = np.arange(6.0), np.eye(6)
-        return msg([(7, mean, cov), (9, -mean, 2.0 * cov)], timestamp=0.5).to_payload()
+        message = msg([(7, mean, cov), (9, -mean, 2.0 * cov)], timestamp=0.5)
+        return dataclasses.replace(message, **fields)
+
+    def refused(self, message_or_payload, match=None):
+        payload = message_or_payload if isinstance(message_or_payload, bytes) else \
+            message_or_payload.to_payload()
+        with pytest.raises(ValueError, match=match):
+            RemoteTrackMsg.from_payload(payload, "rsu1")
 
     def test_round_trip(self):
-        assert sorted(self.payload()) == ["covs", "ids", "means", "sender_pose", "timestamp"]
-        back = RemoteTrackMsg.from_payload(self.payload(), "ego")
+        payload = self.message().to_payload()
+        assert len(payload) == 108 + 2 * 344
+        back = RemoteTrackMsg.from_payload(payload, "ego")
         assert back.sender == "ego" and back.timestamp == 0.5
         assert back.tracks.ids == (7, 9) and len(back.tracks) == 2
         assert np.array_equal(back.tracks.means, [np.arange(6.0), -np.arange(6.0)])
         assert np.array_equal(back.tracks.covs, [np.eye(6), 2.0 * np.eye(6)])
 
     def test_empty_message_is_a_stack_of_zero_rows(self):
-        d = msg([]).to_payload()
-        assert (d["ids"], d["means"], d["covs"]) == ([], [], [])
-        back = RemoteTrackMsg.from_payload(d, "rsu1")
+        payload = msg([]).to_payload()
+        assert len(payload) == 108
+        back = RemoteTrackMsg.from_payload(payload, "rsu1")
+        assert back.tracks.ids == ()
         assert back.tracks.means.shape == (0, 6) and back.tracks.covs.shape == (0, 6, 6)
 
-    @pytest.mark.parametrize("field,value", [
-        ("timestamp", "0.5"), ("timestamp", float("nan")), ("timestamp", True),
-        ("ids", {}), ("ids", [7]), ("ids", [7, 9, 11]), ("means", [0.0] * 12),
-        ("means", [[0.0] * 6]), ("covs", [np.eye(6).tolist()]),
-        ("sender_pose", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1, 2, 3]}),
-        ("sender_pose", {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}),
-    ])
-    def test_bad_field_raises(self, field, value):
-        d = self.payload()
-        d[field] = value
-        with pytest.raises(ValueError):
-            RemoteTrackMsg.from_payload(d, "rsu1")
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_timestamp_is_refused(self, timestamp):
+        self.refused(self.message(timestamp=timestamp), "not finite")
 
-    @pytest.mark.parametrize("field,value", [
-        ("remote_id", "7"), ("mean", [0.0] * 5), ("mean", ["a"] * 6), ("cov", [[1.0] * 6] * 5),
-        ("remote_id", True), ("remote_id", 2.5),
-    ])
-    def test_bad_track_raises(self, field, value):
-        # one track's row of the stacks
-        d = self.payload()
-        d[{"remote_id": "ids", "mean": "means", "cov": "covs"}[field]][0] = value
-        with pytest.raises(ValueError):
-            RemoteTrackMsg.from_payload(d, "rsu1")
+    @pytest.mark.parametrize("pose", BAD_POSES)
+    def test_a_pose_that_pose_refuses_is_refused(self, pose):
+        self.refused(self.message(sender_pose=pose))
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 2**32 - 1])
+    def test_a_count_that_disagrees_with_the_length_is_refused(self, count):
+        payload = bytearray(self.message().to_payload())
+        struct.pack_into("<I", payload, 8, count)  # after the f64 timestamp
+        self.refused(bytes(payload), "its head of")
+
+    @pytest.mark.parametrize("field", ["ids", "means", "covs"])
+    def test_a_stack_a_row_short_is_refused(self, field):
+        message = self.message()
+        short = dataclasses.replace(message.tracks, **{field: getattr(message.tracks, field)[:1]})
+        self.refused(dataclasses.replace(message, tracks=short), "its head of")
 
     def test_non_finite_track_is_left_to_align(self):
         # covi_step counts such a message as rejected rather than malformed
-        d = self.payload()
-        d["means"][0][0] = float("nan")
-        assert np.isnan(RemoteTrackMsg.from_payload(d, "rsu1").tracks.means[0, 0])
+        message = self.message()
+        message.tracks.means[0, 0] = float("nan")
+        back = RemoteTrackMsg.from_payload(message.to_payload(), "rsu1")
+        assert np.isnan(back.tracks.means[0, 0])
 
 
 class TestAlign:

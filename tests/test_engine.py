@@ -73,11 +73,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import BAD_POSES
 from hypothesis import assume, given, settings, strategies as st
 
 from fusionsim import bus, collab
+from fusionsim.collab import RemoteTrackMsg, RemoteTracks
+from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
-from fusionsim.offload import STATUS_OK
+from fusionsim.offload import STATUS_OK, TaskRequest, TaskResult
 from fusionsim.scenario import apply_overrides, load_replay, load_scenario
 from fusionsim.scenario import engine as engine_module
 from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_HEARTBEAT, KIND_METRIC,
@@ -414,37 +417,39 @@ def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     assert ego["fused"] > 0
 
 
-# A pose whose rotation is a flat list, and one whose translation is
-# numeric strings: ``Pose.from_payload`` refuses both.
-FLAT_ROTATION = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1.0, 2.0, 3.0]}
-STRING_TRANSLATION = {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}
-
-
-def _frame(now_ns, msg_type, topic, payload: dict | bytes = b"") -> bytes:
-    if isinstance(payload, dict):
-        payload = bus.canonical_dumps(payload)
+def _frame(now_ns, msg_type, topic, payload: bytes = b"") -> bytes:
     return bus.encode(bus.BusFrame(msg_type, now_ns, topic, payload))
 
 
-def _tracks(now_ns, **fields):
-    """A TRACKS frame with two remote tracks, ``fields`` replaced."""
-    payload = {"sender_pose": Pose.identity().to_payload(), "timestamp": 0.4, "ids": [1, 2],
-               "means": [[30.0, 0, 0, 0, 0, 0]] * 2, "covs": [np.eye(6).tolist()] * 2}
-    return _frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1", {**payload, **fields})
+def _tracks(now_ns, sender_pose=Pose.identity(), timestamp=0.4, ids=(1, 2),
+            means=((30.0, 0, 0, 0, 0, 0),) * 2, covs=np.stack([np.eye(6)] * 2)):
+    """A TRACKS frame, by default with two remote tracks."""
+    tracks = RemoteTracks(tuple(ids), np.array(means, dtype=float), np.array(covs, dtype=float))
+    return _frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1",
+                  RemoteTrackMsg("rsu1", sender_pose, timestamp, tracks).to_payload())
 
 
-def _task_req(now_ns, topic, **fields):
-    """A TASK_REQ frame on ``topic``, ``fields`` replaced."""
-    payload = {"task_id": 500, "frame_time": 0.5, "visible_ids": [1],
-               "rig_pose": Pose.identity().to_payload()}
-    return _frame(now_ns, bus.MSG_TASK_REQ, topic, {**payload, **fields})
+def _task_req(now_ns, topic, task_id=500, frame_time=0.5, visible_ids=(1,),
+              rig_pose=Pose.identity()):
+    """A TASK_REQ frame on ``topic``."""
+    req = TaskRequest(task_id, frame_time, visible_ids, rig_pose)
+    return _frame(now_ns, bus.MSG_TASK_REQ, topic, req.to_payload())
 
 
-def _task_resp(now_ns, topic, **fields):
-    """A TASK_RESP frame with one detection on ``topic``, ``fields`` replaced."""
-    payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5, "positions": [[10.0, 0, 0]],
-               "covs": [np.eye(3).tolist()]}
-    return _frame(now_ns, bus.MSG_TASK_RESP, topic, {**payload, **fields})
+def _task_resp(now_ns, topic, task_id=1, status=STATUS_OK, frame_time=0.5,
+               positions=((10.0, 0, 0),), covs=np.eye(3)[None]):
+    """A TASK_RESP frame on ``topic``, by default with one detection."""
+    detections = Detections(np.array(positions, dtype=float), np.array(covs, dtype=float))
+    result = TaskResult(task_id, status, frame_time, detections)
+    return _frame(now_ns, bus.MSG_TASK_RESP, topic, result.to_payload())
+
+
+def _with_payload_byte(data: bytes, at: int, value: int) -> bytes:
+    """The frame ``data`` with its payload's byte ``at`` set to ``value``."""
+    frame = bus.decode(data)
+    payload = bytearray(frame.payload)
+    payload[at] = value
+    return _frame(frame.timestamp_ns, frame.msg_type, frame.topic, bytes(payload))
 
 
 def _accepted_frames(now_ns):
@@ -456,23 +461,22 @@ def _accepted_frames(now_ns):
 
 def _malformed_frames(now_ns):
     """Malformed frames of each message type a handler takes: truncated,
-    garbage JSON, JSON that lacks every field (for a heartbeat, both are a
-    payload where none belongs), and an accepted frame with bytes after
-    it, and of each type with a payload, its accepted payload with one key
-    more and inside a JSON list; a payload nested past the interpreter's
-    recursion limit; then well-formed frames whose topic names no worker of the run (a
+    a payload of 11 bytes of text and one of 2 (for a heartbeat, both are
+    a payload where none belongs), and an accepted frame with bytes after
+    it, and of each type with a payload, its accepted payload with a byte
+    more and with its last byte cut; a payload of 100,000 zero bytes;
+    then well-formed frames whose topic names no worker of the run (a
     task request, two heartbeats and a task result) or no sensor agent of
     it (three remote track messages, one from an agent without sensors);
-    then one frame per refused field: a task request whose ``frame_time`` is a string or
-    lies outside the 2 s scenario (1e6, -3.0 and 2.5 s; the worker reads
-    the truth at it) or whose ``visible_ids`` holds a float, a remote
-    track message whose id count differs from its row count or whose ids
-    hold a bool or 2.5, a task result whose positions and covariances
-    differ in row count, a
-    task result whose status is neither ``ok`` nor ``failed``, and a
-    remote track message and a task request whose pose has a flat
-    rotation or a translation of strings, and a remote track message
-    whose pose holds one key more."""
+    then one frame per refused field: a task request whose
+    ``frame_time`` is not finite or lies outside the 2 s scenario (1e6,
+    -3.0 and 2.5 s; the worker reads the truth at it), a remote track
+    message whose ``timestamp`` is not finite, a remote track message
+    whose count of ids differs from its rows, a task result whose
+    positions and covariances differ in row count, a task result with a
+    detection that is not finite, a task result whose status byte is
+    neither 1 (ok) nor 0 (failed), and a remote track message and a task
+    request with each pose of ``BAD_POSES``."""
     frames = []
     for good in _accepted_frames(now_ns):
         frame = bus.decode(good)
@@ -481,32 +485,27 @@ def _malformed_frames(now_ns):
         frames.append(_frame(now_ns, frame.msg_type, frame.topic, b"{}"))
         frames.append(good + good[:3])
         if frame.payload:
-            frames.append(_frame(now_ns, frame.msg_type, frame.topic,
-                                 {**json.loads(frame.payload), "bogus": 1}))
-            frames.append(_frame(now_ns, frame.msg_type, frame.topic,
-                                 b"[" + frame.payload + b"]"))
-    frames.append(_frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1",
-                         b"[" * 100_000 + b"]" * 100_000))
+            frames.append(_frame(now_ns, frame.msg_type, frame.topic, frame.payload + b"\0"))
+            frames.append(_frame(now_ns, frame.msg_type, frame.topic, frame.payload[:-1]))
+    frames.append(_frame(now_ns, bus.MSG_TRACKS, "tracks/rsu1", bytes(100_000)))
     frames.append(_task_req(now_ns, "tasks/edge1/w9"))
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "hb/edge1/w9"))
     frames.append(_frame(now_ns, bus.MSG_HEARTBEAT, "heartbeat/edge1/w0"))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w9"))
     for topic in ("tracks/edge1", "tracks/nobody", "track/rsu1"):
         frames.append(_frame(now_ns, bus.MSG_TRACKS, topic, bus.decode(_tracks(now_ns)).payload))
-    frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time="0.5"))
-    for frame_time in (1e6, -3.0, 2.5):
+    for frame_time in (np.nan, np.inf, 1e6, -3.0, 2.5):
         frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time=frame_time))
-    frames.append(_task_req(now_ns, "tasks/edge1/w0", visible_ids=[1, 2.0]))
+    frames.append(_tracks(now_ns, timestamp=-np.inf))
     frames.append(_tracks(now_ns, ids=[1]))
-    frames.append(_tracks(now_ns, ids=[1, True]))
-    frames.append(_tracks(now_ns, ids=[1, 2.5]))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w0",
                              positions=[[10.0, 0, 0], [12.0, 0, 0]]))
-    frames.append(_task_resp(now_ns, "results/ego/edge1/w0", status="banana"))
-    for pose in (FLAT_ROTATION, STRING_TRANSLATION):
+    frames.append(_task_resp(now_ns, "results/ego/edge1/w0", positions=[[10.0, np.inf, 0]]))
+    # the status byte follows task_id and frame_time
+    frames.append(_with_payload_byte(_task_resp(now_ns, "results/ego/edge1/w0"), 16, 2))
+    for pose in BAD_POSES:
         frames.append(_tracks(now_ns, sender_pose=pose))
         frames.append(_task_req(now_ns, "tasks/edge1/w0", rig_pose=pose))
-    frames.append(_tracks(now_ns, sender_pose={**Pose.identity().to_payload(), "bogus": 1}))
     return frames
 
 
@@ -779,7 +778,7 @@ def recording(engine) -> list[tuple]:
         def record(t, *data, kind=kind, handle=getattr(engine, name)):
             if kind == KIND_TASK:
                 wid, result = data
-                handled.append((t, kind, (wid, bus.canonical_dumps(result.to_payload()))))
+                handled.append((t, kind, (wid, result.to_payload())))
             else:
                 handled.append((t, kind, data))
             handle(t, *data)

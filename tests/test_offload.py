@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from conftest import tracker_state
+from conftest import BAD_POSES, tracker_state
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -10,7 +12,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from fusionsim.bus import canonical_dumps, canonical_loads
 from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
 from fusionsim.offload import (
@@ -190,67 +191,79 @@ class TestIntegrate:
         assert tracker_state(tk) == before
 
 
+def result(status=STATUS_OK, frame_time=0.5, positions=((1.0, 2.0, 3.0),),
+           covs=np.eye(3)[None]):
+    """Task 1's result of the given detections."""
+    return TaskResult(1, status, frame_time, Detections(np.array(positions, dtype=float),
+                                                        np.array(covs, dtype=float)))
+
+
+def refused(parse, message_or_payload, match=None):
+    payload = message_or_payload if isinstance(message_or_payload, bytes) else \
+        message_or_payload.to_payload()
+    with pytest.raises(ValueError, match=match):
+        parse(payload)
+
+
 class TestPayload:
-    def test_zero_detection_result_round_trips(self):
-        res = TaskResult(3, STATUS_OK, 0.25, NO_DETECTIONS)
-        wire = canonical_dumps(res.to_payload())
-        assert canonical_loads(wire) == {"task_id": 3, "status": STATUS_OK, "frame_time": 0.25,
-                                         "positions": [], "covs": []}
-        back = TaskResult.from_payload(canonical_loads(wire))
-        assert (back.task_id, back.status, back.frame_time) == (3, STATUS_OK, 0.25)
+    @pytest.mark.parametrize("status, byte", [(STATUS_OK, 1), (STATUS_FAILED, 0)])
+    def test_zero_detection_result_round_trips(self, status, byte):
+        res = TaskResult(3, status, 0.25, NO_DETECTIONS)
+        wire = res.to_payload()
+        assert wire == struct.pack("<qdBI", 3, 0.25, byte, 0)
+        back = TaskResult.from_payload(wire)
+        assert (back.task_id, back.status, back.frame_time) == (3, status, 0.25)
         assert back.detections.positions.shape == (0, 3)
         assert back.detections.covs.shape == (0, 3, 3)
-        assert canonical_dumps(back.to_payload()) == wire
+        assert back.to_payload() == wire
 
-    @pytest.mark.parametrize("field,value", [
-        ("position", [1.0, 2.0]), ("position", [1.0, 2.0, "3"]), ("position", [[1.0, 2.0, 3.0]]),
-        ("position", [1.0, 2.0, float("nan")]), ("cov", np.eye(2).tolist()),
-        ("cov", [1.0] * 9), ("cov", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
-    ])
-    def test_bad_detection_raises(self, field, value):
-        # one detection's row of the stacks
-        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
-                   "positions": [[1.0, 2.0, 3.0]], "covs": [np.eye(3).tolist()]}
-        payload[field + "s"] = [value]
-        with pytest.raises(ValueError):
-            TaskResult.from_payload(payload)
+    @pytest.mark.parametrize("field", ["positions", "covs"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_detection_is_refused(self, field, value):
+        res = result()
+        getattr(res.detections, field)[0, 1] = value
+        refused(TaskResult.from_payload, res, "edge detections must be finite")
 
     @pytest.mark.parametrize("positions,covs", [
-        ([[1.0, 2.0, 3.0]] * 2, [np.eye(3).tolist()]), ([], [np.eye(3).tolist()]),
-        ([[1.0, 2.0, 3.0]], []), ([1.0, 2.0, 3.0], [np.eye(3).tolist()]),
+        ([[1.0, 2.0, 3.0]] * 2, [np.eye(3)]), (np.empty((0, 3)), [np.eye(3)]),
+        ([[1.0, 2.0, 3.0]], np.empty((0, 3, 3))),
     ])
     def test_stacks_of_another_row_count_raise(self, positions, covs):
-        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
-                   "positions": positions, "covs": covs}
-        with pytest.raises(ValueError):
-            TaskResult.from_payload(payload)
+        refused(TaskResult.from_payload, result(positions=positions, covs=covs), "its head of")
 
-    @pytest.mark.parametrize("field,value", [
-        ("task_id", "1"), ("task_id", True), ("task_id", 1.0), ("status", 1),
-        ("status", "banana"), ("status", "OK"), ("status", ""),
-        ("frame_time", "0.5"), ("frame_time", float("inf")), ("frame_time", None),
-        ("positions", {}),
-    ])
-    def test_bad_result_field_raises(self, field, value):
-        payload = {"task_id": 1, "status": STATUS_OK, "frame_time": 0.5,
-                   "positions": [], "covs": []}
-        payload[field] = value
-        with pytest.raises(ValueError):
-            TaskResult.from_payload(payload)
+    @pytest.mark.parametrize("count", [0, 2, 2**32 - 1])
+    def test_a_result_count_that_disagrees_with_the_length_is_refused(self, count):
+        payload = bytearray(result().to_payload())
+        struct.pack_into("<I", payload, 17, count)  # after task_id, frame_time, status
+        refused(TaskResult.from_payload, bytes(payload), "its head of")
 
-    @pytest.mark.parametrize("field,value", [
-        ("task_id", "1"), ("task_id", False), ("frame_time", "0.5"),
-        ("frame_time", float("-inf")), ("visible_ids", {}), ("visible_ids", [1, True]),
-        ("visible_ids", [2.5]), ("visible_ids", ["2"]),
-        ("rig_pose", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [1, 2, 3]}),
-        ("rig_pose", {"rotation": np.eye(3).tolist(), "translation": ["1", "2", "3"]}),
-    ])
-    def test_bad_request_field_raises(self, field, value):
+    @pytest.mark.parametrize("status", [2, 0x80, 0xFF])
+    def test_an_unknown_status_is_refused(self, status):
+        payload = bytearray(result().to_payload())
+        payload[16] = status  # after task_id and frame_time
+        refused(TaskResult.from_payload, bytes(payload), "neither 1 \\(ok\\) nor 0")
+
+    @pytest.mark.parametrize("frame_time", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_frame_time_is_refused(self, frame_time):
+        refused(TaskResult.from_payload, result(frame_time=frame_time), "not finite")
+        refused(TaskRequest.from_payload, req(1, frame_time, (2, 7)), "not finite")
+
+    def test_a_request_round_trips(self):
         payload = req(1, 0.5, (2, 7)).to_payload()
-        assert TaskRequest.from_payload(dict(payload)).to_payload() == payload
-        payload[field] = value
-        with pytest.raises(ValueError):
-            TaskRequest.from_payload(payload)
+        assert len(payload) == 116 + 2 * 8
+        back = TaskRequest.from_payload(payload)
+        assert (back.task_id, back.frame_time, back.visible_ids) == (1, 0.5, (2, 7))
+        assert back.to_payload() == payload
+
+    @pytest.mark.parametrize("pose", BAD_POSES)
+    def test_a_request_pose_that_pose_refuses_is_refused(self, pose):
+        refused(TaskRequest.from_payload, req(1, 0.5, (2, 7), pose))
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 2**32 - 1])
+    def test_a_request_count_that_disagrees_with_the_length_is_refused(self, count):
+        payload = bytearray(req(1, 0.5, (2, 7)).to_payload())
+        struct.pack_into("<I", payload, 16, count)  # after task_id and frame_time
+        refused(TaskRequest.from_payload, bytes(payload), "its head of")
 
 
 class TestBrokerConservation:

@@ -296,6 +296,16 @@ def test_a_non_finite_truth_vector(field, bad):
     assert refused_at(text(TRUTH, {"t": 0.2, "truth": [truth_entry(**{field: vector})]})) == 2
 
 
+@pytest.mark.parametrize("oid", [2**63, -2**63 - 1, 10**30])
+def test_a_truth_id_outside_the_wire(oid):
+    # ids travel on the bus as i64: a cr-dist run could not send this one
+    with pytest.raises(ReplayError, match="64 bits") as err:
+        load_replay(text(TRUTH, {"t": 0.2, "truth": [truth_entry(id=oid)]}))
+    assert err.value.line == 2
+    for ok in (2**63 - 1, -2**63):
+        assert load_replay(text({"t": 0.2, "truth": [truth_entry(id=ok)]})).truth_at(0.2).ids == (ok,)
+
+
 def test_a_duplicate_id_within_a_truth_line():
     assert refused_at(text(TRUTH, {"t": 0.2, "truth": [
         truth_entry(), truth_entry(id=2), truth_entry(position=[0.0, 1.0, 2.0])]})) == 2

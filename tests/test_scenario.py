@@ -12,7 +12,8 @@ from fusionsim.bus import LinkParams, canonical_dumps
 from fusionsim.offload import WorkerConfig
 from fusionsim.scenario import (MetricsConfig, ParseError, PipelineConfig, ValidationError,
                                 apply_overrides, load_scenario)
-from fusionsim.scenario.model import MAX_WORK, ScenarioError
+from fusionsim.geometry import rotation_from_rpy_deg
+from fusionsim.scenario.model import MAX_WORK, ScenarioError, _parse_motion
 from fusionsim.sensing import CAMERA_PRESETS, SensorNoiseConfig
 from fusionsim.tracker import TrackerConfig
 
@@ -217,6 +218,31 @@ def test_radar_with_intrinsics_rejected(scenario_dir):
     doc = _set(load_doc(scenario_dir), ("agents", 0, "sensors", 1, "intrinsics"), {})
     with pytest.raises(ValidationError):
         load(doc)
+
+
+@pytest.mark.parametrize("oid", [2**63, -2**63 - 1, 10**30])
+def test_an_object_id_outside_the_wire_is_refused(scenario_dir, oid):
+    # ids travel on the bus as i64: a cr-dist run could not send this one
+    with pytest.raises(ValidationError, match=r"^\$\.objects\[1\]\.id: .* 64 bits$"):
+        load(_set(load_doc(scenario_dir), ("objects", 1, "id"), oid))
+
+
+@pytest.mark.parametrize("oid", [2**63 - 1, -2**63])
+def test_an_object_id_at_the_ends_of_the_wire_loads(scenario_dir, oid):
+    sc = load(_set(load_doc(scenario_dir), ("objects", 1, "id"), oid))
+    assert sc.objects[1].id == oid
+
+
+@pytest.mark.parametrize("rpy", [(0.0, 0.0, 0.0), (0.0, 0.0, 90.0), (3.5, -12.25, 181.0)])
+@pytest.mark.parametrize("kind", ["static", "cv"])
+def test_a_fixed_orientation_is_built_once_and_read_only(kind, rpy):
+    motion = _parse_motion({"kind": kind, "rpy_deg": list(rpy)}, "$.m", True, 10.0)
+    rotation = rotation_from_rpy_deg(*rpy)
+    assert motion.rotation.dtype == rotation.dtype and motion.rotation.shape == (3, 3)
+    assert motion.rotation.tobytes() == rotation.tobytes()
+    with pytest.raises(ValueError):
+        motion.rotation[0, 0] = 2.0
+    assert all(motion.pose(t).rotation is motion.rotation for t in (0.0, 1.5, 10.0))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
