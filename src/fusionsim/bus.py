@@ -35,16 +35,40 @@ A pose is its rotation (3, 3) f64 then its translation (3,) f64.  A
 TRACKS payload of n tracks is 108 + 344 n bytes, a TASK_REQ one 116 + 8 n
 and a TASK_RESP one 21 + 96 n.
 
-Each type's parser reads its payload through its ``Layout``, which
-refuses, with ValueError, a payload shorter or longer than its head and
-count say, and a non-finite f64 of the head (``timestamp``,
-``frame_time``).  The parser then refuses a pose that ``Pose`` refuses
-(not finite, not orthonormal or not proper), a status other than 0 or
-1, and edge detections that are not finite.  Every other value is read
-as written, a remote track's non-finite number included, which ``align``
-refuses.  So a payload a parser accepts is exactly the bytes its
-message's ``to_payload`` writes, and every number round-trips bit for
-bit.  The sha256 of the payload bytes is what a run reports per frame.
+Each type's parser reads its payload through its ``Layout`` and refuses,
+with ValueError:
+
+* a payload shorter or longer than its head and count say (``Layout``);
+* any f64, of the head or of an array, that is not finite or whose
+  magnitude passes ``MAX_MAGNITUDE`` (``Layout``);
+* a pose that ``Pose`` refuses: a rotation not orthonormal or not
+  proper (TRACKS, TASK_REQ);
+* a remote track covariance asymmetric by more than
+  ``geometry.SYMMETRY_TOL`` (TRACKS, ``check_symmetric``);
+* a status byte other than 0 or 1 (TASK_RESP).
+
+Every other value is read as written, so a payload a parser accepts is
+exactly the bytes its message's ``to_payload`` writes, and every number
+round-trips bit for bit.  The sha256 of the payload bytes is what a run
+reports per frame.
+
+``MAX_MAGNITUDE`` is 1e100, far past any position (m), velocity (m/s),
+covariance or time (s) a run means, and it keeps the arithmetic on
+accepted numbers finite: a product of two of them, as a Mahalanobis
+distance or a covariance prediction forms, stays near 1e200, and the
+square of a remote covariance's ratio to a local one, which the CI
+weight search forms, stays finite while the local covariance's
+eigenvalues are above 1e-54.  A remote covariance of 1e200 overflowed
+that square.
+
+The engine refuses a frame once, on delivery (``Engine.on_deliver``):
+one that is not exactly one frame or whose payload its parser refuses,
+one whose topic names nothing the run holds, a TRACKS frame whose
+``timestamp`` is later than its delivery or that no flush reads, and a
+TASK_REQ frame whose ``frame_time`` lies outside the scenario.  A
+refused frame counts as ``malformed``, and a frame that passes delivery
+is never refused later: ``align`` and ``covi_step`` have no refusal
+path.
 
 JSON from outside the program (replay lines, scenario documents) is read
 by one rule: decoded by ``canonical_loads``, an object holds no unknown
@@ -60,12 +84,11 @@ program numbers tracks and tasks from 0 and 1.
 
 Every check that refuses a value raises plain ValueError: these readers,
 the frame codec, the payload layouts, the configs', poses' and
-intrinsics' own checks, ``check_symmetric`` and ``align``.  Each boundary converts it once:
-``load_scenario`` and ``apply_overrides`` raise ValidationError naming
-the JSON path (ParseError if the document does not decode),
-``load_replay`` raises ReplayError with the line, ``Engine.on_deliver``
-counts the frame malformed, and ``covi_step`` counts the message
-rejected.
+intrinsics' own checks and ``check_symmetric``.  Each boundary converts
+it once: ``load_scenario`` and ``apply_overrides`` raise ValidationError
+naming the JSON path (ParseError if the document does not decode),
+``load_replay`` raises ReplayError with the line, and
+``Engine.on_deliver`` counts the frame malformed.
 """
 
 from __future__ import annotations
@@ -95,6 +118,8 @@ MSG_TYPES = {
 
 MAX_TOPIC = 0xFFFF
 MAX_PAYLOAD = 0xFFFFFFFF
+# the largest magnitude of a payload's f64 (see the module docstring)
+MAX_MAGNITUDE = 1e100
 
 _HEADER = struct.Struct("<4sBBQ")  # magic, version, msg_type, timestamp_ns
 # ``json.loads`` without its per-call argument checks, 0.4 of the 9 µs a
@@ -199,7 +224,7 @@ class Layout:
     def __init__(self, head: str, fixed: tuple, rows: tuple):
         self.head = struct.Struct(head)
         self.fixed, self.rows = fixed, rows
-        # the head's f64 fields, which must be finite
+        # the head's f64 fields
         self._floats = [i for i, code in enumerate(head.lstrip("<")) if code == "d"]
         self._size = self.head.size + sum(dtype.itemsize * math.prod(shape)
                                           for dtype, shape in fixed)
@@ -215,8 +240,9 @@ class Layout:
     def read(self, data: bytes) -> tuple[tuple, list[np.ndarray]]:
         """The head fields of ``data`` and its arrays, each a new, writable
         array of its shape in native byte order.  A payload of another
-        length than its head and count say, or a non-finite f64 in the
-        head, raises ValueError."""
+        length than its head and count say, or an f64 anywhere in it that
+        is not finite or past ``MAX_MAGNITUDE`` in size, raises
+        ValueError."""
         if len(data) < self.head.size:
             raise ValueError(f"payload of {len(data)} bytes ends inside its "
                              f"{self.head.size}-byte head")
@@ -225,15 +251,16 @@ class Layout:
         size = self._size + n * self._row_size
         if len(data) != size:
             raise ValueError(f"payload is {len(data)} bytes, its head of {n} rows says {size}")
-        for i in self._floats:
-            if not math.isfinite(head[i]):
-                raise ValueError(f"payload head holds {head[i]}, a time that is not finite")
         arrays, offset = [], self.head.size
         for dtype, shape in (*self.fixed, *[(dtype, (n, *row)) for dtype, row in self.rows]):
             count = math.prod(shape)
             arrays.append(np.frombuffer(data, dtype, count, offset).reshape(shape)
                           .astype(dtype.type))
             offset += count * dtype.itemsize
+        numbers = np.concatenate([[head[i] for i in self._floats],
+                                  *[a.ravel() for a in arrays if a.dtype.kind == "f"]])
+        if not (np.abs(numbers) <= MAX_MAGNITUDE).all():  # NaN compares false
+            raise ValueError(f"payload holds a number not finite or past {MAX_MAGNITUDE:.0e}")
         return head, arrays
 
 

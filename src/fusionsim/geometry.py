@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Symmetry tolerance for covariance inputs.  Long simulations accumulate
-# float drift; this must not abort them.
+# Symmetry tolerance for the covariances a remote track message carries
+# (see ``bus``): a sender's float drift must not get its message refused.
 SYMMETRY_TOL = 1e-6
 
 _ORTHONORMAL_TOL = 1e-9
@@ -58,7 +58,12 @@ class Pose:
         err = np.abs(r.T @ r - np.eye(3)).max()
         if err > _ORTHONORMAL_TOL:
             raise ValueError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHONORMAL_TOL:
+        # det R as the triple product (r0 x r1) . r2 on Python floats, at a
+        # fraction of np.linalg.det's cost; the two checks above keep every
+        # product in it small
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        if abs((b * f - c * e) * g + (c * d - a * f) * h + (a * e - b * d) * i - 1.0) \
+                > _ORTHONORMAL_TOL:
             raise ValueError("rotation must be proper (det = +1)")
 
     @classmethod
@@ -166,15 +171,16 @@ def transform_gaussian(pose: Pose, mean, cov) -> tuple[np.ndarray, np.ndarray]:
 
     Position is mapped by the full pose, velocity is rotated only.  The
     covariance is congruence-transformed by blockdiag(R, R) and
-    re-symmetrized, and every input covariance must pass
-    ``check_symmetric``.  Stacked, each Gaussian maps bit for bit as it would
-    alone: means go through ``R @ m[..., None]`` and covariances through
-    ``T @ P @ T'``, which run the same products per slice, where ``M @
-    R.T`` or ``einsum`` sum in another order.
+    re-symmetrized.  Nothing is checked: each caller's covariance is
+    symmetric up to rounding, as a bus reader checked it
+    (``check_symmetric``) before ``align`` predicted it, or as the
+    caller ``symmetrize``d it.  Stacked, each Gaussian maps bit for bit
+    as it would alone: means go through ``R @ m[..., None]`` and
+    covariances through ``T @ P @ T'``, which run the same products per
+    slice, where ``M @ R.T`` or ``einsum`` sum in another order.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    check_symmetric(cov)
     r = pose.rotation
     out_mean = np.empty(mean.shape)
     out_mean[..., :3] = (r @ mean[..., :3, None])[..., 0] + pose.translation

@@ -83,8 +83,6 @@ class TaskResult:
     @staticmethod
     def from_payload(data: bytes) -> "TaskResult":
         (task_id, frame_time, status, _), (positions, covs) = TASK_RESP_PAYLOAD.read(data)
-        if not (np.isfinite(positions).all() and np.isfinite(covs).all()):
-            raise ValueError("edge detections must be finite")
         if status >= len(_STATUSES):
             raise ValueError(f"task status byte {status} is neither 1 (ok) nor 0 (failed)")
         return TaskResult(task_id, _STATUSES[status], frame_time, Detections(positions, covs))

@@ -404,10 +404,12 @@ class Engine:
         """Handle one frame off the bus: parse its payload, then act on it.
         A malformed frame (not exactly one frame, a payload its parser
         refuses (see ``bus``), a topic naming no worker this engine
-        runs, TRACKS whose topic names no sensor agent of the run, or
-        TRACKS that no flush reads: outside ``cr-covi`` or to an agent
-        without sensors) is counted under ``malformed`` and skipped; the
-        key is reported only once it is non-zero."""
+        runs, TRACKS whose topic names no sensor agent of the run, TRACKS
+        stamped later than ``t``, or TRACKS that no flush reads: outside
+        ``cr-covi`` or to an agent without sensors) is counted under
+        ``malformed`` and skipped; the key is reported only once it is
+        non-zero.  This is the only place a frame is refused: what it
+        accepts, every later step takes as it is."""
         self.bus_counts["delivered"] += 1
         try:
             frame = bus.decode(data)
@@ -426,10 +428,11 @@ class Engine:
         return (RemoteTrackMsg.from_payload(frame.payload, sender),)
 
     def _on_tracks(self, t: float, dst: str, msg: RemoteTrackMsg) -> None:
-        # only _maybe_broadcast sends TRACKS: in cr-covi, to other sensor
-        # agents; only a cr-covi flush, which only a sensor agent runs,
-        # drains the queue
-        if self.mode != "cr-covi" or dst not in self.agents:
+        # only _maybe_broadcast sends TRACKS, stamped when sent: in
+        # cr-covi, to other sensor agents; only a cr-covi flush, which
+        # only a sensor agent runs, drains the queue, and it predicts each
+        # message from its timestamp, never backwards
+        if self.mode != "cr-covi" or dst not in self.agents or msg.timestamp > t:
             self._count_malformed()
             return
         self.agents[dst].msg_queue.append(msg)

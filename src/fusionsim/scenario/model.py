@@ -180,8 +180,11 @@ def _parse_motion(d: dict, path: str, allow_static: bool, duration: float) -> Mo
                       rpy_deg=rpy or (0.0, 0.0, 0.0))
     if kind == "cv":
         payload_keys(d, {"kind", "p0", "v", "rpy_deg"}, path)
-        return Motion("cv", p0=_get(d, "p0", _VEC3, path, np.zeros(3)),
-                      v=_get(d, "v", _VEC3, path, np.zeros(3)), rpy_deg=rpy)
+        p0, v = _get(d, "p0", _VEC3, path, np.zeros(3)), _get(d, "v", _VEC3, path, np.zeros(3))
+        # Python floats: an overflow is inf, not a numpy warning
+        if not all(math.isfinite(p + u * duration) for p, u in zip(p0.tolist(), v.tolist())):
+            raise ValidationError(f"{path}: the position at {duration} s is not finite")
+        return Motion("cv", p0=p0, v=v, rpy_deg=rpy)
     if kind == "waypoints":
         payload_keys(d, {"kind", "points"}, path)
         raw = _get(d, "points", list, path, [])
@@ -199,6 +202,11 @@ def _parse_motion(d: dict, path: str, allow_static: bool, duration: float) -> Mo
             raise ValidationError(f"{path}: waypoint times strictly increasing")
         if times[0] > 0.0 or times[-1] < duration:
             raise ValidationError(f"{path}: waypoint times must span [0, duration]")
+        for i, ((t0, p0), (t1, p1)) in enumerate(zip(points, points[1:]), 1):
+            if not all(math.isfinite((b - a) / (t1 - t0))
+                       for a, b in zip(p0.tolist(), p1.tolist())):
+                raise ValidationError(f"{path}.points[{i}]: the velocity from the waypoint "
+                                      "before is not finite")
         return Motion("waypoints", points=tuple(points))
     raise ValidationError(f"{path}.kind must be one of static|cv|waypoints, got {kind!r}")
 

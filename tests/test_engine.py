@@ -25,11 +25,15 @@
   newest key, so no tracker rolls back over a remote fusion;
 * malformed frames: a delivery that is not exactly one frame, a frame
   that does not parse (a task result's status is ``ok`` or ``failed``,
-  and a task request's frame time lies inside the scenario),
-  one whose topic names no worker the run has, TRACKS whose topic names
-  no sensor agent the run has, or
-  TRACKS that no flush reads (outside ``cr-covi``, or to an agent without
-  sensors), is counted and skipped, and the run goes on;
+  a task request's frame time lies inside the scenario, every f64 is
+  finite and within ``bus.MAX_MAGNITUDE``, and a remote track's
+  covariance is symmetric), one whose topic names no worker the run
+  has, TRACKS whose topic names no sensor agent the run has, TRACKS
+  stamped after their delivery, or TRACKS that no flush reads (outside
+  ``cr-covi``, or to an agent without sensors), is counted and skipped,
+  and the run goes on; a frame of covariances of 1e150, 1e200 or
+  1.7e308 is counted so, and any frame with f64 bit patterns written
+  into its fields is accepted or counted so, and never aborts a run;
 * golden outputs: each case's outputs hash to the recorded digests, and
   a crowd run long enough to score predictions gives pinned ADE and FDE;
 * missing truth: a replay whose truth lines leave out a matched object
@@ -87,7 +91,7 @@ from fusionsim.scenario.engine import (_DELIVERY, KIND_DELIVER, KIND_HEARTBEAT, 
                                        KIND_TASK, KIND_TICK, Engine)
 from fusionsim.scenario.model import MODES
 from fusionsim.scenario.replay import ReplayError
-from fusionsim.tracker import Tracker
+from fusionsim.tracker import Tracker, process_noise
 
 # (scenario, mode, shortened duration, crowd, variant).  cr-dist runs
 # 8 s: by then an edge task has been sent while an object was out of the
@@ -400,18 +404,23 @@ def test_a_sensor_less_ego_runs_in_every_mode(scenario_dir, mode):
 def test_singular_collab_pairs_are_counted_and_skipped(scenario_dir):
     # noiseless radar detections have zero covariance, so updated tracks
     # have (near) zero position covariance; a TRACKS frame that carries
-    # the ego's own tracks with zero covariance, delivered at 0.5 s and
-    # timestamped at the ego's next flush, so it is not predicted, makes
-    # a singular S with each of them
+    # the ego's own tracks, stamped and delivered at the ego's flush t
+    # after 0.5 s and read at its next flush t2, whose position
+    # covariance is minus the process noise of t2 - t, so that the
+    # prediction to t2 makes it exactly zero, makes a singular S with
+    # each of them
     doc = json.loads((scenario_dir / "urban.json").read_text())
     doc["duration"] = 1.0
     sc = apply_overrides(load_scenario(json.dumps(noiseless(doc))), mode="cr-covi")
     healthy = Engine(sc).run()
-    t, _, ids, _, stack = next(r for r in healthy.track_records if r[1] == "ego" and r[0] > 0.5)
-    frame = _tracks(500_000_000, timestamp=t, ids=list(ids), means=stack[:, 0].tolist(),
-                    covs=np.zeros((len(ids), 6, 6)).tolist())
+    (t, _, ids, _, stack), (t2, *_) = [r for r in healthy.track_records
+                                       if r[1] == "ego" and r[0] > 0.5][:2]
+    cov = np.zeros((6, 6))
+    cov[:3, :3] = -process_noise(t2 - t, sc.tracker.q)[:3, :3]
+    frame = _tracks(round(t * 1e9), timestamp=t, ids=list(ids), means=stack[:, 0].tolist(),
+                    covs=np.tile(cov, (len(ids), 1, 1)))
     engine = Engine(sc)
-    engine._push(0.5, KIND_DELIVER, ("ego", frame))
+    engine._push(t, KIND_DELIVER, ("ego", frame))
     ego = engine.run().report["counters"]["collab"]["ego"]
     assert ego["singular"] > 0
     assert ego["fused"] > 0
@@ -471,12 +480,16 @@ def _malformed_frames(now_ns):
     then one frame per refused field: a task request whose
     ``frame_time`` is not finite or lies outside the 2 s scenario (1e6,
     -3.0 and 2.5 s; the worker reads the truth at it), a remote track
-    message whose ``timestamp`` is not finite, a remote track message
-    whose count of ids differs from its rows, a task result whose
-    positions and covariances differ in row count, a task result with a
-    detection that is not finite, a task result whose status byte is
-    neither 1 (ok) nor 0 (failed), and a remote track message and a task
-    request with each pose of ``BAD_POSES``."""
+    message whose ``timestamp`` is not finite or later than its delivery
+    (2.5 s), a remote track message whose count of ids differs from its
+    rows, one with a mean that is not finite and one with an asymmetric
+    covariance, a task result whose positions and covariances differ in
+    row count, a task result with a detection that is not finite, a task
+    result whose status byte is neither 1 (ok) nor 0 (failed), a task
+    request whose rig pose's translation is past ``bus.MAX_MAGNITUDE``,
+    and a remote track message and a task request with each pose of
+    ``BAD_POSES``.  Covariances past the bound are
+    ``test_a_frame_of_huge_covariances_is_counted_and_never_aborts``'s."""
     frames = []
     for good in _accepted_frames(now_ns):
         frame = bus.decode(good)
@@ -497,10 +510,16 @@ def _malformed_frames(now_ns):
     for frame_time in (np.nan, np.inf, 1e6, -3.0, 2.5):
         frames.append(_task_req(now_ns, "tasks/edge1/w0", frame_time=frame_time))
     frames.append(_tracks(now_ns, timestamp=-np.inf))
+    frames.append(_tracks(now_ns, timestamp=2.5))
     frames.append(_tracks(now_ns, ids=[1]))
+    frames.append(_tracks(now_ns, means=((30.0, np.nan, 0, 0, 0, 0),) * 2))
+    asymmetric = np.stack([np.eye(6)] * 2)
+    asymmetric[1, 0, 1] = 1e-3
+    frames.append(_tracks(now_ns, covs=asymmetric))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w0",
                              positions=[[10.0, 0, 0], [12.0, 0, 0]]))
     frames.append(_task_resp(now_ns, "results/ego/edge1/w0", positions=[[10.0, np.inf, 0]]))
+    frames.append(_task_req(now_ns, "tasks/edge1/w0", rig_pose=Pose(np.eye(3), [1e101, 0, 0])))
     # the status byte follows task_id and frame_time
     frames.append(_with_payload_byte(_task_resp(now_ns, "results/ego/edge1/w0"), 16, 2))
     for pose in BAD_POSES:
@@ -531,7 +550,7 @@ def test_malformed_frames_are_counted_and_skipped(scenario_dir, mode):
     frames = _malformed_frames(500_000_000)
     dst = sorted(engine.agents)[0]
     for k, data in enumerate(frames):  # all inside the 2 s run
-        engine._push(0.5 + 0.03 * k, KIND_DELIVER, (dst, data))
+        engine._push(0.5 + 0.025 * k, KIND_DELIVER, (dst, data))
     counts = engine.run().report["counters"]["bus"]
     assert counts["malformed"] == len(frames)
     assert counts["delivered"] == healthy["delivered"] + len(frames)
@@ -554,6 +573,154 @@ def test_tracks_no_flush_reads_are_malformed_and_never_queued(scenario_dir, mode
     assert counts["malformed"] == 30
     if mode == "cr-dist":  # a cr-covi queue may hold a real message at the end
         assert not any(rt.msg_queue for rt in engine.agents.values())
+
+
+def test_tracks_stamped_after_their_delivery_are_malformed(scenario_dir):
+    # a sender stamps TRACKS when it sends them, so a frame stamped later
+    # than its delivery is refused there, and the frame after it, stamped
+    # at its delivery, is still read: its far remote track spawns
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi", seed=42)
+    healthy = Engine(sc).run().report["counters"]["collab"]["ego"]
+    engine = Engine(sc)
+    far = ((500.0, 500.0, 0, 0, 0, 0),)
+    engine._push(0.5, KIND_DELIVER, ("ego", _tracks(500_000_000, timestamp=0.6, ids=[1],
+                                                    means=far, covs=[np.eye(6)])))
+    engine._push(0.5, KIND_DELIVER, ("ego", _tracks(500_000_000, timestamp=0.5, ids=[2],
+                                                    means=far, covs=[np.eye(6)])))
+    report = engine.run().report["counters"]
+    assert report["bus"]["malformed"] == 1
+    assert report["collab"]["ego"]["received"] == healthy["received"] + 1
+    assert report["collab"]["ego"]["spawned"] == healthy["spawned"] + 1
+
+
+def _first_task_time(report):
+    """When the ``cr-dist`` run of ``report`` sent its first task, task 1,
+    whose frame time this is too."""
+    return next(f["t_send"] for f in report["frames"] if f["type"] == "TASK_REQ")
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e200, 1.7e308])
+@pytest.mark.parametrize("mode", ["cr-covi", "cr-dist"])
+def test_a_frame_of_huge_covariances_is_counted_and_never_aborts(scenario_dir, mode, scale):
+    # TRACKS with covariances eye(6) * 1e200 once overflowed the CI weight
+    # search, and at 1.7e308 the eigenvalue solver: the readers accept a
+    # covariance up to bus.MAX_MAGNITUDE (1e100) and count one past it
+    # malformed, and the run completes either way
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 2.0
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode=mode, seed=42)
+    engine = Engine(sc)
+    if mode == "cr-covi":
+        frame = _tracks(500_000_000, timestamp=0.5, covs=np.stack([np.eye(6) * scale] * 2))
+        engine._push(0.5, KIND_DELIVER, ("ego", frame))
+    else:
+        t = _first_task_time(Engine(sc).run().report)
+        frame = _task_resp(round(t * 1e9), "results/ego/edge1/w0", task_id=1, frame_time=t,
+                           covs=np.eye(3)[None] * scale)
+        engine._push(t + 0.01, KIND_DELIVER, ("ego", frame))
+    run = engine.run()
+    for output in (run.report_bytes, run.track_jsonl, run.replay_jsonl):
+        assert output()
+    assert run.report["counters"]["bus"].get("malformed", 0) == (scale > bus.MAX_MAGNITUDE)
+
+
+# f64 bit patterns a wire fuzz writes: NaN, infinities, zeros, subnormals,
+# the bound and just past it, the extremes, and any pattern at all
+SPECIAL_F64 = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               bus.MAX_MAGNITUDE, -bus.MAX_MAGNITUDE, 1.01e100, 1.7e308, -1.7e308]
+F64_BITS = st.sampled_from([int(np.float64(x).view(np.uint64)) for x in SPECIAL_F64]) | \
+    st.integers(0, 2**64 - 1)
+# Each edit writes its bits at the (at modulo their count)-th f64 of a
+# message, and with ``mirror`` a covariance entry's bits at its transpose
+# too, so the readers' symmetry check lets the frame through
+F64_EDITS = st.lists(st.tuples(st.integers(0, 2**16), F64_BITS, st.booleans()),
+                     min_size=1, max_size=4)
+
+
+@functools.cache
+def fuzz_base(scenario_dir, kind):
+    """The scenario, the delivery time, the ids or task id and the f64
+    fields of an accepted frame of ``kind`` for a 1 s urban run, and the
+    run's bus counters:
+    TRACKS in ``cr-covi`` carrying the ego's own tracks at its first flush
+    after 0.5 s, stamped and delivered then; or, in ``cr-dist``, TASK_RESP
+    with two detections for the first task, delivered 10 ms after it was
+    sent.  The fields are the head's f64 and each f64 array."""
+    doc = json.loads((scenario_dir / "urban.json").read_text())
+    doc["duration"] = 1.0
+    mode = "cr-covi" if kind == "TRACKS" else "cr-dist"
+    sc = apply_overrides(load_scenario(json.dumps(doc)), mode=mode, seed=42)
+    healthy = Engine(sc).run()
+    if kind == "TRACKS":
+        t, _, ids, _, stack = next(r for r in healthy.track_records
+                                   if r[1] == "ego" and r[0] > 0.5)
+        covs = np.zeros((len(ids), 6, 6))
+        covs[:, range(6), range(6)] = stack[:, 1]
+        fields = (np.array([t]), np.eye(3), np.zeros(3), stack[:, 0], covs)
+        return sc, t, ids, fields, healthy.report["counters"]["bus"]
+    t = _first_task_time(healthy.report)
+    positions = Engine(sc).source.truth_at(t).positions[:2]
+    fields = (np.array([t]), positions, np.tile(0.01 * np.eye(3), (len(positions), 1, 1)))
+    return sc, t + 0.01, 1, fields, healthy.report["counters"]["bus"]
+
+
+def deliver_fuzzed(scenario_dir, kind, edits):
+    """One 1 s urban run that is delivered ``fuzz_base``'s frame of
+    ``kind`` with ``edits`` applied; it must complete, serialize all three
+    outputs, and count the frame malformed exactly when delivery refuses
+    it: its parser refuses it, or it is TRACKS stamped after ``t``."""
+    sc, t, key, base, healthy = fuzz_base(scenario_dir, kind)
+    fields = [a.copy() for a in base]
+    slots = [(a, i) for a in fields for i in range(a.size)]
+    for at, pattern, mirror in edits:
+        a, i = slots[at % len(slots)]
+        a.reshape(-1).view(np.uint64)[i] = pattern
+        if mirror and a.ndim == 3:
+            k, r, c = np.unravel_index(i, a.shape)
+            a[k, c, r] = a[k, r, c]
+    if kind == "TRACKS":
+        timestamp, rotation, translation, means, covs = fields
+        msg = RemoteTrackMsg("ego", Pose._trusted(rotation, translation), float(timestamp[0]),
+                             RemoteTracks(key, means, covs))
+        frame = _frame(0, bus.MSG_TRACKS, "tracks/rsu1", msg.to_payload())
+    else:
+        frame_time, positions, covs = fields
+        result = TaskResult(key, STATUS_OK, float(frame_time[0]), Detections(positions, covs))
+        frame = _frame(0, bus.MSG_TASK_RESP, "results/ego/edge1/w0", result.to_payload())
+    engine = Engine(sc)
+    parse, _ = _DELIVERY[bus.decode(frame).msg_type]
+    try:
+        (*_, parsed) = parse(engine, bus.decode(frame))
+        refused = kind == "TRACKS" and parsed.timestamp > t
+    except ValueError:
+        refused = True
+    engine._push(t, KIND_DELIVER, ("ego", frame))
+    run = engine.run()
+    for output in (run.report_bytes, run.track_jsonl, run.replay_jsonl):
+        assert output()
+    counts = run.report["counters"]["bus"]
+    assert counts["delivered"] == healthy["delivered"] + 1
+    assert counts.get("malformed", 0) == refused
+    if kind == "TASK_RESP":
+        assert engine.broker.conserved()
+
+
+@pytest.mark.parametrize("kind", ["TRACKS", "TASK_RESP"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(edits=F64_EDITS)
+def test_a_fuzzed_frame_is_accepted_or_malformed_and_never_aborts(scenario_dir, kind, edits):
+    deliver_fuzzed(scenario_dir, kind, edits)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["TRACKS", "TASK_RESP"])
+@settings(max_examples=500, deadline=None)
+@given(edits=F64_EDITS)
+def test_many_fuzzed_frames_are_accepted_or_malformed_and_never_abort(scenario_dir, kind,
+                                                                      edits):
+    deliver_fuzzed(scenario_dir, kind, edits)
 
 
 def test_result_for_a_task_never_submitted_is_ignored(scenario_dir):

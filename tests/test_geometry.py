@@ -97,12 +97,6 @@ class TestTransformGaussian:
             assert np.allclose(c, c.T)
             assert np.linalg.eigvalsh(c).min() > -1e-9
 
-    def test_asymmetric_cov_rejected(self):
-        cov = np.eye(6)
-        cov[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="covariance asymmetry"):
-            transform_gaussian(Pose.identity(), np.zeros(6), cov)
-
     def test_velocity_not_translated(self):
         pose = Pose(np.eye(3), [10.0, 0.0, 0.0])
         mean = np.array([0.0, 0, 0, 1, 2, 3])
@@ -147,6 +141,31 @@ class TestPoseValidation:
         r[1, 2] = entry
         with pytest.raises(ValueError, match=r"rotation not orthonormal \(an entry"):
             Pose(r, np.zeros(3))
+
+    def test_the_proper_rotation_verdict_is_det_s(self):
+        # the check's triple product (r0 x r1) . r2 refuses exactly what
+        # np.linalg.det did, on rotations, reflections and scaled or
+        # perturbed ones, each away from the edge of a 1e-9 tolerance
+        rng = np.random.default_rng(12)
+        seen = set()
+        for k in range(3000):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            r = (q if k % 2 else -q) * (1.0 + rng.uniform(-6e-10, 6e-10))
+            r += rng.choice([0.0, 1e-12, 1e-10, 1e-6]) * rng.normal(size=(3, 3))
+            det = np.linalg.det(r)
+            err = np.abs(r.T @ r - np.eye(3)).max()
+            if min(abs(abs(det - 1.0) - 1e-9), abs(err - 1e-9)) < 1e-11:
+                continue
+            expected = ("orthonormal" if np.abs(r).max() > 1.0 + 1e-9 or err > 1e-9
+                        else "proper" if abs(det - 1.0) > 1e-9 else None)
+            try:
+                Pose(r, np.zeros(3))
+                verdict = None
+            except ValueError as e:
+                verdict = "proper" if "proper" in str(e) else "orthonormal"
+            assert verdict == expected
+            seen.add(verdict)
+        assert seen == {None, "proper", "orthonormal"}
 
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError, match="focal lengths must be positive"):

@@ -28,8 +28,10 @@ from fusionsim.offload import STATUS_FAILED, STATUS_OK, TaskRequest, TaskResult
 from fusionsim.scenario import apply_overrides, load_scenario
 from fusionsim.scenario.engine import _DELIVERY, Engine
 
-numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0]) | st.floats(
-    allow_nan=False, allow_infinity=False)
+# every number a reader accepts: finite and at most bus.MAX_MAGNITUDE in size
+numbers = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 3.0, -7.0,
+                           bus.MAX_MAGNITUDE, -bus.MAX_MAGNITUDE]) | st.floats(
+    -bus.MAX_MAGNITUDE, bus.MAX_MAGNITUDE)
 # an id travels as an i64, and the loaders refuse one outside it
 ids = st.integers(-2**63, 2**63 - 1)
 rows = st.integers(0, 4)
@@ -39,6 +41,13 @@ angles = st.floats(-180.0, 180.0)
 
 def stack(k, *shape):
     return arrays(np.float64, (k, *shape), elements=numbers)
+
+
+def symmetric(covs):
+    """Each matrix of a stack with its upper triangle replaced by its lower
+    one's mirror: symmetric exactly, as a TRACKS reader requires."""
+    lower = np.tril(covs)
+    return lower + np.tril(covs, -1).swapaxes(-1, -2)
 
 
 poses = st.builds(lambda r, p, y, t: Pose(rotation_from_rpy_deg(r, p, y), t),
@@ -90,7 +99,7 @@ def arrays_of(x):
 def remote_track_msgs(draw):
     k = draw(rows)
     tracks = RemoteTracks(tuple(draw(st.lists(ids, min_size=k, max_size=k))),
-                          draw(stack(k, 6)), draw(stack(k, 6, 6)))
+                          draw(stack(k, 6)), symmetric(draw(stack(k, 6, 6))))
     return RemoteTrackMsg(draw(st.sampled_from(["ego", "rsu1"])), draw(poses), draw(numbers),
                           tracks)
 
@@ -190,9 +199,7 @@ def test_golden_frame_decodes_exactly(message, golden, golden_dir):
 
 def refused_or_read_as_written(message, payload):
     """``payload``, read as ``message``'s type, raises what the engine
-    counts as malformed or reads a message that writes exactly it (a
-    remote track's non-finite number is read as written, for ``align`` to
-    refuse)."""
+    counts as malformed or reads a message that writes exactly it."""
     try:
         back = read(message, payload)
     except ValueError:

@@ -218,11 +218,13 @@ class TestPayload:
         assert back.to_payload() == wire
 
     @pytest.mark.parametrize("field", ["positions", "covs"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1.01e100,
+                                       -1.7e308])
     def test_a_non_finite_detection_is_refused(self, field, value):
+        # the payload layout's rule, which refuses a number past the bound too
         res = result()
         getattr(res.detections, field)[0, 1] = value
-        refused(TaskResult.from_payload, res, "edge detections must be finite")
+        refused(TaskResult.from_payload, res, "not finite or past 1e\\+100")
 
     @pytest.mark.parametrize("positions,covs", [
         ([[1.0, 2.0, 3.0]] * 2, [np.eye(3)]), (np.empty((0, 3)), [np.eye(3)]),

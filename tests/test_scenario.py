@@ -257,3 +257,27 @@ def test_a_mutated_document_is_refused_or_round_trips(scenario_dir, spec):
         return
     first = canonical_dumps(sc.to_dict())
     assert canonical_dumps(load_scenario(first.decode()).to_dict()) == first
+
+
+# Motions whose positions or velocities overflow inside a 2 s urban run:
+# the document path, the value there and the path the refusal names.
+OVERFLOWING_MOTIONS = {
+    "cv": (("objects", 0, "motion", "v"), [1e308, 0.0, 0.0], "$.objects[0].motion"),
+    "waypoint-span": (("objects", 2, "motion", "points"),
+                      [[0.0, [-1e308, -8.0, 0.9]], [15.0, [1e308, 0.0, 0.9]],
+                       [30.0, [38.0, 14.0, 0.9]]], "$.objects[2].motion.points[1]"),
+    "waypoint-step": (("objects", 2, "motion", "points"),
+                      [[0.0, [30.0, -8.0, 0.9]], [1e-320, [38.0, 0.0, 0.9]],
+                       [30.0, [38.0, 14.0, 0.9]]], "$.objects[2].motion.points[1]"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(OVERFLOWING_MOTIONS))
+def test_a_motion_that_overflows_in_the_run_is_refused(scenario_dir, where):
+    # it would run, and its replay would hold a position or velocity that
+    # is not finite, which no JSON line can carry
+    path, value, named = OVERFLOWING_MOTIONS[where]
+    doc = _set(load_doc(scenario_dir), ("duration",), 2.0)
+    load(doc)
+    with pytest.raises(ValidationError, match=f"^{re.escape(named)}: .* not finite$"):
+        load(_set(doc, path, value))
