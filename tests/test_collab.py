@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import BAD_POSES, batch_bytes, state_bytes, tracker_state
 from hypothesis import given, settings, strategies as st
 
+from fusionsim import bus
 from fusionsim.collab import (
     CiPairs,
     CollabState,
@@ -19,6 +21,8 @@ from fusionsim.collab import (
 )
 from fusionsim.fusion import Detections
 from fusionsim.geometry import Pose
+from fusionsim.scenario import apply_overrides, load_scenario
+from fusionsim.scenario.engine import KIND_DELIVER, Engine
 from fusionsim.tracker import GATE_QUANTILES, LANE_EDGE, LANE_LOCAL, Tracker, TrackerConfig, spawn
 
 GAMMA_99 = GATE_QUANTILES[0.99]
@@ -375,6 +379,40 @@ class TestCoviStep:
         covi_step(tk, [old], 5.0, state)
         assert state.counters() == {"received": 1, "stale": 1, "fused": 0, "spawned": 0}
         assert tracker_state(tk) == before
+
+    def test_a_stale_message_counts_stale_before_align_checks_it(self):
+        # staleness is decided before align predicts the message, so a
+        # stale one is skipped whatever its numbers
+        tk = self.make_tracker([[5.0, 0, 0]])
+        before = tracker_state(tk)
+        state = CollabState()
+        cov = np.eye(6)
+        cov[0, 0] = np.nan
+        covi_step(tk, [msg([(1, np.zeros(6), cov)], timestamp=0.0)], 5.0, state)
+        assert state.counters() == {"received": 1, "stale": 1, "fused": 0, "spawned": 0}
+        assert tracker_state(tk) == before
+
+    def test_asymmetric_remote_covariance_rejected_not_fatal(self, scenario_dir):
+        # the TRACKS reader refuses it on delivery, counted malformed, so no
+        # flush reads it; the frame after it is still read: its far remote
+        # track spawns
+        doc = json.loads((scenario_dir / "urban.json").read_text())
+        doc["duration"] = 1.0
+        sc = apply_overrides(load_scenario(json.dumps(doc)), mode="cr-covi", seed=42)
+        healthy = Engine(sc).run().report["counters"]["collab"]["ego"]
+        engine = Engine(sc)
+        far = np.array([500.0, 500.0, 0, 0, 0, 0])
+        cov = np.eye(6)
+        cov[0, 1] = 1e-3
+        for remote in ([(1, far, cov)], [(2, far, np.eye(6))]):
+            payload = msg(remote, timestamp=0.5).to_payload()
+            frame = bus.encode(bus.BusFrame(bus.MSG_TRACKS, 500_000_000, "tracks/rsu1", payload))
+            engine._push(0.5, KIND_DELIVER, ("ego", frame))
+        report = engine.run().report["counters"]
+        assert report["bus"]["malformed"] == 1
+        assert report["collab"]["ego"]["received"] == healthy["received"] + 1
+        assert report["collab"]["ego"]["spawned"] == healthy["spawned"] + 1
+        assert "rejected" not in report["collab"]["ego"]
 
     def test_zero_covariance_remote_track_not_fatal(self):
         # the readers accept it, finite and symmetric: it spawns a track
